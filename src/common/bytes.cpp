@@ -73,6 +73,25 @@ void note_copied(std::size_t n) {
   instruments().copied.add(n);
 }
 
+// An empty vector from the calling thread's freelist (capacity kept) or a
+// fresh one, counted as a pool hit only when the recycled capacity already
+// holds `size` bytes (growing it to `size` reallocates).
+Bytes take_recycled(std::size_t size) {
+  Freelist* list = &freelist();
+  if (list->free.empty()) {
+    note_fresh();
+    return Bytes{};
+  }
+  Bytes buf = std::move(list->free.back());
+  list->free.pop_back();
+  if (buf.capacity() >= size) {
+    note_hit();
+  } else {
+    note_fresh();
+  }
+  return buf;
+}
+
 void pool_release(Bytes&& buf) {
   Freelist* list = tl_list;
   if (list == nullptr || list->free.size() >= Freelist::kMaxBuffers) return;
@@ -97,27 +116,15 @@ void alloc_stats_reset() {
 }
 
 Bytes pool_acquire(std::size_t size) {
-  Freelist* list = &freelist();
-  if (!list->free.empty()) {
-    Bytes buf = std::move(list->free.back());
-    list->free.pop_back();
-    if (buf.capacity() >= size) {
-      note_hit();
-    } else {
-      note_fresh();  // resize below reallocates
-    }
-    buf.resize(size);
-    return buf;
-  }
-  note_fresh();
-  Bytes buf;
+  Bytes buf = take_recycled(size);
   buf.resize(size);
   return buf;
 }
 
 SharedBytes SharedBytes::copy_of(BytesView src) {
-  Bytes buf = pool_acquire(src.size());
-  if (!src.empty()) std::memcpy(buf.data(), src.data(), src.size());
+  // assign() writes each byte once; pool_acquire would zero-fill first.
+  Bytes buf = take_recycled(src.size());
+  buf.assign(src.begin(), src.end());
   note_copied(src.size());
   return share_pooled(std::move(buf));
 }

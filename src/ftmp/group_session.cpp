@@ -75,6 +75,7 @@ void GroupSession::finish_send(TimePoint now, const Header& h, SharedBytes raw,
   if (is_reliable(h.type)) {
     // The store shares the outgoing buffer — no copy on the send path.
     rmp_.store(self_, h.sequence_number, raw);
+    ordering_->on_own_send(h);
     if (h.type == MessageType::kRegular) {
       flow_.note_sent(now, h.sequence_number, raw.size());
     }

@@ -186,13 +186,17 @@ void LlftOrdering::consume_order_info(ProcessorId from, const OrderInfoBody& bod
   }
 }
 
-void LlftOrdering::grant_ready(ProcessorId src) {
-  if (!leading() || suspended_) return;
-  auto [ih, inserted] = issued_hw_.try_emplace(src, 0);
-  SeqNum& hw = ih->second;
+SeqNum& LlftOrdering::issued_mark(ProcessorId src) {
+  SeqNum& hw = issued_hw_[src];
   auto gh = granted_hw_.find(src);
   hw = std::max({hw, floor_of(src),
                  gh == granted_hw_.end() ? 0 : gh->second});
+  return hw;
+}
+
+void LlftOrdering::grant_ready(ProcessorId src) {
+  if (!leading() || suspended_) return;
+  SeqNum& hw = issued_mark(src);
   auto hs = held_.find(src);
   if (hs == held_.end()) return;
   auto& m = hs->second;
@@ -445,6 +449,28 @@ std::vector<Body> LlftOrdering::take_protocol_sends() {
   }
   pending_grants_.clear();
   return out;
+}
+
+void LlftOrdering::on_own_send(const Header& header) {
+  if (!is_totally_ordered(header.type)) return;
+  const SeqNum earlier = own_sent_hw_;
+  own_sent_hw_ = header.sequence_number;
+  // Only a Regular: a membership change must suspend granting, which
+  // grant_ready does when it arrives. Nor past a suspension or a recovery
+  // round, which both stop new grants.
+  if (header.type != MessageType::kRegular || !leading() || suspended_ ||
+      recovering_) {
+    return;
+  }
+  // Slots follow seq order on every stream: an earlier own message still
+  // waiting for its grant (in flight at accession, or sent while granting
+  // was stopped) keeps this one on the loopback path behind it.
+  SeqNum& hw = issued_mark(self_);
+  if (hw < earlier) return;
+  // The loopback arrival finds hw already past it and grants nothing.
+  hw = header.sequence_number;
+  pending_grants_.push_back({self_, hw});
+  llft_metrics_.grants.add();
 }
 
 void LlftOrdering::set_recovering(bool active) {

@@ -11,6 +11,11 @@
 // yet. Latency needs only the leader's grant (at most two one-way hops),
 // not — as in Lamport mode — a timestamp bound from every member.
 //
+// Grant at send. The leader grants its own Regulars as the session stores
+// them (on_own_send), so under batching the grant leaves in the message's
+// own datagram; anything that cannot be granted then is granted on its
+// loopback arrival instead.
+//
 // Epochs and reconciliation. Grants carry the view timestamp they were
 // issued under. Followers consume grants only from the current leader at
 // the exact current epoch; future-epoch grants are buffered until the view
@@ -75,6 +80,7 @@ class LlftOrdering : public Romp {
 
   // ---- engine-originated control traffic ----
   [[nodiscard]] std::vector<Body> take_protocol_sends() override;
+  void on_own_send(const Header& header) override;
   void set_recovering(bool active) override;
 
   /// The member currently granting slots (ProcessorId{} when the group is
@@ -104,6 +110,9 @@ class LlftOrdering : public Romp {
   [[nodiscard]] SeqNum floor_of(ProcessorId src) const;
   [[nodiscard]] bool eligible(ProcessorId m) const;
   void recompute_granter();
+  /// This leader's grant high-water mark for `src`, raised to cover what is
+  /// already delivered or granted.
+  [[nodiscard]] SeqNum& issued_mark(ProcessorId src);
   /// Queues grants for every contiguously-held ungranted message from
   /// `src`; stops (and suspends) at a membership-change message.
   void grant_ready(ProcessorId src);
@@ -152,6 +161,8 @@ class LlftOrdering : public Romp {
   std::unordered_map<ProcessorId, SeqNum> granted_hw_;
   // Highest grant issued by this member as leader.
   std::unordered_map<ProcessorId, SeqNum> issued_hw_;
+  // Sequence number of this member's latest own totally-ordered send.
+  SeqNum own_sent_hw_ = 0;
   // Totally-ordered frames held until their slot comes up.
   std::unordered_map<ProcessorId, std::map<SeqNum, HeldEntry>> held_;
   std::size_t held_count_ = 0;

@@ -58,6 +58,9 @@ struct OrderingStats {
 ///  * `take_protocol_sends` lets an engine emit its own control messages
 ///    (LLFT's OrderInfo grants); the session stamps, stores and multicasts
 ///    them exactly like any other reliable body.
+///  * `on_own_send` sees every reliable message this member sends, as soon
+///    as it is stored, so a leader can grant its own messages at send time
+///    instead of on their loopback arrival.
 ///  * `set_view` is called at every membership-change point — planned
 ///    add/remove ordering points, fault installs, bootstrap and join —
 ///    after the member set has been updated; leader-based engines
@@ -131,6 +134,12 @@ class OrderingPolicy {
   /// the Lamport engine never originates messages, which keeps default
   /// mode byte-identical.
   [[nodiscard]] virtual std::vector<Body> take_protocol_sends() { return {}; }
+
+  /// The session stamped and stored this member's own reliable message
+  /// `header` and is about to multicast it. Default no-op: only a leader
+  /// granting its own messages needs it, and Lamport mode stays
+  /// byte-identical.
+  virtual void on_own_send(const Header& header) { (void)header; }
 
   /// PGMP signal: a fault-recovery round is running (`true` from the first
   /// local Membership proposal until the round aborts or installs). A

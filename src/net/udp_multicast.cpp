@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -15,12 +16,24 @@ namespace {
 [[noreturn]] void fail(const std::string& op) {
   throw TransportError(op + ": " + std::strerror(errno));
 }
+
+sockaddr_in group_sockaddr(McastAddress addr, std::uint16_t port) {
+  sockaddr_in sa{};
+  sa.sin_family = AF_INET;
+  sa.sin_port = htons(port);
+  sa.sin_addr.s_addr = htonl(UdpMulticastTransport::group_ipv4(addr));
+  return sa;
+}
 }  // namespace
 
 std::string UdpMulticastTransport::group_ip(McastAddress addr) {
   const std::uint32_t raw = addr.raw();
   return "239.192." + std::to_string((raw >> 8) & 0xFF) + "." +
          std::to_string(raw & 0xFF);
+}
+
+std::uint32_t UdpMulticastTransport::group_ipv4(McastAddress addr) {
+  return (239u << 24) | (192u << 16) | (addr.raw() & 0xFFFFu);
 }
 
 UdpMulticastTransport::UdpMulticastTransport(Options options)
@@ -59,7 +72,7 @@ UdpMulticastTransport::UdpMulticastTransport(Options options)
 
 UdpMulticastTransport::~UdpMulticastTransport() {
   if (send_fd_ >= 0) ::close(send_fd_);
-  for (auto& [addr, fd] : group_fds_) ::close(fd);
+  for (const pollfd& p : fds_) ::close(p.fd);
 }
 
 int UdpMulticastTransport::open_group_socket(McastAddress addr) {
@@ -71,15 +84,10 @@ int UdpMulticastTransport::open_group_socket(McastAddress addr) {
   (void)::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one));
 #endif
 
-  sockaddr_in bind_addr{};
-  bind_addr.sin_family = AF_INET;
-  bind_addr.sin_port = htons(options_.port);
   // Bind to the group address itself so this socket only sees this group.
-  if (::inet_pton(AF_INET, group_ip(addr).c_str(), &bind_addr.sin_addr) != 1) {
-    ::close(fd);
-    throw TransportError("bad group ip");
-  }
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&bind_addr), sizeof(bind_addr)) < 0) {
+  const sockaddr_in bind_addr = group_sockaddr(addr, options_.port);
+  if (::bind(fd, reinterpret_cast<const sockaddr*>(&bind_addr),
+             sizeof(bind_addr)) < 0) {
     int saved = errno;
     ::close(fd);
     errno = saved;
@@ -102,27 +110,28 @@ int UdpMulticastTransport::open_group_socket(McastAddress addr) {
 }
 
 void UdpMulticastTransport::join(McastAddress addr) {
-  if (group_fds_.contains(addr.raw())) return;
-  group_fds_[addr.raw()] = open_group_socket(addr);
+  if (std::find(fd_addrs_.begin(), fd_addrs_.end(), addr.raw()) !=
+      fd_addrs_.end()) {
+    return;
+  }
+  fds_.push_back(pollfd{open_group_socket(addr), POLLIN, 0});
+  fd_addrs_.push_back(addr.raw());
 }
 
 void UdpMulticastTransport::leave(McastAddress addr) {
-  auto it = group_fds_.find(addr.raw());
-  if (it == group_fds_.end()) return;
-  ::close(it->second);
-  group_fds_.erase(it);
+  auto it = std::find(fd_addrs_.begin(), fd_addrs_.end(), addr.raw());
+  if (it == fd_addrs_.end()) return;
+  const auto i = it - fd_addrs_.begin();
+  ::close(fds_[std::size_t(i)].fd);
+  fds_.erase(fds_.begin() + i);
+  fd_addrs_.erase(it);
 }
 
 void UdpMulticastTransport::send(const Datagram& datagram) {
-  sockaddr_in dest{};
-  dest.sin_family = AF_INET;
-  dest.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, group_ip(datagram.addr).c_str(), &dest.sin_addr) != 1) {
-    throw TransportError("bad group ip");
-  }
+  const sockaddr_in dest = group_sockaddr(datagram.addr, options_.port);
   const ssize_t n =
       ::sendto(send_fd_, datagram.payload.data(), datagram.payload.size(), 0,
-               reinterpret_cast<sockaddr*>(&dest), sizeof(dest));
+               reinterpret_cast<const sockaddr*>(&dest), sizeof(dest));
   if (n < 0) fail("sendto");
   metrics_.datagrams_out.add();
   metrics_.bytes_out.add(static_cast<std::uint64_t>(n));
@@ -133,36 +142,31 @@ void UdpMulticastTransport::send_many(const std::vector<Datagram>& datagrams) {
 #ifdef __linux__
   // One syscall for the whole burst: each message carries its own
   // destination group address on the shared send socket.
-  std::vector<sockaddr_in> dests(datagrams.size());
-  std::vector<iovec> iovs(datagrams.size());
-  std::vector<mmsghdr> msgs(datagrams.size());
-  for (std::size_t i = 0; i < datagrams.size(); ++i) {
-    sockaddr_in& dest = dests[i];
-    dest.sin_family = AF_INET;
-    dest.sin_port = htons(options_.port);
-    if (::inet_pton(AF_INET, group_ip(datagrams[i].addr).c_str(),
-                    &dest.sin_addr) != 1) {
-      throw TransportError("bad group ip");
-    }
-    iovs[i].iov_base = const_cast<std::uint8_t*>(datagrams[i].payload.data());
-    iovs[i].iov_len = datagrams[i].payload.size();
-    msgs[i] = mmsghdr{};
-    msgs[i].msg_hdr.msg_name = &dest;
-    msgs[i].msg_hdr.msg_namelen = sizeof(dest);
-    msgs[i].msg_hdr.msg_iov = &iovs[i];
-    msgs[i].msg_hdr.msg_iovlen = 1;
+  const std::size_t count = datagrams.size();
+  send_dests_.resize(count);
+  send_iovs_.resize(count);
+  send_msgs_.resize(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    send_dests_[i] = group_sockaddr(datagrams[i].addr, options_.port);
+    send_iovs_[i].iov_base = const_cast<std::uint8_t*>(datagrams[i].payload.data());
+    send_iovs_[i].iov_len = datagrams[i].payload.size();
+    send_msgs_[i] = mmsghdr{};
+    send_msgs_[i].msg_hdr.msg_name = &send_dests_[i];
+    send_msgs_[i].msg_hdr.msg_namelen = sizeof(sockaddr_in);
+    send_msgs_[i].msg_hdr.msg_iov = &send_iovs_[i];
+    send_msgs_[i].msg_hdr.msg_iovlen = 1;
   }
   std::size_t sent = 0;
-  while (sent < msgs.size()) {
-    const int n = ::sendmmsg(send_fd_, msgs.data() + sent,
-                             static_cast<unsigned>(msgs.size() - sent), 0);
+  while (sent < count) {
+    const int n = ::sendmmsg(send_fd_, send_msgs_.data() + sent,
+                             static_cast<unsigned>(count - sent), 0);
     if (n < 0) {
       if (errno == EINTR) continue;
       fail("sendmmsg");
     }
     for (int i = 0; i < n; ++i) {
       metrics_.datagrams_out.add();
-      metrics_.bytes_out.add(msgs[sent + std::size_t(i)].msg_len);
+      metrics_.bytes_out.add(send_msgs_[sent + std::size_t(i)].msg_len);
     }
     sent += static_cast<std::size_t>(n);
   }
@@ -171,38 +175,59 @@ void UdpMulticastTransport::send_many(const std::vector<Datagram>& datagrams) {
 #endif
 }
 
-std::optional<Datagram> UdpMulticastTransport::receive(Duration timeout) {
-  if (group_fds_.empty()) return std::nullopt;
-  std::vector<pollfd> fds;
-  std::vector<std::uint32_t> addrs;
-  fds.reserve(group_fds_.size());
-  for (auto& [addr, fd] : group_fds_) {
-    fds.push_back(pollfd{fd, POLLIN, 0});
-    addrs.push_back(addr);
-  }
+bool UdpMulticastTransport::wait_readable(Duration timeout) {
   const int timeout_ms =
       static_cast<int>(std::max<Duration>(0, timeout) / kMillisecond);
-  const int ready = ::poll(fds.data(), fds.size(), timeout_ms);
+  const int ready = ::poll(fds_.data(), fds_.size(), timeout_ms);
   if (ready < 0) {
-    if (errno == EINTR) return std::nullopt;
+    if (errno == EINTR) return false;
     fail("poll");
   }
-  if (ready == 0) return std::nullopt;
-  for (std::size_t i = 0; i < fds.size(); ++i) {
-    if (!(fds[i].revents & POLLIN)) continue;
-    // Pooled receive buffer: the vector's 64 KiB capacity is recycled when
-    // the last SharedBytes slice referencing this datagram is released.
-    Bytes buf = pool_acquire(65536);
-    const ssize_t n = ::recv(fds[i].fd, buf.data(), buf.size(), 0);
+  return ready > 0;
+}
+
+std::uint8_t* UdpMulticastTransport::scratch(std::size_t slots) {
+  if (scratch_slots_ < slots) {
+    // Left uninitialised: zero-filling would touch every page up front,
+    // while the kernel only writes as much of a slot as a datagram needs.
+    scratch_ = std::make_unique_for_overwrite<std::uint8_t[]>(slots * kSlotBytes);
+    scratch_slots_ = slots;
+#ifdef __linux__
+    recv_iovs_.resize(slots);
+    recv_msgs_.resize(slots);
+    for (std::size_t m = 0; m < slots; ++m) {
+      recv_iovs_[m].iov_base = scratch_.get() + m * kSlotBytes;
+      recv_iovs_[m].iov_len = kSlotBytes;
+      recv_msgs_[m] = mmsghdr{};
+      recv_msgs_[m].msg_hdr.msg_iov = &recv_iovs_[m];
+      recv_msgs_[m].msg_hdr.msg_iovlen = 1;
+    }
+#endif
+  }
+  return scratch_.get();
+}
+
+Datagram UdpMulticastTransport::take_datagram(std::uint32_t addr,
+                                              const std::uint8_t* data,
+                                              std::size_t len) {
+  metrics_.datagrams_in.add();
+  metrics_.bytes_in.add(len);
+  // The one copy on the receive path: a pooled buffer of exactly `len`
+  // bytes, which every later layer slices without copying.
+  return Datagram{McastAddress{addr}, SharedBytes::copy_of({data, len})};
+}
+
+std::optional<Datagram> UdpMulticastTransport::receive(Duration timeout) {
+  if (fds_.empty() || !wait_readable(timeout)) return std::nullopt;
+  std::uint8_t* slot = scratch(1);
+  for (std::size_t i = 0; i < fds_.size(); ++i) {
+    if (!(fds_[i].revents & POLLIN)) continue;
+    const ssize_t n = ::recv(fds_[i].fd, slot, kSlotBytes, 0);
     if (n < 0) {
       if (errno == EAGAIN || errno == EINTR) continue;
       fail("recv");
     }
-    buf.resize(static_cast<std::size_t>(n));
-    metrics_.datagrams_in.add();
-    metrics_.bytes_in.add(static_cast<std::uint64_t>(n));
-    return Datagram{McastAddress{addrs[i]},
-                    SharedBytes::share_pooled(std::move(buf))};
+    return take_datagram(fd_addrs_[i], slot, static_cast<std::size_t>(n));
   }
   return std::nullopt;
 }
@@ -210,40 +235,17 @@ std::optional<Datagram> UdpMulticastTransport::receive(Duration timeout) {
 std::vector<Datagram> UdpMulticastTransport::receive_many(Duration timeout,
                                                           std::size_t max_batch) {
   std::vector<Datagram> out;
-  if (group_fds_.empty() || max_batch == 0) return out;
-  std::vector<pollfd> fds;
-  std::vector<std::uint32_t> addrs;
-  fds.reserve(group_fds_.size());
-  for (auto& [addr, fd] : group_fds_) {
-    fds.push_back(pollfd{fd, POLLIN, 0});
-    addrs.push_back(addr);
-  }
-  const int timeout_ms =
-      static_cast<int>(std::max<Duration>(0, timeout) / kMillisecond);
-  const int ready = ::poll(fds.data(), fds.size(), timeout_ms);
-  if (ready < 0) {
-    if (errno == EINTR) return out;
-    fail("poll");
-  }
-  if (ready == 0) return out;
-  for (std::size_t i = 0; i < fds.size(); ++i) {
-    if (!(fds[i].revents & POLLIN)) continue;
+  if (fds_.empty() || max_batch == 0 || !wait_readable(timeout)) return out;
 #ifdef __linux__
-    // Drain the socket with one syscall into pooled 64 KiB buffers; each
-    // becomes a zero-copy Datagram payload.
-    std::vector<Bytes> bufs;
-    std::vector<iovec> iovs(max_batch);
-    std::vector<mmsghdr> msgs(max_batch);
-    bufs.reserve(max_batch);
-    for (std::size_t m = 0; m < max_batch; ++m) {
-      bufs.push_back(pool_acquire(65536));
-      iovs[m].iov_base = bufs[m].data();
-      iovs[m].iov_len = bufs[m].size();
-      msgs[m] = mmsghdr{};
-      msgs[m].msg_hdr.msg_iov = &iovs[m];
-      msgs[m].msg_hdr.msg_iovlen = 1;
-    }
-    const int n = ::recvmmsg(fds[i].fd, msgs.data(),
+  std::uint8_t* area = scratch(max_batch);
+#else
+  std::uint8_t* area = scratch(1);
+#endif
+  for (std::size_t i = 0; i < fds_.size(); ++i) {
+    if (!(fds_[i].revents & POLLIN)) continue;
+#ifdef __linux__
+    // Drain the socket with one syscall into the scratch slots.
+    const int n = ::recvmmsg(fds_[i].fd, recv_msgs_.data(),
                              static_cast<unsigned>(max_batch), MSG_DONTWAIT,
                              nullptr);
     if (n < 0) {
@@ -251,25 +253,16 @@ std::vector<Datagram> UdpMulticastTransport::receive_many(Duration timeout,
       fail("recvmmsg");
     }
     for (int m = 0; m < n; ++m) {
-      Bytes buf = std::move(bufs[std::size_t(m)]);
-      buf.resize(msgs[std::size_t(m)].msg_len);
-      metrics_.datagrams_in.add();
-      metrics_.bytes_in.add(msgs[std::size_t(m)].msg_len);
-      out.push_back(Datagram{McastAddress{addrs[i]},
-                             SharedBytes::share_pooled(std::move(buf))});
+      out.push_back(take_datagram(fd_addrs_[i], area + std::size_t(m) * kSlotBytes,
+                                  recv_msgs_[std::size_t(m)].msg_len));
     }
 #else
-    Bytes buf = pool_acquire(65536);
-    const ssize_t n = ::recv(fds[i].fd, buf.data(), buf.size(), 0);
+    const ssize_t n = ::recv(fds_[i].fd, area, kSlotBytes, 0);
     if (n < 0) {
       if (errno == EAGAIN || errno == EINTR) continue;
       fail("recv");
     }
-    buf.resize(static_cast<std::size_t>(n));
-    metrics_.datagrams_in.add();
-    metrics_.bytes_in.add(static_cast<std::uint64_t>(n));
-    out.push_back(Datagram{McastAddress{addrs[i]},
-                           SharedBytes::share_pooled(std::move(buf))});
+    out.push_back(take_datagram(fd_addrs_[i], area, static_cast<std::size_t>(n)));
 #endif
   }
   return out;

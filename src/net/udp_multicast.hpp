@@ -9,13 +9,25 @@
 // the whole fault-tolerance domain. One socket is opened per joined group,
 // bound to the group address itself so the kernel demultiplexes groups for
 // us.
+//
+// Receive path (docs/BUFFERS.md §1): the kernel writes datagrams into a
+// scratch area the transport owns (one 64 KiB slot per datagram of a
+// recvmmsg burst, allocated on first use and never zero-filled), and each
+// datagram is then copied once into a pooled buffer of exactly its size.
+// Retained messages therefore pin only their own bytes, not a 64 KiB
+// arrival buffer each.
 #pragma once
 
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <sys/uio.h>
+
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -77,20 +89,52 @@ class UdpMulticastTransport {
 
   /// Waits up to `timeout` for traffic, then drains up to `max_batch`
   /// datagrams per ready group socket with one recvmmsg(2) syscall each on
-  /// Linux (single recv fallback elsewhere), into pooled buffers. Returns
-  /// an empty vector on timeout.
+  /// Linux (single recv fallback elsewhere), each copied into a right-sized
+  /// pooled buffer. Returns an empty vector on timeout.
   [[nodiscard]] std::vector<Datagram> receive_many(Duration timeout,
                                                    std::size_t max_batch = 16);
 
   /// Dotted-quad group IP for a McastAddress (exposed for logging/tests).
   [[nodiscard]] static std::string group_ip(McastAddress addr);
 
+  /// The same group address as a host-order IPv4 value, computed without
+  /// going through text (the send path's destination).
+  [[nodiscard]] static std::uint32_t group_ipv4(McastAddress addr);
+
  private:
+  /// One scratch slot holds any UDP datagram.
+  static constexpr std::size_t kSlotBytes = 65536;
+
   int open_group_socket(McastAddress addr);
+  /// Polls every joined group socket; false on timeout or EINTR.
+  [[nodiscard]] bool wait_readable(Duration timeout);
+  /// The receive scratch area, grown to at least `slots` slots.
+  [[nodiscard]] std::uint8_t* scratch(std::size_t slots);
+  /// Counts one received datagram and copies it out of the scratch area.
+  [[nodiscard]] Datagram take_datagram(std::uint32_t addr,
+                                       const std::uint8_t* data,
+                                       std::size_t len);
 
   Options options_;
   int send_fd_ = -1;
-  std::unordered_map<std::uint32_t, int> group_fds_;  // McastAddress -> fd
+  // Joined groups in join order: the poll set and each entry's group,
+  // changed only by join and leave so every receive reuses them.
+  std::vector<pollfd> fds_;
+  std::vector<std::uint32_t> fd_addrs_;
+
+  // Receive scratch: scratch_slots_ slots of kSlotBytes, allocated on the
+  // first receive (never in the constructor or join) and left uninitialised.
+  std::unique_ptr<std::uint8_t[]> scratch_;
+  std::size_t scratch_slots_ = 0;
+#ifdef __linux__
+  // recvmmsg headers, one per scratch slot (built when the scratch grows).
+  std::vector<iovec> recv_iovs_;
+  std::vector<mmsghdr> recv_msgs_;
+  // sendmmsg headers, kept across calls.
+  std::vector<sockaddr_in> send_dests_;
+  std::vector<iovec> send_iovs_;
+  std::vector<mmsghdr> send_msgs_;
+#endif
 
   // Process-global instruments (docs/METRICS.md).
   struct Instruments {

@@ -84,6 +84,27 @@ TEST(BufferPool, ReleaseRecyclesCapacityWithinThread) {
   EXPECT_EQ(stats.fresh_buffers, 1u);
 }
 
+// copy_of fills a recycled vector directly but accounts it exactly like
+// pool_acquire: a hit when the recycled capacity holds the copy, a fresh
+// buffer when it must grow.
+TEST(BufferPool, CopyOfAccountsRecycledCapacityLikeAcquire) {
+  { const SharedBytes parked = SharedBytes::share_pooled(pool_acquire(4096)); }
+  alloc_stats_reset();
+  const Bytes small(100, 0x5A);
+  { EXPECT_EQ(SharedBytes::copy_of(small), small); }
+  AllocStats stats = alloc_stats();
+  EXPECT_EQ(stats.pool_hits, 1u);
+  EXPECT_EQ(stats.fresh_buffers, 0u);
+  EXPECT_EQ(stats.copied_bytes, 100u);
+
+  const Bytes big(8192, 0xA5);
+  EXPECT_EQ(SharedBytes::copy_of(big), big);
+  stats = alloc_stats();
+  EXPECT_EQ(stats.pool_hits, 1u);
+  EXPECT_EQ(stats.fresh_buffers, 1u) << "the 4 KiB vector had to grow";
+  EXPECT_EQ(stats.copied_bytes, 100u + 8192u);
+}
+
 TEST(BufferPool, PooledBuffersAreZeroFilled) {
   Bytes buf = pool_acquire(64);
   for (std::uint8_t b : buf) ASSERT_EQ(b, 0u);

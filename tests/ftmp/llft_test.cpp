@@ -1,11 +1,16 @@
 // LLFT ordering-engine tests (llft.hpp, docs/ORDERING.md): leader grant
 // stamping, follower gap recovery through RMP NACKs, and leader-failover
 // reconciliation through the PGMP install path (prefix agreement across
-// survivors, new-leader accession, post-failover progress).
+// survivors, new-leader accession, post-failover progress), and the
+// leader's grant at send of its own Regulars.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <set>
 
 #include "ftmp/llft.hpp"
 #include "ftmp/sim_harness.hpp"
+#include "ftmp/wire.hpp"
 
 namespace ftcorba::ftmp {
 namespace {
@@ -30,6 +35,69 @@ Config llft_config() {
   cfg.ordering_mode = OrderingMode::kLlft;
   return cfg;
 }
+
+Config batched_llft_config() {
+  Config cfg = llft_config();
+  cfg.batch_max_datagram_bytes = 1400;
+  return cfg;
+}
+
+// Every first-transmission FTMP frame one member multicasts, decoded, with
+// the index of the wire datagram (FTMB batch or plain) that carried it.
+class WireLog {
+ public:
+  struct Entry {
+    std::size_t datagram = 0;
+    Message msg;
+  };
+
+  WireLog(SimHarness& h, ProcessorId sender) {
+    h.network().set_tap([this, sender](TimePoint, ProcessorId from,
+                                       const net::Datagram& d) {
+      if (from != sender) return;
+      ++datagrams_;
+      if (!looks_like_ftmp_batch(d.payload)) {
+        add(d.payload);
+        return;
+      }
+      BatchParser parser(d.payload);
+      while (auto sf = parser.next()) {
+        add(d.payload.view().subspan(sf->offset, sf->length));
+      }
+    });
+  }
+
+  [[nodiscard]] const std::vector<Entry>& entries() const { return entries_; }
+
+  /// Every grant issued, in wire order, with its OrderInfo's view tag and
+  /// datagram.
+  struct Grant {
+    std::size_t datagram = 0;
+    Timestamp view_ts = 0;
+    SourceSeq slot;
+  };
+  [[nodiscard]] std::vector<Grant> grants() const {
+    std::vector<Grant> out;
+    for (const Entry& e : entries_) {
+      if (e.msg.header.type != MessageType::kOrderInfo) continue;
+      const auto& body = std::get<OrderInfoBody>(e.msg.body);
+      for (const SourceSeq& g : body.grants) {
+        out.push_back({e.datagram, body.view_ts, g});
+      }
+    }
+    return out;
+  }
+
+ private:
+  void add(BytesView frame) {
+    Message m = decode_message(frame);
+    if (m.header.retransmission) return;
+    entries_.push_back({datagrams_, std::move(m)});
+  }
+
+  std::size_t datagrams_ = 0;
+  std::vector<Entry> entries_;
+};
 
 const LlftOrdering& engine(SimHarness& h, ProcessorId p) {
   auto* g = h.stack(p).group(kGroup);
@@ -416,6 +484,219 @@ TEST(Llft, FutureViewGrantBufferIsBounded) {
   eng.set_view(5);
   EXPECT_EQ(eng.future_buffered(), kCap - 1)
       << "install must drain exactly the admitted low-tagged body";
+}
+
+// Under batching, the leader grants its own Regular when it sends it, so
+// the message and the OrderInfo granting it leave in one FTMB datagram; the
+// loopback arrival grants nothing more, so every message gets exactly one
+// grant.
+TEST(Llft, LeaderGrantsOwnRegularInTheSameBatch) {
+  SimHarness h({}, 78);
+  const auto all = ids({1, 2, 3});
+  for (ProcessorId p : all) {
+    h.add_processor(p, kDomain, kDomainAddr, batched_llft_config());
+  }
+  for (ProcessorId p : all) h.stack(p).create_group(h.now(), kGroup, kGroupAddr, all);
+  h.run_for(50 * kMillisecond);
+  ASSERT_TRUE(engine(h, ProcessorId{1}).leading());
+
+  WireLog wire(h, ProcessorId{1});
+  std::uint64_t req = 0;
+  for (int round = 0; round < 10; ++round) {
+    for (ProcessorId p : all) {
+      h.stack(p).group(kGroup)->send_regular(
+          h.now(), test_conn(), ++req,
+          bytes_of(to_string(p) + "-b" + std::to_string(round)));
+    }
+    h.run_for(5 * kMillisecond);
+  }
+  h.run_for(500 * kMillisecond);
+  expect_same_order(h, all, std::size_t(req), "self-granted order");
+
+  const auto grants = wire.grants();
+  std::size_t own = 0;
+  for (const WireLog::Entry& e : wire.entries()) {
+    if (e.msg.header.type != MessageType::kRegular) continue;
+    own += 1;
+    const SeqNum seq = e.msg.header.sequence_number;
+    const auto g = std::find_if(grants.begin(), grants.end(), [&](const auto& x) {
+      return x.slot == SourceSeq{ProcessorId{1}, seq};
+    });
+    ASSERT_NE(g, grants.end()) << "own Regular " << seq << " never granted";
+    EXPECT_EQ(g->datagram, e.datagram)
+        << "own Regular " << seq << " and its grant left in different datagrams";
+  }
+  EXPECT_EQ(own, 10u);
+
+  // One grant per message: the loopback arrival never re-grants.
+  EXPECT_EQ(grants.size(), std::size_t(req));
+  std::set<std::pair<std::uint32_t, SeqNum>> distinct;
+  for (const auto& g : grants) distinct.insert({g.slot.processor.raw(), g.slot.seq});
+  EXPECT_EQ(distinct.size(), grants.size());
+}
+
+// The leader sends an AddProcessor and, before it is granted, a Regular.
+// The Regular must not be granted at send (it would overtake the Add and
+// trail a membership change in the same view): the Add is granted first,
+// granting stops there, and the Regular is granted under the new view.
+TEST(Llft, OwnRegularBehindUngrantedAddWaitsForTheNewView) {
+  SimHarness h({}, 79);
+  const auto founders = ids({1, 2, 3});
+  for (ProcessorId p : founders) {
+    h.add_processor(p, kDomain, kDomainAddr, batched_llft_config());
+  }
+  for (ProcessorId p : founders) {
+    h.stack(p).create_group(h.now(), kGroup, kGroupAddr, founders);
+  }
+  h.run_for(50 * kMillisecond);
+  ASSERT_TRUE(engine(h, ProcessorId{1}).leading());
+
+  WireLog wire(h, ProcessorId{1});
+  const ProcessorId joiner{4};
+  const auto all = ids({1, 2, 3, 4});
+  h.add_processor(joiner, kDomain, kDomainAddr, batched_llft_config());
+  h.stack(joiner).expect_join(kGroup, kGroupAddr);
+  ASSERT_TRUE(h.stack(ProcessorId{1}).add_processor(h.now(), kGroup, joiner));
+  ASSERT_TRUE(h.stack(ProcessorId{1}).group(kGroup)->send_regular(
+      h.now(), test_conn(), 1, bytes_of("behind-the-add")));
+  ASSERT_TRUE(h.run_until_pred(
+      [&] {
+        for (ProcessorId p : all) {
+          auto* g = h.stack(p).group(kGroup);
+          if (!g || g->membership().members != all) return false;
+        }
+        return true;
+      },
+      h.now() + 5 * kSecond));
+  h.run_for(200 * kMillisecond);
+  expect_same_order(h, all, 1, "Regular after the Add");
+
+  SeqNum add_seq = 0;
+  SeqNum reg_seq = 0;
+  std::size_t reg_datagram = 0;
+  for (const WireLog::Entry& e : wire.entries()) {
+    if (e.msg.header.type == MessageType::kAddProcessor) {
+      add_seq = e.msg.header.sequence_number;
+    } else if (e.msg.header.type == MessageType::kRegular) {
+      reg_seq = e.msg.header.sequence_number;
+      reg_datagram = e.datagram;
+    }
+  }
+  ASSERT_GT(add_seq, 0u);
+  ASSERT_EQ(reg_seq, add_seq + 1);
+
+  const auto grants = wire.grants();
+  const auto find = [&](SeqNum seq) {
+    return std::find_if(grants.begin(), grants.end(), [&](const auto& g) {
+      return g.slot == SourceSeq{ProcessorId{1}, seq};
+    });
+  };
+  const auto add_grant = find(add_seq);
+  const auto reg_grant = find(reg_seq);
+  ASSERT_NE(add_grant, grants.end());
+  ASSERT_NE(reg_grant, grants.end());
+  EXPECT_LT(add_grant, reg_grant) << "grants must follow sequence order";
+  EXPECT_NE(reg_grant->datagram, reg_datagram) << "the Regular was granted at send";
+  EXPECT_GT(reg_grant->view_ts, add_grant->view_ts)
+      << "the Regular must be granted under the view the Add installs";
+  for (auto g = std::next(add_grant); g != grants.end(); ++g) {
+    EXPECT_NE(g->view_ts, add_grant->view_ts)
+        << "grant trailing the Add in its view: suspension broken";
+  }
+}
+
+// Engine-level helpers for the grant-at-send tests below.
+Frame regular_from(ProcessorId src, SeqNum seq) {
+  Message m;
+  m.header.type = MessageType::kRegular;
+  m.header.source = src;
+  m.header.sequence_number = seq;
+  m.header.message_timestamp = Timestamp{10 + seq};
+  RegularBody b;
+  b.connection = test_conn();
+  b.request_num = seq;
+  m.body = std::move(b);
+  return Frame{m.header, encode_message(m)};
+}
+
+std::vector<SourceSeq> take_grants(LlftOrdering& eng) {
+  std::vector<SourceSeq> out;
+  for (Body& b : eng.take_protocol_sends()) {
+    for (const SourceSeq& g : std::get<OrderInfoBody>(b).grants) out.push_back(g);
+  }
+  return out;
+}
+
+// A member that accedes to leadership while its own earlier Regular is
+// still in flight must not grant a later one at send: it waits for the
+// loopback arrivals and grants both in sequence order, then grants at send
+// again once it has caught up.
+TEST(Llft, NewLeaderGrantsOwnInFlightMessagesInSequenceOrder) {
+  const ProcessorId self{2};
+  LlftOrdering eng(self, llft_config());
+  eng.set_members(ids({1, 2, 3}));
+  ASSERT_EQ(eng.leader(), ProcessorId{1});
+  const auto slot = [&](SeqNum seq) { return SourceSeq{self, seq}; };
+
+  const Frame m1 = regular_from(self, 1);
+  eng.on_own_send(m1.header);  // sent under P1's leadership
+  EXPECT_TRUE(take_grants(eng).empty());
+
+  // P1 fails; P2 accedes with m1 still in flight.
+  eng.remove_member(ProcessorId{1}, false);
+  eng.set_view(5);
+  ASSERT_TRUE(eng.leading());
+  EXPECT_TRUE(take_grants(eng).empty());
+
+  const Frame m2 = regular_from(self, 2);
+  eng.on_own_send(m2.header);
+  EXPECT_TRUE(take_grants(eng).empty()) << "m2 granted at send ahead of m1";
+
+  eng.on_source_ordered(m1);
+  eng.on_source_ordered(m2);
+  EXPECT_EQ(take_grants(eng), (std::vector<SourceSeq>{slot(1), slot(2)}));
+
+  // Caught up: the next own Regular is granted at send, and its loopback
+  // arrival adds nothing.
+  const Frame m3 = regular_from(self, 3);
+  eng.on_own_send(m3.header);
+  EXPECT_EQ(take_grants(eng), std::vector<SourceSeq>{slot(3)});
+  eng.on_source_ordered(m3);
+  EXPECT_TRUE(take_grants(eng).empty());
+}
+
+// The leader grants nothing at send while a recovery round runs or while
+// granting is suspended at another member's membership change; the
+// loopback path still grants after the round.
+TEST(Llft, NoGrantAtSendDuringRecoveryOrSuspension) {
+  const ProcessorId self{1};
+  LlftOrdering eng(self, llft_config());
+  eng.set_members(ids({1, 2, 3}));
+  ASSERT_TRUE(eng.leading());
+
+  const Frame m1 = regular_from(self, 1);
+  eng.set_recovering(true);
+  eng.on_own_send(m1.header);
+  eng.set_recovering(false);
+  EXPECT_TRUE(take_grants(eng).empty());
+  eng.on_source_ordered(m1);
+  EXPECT_EQ(take_grants(eng), (std::vector<SourceSeq>{SourceSeq{self, 1}}));
+
+  Message add;
+  add.header.type = MessageType::kAddProcessor;
+  add.header.source = ProcessorId{3};
+  add.header.sequence_number = 1;
+  add.header.message_timestamp = Timestamp{20};
+  AddProcessorBody body;
+  body.new_member = ProcessorId{4};
+  add.body = std::move(body);
+  eng.on_source_ordered(Frame{add.header, encode_message(add)});
+  EXPECT_EQ(take_grants(eng),
+            (std::vector<SourceSeq>{SourceSeq{ProcessorId{3}, 1}}));
+
+  const Frame m2 = regular_from(self, 2);
+  eng.on_own_send(m2.header);
+  EXPECT_TRUE(take_grants(eng).empty()) << "granted past a membership change";
 }
 
 }  // namespace
