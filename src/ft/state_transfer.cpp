@@ -23,6 +23,14 @@ namespace {
   return std::find(v.begin(), v.end(), p) != v.end();
 }
 
+// Donor side: a retained snapshot whose joiner has gone silent for this
+// long is discarded (the joiner re-anchors at a newer view anyway).
+constexpr Duration kSnapshotTtl = 2 * kSecond;
+
+// Anti-entropy cadence: members multicast a StateDigest this often while
+// idle (one is always sent right after an install).
+constexpr Duration kDigestInterval = 500 * kMillisecond;
+
 }  // namespace
 
 std::uint64_t state_fnv1a64(BytesView data) {
@@ -535,21 +543,18 @@ void StateTransferManager::tick(TimePoint now) {
     // on the donor (chunks are keyed by (view_ts, chunk_seq)).
     send_request(now);
   }
-  if (config_.state_snapshot_ttl > 0) {
-    for (auto it = snapshots_.begin(); it != snapshots_.end();) {
-      // Age out snapshots nobody is pulling; an in-progress transfer keeps
-      // its snapshot alive until completion or the joiner's departure.
-      if (it->second.interested.empty() &&
-          now - it->second.created_at >= config_.state_snapshot_ttl) {
-        it = snapshots_.erase(it);
-      } else {
-        ++it;
-      }
+  for (auto it = snapshots_.begin(); it != snapshots_.end();) {
+    // Age out snapshots nobody is pulling; an in-progress transfer keeps
+    // its snapshot alive until completion or the joiner's departure.
+    if (it->second.interested.empty() &&
+        now - it->second.created_at >= kSnapshotTtl) {
+      it = snapshots_.erase(it);
+    } else {
+      ++it;
     }
   }
-  if (live_ && caught_up() && config_.state_digest_interval > 0 &&
-      (last_digest_sent_ < 0 ||
-       now - last_digest_sent_ >= config_.state_digest_interval)) {
+  if (live_ && caught_up() &&
+      (last_digest_sent_ < 0 || now - last_digest_sent_ >= kDigestInterval)) {
     send_digest(now);
   }
 }

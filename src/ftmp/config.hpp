@@ -43,18 +43,9 @@ struct Config {
   /// missing block (rate-limits NACKs while a retransmission is in flight).
   Duration nack_interval = 5 * kMillisecond;
 
-  /// Minimum spacing between retransmissions of the same stored message by
-  /// this processor (prevents retransmit storms when several NACKs for one
-  /// message arrive close together).
-  Duration retransmit_interval = 5 * kMillisecond;
-
   /// A member that has not been heard from for this long is suspected of
   /// having crashed (PGMP fault detector, driven by heartbeat receipt).
   Duration fault_timeout = 200 * kMillisecond;
-
-  /// Client side: period between ConnectRequest retransmissions until the
-  /// server responds with Connect (§7).
-  Duration connect_retry_interval = 50 * kMillisecond;
 
   /// Sponsor side: period between retransmissions of an AddProcessor (or
   /// server-side Connect) toward a new member / client group, which cannot
@@ -163,15 +154,6 @@ struct Config {
   /// Joiner side: spacing between StateRequests while a transfer is
   /// outstanding (also the retry/resume cadence after donor silence).
   Duration state_request_interval = 20 * kMillisecond;
-
-  /// Donor side: a retained snapshot whose joiner has gone silent for this
-  /// long is discarded (the joiner re-anchors at a newer view anyway).
-  Duration state_snapshot_ttl = 2 * kSecond;
-
-  /// Anti-entropy cadence: members multicast a StateDigest this often while
-  /// idle (one is always sent right after an install). 0 disables periodic
-  /// digests (install-triggered digests still flow).
-  Duration state_digest_interval = 500 * kMillisecond;
 
   /// Slow-receiver policy thresholds, in timestamp ticks of stability lag
   /// (how far a member's ack timestamp trails the group maximum). Past

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/log.hpp"
-#include "ftmp/romp.hpp"  // is_reliable / is_totally_ordered
 
 namespace ftcorba::ftmp {
 
@@ -17,8 +16,9 @@ GroupSession::GroupSession(ProcessorId self, ProcessorGroupId group,
       config_(config),
       outbox_(outbox),
       rmp_(self, config),
-      ordering_(make_ordering(self, config)),
-      pgmp_(self, config, rmp_, *ordering_),
+      romp_(self, config),
+      ordering_(make_ordering(config.ordering_mode, romp_)),
+      pgmp_(self, config, rmp_, romp_, *ordering_),
       flow_(self, group, config) {
   heartbeats_sent_ = metrics::counter(
       "ftmp_rmp_heartbeats_sent_total",
@@ -65,8 +65,8 @@ Header GroupSession::stamp_header(TimePoint now, MessageType type) {
   h.destination_group = group_;
   h.type = type;
   h.sequence_number = is_reliable(type) ? rmp_.assign_seq() : rmp_.last_sent();
-  h.message_timestamp = ordering_->stamp(now);
-  h.ack_timestamp = ordering_->ack_timestamp();
+  h.message_timestamp = romp_.stamp(now);
+  h.ack_timestamp = romp_.ack_timestamp();
   return h;
 }
 
@@ -208,7 +208,7 @@ void GroupSession::begin_rebind(TimePoint now, const Message& connect_msg) {
 }
 
 void GroupSession::progress_flush(TimePoint now) {
-  if (flush_ts_ && ordering_->min_bound() > *flush_ts_) {
+  if (flush_ts_ && romp_.min_bound() > *flush_ts_) {
     // Every member has spoken above the Connect timestamp: flush complete.
     const Timestamp done_ts = *flush_ts_;
     flush_ts_.reset();
@@ -302,7 +302,7 @@ void GroupSession::handle(TimePoint now, const Frame& frame) {
   switch (h.type) {
     case MessageType::kHeartbeat:
       rmp_.on_heartbeat(now, h);
-      ordering_->on_heartbeat(h, rmp_.contiguous(h.source));
+      romp_.on_heartbeat(h, rmp_.contiguous(h.source));
       break;
     case MessageType::kRetransmitRequest:
       // A NACK's header carries the sender's current stream position and
@@ -310,7 +310,7 @@ void GroupSession::handle(TimePoint now, const Frame& frame) {
       // ROMP layer", §5), so it informs gap detection and bounds exactly
       // like a Heartbeat, in addition to soliciting retransmissions.
       rmp_.on_heartbeat(now, h);
-      ordering_->on_heartbeat(h, rmp_.contiguous(h.source));
+      romp_.on_heartbeat(h, rmp_.contiguous(h.source));
       if (auto body = decode_body_checked(frame)) {
         rmp_.on_retransmit_request(now, std::get<RetransmitRequestBody>(*body));
       }
@@ -336,6 +336,7 @@ void GroupSession::handle(TimePoint now, const Frame& frame) {
 }
 
 void GroupSession::route_source_ordered(TimePoint now, const Frame& frame) {
+  romp_.on_source_ordered(frame.header);
   ordering_->on_source_ordered(frame, now);
   // Suspect and Membership are "Reliable: yes, Totally Ordered: no"
   // (Fig. 3): they reach PGMP straight from the source-ordered stream.
@@ -543,7 +544,7 @@ void GroupSession::pump(TimePoint now) {
     }
   }
   if (config_.stability_gc) {
-    for (const auto& [src, seq] : ordering_->collect_stable()) {
+    for (const auto& [src, seq] : romp_.collect_stable()) {
       rmp_.release(src, seq);
       if (src == self_) flow_.on_stable(now, seq);
     }
@@ -572,8 +573,8 @@ void GroupSession::emit_flow_signals(TimePoint now) {
 void GroupSession::check_flow_lag(TimePoint now) {
   if (!flow_.lag_enabled()) return;
   std::vector<std::pair<ProcessorId, Timestamp>> acks;
-  for (ProcessorId q : ordering_->members()) {
-    acks.emplace_back(q, ordering_->last_ack(q));
+  for (ProcessorId q : romp_.members()) {
+    acks.emplace_back(q, romp_.last_ack(q));
   }
   for (ProcessorId laggard : flow_.observe_lag(now, acks)) {
     pgmp_.suspect_slow(now, laggard);

@@ -22,6 +22,7 @@
 #include "ftmp/ordering.hpp"
 #include "ftmp/pgmp.hpp"
 #include "ftmp/rmp.hpp"
+#include "ftmp/romp.hpp"
 #include "net/packet.hpp"
 
 namespace ftcorba::ftmp {
@@ -138,6 +139,7 @@ class GroupSession {
   [[nodiscard]] const MembershipInfo& membership() const { return pgmp_.membership(); }
   [[nodiscard]] bool is_member(ProcessorId p) const;
   [[nodiscard]] const Rmp& rmp() const { return rmp_; }
+  [[nodiscard]] const Romp& romp() const { return romp_; }
   [[nodiscard]] const OrderingPolicy& ordering() const { return *ordering_; }
   [[nodiscard]] const Pgmp& pgmp() const { return pgmp_; }
   [[nodiscard]] const FlowController& flow() const { return flow_; }
@@ -207,9 +209,10 @@ class GroupSession {
   Config config_;
   Outbox& outbox_;
 
+  // Declaration order is construction order: the delivery rule holds a
+  // reference to romp_, and pgmp_ to all three.
   Rmp rmp_;
-  // Constructed by make_ordering from config_.ordering_mode; must outlive
-  // (and precede) pgmp_, which holds a reference to it.
+  Romp romp_;
   std::unique_ptr<OrderingPolicy> ordering_;
   Pgmp pgmp_;
   FlowController flow_;

@@ -26,44 +26,44 @@ constexpr std::size_t kMaxFutureBodies = 256;
 
 }  // namespace
 
-LlftOrdering::LlftOrdering(ProcessorId self, const Config& config)
-    : Romp(self, config) {
-  llft_metrics_.sessions = metrics::gauge(
+LlftOrdering::LlftOrdering(Romp& romp) : romp_(romp) {
+  metrics_.pending = pending_gauge();
+  metrics_.sessions = metrics::gauge(
       "ftmp_ordering_llft_sessions",
       "Group sessions running the LLFT leader-granted ordering engine",
       "sessions", "ordering");
-  llft_metrics_.leader_changes = metrics::counter(
+  metrics_.leader_changes = metrics::counter(
       "ftmp_ordering_leader_changes_total",
       "LLFT leadership handovers observed at view changes", "changes",
       "ordering");
-  llft_metrics_.grants = metrics::counter(
+  metrics_.grants = metrics::counter(
       "ftmp_ordering_grants_total",
       "Delivery slots granted by this member while leading", "grants",
       "ordering");
-  llft_metrics_.stale_grants = metrics::counter(
+  metrics_.stale_grants = metrics::counter(
       "ftmp_ordering_stale_grants_total",
       "Grants dropped because their view tag named a superseded view", "grants",
       "ordering");
-  llft_metrics_.future_dropped = metrics::counter(
+  metrics_.future_dropped = metrics::counter(
       "ftmp_ordering_future_dropped_total",
       "Future-view OrderInfo bodies dropped at the bounded buffer cap",
       "bodies", "ordering");
-  llft_metrics_.truncations = metrics::counter(
+  metrics_.truncations = metrics::counter(
       "ftmp_ordering_truncations_total",
       "Slots truncated at fault installs (referenced message beyond the cut)",
       "slots", "ordering");
-  llft_metrics_.stamp_wait_ms = metrics::histogram(
+  metrics_.stamp_wait_ms = metrics::histogram(
       "ftmp_ordering_stamp_wait_ms",
       "Wait from source-ordered arrival to the leader's grant being consumed",
       "ms", "ordering", metrics::latency_buckets_ms());
-  llft_metrics_.slot_wait_ms = metrics::histogram(
+  metrics_.slot_wait_ms = metrics::histogram(
       "ftmp_ordering_slot_wait_ms",
       "Wait from grant consumption to slot delivery", "ms", "ordering",
       metrics::latency_buckets_ms());
-  llft_metrics_.sessions.add(1);
+  metrics_.sessions.add(1);
 }
 
-LlftOrdering::~LlftOrdering() { llft_metrics_.sessions.add(-1); }
+LlftOrdering::~LlftOrdering() { metrics_.sessions.add(-1); }
 
 SeqNum LlftOrdering::floor_of(ProcessorId src) const {
   auto it = floor_.find(src);
@@ -80,33 +80,26 @@ void LlftOrdering::recompute_granter() {
   const bool old_have = have_granter_;
   const ProcessorId old = granter_;
   have_granter_ = false;
-  for (ProcessorId p : members_) {
+  const std::set<ProcessorId>& members = romp_.members();
+  for (ProcessorId p : members) {
     if (eligible(p)) {
       granter_ = p;
       have_granter_ = true;
       break;
     }
   }
-  if (!have_granter_ && !members_.empty()) {
+  if (!have_granter_ && !members.empty()) {
     // Nobody predates the current view (bootstrap, or every established
     // member crashed): fall back to the smallest id — still deterministic.
-    granter_ = *members_.begin();
+    granter_ = *members.begin();
     have_granter_ = true;
   }
   if (!have_granter_) granter_ = ProcessorId{};
   if (old_have && have_granter_ && granter_ != old) {
-    llft_metrics_.leader_changes.add();
-    FTC_LOG(kDebug) << to_string(self_) << " llft leader " << to_string(old)
+    metrics_.leader_changes.add();
+    FTC_LOG(kDebug) << to_string(romp_.self()) << " llft leader " << to_string(old)
                     << " -> " << to_string(granter_) << " epoch=" << epoch_;
   }
-}
-
-void LlftOrdering::set_members(const std::vector<ProcessorId>& members) {
-  Romp::set_members(members);
-  // Members handed in wholesale (bootstrap / joiner init) count as
-  // established unless note_joined_epoch overrides below.
-  for (ProcessorId m : members) joined_epoch_.try_emplace(m, 0);
-  recompute_granter();
 }
 
 void LlftOrdering::note_joined_epoch(ProcessorId member, Timestamp epoch) {
@@ -127,7 +120,7 @@ void LlftOrdering::apply_floors(const std::vector<SourceSeq>& floors) {
         // Settled below the floor (delivered by the members before we
         // joined, covered by our state snapshot): consume without
         // delivering, or our resume-point reports would stick here.
-        mark_consumed(f.processor, it->first);
+        romp_.mark_consumed(f.processor, it->first);
         --held_count_;
         metrics_.pending.add(-1);
       }
@@ -160,7 +153,7 @@ void LlftOrdering::consume_order_info(ProcessorId from, const OrderInfoBody& bod
       if (hs != held_.end()) {
         auto f = hs->second.find(g.seq);
         if (f != hs->second.end() && now > 0 && f->second.arrival > 0) {
-          llft_metrics_.stamp_wait_ms.observe(to_ms(now - f->second.arrival));
+          metrics_.stamp_wait_ms.observe(to_ms(now - f->second.arrival));
         }
       }
     }
@@ -171,7 +164,7 @@ void LlftOrdering::consume_order_info(ProcessorId from, const OrderInfoBody& bod
     // (the issuer is at most a few installs ahead), so at the cap the
     // highest-tagged body goes first.
     if (future_count_ >= kMaxFutureBodies) {
-      llft_metrics_.future_dropped.add();
+      metrics_.future_dropped.add();
       auto last = std::prev(future_.end());
       if (body.view_ts >= last->first) return;
       last->second.pop_back();
@@ -181,7 +174,7 @@ void LlftOrdering::consume_order_info(ProcessorId from, const OrderInfoBody& bod
     future_[body.view_ts].emplace_back(from, body);
     ++future_count_;
   } else {
-    llft_metrics_.stale_grants.add(
+    metrics_.stale_grants.add(
         body.grants.empty() ? 1 : body.grants.size());
   }
 }
@@ -208,7 +201,7 @@ void LlftOrdering::grant_ready(ProcessorId src) {
   while (it != m.end()) {
     hw = it->first;
     pending_grants_.push_back({src, hw});
-    llft_metrics_.grants.add();
+    metrics_.grants.add();
     if (is_membership_change(it->second.frame.header.type)) {
       // §7: "the ordering of messages stops" — no grants may trail a
       // membership change, so the slot queue is empty when it installs.
@@ -220,7 +213,7 @@ void LlftOrdering::grant_ready(ProcessorId src) {
 }
 
 void LlftOrdering::sweep_ungranted() {
-  for (ProcessorId m : members_) {
+  for (ProcessorId m : romp_.members()) {
     if (!leading() || suspended_) return;
     grant_ready(m);
   }
@@ -242,7 +235,7 @@ void LlftOrdering::set_view(Timestamp view_ts) {
         // now, in the order they arrived on its stream.
         consume_order_info(from, body, 0);
       } else {
-        llft_metrics_.stale_grants.add(
+        metrics_.stale_grants.add(
             body.grants.empty() ? 1 : body.grants.size());
       }
     }
@@ -262,74 +255,48 @@ void LlftOrdering::set_view(Timestamp view_ts) {
 void LlftOrdering::on_source_ordered(const Frame& frame, TimePoint now) {
   const Header& h = frame.header;
   if (h.type == MessageType::kOrderInfo) {
-    // Clock/bounds/stability bookkeeping + mark_consumed, like any other
-    // source-ordered control message.
-    Romp::on_source_ordered(frame, now);
     OrderInfoBody body;
     try {
       body = std::get<OrderInfoBody>(decode_body(h, frame.body()));
     } catch (const CodecError& e) {
-      FTC_LOG(kWarn) << to_string(self_) << " malformed OrderInfo from "
+      FTC_LOG(kWarn) << to_string(romp_.self()) << " malformed OrderInfo from "
                      << to_string(h.source) << ": " << e.what();
       return;
     }
     consume_order_info(h.source, body, now);
     return;
   }
-  if (!is_totally_ordered(h.type)) {
-    Romp::on_source_ordered(frame, now);
-    return;
-  }
-  // Totally-ordered message: same receipt bookkeeping as the Lamport
-  // engine, but held per-source until its slot is granted instead of
-  // entering the (timestamp, source) pending set.
-  observe_header(h);
-  Timestamp& b = bounds_[h.source];
-  b = std::max(b, h.message_timestamp);
-  unstable_[h.source][h.message_timestamp] = h.sequence_number;
+  if (!is_totally_ordered(h.type)) return;
+  // Totally-ordered message: held per-source until its slot is granted.
   if (h.sequence_number <= floor_of(h.source)) {
     // Settled below an advisory floor (pre-join backlog): never delivered
     // here — the state snapshot covers it.
-    mark_consumed(h.source, h.sequence_number);
+    romp_.mark_consumed(h.source, h.sequence_number);
     return;
   }
   auto& m = held_[h.source];
-  if (m.emplace(h.sequence_number, HeldEntry{frame, now}).second) {
+  if (m.emplace(h.sequence_number, Held{frame, now}).second) {
     ++held_count_;
     metrics_.pending.add(1);
-    stats_.pending_peak =
-        std::max<std::uint64_t>(stats_.pending_peak, held_count_);
   }
   grant_ready(h.source);
 }
 
 Frame LlftOrdering::deliver_held(ProcessorId src,
-                                 std::map<SeqNum, HeldEntry>::iterator it,
+                                 std::map<SeqNum, Held>::iterator it,
                                  TimePoint now, TimePoint granted_at) {
   Frame f = std::move(it->second.frame);
-  const TimePoint arrival = it->second.arrival;
+  romp_.note_delivered(f.header, it->second.arrival, now);
   held_[src].erase(it);
   --held_count_;
   metrics_.pending.add(-1);
-  const SeqNum seq = f.header.sequence_number;
   SeqNum& fl = floor_[src];
-  fl = std::max(fl, seq);
+  fl = std::max(fl, f.header.sequence_number);
   SeqNum& g = granted_hw_[src];
   g = std::max(g, fl);
-  SeqNum& lo = last_ordered_[src];
-  lo = std::max(lo, seq);
-  mark_consumed(src, seq);
-  if (now > 0 && arrival > 0) {
-    metrics_.ordering_wait_ms.observe(to_ms(now - arrival));
-  }
   if (now > 0 && granted_at > 0) {
-    llft_metrics_.slot_wait_ms.observe(to_ms(now - granted_at));
+    metrics_.slot_wait_ms.observe(to_ms(now - granted_at));
   }
-  const Timestamp ts = f.header.message_timestamp;
-  const Timestamp stable = stable_timestamp();
-  metrics_.stability_lag.observe(ts > stable ? double(ts - stable) : 0.0);
-  stats_.ordered_delivered += 1;
-  metrics_.ordered_delivered.add();
   return f;
 }
 
@@ -374,14 +341,14 @@ std::vector<Frame> LlftOrdering::drain_up_to_cut(
     const SeqNum limit = c == cuts.end() ? 0 : c->second;
     if (s.seq <= limit) {
       auto hs = held_.find(s.src);
-      auto it = hs == held_.end() ? std::map<SeqNum, HeldEntry>::iterator{}
+      auto it = hs == held_.end() ? std::map<SeqNum, Held>::iterator{}
                                   : hs->second.find(s.seq);
       if (hs != held_.end() && it != hs->second.end()) {
         out.push_back(deliver_held(s.src, it, 0, s.granted_at));
         continue;
       }
     }
-    llft_metrics_.truncations.add();
+    metrics_.truncations.add();
   }
   // 2. Ungranted remainder at or below the cut (the old leader died before
   //    granting them): every survivor holds the same set, delivered in
@@ -432,7 +399,7 @@ std::vector<Body> LlftOrdering::take_protocol_sends() {
     advisory_pending_ = false;
     OrderInfoBody adv;
     adv.view_ts = epoch_;
-    for (ProcessorId m : members_) {
+    for (ProcessorId m : romp_.members()) {
       const SeqNum f = floor_of(m);
       if (f > 0) adv.floors.push_back({m, f});
     }
@@ -465,12 +432,12 @@ void LlftOrdering::on_own_send(const Header& header) {
   // Slots follow seq order on every stream: an earlier own message still
   // waiting for its grant (in flight at accession, or sent while granting
   // was stopped) keeps this one on the loopback path behind it.
-  SeqNum& hw = issued_mark(self_);
+  SeqNum& hw = issued_mark(romp_.self());
   if (hw < earlier) return;
   // The loopback arrival finds hw already past it and grants nothing.
   hw = header.sequence_number;
-  pending_grants_.push_back({self_, hw});
-  llft_metrics_.grants.add();
+  pending_grants_.push_back({romp_.self(), hw});
+  metrics_.grants.add();
 }
 
 void LlftOrdering::set_recovering(bool active) {
@@ -483,8 +450,7 @@ void LlftOrdering::set_recovering(bool active) {
   }
 }
 
-void LlftOrdering::remove_member(ProcessorId member, bool drop_pending) {
-  Romp::remove_member(member, drop_pending);
+void LlftOrdering::remove_member(ProcessorId member) {
   joined_epoch_.erase(member);
   auto hs = held_.find(member);
   if (hs != held_.end()) {
@@ -503,7 +469,6 @@ void LlftOrdering::remove_member(ProcessorId member, bool drop_pending) {
 }
 
 void LlftOrdering::reset_source(ProcessorId src, SeqNum floor) {
-  Romp::reset_source(src, floor);
   auto hs = held_.find(src);
   if (hs != held_.end()) {
     held_count_ -= hs->second.size();

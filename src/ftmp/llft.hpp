@@ -1,4 +1,4 @@
-// llft.hpp — LLFT-style leader-stamped total ordering behind the
+// llft.hpp — LLFT-style leader-stamped delivery rule behind the
 // OrderingPolicy seam (docs/ORDERING.md has the full protocol).
 //
 // Delivery rule. The leader (smallest-id leader-eligible member of the
@@ -32,9 +32,9 @@
 // it.
 //
 // Stability is untouched: headers carry real Lamport timestamps and the
-// ack-timestamp machinery inherited from Romp keeps driving RMP buffer
-// reclaim, which is what lets PGMP's equalization-gated installs cut an
-// LLFT group exactly like a Lamport one.
+// group's Romp keeps driving RMP buffer reclaim from ack timestamps, which
+// is what lets PGMP's equalization-gated installs cut an LLFT group
+// exactly like a Lamport one.
 #pragma once
 
 #include <deque>
@@ -46,33 +46,28 @@
 #include "common/clock.hpp"
 #include "common/ids.hpp"
 #include "common/metrics.hpp"
-#include "ftmp/config.hpp"
 #include "ftmp/messages.hpp"
+#include "ftmp/ordering.hpp"
 #include "ftmp/romp.hpp"
 
 namespace ftcorba::ftmp {
 
-/// Leader-granted slot ordering; reuses Romp's clock, bounds, ack and
-/// stability machinery wholesale and replaces only the delivery rule.
-class LlftOrdering : public Romp {
+/// Leader-granted slot ordering over the group's Romp (clock, bounds,
+/// stability and resume points stay there).
+class LlftOrdering final : public OrderingPolicy {
  public:
-  LlftOrdering(ProcessorId self, const Config& config);
+  explicit LlftOrdering(Romp& romp);
   ~LlftOrdering() override;
 
-  [[nodiscard]] OrderingMode mode() const override {
-    return OrderingMode::kLlft;
-  }
-
   // ---- membership epochs ----
-  void set_members(const std::vector<ProcessorId>& members) override;
-  void remove_member(ProcessorId member, bool drop_pending) override;
+  void remove_member(ProcessorId member) override;
   void reset_source(ProcessorId src, SeqNum floor) override;
   void set_view(Timestamp view_ts) override;
   void note_joined_epoch(ProcessorId member, Timestamp epoch) override;
 
   // ---- inputs / delivery ----
-  void on_source_ordered(const Frame& frame, TimePoint now = 0) override;
-  [[nodiscard]] std::vector<Frame> collect_deliverable(TimePoint now = 0) override;
+  void on_source_ordered(const Frame& frame, TimePoint now) override;
+  [[nodiscard]] std::vector<Frame> collect_deliverable(TimePoint now) override;
   [[nodiscard]] std::size_t pending_count() const override { return held_count_; }
   [[nodiscard]] std::vector<Frame> drain_up_to_cut(
       const std::map<ProcessorId, SeqNum>& cuts,
@@ -89,7 +84,7 @@ class LlftOrdering : public Romp {
 
   /// True when this member is the current leader.
   [[nodiscard]] bool leading() const {
-    return have_granter_ && granter_ == self_;
+    return have_granter_ && granter_ == romp_.self();
   }
 
   /// Future-view OrderInfo bodies currently buffered (bounded; exposed for
@@ -97,10 +92,6 @@ class LlftOrdering : public Romp {
   [[nodiscard]] std::size_t future_buffered() const { return future_count_; }
 
  private:
-  struct HeldEntry {
-    Frame frame;
-    TimePoint arrival = 0;
-  };
   struct Slot {
     ProcessorId src{};
     SeqNum seq = 0;
@@ -122,14 +113,15 @@ class LlftOrdering : public Romp {
   void consume_order_info(ProcessorId from, const OrderInfoBody& body,
                           TimePoint now);
   void apply_floors(const std::vector<SourceSeq>& floors);
-  /// Delivers one held message (bookkeeping + metrics); the caller already
-  /// decided it is next in the total order.
-  Frame deliver_held(ProcessorId src, std::map<SeqNum, HeldEntry>::iterator it,
+  /// Delivers one held message (Romp::note_delivered + slot metrics); the
+  /// caller already decided it is next in the total order.
+  Frame deliver_held(ProcessorId src, std::map<SeqNum, Held>::iterator it,
                      TimePoint now, TimePoint granted_at);
 
   // Process-global instruments shared by every LLFT instance
   // (docs/METRICS.md).
-  struct LlftInstruments {
+  struct Instruments {
+    metrics::GaugeHandle pending;
     metrics::GaugeHandle sessions;
     metrics::CounterHandle leader_changes;
     metrics::CounterHandle grants;
@@ -139,6 +131,8 @@ class LlftOrdering : public Romp {
     metrics::HistogramHandle stamp_wait_ms;
     metrics::HistogramHandle slot_wait_ms;
   };
+
+  Romp& romp_;
 
   // ---- epoch / leadership ----
   Timestamp epoch_ = 0;
@@ -164,7 +158,7 @@ class LlftOrdering : public Romp {
   // Sequence number of this member's latest own totally-ordered send.
   SeqNum own_sent_hw_ = 0;
   // Totally-ordered frames held until their slot comes up.
-  std::unordered_map<ProcessorId, std::map<SeqNum, HeldEntry>> held_;
+  std::unordered_map<ProcessorId, std::map<SeqNum, Held>> held_;
   std::size_t held_count_ = 0;
 
   // ---- slot machine ----
@@ -181,7 +175,7 @@ class LlftOrdering : public Romp {
   // accession / view change).
   bool advisory_pending_ = false;
 
-  LlftInstruments llft_metrics_;
+  Instruments metrics_;
 };
 
 }  // namespace ftcorba::ftmp

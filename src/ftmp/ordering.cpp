@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "ftmp/llft.hpp"
-#include "ftmp/romp.hpp"
 
 namespace ftcorba::ftmp {
 
@@ -20,12 +19,88 @@ bool parse_ordering_mode(const char* s, OrderingMode& out) {
   return false;
 }
 
-std::unique_ptr<OrderingPolicy> make_ordering(ProcessorId self,
-                                              const Config& config) {
-  if (config.ordering_mode == OrderingMode::kLlft) {
-    return std::make_unique<LlftOrdering>(self, config);
+metrics::GaugeHandle OrderingPolicy::pending_gauge() {
+  return metrics::gauge("ftmp_romp_pending_messages",
+                        "Messages buffered awaiting total-order delivery",
+                        "messages", "romp");
+}
+
+std::unique_ptr<OrderingPolicy> make_ordering(OrderingMode mode, Romp& romp) {
+  if (mode == OrderingMode::kLlft) return std::make_unique<LlftOrdering>(romp);
+  return std::make_unique<LamportOrdering>(romp);
+}
+
+LamportOrdering::LamportOrdering(Romp& romp)
+    : romp_(romp), pending_gauge_(pending_gauge()) {}
+
+LamportOrdering::PendingMap::iterator LamportOrdering::erase(
+    PendingMap::iterator it) {
+  pending_gauge_.add(-1);
+  return pending_.erase(it);
+}
+
+void LamportOrdering::on_source_ordered(const Frame& frame, TimePoint now) {
+  const Header& h = frame.header;
+  if (!is_totally_ordered(h.type)) return;
+  if (pending_.try_emplace({h.message_timestamp, h.source.raw()}, frame, now)
+          .second) {
+    pending_gauge_.add(1);
   }
-  return std::make_unique<Romp>(self, config);
+}
+
+std::vector<Frame> LamportOrdering::collect_deliverable(TimePoint now) {
+  std::vector<Frame> out;
+  if (pending_.empty() || romp_.members().empty()) return out;
+  // Any member never heard from stalls delivery (bound 0), which is
+  // precisely the "ordering of messages stops until faulty processors are
+  // removed" behaviour of §7.
+  const Timestamp min_bound = romp_.min_bound();
+  while (!pending_.empty() && pending_.begin()->first.first <= min_bound) {
+    Held& p = pending_.begin()->second;
+    romp_.note_delivered(p.frame.header, p.arrival, now);
+    out.push_back(std::move(p.frame));
+    erase(pending_.begin());
+    if (out.back().header.type != MessageType::kRegular) {
+      // A membership-affecting message (AddProcessor / RemoveProcessor /
+      // Connect): stop the batch here. min_bound was computed over the
+      // *current* membership; once this message is applied, later messages
+      // must also clear the new member's (or shed the removed member's)
+      // bound. The session re-enters after applying it.
+      break;
+    }
+  }
+  return out;
+}
+
+std::vector<Frame> LamportOrdering::drain_up_to_cut(
+    const std::map<ProcessorId, SeqNum>& cuts,
+    const std::set<ProcessorId>& survivors) {
+  std::vector<Frame> out;
+  // pending_ is keyed by (timestamp, source), so `out` comes out in
+  // delivery order.
+  for (auto it = pending_.begin(); it != pending_.end();) {
+    const Header& h = it->second.frame.header;
+    auto cut = cuts.find(h.source);
+    const SeqNum limit = cut == cuts.end() ? 0 : cut->second;
+    if (h.sequence_number <= limit) {
+      romp_.note_delivered(h, it->second.arrival, 0);
+      out.push_back(std::move(it->second.frame));
+    } else if (survivors.contains(h.source)) {
+      ++it;
+      continue;
+    }
+    // Delivered, or a non-survivor's message beyond the cut that nobody
+    // will deliver.
+    it = erase(it);
+  }
+  return out;
+}
+
+void LamportOrdering::remove_member(ProcessorId member) {
+  const auto dropped = std::erase_if(pending_, [&](const auto& e) {
+    return e.second.frame.header.source == member;
+  });
+  pending_gauge_.add(-static_cast<std::int64_t>(dropped));
 }
 
 }  // namespace ftcorba::ftmp

@@ -1,21 +1,14 @@
-// ordering.hpp — the pluggable total-ordering seam (docs/ORDERING.md).
+// ordering.hpp — the pluggable delivery rule (docs/ORDERING.md).
 //
-// GroupSession, PGMP and the flow controller order, stabilize and cut
-// message streams exclusively through this interface; which engine sits
-// behind it is a per-stack Config choice (`Config::ordering_mode`):
+// Every group session runs one Romp (romp.hpp): clock, bounds, acks and
+// stability, identical in every mode. Only which held message is delivered
+// next sits behind OrderingPolicy, chosen per stack by
+// `Config::ordering_mode`:
 //
-//   * Romp (romp.hpp) — the paper's Lamport ack-timestamp agreement.
-//     Default, pinned byte-identical to the pre-seam stack by
-//     tests/ftmp/ordering_equivalence_test.cpp.
-//   * LlftOrdering (llft.hpp) — LLFT-style leader-stamped slots: the
-//     smallest-id live member grants the delivery order via OrderInfo
-//     messages riding its own reliable stream.
-//
-// Every implementation keeps the full Lamport stability machinery running
-// (timestamps, ack bounds, heartbeat-driven stability, buffer reclaim):
-// the seam swaps the *delivery order* rule, not the header format or the
-// stability protocol — which is what lets PGMP's equalization-gated
-// installs reconcile either mode through the same virtual-synchrony cut.
+//   * LamportOrdering (below) — the paper's (timestamp, source) rule;
+//     default, pinned byte-identical by ordering_equivalence_test.cpp.
+//   * LlftOrdering (llft.hpp) — LLFT-style slots granted by the
+//     smallest-id live member via OrderInfo messages on its own stream.
 #pragma once
 
 #include <cstdint>
@@ -27,8 +20,10 @@
 
 #include "common/clock.hpp"
 #include "common/ids.hpp"
+#include "common/metrics.hpp"
 #include "ftmp/config.hpp"
 #include "ftmp/messages.hpp"
+#include "ftmp/romp.hpp"
 
 namespace ftcorba::ftmp {
 
@@ -36,123 +31,133 @@ namespace ftcorba::ftmp {
 /// its ordering point yet, so it is leader-ineligible in every view.
 inline constexpr Timestamp kJoinPending = ~Timestamp{0};
 
-/// Counters for tests and the E7/E8 benches (shared across engines).
-struct OrderingStats {
-  std::uint64_t ordered_delivered = 0;  ///< messages handed up in total order
-  std::uint64_t pending_peak = 0;       ///< max simultaneous pending messages
-  std::uint64_t stability_releases = 0; ///< (source, seq) release notices issued
-};
-
-/// Total order + stability for one processor group, behind a seam.
-///
-/// Contract highlights (docs/ORDERING.md has the full version):
-///  * `on_source_ordered` receives every reliable frame in per-source
-///    order; the engine decides what is orderable vs control traffic.
-///  * `collect_deliverable` returns frames in the group's total order and
-///    stops a batch after any membership-affecting (non-Regular) message,
-///    so the caller can apply it before ordering continues.
-///  * `drain_up_to_cut` finalizes the old epoch at a fault install: every
-///    survivor must return the identical remainder sequence given the
-///    identical cuts (PGMP's equalization gate guarantees the inputs
-///    match).
-///  * `take_protocol_sends` lets an engine emit its own control messages
-///    (LLFT's OrderInfo grants); the session stamps, stores and multicasts
-///    them exactly like any other reliable body.
-///  * `on_own_send` sees every reliable message this member sends, as soon
-///    as it is stored, so a leader can grant its own messages at send time
-///    instead of on their loopback arrival.
-///  * `set_view` is called at every membership-change point — planned
-///    add/remove ordering points, fault installs, bootstrap and join —
-///    after the member set has been updated; leader-based engines
-///    recompute leadership and advance their grant epoch here.
+/// The total-order delivery rule for one processor group, built over the
+/// group's Romp: which held message is delivered next, and nothing else
+/// (docs/ORDERING.md §1 has the full contract).
 class OrderingPolicy {
  public:
+  OrderingPolicy() = default;
+  OrderingPolicy(const OrderingPolicy&) = delete;
+  OrderingPolicy& operator=(const OrderingPolicy&) = delete;
   virtual ~OrderingPolicy() = default;
 
-  /// Which engine this is (LLFT also counts itself in the
-  /// ftmp_ordering_llft_sessions gauge).
-  [[nodiscard]] virtual OrderingMode mode() const = 0;
+  /// Every reliable frame from RMP, in source order (header decoded, body
+  /// still raw), after Romp::on_source_ordered recorded it; the rule
+  /// decides what to hold. `now` (0 when the caller has no time) feeds the
+  /// ordering-wait histogram.
+  virtual void on_source_ordered(const Frame& frame, TimePoint now) = 0;
 
-  // ---- membership epochs ----
-  virtual void set_members(const std::vector<ProcessorId>& members) = 0;
-  virtual void add_member(ProcessorId member, Timestamp initial_bound) = 0;
-  virtual void remove_member(ProcessorId member, bool drop_pending) = 0;
-  virtual void reset_source(ProcessorId src, SeqNum floor) = 0;
-  [[nodiscard]] virtual std::vector<ProcessorId> members() const = 0;
-  [[nodiscard]] virtual bool is_member(ProcessorId p) const = 0;
+  /// Pops every held frame that is now deliverable, in total order, each
+  /// through Romp::note_delivered. A batch stops after any
+  /// membership-affecting (non-Regular) message, so the caller can apply
+  /// it before ordering continues.
+  [[nodiscard]] virtual std::vector<Frame> collect_deliverable(TimePoint now) = 0;
 
-  /// Membership changed under view timestamp `view_ts` (see class comment).
-  virtual void set_view(Timestamp view_ts) = 0;
+  /// Number of messages awaiting order.
+  [[nodiscard]] virtual std::size_t pending_count() const = 0;
 
-  /// Leader-eligibility bookkeeping for leader-based engines: `member`
+  /// Delivers the old-epoch remainder during a fault-driven membership
+  /// change (PGMP §7.2): frames with seq <= cuts[source], in the same
+  /// total order on every survivor given the same cuts (PGMP's
+  /// equalization gate guarantees the inputs match); a non-survivor's
+  /// frames beyond its cut are dropped, so nothing of it stays held.
+  /// Survivors' beyond-cut frames stay held for the new epoch.
+  [[nodiscard]] virtual std::vector<Frame> drain_up_to_cut(
+      const std::map<ProcessorId, SeqNum>& cuts,
+      const std::set<ProcessorId>& survivors) = 0;
+
+  /// `member` left the group (RemoveProcessor ordered, or convicted after
+  /// the install drain): its held frames are dropped ("removed from the
+  /// membership when the RemoveProcessor message is ordered").
+  virtual void remove_member(ProcessorId member) = 0;
+
+  /// The source's stream was rebased at `floor` (see Romp::reset_source):
+  /// nothing held from it is still wanted. Default no-op.
+  virtual void reset_source(ProcessorId src, SeqNum floor) {
+    (void)src;
+    (void)floor;
+  }
+
+  /// Membership changed under view timestamp `view_ts`: called at every
+  /// membership-change point (planned add/remove ordering points, fault
+  /// installs, bootstrap and join) after Romp's member set was updated;
+  /// leader-based rules recompute leadership and advance their grant epoch
+  /// here. Default no-op: Lamport ordering is leaderless.
+  virtual void set_view(Timestamp view_ts) { (void)view_ts; }
+
+  /// Leader-eligibility bookkeeping for leader-based rules: `member`
   /// joined the group at view `epoch` (`kJoinPending` while its admission
   /// is still in flight). A member admitted in the current view defers
   /// leadership until the next view change — the standing leader's floor
   /// advisory must reach it before it may ever grant (docs/ORDERING.md).
-  /// Default no-op: Lamport ordering is leaderless.
+  /// Default no-op.
   virtual void note_joined_epoch(ProcessorId member, Timestamp epoch) {
     (void)member;
     (void)epoch;
   }
 
-  // ---- timestamping ----
-  [[nodiscard]] virtual Timestamp stamp(TimePoint now) = 0;
-  [[nodiscard]] virtual Timestamp latest() const = 0;
-  virtual void witness(Timestamp t) = 0;
-  [[nodiscard]] virtual Timestamp ack_timestamp() const = 0;
-  [[nodiscard]] virtual Timestamp bound(ProcessorId q) const = 0;
-  [[nodiscard]] virtual Timestamp min_bound() const = 0;
-
-  // ---- inputs ----
-  virtual void on_source_ordered(const Frame& frame, TimePoint now = 0) = 0;
-  virtual void on_heartbeat(const Header& header, SeqNum contiguous_seq) = 0;
-
-  // ---- ordered delivery ----
-  [[nodiscard]] virtual std::vector<Frame> collect_deliverable(TimePoint now = 0) = 0;
-  [[nodiscard]] virtual std::size_t pending_count() const = 0;
-  [[nodiscard]] virtual SeqNum last_ordered_seq(ProcessorId src) const = 0;
-  [[nodiscard]] virtual SeqNum consumed_up_to(ProcessorId src) const = 0;
-
-  // ---- stability / buffer management ----
-  [[nodiscard]] virtual Timestamp stable_timestamp() const = 0;
-  [[nodiscard]] virtual Timestamp last_ack(ProcessorId q) const = 0;
-  [[nodiscard]] virtual std::vector<std::pair<ProcessorId, SeqNum>>
-  collect_stable() = 0;
-
-  // ---- fault-recovery epoch cut (PGMP §7.2) ----
-  [[nodiscard]] virtual std::vector<Frame> drain_up_to_cut(
-      const std::map<ProcessorId, SeqNum>& cuts,
-      const std::set<ProcessorId>& survivors) = 0;
-
-  /// Layer counters.
-  [[nodiscard]] virtual const OrderingStats& stats() const = 0;
-
-  // ---- engine-originated control traffic ----
-
-  /// Bodies the engine wants multicast to the group now (stamped, stored
-  /// and sent by the session like any reliable message). Default: none —
-  /// the Lamport engine never originates messages, which keeps default
-  /// mode byte-identical.
-  [[nodiscard]] virtual std::vector<Body> take_protocol_sends() { return {}; }
-
-  /// The session stamped and stored this member's own reliable message
-  /// `header` and is about to multicast it. Default no-op: only a leader
-  /// granting its own messages needs it, and Lamport mode stays
-  /// byte-identical.
-  virtual void on_own_send(const Header& header) { (void)header; }
-
   /// PGMP signal: a fault-recovery round is running (`true` from the first
   /// local Membership proposal until the round aborts or installs). A
-  /// leader-based engine must stop issuing grants past its proposed cut —
+  /// leader-based rule must stop issuing grants past its proposed cut —
   /// the equalization gate only synchronizes streams up to the cut, so
   /// later grants would reach survivors on opposite sides of their
   /// installs and fork the slot queues. Default no-op (Lamport ordering
   /// already stops on its own: a crashed member's bound stalls delivery).
   virtual void set_recovering(bool active) { (void)active; }
+
+  /// Bodies the rule wants multicast to the group now (stamped, stored
+  /// and sent by the session like any reliable message). Default: none —
+  /// the Lamport rule never originates messages, which keeps default
+  /// mode byte-identical.
+  [[nodiscard]] virtual std::vector<Body> take_protocol_sends() { return {}; }
+
+  /// The session stamped and stored this member's own reliable message
+  /// `header` and is about to multicast it, so a leader can grant it at
+  /// send time instead of on its loopback arrival. Default no-op.
+  virtual void on_own_send(const Header& header) { (void)header; }
+
+ protected:
+  /// A frame a rule holds until its turn, with its arrival time (0 when the
+  /// caller had no time).
+  struct Held {
+    Frame frame;
+    TimePoint arrival = 0;
+  };
+
+  /// The ftmp_romp_pending_messages gauge every rule keeps current.
+  [[nodiscard]] static metrics::GaugeHandle pending_gauge();
 };
 
-/// Builds the engine selected by `config.ordering_mode`.
-[[nodiscard]] std::unique_ptr<OrderingPolicy> make_ordering(
-    ProcessorId self, const Config& config);
+/// The paper's rule (§6): totally-ordered frames wait in a
+/// (timestamp, source) pending set until min over members of bound passes
+/// their timestamp.
+class LamportOrdering final : public OrderingPolicy {
+ public:
+  explicit LamportOrdering(Romp& romp);
+
+  void on_source_ordered(const Frame& frame, TimePoint now) override;
+  [[nodiscard]] std::vector<Frame> collect_deliverable(TimePoint now) override;
+  [[nodiscard]] std::size_t pending_count() const override { return pending_.size(); }
+  [[nodiscard]] std::vector<Frame> drain_up_to_cut(
+      const std::map<ProcessorId, SeqNum>& cuts,
+      const std::set<ProcessorId>& survivors) override;
+  void remove_member(ProcessorId member) override;
+
+ private:
+  using PendingMap = std::map<std::pair<Timestamp, std::uint32_t>, Held>;
+
+  PendingMap::iterator erase(PendingMap::iterator it);
+
+  Romp& romp_;
+  // Totally-ordered frames (raw bodies, zero-copy slices of their arrival
+  // buffers), keyed by delivery order (ts, src).
+  PendingMap pending_;
+  metrics::GaugeHandle pending_gauge_;
+};
+
+/// Builds the delivery rule for `mode` over the group's `romp`, which must
+/// outlive it.
+[[nodiscard]] std::unique_ptr<OrderingPolicy> make_ordering(OrderingMode mode,
+                                                            Romp& romp);
 
 }  // namespace ftcorba::ftmp

@@ -27,8 +27,9 @@ namespace {
 
 }  // namespace
 
-Pgmp::Pgmp(ProcessorId self, const Config& config, Rmp& rmp, OrderingPolicy& romp)
-    : self_(self), config_(config), rmp_(rmp), romp_(romp) {
+Pgmp::Pgmp(ProcessorId self, const Config& config, Rmp& rmp, Romp& romp,
+           OrderingPolicy& ordering)
+    : self_(self), config_(config), rmp_(rmp), romp_(romp), ordering_(ordering) {
   metrics_.suspicions = metrics::counter(
       "ftmp_pgmp_suspicions_total",
       "Fault-detector suspicions raised (member silent past fault_timeout)",
@@ -79,7 +80,7 @@ void Pgmp::bootstrap(TimePoint now, const std::vector<ProcessorId>& members) {
     last_heard_[m] = now;
   }
   romp_.set_members(membership_.members);
-  romp_.set_view(membership_.timestamp);
+  ordering_.set_view(membership_.timestamp);
   InstallOut install;
   install.change.reason = MembershipChanged::Reason::kInitial;
   install.change.membership = membership_;
@@ -106,6 +107,7 @@ void Pgmp::init_from_add(TimePoint now, const Message& add_msg) {
     const SeqNum resume = seq_for(body.current_seqs, m);
     rmp_.add_source(m, resume);
     romp_.reset_source(m, resume);
+    ordering_.reset_source(m, resume);
     last_heard_[m] = now;
   }
   rmp_.add_source(self_, 0);
@@ -133,8 +135,8 @@ void Pgmp::init_from_add(TimePoint now, const Message& add_msg) {
   // installs, and we consume grants under the sponsor's view until the
   // membership changes ordered before our AddProcessor advance it through
   // the same set_view calls the members make.
-  romp_.note_joined_epoch(self_, kJoinPending);
-  romp_.set_view(body.current_membership.timestamp);
+  ordering_.note_joined_epoch(self_, kJoinPending);
+  ordering_.set_view(body.current_membership.timestamp);
   // The existing members take the AddProcessor's own timestamp as our
   // starting bound, so our clock must already exceed it.
   romp_.witness(add_msg.header.message_timestamp);
@@ -241,8 +243,8 @@ void Pgmp::on_add_ordered(TimePoint now, const Message& msg) {
     // member set is unchanged, but the ordering engine must still see the
     // change slot resolve — the LLFT leader suspends granting the moment
     // it grants a membership change and only a view notification resumes
-    // it (Romp's set_view is a no-op, so Lamport traces are untouched).
-    romp_.set_view(membership_.timestamp);
+    // it (Lamport's set_view is a no-op, so its traces are untouched).
+    ordering_.set_view(membership_.timestamp);
     return;
   }
   membership_.members = sorted([&] {
@@ -262,8 +264,8 @@ void Pgmp::on_add_ordered(TimePoint now, const Message& msg) {
     // sponsor's AddProcessor body was stale by the time it was ordered.
     stats_.adds_completed += 1;
     metrics_.adds.add();
-    romp_.note_joined_epoch(self_, membership_.timestamp);
-    romp_.set_view(membership_.timestamp);
+    ordering_.note_joined_epoch(self_, membership_.timestamp);
+    ordering_.set_view(membership_.timestamp);
     refresh_suspicions_after_change();
     InstallOut install;
     install.change.reason = MembershipChanged::Reason::kInitial;
@@ -291,10 +293,11 @@ void Pgmp::on_add_ordered(TimePoint now, const Message& msg) {
   // its consumption tracking or resume points reported for it would stick
   // at the old incarnation's position forever.
   romp_.reset_source(member, 0);
+  ordering_.reset_source(member, 0);
   // The new member is leader-ineligible until the next view change: the
   // standing leader's floor advisory must reach it first (docs/ORDERING.md).
-  romp_.note_joined_epoch(member, membership_.timestamp);
-  romp_.set_view(membership_.timestamp);
+  ordering_.note_joined_epoch(member, membership_.timestamp);
+  ordering_.set_view(membership_.timestamp);
   last_heard_[member] = now;  // fault-timer grace while it bootstraps
   FTC_LOG(kDebug) << to_string(self_) << " add_ordered " << to_string(member)
                   << " hdr_ts=" << msg.header.message_timestamp
@@ -322,7 +325,7 @@ void Pgmp::on_remove_ordered(TimePoint now, const Message& msg) {
   if (!contains(membership_.members, member)) {
     // Duplicate (concurrent removes of the same member): no-op for the
     // member set, but resume the ordering engine — see on_add_ordered.
-    romp_.set_view(membership_.timestamp);
+    ordering_.set_view(membership_.timestamp);
     return;
   }
   membership_.members.erase(
@@ -344,8 +347,9 @@ void Pgmp::on_remove_ordered(TimePoint now, const Message& msg) {
   }
   rmp_.remove_source(member);
   rmp_.unpin_store(member.raw());  // in case it was a never-completed joiner
-  romp_.remove_member(member, /*drop_pending=*/true);
-  romp_.set_view(membership_.timestamp);
+  romp_.remove_member(member);
+  ordering_.remove_member(member);
+  ordering_.set_view(membership_.timestamp);
   last_heard_.erase(member);
   my_suspects_.erase(member);
   pinned_suspects_.erase(member);
@@ -476,7 +480,7 @@ void Pgmp::recompute_convicted(TimePoint now) {
       my_last_proposal_.clear();
       round_started_.reset();
       equalization_counted_ = false;
-      romp_.set_recovering(false);
+      ordering_.set_recovering(false);
       return;
     }
     maybe_send_membership(now);
@@ -509,7 +513,7 @@ void Pgmp::maybe_send_membership(TimePoint now) {
   my_last_proposal_ = p;
   // From here until the round installs or aborts, a leader-based ordering
   // engine must not let any grant outrun the cut this proposal reports.
-  romp_.set_recovering(true);
+  ordering_.set_recovering(true);
   MembershipBody body;
   body.current_membership = membership_;
   for (ProcessorId m : membership_.members) {
@@ -568,7 +572,7 @@ void Pgmp::try_complete(TimePoint now) {
   // Deliver the old-epoch remainder and install the new membership.
   const std::set<ProcessorId> survivors(p.begin(), p.end());
   InstallOut install;
-  install.remainder = romp_.drain_up_to_cut(cuts, survivors);
+  install.remainder = ordering_.drain_up_to_cut(cuts, survivors);
 
   std::vector<ProcessorId> crashed;
   // Strictly above the previous view: membership timestamps totally order
@@ -582,7 +586,8 @@ void Pgmp::try_complete(TimePoint now) {
     crashed.push_back(m);
     rmp_.remove_source(m);
     rmp_.unpin_store(m.raw());
-    romp_.remove_member(m, /*drop_pending=*/false);
+    romp_.remove_member(m);
+    ordering_.remove_member(m);
     last_heard_.erase(m);
     my_suspects_.erase(m);
     pinned_suspects_.erase(m);
@@ -591,7 +596,7 @@ void Pgmp::try_complete(TimePoint now) {
   }
   membership_.members = p;
   membership_.timestamp = new_ts;
-  romp_.set_view(new_ts);
+  ordering_.set_view(new_ts);
   for (ProcessorId r : p) round_floor_[r] = proposals_[r].msg_seq;
   metrics_.convictions.add(crashed.size());
   if (round_started_) {
@@ -624,7 +629,7 @@ void Pgmp::refresh_suspicions_after_change() {
 }
 
 void Pgmp::reset_round_state() {
-  romp_.set_recovering(false);
+  ordering_.set_recovering(false);
   suspicion_.clear();
   proposals_.clear();
   convicted_.clear();

@@ -93,11 +93,13 @@ struct PgmpStats {
 /// Membership protocol for one processor group on one processor.
 class Pgmp {
  public:
-  /// `rmp` and `romp` are the sibling layers of the same group session;
-  /// PGMP queries stream state from RMP and performs epoch surgery on both.
-  /// The ordering engine is reached only through the OrderingPolicy seam,
-  /// so either mode (Lamport or LLFT) reconciles through the same installs.
-  Pgmp(ProcessorId self, const Config& config, Rmp& rmp, OrderingPolicy& romp);
+  /// `rmp`, `romp` and `ordering` are the sibling layers of the same group
+  /// session; PGMP queries stream state from RMP and performs epoch surgery
+  /// on all three. The delivery rule is reached only through the
+  /// OrderingPolicy seam, so either mode (Lamport or LLFT) reconciles
+  /// through the same installs.
+  Pgmp(ProcessorId self, const Config& config, Rmp& rmp, Romp& romp,
+       OrderingPolicy& ordering);
 
   // ---- lifecycle ----
 
@@ -228,7 +230,8 @@ class Pgmp {
   ProcessorId self_;
   Config config_;
   Rmp& rmp_;
-  OrderingPolicy& romp_;
+  Romp& romp_;
+  OrderingPolicy& ordering_;
 
   bool active_ = false;
   MembershipInfo membership_;

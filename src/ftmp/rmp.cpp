@@ -12,6 +12,10 @@ namespace {
 constexpr std::size_t kMaxRetransmitBurst = 64;
 // At most this many missing blocks are NACKed per source per tick.
 constexpr std::size_t kMaxNackRunsPerTick = 16;
+// Minimum spacing between retransmissions of the same stored message by
+// this processor (prevents retransmit storms when several NACKs for one
+// message arrive close together).
+constexpr Duration kRetransmitInterval = 5 * kMillisecond;
 }  // namespace
 
 Rmp::Rmp(ProcessorId self, const Config& config) : self_(self), config_(config) {
@@ -271,7 +275,7 @@ void Rmp::on_retransmit_request(TimePoint now, const RetransmitRequestBody& body
     if (it == store_.end()) continue;
     auto last = last_retransmit_.find(key);
     if (last != last_retransmit_.end() &&
-        now - last->second < config_.retransmit_interval) {
+        now - last->second < kRetransmitInterval) {
       continue;  // someone (maybe us) answered this very recently
     }
     last_retransmit_[key] = now;

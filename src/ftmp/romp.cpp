@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/log.hpp"
-
 namespace ftcorba::ftmp {
 
 bool is_totally_ordered(MessageType t) {
@@ -37,9 +35,7 @@ bool is_reliable(MessageType t) {
 }
 
 Romp::Romp(ProcessorId self, const Config& config)
-    : self_(self),
-      config_(config),
-      clock_(config.clock_mode, config.clock_skew) {
+    : self_(self), clock_(config.clock_mode, config.clock_skew) {
   metrics_.ordered_delivered = metrics::counter(
       "ftmp_romp_ordered_delivered_total",
       "Messages delivered upward in total (timestamp, source) order",
@@ -48,9 +44,6 @@ Romp::Romp(ProcessorId self, const Config& config)
       "ftmp_romp_stability_releases_total",
       "Per-source release notices issued to RMP when messages became stable",
       "releases", "romp");
-  metrics_.pending = metrics::gauge(
-      "ftmp_romp_pending_messages",
-      "Messages buffered awaiting total-order delivery", "messages", "romp");
   metrics_.ordering_wait_ms = metrics::histogram(
       "ftmp_romp_ordering_wait_ms",
       "Wall-clock wait from source-ordered arrival to total-order delivery",
@@ -60,13 +53,6 @@ Romp::Romp(ProcessorId self, const Config& config)
       "Delivered-vs-stable gap: message timestamp minus the stable timestamp "
       "at delivery (buffer-reclaim lag, paper section 6)",
       "timestamp", "romp", metrics::timestamp_gap_buckets());
-}
-
-void Romp::erase_pending(
-    std::map<std::pair<Timestamp, std::uint32_t>, Frame>::iterator it) {
-  pending_arrival_.erase(it->first);
-  pending_.erase(it);
-  metrics_.pending.add(-1);
 }
 
 void Romp::set_members(const std::vector<ProcessorId>& members) {
@@ -87,25 +73,11 @@ void Romp::reset_source(ProcessorId src, SeqNum floor) {
   unstable_.erase(src);
 }
 
-void Romp::remove_member(ProcessorId member, bool drop_pending) {
+void Romp::remove_member(ProcessorId member) {
   members_.erase(member);
   bounds_.erase(member);
   last_acks_.erase(member);
   unstable_.erase(member);
-  if (drop_pending) {
-    for (auto it = pending_.begin(); it != pending_.end();) {
-      if (it->second.header.source == member) {
-        auto victim = it++;
-        erase_pending(victim);
-      } else {
-        ++it;
-      }
-    }
-  }
-}
-
-std::vector<ProcessorId> Romp::members() const {
-  return {members_.begin(), members_.end()};
 }
 
 Timestamp Romp::ack_timestamp() const {
@@ -136,24 +108,27 @@ void Romp::observe_header(const Header& h) {
   ack = std::max(ack, h.ack_timestamp);
 }
 
-void Romp::on_source_ordered(const Frame& frame, TimePoint now) {
-  const Header& h = frame.header;
+void Romp::on_source_ordered(const Header& h) {
   observe_header(h);
   Timestamp& b = bounds_[h.source];
   b = std::max(b, h.message_timestamp);
   unstable_[h.source][h.message_timestamp] = h.sequence_number;
-  if (is_totally_ordered(h.type)) {
-    const auto key = std::make_pair(h.message_timestamp, h.source.raw());
-    if (pending_.emplace(key, frame).second) {
-      pending_arrival_.emplace(key, now);
-      metrics_.pending.add(1);
-    }
-    stats_.pending_peak = std::max<std::uint64_t>(stats_.pending_peak, pending_.size());
-  } else {
-    // Suspect/Membership: consumed by PGMP right away (Fig. 3: reliable,
-    // source-ordered, not totally ordered).
-    mark_consumed(h.source, h.sequence_number);
+  // Suspect/Membership and the other control messages are consumed on
+  // arrival (Fig. 3: reliable, source-ordered, not totally ordered).
+  if (!is_totally_ordered(h.type)) mark_consumed(h.source, h.sequence_number);
+}
+
+void Romp::note_delivered(const Header& h, TimePoint arrival, TimePoint now) {
+  SeqNum& lo = last_ordered_[h.source];
+  lo = std::max(lo, h.sequence_number);
+  mark_consumed(h.source, h.sequence_number);
+  if (now > 0 && arrival > 0) {
+    metrics_.ordering_wait_ms.observe(to_ms(now - arrival));
   }
+  const Timestamp ts = h.message_timestamp;
+  const Timestamp stable = stable_timestamp();
+  metrics_.stability_lag.observe(ts > stable ? double(ts - stable) : 0.0);
+  metrics_.ordered_delivered.add();
 }
 
 void Romp::mark_consumed(ProcessorId src, SeqNum seq) {
@@ -182,45 +157,6 @@ void Romp::on_heartbeat(const Header& header, SeqNum contiguous_seq) {
     Timestamp& b = bounds_[header.source];
     b = std::max(b, header.message_timestamp);
   }
-}
-
-std::vector<Frame> Romp::collect_deliverable(TimePoint now) {
-  std::vector<Frame> out;
-  if (pending_.empty() || members_.empty()) return out;
-  // min over members of bound; any member never heard from stalls delivery
-  // (bound 0), which is precisely the "ordering of messages stops until
-  // faulty processors are removed" behaviour of §7.
-  Timestamp min_bound = ~Timestamp{0};
-  for (ProcessorId q : members_) min_bound = std::min(min_bound, bound(q));
-  const Timestamp stable = stable_timestamp();
-  while (!pending_.empty() && pending_.begin()->first.first <= min_bound) {
-    Frame& m = pending_.begin()->second;
-    SeqNum& lo = last_ordered_[m.header.source];
-    lo = std::max(lo, m.header.sequence_number);
-    mark_consumed(m.header.source, m.header.sequence_number);
-    const MessageType type = m.header.type;
-    const Timestamp ts = m.header.message_timestamp;
-    if (now > 0) {
-      const auto arr = pending_arrival_.find(pending_.begin()->first);
-      if (arr != pending_arrival_.end() && arr->second > 0) {
-        metrics_.ordering_wait_ms.observe(to_ms(now - arr->second));
-      }
-    }
-    metrics_.stability_lag.observe(ts > stable ? double(ts - stable) : 0.0);
-    out.push_back(std::move(m));
-    erase_pending(pending_.begin());
-    stats_.ordered_delivered += 1;
-    metrics_.ordered_delivered.add();
-    if (type != MessageType::kRegular) {
-      // A membership-affecting message (AddProcessor / RemoveProcessor /
-      // Connect): stop the batch here. min_bound was computed over the
-      // *current* membership; once this message is applied, later messages
-      // must also clear the new member's (or shed the removed member's)
-      // bound. The session re-enters after applying it.
-      break;
-    }
-  }
-  return out;
 }
 
 SeqNum Romp::last_ordered_seq(ProcessorId src) const {
@@ -255,40 +191,8 @@ std::vector<std::pair<ProcessorId, SeqNum>> Romp::collect_stable() {
     --it;
     out.emplace_back(src, it->second);
     by_ts.erase(by_ts.begin(), std::next(it));
-    stats_.stability_releases += 1;
     metrics_.stability_releases.add();
   }
-  return out;
-}
-
-std::vector<Frame> Romp::drain_up_to_cut(
-    const std::map<ProcessorId, SeqNum>& cuts,
-    const std::set<ProcessorId>& survivors) {
-  std::vector<Frame> out;
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    const Frame& m = it->second;
-    const ProcessorId src = m.header.source;
-    auto cut = cuts.find(src);
-    const SeqNum limit = cut == cuts.end() ? 0 : cut->second;
-    if (m.header.sequence_number <= limit) {
-      SeqNum& lo = last_ordered_[src];
-      lo = std::max(lo, m.header.sequence_number);
-      mark_consumed(src, m.header.sequence_number);
-      out.push_back(std::move(it->second));
-      auto victim = it++;
-      erase_pending(victim);
-      stats_.ordered_delivered += 1;
-      metrics_.ordered_delivered.add();
-    } else if (!survivors.contains(src)) {
-      // A non-survivor's message beyond the cut: nobody will deliver it.
-      auto victim = it++;
-      erase_pending(victim);
-    } else {
-      ++it;
-    }
-  }
-  // pending_ is keyed by (timestamp, source), so `out` was extracted in
-  // delivery order already.
   return out;
 }
 

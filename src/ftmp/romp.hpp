@@ -21,6 +21,9 @@
 // lower timestamps from all members", §3.2). A message with timestamp t is
 // stable once min over members q of last-ack(q) >= t: every member holds
 // it, nobody can need a retransmission, so RMP may reclaim the buffer (§6).
+//
+// Romp runs clock, bounds and stability for either delivery rule
+// (ordering.hpp): LLFT replaces only who decides the order.
 #pragma once
 
 #include <map>
@@ -33,43 +36,31 @@
 #include "common/metrics.hpp"
 #include "ftmp/config.hpp"
 #include "ftmp/messages.hpp"
-#include "ftmp/ordering.hpp"
 
 namespace ftcorba::ftmp {
 
-/// Counters for tests and the E7/E8 benches (now shared across ordering
-/// engines; the historical name stays an alias).
-using RompStats = OrderingStats;
-
-/// Causal/total ordering and stability for one processor group — the
-/// paper's Lamport engine behind the OrderingPolicy seam (ordering.hpp).
-class Romp : public OrderingPolicy {
+/// Lamport clock, member bounds, ack timestamps, stability and consumption
+/// positions for one processor group.
+class Romp {
  public:
+  /// Only the clock settings of `config` are used.
   Romp(ProcessorId self, const Config& config);
 
-  [[nodiscard]] OrderingMode mode() const override {
-    return OrderingMode::kLamport;
-  }
+  [[nodiscard]] ProcessorId self() const { return self_; }
 
   // ---- membership epochs ----
 
   /// Installs the initial member set (bounds start at 0 and rise with the
   /// first messages/heartbeats from each member).
-  void set_members(const std::vector<ProcessorId>& members) override;
+  void set_members(const std::vector<ProcessorId>& members);
 
   /// Adds a member at an AddProcessor ordering point; `initial_bound` is
   /// the AddProcessor's own timestamp (the new member's future messages are
   /// guaranteed to exceed the membership timestamp it starts from).
-  void add_member(ProcessorId member, Timestamp initial_bound) override;
+  void add_member(ProcessorId member, Timestamp initial_bound);
 
-  /// Removes a member; if `drop_pending`, its not-yet-ordered messages are
-  /// discarded (RemoveProcessor semantics: "removed from the membership
-  /// when the RemoveProcessor message is ordered").
-  void remove_member(ProcessorId member, bool drop_pending) override;
-
-  /// Lamport ordering is leaderless: view changes carry no engine state
-  /// beyond the membership updates above.
-  void set_view(Timestamp view_ts) override { (void)view_ts; }
+  /// Removes a member: its bound and acks stop counting.
+  void remove_member(ProcessorId member);
 
   /// Restarts consumption tracking for `src` at `floor`: seqs at or below
   /// it count as consumed, nothing above it does. Needed whenever the
@@ -78,129 +69,104 @@ class Romp : public OrderingPolicy {
   /// the AddProcessor body's positions; stale counters from before the
   /// rebase would otherwise never advance again and poison the resume
   /// points this processor reports in future AddProcessor bodies.
-  void reset_source(ProcessorId src, SeqNum floor) override;
+  void reset_source(ProcessorId src, SeqNum floor);
 
-  /// Current member set (sorted).
-  [[nodiscard]] std::vector<ProcessorId> members() const override;
-
-  /// True if `p` is currently a member.
-  [[nodiscard]] bool is_member(ProcessorId p) const override { return members_.contains(p); }
+  /// Current member set.
+  [[nodiscard]] const std::set<ProcessorId>& members() const { return members_; }
 
   // ---- timestamping ----
 
   /// Stamps an outgoing message (advances the Lamport clock).
-  [[nodiscard]] Timestamp stamp(TimePoint now) override { return clock_.tick(now); }
-
-  /// The greatest timestamp issued or witnessed.
-  [[nodiscard]] Timestamp latest() const override { return clock_.latest(); }
+  [[nodiscard]] Timestamp stamp(TimePoint now) { return clock_.tick(now); }
 
   /// Observes a timestamp (Lamport advance) without receiving a message —
   /// used when a joining member seeds its clock from an AddProcessor body.
-  void witness(Timestamp t) override { clock_.witness(t); }
+  void witness(Timestamp t) { clock_.witness(t); }
 
   /// Ack timestamp for outgoing headers: min over members of bound
   /// ("received all messages with lower timestamps from all members").
-  [[nodiscard]] Timestamp ack_timestamp() const override;
+  [[nodiscard]] Timestamp ack_timestamp() const;
 
   /// Current bound for one member (0 if never heard).
-  [[nodiscard]] Timestamp bound(ProcessorId q) const override;
+  [[nodiscard]] Timestamp bound(ProcessorId q) const;
 
-  /// min over members of bound — the timestamp up to which delivery can
-  /// proceed (also the flush watermark for Connect rebinds, §7).
-  [[nodiscard]] Timestamp min_bound() const override;
+  /// min over members of bound — the timestamp up to which Lamport
+  /// delivery can proceed (also the flush watermark for Connect rebinds,
+  /// §7).
+  [[nodiscard]] Timestamp min_bound() const;
 
   // ---- inputs ----
 
-  /// A reliable frame from RMP, in source order (header decoded, body
-  /// still raw). Raises bound(source), witnesses the timestamp, records ack
-  /// knowledge, and — if the type is totally ordered (Regular, Connect,
-  /// AddProcessor, RemoveProcessor, Fig. 3) — adds it to the pending set.
-  /// `now` (when the caller has it) feeds the ordering-wait histogram; the
-  /// default keeps time-less unit-test call sites valid.
-  void on_source_ordered(const Frame& frame, TimePoint now = 0) override;
+  /// Every reliable frame from RMP, in source order, before the delivery
+  /// rule sees it: witnesses the timestamp, records the ack, raises
+  /// bound(source) and tracks the message until it is stable. Types that
+  /// are not totally ordered (Suspect, Membership, state transfer,
+  /// OrderInfo; Fig. 3) count as consumed right away.
+  void on_source_ordered(const Header& header);
 
   /// A Heartbeat header (unreliable direct delivery from RMP).
   /// `contiguous_seq` is RMP's contiguously-received sequence for the
   /// source; the bound only rises when the heartbeat's sequence number
   /// equals it (otherwise there are messages in flight we lack).
-  void on_heartbeat(const Header& header, SeqNum contiguous_seq) override;
+  void on_heartbeat(const Header& header, SeqNum contiguous_seq);
 
-  // ---- ordered delivery ----
+  // ---- delivery bookkeeping (called by the delivery rules) ----
 
-  /// Pops every pending frame that is now deliverable, in delivery
-  /// (total) order.
-  [[nodiscard]] std::vector<Frame> collect_deliverable(TimePoint now = 0) override;
+  /// The rule delivered `header`'s message in total order: advances the
+  /// last-ordered and consumed positions of its source and records the
+  /// ordering wait (when both `arrival` and `now` are known) and the
+  /// delivered-vs-stable lag.
+  void note_delivered(const Header& header, TimePoint arrival, TimePoint now);
 
-  /// Number of messages awaiting order.
-  [[nodiscard]] std::size_t pending_count() const override { return pending_.size(); }
+  /// The rule settled `seq` from `src` without delivering it (LLFT's
+  /// delivered-floor advisory covers it): it counts as consumed.
+  void mark_consumed(ProcessorId src, SeqNum seq);
 
-  /// Sequence number of the most recent message from `src` that this
-  /// processor has ordered (delivered). Reported in AddProcessor bodies
-  /// (§7.1) so a new member can construct the order from there on.
-  [[nodiscard]] SeqNum last_ordered_seq(ProcessorId src) const override;
-
-  /// The largest S such that every message from `src` with seq <= S has
-  /// been consumed here: delivered if totally ordered, or handed to PGMP
-  /// if a source-ordered control message (Suspect/Membership). This — not
-  /// last_ordered_seq — is the safe stream-resume point for a new member:
-  /// control messages may be stability-purged and are epoch-stale for a
-  /// joiner anyway, so a boundary below them could never become contiguous.
-  [[nodiscard]] SeqNum consumed_up_to(ProcessorId src) const override;
-
-  // ---- stability / buffer management ----
+  // ---- stability and resume points ----
 
   /// Timestamp below which every member has acknowledged everything.
-  [[nodiscard]] Timestamp stable_timestamp() const override;
+  [[nodiscard]] Timestamp stable_timestamp() const;
 
   /// The largest ack timestamp observed from `q` (0 if never heard) — the
   /// per-member stability knowledge feeding slow-receiver lag monitoring
   /// (flow.hpp): stable_timestamp() is the min of these over members.
-  [[nodiscard]] Timestamp last_ack(ProcessorId q) const override;
+  [[nodiscard]] Timestamp last_ack(ProcessorId q) const;
 
   /// Advances stability: returns, per source, the largest sequence number
   /// whose message has become stable since the last call. The session
   /// forwards these to Rmp::release (§6: "ROMP then recovers the buffer
   /// space").
-  [[nodiscard]] std::vector<std::pair<ProcessorId, SeqNum>> collect_stable() override;
+  [[nodiscard]] std::vector<std::pair<ProcessorId, SeqNum>> collect_stable();
 
-  // ---- fault-recovery epoch cut (PGMP §7.2) ----
+  /// Sequence number of the most recent message from `src` that this
+  /// processor has ordered (delivered).
+  [[nodiscard]] SeqNum last_ordered_seq(ProcessorId src) const;
 
-  /// Delivers the old-epoch remainder during a fault-driven membership
-  /// change: pops pending messages with seq <= cuts[source] in total order;
-  /// drops pending messages from sources not in `survivors` beyond their
-  /// cut. Survivors' beyond-cut messages stay pending for the new epoch.
-  [[nodiscard]] std::vector<Frame> drain_up_to_cut(
-      const std::map<ProcessorId, SeqNum>& cuts,
-      const std::set<ProcessorId>& survivors) override;
+  /// The largest S such that every message from `src` with seq <= S has
+  /// been consumed here: delivered if totally ordered, or handed to PGMP
+  /// if a source-ordered control message (Suspect/Membership). This — not
+  /// last_ordered_seq — is the safe stream-resume point for a new member
+  /// (§7.1 AddProcessor bodies): control messages may be stability-purged
+  /// and are epoch-stale for a joiner anyway, so a boundary below them
+  /// could never become contiguous.
+  [[nodiscard]] SeqNum consumed_up_to(ProcessorId src) const;
 
-  /// Layer counters.
-  [[nodiscard]] const OrderingStats& stats() const override { return stats_; }
-
- protected:
+ private:
   void observe_header(const Header& h);
-  void erase_pending(std::map<std::pair<Timestamp, std::uint32_t>, Frame>::iterator it);
 
   // Process-global instruments shared by every Romp instance (docs/METRICS.md).
   struct Instruments {
     metrics::CounterHandle ordered_delivered;
     metrics::CounterHandle stability_releases;
-    metrics::GaugeHandle pending;
     metrics::HistogramHandle ordering_wait_ms;
     metrics::HistogramHandle stability_lag;
   };
 
   ProcessorId self_;
-  Config config_;
   TimestampSource clock_;
   std::set<ProcessorId> members_;
   std::unordered_map<ProcessorId, Timestamp> bounds_;
   std::unordered_map<ProcessorId, Timestamp> last_acks_;
-  // Pending totally-ordered frames (raw bodies, zero-copy slices of their
-  // arrival buffers), keyed by delivery order (ts, src).
-  std::map<std::pair<Timestamp, std::uint32_t>, Frame> pending_;
-  // Arrival wall-clock per pending key (0 when the caller had no time),
-  // feeding the ordering-wait histogram.
-  std::map<std::pair<Timestamp, std::uint32_t>, TimePoint> pending_arrival_;
   // Per source: timestamps of contiguously received reliable messages that
   // are not yet stable, mapping to their seq (for stability -> RMP release).
   std::unordered_map<ProcessorId, std::map<Timestamp, SeqNum>> unstable_;
@@ -210,9 +176,7 @@ class Romp : public OrderingPolicy {
   // messages), plus out-of-prefix consumed seqs awaiting the gap.
   std::unordered_map<ProcessorId, SeqNum> consumed_up_to_;
   std::unordered_map<ProcessorId, std::set<SeqNum>> consumed_ahead_;
-  void mark_consumed(ProcessorId src, SeqNum seq);
   Timestamp last_stable_ = 0;
-  RompStats stats_;
   Instruments metrics_;
 };
 

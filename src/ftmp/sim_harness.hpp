@@ -1,8 +1,8 @@
 // sim_harness.hpp — drives a set of FTMP stacks over the deterministic
 // SimNetwork: the discrete-event loop interleaves packet deliveries and
 // periodic timer ticks in simulated-time order. All tests and benchmarks
-// run through this harness; the UDP driver (udp_driver.hpp) plays the same
-// role against real sockets.
+// run through this harness; runtime::ShardedUdpDriver (runtime/udp_front.hpp)
+// plays the same role against real sockets.
 #pragma once
 
 #include <functional>

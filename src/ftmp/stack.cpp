@@ -7,6 +7,13 @@
 
 namespace ftcorba::ftmp {
 
+namespace {
+// Client side: period between ConnectRequest retransmissions until the
+// server responds with Connect; server side: period between Connect
+// resends until traffic arrives on the new connection (§7).
+constexpr Duration kConnectRetryInterval = 50 * kMillisecond;
+}  // namespace
+
 Stack::Stack(ProcessorId self, FtDomainId domain, McastAddress domain_addr, Config config)
     : self_(self), domain_(domain), domain_addr_(domain_addr), config_(config),
       batcher_(config_) {
@@ -220,7 +227,7 @@ void Stack::progress_server_conns(TimePoint now) {
       }
     }
     if (state.connect_sent && !state.traffic_seen &&
-               now - state.last_resend >= config_.connect_retry_interval) {
+               now - state.last_resend >= kConnectRetryInterval) {
       // "the server processor group retransmits the Connect message
       // periodically ... until it receives messages over the new
       // connection" (§7).
@@ -431,7 +438,7 @@ void Stack::tick(TimePoint now) {
   for (auto& [g, session] : sessions_) session->tick(now);
   for (auto& [conn, state] : client_conns_) {
     if (!state.established &&
-        now - state.last_request >= config_.connect_retry_interval) {
+        now - state.last_request >= kConnectRetryInterval) {
       send_connect_request(now, conn, state);
     }
   }

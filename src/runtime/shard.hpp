@@ -50,8 +50,8 @@
 
 namespace ftcorba::runtime {
 
-/// Monotonic wall time as a TimePoint (nanoseconds) — the threaded mode's
-/// time source, same epoch as ftmp::UdpDriver::wall_now.
+/// Monotonic wall time as a TimePoint (nanoseconds) — the time source of
+/// the threaded mode and of ShardedUdpDriver.
 [[nodiscard]] inline TimePoint wall_now() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())

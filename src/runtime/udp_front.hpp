@@ -6,7 +6,8 @@
 // zero-copy SPSC handoff), collects every shard's egress and transmits it
 // with sendmmsg bursts, and keeps the transport's group joins in sync with
 // the union of shard subscriptions. The same loop works for the inline
-// single-shard runtime, where it degenerates into UdpDriver's poll loop.
+// single-shard runtime, where it drives one Stack directly — the way to run
+// a plain stack over real sockets (examples/udp_demo.cpp).
 #pragma once
 
 #include <vector>

@@ -96,9 +96,9 @@ TEST_P(BaselineAgreement, SingleSenderFifo) {
 
 INSTANTIATE_TEST_SUITE_P(Protocols, BaselineAgreement,
                          ::testing::Values(Kind::kSequencer, Kind::kTokenRing),
-                         [](const auto& info) {
-                           return info.param == Kind::kSequencer ? "Sequencer"
-                                                                 : "TokenRing";
+                         [](const auto& p) {
+                           return p.param == Kind::kSequencer ? "Sequencer"
+                                                              : "TokenRing";
                          });
 
 TEST(Sequencer, SequencerRoleIsSmallestId) {

@@ -122,6 +122,22 @@ void expect_same_order(SimHarness& h, const std::vector<ProcessorId>& members,
   }
 }
 
+// One member's rule over its own Romp, set up as Pgmp::bootstrap does;
+// feed() hands a frame to Romp first and then the rule, as GroupSession does.
+struct Engine {
+  Engine(ProcessorId self, const std::vector<ProcessorId>& members)
+      : romp(self, llft_config()), rule(romp) {
+    romp.set_members(members);
+    rule.set_view(0);
+  }
+  void feed(const Frame& f) {
+    romp.on_source_ordered(f.header);
+    rule.on_source_ordered(f, 0);
+  }
+  Romp romp;
+  LlftOrdering rule;
+};
+
 // The smallest-id member grants the slots; everyone (the leader included,
 // via multicast loopback) delivers in one identical order, and headers
 // still carry live Lamport timestamps for the untouched stability plane.
@@ -133,7 +149,6 @@ TEST(Llft, LeaderStampsAndAllMembersDeliverInGrantOrder) {
   h.run_for(50 * kMillisecond);
 
   for (ProcessorId p : all) {
-    EXPECT_EQ(engine(h, p).mode(), OrderingMode::kLlft);
     EXPECT_EQ(engine(h, p).leader(), ProcessorId{1}) << "at " << to_string(p);
   }
   EXPECT_TRUE(engine(h, ProcessorId{1}).leading());
@@ -153,7 +168,8 @@ TEST(Llft, LeaderStampsAndAllMembersDeliverInGrantOrder) {
 
   // Stability kept running: the engines reclaimed buffers (non-zero acks).
   for (ProcessorId p : all) {
-    EXPECT_GT(engine(h, p).stable_timestamp(), 0u) << "at " << to_string(p);
+    EXPECT_GT(h.stack(p).group(kGroup)->romp().stable_timestamp(), 0u)
+        << "at " << to_string(p);
   }
 }
 
@@ -173,9 +189,9 @@ TEST(Llft, FollowerRecoversGrantGapsThroughRetransmission) {
   h.network().set_partition({ids({3})});
   for (int round = 0; round < 5; ++round) {
     for (ProcessorId p : ids({1, 2})) {
+      ++req;
       h.stack(p).group(kGroup)->send_regular(
-          h.now(), test_conn(), ++req,
-          bytes_of("gap-" + std::to_string(req)));
+          h.now(), test_conn(), req, bytes_of("gap-" + std::to_string(req)));
     }
     h.run_for(10 * kMillisecond);
   }
@@ -454,9 +470,8 @@ TEST(Llft, DuplicateRemoveDoesNotStallGranting) {
 // is still admitted and drained by the install that reaches it.
 TEST(Llft, FutureViewGrantBufferIsBounded) {
   constexpr std::size_t kCap = 256;  // kMaxFutureBodies in llft.cpp
-  Config cfg = llft_config();
-  LlftOrdering eng(ProcessorId{2}, cfg);
-  eng.set_members(ids({1, 2}));
+  Engine e(ProcessorId{2}, ids({1, 2}));
+  LlftOrdering& eng = e.rule;
 
   auto order_info = [](SeqNum seq, Timestamp view_ts) {
     Message m;
@@ -473,13 +488,13 @@ TEST(Llft, FutureViewGrantBufferIsBounded) {
 
   SeqNum seq = 0;
   for (std::size_t i = 0; i < kCap + 50; ++i) {
-    eng.on_source_ordered(order_info(++seq, 1000 + Timestamp{i}));
+    e.feed(order_info(++seq, 1000 + Timestamp{i}));
   }
   EXPECT_EQ(eng.future_buffered(), kCap) << "cap must hold under flood";
 
   // A low future tag (the one a real racing leader would use) evicts a
   // high one instead of being refused.
-  eng.on_source_ordered(order_info(++seq, 5));
+  e.feed(order_info(++seq, 5));
   EXPECT_EQ(eng.future_buffered(), kCap);
   eng.set_view(5);
   EXPECT_EQ(eng.future_buffered(), kCap - 1)
@@ -606,12 +621,12 @@ TEST(Llft, OwnRegularBehindUngrantedAddWaitsForTheNewView) {
 }
 
 // Engine-level helpers for the grant-at-send tests below.
-Frame regular_from(ProcessorId src, SeqNum seq) {
+Frame regular_from(ProcessorId src, SeqNum seq, Timestamp ts = 0) {
   Message m;
   m.header.type = MessageType::kRegular;
   m.header.source = src;
   m.header.sequence_number = seq;
-  m.header.message_timestamp = Timestamp{10 + seq};
+  m.header.message_timestamp = ts > 0 ? ts : Timestamp{10 + seq};
   RegularBody b;
   b.connection = test_conn();
   b.request_num = seq;
@@ -633,8 +648,8 @@ std::vector<SourceSeq> take_grants(LlftOrdering& eng) {
 // again once it has caught up.
 TEST(Llft, NewLeaderGrantsOwnInFlightMessagesInSequenceOrder) {
   const ProcessorId self{2};
-  LlftOrdering eng(self, llft_config());
-  eng.set_members(ids({1, 2, 3}));
+  Engine e(self, ids({1, 2, 3}));
+  LlftOrdering& eng = e.rule;
   ASSERT_EQ(eng.leader(), ProcessorId{1});
   const auto slot = [&](SeqNum seq) { return SourceSeq{self, seq}; };
 
@@ -643,7 +658,8 @@ TEST(Llft, NewLeaderGrantsOwnInFlightMessagesInSequenceOrder) {
   EXPECT_TRUE(take_grants(eng).empty());
 
   // P1 fails; P2 accedes with m1 still in flight.
-  eng.remove_member(ProcessorId{1}, false);
+  e.romp.remove_member(ProcessorId{1});
+  eng.remove_member(ProcessorId{1});
   eng.set_view(5);
   ASSERT_TRUE(eng.leading());
   EXPECT_TRUE(take_grants(eng).empty());
@@ -652,8 +668,8 @@ TEST(Llft, NewLeaderGrantsOwnInFlightMessagesInSequenceOrder) {
   eng.on_own_send(m2.header);
   EXPECT_TRUE(take_grants(eng).empty()) << "m2 granted at send ahead of m1";
 
-  eng.on_source_ordered(m1);
-  eng.on_source_ordered(m2);
+  e.feed(m1);
+  e.feed(m2);
   EXPECT_EQ(take_grants(eng), (std::vector<SourceSeq>{slot(1), slot(2)}));
 
   // Caught up: the next own Regular is granted at send, and its loopback
@@ -661,7 +677,7 @@ TEST(Llft, NewLeaderGrantsOwnInFlightMessagesInSequenceOrder) {
   const Frame m3 = regular_from(self, 3);
   eng.on_own_send(m3.header);
   EXPECT_EQ(take_grants(eng), std::vector<SourceSeq>{slot(3)});
-  eng.on_source_ordered(m3);
+  e.feed(m3);
   EXPECT_TRUE(take_grants(eng).empty());
 }
 
@@ -670,8 +686,8 @@ TEST(Llft, NewLeaderGrantsOwnInFlightMessagesInSequenceOrder) {
 // loopback path still grants after the round.
 TEST(Llft, NoGrantAtSendDuringRecoveryOrSuspension) {
   const ProcessorId self{1};
-  LlftOrdering eng(self, llft_config());
-  eng.set_members(ids({1, 2, 3}));
+  Engine e(self, ids({1, 2, 3}));
+  LlftOrdering& eng = e.rule;
   ASSERT_TRUE(eng.leading());
 
   const Frame m1 = regular_from(self, 1);
@@ -679,7 +695,7 @@ TEST(Llft, NoGrantAtSendDuringRecoveryOrSuspension) {
   eng.on_own_send(m1.header);
   eng.set_recovering(false);
   EXPECT_TRUE(take_grants(eng).empty());
-  eng.on_source_ordered(m1);
+  e.feed(m1);
   EXPECT_EQ(take_grants(eng), (std::vector<SourceSeq>{SourceSeq{self, 1}}));
 
   Message add;
@@ -690,13 +706,35 @@ TEST(Llft, NoGrantAtSendDuringRecoveryOrSuspension) {
   AddProcessorBody body;
   body.new_member = ProcessorId{4};
   add.body = std::move(body);
-  eng.on_source_ordered(Frame{add.header, encode_message(add)});
+  e.feed(Frame{add.header, encode_message(add)});
   EXPECT_EQ(take_grants(eng),
             (std::vector<SourceSeq>{SourceSeq{ProcessorId{3}, 1}}));
 
   const Frame m2 = regular_from(self, 2);
   eng.on_own_send(m2.header);
   EXPECT_TRUE(take_grants(eng).empty()) << "granted past a membership change";
+}
+
+// The install drain returns a crashed source's held frames at or below its
+// cut in (timestamp, source) order and leaves none held, so removing it
+// afterwards drops nothing. P1 led and crashed before granting.
+TEST(Llft, DrainLeavesNothingHeldFromANonSurvivor) {
+  Engine e(ProcessorId{2}, ids({1, 2, 3}));
+  e.feed(regular_from(ProcessorId{1}, 1, 10));
+  e.feed(regular_from(ProcessorId{1}, 2, 14));
+  e.feed(regular_from(ProcessorId{1}, 3, 18));  // beyond P1's cut
+  e.feed(regular_from(ProcessorId{3}, 1, 12));
+  e.feed(regular_from(ProcessorId{3}, 2, 20));  // beyond P3's cut; P3 survives
+  const auto out = e.rule.drain_up_to_cut(
+      {{ProcessorId{1}, 2}, {ProcessorId{2}, 0}, {ProcessorId{3}, 1}},
+      {ProcessorId{2}, ProcessorId{3}});
+  std::vector<Timestamp> order;
+  for (const Frame& f : out) order.push_back(f.header.message_timestamp);
+  EXPECT_EQ(order, (std::vector<Timestamp>{10, 12, 14}));
+  EXPECT_EQ(e.rule.pending_count(), 1u) << "only the survivor's beyond-cut frame";
+  e.romp.remove_member(ProcessorId{1});
+  e.rule.remove_member(ProcessorId{1});
+  EXPECT_EQ(e.rule.pending_count(), 1u);
 }
 
 }  // namespace

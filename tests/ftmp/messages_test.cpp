@@ -103,9 +103,9 @@ TEST_P(MessagesRoundTrip, EveryTypeRoundTrips) {
 
 INSTANTIATE_TEST_SUITE_P(BothOrders, MessagesRoundTrip,
                          ::testing::Values(ByteOrder::kBig, ByteOrder::kLittle),
-                         [](const auto& info) {
-                           return info.param == ByteOrder::kBig ? "BigEndian"
-                                                                : "LittleEndian";
+                         [](const auto& p) {
+                           return p.param == ByteOrder::kBig ? "BigEndian"
+                                                             : "LittleEndian";
                          });
 
 // Pins the OrderInfo (type 13) body bytes exactly — docs/WIRE.md §3:

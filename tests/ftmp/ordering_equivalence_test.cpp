@@ -1,10 +1,11 @@
-// Lamport pin (ISSUE 10): the OrderingPolicy extraction must leave the
-// default (Lamport ROMP) mode byte-identical to the pre-refactor stack.
-// The digests below were captured from the tree BEFORE the seam existed
-// (commit ae8a84b) running exactly this scenario; any wire or delivery
-// drift in default mode is a failing build, not a judgement call. A
-// second test pins the `ordering_mode` knob itself as inert: explicitly
-// selecting lamport must digest identically to saying nothing.
+// Ordering pins (docs/ORDERING.md): any wire or delivery drift in either
+// mode is a failing build, not a judgement call.
+//  * Lamport: the default mode stays byte-identical to the stack from
+//    before the OrderingPolicy seam existed (captured at commit ae8a84b).
+//  * LLFT, plain and batched, and a mid-stream crash with its fault
+//    install in both modes (pins drain_up_to_cut and member removal):
+//    captured at commit 1379157, before Romp became the concrete tracker
+//    both delivery rules share.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -44,6 +45,7 @@ struct Observed {
   std::uint64_t event_digest = 14695981039346656037ULL;
   std::uint64_t egress_datagrams = 0;
   std::uint64_t delivered = 0;
+  bool fold_views = false;  // crash scenario only: older pins predate it
 
   void on_wire(const net::Datagram& d) {
     ++egress_datagrams;
@@ -57,6 +59,10 @@ struct Observed {
       fnv1a_u64(event_digest, m->seq);
       fnv1a_u64(event_digest, std::uint64_t(m->timestamp));
       fnv1a(event_digest, m->giop_message.data(), m->giop_message.size());
+    } else if (const auto* v = std::get_if<MembershipChanged>(&ev);
+               v && fold_views) {
+      for (ProcessorId p : v->membership.members) fnv1a_u64(event_digest, p.raw());
+      fnv1a_u64(event_digest, std::uint64_t(v->membership.timestamp));
     }
   }
   friend bool operator==(const Observed&, const Observed&) = default;
@@ -68,7 +74,12 @@ struct Observed {
 // second. Digests cover every egress datagram and every delivery of all
 // three members, so ordering, stability GC, flush and heartbeat behavior
 // are all pinned.
-Observed run_scenario(const Config& config) {
+//
+// With `crash`, P1 (the LLFT leader) stops for good at step 120. Its last
+// datagrams reach P2 only, so P3 recovers them from P2 during the
+// fault-recovery equalization; the survivors install {P2, P3} within the
+// run, and view installs are folded into the event digest.
+Observed run_scenario(const Config& config, bool crash = false) {
   Stack p1(ProcessorId{1}, kDomain, kDomainAddr, config);
   Stack p2(ProcessorId{2}, kDomain, kDomainAddr, config);
   Stack p3(ProcessorId{3}, kDomain, kDomainAddr, config);
@@ -78,10 +89,15 @@ Observed run_scenario(const Config& config) {
   TimePoint now = 1 * kMillisecond;
   for (Stack* n : nodes) n->create_group(now, kGroup, kGroupAddr, members);
 
+  constexpr int kCrashStep = 120;
   Observed seen;
+  seen.fold_views = crash;
   for (int step = 0; step < 400; ++step) {
     now += 1 * kMillisecond;
-    if (step % 7 == 0 && step < 200) {
+    const auto up = [&](const Stack* n) {
+      return !crash || n != &p1 || step < kCrashStep;
+    };
+    if (step % 7 == 0 && step < 200 && up(&p1)) {
       EXPECT_TRUE(p1.group(kGroup)->send_regular(
           now, test_conn(), std::uint64_t(step + 1),
           bytes_of("n1#" + std::to_string(step))));
@@ -96,22 +112,52 @@ Observed run_scenario(const Config& config) {
           now, test_conn(), std::uint64_t(step + 1),
           bytes_of("p3#" + std::to_string(step))));
     }
-    std::vector<net::Datagram> wire;
+    std::vector<std::pair<const Stack*, net::Datagram>> wire;
     for (Stack* n : nodes) {
+      if (!up(n)) continue;
       n->tick(now);
       for (auto& d : n->take_packets()) {
         seen.on_wire(d);
-        wire.push_back(std::move(d));
+        wire.emplace_back(n, std::move(d));
       }
     }
-    for (const net::Datagram& d : wire) {
-      for (Stack* n : nodes) n->on_datagram(now, d);
+    for (const auto& [from, d] : wire) {
+      for (Stack* n : nodes) {
+        const bool lost =
+            crash && step == kCrashStep - 1 && from == &p1 && n == &p3;
+        if (up(n) && !lost) n->on_datagram(now, d);
+      }
     }
     for (Stack* n : nodes) {
+      if (!up(n)) continue;
       for (const Event& ev : n->take_events()) seen.on_event(ev);
     }
   }
+  if (crash) {
+    const std::vector<ProcessorId> survivors{ProcessorId{2}, ProcessorId{3}};
+    EXPECT_EQ(p2.group(kGroup)->membership().members, survivors);
+    EXPECT_EQ(p3.group(kGroup)->membership().members, survivors);
+  }
   return seen;
+}
+
+Config llft(std::size_t batch_bytes = 0) {
+  Config cfg;
+  cfg.ordering_mode = OrderingMode::kLlft;
+  cfg.batch_max_datagram_bytes = batch_bytes;
+  return cfg;
+}
+
+void expect_pinned(const char* what, const Observed& seen, const Observed& pin) {
+  std::printf("%s: wire=0x%016llx event=0x%016llx egress=%llu delivered=%llu\n",
+              what, (unsigned long long)seen.wire_digest,
+              (unsigned long long)seen.event_digest,
+              (unsigned long long)seen.egress_datagrams,
+              (unsigned long long)seen.delivered);
+  EXPECT_EQ(seen.wire_digest, pin.wire_digest) << what;
+  EXPECT_EQ(seen.event_digest, pin.event_digest) << what;
+  EXPECT_EQ(seen.egress_datagrams, pin.egress_datagrams) << what;
+  EXPECT_EQ(seen.delivered, pin.delivered) << what;
 }
 
 // Captured from the pre-refactor tree (see file header). If a deliberate
@@ -122,19 +168,32 @@ constexpr std::uint64_t kPreRefactorEventDigest = 0x8e7d67aa84146a96ULL;
 constexpr std::uint64_t kPreRefactorEgress = 154;
 constexpr std::uint64_t kPreRefactorDelivered = 186;
 
+// Captured at commit 1379157 (see file header).
+const Observed kLlftPin{0xe58d2e51773064d4ULL, 0xe9be8c12ffb37804ULL, 216, 186};
+const Observed kLlftBatchedPin{0xab1c1113c089b40eULL, 0x755a55d6bd8c599fULL, 154, 186};
+const Observed kLamportCrashPin{0x3a38e853cbeb34caULL, 0x2d68ac0178fc80feULL, 127, 139};
+const Observed kLlftCrashPin{0x7d77a54cd4e6293bULL, 0xbda43bd2f6c68ee9ULL, 167, 140};
+
 TEST(OrderingEquivalence, LamportDefaultPinnedByteIdenticalToPreRefactor) {
-  const Observed seen = run_scenario(Config{});
-  ASSERT_GT(seen.delivered, 0u) << "scenario must exercise delivery";
-  std::printf("wire=0x%016llx event=0x%016llx egress=%llu delivered=%llu\n",
-              (unsigned long long)seen.wire_digest,
-              (unsigned long long)seen.event_digest,
-              (unsigned long long)seen.egress_datagrams,
-              (unsigned long long)seen.delivered);
-  EXPECT_EQ(seen.wire_digest, kPreRefactorWireDigest)
-      << "default ordering mode must put identical bytes on the wire";
-  EXPECT_EQ(seen.event_digest, kPreRefactorEventDigest);
-  EXPECT_EQ(seen.egress_datagrams, kPreRefactorEgress);
-  EXPECT_EQ(seen.delivered, kPreRefactorDelivered);
+  expect_pinned("lamport", run_scenario(Config{}),
+                {kPreRefactorWireDigest, kPreRefactorEventDigest,
+                 kPreRefactorEgress, kPreRefactorDelivered});
+}
+
+TEST(OrderingEquivalence, LlftPinned) {
+  expect_pinned("llft", run_scenario(llft()), kLlftPin);
+}
+
+TEST(OrderingEquivalence, LlftBatchedPinned) {
+  expect_pinned("llft batched", run_scenario(llft(1400)), kLlftBatchedPin);
+}
+
+TEST(OrderingEquivalence, LamportCrashPinned) {
+  expect_pinned("lamport crash", run_scenario(Config{}, true), kLamportCrashPin);
+}
+
+TEST(OrderingEquivalence, LlftCrashPinned) {
+  expect_pinned("llft crash", run_scenario(llft(), true), kLlftCrashPin);
 }
 
 }  // namespace

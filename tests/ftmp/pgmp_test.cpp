@@ -3,8 +3,8 @@
 // generation, round floors and planned-change gating.
 #include <gtest/gtest.h>
 
+#include "ftmp/ordering.hpp"
 #include "ftmp/pgmp.hpp"
-#include "ftmp/romp.hpp"
 
 namespace ftcorba::ftmp {
 namespace {
@@ -25,7 +25,8 @@ struct PgmpFixture : ::testing::Test {
   Config config;
   Rmp rmp{kSelf, config};
   Romp romp{kSelf, config};
-  Pgmp pgmp{kSelf, config, rmp, romp};
+  LamportOrdering rule{romp};
+  Pgmp pgmp{kSelf, config, rmp, romp, rule};
 
   std::vector<ProcessorId> members(std::initializer_list<std::uint32_t> raw) {
     std::vector<ProcessorId> out;
@@ -39,10 +40,13 @@ struct PgmpFixture : ::testing::Test {
     (void)pgmp.take_output();
   }
 
-  // Routes a control message through RMP first (as GroupSession does), so
-  // the PGMP completeness check sees a consistent contiguous stream.
+  // Routes a control message through RMP, Romp and the rule first (as
+  // GroupSession does), so the PGMP completeness check sees a consistent
+  // contiguous stream.
   void feed(const Message& msg) {
     for (Frame& f : rmp.on_reliable(0, Frame{msg.header, encode_message(msg)})) {
+      romp.on_source_ordered(f.header);
+      rule.on_source_ordered(f, 0);
       const Message delivered{f.header, decode_body(f.header, f.body())};
       if (delivered.header.type == MessageType::kSuspect) {
         pgmp.on_suspect(0, delivered);
@@ -178,7 +182,8 @@ TEST_F(PgmpFixture, ExactHalfNeedsSmallestId) {
 TEST_F(PgmpFixture, ExactHalfWithoutSmallestIdStalls) {
   Rmp rmp3{ProcessorId{3}, config};
   Romp romp3{ProcessorId{3}, config};
-  Pgmp pgmp3{ProcessorId{3}, config, rmp3, romp3};
+  LamportOrdering rule3{romp3};
+  Pgmp pgmp3{ProcessorId{3}, config, rmp3, romp3, rule3};
   pgmp3.bootstrap(0, members({1, 2, 3, 4}));
   (void)pgmp3.take_output();
 

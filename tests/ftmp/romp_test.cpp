@@ -1,7 +1,9 @@
-// Unit tests for the ROMP layer (§6): delivery condition, total order,
-// heartbeat bounds, ack timestamps and stability.
+// Unit tests for the ROMP layer (§6) and the Lamport delivery rule over
+// it: delivery condition, total order, heartbeat bounds, ack timestamps
+// and stability.
 #include <gtest/gtest.h>
 
+#include "ftmp/ordering.hpp"
 #include "ftmp/romp.hpp"
 
 namespace ftcorba::ftmp {
@@ -37,28 +39,37 @@ Header heartbeat(ProcessorId src, SeqNum seq, Timestamp ts, Timestamp ack = 0) {
 struct RompFixture : ::testing::Test {
   Config config;
   Romp romp{kP1, config};
+  LamportOrdering rule{romp};
   void SetUp() override { romp.set_members({kP1, kP2, kP3}); }
+
+  // Romp first, then the rule, as GroupSession routes every reliable frame.
+  void feed(const Message& m) {
+    const Frame f = frame_of(m);
+    romp.on_source_ordered(f.header);
+    rule.on_source_ordered(f, 0);
+  }
+  std::vector<Frame> collect() { return rule.collect_deliverable(0); }
 };
 
 TEST_F(RompFixture, NoDeliveryUntilAllBoundsPass) {
-  romp.on_source_ordered(frame_of(regular(kP2, 1, 10)));
-  EXPECT_TRUE(romp.collect_deliverable().empty()) << "P1/P3 bounds still 0";
+  feed(regular(kP2, 1, 10));
+  EXPECT_TRUE(collect().empty()) << "P1/P3 bounds still 0";
   romp.on_heartbeat(heartbeat(kP1, 0, 11), 0);
-  EXPECT_TRUE(romp.collect_deliverable().empty()) << "P3 bound still 0";
+  EXPECT_TRUE(collect().empty()) << "P3 bound still 0";
   romp.on_heartbeat(heartbeat(kP3, 0, 12), 0);
-  const auto out = romp.collect_deliverable();
+  const auto out = collect();
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].header.source, kP2);
 }
 
 TEST_F(RompFixture, DeliveryInTimestampOrderWithSourceTieBreak) {
-  romp.on_source_ordered(frame_of(regular(kP3, 1, 5)));
-  romp.on_source_ordered(frame_of(regular(kP2, 1, 5)));  // same ts: source id breaks tie
-  romp.on_source_ordered(frame_of(regular(kP2, 2, 7)));
+  feed(regular(kP3, 1, 5));
+  feed(regular(kP2, 1, 5));  // same ts: source id breaks tie
+  feed(regular(kP2, 2, 7));
   romp.on_heartbeat(heartbeat(kP1, 0, 20), 0);
   romp.on_heartbeat(heartbeat(kP2, 2, 20), 2);
   romp.on_heartbeat(heartbeat(kP3, 1, 20), 1);
-  const auto out = romp.collect_deliverable();
+  const auto out = collect();
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[0].header.source, kP2);  // (5, P2)
   EXPECT_EQ(out[1].header.source, kP3);  // (5, P3)
@@ -66,30 +77,30 @@ TEST_F(RompFixture, DeliveryInTimestampOrderWithSourceTieBreak) {
 }
 
 TEST_F(RompFixture, HeartbeatWithStaleSeqDoesNotRaiseBound) {
-  romp.on_source_ordered(frame_of(regular(kP2, 1, 10)));
+  feed(regular(kP2, 1, 10));
   romp.on_heartbeat(heartbeat(kP1, 0, 50), 0);
   // P3's heartbeat claims seq 4, but we've contiguously received only 0:
   // messages 1..4 are in flight with unknown (smaller) timestamps.
   romp.on_heartbeat(heartbeat(kP3, 4, 50), 0);
-  EXPECT_TRUE(romp.collect_deliverable().empty());
+  EXPECT_TRUE(collect().empty());
   EXPECT_EQ(romp.bound(kP3), 0u);
   // Matching seq raises it.
   romp.on_heartbeat(heartbeat(kP3, 0, 50), 0);
   EXPECT_EQ(romp.bound(kP3), 50u);
-  EXPECT_EQ(romp.collect_deliverable().size(), 1u);
+  EXPECT_EQ(collect().size(), 1u);
 }
 
 TEST_F(RompFixture, OrderedTypesEnterPending) {
   Message add = regular(kP2, 1, 10);
   add.header.type = MessageType::kAddProcessor;
   add.body = AddProcessorBody{};
-  romp.on_source_ordered(frame_of(add));
-  EXPECT_EQ(romp.pending_count(), 1u);
+  feed(add);
+  EXPECT_EQ(rule.pending_count(), 1u);
   Message suspect = regular(kP2, 2, 11);
   suspect.header.type = MessageType::kSuspect;
   suspect.body = SuspectBody{};
-  romp.on_source_ordered(frame_of(suspect));
-  EXPECT_EQ(romp.pending_count(), 1u) << "Suspect is not totally ordered (Fig. 3)";
+  feed(suspect);
+  EXPECT_EQ(rule.pending_count(), 1u) << "Suspect is not totally ordered (Fig. 3)";
   EXPECT_EQ(romp.bound(kP2), 11u) << "but it raises the bound";
 }
 
@@ -120,7 +131,7 @@ TEST_F(RompFixture, AckTimestampIsMinBound) {
 }
 
 TEST_F(RompFixture, StabilityFollowsMinAck) {
-  romp.on_source_ordered(frame_of(regular(kP2, 1, 10, /*ack=*/0)));
+  feed(regular(kP2, 1, 10, /*ack=*/0));
   EXPECT_EQ(romp.stable_timestamp(), 0u);
   // Everyone acks >= 10: the message is stable.
   romp.on_heartbeat(heartbeat(kP1, 0, 40, /*ack=*/15), 0);
@@ -136,66 +147,68 @@ TEST_F(RompFixture, StabilityFollowsMinAck) {
 }
 
 TEST_F(RompFixture, StampAndWitnessKeepLamportProperty) {
-  romp.on_source_ordered(frame_of(regular(kP2, 1, 1000)));
+  feed(regular(kP2, 1, 1000));
   EXPECT_GT(romp.stamp(0), 1000u);
 }
 
 TEST_F(RompFixture, RemoveMemberUnblocksDelivery) {
-  romp.on_source_ordered(frame_of(regular(kP2, 1, 10)));
+  feed(regular(kP2, 1, 10));
   romp.on_heartbeat(heartbeat(kP1, 0, 20), 0);
   // P3 silent: stalled. Removing it (as PGMP conviction would) unblocks.
-  EXPECT_TRUE(romp.collect_deliverable().empty());
-  romp.remove_member(kP3, /*drop_pending=*/false);
-  EXPECT_EQ(romp.collect_deliverable().size(), 1u);
+  EXPECT_TRUE(collect().empty());
+  romp.remove_member(kP3);
+  rule.remove_member(kP3);
+  EXPECT_EQ(collect().size(), 1u);
 }
 
 TEST_F(RompFixture, RemoveMemberDropsItsPending) {
-  romp.on_source_ordered(frame_of(regular(kP3, 1, 10)));
-  romp.remove_member(kP3, /*drop_pending=*/true);
+  feed(regular(kP3, 1, 10));
+  romp.remove_member(kP3);
+  rule.remove_member(kP3);
   romp.on_heartbeat(heartbeat(kP1, 0, 20), 0);
   romp.on_heartbeat(heartbeat(kP2, 0, 20), 0);
-  EXPECT_TRUE(romp.collect_deliverable().empty());
-  EXPECT_EQ(romp.pending_count(), 0u);
+  EXPECT_TRUE(collect().empty());
+  EXPECT_EQ(rule.pending_count(), 0u);
 }
 
 TEST_F(RompFixture, AddMemberStartsAtGivenBound) {
   romp.add_member(ProcessorId{4}, 100);
   EXPECT_EQ(romp.bound(ProcessorId{4}), 100u);
   // A message above everyone's bounds stalls on the new member too.
-  romp.on_source_ordered(frame_of(regular(kP2, 1, 150)));
+  feed(regular(kP2, 1, 150));
   romp.on_heartbeat(heartbeat(kP1, 0, 200), 0);
   romp.on_heartbeat(heartbeat(kP2, 1, 200), 1);
   romp.on_heartbeat(heartbeat(kP3, 0, 200), 0);
-  EXPECT_TRUE(romp.collect_deliverable().empty());
+  EXPECT_TRUE(collect().empty());
   romp.on_heartbeat(heartbeat(ProcessorId{4}, 0, 160), 0);
-  EXPECT_EQ(romp.collect_deliverable().size(), 1u);
+  EXPECT_EQ(collect().size(), 1u);
 }
 
 TEST_F(RompFixture, DrainUpToCutDeliversExactlyTheCut) {
-  romp.on_source_ordered(frame_of(regular(kP2, 1, 10)));
-  romp.on_source_ordered(frame_of(regular(kP2, 2, 12)));
-  romp.on_source_ordered(frame_of(regular(kP3, 1, 11)));
-  romp.on_source_ordered(frame_of(regular(kP3, 2, 14)));
+  feed(regular(kP2, 1, 10));
+  feed(regular(kP2, 2, 12));
+  feed(regular(kP3, 1, 11));
+  feed(regular(kP3, 2, 14));
   std::map<ProcessorId, SeqNum> cuts{{kP1, 0}, {kP2, 2}, {kP3, 1}};
   const std::set<ProcessorId> survivors{kP1, kP2};
-  const auto out = romp.drain_up_to_cut(cuts, survivors);
+  const auto out = rule.drain_up_to_cut(cuts, survivors);
   ASSERT_EQ(out.size(), 3u);
   // (10,P2), (11,P3), (12,P2) — timestamp order.
   EXPECT_EQ(out[0].header.message_timestamp, 10u);
   EXPECT_EQ(out[1].header.message_timestamp, 11u);
   EXPECT_EQ(out[2].header.message_timestamp, 12u);
   // P3's beyond-cut message was dropped (not a survivor).
-  EXPECT_EQ(romp.pending_count(), 0u);
+  EXPECT_EQ(rule.pending_count(), 0u);
 }
 
 TEST_F(RompFixture, DrainKeepsSurvivorsBeyondCut) {
-  romp.on_source_ordered(frame_of(regular(kP2, 1, 10)));
-  romp.on_source_ordered(frame_of(regular(kP2, 2, 12)));
+  feed(regular(kP2, 1, 10));
+  feed(regular(kP2, 2, 12));
   std::map<ProcessorId, SeqNum> cuts{{kP1, 0}, {kP2, 1}, {kP3, 0}};
   const std::set<ProcessorId> survivors{kP1, kP2};
-  const auto out = romp.drain_up_to_cut(cuts, survivors);
+  const auto out = rule.drain_up_to_cut(cuts, survivors);
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(romp.pending_count(), 1u) << "survivor's later message stays pending";
+  EXPECT_EQ(rule.pending_count(), 1u) << "survivor's later message stays pending";
 }
 
 TEST_F(RompFixture, DeliveryBatchStopsAtMembershipChange) {
@@ -205,23 +218,23 @@ TEST_F(RompFixture, DeliveryBatchStopsAtMembershipChange) {
   Message add = regular(kP2, 1, 10);
   add.header.type = MessageType::kAddProcessor;
   add.body = AddProcessorBody{};
-  romp.on_source_ordered(frame_of(add));
-  romp.on_source_ordered(frame_of(regular(kP2, 2, 12)));
-  romp.on_source_ordered(frame_of(regular(kP2, 3, 14)));
+  feed(add);
+  feed(regular(kP2, 2, 12));
+  feed(regular(kP2, 3, 14));
   romp.on_heartbeat(heartbeat(kP1, 0, 20), 0);
   romp.on_heartbeat(heartbeat(kP3, 0, 20), 0);
   romp.on_heartbeat(heartbeat(kP2, 3, 20), 3);
 
-  auto batch = romp.collect_deliverable();
+  auto batch = collect();
   ASSERT_EQ(batch.size(), 1u) << "batch must end at the AddProcessor";
   EXPECT_EQ(batch[0].header.type, MessageType::kAddProcessor);
 
   // The session applies the ADD: the new member P4 joins with bound 10.
   romp.add_member(ProcessorId{4}, 10);
-  EXPECT_TRUE(romp.collect_deliverable().empty())
+  EXPECT_TRUE(collect().empty())
       << "ts 12/14 must now wait for the new member's bound";
   romp.on_heartbeat(heartbeat(ProcessorId{4}, 0, 13), 0);
-  auto next = romp.collect_deliverable();
+  auto next = collect();
   ASSERT_EQ(next.size(), 1u);
   EXPECT_EQ(next[0].header.message_timestamp, 12u);
 }
@@ -229,33 +242,33 @@ TEST_F(RompFixture, DeliveryBatchStopsAtMembershipChange) {
 TEST_F(RompFixture, ConsumedBoundaryCoversControlMessages) {
   // Suspect/Membership consume sequence numbers without being ordered;
   // the join resume boundary must advance over them (soak regression).
-  romp.on_source_ordered(frame_of(regular(kP2, 1, 10)));
+  feed(regular(kP2, 1, 10));
   Message suspect = regular(kP2, 2, 11);
   suspect.header.type = MessageType::kSuspect;
   suspect.body = SuspectBody{};
-  romp.on_source_ordered(frame_of(suspect));
+  feed(suspect);
   Message membership = regular(kP2, 3, 12);
   membership.header.type = MessageType::kMembership;
   membership.body = MembershipBody{};
-  romp.on_source_ordered(frame_of(membership));
+  feed(membership);
 
   // The Regular at seq 1 is not delivered yet: consumed stops before it.
   EXPECT_EQ(romp.consumed_up_to(kP2), 0u);
   romp.on_heartbeat(heartbeat(kP1, 0, 20), 0);
   romp.on_heartbeat(heartbeat(kP3, 0, 20), 0);
-  (void)romp.collect_deliverable();  // delivers seq 1
+  (void)collect();  // delivers seq 1
   EXPECT_EQ(romp.consumed_up_to(kP2), 3u)
       << "boundary passes the delivered Regular AND the control messages";
   EXPECT_EQ(romp.last_ordered_seq(kP2), 1u);
 }
 
 TEST_F(RompFixture, LastOrderedSeqTracksDeliveries) {
-  romp.on_source_ordered(frame_of(regular(kP2, 1, 10)));
+  feed(regular(kP2, 1, 10));
   romp.on_heartbeat(heartbeat(kP1, 0, 20), 0);
   romp.on_heartbeat(heartbeat(kP2, 1, 20), 1);
   romp.on_heartbeat(heartbeat(kP3, 0, 20), 0);
   EXPECT_EQ(romp.last_ordered_seq(kP2), 0u);
-  (void)romp.collect_deliverable();
+  (void)collect();
   EXPECT_EQ(romp.last_ordered_seq(kP2), 1u);
 }
 

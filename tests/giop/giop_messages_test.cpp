@@ -60,9 +60,9 @@ TEST_P(GiopRoundTrip, AllEightTypes) {
 
 INSTANTIATE_TEST_SUITE_P(BothOrders, GiopRoundTrip,
                          ::testing::Values(ByteOrder::kBig, ByteOrder::kLittle),
-                         [](const auto& info) {
-                           return info.param == ByteOrder::kBig ? "BigEndian"
-                                                                : "LittleEndian";
+                         [](const auto& p) {
+                           return p.param == ByteOrder::kBig ? "BigEndian"
+                                                             : "LittleEndian";
                          });
 
 TEST(Giop, HeaderLayout) {

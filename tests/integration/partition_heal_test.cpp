@@ -180,7 +180,8 @@ TEST(PartitionHeal, SubTimeoutFlappingCausesNoExclusion) {
   for (int pulse = 0; pulse < 6; ++pulse) {
     h.network().set_partition({ids({4})});
     for (ProcessorId p : ids({1, 2, 3})) {
-      h.stack(p).group(kGroup)->send_regular(h.now(), test_conn(), ++req,
+      ++req;
+      h.stack(p).group(kGroup)->send_regular(h.now(), test_conn(), req,
                                              bytes_of("flap-" + std::to_string(req)));
     }
     h.run_for(60 * kMillisecond);

@@ -216,9 +216,9 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ChurnProperties,
                                            ChurnScenario{24, 0.0, 10},
                                            ChurnScenario{25, 0.15, 4},
                                            ChurnScenario{26, 0.05, 8}),
-                         [](const auto& info) {
+                         [](const auto& p) {
                            std::ostringstream os;
-                           os << info.param;
+                           os << p.param;
                            return os.str();
                          });
 

@@ -117,9 +117,9 @@ INSTANTIATE_TEST_SUITE_P(
         Scenario{6, 3, 0.30, 0.0, 2 * kMillisecond, 40},
         Scenario{7, 8, 0.02, 0.02, 200 * kMicrosecond, 80},
         Scenario{8, 6, 0.25, 0.15, 1 * kMillisecond, 50}),
-    [](const auto& info) {
+    [](const auto& p) {
       std::ostringstream os;
-      os << info.param;
+      os << p.param;
       return os.str();
     });
 
@@ -208,9 +208,9 @@ INSTANTIATE_TEST_SUITE_P(Sweep, CrashProperties,
                                            CrashScenario{14, 5, 0.0, 0},
                                            CrashScenario{15, 6, 0.15, 8},
                                            CrashScenario{16, 4, 0.20, 12}),
-                         [](const auto& info) {
+                         [](const auto& p) {
                            std::ostringstream os;
-                           os << info.param;
+                           os << p.param;
                            return os.str();
                          });
 

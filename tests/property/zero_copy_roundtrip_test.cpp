@@ -121,9 +121,9 @@ TEST_P(ZeroCopyRoundTrip, MalformedBodySurvivesIngressFailsAtDelivery) {
 
 INSTANTIATE_TEST_SUITE_P(BothOrders, ZeroCopyRoundTrip,
                          ::testing::Values(ByteOrder::kBig, ByteOrder::kLittle),
-                         [](const auto& info) {
-                           return info.param == ByteOrder::kBig ? "BigEndian"
-                                                                : "LittleEndian";
+                         [](const auto& p) {
+                           return p.param == ByteOrder::kBig ? "BigEndian"
+                                                             : "LittleEndian";
                          });
 
 TEST(RetransmitIdentity, StoredSliceDiffersOnlyInRetransmissionFlag) {
