@@ -4,9 +4,11 @@
 //  lower message latency but higher network traffic."
 //
 // At low offered load, a message from one member cannot be delivered until
-// every *idle* member's bound passes its timestamp — which happens at the
-// next heartbeat. Latency therefore tracks the heartbeat interval, while
-// wire traffic is inversely proportional to it.
+// every *idle* member's bound passes its timestamp. Under the paper's rule
+// (lamport-paper) that happens at the next heartbeat, so latency tracks the
+// heartbeat interval while wire traffic is inversely proportional to it.
+// The default mode acks within kAckDelay instead (docs/ORDERING.md §2):
+// latency is flat in the interval, which then only bounds idle traffic.
 #include <cstdio>
 
 #include "ftmp/wire.hpp"
@@ -99,39 +101,47 @@ int main() {
   const double rate = 5.0;  // msgs/s per member: mostly-idle group
   const Duration duration = 6 * kSecond;
 
-  std::printf("%12s | %9s | %9s | %9s | %12s | %12s | %10s | %6s\n", "heartbeat ms",
-              "mean ms", "p50 ms", "p99 ms", "packets/s", "packets/msg", "allocs/pkt",
-              "pool %");
-  std::printf("-------------+-----------+-----------+-----------+--------------+"
-              "-------------+------------+-------\n");
-  for (Duration hb : {1 * kMillisecond, 2 * kMillisecond, 5 * kMillisecond,
-                      10 * kMillisecond, 20 * kMillisecond, 50 * kMillisecond,
-                      100 * kMillisecond, 200 * kMillisecond, 500 * kMillisecond}) {
-    ftmp::Config cfg;
-    cfg.heartbeat_interval = hb;
-    // The fault detector must tolerate the sparser heartbeats.
-    cfg.fault_timeout = std::max<Duration>(20 * hb, 200 * kMillisecond);
-    alloc_stats_reset();
-    const WorkloadResult r =
-        run_ftmp(4, cfg, lan, /*seed=*/42, rate, duration, 64);
-    const AllocStats alloc = alloc_stats();
-    // At short heartbeat intervals nearly every packet is a heartbeat: the
-    // per-group encoded template makes each tick a pooled 45-byte copy with
-    // three patched fields, so allocs/pkt stays ~1 with a high pool-hit
-    // fraction instead of a fresh encode per tick.
-    const double total_allocs = double(alloc.fresh_buffers + alloc.pool_hits);
-    const double allocs_per_pkt =
-        r.wire.packets_sent > 0 ? total_allocs / double(r.wire.packets_sent) : 0.0;
-    const double pool_pct =
-        total_allocs > 0 ? 100.0 * double(alloc.pool_hits) / total_allocs : 0.0;
-    std::printf("%12.0f | %9.3f | %9.3f | %9.3f | %12.0f | %12.1f | %10.2f | %5.1f%%%s\n",
-                to_ms(hb), r.latency_ms.mean(), r.latency_ms.median(),
-                r.latency_ms.percentile(99), r.packets_per_s(), r.packets_per_msg(),
-                allocs_per_pkt, pool_pct,
-                r.delivery_ratio(4) < 0.999 ? "  [INCOMPLETE]" : "");
+  for (ftmp::OrderingMode mode :
+       {ftmp::OrderingMode::kLamportPaper, ftmp::OrderingMode::kLamport}) {
+    std::printf("\nordering mode %s%s:\n", ftmp::to_string(mode),
+                mode == ftmp::OrderingMode::kLamport ? " (prompt acks)"
+                                                     : " (the paper's curve)");
+    std::printf("%12s | %9s | %9s | %9s | %12s | %12s | %10s | %6s\n", "heartbeat ms",
+                "mean ms", "p50 ms", "p99 ms", "packets/s", "packets/msg",
+                "allocs/pkt", "pool %");
+    std::printf("-------------+-----------+-----------+-----------+--------------+"
+                "-------------+------------+-------\n");
+    for (Duration hb : {1 * kMillisecond, 2 * kMillisecond, 5 * kMillisecond,
+                        10 * kMillisecond, 20 * kMillisecond, 50 * kMillisecond,
+                        100 * kMillisecond, 200 * kMillisecond, 500 * kMillisecond}) {
+      ftmp::Config cfg;
+      cfg.ordering_mode = mode;
+      cfg.heartbeat_interval = hb;
+      // The fault detector must tolerate the sparser heartbeats.
+      cfg.fault_timeout = std::max<Duration>(20 * hb, 200 * kMillisecond);
+      alloc_stats_reset();
+      const WorkloadResult r =
+          run_ftmp(4, cfg, lan, /*seed=*/42, rate, duration, 64);
+      const AllocStats alloc = alloc_stats();
+      // At short heartbeat intervals nearly every packet is a heartbeat: the
+      // per-group encoded template makes each tick a pooled 45-byte copy
+      // with three patched fields, so allocs/pkt stays ~1 with a high
+      // pool-hit fraction instead of a fresh encode per tick.
+      const double total_allocs = double(alloc.fresh_buffers + alloc.pool_hits);
+      const double allocs_per_pkt =
+          r.wire.packets_sent > 0 ? total_allocs / double(r.wire.packets_sent) : 0.0;
+      const double pool_pct =
+          total_allocs > 0 ? 100.0 * double(alloc.pool_hits) / total_allocs : 0.0;
+      std::printf(
+          "%12.0f | %9.3f | %9.3f | %9.3f | %12.0f | %12.1f | %10.2f | %5.1f%%%s\n",
+          to_ms(hb), r.latency_ms.mean(), r.latency_ms.median(),
+          r.latency_ms.percentile(99), r.packets_per_s(), r.packets_per_msg(),
+          allocs_per_pkt, pool_pct, r.delivery_ratio(4) < 0.999 ? "  [INCOMPLETE]" : "");
+    }
   }
-  std::printf("load: %.0f msgs/s/member across 4 members; latency should rise ~linearly\n"
-              "with the interval while wire packets/s falls — the §5 compromise.\n"
+  std::printf("load: %.0f msgs/s/member across 4 members. lamport-paper: latency\n"
+              "should rise ~linearly with the interval while wire packets/s falls —\n"
+              "the §5 compromise. lamport: latency stays flat; packets/s still falls.\n"
               "allocs/pkt, pool %%: owned-buffer allocations per wire packet and the\n"
               "fraction served from the buffer pool (heartbeats reuse an encoded\n"
               "template via a pooled copy instead of a fresh encode per tick).\n",
@@ -146,7 +156,7 @@ int main() {
   // due heartbeat ride a data-bearing datagram instead of paying for its own
   // (hb-only dgrams/s falls; coalesced counts those piggybacks).
   // -------------------------------------------------------------------------
-  std::printf("\nheartbeat traffic vs data rate (hb=10ms, n=4, 4s of load):\n");
+  std::printf("\nheartbeat traffic vs data rate (lamport, hb=10ms, n=4, 4s of load):\n");
   std::printf("%11s | %12s | %12s | %14s | %12s | %9s\n", "msgs/s/mbr",
               "hb/s (off)", "hb/s (on)", "hb-only dg/s", "dgrams/s on",
               "coalesced");

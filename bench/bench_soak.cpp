@@ -366,7 +366,7 @@ int main(int argc, char** argv) {
       seeds.push_back(std::stoull(argv[i]));
     } else {
       std::fprintf(stderr,
-                   "usage: bench_soak [--seed N]... [--ordering lamport|llft] "
+                   "usage: bench_soak [--seed N]... [--ordering lamport|lamport-paper|llft] "
                    "[--json FILE] [N...]\n");
       return 2;
     }

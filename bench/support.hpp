@@ -146,11 +146,12 @@ inline WorkloadResult run_ftmp(int n, const ftmp::Config& cfg, net::LinkModel li
 // Baseline fleets (§8 comparators)
 // ---------------------------------------------------------------------------
 
-enum class Protocol { kFtmp, kLlft, kSequencer, kTokenRing };
+enum class Protocol { kFtmp, kFtmpPaper, kLlft, kSequencer, kTokenRing };
 
 inline const char* to_string(Protocol p) {
   switch (p) {
     case Protocol::kFtmp: return "FTMP";
+    case Protocol::kFtmpPaper: return "FTMP-paper";
     case Protocol::kLlft: return "FTMP-LLFT";
     case Protocol::kSequencer: return "sequencer";
     case Protocol::kTokenRing: return "token-ring";
@@ -218,12 +219,14 @@ inline WorkloadResult run_protocol(Protocol kind, int n, const ftmp::Config& cfg
   if (kind == Protocol::kFtmp) {
     return run_ftmp(n, cfg, link, seed, rate_per_member, duration, payload_size);
   }
-  if (kind == Protocol::kLlft) {
-    // Same stack, same config, leader-granted ordering engine
-    // (docs/ORDERING.md) — the comparison isolates the ordering rule.
-    ftmp::Config llft = cfg;
-    llft.ordering_mode = ftmp::OrderingMode::kLlft;
-    return run_ftmp(n, llft, link, seed, rate_per_member, duration, payload_size);
+  if (kind == Protocol::kFtmpPaper || kind == Protocol::kLlft) {
+    // Same stack, same config, another ordering engine (docs/ORDERING.md):
+    // the paper's Lamport rule without prompt acks, or leader-granted
+    // slots — the comparison isolates the ordering rule.
+    ftmp::Config other = cfg;
+    other.ordering_mode = kind == Protocol::kLlft ? ftmp::OrderingMode::kLlft
+                                                  : ftmp::OrderingMode::kLamportPaper;
+    return run_ftmp(n, other, link, seed, rate_per_member, duration, payload_size);
   }
   return run_baseline(kind, n, link, seed, rate_per_member, duration, payload_size);
 }

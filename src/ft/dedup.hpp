@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <utility>
 
 #include "common/ids.hpp"
 #include "common/metrics.hpp"
@@ -25,9 +26,10 @@ struct DedupStats {
 };
 
 /// Tracks ⟨connection, request number, kind⟩ triples and accepts only the
-/// first occurrence of each. Old entries are reclaimed per connection once
-/// the application declares a low-water mark (request numbers are
-/// monotonically increasing over a connection, §4).
+/// first occurrence of each. Request numbers count up from 1 per connection
+/// (§4), so per (connection, kind) only the largest N with 1..N all accepted
+/// is kept, plus the accepted numbers above N: memory stays bounded by the
+/// reordering window, not by the number of invocations.
 class DuplicateSuppressor {
  public:
   DuplicateSuppressor()
@@ -42,12 +44,16 @@ class DuplicateSuppressor {
 
   /// Returns true exactly once per ⟨connection, request_num, kind⟩.
   bool accept(const ConnectionId& connection, RequestNum request_num, MessageKind kind) {
-    auto& seen = seen_[connection];
-    const std::uint64_t key = (request_num << 1) | static_cast<std::uint64_t>(kind);
-    if (request_num < low_water_[connection] || !seen.insert(key).second) {
+    Seen& seen = seen_[{connection, kind}];
+    if (seen.covers(request_num) || !seen.above.insert(request_num).second) {
       stats_.suppressed += 1;
       suppressed_.add();
       return false;
+    }
+    auto it = seen.above.begin();
+    while (it != seen.above.end() && *it == seen.prefix + 1) {
+      seen.prefix = *it;
+      it = seen.above.erase(it);
     }
     stats_.accepted += 1;
     accepted_.add();
@@ -57,34 +63,30 @@ class DuplicateSuppressor {
   /// True if the triple has been seen (without recording anything).
   [[nodiscard]] bool seen(const ConnectionId& connection, RequestNum request_num,
                           MessageKind kind) const {
-    auto it = seen_.find(connection);
-    if (it == seen_.end()) return false;
-    const std::uint64_t key = (request_num << 1) | static_cast<std::uint64_t>(kind);
-    return it->second.contains(key);
+    auto it = seen_.find({connection, kind});
+    return it != seen_.end() && (it->second.covers(request_num) ||
+                                 it->second.above.contains(request_num));
   }
 
-  /// Declares that request numbers below `watermark` on `connection` are
-  /// finished: their entries are reclaimed and future copies suppressed.
-  void trim(const ConnectionId& connection, RequestNum watermark) {
-    low_water_[connection] = watermark;
-    auto it = seen_.find(connection);
-    if (it == seen_.end()) return;
-    auto& seen = it->second;
-    seen.erase(seen.begin(), seen.lower_bound(watermark << 1));
-  }
-
-  /// Entries currently retained (memory introspection).
+  /// Numbers retained above the accepted prefixes (memory introspection).
   [[nodiscard]] std::size_t size() const {
     std::size_t n = 0;
-    for (const auto& [conn, seen] : seen_) n += seen.size();
+    for (const auto& [key, seen] : seen_) n += seen.above.size();
     return n;
   }
 
   [[nodiscard]] const DedupStats& stats() const { return stats_; }
 
  private:
-  std::map<ConnectionId, std::set<std::uint64_t>> seen_;
-  std::map<ConnectionId, RequestNum> low_water_;
+  // Every number in 1..prefix has been accepted; `above` holds the accepted
+  // numbers past a gap (and 0, which no prefix covers).
+  struct Seen {
+    RequestNum prefix = 0;
+    std::set<RequestNum> above;
+    [[nodiscard]] bool covers(RequestNum n) const { return n >= 1 && n <= prefix; }
+  };
+
+  std::map<std::pair<ConnectionId, MessageKind>, Seen> seen_;
   DedupStats stats_;
   metrics::CounterHandle accepted_;
   metrics::CounterHandle suppressed_;

@@ -335,9 +335,9 @@ struct TraceReplay {
   std::string parse_error;
   std::uint32_t version = 0;  ///< trace format version from the header
   std::uint64_t seed = 0;     ///< seed recorded in the trace header
-  /// Ordering engine recorded in the header ("lamport" when absent — v1/v2
-  /// traces predate the seam and were always Lamport-ordered).
-  std::string ordering = "lamport";
+  /// Ordering engine recorded in the header ("lamport-paper" when absent —
+  /// such traces predate the seam and ran the paper's Lamport rule).
+  std::string ordering = "lamport-paper";
   std::uint64_t records = 0;  ///< D/V/R/S records replayed
   std::vector<Violation> violations;
 };

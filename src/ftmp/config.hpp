@@ -13,22 +13,36 @@ namespace ftcorba::ftmp {
 /// Which total-ordering engine a group runs behind the OrderingPolicy seam
 /// (src/ftmp/ordering.hpp, docs/ORDERING.md).
 enum class OrderingMode {
-  /// The paper's ROMP: Lamport timestamps totally order messages and
-  /// delivery waits for an ack-timestamp bound from every member.
+  /// ROMP's Lamport rule with prompt acknowledgement: delivery waits for a
+  /// timestamp bound from every member, but a member counts its own bound
+  /// at its clock while none of its reliable messages is in flight, and
+  /// acks another member's ordered message within kAckDelay
+  /// (group_session.hpp) instead of at its next heartbeat.
   kLamport,
   /// LLFT-style leader-stamped ordering: the view's smallest-id live
   /// member assigns delivery slots via OrderInfo grants; followers deliver
   /// in granted order and verify gaps through RMP retransmission. Leader
   /// failure reconciles through the PGMP install path.
   kLlft,
+  /// The paper's ROMP exactly (§5-6): a member's own bound is its last
+  /// looped-back message, and idle members advance bounds only with their
+  /// periodic heartbeat.
+  kLamportPaper,
 };
 
 [[nodiscard]] constexpr const char* to_string(OrderingMode m) {
-  return m == OrderingMode::kLlft ? "llft" : "lamport";
+  switch (m) {
+    case OrderingMode::kLlft:
+      return "llft";
+    case OrderingMode::kLamportPaper:
+      return "lamport-paper";
+    default:
+      return "lamport";
+  }
 }
 
-/// Parses "lamport" / "llft"; returns false (and leaves `out` alone) on
-/// anything else.
+/// Parses "lamport" / "llft" / "lamport-paper"; returns false (and leaves
+/// `out` alone) on anything else.
 [[nodiscard]] bool parse_ordering_mode(const char* s, OrderingMode& out);
 
 /// Stack-wide configuration, fixed at construction.
@@ -166,9 +180,10 @@ struct Config {
 
   // ---- ordering engine (docs/ORDERING.md) ----
 
-  /// Total-order engine for every group on this stack. The default is the
-  /// paper's Lamport ROMP and is pinned byte-identical to the pre-seam
-  /// stack by tests/ftmp/ordering_equivalence_test.cpp; kLlft trades the
+  /// Total-order engine for every group on this stack. The default is
+  /// Lamport ROMP with prompt acknowledgement; kLamportPaper is the
+  /// paper's rule, pinned byte-identical to the pre-seam stack by
+  /// tests/ftmp/ordering_equivalence_test.cpp; kLlft trades the
   /// stability round for leader-stamped delivery (lower latency, leader
   /// reconciliation on failure).
   OrderingMode ordering_mode = OrderingMode::kLamport;

@@ -25,6 +25,11 @@ GroupSession::GroupSession(ProcessorId self, ProcessorGroupId group,
       "Heartbeat messages multicast when nothing else was sent within the "
       "heartbeat interval",
       "messages", "rmp");
+  acks_sent_ = metrics::counter(
+      "ftmp_romp_acks_sent_total",
+      "Heartbeats sent to pay an ack debt before the heartbeat interval "
+      "(lamport mode; also counted in ftmp_rmp_heartbeats_sent_total)",
+      "messages", "romp");
 }
 
 void GroupSession::trace(TimePoint now, metrics::TraceKind kind, std::uint64_t a,
@@ -551,6 +556,13 @@ void GroupSession::pump(TimePoint now) {
   }
   progress_flush(now);
   drain_flow_queue(now);
+  // Every send above is stamped past the clock and so pays any ack debt;
+  // one still owed now falls due kAckDelay after it arose.
+  if (config_.ordering_mode == OrderingMode::kLamport && romp_.ack_owed()) {
+    if (!ack_due_) ack_due_ = now + kAckDelay;
+  } else {
+    ack_due_.reset();
+  }
 }
 
 void GroupSession::drain_flow_queue(TimePoint now) {
@@ -593,8 +605,11 @@ void GroupSession::tick(TimePoint now) {
   pgmp_.tick(now);
   rmp_.on_tick(now);
   check_flow_lag(now);
-  if (rmp_.heartbeat_due(now)) {
+  const bool heartbeat_due = rmp_.heartbeat_due(now);
+  const bool ack_due = ack_due_ && now >= *ack_due_;
+  if (heartbeat_due || ack_due) {
     send_heartbeat(now);
+    if (!heartbeat_due) acks_sent_.add();
     // While the old address is retiring, members that have not yet ordered
     // the rebind Connect still need fresh timestamps to make it
     // deliverable — heartbeat on both addresses (a Datagram copy is just a

@@ -1,5 +1,6 @@
 #include "ftmp/ordering.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "ftmp/llft.hpp"
@@ -16,6 +17,10 @@ bool parse_ordering_mode(const char* s, OrderingMode& out) {
     out = OrderingMode::kLlft;
     return true;
   }
+  if (std::strcmp(s, "lamport-paper") == 0) {
+    out = OrderingMode::kLamportPaper;
+    return true;
+  }
   return false;
 }
 
@@ -27,11 +32,13 @@ metrics::GaugeHandle OrderingPolicy::pending_gauge() {
 
 std::unique_ptr<OrderingPolicy> make_ordering(OrderingMode mode, Romp& romp) {
   if (mode == OrderingMode::kLlft) return std::make_unique<LlftOrdering>(romp);
-  return std::make_unique<LamportOrdering>(romp);
+  return std::make_unique<LamportOrdering>(romp, mode == OrderingMode::kLamport);
 }
 
-LamportOrdering::LamportOrdering(Romp& romp)
-    : romp_(romp), pending_gauge_(pending_gauge()) {}
+LamportOrdering::LamportOrdering(Romp& romp, bool own_clock_bound)
+    : romp_(romp),
+      own_clock_bound_(own_clock_bound),
+      pending_gauge_(pending_gauge()) {}
 
 LamportOrdering::PendingMap::iterator LamportOrdering::erase(
     PendingMap::iterator it) {
@@ -39,13 +46,28 @@ LamportOrdering::PendingMap::iterator LamportOrdering::erase(
   return pending_.erase(it);
 }
 
+void LamportOrdering::on_own_send(const Header& header) {
+  own_sent_ = header.sequence_number;
+}
+
 void LamportOrdering::on_source_ordered(const Frame& frame, TimePoint now) {
   const Header& h = frame.header;
+  if (h.source == romp_.self()) own_held_ = h.sequence_number;
   if (!is_totally_ordered(h.type)) return;
   if (pending_.try_emplace({h.message_timestamp, h.source.raw()}, frame, now)
           .second) {
     pending_gauge_.add(1);
   }
+}
+
+Timestamp LamportOrdering::delivery_bound() const {
+  if (!own_clock_bound_ || own_held_ != own_sent_) return romp_.min_bound();
+  Timestamp acc = ~Timestamp{0};
+  for (ProcessorId q : romp_.members()) {
+    const Timestamp b = romp_.bound(q);
+    acc = std::min(acc, q == romp_.self() ? std::max(b, romp_.clock()) : b);
+  }
+  return acc;
 }
 
 std::vector<Frame> LamportOrdering::collect_deliverable(TimePoint now) {
@@ -54,7 +76,7 @@ std::vector<Frame> LamportOrdering::collect_deliverable(TimePoint now) {
   // Any member never heard from stalls delivery (bound 0), which is
   // precisely the "ordering of messages stops until faulty processors are
   // removed" behaviour of §7.
-  const Timestamp min_bound = romp_.min_bound();
+  const Timestamp min_bound = delivery_bound();
   while (!pending_.empty() && pending_.begin()->first.first <= min_bound) {
     Held& p = pending_.begin()->second;
     romp_.note_delivered(p.frame.header, p.arrival, now);

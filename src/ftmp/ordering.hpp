@@ -6,7 +6,9 @@
 // `Config::ordering_mode`:
 //
 //   * LamportOrdering (below) — the paper's (timestamp, source) rule;
-//     default, pinned byte-identical by ordering_equivalence_test.cpp.
+//     kLamportPaper runs it exactly as the paper states it (pinned
+//     byte-identical by ordering_equivalence_test.cpp), the default
+//     kLamport counts this member's own bound at its clock.
 //   * LlftOrdering (llft.hpp) — LLFT-style slots granted by the
 //     smallest-id live member via OrderInfo messages on its own stream.
 #pragma once
@@ -113,7 +115,8 @@ class OrderingPolicy {
 
   /// The session stamped and stored this member's own reliable message
   /// `header` and is about to multicast it, so a leader can grant it at
-  /// send time instead of on its loopback arrival. Default no-op.
+  /// send time instead of on its loopback arrival, and the Lamport rule
+  /// knows an own message is in flight. Default no-op.
   virtual void on_own_send(const Header& header) { (void)header; }
 
  protected:
@@ -131,9 +134,16 @@ class OrderingPolicy {
 /// The paper's rule (§6): totally-ordered frames wait in a
 /// (timestamp, source) pending set until min over members of bound passes
 /// their timestamp.
+///
+/// With `own_clock_bound` (OrderingMode::kLamport) this member counts at
+/// max(bound(self), clock) whenever every reliable message it has stamped
+/// is back through on_source_ordered: its later messages are stamped above
+/// the clock and its earlier ones are already held, so nothing of its own
+/// can still sort below that. Otherwise (an own message in flight, or
+/// kLamportPaper) bound(self) is its last looped-back timestamp.
 class LamportOrdering final : public OrderingPolicy {
  public:
-  explicit LamportOrdering(Romp& romp);
+  LamportOrdering(Romp& romp, bool own_clock_bound);
 
   void on_source_ordered(const Frame& frame, TimePoint now) override;
   [[nodiscard]] std::vector<Frame> collect_deliverable(TimePoint now) override;
@@ -142,13 +152,22 @@ class LamportOrdering final : public OrderingPolicy {
       const std::map<ProcessorId, SeqNum>& cuts,
       const std::set<ProcessorId>& survivors) override;
   void remove_member(ProcessorId member) override;
+  void on_own_send(const Header& header) override;
 
  private:
   using PendingMap = std::map<std::pair<Timestamp, std::uint32_t>, Held>;
 
   PendingMap::iterator erase(PendingMap::iterator it);
 
+  /// The timestamp up to which pending frames may be delivered.
+  [[nodiscard]] Timestamp delivery_bound() const;
+
   Romp& romp_;
+  const bool own_clock_bound_;
+  // Seqs of this member's last stamped reliable message and of its last
+  // one back through on_source_ordered; equal when none is in flight.
+  SeqNum own_sent_ = 0;
+  SeqNum own_held_ = 0;
   // Totally-ordered frames (raw bodies, zero-copy slices of their arrival
   // buffers), keyed by delivery order (ts, src).
   PendingMap pending_;

@@ -294,6 +294,10 @@ void Pgmp::on_add_ordered(TimePoint now, const Message& msg) {
   // at the old incarnation's position forever.
   romp_.reset_source(member, 0);
   ordering_.reset_source(member, 0);
+  // Likewise its completed-round floor: the new incarnation's Suspect and
+  // Membership messages reuse the old one's sequence numbers and would be
+  // dropped as stale, so a later crash would never be convicted.
+  round_floor_.erase(member);
   // The new member is leader-ineligible until the next view change: the
   // standing leader's floor advisory must reach it first (docs/ORDERING.md).
   ordering_.note_joined_epoch(member, membership_.timestamp);

@@ -115,7 +115,11 @@ void Romp::on_source_ordered(const Header& h) {
   unstable_[h.source][h.message_timestamp] = h.sequence_number;
   // Suspect/Membership and the other control messages are consumed on
   // arrival (Fig. 3: reliable, source-ordered, not totally ordered).
-  if (!is_totally_ordered(h.type)) mark_consumed(h.source, h.sequence_number);
+  if (!is_totally_ordered(h.type)) {
+    mark_consumed(h.source, h.sequence_number);
+  } else if (h.source != self_) {
+    heard_ = std::max(heard_, h.message_timestamp);
+  }
 }
 
 void Romp::note_delivered(const Header& h, TimePoint arrival, TimePoint now) {

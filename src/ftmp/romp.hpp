@@ -77,11 +77,24 @@ class Romp {
   // ---- timestamping ----
 
   /// Stamps an outgoing message (advances the Lamport clock).
-  [[nodiscard]] Timestamp stamp(TimePoint now) { return clock_.tick(now); }
+  [[nodiscard]] Timestamp stamp(TimePoint now) {
+    stamped_ = clock_.tick(now);
+    return stamped_;
+  }
 
   /// Observes a timestamp (Lamport advance) without receiving a message —
   /// used when a joining member seeds its clock from an AddProcessor body.
   void witness(Timestamp t) { clock_.witness(t); }
+
+  /// The greatest timestamp stamped or witnessed so far; every later
+  /// stamp() is larger.
+  [[nodiscard]] Timestamp clock() const { return clock_.latest(); }
+
+  /// True while another member's totally-ordered message carries a
+  /// timestamp above everything this member has stamped: the others cannot
+  /// count this member's bound past it until it sends something. Any send
+  /// pays the debt, since it is stamped above the clock.
+  [[nodiscard]] bool ack_owed() const { return heard_ > stamped_; }
 
   /// Ack timestamp for outgoing headers: min over members of bound
   /// ("received all messages with lower timestamps from all members").
@@ -101,7 +114,8 @@ class Romp {
   /// rule sees it: witnesses the timestamp, records the ack, raises
   /// bound(source) and tracks the message until it is stable. Types that
   /// are not totally ordered (Suspect, Membership, state transfer,
-  /// OrderInfo; Fig. 3) count as consumed right away.
+  /// OrderInfo; Fig. 3) count as consumed right away; totally-ordered ones
+  /// from another member may leave an ack owed (ack_owed).
   void on_source_ordered(const Header& header);
 
   /// A Heartbeat header (unreliable direct delivery from RMP).
@@ -177,6 +191,10 @@ class Romp {
   std::unordered_map<ProcessorId, SeqNum> consumed_up_to_;
   std::unordered_map<ProcessorId, std::set<SeqNum>> consumed_ahead_;
   Timestamp last_stable_ = 0;
+  // Highest timestamp this member stamped, and highest on another member's
+  // totally-ordered message (ack_owed).
+  Timestamp stamped_ = 0;
+  Timestamp heard_ = 0;
   Instruments metrics_;
 };
 

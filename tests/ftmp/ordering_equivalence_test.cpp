@@ -1,11 +1,15 @@
-// Ordering pins (docs/ORDERING.md): any wire or delivery drift in either
+// Ordering pins (docs/ORDERING.md): any wire or delivery drift in any
 // mode is a failing build, not a judgement call.
-//  * Lamport: the default mode stays byte-identical to the stack from
-//    before the OrderingPolicy seam existed (captured at commit ae8a84b).
+//  * Lamport as the paper states it (lamport-paper) stays byte-identical
+//    to the stack from before the OrderingPolicy seam existed (captured
+//    at commit ae8a84b).
 //  * LLFT, plain and batched, and a mid-stream crash with its fault
-//    install in both modes (pins drain_up_to_cut and member removal):
-//    captured at commit 1379157, before Romp became the concrete tracker
-//    both delivery rules share.
+//    install under lamport-paper and LLFT (pins drain_up_to_cut and member
+//    removal): captured at commit 1379157, before Romp became the concrete
+//    tracker both delivery rules share.
+//  * The default Lamport mode with prompt acknowledgement (own-clock
+//    bound, ack debt), plain, batched and crash: captured when that mode
+//    was introduced.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -141,12 +145,18 @@ Observed run_scenario(const Config& config, bool crash = false) {
   return seen;
 }
 
-Config llft(std::size_t batch_bytes = 0) {
+Config with(OrderingMode mode, std::size_t batch_bytes = 0) {
   Config cfg;
-  cfg.ordering_mode = OrderingMode::kLlft;
+  cfg.ordering_mode = mode;
   cfg.batch_max_datagram_bytes = batch_bytes;
   return cfg;
 }
+
+Config llft(std::size_t batch_bytes = 0) {
+  return with(OrderingMode::kLlft, batch_bytes);
+}
+
+Config lamport_paper() { return with(OrderingMode::kLamportPaper); }
 
 void expect_pinned(const char* what, const Observed& seen, const Observed& pin) {
   std::printf("%s: wire=0x%016llx event=0x%016llx egress=%llu delivered=%llu\n",
@@ -161,7 +171,7 @@ void expect_pinned(const char* what, const Observed& seen, const Observed& pin) 
 }
 
 // Captured from the pre-refactor tree (see file header). If a deliberate
-// default-mode wire change ever lands, re-capture BOTH tests' constants in
+// lamport-paper wire change ever lands, re-capture BOTH tests' constants in
 // the same commit that justifies the change.
 constexpr std::uint64_t kPreRefactorWireDigest = 0xafe6d7b726ea243dULL;
 constexpr std::uint64_t kPreRefactorEventDigest = 0x8e7d67aa84146a96ULL;
@@ -174,8 +184,13 @@ const Observed kLlftBatchedPin{0xab1c1113c089b40eULL, 0x755a55d6bd8c599fULL, 154
 const Observed kLamportCrashPin{0x3a38e853cbeb34caULL, 0x2d68ac0178fc80feULL, 127, 139};
 const Observed kLlftCrashPin{0x7d77a54cd4e6293bULL, 0xbda43bd2f6c68ee9ULL, 167, 140};
 
+// Captured with prompt acknowledgement (see file header).
+const Observed kLamportPromptPin{0x6fedfb4f1b5e0899ULL, 0x8ca04151e761bd70ULL, 193, 186};
+const Observed kLamportPromptBatchedPin{0x01220cdce4c83e3cULL, 0xe45efea08cd5a2b5ULL, 167, 186};
+const Observed kLamportPromptCrashPin{0xde403254c9f2a150ULL, 0x12821b0da0e263f6ULL, 153, 139};
+
 TEST(OrderingEquivalence, LamportDefaultPinnedByteIdenticalToPreRefactor) {
-  expect_pinned("lamport", run_scenario(Config{}),
+  expect_pinned("lamport-paper", run_scenario(lamport_paper()),
                 {kPreRefactorWireDigest, kPreRefactorEventDigest,
                  kPreRefactorEgress, kPreRefactorDelivered});
 }
@@ -189,7 +204,23 @@ TEST(OrderingEquivalence, LlftBatchedPinned) {
 }
 
 TEST(OrderingEquivalence, LamportCrashPinned) {
-  expect_pinned("lamport crash", run_scenario(Config{}, true), kLamportCrashPin);
+  expect_pinned("lamport-paper crash", run_scenario(lamport_paper(), true),
+                kLamportCrashPin);
+}
+
+TEST(OrderingEquivalence, LamportPromptPinned) {
+  expect_pinned("lamport", run_scenario(Config{}), kLamportPromptPin);
+}
+
+TEST(OrderingEquivalence, LamportPromptBatchedPinned) {
+  expect_pinned("lamport batched",
+                run_scenario(with(OrderingMode::kLamport, 1400)),
+                kLamportPromptBatchedPin);
+}
+
+TEST(OrderingEquivalence, LamportPromptCrashPinned) {
+  expect_pinned("lamport crash", run_scenario(Config{}, true),
+                kLamportPromptCrashPin);
 }
 
 TEST(OrderingEquivalence, LlftCrashPinned) {

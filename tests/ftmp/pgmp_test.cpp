@@ -25,7 +25,7 @@ struct PgmpFixture : ::testing::Test {
   Config config;
   Rmp rmp{kSelf, config};
   Romp romp{kSelf, config};
-  LamportOrdering rule{romp};
+  LamportOrdering rule{romp, /*own_clock_bound=*/false};
   Pgmp pgmp{kSelf, config, rmp, romp, rule};
 
   std::vector<ProcessorId> members(std::initializer_list<std::uint32_t> raw) {
@@ -182,7 +182,7 @@ TEST_F(PgmpFixture, ExactHalfNeedsSmallestId) {
 TEST_F(PgmpFixture, ExactHalfWithoutSmallestIdStalls) {
   Rmp rmp3{ProcessorId{3}, config};
   Romp romp3{ProcessorId{3}, config};
-  LamportOrdering rule3{romp3};
+  LamportOrdering rule3{romp3, /*own_clock_bound=*/false};
   Pgmp pgmp3{ProcessorId{3}, config, rmp3, romp3, rule3};
   pgmp3.bootstrap(0, members({1, 2, 3, 4}));
   (void)pgmp3.take_output();

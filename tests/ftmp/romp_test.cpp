@@ -1,6 +1,7 @@
 // Unit tests for the ROMP layer (§6) and the Lamport delivery rule over
-// it: delivery condition, total order, heartbeat bounds, ack timestamps
-// and stability.
+// it: delivery condition, total order, heartbeat bounds, ack timestamps,
+// stability, and the own-clock bound and ack debt of the default
+// (prompt) Lamport mode.
 #include <gtest/gtest.h>
 
 #include "ftmp/ordering.hpp"
@@ -36,10 +37,12 @@ Header heartbeat(ProcessorId src, SeqNum seq, Timestamp ts, Timestamp ack = 0) {
   return h;
 }
 
+// The paper's rule (OrderingMode::kLamportPaper): P1's own bound moves only
+// with its own looped-back traffic.
 struct RompFixture : ::testing::Test {
   Config config;
   Romp romp{kP1, config};
-  LamportOrdering rule{romp};
+  LamportOrdering rule{romp, /*own_clock_bound=*/false};
   void SetUp() override { romp.set_members({kP1, kP2, kP3}); }
 
   // Romp first, then the rule, as GroupSession routes every reliable frame.
@@ -270,6 +273,63 @@ TEST_F(RompFixture, LastOrderedSeqTracksDeliveries) {
   EXPECT_EQ(romp.last_ordered_seq(kP2), 0u);
   (void)collect();
   EXPECT_EQ(romp.last_ordered_seq(kP2), 1u);
+}
+
+TEST_F(RompFixture, AckOwedOnlyForOthersOrderedMessagesUntilNextStamp) {
+  feed(regular(kP1, 1, 5));  // own loopback
+  romp.on_heartbeat(heartbeat(kP2, 0, 9), 0);
+  Message suspect = regular(kP2, 1, 10);
+  suspect.header.type = MessageType::kSuspect;
+  suspect.body = SuspectBody{};
+  feed(suspect);
+  EXPECT_FALSE(romp.ack_owed())
+      << "own messages, heartbeats and unordered control messages owe nothing";
+  feed(regular(kP2, 2, 11));
+  EXPECT_TRUE(romp.ack_owed());
+  feed(regular(kP3, 1, 12));
+  EXPECT_TRUE(romp.ack_owed());
+  (void)romp.stamp(0);  // any send is stamped above both
+  EXPECT_FALSE(romp.ack_owed());
+}
+
+// The default rule (OrderingMode::kLamport): P1 counts at its clock while
+// none of its own reliable messages is in flight.
+struct OwnClockFixture : RompFixture {
+  LamportOrdering prompt{romp, /*own_clock_bound=*/true};
+
+  void feed(const Message& m) {
+    const Frame f = frame_of(m);
+    romp.on_source_ordered(f.header);
+    prompt.on_source_ordered(f, 0);
+  }
+  // Stamps one of P1's own Regulars and hands it to the rule as
+  // GroupSession::finish_send does; it loops back only when fed.
+  Message send_own(SeqNum seq) {
+    Message m = regular(kP1, seq, romp.stamp(0));
+    prompt.on_own_send(m.header);
+    return m;
+  }
+  std::vector<Frame> collect() { return prompt.collect_deliverable(0); }
+};
+
+TEST_F(OwnClockFixture, IdleMemberCountsAtItsClock) {
+  feed(regular(kP2, 1, 10));
+  romp.on_heartbeat(heartbeat(kP3, 0, 20), 0);
+  ASSERT_EQ(collect().size(), 1u) << "P1's clock (20) covers P2's message";
+  EXPECT_EQ(romp.min_bound(), 0u) << "Romp's own bounds are unchanged";
+}
+
+TEST_F(OwnClockFixture, OwnMessageInFlightBlocksHigherTimestamps) {
+  const Message mine = send_own(1);  // ts 1, not looped back yet
+  feed(regular(kP2, 1, 10));
+  romp.on_heartbeat(heartbeat(kP3, 0, 20), 0);
+  EXPECT_TRUE(collect().empty())
+      << "P1's own ts-1 message is in flight and must be delivered first";
+  feed(mine);
+  const auto out = collect();
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].header.source, kP1);
+  EXPECT_EQ(out[1].header.source, kP2);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // group through the normal PGMP AddProcessor flow.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -168,6 +169,101 @@ TEST(Restart, StepHookObservesEverySimulationStep) {
   EXPECT_GT(steps, 10u);
   EXPECT_TRUE(monotonic);
 }
+
+// Crash-and-readmit cycles in a 3-member group, in the given order of
+// victims: each crash must be convicted at every survivor, each
+// re-admission installed at every member, and a message the re-admitted
+// member sends afterwards delivered everywhere. Regression: a survivor kept
+// a completed-round floor for the previous incarnation of a re-admitted
+// member and dropped its new Suspect and Membership messages, so crashing
+// X, Y, X never convicted the second X.
+void run_crash_cycles(OrderingMode mode, const std::vector<std::uint32_t>& order) {
+  Config config;
+  config.ordering_mode = mode;
+  SimHarness h({}, 7);
+  const auto all = ids({1, 2, 3});
+  for (ProcessorId p : all) h.add_processor(p, kDomain, kDomainAddr, config);
+  for (ProcessorId p : all) h.stack(p).create_group(h.now(), kGroup, kGroupAddr, all);
+  h.run_for(50 * kMillisecond);
+  const auto view_is = [&](const std::vector<ProcessorId>& at,
+                           const std::vector<ProcessorId>& members) {
+    for (ProcessorId p : at) {
+      const GroupSession* g = h.stack(p).group(kGroup);
+      if (!g || g->membership().members != members) return false;
+    }
+    return true;
+  };
+  RequestNum req = 0;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    // Traffic first, most of it before the first crash: an incarnation's
+    // stream is then still short of its predecessor's when its member takes
+    // part in the next recovery round.
+    for (int n = 0; n < (i == 0 ? 40 : 5); ++n) {
+      for (ProcessorId p : all) {
+        ASSERT_TRUE(h.stack(p).group(kGroup)->send_regular(
+            h.now(), test_conn(), ++req, bytes_of("traffic")));
+      }
+      h.run_for(2 * kMillisecond);
+    }
+    const ProcessorId victim{order[i]};
+    std::vector<ProcessorId> survivors;
+    for (ProcessorId p : all) {
+      if (p != victim) survivors.push_back(p);
+    }
+    h.crash(victim);
+    ASSERT_TRUE(h.run_until_pred([&] { return view_is(survivors, survivors); },
+                                 h.now() + 5 * kSecond))
+        << "crash " << i + 1 << " (" << to_string(victim) << ") never convicted";
+
+    Stack& fresh = h.restart(victim);
+    fresh.expect_join(kGroup, kGroupAddr);
+    ASSERT_TRUE(h.stack(survivors.front()).add_processor(h.now(), kGroup, victim));
+    ASSERT_TRUE(h.run_until_pred([&] { return view_is(all, all); },
+                                 h.now() + 5 * kSecond))
+        << "re-admission " << i + 1 << " (" << to_string(victim)
+        << ") never installed";
+
+    const Bytes text = bytes_of("after-readmission-" + std::to_string(i + 1));
+    ASSERT_TRUE(fresh.group(kGroup)->send_regular(h.now(), test_conn(), ++req, text));
+    const auto everywhere = [&] {
+      for (ProcessorId p : all) {
+        const auto got = h.delivered(p, kGroup);
+        if (std::none_of(got.begin(), got.end(), [&](const DeliveredMessage& m) {
+              return m.giop_message == text;
+            })) {
+          return false;
+        }
+      }
+      return true;
+    };
+    ASSERT_TRUE(h.run_until_pred(everywhere, h.now() + 5 * kSecond))
+        << "message after re-admission " << i + 1 << " not delivered everywhere";
+  }
+}
+
+class ReCrash : public ::testing::TestWithParam<OrderingMode> {};
+
+TEST_P(ReCrash, EveryCrashConvictedAndEveryReadmissionInstalled) {
+  const std::vector<std::vector<std::uint32_t>> orders{
+      {1, 2, 1},    {2, 3, 2},    {3, 1, 3}, {1, 2, 2, 1},
+      {1, 1, 1, 1}, {1, 2, 3, 1}, {1, 2, 1, 2, 1, 3, 2, 3}};
+  for (const auto& order : orders) {
+    std::string name;
+    for (std::uint32_t v : order) name += (name.empty() ? "" : ",") + std::to_string(v);
+    SCOPED_TRACE("crash order " + name);
+    run_crash_cycles(GetParam(), order);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, ReCrash,
+                         ::testing::Values(OrderingMode::kLamport,
+                                           OrderingMode::kLamportPaper,
+                                           OrderingMode::kLlft),
+                         [](const ::testing::TestParamInfo<OrderingMode>& param) {
+                           std::string name = to_string(param.param);
+                           std::replace(name.begin(), name.end(), '-', '_');
+                           return name;
+                         });
 
 }  // namespace
 }  // namespace ftcorba::ftmp

@@ -43,8 +43,10 @@ void print_usage() {
                "  --faults N        scheduled fault count (default 10)\n"
                "  --batch BYTES     force egress batching on with this datagram\n"
                "                    byte budget (default 0 = batching off)\n"
-               "  --ordering MODE   total-ordering engine: lamport (default) or\n"
-               "                    llft (leader-stamped slots, docs/ORDERING.md)\n"
+               "  --ordering MODE   total-ordering engine: lamport (default),\n"
+               "                    lamport-paper (the paper's rule, no prompt\n"
+               "                    acks) or llft (leader-stamped slots,\n"
+               "                    docs/ORDERING.md)\n"
                "\n"
                "output / checking:\n"
                "  --repeat K        run each seed K times and require identical\n"
