@@ -1,6 +1,8 @@
 #include "ftmp/group_session.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <set>
 
 #include "common/log.hpp"
 
@@ -557,12 +559,21 @@ void GroupSession::pump(TimePoint now) {
   progress_flush(now);
   drain_flow_queue(now);
   // Every send above is stamped past the clock and so pays any ack debt;
-  // one still owed now falls due kAckDelay after it arose.
+  // one still owed now falls due ack_delay() after it arose.
   if (config_.ordering_mode == OrderingMode::kLamport && romp_.ack_owed()) {
-    if (!ack_due_) ack_due_ = now + kAckDelay;
+    if (!ack_due_) ack_due_ = now + ack_delay();
   } else {
     ack_due_.reset();
   }
+}
+
+Duration GroupSession::ack_delay() const {
+  const std::set<ProcessorId>& members = romp_.members();
+  const auto self = members.find(self_);
+  if (self == members.end()) return kAckDelay;
+  const auto slots = static_cast<Duration>(std::min(members.size(), kAckSlots));
+  const auto rank = static_cast<Duration>(std::distance(members.begin(), self));
+  return kAckDelay * std::min(rank + 1, slots) / slots;
 }
 
 void GroupSession::drain_flow_queue(TimePoint now) {

@@ -8,8 +8,8 @@
 //    removal): captured at commit 1379157, before Romp became the concrete
 //    tracker both delivery rules share.
 //  * The default Lamport mode with prompt acknowledgement (own-clock
-//    bound, ack debt), plain, batched and crash: captured when that mode
-//    was introduced.
+//    bound, ack debt), plain, batched and crash: captured when ack debts
+//    became rank-staggered (kAckSlots).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -184,10 +184,10 @@ const Observed kLlftBatchedPin{0xab1c1113c089b40eULL, 0x755a55d6bd8c599fULL, 154
 const Observed kLamportCrashPin{0x3a38e853cbeb34caULL, 0x2d68ac0178fc80feULL, 127, 139};
 const Observed kLlftCrashPin{0x7d77a54cd4e6293bULL, 0xbda43bd2f6c68ee9ULL, 167, 140};
 
-// Captured with prompt acknowledgement (see file header).
-const Observed kLamportPromptPin{0x6fedfb4f1b5e0899ULL, 0x8ca04151e761bd70ULL, 193, 186};
-const Observed kLamportPromptBatchedPin{0x01220cdce4c83e3cULL, 0xe45efea08cd5a2b5ULL, 167, 186};
-const Observed kLamportPromptCrashPin{0xde403254c9f2a150ULL, 0x12821b0da0e263f6ULL, 153, 139};
+// Captured with rank-staggered prompt acknowledgement (see file header).
+const Observed kLamportPromptPin{0xcc2c9b954a321bb0ULL, 0x4cbccdaaa9343b57ULL, 198, 186};
+const Observed kLamportPromptBatchedPin{0xe93d96f6cf2a21c9ULL, 0x30de9a76fd48d80bULL, 171, 186};
+const Observed kLamportPromptCrashPin{0x3ab64038dd7a889cULL, 0xf0c08617d1a49914ULL, 156, 139};
 
 TEST(OrderingEquivalence, LamportDefaultPinnedByteIdenticalToPreRefactor) {
   expect_pinned("lamport-paper", run_scenario(lamport_paper()),
