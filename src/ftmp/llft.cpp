@@ -66,13 +66,13 @@ LlftOrdering::LlftOrdering(Romp& romp) : romp_(romp) {
 LlftOrdering::~LlftOrdering() { metrics_.sessions.add(-1); }
 
 SeqNum LlftOrdering::floor_of(ProcessorId src) const {
-  auto it = floor_.find(src);
-  return it == floor_.end() ? 0 : it->second;
+  auto it = streams_.find(src);
+  return it == streams_.end() ? 0 : it->second.floor;
 }
 
 bool LlftOrdering::eligible(ProcessorId m) const {
-  auto it = joined_epoch_.find(m);
-  const Timestamp je = it == joined_epoch_.end() ? 0 : it->second;
+  auto it = streams_.find(m);
+  const Timestamp je = it == streams_.end() ? 0 : it->second.joined_epoch;
   return je != kJoinPending && je < epoch_;
 }
 
@@ -103,33 +103,26 @@ void LlftOrdering::recompute_granter() {
 }
 
 void LlftOrdering::note_joined_epoch(ProcessorId member, Timestamp epoch) {
-  joined_epoch_[member] = epoch;
+  streams_[member].joined_epoch = epoch;
   recompute_granter();
 }
 
 void LlftOrdering::apply_floors(const std::vector<SourceSeq>& floors) {
   for (const SourceSeq& f : floors) {
-    SeqNum& fl = floor_[f.processor];
-    if (f.seq <= fl) continue;
-    fl = f.seq;
-    auto hs = held_.find(f.processor);
-    if (hs != held_.end()) {
-      auto& m = hs->second;
-      auto end = m.upper_bound(fl);
-      for (auto it = m.begin(); it != end; ++it) {
-        // Settled below the floor (delivered by the members before we
-        // joined, covered by our state snapshot): consume without
-        // delivering, or our resume-point reports would stick here.
-        romp_.mark_consumed(f.processor, it->first);
-        --held_count_;
-        metrics_.pending.add(-1);
-      }
-      m.erase(m.begin(), end);
+    Stream& s = streams_[f.processor];
+    if (f.seq <= s.floor) continue;
+    s.floor = f.seq;
+    auto end = s.held.upper_bound(s.floor);
+    for (auto it = s.held.begin(); it != end; ++it) {
+      // Settled below the floor (delivered by the members before we
+      // joined, covered by our state snapshot): consume without
+      // delivering, or our resume-point reports would stick here.
+      romp_.mark_consumed(f.processor, it->first);
+      --held_count_;
+      metrics_.pending.add(-1);
     }
-    SeqNum& g = granted_hw_[f.processor];
-    g = std::max(g, fl);
-    auto ih = issued_hw_.find(f.processor);
-    if (ih != issued_hw_.end()) ih->second = std::max(ih->second, fl);
+    s.held.erase(s.held.begin(), end);
+    s.granted_hw = std::max(s.granted_hw, s.floor);
   }
 }
 
@@ -145,16 +138,13 @@ void LlftOrdering::consume_order_info(ProcessorId from, const OrderInfoBody& bod
   if (body.view_ts == epoch_) {
     apply_floors(body.floors);
     for (const SourceSeq& g : body.grants) {
-      SeqNum& hw = granted_hw_[g.processor];
-      if (g.seq <= std::max(hw, floor_of(g.processor))) continue;  // re-grant
-      hw = g.seq;
+      Stream& s = streams_[g.processor];
+      if (g.seq <= std::max(s.granted_hw, s.floor)) continue;  // re-grant
+      s.granted_hw = g.seq;
       slots_.push_back({g.processor, g.seq, now});
-      auto hs = held_.find(g.processor);
-      if (hs != held_.end()) {
-        auto f = hs->second.find(g.seq);
-        if (f != hs->second.end() && now > 0 && f->second.arrival > 0) {
-          metrics_.stamp_wait_ms.observe(to_ms(now - f->second.arrival));
-        }
+      auto f = s.held.find(g.seq);
+      if (f != s.held.end() && now > 0 && f->second.arrival > 0) {
+        metrics_.stamp_wait_ms.observe(to_ms(now - f->second.arrival));
       }
     }
   } else if (body.view_ts > epoch_) {
@@ -179,26 +169,21 @@ void LlftOrdering::consume_order_info(ProcessorId from, const OrderInfoBody& bod
   }
 }
 
-SeqNum& LlftOrdering::issued_mark(ProcessorId src) {
-  SeqNum& hw = issued_hw_[src];
-  auto gh = granted_hw_.find(src);
-  hw = std::max({hw, floor_of(src),
-                 gh == granted_hw_.end() ? 0 : gh->second});
-  return hw;
+SeqNum& LlftOrdering::issued_mark(Stream& s) {
+  s.issued_hw = std::max({s.issued_hw, s.floor, s.granted_hw});
+  return s.issued_hw;
 }
 
 void LlftOrdering::grant_ready(ProcessorId src) {
   if (!leading() || suspended_) return;
-  SeqNum& hw = issued_mark(src);
-  auto hs = held_.find(src);
-  if (hs == held_.end()) return;
-  auto& m = hs->second;
+  Stream& s = streams_[src];
+  SeqNum& hw = issued_mark(s);
   // Every held frame already cleared RMP's contiguous gate, so seq gaps
   // between held entries are non-totally-ordered messages on the same
   // stream (the leader's own OrderInfo, Suspect, Membership) — grant
   // straight across them, in seq order.
-  auto it = m.upper_bound(hw);
-  while (it != m.end()) {
+  auto it = s.held.upper_bound(hw);
+  while (it != s.held.end()) {
     hw = it->first;
     pending_grants_.push_back({src, hw});
     metrics_.grants.add();
@@ -220,12 +205,13 @@ void LlftOrdering::sweep_ungranted() {
 }
 
 void LlftOrdering::set_view(Timestamp view_ts) {
+  const bool new_view = view_ts > epoch_;
   epoch_ = std::max(epoch_, view_ts);
   suspended_ = false;
   // Entries queued under the old epoch are void; the accession sweep below
   // re-grants whatever still needs a slot under the new tag.
   pending_grants_.clear();
-  issued_hw_.clear();
+  for (auto& [m, s] : streams_) s.issued_hw = 0;
   recompute_granter();
   auto it = future_.begin();
   while (it != future_.end() && it->first <= epoch_) {
@@ -243,9 +229,13 @@ void LlftOrdering::set_view(Timestamp view_ts) {
     it = future_.erase(it);
   }
   if (leading()) {
-    // Announce the delivered floors (a joiner admitted by this view uses
-    // them to discard pre-join backlog), then re-grant surviving backlog.
-    advisory_pending_ = true;
+    // Announce the delivered floors once per view (a joiner admitted by
+    // this view uses them to discard pre-join backlog), then re-grant
+    // surviving backlog. A duplicate membership change resumes granting at
+    // the same view and must not announce again: its floors would cover
+    // messages granted since the view began, which a member still waiting
+    // for one of them would then settle without delivering it.
+    advisory_pending_ = advisory_pending_ || new_view;
     sweep_ungranted();
   } else {
     advisory_pending_ = false;
@@ -268,32 +258,29 @@ void LlftOrdering::on_source_ordered(const Frame& frame, TimePoint now) {
   }
   if (!is_totally_ordered(h.type)) return;
   // Totally-ordered message: held per-source until its slot is granted.
-  if (h.sequence_number <= floor_of(h.source)) {
+  Stream& s = streams_[h.source];
+  if (h.sequence_number <= s.floor) {
     // Settled below an advisory floor (pre-join backlog): never delivered
     // here — the state snapshot covers it.
     romp_.mark_consumed(h.source, h.sequence_number);
     return;
   }
-  auto& m = held_[h.source];
-  if (m.emplace(h.sequence_number, Held{frame, now}).second) {
+  if (s.held.emplace(h.sequence_number, Held{frame, now}).second) {
     ++held_count_;
     metrics_.pending.add(1);
   }
   grant_ready(h.source);
 }
 
-Frame LlftOrdering::deliver_held(ProcessorId src,
-                                 std::map<SeqNum, Held>::iterator it,
+Frame LlftOrdering::deliver_held(Stream& s, std::map<SeqNum, Held>::iterator it,
                                  TimePoint now, TimePoint granted_at) {
   Frame f = std::move(it->second.frame);
   romp_.note_delivered(f.header, it->second.arrival, now);
-  held_[src].erase(it);
+  s.held.erase(it);
   --held_count_;
   metrics_.pending.add(-1);
-  SeqNum& fl = floor_[src];
-  fl = std::max(fl, f.header.sequence_number);
-  SeqNum& g = granted_hw_[src];
-  g = std::max(g, fl);
+  s.floor = std::max(s.floor, f.header.sequence_number);
+  s.granted_hw = std::max(s.granted_hw, s.floor);
   if (now > 0 && granted_at > 0) {
     metrics_.slot_wait_ms.observe(to_ms(now - granted_at));
   }
@@ -303,17 +290,16 @@ Frame LlftOrdering::deliver_held(ProcessorId src,
 std::vector<Frame> LlftOrdering::collect_deliverable(TimePoint now) {
   std::vector<Frame> out;
   while (!slots_.empty()) {
-    const Slot s = slots_.front();
-    if (s.seq <= floor_of(s.src)) {
+    const Slot slot = slots_.front();
+    Stream& s = streams_[slot.src];
+    if (slot.seq <= s.floor) {
       slots_.pop_front();  // settled by an advisory floor
       continue;
     }
-    auto hs = held_.find(s.src);
-    if (hs == held_.end()) break;
-    auto it = hs->second.find(s.seq);
-    if (it == hs->second.end()) break;  // in flight: RMP NACK recovery runs
+    auto it = s.held.find(slot.seq);
+    if (it == s.held.end()) break;  // in flight: RMP NACK recovery runs
     slots_.pop_front();
-    out.push_back(deliver_held(s.src, it, now, s.granted_at));
+    out.push_back(deliver_held(s, it, now, slot.granted_at));
     if (out.back().header.type != MessageType::kRegular) {
       // Membership-affecting message: the session applies it (and the view
       // change re-keys the grant epoch) before ordering continues.
@@ -334,17 +320,16 @@ std::vector<Frame> LlftOrdering::drain_up_to_cut(
   //    cuts everywhere). The frames, where held, stay for the new epoch if
   //    their source survived.
   while (!slots_.empty()) {
-    const Slot s = slots_.front();
+    const Slot slot = slots_.front();
     slots_.pop_front();
-    if (s.seq <= floor_of(s.src)) continue;
-    auto c = cuts.find(s.src);
+    Stream& s = streams_[slot.src];
+    if (slot.seq <= s.floor) continue;
+    auto c = cuts.find(slot.src);
     const SeqNum limit = c == cuts.end() ? 0 : c->second;
-    if (s.seq <= limit) {
-      auto hs = held_.find(s.src);
-      auto it = hs == held_.end() ? std::map<SeqNum, Held>::iterator{}
-                                  : hs->second.find(s.seq);
-      if (hs != held_.end() && it != hs->second.end()) {
-        out.push_back(deliver_held(s.src, it, 0, s.granted_at));
+    if (slot.seq <= limit) {
+      auto it = s.held.find(slot.seq);
+      if (it != s.held.end()) {
+        out.push_back(deliver_held(s, it, 0, slot.granted_at));
         continue;
       }
     }
@@ -355,10 +340,10 @@ std::vector<Frame> LlftOrdering::drain_up_to_cut(
   //    Lamport (timestamp, source) order — deterministic without a leader.
   std::map<std::pair<Timestamp, std::uint32_t>, std::pair<ProcessorId, SeqNum>>
       rest;
-  for (const auto& [src, m] : held_) {
+  for (const auto& [src, s] : streams_) {
     auto c = cuts.find(src);
     const SeqNum limit = c == cuts.end() ? 0 : c->second;
-    for (const auto& [seq, e] : m) {
+    for (const auto& [seq, e] : s.held) {
       if (seq > limit) break;
       rest.emplace(
           std::make_pair(e.frame.header.message_timestamp, src.raw()),
@@ -366,20 +351,17 @@ std::vector<Frame> LlftOrdering::drain_up_to_cut(
     }
   }
   for (const auto& [key, ref] : rest) {
-    auto hs = held_.find(ref.first);
-    if (hs == held_.end()) continue;
-    auto it = hs->second.find(ref.second);
-    if (it == hs->second.end()) continue;
-    out.push_back(deliver_held(ref.first, it, 0, 0));
+    Stream& s = streams_[ref.first];
+    out.push_back(deliver_held(s, s.held.find(ref.second), 0, 0));
   }
   // 3. A non-survivor's held messages beyond the cut will never be granted.
-  for (auto& [src, m] : held_) {
+  for (auto& [src, s] : streams_) {
     if (survivors.contains(src)) continue;
     auto c = cuts.find(src);
     const SeqNum limit = c == cuts.end() ? 0 : c->second;
-    auto it = m.upper_bound(limit);
-    while (it != m.end()) {
-      it = m.erase(it);
+    auto it = s.held.upper_bound(limit);
+    while (it != s.held.end()) {
+      it = s.held.erase(it);
       --held_count_;
       metrics_.pending.add(-1);
     }
@@ -432,7 +414,7 @@ void LlftOrdering::on_own_send(const Header& header) {
   // Slots follow seq order on every stream: an earlier own message still
   // waiting for its grant (in flight at accession, or sent while granting
   // was stopped) keeps this one on the loopback path behind it.
-  SeqNum& hw = issued_mark(romp_.self());
+  SeqNum& hw = issued_mark(streams_[romp_.self()]);
   if (hw < earlier) return;
   // The loopback arrival finds hw already past it and grants nothing.
   hw = header.sequence_number;
@@ -451,16 +433,12 @@ void LlftOrdering::set_recovering(bool active) {
 }
 
 void LlftOrdering::remove_member(ProcessorId member) {
-  joined_epoch_.erase(member);
-  auto hs = held_.find(member);
-  if (hs != held_.end()) {
-    held_count_ -= hs->second.size();
-    metrics_.pending.add(-static_cast<std::int64_t>(hs->second.size()));
-    held_.erase(hs);
+  if (auto st = streams_.find(member); st != streams_.end()) {
+    const std::size_t held = st->second.held.size();
+    held_count_ -= held;
+    metrics_.pending.add(-static_cast<std::int64_t>(held));
+    streams_.erase(st);
   }
-  floor_.erase(member);
-  granted_hw_.erase(member);
-  issued_hw_.erase(member);
   // Slots referencing the member are either delivered (planned removes:
   // FIFO puts them before the change slot) or truncated by the install
   // drain before this call; purge defensively.
@@ -469,16 +447,9 @@ void LlftOrdering::remove_member(ProcessorId member) {
 }
 
 void LlftOrdering::reset_source(ProcessorId src, SeqNum floor) {
-  auto hs = held_.find(src);
-  if (hs != held_.end()) {
-    held_count_ -= hs->second.size();
-    metrics_.pending.add(-static_cast<std::int64_t>(hs->second.size()));
-    held_.erase(hs);
-  }
-  floor_[src] = floor;
-  granted_hw_[src] = floor;
-  issued_hw_[src] = floor;
-  std::erase_if(slots_, [&](const Slot& s) { return s.src == src; });
+  remove_member(src);
+  Stream& s = streams_[src];
+  s.floor = s.granted_hw = s.issued_hw = floor;
 }
 
 }  // namespace ftcorba::ftmp

@@ -98,12 +98,28 @@ class LlftOrdering final : public OrderingPolicy {
     TimePoint granted_at = 0;
   };
 
+  // Everything kept per member stream. reset_source rebuilds a record and
+  // remove_member drops it; first use creates one.
+  struct Stream {
+    // View timestamp at which the member joined (0 = founding member,
+    // kJoinPending = admission in flight). Drives leader eligibility.
+    Timestamp joined_epoch = 0;
+    // Delivered high-water mark (grants at or below it are settled).
+    SeqNum floor = 0;
+    // Highest grant consumed from the leader (dedups re-grants).
+    SeqNum granted_hw = 0;
+    // Highest grant issued by this member as leader in the current view.
+    SeqNum issued_hw = 0;
+    // Totally-ordered frames held until their slot comes up.
+    std::map<SeqNum, Held> held;
+  };
+
   [[nodiscard]] SeqNum floor_of(ProcessorId src) const;
   [[nodiscard]] bool eligible(ProcessorId m) const;
   void recompute_granter();
-  /// This leader's grant high-water mark for `src`, raised to cover what is
+  /// This leader's grant high-water mark for `s`, raised to cover what is
   /// already delivered or granted.
-  [[nodiscard]] SeqNum& issued_mark(ProcessorId src);
+  [[nodiscard]] static SeqNum& issued_mark(Stream& s);
   /// Queues grants for every contiguously-held ungranted message from
   /// `src`; stops (and suspends) at a membership-change message.
   void grant_ready(ProcessorId src);
@@ -115,7 +131,7 @@ class LlftOrdering final : public OrderingPolicy {
   void apply_floors(const std::vector<SourceSeq>& floors);
   /// Delivers one held message (Romp::note_delivered + slot metrics); the
   /// caller already decided it is next in the total order.
-  Frame deliver_held(ProcessorId src, std::map<SeqNum, Held>::iterator it,
+  Frame deliver_held(Stream& s, std::map<SeqNum, Held>::iterator it,
                      TimePoint now, TimePoint granted_at);
 
   // Process-global instruments shared by every LLFT instance
@@ -144,22 +160,13 @@ class LlftOrdering final : public OrderingPolicy {
   // PGMP fault-recovery round running: queued grants are withheld so none
   // outruns this member's proposed cut (see OrderingPolicy::set_recovering).
   bool recovering_ = false;
-  // View timestamp at which each member joined (missing = founding member,
-  // kJoinPending = admission in flight). Drives leader eligibility.
-  std::unordered_map<ProcessorId, Timestamp> joined_epoch_;
 
   // ---- per-source stream state ----
-  // Delivered high-water mark (grants at or below it are settled).
-  std::unordered_map<ProcessorId, SeqNum> floor_;
-  // Highest grant consumed from the leader (dedups re-grants).
-  std::unordered_map<ProcessorId, SeqNum> granted_hw_;
-  // Highest grant issued by this member as leader.
-  std::unordered_map<ProcessorId, SeqNum> issued_hw_;
+  std::unordered_map<ProcessorId, Stream> streams_;
+  // Frames held across all streams.
+  std::size_t held_count_ = 0;
   // Sequence number of this member's latest own totally-ordered send.
   SeqNum own_sent_hw_ = 0;
-  // Totally-ordered frames held until their slot comes up.
-  std::unordered_map<ProcessorId, std::map<SeqNum, Held>> held_;
-  std::size_t held_count_ = 0;
 
   // ---- slot machine ----
   std::deque<Slot> slots_;
@@ -171,8 +178,8 @@ class LlftOrdering final : public OrderingPolicy {
   // Grants queued by this member as leader, all tagged with the current
   // epoch (set_view clears and re-sweeps, so no mixed tags).
   std::vector<SourceSeq> pending_grants_;
-  // Emit a delivered-floor advisory with the next OrderInfo (armed at
-  // accession / view change).
+  // Emit a delivered-floor advisory with the next OrderInfo (armed when
+  // this member leads a new view).
   bool advisory_pending_ = false;
 
   Instruments metrics_;

@@ -73,8 +73,9 @@ class OrderingPolicy {
   /// membership when the RemoveProcessor message is ordered").
   virtual void remove_member(ProcessorId member) = 0;
 
-  /// The source's stream was rebased at `floor` (see Romp::reset_source):
-  /// nothing held from it is still wanted. Default no-op.
+  /// `src` was admitted with its stream resuming after `floor` (see
+  /// Romp::admit): whatever the rule kept for it starts afresh. Default
+  /// no-op.
   virtual void reset_source(ProcessorId src, SeqNum floor) {
     (void)src;
     (void)floor;

@@ -71,15 +71,35 @@ Pgmp::Pgmp(ProcessorId self, const Config& config, Rmp& rmp, Romp& romp,
       "pgmp", metrics::latency_buckets_ms());
 }
 
+void Pgmp::admit(ProcessorId member, TimePoint now, SeqNum floor, Timestamp since) {
+  // A re-added member's stream is a new incarnation starting at sequence
+  // 1. Stored messages of an earlier one alias the same (source, seq) keys
+  // and would poison retransmissions, and a deferred purge still pending
+  // for it would destroy the new incarnation's messages.
+  rmp_.purge_store(member);
+  std::erase_if(deferred_purges_, [&](const auto& p) { return p.first == member; });
+  rmp_.add_source(member, floor, since);
+  romp_.admit(member, floor, since);
+  ordering_.reset_source(member, floor);
+  peers_[member] = Peer{.last_heard = now};  // fault-timer grace to start
+}
+
+void Pgmp::expel(ProcessorId member, TimePoint now) {
+  rmp_.remove_source(member);
+  rmp_.unpin_store(member.raw());  // in case it was a never-completed joiner
+  romp_.expel(member);
+  ordering_.remove_member(member);
+  peers_.erase(member);
+  // Keep its stored messages around for stragglers; purge after a few fault
+  // timeouts.
+  deferred_purges_.emplace_back(member, now + 4 * config_.fault_timeout);
+}
+
 void Pgmp::bootstrap(TimePoint now, const std::vector<ProcessorId>& members) {
   membership_.timestamp = 0;
   membership_.members = sorted(members);
   active_ = true;
-  for (ProcessorId m : membership_.members) {
-    rmp_.add_source(m, 0);
-    last_heard_[m] = now;
-  }
-  romp_.set_members(membership_.members);
+  for (ProcessorId m : membership_.members) admit(m, now, 0, 0);
   ordering_.set_view(membership_.timestamp);
   InstallOut install;
   install.change.reason = MembershipChanged::Reason::kInitial;
@@ -101,23 +121,9 @@ void Pgmp::init_from_add(TimePoint now, const Message& add_msg) {
   membership_.members = sorted(body.current_membership.members);
   membership_.timestamp = body.current_membership.timestamp;
   active_ = true;
-  // RMP streams resume from the sponsor's reported ordered positions; every
+  // Streams resume from the sponsor's reported ordered positions; every
   // message at or below them was already delivered before we joined.
-  for (ProcessorId m : body.current_membership.members) {
-    const SeqNum resume = seq_for(body.current_seqs, m);
-    rmp_.add_source(m, resume);
-    romp_.reset_source(m, resume);
-    ordering_.reset_source(m, resume);
-    last_heard_[m] = now;
-  }
-  rmp_.add_source(self_, 0);
-  // ROMP needs us as a source/bound even though our membership entry is
-  // deferred to the Add's ordering point.
-  romp_.set_members(sorted([&] {
-    auto ms = membership_.members;
-    ms.push_back(self_);
-    return ms;
-  }()));
+  //
   // Bounds start at 0 for everyone. The membership timestamp is NOT a safe
   // starting bound: a recovery round's view timestamp exceeds the survivors'
   // proposal timestamps, but messages above the cut — sent before the round,
@@ -129,8 +135,11 @@ void Pgmp::init_from_add(TimePoint now, const Message& add_msg) {
   // message, and its heartbeats raise it as soon as our RMP contiguous
   // position matches — i.e. exactly when we provably hold its whole stream.
   for (ProcessorId m : body.current_membership.members) {
-    romp_.add_member(m, 0);
+    admit(m, now, seq_for(body.current_seqs, m), 0);
   }
+  // Every layer tracks our own stream from the start, even though our
+  // membership entry is deferred to the Add's ordering point.
+  admit(self_, now, 0, 0);
   // Leader-based ordering: we are not leader-eligible until our admission
   // installs, and we consume grants under the sponsor's view until the
   // membership changes ordered before our AddProcessor advance it through
@@ -148,7 +157,10 @@ void Pgmp::init_from_add(TimePoint now, const Message& add_msg) {
 }
 
 void Pgmp::note_heard(ProcessorId src, TimePoint now) {
-  last_heard_[src] = now;
+  auto it = peers_.find(src);
+  if (it == peers_.end()) return;
+  Peer& peer = it->second;
+  peer.last_heard = now;
   // Once we have endorsed a quorum-capable proposal convicting `src`, the
   // round may already have installed at peers holding our matching
   // proposal (we could merely be trailing in equalization) — withdrawing
@@ -160,8 +172,7 @@ void Pgmp::note_heard(ProcessorId src, TimePoint now) {
   const bool past_no_return = convicted_.contains(src) &&
                               !my_last_proposal_.empty() &&
                               quorum(my_last_proposal_);
-  if (my_suspects_.contains(src) && !pinned_suspects_.contains(src) &&
-      !past_no_return) {
+  if (peer.suspected && !peer.pinned && !past_no_return) {
     // False suspicion (it spoke again): withdraw. This applies even after
     // the suspicion hardened into a conviction, as long as no installable
     // round could have resulted — an asymmetric (one-way) partition makes
@@ -172,29 +183,42 @@ void Pgmp::note_heard(ProcessorId src, TimePoint now) {
     // partition heals. Peers recompute their conviction fixpoint from the
     // announced (smaller) suspect set, which dissolves the round
     // everywhere.
-    my_suspects_.erase(src);
-    SuspectBody body;
-    body.current_membership = membership_;
-    body.suspects.assign(my_suspects_.begin(), my_suspects_.end());
-    output_.emplace_back(SendBodyOut{std::move(body), /*reliable=*/true});
-    stats_.suspects_sent += 1;
-    metrics_.suspect_msgs.add();
+    peer.suspected = false;
+    announce_suspects();
   }
 }
 
 void Pgmp::suspect_slow(TimePoint now, ProcessorId member) {
   if (!active_ || member == self_) return;
-  if (!contains(membership_.members, member)) return;
-  pinned_suspects_.insert(member);
-  if (!my_suspects_.insert(member).second) return;  // already suspect: pin only
+  // Every member has a record (so does this processor, excluded above).
+  auto it = peers_.find(member);
+  if (it == peers_.end()) return;
+  it->second.pinned = true;
+  if (it->second.suspected) return;  // already suspect: pin only
+  it->second.suspected = true;
   metrics_.suspicions.add();
   if (!suspects_since_) suspects_since_ = now;
+  announce_suspects();
+}
+
+void Pgmp::announce_suspects() {
   SuspectBody body;
   body.current_membership = membership_;
-  body.suspects.assign(my_suspects_.begin(), my_suspects_.end());
+  for (const auto& [m, peer] : peers_) {
+    if (peer.suspected) body.suspects.push_back(m);
+  }
   output_.emplace_back(SendBodyOut{std::move(body), /*reliable=*/true});
-  stats_.suspects_sent += 1;
   metrics_.suspect_msgs.add();
+}
+
+bool Pgmp::suspecting() const {
+  return std::any_of(peers_.begin(), peers_.end(),
+                     [](const auto& e) { return e.second.suspected; });
+}
+
+bool Pgmp::stale_round(const Message& msg) const {
+  auto it = peers_.find(msg.header.source);
+  return it != peers_.end() && msg.header.sequence_number <= it->second.round_floor;
 }
 
 std::optional<AddProcessorBody> Pgmp::make_add(ProcessorId new_member) const {
@@ -262,7 +286,6 @@ void Pgmp::on_add_ordered(TimePoint now, const Message& msg) {
     // applied above through the same path the existing members took, so the
     // member list and view timestamp agree with theirs even when the
     // sponsor's AddProcessor body was stale by the time it was ordered.
-    stats_.adds_completed += 1;
     metrics_.adds.add();
     ordering_.note_joined_epoch(self_, membership_.timestamp);
     ordering_.set_view(membership_.timestamp);
@@ -274,46 +297,28 @@ void Pgmp::on_add_ordered(TimePoint now, const Message& msg) {
     output_.emplace_back(std::move(install));
     return;
   }
-  // A re-adding member starts a NEW incarnation of its stream at sequence
-  // 1. Any stored messages from a previous incarnation alias the same
-  // (source, seq) keys and would poison retransmissions: purge them now,
-  // and cancel any pending deferred purge that could otherwise fire later
-  // and destroy the new incarnation's messages.
-  rmp_.purge_store(member);
-  for (auto it = deferred_purges_.begin(); it != deferred_purges_.end();) {
-    if (it->first == member) {
-      it = deferred_purges_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  rmp_.add_source(member, 0, /*min_timestamp=*/msg.header.message_timestamp);
-  romp_.add_member(member, msg.header.message_timestamp);
-  // A re-added member is a new incarnation starting at sequence 1; restart
-  // its consumption tracking or resume points reported for it would stick
-  // at the old incarnation's position forever.
-  romp_.reset_source(member, 0);
-  ordering_.reset_source(member, 0);
-  // Likewise its completed-round floor: the new incarnation's Suspect and
-  // Membership messages reuse the old one's sequence numbers and would be
-  // dropped as stale, so a later crash would never be convicted.
-  round_floor_.erase(member);
+  // A new incarnation: every layer's record of the member starts afresh.
+  // Its messages are all stamped above the AddProcessor's timestamp, which
+  // it witnessed; anything at or below is a straggler of an earlier one.
+  admit(member, now, 0, msg.header.message_timestamp);
   // The new member is leader-ineligible until the next view change: the
   // standing leader's floor advisory must reach it first (docs/ORDERING.md).
   ordering_.note_joined_epoch(member, membership_.timestamp);
   ordering_.set_view(membership_.timestamp);
-  last_heard_[member] = now;  // fault-timer grace while it bootstraps
   FTC_LOG(kDebug) << to_string(self_) << " add_ordered " << to_string(member)
                   << " hdr_ts=" << msg.header.message_timestamp
                   << " seq=" << msg.header.sequence_number
                   << " src=" << to_string(msg.header.source);
-  stats_.adds_completed += 1;
   metrics_.adds.add();
   if (msg.header.source == self_) {
     // We are the sponsor: keep re-multicasting the ordered AddProcessor
     // until the new member speaks (it cannot NACK before it has joined, §5).
     pending_joins_.push_back(
         {member, msg.header.sequence_number, now, /*last_resend=*/0});
+  } else {
+    // Another sponsor's Add admitted it: an Add of ours for the same
+    // joiner can only order as a duplicate now, so drop its store pin.
+    rmp_.unpin_store(member.raw());
   }
   refresh_suspicions_after_change();
   InstallOut install;
@@ -337,7 +342,6 @@ void Pgmp::on_remove_ordered(TimePoint now, const Message& msg) {
       membership_.members.end());
   membership_.timestamp =
       std::max(membership_.timestamp + 1, msg.header.message_timestamp);
-  stats_.removes_completed += 1;
   metrics_.removes.add();
   InstallOut install;
   install.change.reason = MembershipChanged::Reason::kProcessorRemoved;
@@ -349,43 +353,28 @@ void Pgmp::on_remove_ordered(TimePoint now, const Message& msg) {
     output_.emplace_back(std::move(install));
     return;
   }
-  rmp_.remove_source(member);
-  rmp_.unpin_store(member.raw());  // in case it was a never-completed joiner
-  romp_.remove_member(member);
-  ordering_.remove_member(member);
+  expel(member, now);
   ordering_.set_view(membership_.timestamp);
-  last_heard_.erase(member);
-  my_suspects_.erase(member);
-  pinned_suspects_.erase(member);
-  // Keep its stored messages around for stragglers; purge after a few fault
-  // timeouts.
-  deferred_purges_.emplace_back(member, now + 4 * config_.fault_timeout);
   refresh_suspicions_after_change();
   install.change.membership = membership_;
   output_.emplace_back(std::move(install));
 }
 
 void Pgmp::on_suspect(TimePoint now, const Message& msg) {
-  const ProcessorId src = msg.header.source;
-  auto floor_it = round_floor_.find(src);
-  if (floor_it != round_floor_.end() && msg.header.sequence_number <= floor_it->second) {
-    return;  // belongs to a completed round
-  }
+  if (stale_round(msg)) return;
   const auto& body = std::get<SuspectBody>(msg.body);
   if (body.current_membership.timestamp < membership_.timestamp) {
     return;  // stale epoch (e.g. from before this member rejoined)
   }
-  suspicion_[src] = std::set<ProcessorId>(body.suspects.begin(), body.suspects.end());
+  suspicion_[msg.header.source] =
+      std::set<ProcessorId>(body.suspects.begin(), body.suspects.end());
   recompute_convicted(now);
   try_complete(now);
 }
 
 void Pgmp::on_membership_msg(TimePoint now, const Message& msg) {
+  if (stale_round(msg)) return;
   const ProcessorId src = msg.header.source;
-  auto floor_it = round_floor_.find(src);
-  if (floor_it != round_floor_.end() && msg.header.sequence_number <= floor_it->second) {
-    return;
-  }
   const auto& body = std::get<MembershipBody>(msg.body);
   if (body.current_membership.timestamp < membership_.timestamp) {
     return;  // stale epoch
@@ -525,7 +514,6 @@ void Pgmp::maybe_send_membership(TimePoint now) {
   }
   body.new_membership = p;
   output_.emplace_back(SendBodyOut{std::move(body), /*reliable=*/true});
-  stats_.membership_msgs_sent += 1;
   metrics_.membership_msgs.add();
 }
 
@@ -588,20 +576,13 @@ void Pgmp::try_complete(TimePoint now) {
   for (ProcessorId m : membership_.members) {
     if (survivors.contains(m)) continue;
     crashed.push_back(m);
-    rmp_.remove_source(m);
-    rmp_.unpin_store(m.raw());
-    romp_.remove_member(m);
-    ordering_.remove_member(m);
-    last_heard_.erase(m);
-    my_suspects_.erase(m);
-    pinned_suspects_.erase(m);
-    deferred_purges_.emplace_back(m, now + 4 * config_.fault_timeout);
+    expel(m, now);
     install.faults.push_back(FaultReport{{}, m});
   }
   membership_.members = p;
   membership_.timestamp = new_ts;
   ordering_.set_view(new_ts);
-  for (ProcessorId r : p) round_floor_[r] = proposals_[r].msg_seq;
+  for (ProcessorId r : p) peers_[r].round_floor = proposals_[r].msg_seq;
   metrics_.convictions.add(crashed.size());
   if (round_started_) {
     metrics_.install_duration_ms.observe(to_ms(now - *round_started_));
@@ -611,7 +592,6 @@ void Pgmp::try_complete(TimePoint now) {
   install.change.reason = MembershipChanged::Reason::kFault;
   install.change.membership = membership_;
   install.change.left = crashed;
-  stats_.recoveries_completed += 1;
   metrics_.recoveries.add();
   output_.emplace_back(std::move(install));
 }
@@ -623,13 +603,7 @@ void Pgmp::refresh_suspicions_after_change() {
   // below for ourselves) to keep fault detection live across concurrent
   // membership changes.
   suspicion_.clear();
-  if (my_suspects_.empty()) return;
-  SuspectBody body;
-  body.current_membership = membership_;
-  body.suspects.assign(my_suspects_.begin(), my_suspects_.end());
-  output_.emplace_back(SendBodyOut{std::move(body), /*reliable=*/true});
-  stats_.suspects_sent += 1;
-  metrics_.suspect_msgs.add();
+  if (suspecting()) announce_suspects();
 }
 
 void Pgmp::reset_round_state() {
@@ -638,8 +612,7 @@ void Pgmp::reset_round_state() {
   proposals_.clear();
   convicted_.clear();
   my_last_proposal_.clear();
-  my_suspects_.clear();
-  pinned_suspects_.clear();
+  for (auto& [m, peer] : peers_) peer.suspected = peer.pinned = false;
   suspects_since_.reset();
   round_started_.reset();
   equalization_counted_ = false;
@@ -649,25 +622,16 @@ void Pgmp::tick(TimePoint now) {
   if (!active_) return;
   // Fault detector: nothing heard within the timeout -> suspect.
   bool suspects_changed = false;
-  for (ProcessorId m : membership_.members) {
-    if (m == self_ || my_suspects_.contains(m)) continue;
-    auto it = last_heard_.find(m);
-    const TimePoint heard = it == last_heard_.end() ? 0 : it->second;
-    if (now - heard > config_.fault_timeout) {
-      my_suspects_.insert(m);
+  for (auto& [m, peer] : peers_) {
+    if (m == self_ || peer.suspected) continue;
+    if (now - peer.last_heard > config_.fault_timeout) {
+      peer.suspected = true;
       metrics_.suspicions.add();
       suspects_changed = true;
     }
   }
-  if (suspects_changed) {
-    SuspectBody body;
-    body.current_membership = membership_;
-    body.suspects.assign(my_suspects_.begin(), my_suspects_.end());
-    output_.emplace_back(SendBodyOut{std::move(body), /*reliable=*/true});
-    stats_.suspects_sent += 1;
-    metrics_.suspect_msgs.add();
-  }
-  if (my_suspects_.empty()) {
+  if (suspects_changed) announce_suspects();
+  if (!suspecting()) {
     suspects_since_.reset();
   } else if (!suspects_since_) {
     suspects_since_ = now;
@@ -698,9 +662,9 @@ void Pgmp::tick(TimePoint now) {
   // make_add for that processor forever while resending an AddProcessor
   // whose membership timestamp the joiner's rejoin floor already rejects.
   for (auto it = pending_joins_.begin(); it != pending_joins_.end();) {
-    auto heard = last_heard_.find(it->new_member);
+    auto peer = peers_.find(it->new_member);
     const bool joiner_live =
-        heard != last_heard_.end() && heard->second > it->started;
+        peer != peers_.end() && peer->second.last_heard > it->started;
     const bool joiner_gone = !contains(membership_.members, it->new_member);
     const bool gave_up = now - it->started > 10 * config_.fault_timeout;
     if (joiner_live || joiner_gone || gave_up) {
@@ -735,30 +699,6 @@ void Pgmp::tick(TimePoint now) {
       ++it;
     }
   }
-}
-
-std::string Pgmp::debug_string() const {
-  std::string out = "members{";
-  for (ProcessorId m : membership_.members) out += to_string(m) + " ";
-  out += "} ts=" + std::to_string(membership_.timestamp);
-  out += " convicted{";
-  for (ProcessorId c : convicted_) out += to_string(c) + " ";
-  out += "} my_suspects{";
-  for (ProcessorId s : my_suspects_) out += to_string(s) + " ";
-  out += "} proposals{";
-  for (const auto& [src, p] : proposals_) {
-    out += to_string(src) + ":[";
-    for (ProcessorId m : p.new_membership) out += to_string(m) + " ";
-    out += "]@" + std::to_string(p.msg_seq) + " ";
-  }
-  out += "} suspicion{";
-  for (const auto& [src, row] : suspicion_) {
-    out += to_string(src) + ":(";
-    for (ProcessorId s : row) out += to_string(s) + " ";
-    out += ") ";
-  }
-  out += "}";
-  return out;
 }
 
 std::vector<PgmpOut> Pgmp::take_output() {

@@ -81,15 +81,6 @@ struct InstallOut {
 /// Any PGMP output, drained by the session.
 using PgmpOut = std::variant<SendBodyOut, ResendStoredOut, InstallOut>;
 
-/// Counters for tests and the E5 bench.
-struct PgmpStats {
-  std::uint64_t suspects_sent = 0;
-  std::uint64_t membership_msgs_sent = 0;
-  std::uint64_t recoveries_completed = 0;
-  std::uint64_t adds_completed = 0;
-  std::uint64_t removes_completed = 0;
-};
-
 /// Membership protocol for one processor group on one processor.
 class Pgmp {
  public:
@@ -97,7 +88,8 @@ class Pgmp {
   /// session; PGMP queries stream state from RMP and performs epoch surgery
   /// on all three. The delivery rule is reached only through the
   /// OrderingPolicy seam, so either mode (Lamport or LLFT) reconciles
-  /// through the same installs.
+  /// through the same installs. admit and expel (private) are the only
+  /// code that creates or drops a member's state in any of the four.
   Pgmp(ProcessorId self, const Config& config, Rmp& rmp, Romp& romp,
        OrderingPolicy& ordering);
 
@@ -183,14 +175,19 @@ class Pgmp {
   /// Drains queued outputs.
   [[nodiscard]] std::vector<PgmpOut> take_output();
 
-  /// Layer counters.
-  [[nodiscard]] const PgmpStats& stats() const { return stats_; }
-
-  /// One-line diagnostic dump of the membership/recovery state (logs,
-  /// tooling, postmortems).
-  [[nodiscard]] std::string debug_string() const;
-
  private:
+  // Everything PGMP keeps per member: admit builds a fresh record, expel
+  // drops it.
+  struct Peer {
+    TimePoint last_heard = 0;  // fault detector
+    bool suspected = false;
+    // Survives note_heard: slow receivers reported via suspect_slow keep
+    // talking.
+    bool pinned = false;
+    // Header seq of its Membership message in the last completed round;
+    // its Suspect and Membership messages at or below it are stale.
+    SeqNum round_floor = 0;
+  };
   struct Proposal {
     std::vector<ProcessorId> new_membership;  // sorted
     std::vector<SourceSeq> seqs;
@@ -218,6 +215,19 @@ class Pgmp {
     metrics::HistogramHandle add_install_ms;
   };
 
+  /// Starts `member`'s state in every layer afresh: its RMP stream expects
+  /// seq `floor + 1` and rejects timestamps at or below `since` (the
+  /// incarnation floor), Romp and the rule resume it at `floor`, and its
+  /// stored messages from any earlier incarnation are purged.
+  void admit(ProcessorId member, TimePoint now, SeqNum floor, Timestamp since);
+  /// Drops `member`'s state in every layer; its stored messages stay for
+  /// stragglers until a deferred purge.
+  void expel(ProcessorId member, TimePoint now);
+  /// Multicasts this member's suspect set (a Suspect message).
+  void announce_suspects();
+  [[nodiscard]] bool suspecting() const;
+  /// True if `msg` belongs to a round its source already completed.
+  [[nodiscard]] bool stale_round(const Message& msg) const;
   void recompute_convicted(TimePoint now);
   void refresh_suspicions_after_change();
   void maybe_send_membership(TimePoint now);
@@ -236,23 +246,19 @@ class Pgmp {
   bool active_ = false;
   MembershipInfo membership_;
 
-  // Fault detector.
-  std::unordered_map<ProcessorId, TimePoint> last_heard_;
-  std::set<ProcessorId> my_suspects_;
-  // Suspicions that survive note_heard (slow receivers reported via
-  // suspect_slow keep talking); subset of my_suspects_.
-  std::set<ProcessorId> pinned_suspects_;
-  // When my_suspects_ last became non-empty; if no recovery completes
-  // within the stranding window the processor gives up and self-evicts
-  // (it is likely alone in an epoch the rest of the group left behind).
+  // The members, plus this processor while its own admission is in
+  // flight, in id order (Suspect bodies list suspects in that order).
+  std::map<ProcessorId, Peer> peers_;
+  // When this member last started suspecting someone; if no recovery
+  // completes within the stranding window the processor gives up and
+  // self-evicts (it is likely alone in an epoch the rest of the group left
+  // behind).
   std::optional<TimePoint> suspects_since_;
 
-  // Suspicion matrix and proposals for the current recovery round. Entries
-  // with header seq <= round_floor_[src] belong to completed rounds and are
-  // ignored.
+  // Suspicion matrix and proposals for the current recovery round, keyed
+  // by reporter (a joiner's own row counts before it is a member).
   std::unordered_map<ProcessorId, std::set<ProcessorId>> suspicion_;
   std::unordered_map<ProcessorId, Proposal> proposals_;
-  std::unordered_map<ProcessorId, SeqNum> round_floor_;
   std::set<ProcessorId> convicted_;
   std::vector<ProcessorId> my_last_proposal_;
   // When the current fault-recovery round opened (first conviction), for
@@ -261,7 +267,7 @@ class Pgmp {
   // Whether this round has been counted as needing message-set equalization.
   bool equalization_counted_ = false;
 
-  // Sponsor-side pending joins.
+  // Sponsor-side pending joins, in resend order.
   std::vector<PendingJoin> pending_joins_;
   // AddProcessor messages sent but not yet ordered: member -> send time.
   std::unordered_map<ProcessorId, TimePoint> adds_in_flight_;
@@ -271,7 +277,6 @@ class Pgmp {
   std::vector<std::pair<ProcessorId, TimePoint>> deferred_purges_;
 
   std::vector<PgmpOut> output_;
-  PgmpStats stats_;
   Instruments metrics_;
 };
 

@@ -137,14 +137,6 @@ void Rmp::purge_store(ProcessorId src) {
 
 bool Rmp::has_source(ProcessorId src) const { return sources_.contains(src); }
 
-std::vector<ProcessorId> Rmp::sources() const {
-  std::vector<ProcessorId> out;
-  out.reserve(sources_.size());
-  for (const auto& [src, st] : sources_) out.push_back(src);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 SeqNum Rmp::contiguous(ProcessorId src) const {
   auto it = sources_.find(src);
   return it == sources_.end() ? 0 : it->second.contiguous;

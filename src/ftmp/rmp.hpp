@@ -95,9 +95,6 @@ class Rmp {
   /// True if `src` is currently tracked.
   [[nodiscard]] bool has_source(ProcessorId src) const;
 
-  /// Tracked sources.
-  [[nodiscard]] std::vector<ProcessorId> sources() const;
-
   /// Highest sequence number received contiguously (no gaps before it)
   /// from `src`. This is the value reported in Membership bodies.
   [[nodiscard]] SeqNum contiguous(ProcessorId src) const;
@@ -116,10 +113,6 @@ class Rmp {
   /// Sequence number of the most recent reliable message sent (carried in
   /// Heartbeat and RetransmitRequest headers).
   [[nodiscard]] SeqNum last_sent() const { return last_sent_; }
-
-  /// Overrides the send sequence counter (used when a joining member
-  /// resumes a stream, e.g. in tests).
-  void set_last_sent(SeqNum s) { last_sent_ = s; }
 
   /// Stores an encoded reliable message (own or received) so it can answer
   /// future RetransmitRequests. Keyed by (original source, seq). The slice

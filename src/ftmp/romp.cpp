@@ -55,44 +55,31 @@ Romp::Romp(ProcessorId self, const Config& config)
       "timestamp", "romp", metrics::timestamp_gap_buckets());
 }
 
-void Romp::set_members(const std::vector<ProcessorId>& members) {
-  members_.clear();
-  members_.insert(members.begin(), members.end());
-}
-
-void Romp::add_member(ProcessorId member, Timestamp initial_bound) {
+void Romp::admit(ProcessorId member, SeqNum floor, Timestamp initial_bound) {
   members_.insert(member);
-  Timestamp& b = bounds_[member];
-  b = std::max(b, initial_bound);
+  Source& s = sources_[member];
+  const Timestamp bound = std::max(s.bound, initial_bound);
+  const Timestamp last_ack = s.last_ack;
+  s = Source{};
+  s.bound = bound;
+  s.last_ack = last_ack;
+  s.consumed_up_to = floor;
 }
 
-void Romp::reset_source(ProcessorId src, SeqNum floor) {
-  consumed_up_to_[src] = floor;
-  consumed_ahead_.erase(src);
-  last_ordered_[src] = floor;
-  unstable_.erase(src);
-}
-
-void Romp::remove_member(ProcessorId member) {
+void Romp::expel(ProcessorId member) {
   members_.erase(member);
-  bounds_.erase(member);
-  last_acks_.erase(member);
-  unstable_.erase(member);
+  sources_.erase(member);
 }
 
 Timestamp Romp::ack_timestamp() const {
   Timestamp acc = clock_.latest();
-  for (ProcessorId q : members_) {
-    auto it = bounds_.find(q);
-    const Timestamp b = it == bounds_.end() ? 0 : it->second;
-    acc = std::min(acc, b);
-  }
+  for (ProcessorId q : members_) acc = std::min(acc, bound(q));
   return acc;
 }
 
 Timestamp Romp::bound(ProcessorId q) const {
-  auto it = bounds_.find(q);
-  return it == bounds_.end() ? 0 : it->second;
+  auto it = sources_.find(q);
+  return it == sources_.end() ? 0 : it->second.bound;
 }
 
 Timestamp Romp::min_bound() const {
@@ -102,17 +89,17 @@ Timestamp Romp::min_bound() const {
   return acc;
 }
 
-void Romp::observe_header(const Header& h) {
+Romp::Source& Romp::observe_header(const Header& h) {
   clock_.witness(h.message_timestamp);
-  Timestamp& ack = last_acks_[h.source];
-  ack = std::max(ack, h.ack_timestamp);
+  Source& s = sources_[h.source];
+  s.last_ack = std::max(s.last_ack, h.ack_timestamp);
+  return s;
 }
 
 void Romp::on_source_ordered(const Header& h) {
-  observe_header(h);
-  Timestamp& b = bounds_[h.source];
-  b = std::max(b, h.message_timestamp);
-  unstable_[h.source][h.message_timestamp] = h.sequence_number;
+  Source& s = observe_header(h);
+  s.bound = std::max(s.bound, h.message_timestamp);
+  s.unstable[h.message_timestamp] = h.sequence_number;
   // Suspect/Membership and the other control messages are consumed on
   // arrival (Fig. 3: reliable, source-ordered, not totally ordered).
   if (!is_totally_ordered(h.type)) {
@@ -123,8 +110,6 @@ void Romp::on_source_ordered(const Header& h) {
 }
 
 void Romp::note_delivered(const Header& h, TimePoint arrival, TimePoint now) {
-  SeqNum& lo = last_ordered_[h.source];
-  lo = std::max(lo, h.sequence_number);
   mark_consumed(h.source, h.sequence_number);
   if (now > 0 && arrival > 0) {
     metrics_.ordering_wait_ms.observe(to_ms(now - arrival));
@@ -136,50 +121,40 @@ void Romp::note_delivered(const Header& h, TimePoint arrival, TimePoint now) {
 }
 
 void Romp::mark_consumed(ProcessorId src, SeqNum seq) {
-  SeqNum& up_to = consumed_up_to_[src];
-  if (seq != up_to + 1) {
-    if (seq > up_to) consumed_ahead_[src].insert(seq);
+  Source& s = sources_[src];
+  if (seq != s.consumed_up_to + 1) {
+    if (seq > s.consumed_up_to) s.consumed_ahead.insert(seq);
     return;
   }
-  up_to = seq;
-  auto& ahead = consumed_ahead_[src];
-  auto it = ahead.begin();
-  while (it != ahead.end() && *it == up_to + 1) {
-    up_to = *it;
-    it = ahead.erase(it);
+  s.consumed_up_to = seq;
+  auto it = s.consumed_ahead.begin();
+  while (it != s.consumed_ahead.end() && *it == s.consumed_up_to + 1) {
+    s.consumed_up_to = *it;
+    it = s.consumed_ahead.erase(it);
   }
 }
 
 SeqNum Romp::consumed_up_to(ProcessorId src) const {
-  auto it = consumed_up_to_.find(src);
-  return it == consumed_up_to_.end() ? 0 : it->second;
+  auto it = sources_.find(src);
+  return it == sources_.end() ? 0 : it->second.consumed_up_to;
 }
 
 void Romp::on_heartbeat(const Header& header, SeqNum contiguous_seq) {
-  observe_header(header);
+  Source& s = observe_header(header);
   if (header.sequence_number == contiguous_seq) {
-    Timestamp& b = bounds_[header.source];
-    b = std::max(b, header.message_timestamp);
+    s.bound = std::max(s.bound, header.message_timestamp);
   }
-}
-
-SeqNum Romp::last_ordered_seq(ProcessorId src) const {
-  auto it = last_ordered_.find(src);
-  return it == last_ordered_.end() ? 0 : it->second;
 }
 
 Timestamp Romp::stable_timestamp() const {
   Timestamp acc = ~Timestamp{0};
-  for (ProcessorId q : members_) {
-    auto it = last_acks_.find(q);
-    acc = std::min(acc, it == last_acks_.end() ? 0 : it->second);
-  }
+  for (ProcessorId q : members_) acc = std::min(acc, last_ack(q));
   return members_.empty() ? 0 : acc;
 }
 
 Timestamp Romp::last_ack(ProcessorId q) const {
-  auto it = last_acks_.find(q);
-  return it == last_acks_.end() ? 0 : it->second;
+  auto it = sources_.find(q);
+  return it == sources_.end() ? 0 : it->second.last_ack;
 }
 
 std::vector<std::pair<ProcessorId, SeqNum>> Romp::collect_stable() {
@@ -187,9 +162,10 @@ std::vector<std::pair<ProcessorId, SeqNum>> Romp::collect_stable() {
   const Timestamp stable = stable_timestamp();
   if (stable <= last_stable_) return out;
   last_stable_ = stable;
-  for (auto& [src, by_ts] : unstable_) {
+  for (auto& [src, source] : sources_) {
     // Find the largest timestamp <= stable; everything up to its seq is
     // reclaimable.
+    auto& by_ts = source.unstable;
     auto it = by_ts.upper_bound(stable);
     if (it == by_ts.begin()) continue;
     --it;

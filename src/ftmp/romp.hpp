@@ -50,26 +50,19 @@ class Romp {
 
   // ---- membership epochs ----
 
-  /// Installs the initial member set (bounds start at 0 and rise with the
-  /// first messages/heartbeats from each member).
-  void set_members(const std::vector<ProcessorId>& members);
+  /// (Re)admits `member` (bootstrap, join, or an AddProcessor's ordering
+  /// point): its bound and acks count from now on. Its record restarts
+  /// with the stream consumed up to `floor` and nothing unstable; only
+  /// what its current incarnation already sent carries over: its last ack,
+  /// and its bound if above `initial_bound` (a joiner's seq-0 heartbeats
+  /// arrive before its admission and vouch for it). `initial_bound` is the
+  /// AddProcessor's own timestamp for a re-added member (its messages are
+  /// stamped above it), 0 otherwise.
+  void admit(ProcessorId member, SeqNum floor, Timestamp initial_bound);
 
-  /// Adds a member at an AddProcessor ordering point; `initial_bound` is
-  /// the AddProcessor's own timestamp (the new member's future messages are
-  /// guaranteed to exceed the membership timestamp it starts from).
-  void add_member(ProcessorId member, Timestamp initial_bound);
-
-  /// Removes a member: its bound and acks stop counting.
-  void remove_member(ProcessorId member);
-
-  /// Restarts consumption tracking for `src` at `floor`: seqs at or below
-  /// it count as consumed, nothing above it does. Needed whenever the
-  /// source's RMP stream is (re)based — a re-added member starts a new
-  /// incarnation at sequence 1, and a joiner resumes members' streams at
-  /// the AddProcessor body's positions; stale counters from before the
-  /// rebase would otherwise never advance again and poison the resume
-  /// points this processor reports in future AddProcessor bodies.
-  void reset_source(ProcessorId src, SeqNum floor);
+  /// Removes `member`: its record goes, and its bound and acks stop
+  /// counting.
+  void expel(ProcessorId member);
 
   /// Current member set.
   [[nodiscard]] const std::set<ProcessorId>& members() const { return members_; }
@@ -127,9 +120,8 @@ class Romp {
   // ---- delivery bookkeeping (called by the delivery rules) ----
 
   /// The rule delivered `header`'s message in total order: advances the
-  /// last-ordered and consumed positions of its source and records the
-  /// ordering wait (when both `arrival` and `now` are known) and the
-  /// delivered-vs-stable lag.
+  /// consumed position of its source and records the ordering wait (when
+  /// both `arrival` and `now` are known) and the delivered-vs-stable lag.
   void note_delivered(const Header& header, TimePoint arrival, TimePoint now);
 
   /// The rule settled `seq` from `src` without delivering it (LLFT's
@@ -152,21 +144,32 @@ class Romp {
   /// space").
   [[nodiscard]] std::vector<std::pair<ProcessorId, SeqNum>> collect_stable();
 
-  /// Sequence number of the most recent message from `src` that this
-  /// processor has ordered (delivered).
-  [[nodiscard]] SeqNum last_ordered_seq(ProcessorId src) const;
-
   /// The largest S such that every message from `src` with seq <= S has
   /// been consumed here: delivered if totally ordered, or handed to PGMP
-  /// if a source-ordered control message (Suspect/Membership). This — not
-  /// last_ordered_seq — is the safe stream-resume point for a new member
-  /// (§7.1 AddProcessor bodies): control messages may be stability-purged
-  /// and are epoch-stale for a joiner anyway, so a boundary below them
-  /// could never become contiguous.
+  /// if a source-ordered control message (Suspect/Membership). This, and
+  /// not the last delivered seq, is the safe stream-resume point for a new
+  /// member (§7.1 AddProcessor bodies): control messages may be
+  /// stability-purged and are epoch-stale for a joiner anyway, so a
+  /// boundary below them could never become contiguous.
   [[nodiscard]] SeqNum consumed_up_to(ProcessorId src) const;
 
  private:
-  void observe_header(const Header& h);
+  // Everything kept per source. admit rebuilds a member's record and
+  // expel drops it; the first header heard from a source creates one.
+  struct Source {
+    Timestamp bound = 0;
+    Timestamp last_ack = 0;
+    // Contiguous consumed prefix (ordered deliveries + control messages),
+    // plus out-of-prefix consumed seqs awaiting the gap.
+    SeqNum consumed_up_to = 0;
+    std::set<SeqNum> consumed_ahead;
+    // Timestamps of contiguously received reliable messages that are not
+    // yet stable, mapping to their seq (for stability -> RMP release).
+    std::map<Timestamp, SeqNum> unstable;
+  };
+
+  /// Witnesses `h`'s timestamp and records its ack; returns its source.
+  Source& observe_header(const Header& h);
 
   // Process-global instruments shared by every Romp instance (docs/METRICS.md).
   struct Instruments {
@@ -179,17 +182,7 @@ class Romp {
   ProcessorId self_;
   TimestampSource clock_;
   std::set<ProcessorId> members_;
-  std::unordered_map<ProcessorId, Timestamp> bounds_;
-  std::unordered_map<ProcessorId, Timestamp> last_acks_;
-  // Per source: timestamps of contiguously received reliable messages that
-  // are not yet stable, mapping to their seq (for stability -> RMP release).
-  std::unordered_map<ProcessorId, std::map<Timestamp, SeqNum>> unstable_;
-  // Per source: seq of the most recent ordered (delivered) message.
-  std::unordered_map<ProcessorId, SeqNum> last_ordered_;
-  // Per source: contiguous consumed prefix (ordered deliveries + control
-  // messages), plus out-of-prefix consumed seqs awaiting the gap.
-  std::unordered_map<ProcessorId, SeqNum> consumed_up_to_;
-  std::unordered_map<ProcessorId, std::set<SeqNum>> consumed_ahead_;
+  std::unordered_map<ProcessorId, Source> sources_;
   Timestamp last_stable_ = 0;
   // Highest timestamp this member stamped, and highest on another member's
   // totally-ordered message (ack_owed).

@@ -127,7 +127,10 @@ void expect_same_order(SimHarness& h, const std::vector<ProcessorId>& members,
 struct Engine {
   Engine(ProcessorId self, const std::vector<ProcessorId>& members)
       : romp(self, llft_config()), rule(romp) {
-    romp.set_members(members);
+    for (ProcessorId m : members) {
+      romp.admit(m, 0, 0);
+      rule.reset_source(m, 0);
+    }
     rule.set_view(0);
   }
   void feed(const Frame& f) {
@@ -425,6 +428,56 @@ TEST(Llft, DuplicateAddFromRacingSponsorsDoesNotStallGranting) {
   expect_same_order(h, all, std::size_t(req), "post-duplicate-add order");
 }
 
+// A duplicate membership change leaves the view where it was, so it must
+// not make the leader announce its delivered floors again under the same
+// view. A member that holds a grant but not yet the granted message, or
+// that replays the view's buffered grants all at once, would raise its
+// floor past that message and settle it without delivering it. Here P2,
+// cut off from the leader and so one view behind, sponsors P5 a second
+// time just after P1 granted P4's Regular, which P3 has not received.
+TEST(Llft, DuplicateMembershipChangeKeepsUndeliveredGrants) {
+  SimHarness h({}, 76);
+  const auto founders = ids({1, 2, 3, 4});
+  for (ProcessorId p : founders) {
+    h.add_processor(p, kDomain, kDomainAddr, llft_config());
+  }
+  for (ProcessorId p : founders) {
+    h.stack(p).create_group(h.now(), kGroup, kGroupAddr, founders);
+  }
+  h.run_for(50 * kMillisecond);
+  ASSERT_TRUE(engine(h, ProcessorId{1}).leading());
+
+  const ProcessorId joiner{5};
+  h.add_processor(joiner, kDomain, kDomainAddr, llft_config());
+  h.stack(joiner).expect_join(kGroup, kGroupAddr);
+  h.network().block_link(ProcessorId{1}, ProcessorId{2});
+  ASSERT_TRUE(h.stack(ProcessorId{3}).add_processor(h.now(), kGroup, joiner));
+  ASSERT_TRUE(h.run_until_pred(
+      [&] { return h.stack(ProcessorId{1}).group(kGroup)->is_member(joiner); },
+      h.now() + 5 * kSecond));
+
+  h.network().block_link(ProcessorId{4}, ProcessorId{3});
+  const Bytes text = bytes_of("P4-after-the-add");
+  ASSERT_TRUE(h.stack(ProcessorId{4}).group(kGroup)->send_regular(
+      h.now(), test_conn(), 600, text));
+  h.run_for(2 * kMillisecond);
+  ASSERT_FALSE(h.stack(ProcessorId{2}).group(kGroup)->is_member(joiner));
+  ASSERT_TRUE(h.stack(ProcessorId{2}).add_processor(h.now(), kGroup, joiner));
+  h.run_for(5 * kMillisecond);
+  h.network().clear_blocked_links();
+  h.run_for(2 * kSecond);
+
+  for (ProcessorId p : ids({1, 2, 3, 4, 5})) {
+    const auto got = h.delivered(p, kGroup);
+    EXPECT_EQ(std::count_if(got.begin(), got.end(),
+                            [&](const DeliveredMessage& m) {
+                              return m.giop_message == text;
+                            }),
+              1)
+        << "at " << to_string(p);
+  }
+}
+
 // Concurrent removes of the same member: the second RemoveProcessor orders
 // as a membership no-op and must resume the leader's granting, same
 // regression as the duplicate Add above.
@@ -658,7 +711,7 @@ TEST(Llft, NewLeaderGrantsOwnInFlightMessagesInSequenceOrder) {
   EXPECT_TRUE(take_grants(eng).empty());
 
   // P1 fails; P2 accedes with m1 still in flight.
-  e.romp.remove_member(ProcessorId{1});
+  e.romp.expel(ProcessorId{1});
   eng.remove_member(ProcessorId{1});
   eng.set_view(5);
   ASSERT_TRUE(eng.leading());
@@ -732,7 +785,7 @@ TEST(Llft, DrainLeavesNothingHeldFromANonSurvivor) {
   for (const Frame& f : out) order.push_back(f.header.message_timestamp);
   EXPECT_EQ(order, (std::vector<Timestamp>{10, 12, 14}));
   EXPECT_EQ(e.rule.pending_count(), 1u) << "only the survivor's beyond-cut frame";
-  e.romp.remove_member(ProcessorId{1});
+  e.romp.expel(ProcessorId{1});
   e.rule.remove_member(ProcessorId{1});
   EXPECT_EQ(e.rule.pending_count(), 1u);
 }

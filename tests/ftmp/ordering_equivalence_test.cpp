@@ -10,9 +10,13 @@
 //  * The default Lamport mode with prompt acknowledgement (own-clock
 //    bound, ack debt), plain, batched and crash: captured when ack debts
 //    became rank-staggered (kAckSlots).
+//  * Re-admission after the crash (a joiner's init_from_add and the
+//    members' re-add) under lamport-paper, lamport and LLFT: captured at
+//    commit 55bcf65, before each layer kept one record per member.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -72,6 +76,8 @@ struct Observed {
   friend bool operator==(const Observed&, const Observed&) = default;
 };
 
+enum class Scenario { kSteady, kCrash, kReadmit };
+
 // Three bare stacks, full multicast loopback (every datagram reaches every
 // node including its sender), fixed 1ms schedule, interleaved scripted
 // sends for the first half and an idle heartbeat/stability tail for the
@@ -79,39 +85,56 @@ struct Observed {
 // three members, so ordering, stability GC, flush and heartbeat behavior
 // are all pinned.
 //
-// With `crash`, P1 (the LLFT leader) stops for good at step 120. Its last
+// With kCrash, P1 (the LLFT leader) stops for good at step 120. Its last
 // datagrams reach P2 only, so P3 recovers them from P2 during the
 // fault-recovery equalization; the survivors install {P2, P3} within the
 // run, and view installs are folded into the event digest.
-Observed run_scenario(const Config& config, bool crash = false) {
-  Stack p1(ProcessorId{1}, kDomain, kDomainAddr, config);
+//
+// kReadmit continues the crash run for 400 more steps: at step 400 P1
+// restarts as a fresh Stack and P2 sponsors its re-admission, and from
+// step 500 all three members send again.
+Observed run_scenario(const Config& config, Scenario scenario = Scenario::kSteady) {
+  const bool crash = scenario != Scenario::kSteady;
+  const bool readmit = scenario == Scenario::kReadmit;
+  auto p1 = std::make_unique<Stack>(ProcessorId{1}, kDomain, kDomainAddr, config);
   Stack p2(ProcessorId{2}, kDomain, kDomainAddr, config);
   Stack p3(ProcessorId{3}, kDomain, kDomainAddr, config);
   const std::vector<ProcessorId> members{ProcessorId{1}, ProcessorId{2},
                                          ProcessorId{3}};
-  Stack* nodes[] = {&p1, &p2, &p3};
+  Stack* nodes[] = {p1.get(), &p2, &p3};
   TimePoint now = 1 * kMillisecond;
   for (Stack* n : nodes) n->create_group(now, kGroup, kGroupAddr, members);
 
   constexpr int kCrashStep = 120;
+  constexpr int kRestartStep = 400;
+  const auto sending = [&](int step) {
+    return step < 200 || (readmit && step >= 500 && step < 700);
+  };
   Observed seen;
   seen.fold_views = crash;
-  for (int step = 0; step < 400; ++step) {
+  for (int step = 0; step < (readmit ? 800 : 400); ++step) {
     now += 1 * kMillisecond;
+    if (readmit && step == kRestartStep) {
+      p1 = std::make_unique<Stack>(ProcessorId{1}, kDomain, kDomainAddr, config);
+      nodes[0] = p1.get();
+      p1->expect_join(kGroup, kGroupAddr);
+      EXPECT_TRUE(p2.add_processor(now, kGroup, ProcessorId{1}));
+    }
     const auto up = [&](const Stack* n) {
-      return !crash || n != &p1 || step < kCrashStep;
+      return !crash || n != p1.get() || step < kCrashStep ||
+             (readmit && step >= kRestartStep);
     };
-    if (step % 7 == 0 && step < 200 && up(&p1)) {
-      EXPECT_TRUE(p1.group(kGroup)->send_regular(
+    if (step % 7 == 0 && sending(step) && up(p1.get())) {
+      EXPECT_TRUE(p1->group(kGroup)->send_regular(
           now, test_conn(), std::uint64_t(step + 1),
           bytes_of("n1#" + std::to_string(step))));
     }
-    if (step % 11 == 3 && step < 200) {
+    if (step % 11 == 3 && sending(step)) {
       EXPECT_TRUE(p2.group(kGroup)->send_regular(
           now, test_conn(), std::uint64_t(step + 1),
           bytes_of("p2#" + std::to_string(step))));
     }
-    if (step % 13 == 5 && step < 200) {
+    if (step % 13 == 5 && sending(step)) {
       EXPECT_TRUE(p3.group(kGroup)->send_regular(
           now, test_conn(), std::uint64_t(step + 1),
           bytes_of("p3#" + std::to_string(step))));
@@ -128,7 +151,7 @@ Observed run_scenario(const Config& config, bool crash = false) {
     for (const auto& [from, d] : wire) {
       for (Stack* n : nodes) {
         const bool lost =
-            crash && step == kCrashStep - 1 && from == &p1 && n == &p3;
+            crash && step == kCrashStep - 1 && from == p1.get() && n == &p3;
         if (up(n) && !lost) n->on_datagram(now, d);
       }
     }
@@ -139,8 +162,10 @@ Observed run_scenario(const Config& config, bool crash = false) {
   }
   if (crash) {
     const std::vector<ProcessorId> survivors{ProcessorId{2}, ProcessorId{3}};
-    EXPECT_EQ(p2.group(kGroup)->membership().members, survivors);
-    EXPECT_EQ(p3.group(kGroup)->membership().members, survivors);
+    for (const Stack* n : nodes) {
+      if (n == p1.get() && !readmit) continue;
+      EXPECT_EQ(n->group(kGroup)->membership().members, readmit ? members : survivors);
+    }
   }
   return seen;
 }
@@ -189,6 +214,11 @@ const Observed kLamportPromptPin{0xcc2c9b954a321bb0ULL, 0x4cbccdaaa9343b57ULL, 1
 const Observed kLamportPromptBatchedPin{0xe93d96f6cf2a21c9ULL, 0x30de9a76fd48d80bULL, 171, 186};
 const Observed kLamportPromptCrashPin{0x3ab64038dd7a889cULL, 0xf0c08617d1a49914ULL, 156, 139};
 
+// Captured at commit 55bcf65 (see file header).
+const Observed kLamportReadmitPin{0x899eba6499f9b29eULL, 0x5d6b5a2aa686769aULL, 284, 322};
+const Observed kLamportPromptReadmitPin{0x18ff4c37ddd0f7a8ULL, 0x9dcfe3a92eceff6cULL, 353, 322};
+const Observed kLlftReadmitPin{0xe3ece1eade4d561aULL, 0x8f349ba1e5227ef8ULL, 370, 323};
+
 TEST(OrderingEquivalence, LamportDefaultPinnedByteIdenticalToPreRefactor) {
   expect_pinned("lamport-paper", run_scenario(lamport_paper()),
                 {kPreRefactorWireDigest, kPreRefactorEventDigest,
@@ -204,7 +234,7 @@ TEST(OrderingEquivalence, LlftBatchedPinned) {
 }
 
 TEST(OrderingEquivalence, LamportCrashPinned) {
-  expect_pinned("lamport-paper crash", run_scenario(lamport_paper(), true),
+  expect_pinned("lamport-paper crash", run_scenario(lamport_paper(), Scenario::kCrash),
                 kLamportCrashPin);
 }
 
@@ -219,12 +249,28 @@ TEST(OrderingEquivalence, LamportPromptBatchedPinned) {
 }
 
 TEST(OrderingEquivalence, LamportPromptCrashPinned) {
-  expect_pinned("lamport crash", run_scenario(Config{}, true),
+  expect_pinned("lamport crash", run_scenario(Config{}, Scenario::kCrash),
                 kLamportPromptCrashPin);
 }
 
 TEST(OrderingEquivalence, LlftCrashPinned) {
-  expect_pinned("llft crash", run_scenario(llft(), true), kLlftCrashPin);
+  expect_pinned("llft crash", run_scenario(llft(), Scenario::kCrash), kLlftCrashPin);
+}
+
+TEST(OrderingEquivalence, LamportReadmitPinned) {
+  expect_pinned("lamport-paper readmit",
+                run_scenario(lamport_paper(), Scenario::kReadmit),
+                kLamportReadmitPin);
+}
+
+TEST(OrderingEquivalence, LamportPromptReadmitPinned) {
+  expect_pinned("lamport readmit", run_scenario(Config{}, Scenario::kReadmit),
+                kLamportPromptReadmitPin);
+}
+
+TEST(OrderingEquivalence, LlftReadmitPinned) {
+  expect_pinned("llft readmit", run_scenario(llft(), Scenario::kReadmit),
+                kLlftReadmitPin);
 }
 
 }  // namespace

@@ -36,7 +36,6 @@ struct PgmpFixture : ::testing::Test {
 
   void boot(std::initializer_list<std::uint32_t> raw) {
     pgmp.bootstrap(0, members(raw));
-    romp.set_members(members(raw));
     (void)pgmp.take_output();
   }
 

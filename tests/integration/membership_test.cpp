@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "ftmp/sim_harness.hpp"
 
@@ -219,6 +220,61 @@ TEST(Membership, TwoMemberGroupSurvivorContinues) {
   h.run_for(300 * kMillisecond);
   EXPECT_EQ(h.delivered(ProcessorId{1}, kGroup).size(), 1u);
 }
+
+// Two sponsors add the same joiner at the same instant. Each pins its
+// retransmission store for the joiner when it sends its AddProcessor; the
+// first Add to order admits the joiner and the other can only order as a
+// duplicate. The losing sponsor's pin must still go, or stability release
+// stops at its floor and that member's store grows for as long as the
+// joiner stays.
+class RacingSponsors : public ::testing::TestWithParam<OrderingMode> {};
+
+TEST_P(RacingSponsors, EveryStorePinIsReleased) {
+  Config config;
+  config.ordering_mode = GetParam();
+  SimHarness h({}, 76);
+  const auto founders = ids({1, 2, 3, 4});
+  for (ProcessorId p : founders) h.add_processor(p, kDomain, kDomainAddr, config);
+  for (ProcessorId p : founders) {
+    h.stack(p).create_group(h.now(), kGroup, kGroupAddr, founders);
+  }
+  h.run_for(50 * kMillisecond);
+
+  const ProcessorId joiner{5};
+  const auto all = ids({1, 2, 3, 4, 5});
+  h.add_processor(joiner, kDomain, kDomainAddr, config);
+  h.stack(joiner).expect_join(kGroup, kGroupAddr);
+  ASSERT_TRUE(h.stack(ProcessorId{2}).add_processor(h.now(), kGroup, joiner));
+  ASSERT_TRUE(h.stack(ProcessorId{3}).add_processor(h.now(), kGroup, joiner));
+  ASSERT_TRUE(h.run_until_pred(
+      [&] {
+        return std::all_of(all.begin(), all.end(), [&](ProcessorId p) {
+          return membership_is(h, p, all);
+        });
+      },
+      h.now() + 5 * kSecond));
+
+  RequestNum req = 0;
+  for (int round = 0; round < 200; ++round) {
+    for (ProcessorId p : all) {
+      ASSERT_TRUE(h.stack(p).group(kGroup)->send_regular(
+          h.now(), test_conn(), ++req, bytes_of("r" + std::to_string(round))));
+    }
+    h.run_for(5 * kMillisecond);
+  }
+  h.run_for(1 * kSecond);
+  for (ProcessorId p : all) {
+    EXPECT_EQ(h.stack(p).group(kGroup)->rmp().stored_count(), 0u)
+        << "at " << to_string(p);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, RacingSponsors,
+                         ::testing::Values(OrderingMode::kLamport,
+                                           OrderingMode::kLlft),
+                         [](const ::testing::TestParamInfo<OrderingMode>& p) {
+                           return to_string(p.param);
+                         });
 
 }  // namespace
 }  // namespace ftcorba::ftmp

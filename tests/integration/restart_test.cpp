@@ -170,6 +170,112 @@ TEST(Restart, StepHookObservesEverySimulationStep) {
   EXPECT_TRUE(monotonic);
 }
 
+// A member crashes in the middle of a fragmented message and while the
+// survivors warn about its stability lag, then is re-admitted. What the
+// session kept for the old incarnation must go with it: the survivors drop
+// its partial message when its removal installs, the new incarnation's
+// first fragmented message (fragment id 1 again) arrives intact, and its
+// first lag excursion raises a warning of its own.
+TEST(Restart, ReadmittedMemberGetsFreshReassemblyAndLagState) {
+  Config config;
+  config.max_regular_payload = 100;
+  config.flow_lag_warn = 20;
+  SimHarness h({}, 94);
+  const auto all = ids({1, 2, 3});
+  const auto survivors = ids({1, 2});
+  const ProcessorId victim{3};
+  for (ProcessorId p : all) h.add_processor(p, kDomain, kDomainAddr, config);
+  for (ProcessorId p : all) h.stack(p).create_group(h.now(), kGroup, kGroupAddr, all);
+  h.run_for(50 * kMillisecond);
+  const auto session = [&](ProcessorId p) { return h.stack(p).group(kGroup); };
+  const auto view_is = [&](const std::vector<ProcessorId>& at,
+                           const std::vector<ProcessorId>& members) {
+    return std::all_of(at.begin(), at.end(), [&](ProcessorId p) {
+      return session(p) && session(p)->membership().members == members;
+    });
+  };
+
+  // The victim stops hearing P1, so its ack timestamp falls behind while
+  // P1's traffic moves the group's on.
+  h.network().block_link(ProcessorId{1}, victim);
+  for (RequestNum req = 1; req <= 20; ++req) {
+    ASSERT_TRUE(session(ProcessorId{1})->send_regular(h.now(), test_conn(), req,
+                                                      bytes_of("p1")));
+    h.run_for(2 * kMillisecond);
+  }
+  ASSERT_TRUE(h.run_until_pred(
+      [&] {
+        return std::all_of(survivors.begin(), survivors.end(), [&](ProcessorId p) {
+          return session(p)->flow().stats().lag_warnings > 0;
+        });
+      },
+      h.now() + 100 * kMillisecond))
+      << "the victim's lag was never warned about";
+
+  // Ten fragments; the victim crashes once the first four are on the wire.
+  const Bytes old_message = bytes_of("old:" + std::string(996, 'o'));
+  int sent = 0;
+  h.network().set_tap([&](TimePoint, ProcessorId from, const net::Datagram&) {
+    if (from == victim && ++sent == 5) h.crash(victim);
+  });
+  ASSERT_TRUE(session(victim)->send_regular(h.now(), test_conn(), 1, old_message));
+  h.run_for(1 * kMillisecond);
+  h.network().set_tap(nullptr);
+  h.network().clear_blocked_links();
+  ASSERT_TRUE(h.crashed(victim));
+  ASSERT_TRUE(h.run_until_pred(
+      [&] {
+        return std::all_of(survivors.begin(), survivors.end(), [&](ProcessorId p) {
+          return session(p)->reassembler().in_flight() == 1;
+        });
+      },
+      h.now() + 100 * kMillisecond))
+      << "the survivors never held the victim's partial message";
+  ASSERT_TRUE(view_is(survivors, all));
+  ASSERT_TRUE(h.run_until_pred([&] { return view_is(survivors, survivors); },
+                               h.now() + 5 * kSecond));
+  std::vector<std::uint64_t> warned;
+  for (ProcessorId p : survivors) {
+    EXPECT_EQ(session(p)->reassembler().in_flight(), 0u)
+        << "partial message of the removed member kept at " << to_string(p);
+    warned.push_back(session(p)->flow().stats().lag_warnings);
+  }
+
+  // The new incarnation lags from the start: P2's traffic does not reach
+  // it, so its ack timestamp stays at 0 until the link heals.
+  Stack& fresh = h.restart(victim);
+  fresh.expect_join(kGroup, kGroupAddr);
+  h.network().block_link(ProcessorId{2}, victim);
+  ASSERT_TRUE(h.stack(ProcessorId{1}).add_processor(h.now(), kGroup, victim));
+  ASSERT_TRUE(h.run_until_pred([&] { return view_is(survivors, all); },
+                               h.now() + 5 * kSecond));
+  h.run_for(50 * kMillisecond);
+  for (std::size_t i = 0; i < survivors.size(); ++i) {
+    EXPECT_GT(session(survivors[i])->flow().stats().lag_warnings, warned[i])
+        << "no warning for the new incarnation's lag at "
+        << to_string(survivors[i]);
+  }
+  h.network().unblock_link(ProcessorId{2}, victim);
+  ASSERT_TRUE(h.run_until_pred([&] { return view_is(all, all); },
+                               h.now() + 5 * kSecond));
+
+  const Bytes new_message = bytes_of("new:" + std::string(996, 'n'));
+  ASSERT_TRUE(fresh.group(kGroup)->send_regular(h.now(), test_conn(), 1, new_message));
+  h.run_for(500 * kMillisecond);
+  for (ProcessorId p : all) {
+    const auto got = h.delivered(p, kGroup);
+    EXPECT_EQ(std::count_if(got.begin(), got.end(),
+                            [&](const DeliveredMessage& m) {
+                              return m.giop_message == new_message;
+                            }),
+              1)
+        << "at " << to_string(p);
+    EXPECT_TRUE(std::none_of(got.begin(), got.end(), [&](const DeliveredMessage& m) {
+      return m.giop_message == old_message;
+    })) << "at " << to_string(p);
+  }
+}
+
 // Crash-and-readmit cycles in a 3-member group, in the given order of
 // victims: each crash must be convicted at every survivor, each
 // re-admission installed at every member, and a message the re-admitted
