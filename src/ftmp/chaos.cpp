@@ -31,6 +31,9 @@ const char* to_string(FaultKind k) {
     case FaultKind::kDelayStorm: return "delay-storm";
     case FaultKind::kSlowLink: return "slow-link";
     case FaultKind::kCrashRestart: return "crash-restart";
+    case FaultKind::kJoin: return "join";
+    case FaultKind::kLeave: return "leave";
+    case FaultKind::kRebind: return "rebind";
   }
   return "?";
 }
@@ -95,8 +98,9 @@ std::string Fault::describe() const {
 std::string Schedule::to_string() const {
   std::ostringstream out;
   out << "schedule seed=" << seed << " procs=" << params.processors
-      << " duration=" << ms(params.duration) << "ms faults=" << faults.size()
-      << "\n";
+      << " duration=" << ms(params.duration) << "ms faults=" << faults.size();
+  if (params.spares > 0) out << " spares=" << params.spares;
+  out << "\n";
   for (const Fault& f : faults) out << "  " << f.describe() << "\n";
   return out.str();
 }
@@ -104,6 +108,12 @@ std::string Schedule::to_string() const {
 // ---- schedule generation ----------------------------------------------------
 
 namespace {
+
+// The churn stream: one join or leave per kChurnSpacing of usable time,
+// plus the soak's two rebinds and three spare crash-restarts.
+constexpr Duration kChurnSpacing = 250 * kMillisecond;
+constexpr std::size_t kChurnRebinds = 2;
+constexpr std::size_t kChurnCrashes = 3;
 
 /// Picks `k` distinct processors (ascending ids) from P1..Pn, excluding any
 /// in `taken`.
@@ -192,8 +202,61 @@ Schedule generate_schedule(std::uint64_t seed, const ScheduleParams& params) {
     }
     sched.faults.push_back(std::move(f));
   }
-  std::stable_sort(sched.faults.begin(), sched.faults.end(),
-                   [](const Fault& x, const Fault& y) { return x.at < y.at; });
+  const auto by_time = [](const Fault& x, const Fault& y) { return x.at < y.at; };
+
+  if (params.spares > 0) {
+    // Its own split, so the faults above are the same with or without it.
+    Rng churn_rng = Rng(seed).split(0x5BA4Eu);
+    auto draw = [&](FaultKind kind) {
+      Fault f;
+      f.kind = kind;
+      f.at = head + Duration(churn_rng.next_below(std::uint64_t(usable)));
+      return f;
+    };
+    std::vector<Fault> churn;
+    for (std::size_t i = 0; i < kChurnRebinds; ++i) churn.push_back(draw(FaultKind::kRebind));
+    for (std::size_t i = 0; i < kChurnCrashes; ++i) {
+      churn.push_back(draw(FaultKind::kCrashRestart));
+      churn.back().duration = (600 + Duration(churn_rng.next_below(1500))) * kMillisecond;
+    }
+    for (Duration t = 0; t + kChurnSpacing <= usable; t += kChurnSpacing) {
+      churn.push_back(draw(FaultKind::kJoin));
+    }
+    std::stable_sort(churn.begin(), churn.end(), by_time);
+    // Name the spares in time order, tracking who is in the group if every
+    // event applies: a join or leave toggles a random spare that is not
+    // down, a crash takes one that is in (or becomes a toggle when none is)
+    // and leaves it out after its restart.
+    std::vector<bool> in(params.spares, false);
+    std::vector<TimePoint> down_until(params.spares, 0);
+    for (Fault& f : churn) {
+      if (f.kind == FaultKind::kRebind) continue;
+      std::vector<std::uint32_t> up, up_in;
+      for (std::uint32_t s = 0; s < params.spares; ++s) {
+        if (down_until[s] > f.at) continue;
+        up.push_back(s);
+        if (in[s]) up_in.push_back(s);
+      }
+      if (up.empty()) continue;  // every spare is down: dropped below
+      const bool crash = f.kind == FaultKind::kCrashRestart && !up_in.empty();
+      const auto& pool = crash ? up_in : up;
+      const std::uint32_t s = pool[churn_rng.next_below(pool.size())];
+      f.a = {ProcessorId{params.processors + 1 + s}};
+      if (crash) {
+        down_until[s] = f.at + f.duration;
+        in[s] = false;
+      } else {
+        f.kind = in[s] ? FaultKind::kLeave : FaultKind::kJoin;
+        f.duration = 0;
+        in[s] = !in[s];
+      }
+    }
+    std::erase_if(churn, [](const Fault& f) {
+      return f.a.empty() && f.kind != FaultKind::kRebind;
+    });
+    sched.faults.insert(sched.faults.end(), churn.begin(), churn.end());
+  }
+  std::stable_sort(sched.faults.begin(), sched.faults.end(), by_time);
   return sched;
 }
 
@@ -609,9 +672,20 @@ class Engine {
   void process_crash_restarts();
   void heal_stranded();
   void drive_rejoins();
+  bool admit(ProcessorId p, ProcessorId boss);
+  void apply_churn();
   bool quiesce_and_probe();
 
   [[nodiscard]] std::optional<ProcessorId> sponsor();
+  [[nodiscard]] bool quiescent();
+  [[nodiscard]] bool spare(ProcessorId p) const {
+    return p.raw() > cfg_.params.processors;
+  }
+  /// A spare outside the group and not joining it: not part of the fleet.
+  [[nodiscard]] bool idle(ProcessorId p) const {
+    return spare(p) && !in_group_.contains(p) && !pending_join_.contains(p);
+  }
+  [[nodiscard]] std::size_t fleet_size() const;
   [[nodiscard]] std::size_t live_count() const;
   std::string log_path(ProcessorId p, std::uint32_t incarnation) const;
   void open_log(ProcessorId p);
@@ -634,6 +708,8 @@ class Engine {
   std::set<ProcessorId> pending_join_;
   std::vector<CrashState> crash_state_;  // parallel to sched_.faults
   std::vector<char> announced_;          // fault activation logged once
+  std::size_t next_churn_ = 0;           // first join/leave/rebind not yet due
+  McastAddress group_addr_ = kGroupAddr;  // moved by rebinds
 
   std::filesystem::path log_dir_;
   bool own_log_dir_ = false;
@@ -663,9 +739,33 @@ std::optional<ProcessorId> Engine::sponsor() {
   return std::nullopt;
 }
 
+bool Engine::quiescent() {
+  // The rule for membership operations (DESIGN.md §6: planned changes run
+  // only when no processor is faulty): no member of the sponsor's view is
+  // down, and every live member's active session lists that view.
+  const auto boss = sponsor();
+  if (!boss) return false;
+  const auto& want = h_.stack(*boss).group(kGroup)->membership().members;
+  for (ProcessorId m : want) {
+    if (!procs_.at(m).alive) return false;
+  }
+  for (ProcessorId p : in_group_) {
+    if (!procs_.at(p).alive) continue;
+    const GroupSession* g = h_.stack(p).group(kGroup);
+    if (!g || !g->active() || g->membership().members != want) return false;
+  }
+  return true;
+}
+
+std::size_t Engine::fleet_size() const {
+  std::size_t n = 0;
+  for (const auto& [p, proc] : procs_) n += idle(p) ? 0 : 1;
+  return n;
+}
+
 std::size_t Engine::live_count() const {
   std::size_t n = 0;
-  for (const auto& [p, proc] : procs_) n += proc.alive ? 1 : 0;
+  for (const auto& [p, proc] : procs_) n += proc.alive && !idle(p) ? 1 : 0;
   return n;
 }
 
@@ -747,15 +847,16 @@ void Engine::setup() {
   metrics::trace_clear();
 
   std::vector<ProcessorId> founders;
-  for (std::uint32_t i = 1; i <= cfg_.params.processors; ++i) {
-    founders.push_back(ProcessorId{i});
-  }
-  for (ProcessorId p : founders) {
+  for (std::uint32_t i = 1; i <= cfg_.params.processors + cfg_.params.spares; ++i) {
+    const ProcessorId p{i};
     h_.add_processor(p, kDomain, kDomainAddr, stack_config());
     procs_.emplace(p, Proc{});
     open_log(p);
     make_app(p);
-    in_group_.insert(p);
+    if (!spare(p)) {
+      founders.push_back(p);
+      in_group_.insert(p);
+    }
     h_.set_event_handler(
         p, [this, p](TimePoint t, const Event& ev) { on_event(p, t, ev); });
   }
@@ -881,7 +982,7 @@ void Engine::apply_network_faults(TimePoint t) {
   std::uint64_t fp = 0xcbf29ce484222325ull;
   for (std::size_t i = 0; i < sched_.faults.size(); ++i) {
     const Fault& f = sched_.faults[i];
-    if (f.kind == FaultKind::kCrashRestart) continue;
+    if (f.kind >= FaultKind::kCrashRestart) continue;  // not a network fault
     const bool active =
         !force_heal_ && t >= f.at && t < f.at + f.duration;
     std::uint64_t phase = 0;
@@ -904,6 +1005,7 @@ void Engine::apply_network_faults(TimePoint t) {
   net::SimNetwork& net = h_.network();
   net.clear_blocked_links();
   net.clear_link_overrides();
+  const std::uint32_t fleet = cfg_.params.processors + cfg_.params.spares;
   const Fault* partition = nullptr;
   for (const Fault& f : sched_.faults) {
     const bool active = !force_heal_ && t >= f.at && t < f.at + f.duration;
@@ -916,7 +1018,7 @@ void Engine::apply_network_faults(TimePoint t) {
         m.burst_enter = f.burst_enter;
         m.burst_exit = f.burst_exit;
         for (ProcessorId x : f.a) {
-          for (std::uint32_t y = 1; y <= cfg_.params.processors; ++y) {
+          for (std::uint32_t y = 1; y <= fleet; ++y) {
             if (y != x.raw()) net.set_link(x, ProcessorId{y}, m);
           }
         }
@@ -932,7 +1034,7 @@ void Engine::apply_network_faults(TimePoint t) {
         const bool isolated = ((t - f.at) / f.flap_period) % 2 == 0;
         if (isolated) {
           for (ProcessorId x : f.a) {
-            for (std::uint32_t y = 1; y <= cfg_.params.processors; ++y) {
+            for (std::uint32_t y = 1; y <= fleet; ++y) {
               if (y == x.raw()) continue;
               net.block_link(x, ProcessorId{y});
               net.block_link(ProcessorId{y}, x);
@@ -946,7 +1048,7 @@ void Engine::apply_network_faults(TimePoint t) {
         m.delay = m.delay + f.delay;
         m.jitter = f.jitter;
         for (ProcessorId x : f.a) {
-          for (std::uint32_t y = 1; y <= cfg_.params.processors; ++y) {
+          for (std::uint32_t y = 1; y <= fleet; ++y) {
             if (y != x.raw()) net.set_link(x, ProcessorId{y}, m);
           }
         }
@@ -961,6 +1063,9 @@ void Engine::apply_network_faults(TimePoint t) {
         break;
       }
       case FaultKind::kCrashRestart:
+      case FaultKind::kJoin:
+      case FaultKind::kLeave:
+      case FaultKind::kRebind:
         break;
     }
   }
@@ -1093,9 +1198,10 @@ void Engine::process_crash_restarts() {
       // never crash a member whose loss would leave the current installed
       // membership without the strict majority it needs to convict the
       // crash and carry on (the membership may have shrunk under earlier
-      // faults; the schedule generator cannot know that).
-      bool safe = procs_.at(victim).alive &&
-                  live_count() > cfg_.params.processors / 2 + 1;
+      // faults; the schedule generator cannot know that). A spare crash is
+      // churn: it needs the spare in the group and the group quiescent.
+      bool safe = procs_.at(victim).alive && live_count() > fleet_size() / 2 + 1 &&
+                  (!spare(victim) || (in_group_.contains(victim) && quiescent()));
       if (safe) {
         if (const auto boss = sponsor()) {
           const auto& members = h_.stack(*boss).group(kGroup)->membership().members;
@@ -1146,8 +1252,10 @@ void Engine::process_crash_restarts() {
       result_.restarts += 1;
       record_reset(now, victim);
       in_group_.erase(victim);
-      h_.stack(victim).expect_join(kGroup, kGroupAddr);
-      pending_join_.insert(victim);
+      if (!spare(victim)) {  // a restarted spare waits for a churn join
+        h_.stack(victim).expect_join(kGroup, group_addr_);
+        pending_join_.insert(victim);
+      }
       st.done = true;
       if (cfg_.verbose) {
         std::printf("  [%8.0fms] restart %s (incarnation %u, %zu log entries replayed)\n",
@@ -1170,7 +1278,7 @@ void Engine::heal_stranded() {
       h_.stack(p).drop_group(kGroup);
       record_reset(h_.now(), p);
       make_app(p);  // forked app state is abandoned with the session
-      h_.stack(p).expect_join(kGroup, kGroupAddr);
+      h_.stack(p).expect_join(kGroup, group_addr_);
       pending_join_.insert(p);
       if (cfg_.verbose) {
         std::printf("  [%8.0fms] %s stranded (evicted session dropped; re-admitting)\n",
@@ -1211,7 +1319,7 @@ void Engine::heal_stranded() {
       h_.stack(p).drop_group(kGroup);
       record_reset(h_.now(), p);
       make_app(p);  // stale-minority app state is abandoned too
-      h_.stack(p).expect_join(kGroup, kGroupAddr);
+      h_.stack(p).expect_join(kGroup, group_addr_);
       pending_join_.insert(p);
       if (cfg_.verbose) {
         std::printf("  [%8.0fms] %s in stale minority view ts=%llu (newest ts=%llu "
@@ -1228,34 +1336,107 @@ void Engine::drive_rejoins() {
     if (!procs_.at(p).alive) continue;
     const auto boss = sponsor();
     if (!boss) return;
-    if (!h_.stack(*boss).add_processor(h_.now(), kGroup, p)) {
-      if (cfg_.verbose) {
-        const GroupSession* g = h_.stack(*boss).group(kGroup);
-        std::printf("  [%8.0fms] add_processor(%s) via %s refused "
-                    "(flushing=%d reconfiguring=%d member=%d)\n",
-                    ms(h_.now()), to_string(p).c_str(), to_string(*boss).c_str(),
-                    g && g->flushing(), g && g->pgmp().reconfiguring(),
-                    g && g->is_member(p));
-      }
-      continue;
-    }
-    const bool joined = h_.run_until_pred(
-        [&] {
-          GroupSession* g = h_.stack(p).group(kGroup);
-          return g && g->is_member(p);
-        },
-        h_.now() + 10 * kSecond);
-    if (joined) {
-      pending_join_.erase(p);
-      in_group_.insert(p);
+    if (admit(p, *boss)) {
       result_.rejoins += 1;
       if (cfg_.verbose) {
         std::printf("  [%8.0fms] %s rejoined\n", ms(h_.now()), to_string(p).c_str());
       }
-    } else if (cfg_.verbose) {
-      std::printf("  [%8.0fms] %s join did not complete in time\n", ms(h_.now()),
-                  to_string(p).c_str());
     }
+  }
+}
+
+bool Engine::admit(ProcessorId p, ProcessorId boss) {
+  // `p` is in pending_join_ with expect_join done; `boss` sponsors it.
+  if (!h_.stack(boss).add_processor(h_.now(), kGroup, p)) {
+    if (cfg_.verbose) {
+      const GroupSession* g = h_.stack(boss).group(kGroup);
+      std::printf("  [%8.0fms] add_processor(%s) via %s refused "
+                  "(flushing=%d reconfiguring=%d member=%d)\n",
+                  ms(h_.now()), to_string(p).c_str(), to_string(boss).c_str(),
+                  g && g->flushing(), g && g->pgmp().reconfiguring(),
+                  g && g->is_member(p));
+    }
+    return false;
+  }
+  const bool joined = h_.run_until_pred(
+      [&] {
+        GroupSession* g = h_.stack(p).group(kGroup);
+        return g && g->is_member(p);
+      },
+      h_.now() + 10 * kSecond);
+  if (joined) {
+    pending_join_.erase(p);
+    in_group_.insert(p);
+  } else if (cfg_.verbose) {
+    std::printf("  [%8.0fms] %s join did not complete in time\n", ms(h_.now()),
+                to_string(p).c_str());
+  }
+  return joined;
+}
+
+void Engine::apply_churn() {
+  // Joins, leaves and rebinds apply one per step, in schedule order, at the
+  // first step at or after their time at which the group is quiescent. An
+  // event that no longer fits the fleet (its spare is already in or out, or
+  // down) or that the sponsor refuses is skipped.
+  while (next_churn_ < sched_.faults.size() &&
+         sched_.faults[next_churn_].kind < FaultKind::kJoin) {
+    ++next_churn_;
+  }
+  if (next_churn_ == sched_.faults.size()) return;
+  const Fault& f = sched_.faults[next_churn_];
+  const TimePoint now = h_.now();
+  if (now < f.at || !quiescent()) return;
+  ++next_churn_;
+  const ProcessorId boss = *sponsor();
+  const auto announce = [&] {
+    trace_line("F %lld %s\n", (long long)now, f.describe().c_str());
+    if (cfg_.verbose) std::printf("  [%8.0fms] apply %s\n", ms(now), f.describe().c_str());
+  };
+  switch (f.kind) {
+    case FaultKind::kJoin: {
+      const ProcessorId p = f.a[0];
+      if (!idle(p)) return;
+      announce();
+      h_.stack(p).expect_join(kGroup, group_addr_);
+      pending_join_.insert(p);  // a join that does not complete is retried
+      result_.joins += admit(p, boss) ? 1 : 0;
+      return;
+    }
+    case FaultKind::kLeave: {
+      const ProcessorId p = f.a[0];
+      if (!in_group_.contains(p) || !procs_.at(p).alive || p == boss ||
+          !h_.stack(boss).remove_processor(now, kGroup, p)) {
+        return;
+      }
+      announce();
+      // Out of in_group_ first, so heal_stranded never re-admits the
+      // session the removal deactivates.
+      in_group_.erase(p);
+      h_.run_until_pred([&] { return !h_.stack(boss).group(kGroup)->is_member(p); },
+                        now + 10 * kSecond);
+      // Keep the leaver's session until the whole group has ordered the
+      // removal, then drop it: the next join is a fresh incarnation.
+      h_.run_until_pred([&] { return quiescent(); }, h_.now() + 10 * kSecond);
+      h_.stack(p).drop_group(kGroup);
+      record_reset(h_.now(), p);
+      make_app(p);
+      result_.leaves += 1;
+      return;
+    }
+    case FaultKind::kRebind: {
+      const McastAddress fresh{300 + std::uint32_t(result_.rebinds)};
+      if (!h_.stack(boss).rebind_group(now, kGroup, fresh)) return;
+      announce();
+      group_addr_ = fresh;
+      result_.rebinds += 1;
+      for (ProcessorId p : pending_join_) {
+        if (procs_.at(p).alive) h_.stack(p).expect_join(kGroup, group_addr_);
+      }
+      return;
+    }
+    default:
+      return;
   }
 }
 
@@ -1279,14 +1460,14 @@ bool Engine::quiesce_and_probe() {
     process_crash_restarts();
     heal_stranded();
     drive_rejoins();
-    if (pending_join_.empty() && in_group_.size() == cfg_.params.processors) break;
+    if (pending_join_.empty() && in_group_.size() == fleet_size()) break;
     h_.run_for(200 * kMillisecond);
   }
-  if (in_group_.size() != cfg_.params.processors) {
+  if (in_group_.size() != fleet_size()) {
     if (cfg_.verbose) {
-      std::printf("  [%8.0fms] quiesce: only %zu/%u processors back in the group "
+      std::printf("  [%8.0fms] quiesce: only %zu/%zu processors back in the group "
                   "(pending %zu, sponsor %s)\n",
-                  ms(h_.now()), in_group_.size(), cfg_.params.processors,
+                  ms(h_.now()), in_group_.size(), fleet_size(),
                   pending_join_.size(),
                   sponsor() ? to_string(*sponsor()).c_str() : "none");
     }
@@ -1316,14 +1497,7 @@ bool Engine::quiesce_and_probe() {
       },
       h_.now() + 15 * kSecond);
   // Membership agreement at the end.
-  bool agree = all_delivered;
-  if (agree) {
-    const auto want = h_.stack(*boss).group(kGroup)->membership().members;
-    for (ProcessorId p : in_group_) {
-      const GroupSession* g = h_.stack(p).group(kGroup);
-      agree = agree && g && g->active() && g->membership().members == want;
-    }
-  }
+  const bool agree = all_delivered && quiescent();
   if (!agree) return false;
 
   // State convergence: every member finishes its catch-up (a transfer may
@@ -1403,9 +1577,11 @@ CampaignResult Engine::run() {
       }
     }
     h_.run_for((1 + Duration(rng_.next_below(4))) * kMillisecond);
+    h_.clear_events();  // on_event saw them; the harness's copy only grows
     process_crash_restarts();
     heal_stranded();
     drive_rejoins();
+    apply_churn();
   }
 
   result_.converged = quiesce_and_probe();

@@ -3,8 +3,10 @@
 // A campaign is a pure function of its seed: the seed generates a
 // declarative fault schedule (correlated loss bursts, asymmetric one-way
 // partitions, symmetric partitions, membership flapping, delay storms,
-// slow links, crash-restart), the schedule is applied to a SimHarness
-// fleet step by step, and seven invariant checkers run continuously:
+// slow links, crash-restart; with spare processors also planned joins,
+// planned leaves and address rebinds), the schedule is applied to a
+// SimHarness fleet step by step, and seven invariant checkers run
+// continuously:
 //
 //   1. total order     — every member delivers a prefix-consistent view of
 //                        one committed ledger per group;
@@ -34,6 +36,9 @@
 // reloads its durable message log (ft::PersistentLog) — verified against
 // what the engine recorded before the crash — and re-enters the group
 // through PGMP re-admission (expect_join + a sponsor's AddProcessor).
+// Churn events (joins, leaves, rebinds, spare crashes) wait for the first
+// step at which the group is quiescent: no member of the view is down and
+// every live member has installed it.
 #pragma once
 
 #include <cstdint>
@@ -70,13 +75,20 @@ enum class FaultKind : std::uint8_t {
   kFlap,               ///< One member repeatedly isolated in sub-timeout pulses.
   kDelayStorm,         ///< Large delay + jitter on links out of a set.
   kSlowLink,           ///< One directed link degraded (delay + mild loss).
+  // Every kind from here on acts on processors, not on the network.
   kCrashRestart,       ///< Fail-stop crash, later restart + log replay + rejoin.
+  // Churn (ScheduleParams::spares > 0), applied only while the group is
+  // quiescent:
+  kJoin,               ///< A spare is admitted: expect_join + a sponsor's Add.
+  kLeave,              ///< A sponsor removes a spare; its session is dropped.
+  kRebind,             ///< A sponsor moves the group to a fresh address.
 };
 
 [[nodiscard]] const char* to_string(FaultKind k);
 
 /// One scheduled fault. Active during [at, at+duration); kCrashRestart
-/// crashes at `at` and restarts at `at+duration`.
+/// crashes at `at` and restarts at `at+duration`. Joins, leaves and
+/// rebinds are instantaneous (duration 0); a rebind names no processor.
 struct Fault {
   FaultKind kind{};
   TimePoint at = 0;
@@ -97,9 +109,14 @@ struct Fault {
 
 /// Knobs of the schedule generator.
 struct ScheduleParams {
-  std::uint32_t processors = 6;       ///< fleet size (P1..Pn, all founders)
+  std::uint32_t processors = 6;       ///< founders P1..Pn
   Duration duration = 30 * kSecond;   ///< simulated campaign length
-  std::size_t faults = 10;            ///< scheduled fault count
+  std::size_t faults = 10;            ///< scheduled network and crash faults
+  /// Spares P(n+1)..P(n+spares) start outside the group. When > 0 the
+  /// schedule also holds a churn stream, drawn after the faults from its
+  /// own RNG split: joins and leaves of spares, spare crash-restarts and
+  /// address rebinds. The faults themselves never name a spare.
+  std::uint32_t spares = 0;
 };
 
 /// A generated schedule: `faults` sorted by activation time.
@@ -305,6 +322,9 @@ struct CampaignResult {
   std::uint64_t crashes = 0;
   std::uint64_t restarts = 0;
   std::uint64_t rejoins = 0;
+  std::uint64_t joins = 0;    ///< spares admitted by churn joins
+  std::uint64_t leaves = 0;   ///< spares removed by churn leaves
+  std::uint64_t rebinds = 0;  ///< group address changes
   std::uint64_t checker_steps = 0;
   /// State-transfer traffic across the fleet (ft::StateTransferManager).
   std::uint64_t state_transfers = 0;       ///< catch-ups completed

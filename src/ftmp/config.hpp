@@ -117,13 +117,9 @@ struct Config {
   /// Capacity of the parked-send FIFO. A send arriving with the queue at
   /// capacity is dropped, counted (ftmp_flow_send_queue_dropped_total),
   /// traced, and reported as SendStatus::kRejected. 0 = unlimited.
+  /// FlowListener high/low watermark callbacks fire at 3/4 and 1/4 of it
+  /// (the ORB defers new client requests in between).
   std::size_t flow_send_queue_limit = 1024;
-
-  /// Parked-queue depths at which FlowListener high/low watermark
-  /// callbacks fire (the ORB defers new client requests in between).
-  /// 0 = derived: high = 3/4 of flow_send_queue_limit, low = 1/4.
-  std::size_t flow_queue_high_watermark = 0;
-  std::size_t flow_queue_low_watermark = 0;
 
   // ---- egress batching (docs/BATCHING.md, docs/WIRE.md) ----
 

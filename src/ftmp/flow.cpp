@@ -113,9 +113,6 @@ void FlowController::on_stable(TimePoint now, SeqNum up_to) {
 }
 
 std::size_t FlowController::high_watermark() const {
-  if (config_.flow_queue_high_watermark > 0) {
-    return config_.flow_queue_high_watermark;
-  }
   if (config_.flow_send_queue_limit > 0) {
     return std::max<std::size_t>(1, config_.flow_send_queue_limit * 3 / 4);
   }
@@ -123,11 +120,8 @@ std::size_t FlowController::high_watermark() const {
 }
 
 std::size_t FlowController::low_watermark() const {
-  std::size_t low = config_.flow_queue_low_watermark;
-  if (low == 0) {
-    low = config_.flow_send_queue_limit > 0 ? config_.flow_send_queue_limit / 4
-                                            : 16;
-  }
+  const std::size_t low =
+      config_.flow_send_queue_limit > 0 ? config_.flow_send_queue_limit / 4 : 16;
   // The release must sit strictly below the raise or the listener flaps.
   return std::min(low, high_watermark() - 1);
 }

@@ -155,7 +155,7 @@ class FlowController {
   /// session forwards them to the installed FlowListener).
   [[nodiscard]] std::vector<FlowSignal> take_signals();
 
-  /// Effective watermarks (configured or derived from the queue limit).
+  /// Watermarks: 3/4 and 1/4 of the queue limit (64 and 16 when unlimited).
   [[nodiscard]] std::size_t high_watermark() const;
   [[nodiscard]] std::size_t low_watermark() const;
 

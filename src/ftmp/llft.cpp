@@ -88,11 +88,18 @@ void LlftOrdering::recompute_granter() {
       break;
     }
   }
-  if (!have_granter_ && !members.empty()) {
+  if (!have_granter_) {
     // Nobody predates the current view (bootstrap, or every established
-    // member crashed): fall back to the smallest id — still deterministic.
-    granter_ = *members.begin();
-    have_granter_ = true;
+    // member crashed): fall back to the smallest id whose admission is not
+    // pending — still deterministic, and a joiner picks what the members do.
+    for (ProcessorId p : members) {
+      auto it = streams_.find(p);
+      if (it == streams_.end() || it->second.joined_epoch != kJoinPending) {
+        granter_ = p;
+        have_granter_ = true;
+        break;
+      }
+    }
   }
   if (!have_granter_) granter_ = ProcessorId{};
   if (old_have && have_granter_ && granter_ != old) {

@@ -1,10 +1,12 @@
 // Unit tests for the chaos harness: schedule generation is a pure function
-// of the seed, the replayable invariant checkers accept consistent histories
-// and flag injected violations, and trace replay round-trips.
+// of the seed, spares add a churn stream without moving the faults, the
+// replayable invariant checkers accept consistent histories and flag
+// injected violations, and trace replay round-trips.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <string>
 
 #include "ftmp/chaos.hpp"
@@ -29,35 +31,122 @@ TEST(Schedule, IsAPureFunctionOfTheSeed) {
   EXPECT_NE(s1.to_string(), other.to_string());
 }
 
+/// A churn event: a join, leave or rebind, or a crash-restart of a spare.
+bool is_churn(const Fault& f, const ScheduleParams& params) {
+  return f.kind == FaultKind::kJoin || f.kind == FaultKind::kLeave ||
+         f.kind == FaultKind::kRebind ||
+         (f.kind == FaultKind::kCrashRestart && f.a[0].raw() > params.processors);
+}
+
 TEST(Schedule, RespectsShapeConstraints) {
-  for (std::uint64_t seed : {1ull, 7ull, 42ull, 999ull}) {
-    ScheduleParams params;
-    params.processors = 6;
-    params.duration = 20 * kSecond;
-    params.faults = 15;
-    const Schedule s = generate_schedule(seed, params);
-    ASSERT_EQ(s.faults.size(), params.faults);
-    std::size_t crashes = 0;
-    TimePoint prev = 0;
-    for (const Fault& f : s.faults) {
-      EXPECT_GE(f.at, 1 * kSecond) << "settle-in head is fault-free";
-      EXPECT_LT(f.at, params.duration);
-      EXPECT_GE(f.at, prev) << "schedule is sorted by activation time";
-      prev = f.at;
-      EXPECT_GT(f.duration, 0);
-      ASSERT_FALSE(f.a.empty());
-      for (ProcessorId p : f.a) {
-        EXPECT_GE(p.raw(), 1u);
-        EXPECT_LE(p.raw(), params.processors);
+  for (std::uint32_t spares : {0u, 3u}) {
+    for (std::uint64_t seed : {1ull, 7ull, 42ull, 999ull}) {
+      ScheduleParams params;
+      params.processors = 6;
+      params.duration = 20 * kSecond;
+      params.faults = 15;
+      params.spares = spares;
+      const Schedule s = generate_schedule(seed, params);
+      if (spares == 0) {
+        ASSERT_EQ(s.faults.size(), params.faults);
       }
-      if (f.kind == FaultKind::kCrashRestart) ++crashes;
-      if (f.kind == FaultKind::kSymmetricPartition) {
-        EXPECT_LT(f.a.size(), (params.processors + 1) / 2)
-            << "partition cell is a strict minority";
+      std::size_t faults = 0, crashes = 0, spare_crashes = 0, rebinds = 0;
+      TimePoint prev = 0;
+      for (const Fault& f : s.faults) {
+        EXPECT_GE(f.at, 1 * kSecond) << "settle-in head is fault-free";
+        EXPECT_LT(f.at, params.duration);
+        EXPECT_GE(f.at, prev) << "schedule is sorted by activation time";
+        prev = f.at;
+        EXPECT_FALSE(f.describe().empty());
+        if (f.kind == FaultKind::kRebind) {
+          EXPECT_TRUE(f.a.empty()) << "a rebind names no processor";
+          EXPECT_EQ(f.duration, 0);
+          ++rebinds;
+          continue;
+        }
+        ASSERT_FALSE(f.a.empty());
+        if (is_churn(f, params)) {
+          ASSERT_EQ(f.a.size(), 1u);
+          EXPECT_GT(f.a[0].raw(), params.processors) << "churn names a spare";
+          EXPECT_LE(f.a[0].raw(), params.processors + params.spares);
+          if (f.kind == FaultKind::kCrashRestart) {
+            EXPECT_GT(f.duration, 0);
+            ++spare_crashes;
+          } else {
+            EXPECT_EQ(f.duration, 0) << "joins and leaves are instantaneous";
+          }
+          continue;
+        }
+        ++faults;
+        EXPECT_GT(f.duration, 0);
+        for (ProcessorId p : f.a) {
+          EXPECT_GE(p.raw(), 1u);
+          EXPECT_LE(p.raw(), params.processors) << "faults never name a spare";
+        }
+        if (f.kind == FaultKind::kCrashRestart) ++crashes;
+        if (f.kind == FaultKind::kSymmetricPartition) {
+          EXPECT_LT(f.a.size(), (params.processors + 1) / 2)
+              << "partition cell is a strict minority";
+        }
       }
-      EXPECT_FALSE(f.describe().empty());
+      EXPECT_EQ(faults, params.faults);
+      EXPECT_LE(crashes, std::max<std::size_t>(1, params.processors / 3));
+      EXPECT_LE(spare_crashes, 3u);
+      EXPECT_LE(rebinds, 2u);
     }
-    EXPECT_LE(crashes, std::max<std::size_t>(1, params.processors / 3));
+  }
+}
+
+TEST(Schedule, SparesAddAChurnStreamAndKeepTheFaults) {
+  for (std::uint64_t seed : {1ull, 7ull, 42ull}) {
+    ScheduleParams params;
+    params.processors = 4;
+    params.duration = 20 * kSecond;
+    params.faults = 6;
+    std::vector<std::string> want;
+    for (const Fault& f : generate_schedule(seed, params).faults) {
+      want.push_back(f.describe());
+    }
+
+    params.spares = 3;
+    const Schedule s = generate_schedule(seed, params);
+    EXPECT_NE(s.to_string().find(" spares=3"), std::string::npos);
+    std::vector<std::string> kept;
+    std::map<ProcessorId, bool> in;  // a spare's place if every event applies
+    std::size_t joins = 0, leaves = 0, crashes = 0, rebinds = 0;
+    for (const Fault& f : s.faults) {
+      if (!is_churn(f, params)) {
+        kept.push_back(f.describe());
+        continue;
+      }
+      if (f.kind == FaultKind::kRebind) {
+        ++rebinds;
+        continue;
+      }
+      const ProcessorId spare = f.a[0];
+      switch (f.kind) {
+        case FaultKind::kJoin:
+          EXPECT_FALSE(in[spare]) << "join of a spare already in: " << f.describe();
+          in[spare] = true;
+          ++joins;
+          break;
+        case FaultKind::kLeave:
+          EXPECT_TRUE(in[spare]) << "leave of a spare not in: " << f.describe();
+          in[spare] = false;
+          ++leaves;
+          break;
+        default:  // a crashed spare restarts outside the group
+          EXPECT_TRUE(in[spare]) << "crash of a spare not in: " << f.describe();
+          in[spare] = false;
+          ++crashes;
+          break;
+      }
+    }
+    EXPECT_EQ(kept, want) << "the faults are unchanged and in the same order";
+    EXPECT_GT(joins, 0u);
+    EXPECT_GT(leaves, 0u);
+    EXPECT_GT(crashes, 0u);
+    EXPECT_EQ(rebinds, 2u);
   }
 }
 

@@ -379,6 +379,60 @@ TEST(Llft, RejoiningSmallestIdDefersLeadershipAndCatchesUp) {
   expect_same_order(h, all, std::size_t(post), "post-rejoin order");
 }
 
+// A joiner with a smaller id than every founder, admitted while the group
+// is still at view 0: no member is eligible to lead there, and the
+// smallest-id fallback must skip the joiner (its admission is pending), as
+// the founders do. Otherwise the joiner computes itself as leader, grants
+// its own backlog in arrival order and delivers it out of the founders'
+// order.
+TEST(Llft, SmallestIdJoinerAtViewZeroDeliversTheFoundersOrder) {
+  SimHarness h({}, 78);
+  const auto founders = ids({2, 3, 4});
+  const ProcessorId joiner{1};
+  for (ProcessorId p : founders) h.add_processor(p, kDomain, kDomainAddr, llft_config());
+  h.add_processor(joiner, kDomain, kDomainAddr, llft_config());
+  for (ProcessorId p : founders) {
+    h.stack(p).create_group(h.now(), kGroup, kGroupAddr, founders);
+  }
+
+  // From 50 ms on each founder sends one Regular per ms; P2 sponsors P1 at
+  // 51 ms, right after the second round. Before the fix the founders
+  // delivered x3, x6, x4, x7, x5, x8 after x0-x2 and P1 x5, x8, x4, x7, x3, x6.
+  h.run_for(50 * kMillisecond);
+  std::uint64_t req = 0;
+  for (int round = 0; round < 3; ++round) {
+    for (ProcessorId p : founders) {
+      h.stack(p).group(kGroup)->send_regular(h.now(), test_conn(), req + 1,
+                                             bytes_of("x" + std::to_string(req)));
+      ++req;
+    }
+    if (round == 1) {
+      h.stack(joiner).expect_join(kGroup, kGroupAddr);
+      ASSERT_TRUE(h.stack(ProcessorId{2}).add_processor(h.now(), kGroup, joiner));
+    }
+    h.run_for(1 * kMillisecond);
+  }
+  h.run_for(1 * kSecond);
+
+  expect_same_order(h, founders, std::size_t(req), "founders' order");
+  // The joiner delivers a suffix of the founders' order: everything after
+  // its join cut, in the same order.
+  auto texts = [](const std::vector<DeliveredMessage>& msgs) {
+    std::vector<std::string> out;
+    for (const DeliveredMessage& m : msgs) {
+      out.emplace_back(m.giop_message.begin(), m.giop_message.end());
+    }
+    return out;
+  };
+  const auto founders_order = texts(h.delivered(founders.front(), kGroup));
+  const auto joiner_order = texts(h.delivered(joiner, kGroup));
+  ASSERT_FALSE(joiner_order.empty());
+  ASSERT_LE(joiner_order.size(), founders_order.size());
+  EXPECT_EQ(joiner_order,
+            std::vector<std::string>(founders_order.end() - joiner_order.size(),
+                                     founders_order.end()));
+}
+
 // Two sponsors race to add the same joiner: both AddProcessor messages
 // reach their ordering points, the second one is a membership no-op. The
 // leader suspends granting at every membership-change slot it grants, so

@@ -1,7 +1,8 @@
 // End-to-end chaos campaigns: a small seeded campaign survives its fault
-// schedule with all six invariants green, two runs of the same seed are
-// bit-for-bit identical (digest), and the recorded trace replays clean
-// through the offline checkers.
+// schedule with all seven invariants green, two runs of the same seed are
+// bit-for-bit identical (digest), spares churn through joins, leaves and
+// rebinds, and the recorded trace replays clean through the offline
+// checkers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -87,6 +88,42 @@ TEST(ChaosCampaign, LlftLeaderCrashFailsOverAndReconverges) {
   again.ordering_mode = OrderingMode::kLlft;
   EXPECT_EQ(run_campaign(again).digest, r.digest);
 }
+
+// The churn vocabulary end to end: 4 founders, 2 spares and no network
+// faults. Spares join and leave, a spare crash-restarts, the group moves
+// to a fresh address, and every invariant holds, deterministically, in
+// both engines; the trace (churn as informational F records) replays
+// clean.
+class Churn : public ::testing::TestWithParam<OrderingMode> {};
+
+TEST_P(Churn, SparesJoinLeaveAndRebindUnderEveryInvariant) {
+  CampaignConfig cfg;
+  cfg.seed = 3;
+  cfg.params.processors = 4;
+  cfg.params.spares = 2;
+  cfg.params.duration = 8 * kSecond;
+  cfg.params.faults = 0;
+  cfg.ordering_mode = GetParam();
+  const CampaignResult r = run_campaign(cfg);
+  EXPECT_TRUE(r.ok()) << violations_to_string(r);
+  EXPECT_GE(r.joins, 1u);
+  EXPECT_GE(r.leaves, 1u);
+  EXPECT_GE(r.rebinds, 1u);
+  EXPECT_GE(r.crashes, 1u);
+
+  cfg.trace_path = testing::TempDir() + "chaos_churn_" + to_string(GetParam()) + ".trace";
+  EXPECT_EQ(run_campaign(cfg).digest, r.digest) << "churn campaign is not deterministic";
+  const TraceReplay replay = replay_trace_file(cfg.trace_path);
+  EXPECT_TRUE(replay.parsed) << replay.parse_error;
+  EXPECT_TRUE(replay.violations.empty());
+  std::remove(cfg.trace_path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, Churn,
+                         ::testing::Values(OrderingMode::kLamport, OrderingMode::kLlft),
+                         [](const ::testing::TestParamInfo<OrderingMode>& param) {
+                           return std::string(to_string(param.param));
+                         });
 
 TEST(ChaosCampaign, TraceReplaysCleanThroughOfflineCheckers) {
   const std::string trace = testing::TempDir() + "chaos_campaign_42.trace";

@@ -3,7 +3,9 @@
 //
 //   $ ./chaos_campaign --seed 42                 # one campaign
 //   $ ./chaos_campaign --seeds 1,2,3             # explicit list
-//   $ ./chaos_campaign --count 25 --start-seed 1 # a soak sweep
+//   $ ./chaos_campaign --count 25 --start-seed 1 # a sweep
+//   $ ./chaos_campaign --procs 4 --spares 4 --duration 120000 --faults 0
+//                                                # the churn soak profile
 //   $ ./chaos_campaign --seed 42 --repeat 2      # determinism self-check
 //   $ ./chaos_campaign --seed 42 --trace t.log   # record a replayable trace
 //
@@ -38,9 +40,12 @@ void print_usage() {
                "  --start-seed S    first seed for --count (default 1)\n"
                "\n"
                "campaign shape:\n"
-               "  --procs N         fleet size (default 6)\n"
+               "  --procs N         founding members P1..Pn (default 6)\n"
                "  --duration MS     simulated campaign length in ms (default 30000)\n"
                "  --faults N        scheduled fault count (default 10)\n"
+               "  --spares N        spare processors outside the group at the\n"
+               "                    start; adds planned joins, leaves, spare\n"
+               "                    crash-restarts and rebinds (default 0)\n"
                "  --batch BYTES     force egress batching on with this datagram\n"
                "                    byte budget (default 0 = batching off)\n"
                "  --ordering MODE   total-ordering engine: lamport (default),\n"
@@ -126,6 +131,10 @@ bool parse_options(int argc, char** argv, Options& opt) {
       const char* v = value();
       if (!v || !parse_u64(v, n)) return false;
       opt.params.faults = std::size_t(n);
+    } else if (arg == "--spares") {
+      const char* v = value();
+      if (!v || !parse_u64(v, n) || n > 64) return false;
+      opt.params.spares = std::uint32_t(n);
     } else if (arg == "--batch") {
       const char* v = value();
       if (!v || !parse_u64(v, n)) return false;
@@ -179,7 +188,9 @@ std::string repro_command(const Options& opt, std::uint64_t seed) {
                 seed, opt.params.processors,
                 std::uint64_t(opt.params.duration / kMillisecond),
                 opt.params.faults, to_string(opt.ordering_mode), seed);
-  return buf;
+  std::string cmd = buf;
+  if (opt.params.spares > 0) cmd += " --spares " + std::to_string(opt.params.spares);
+  return cmd;
 }
 
 void print_failure(const Options& opt, const chaos::CampaignResult& r) {
@@ -259,6 +270,11 @@ int main(int argc, char** argv) {
       if (r.state_restarts > 0) {
         transfer_detail += " restarted=" + std::to_string(r.state_restarts);
       }
+      if (opt.params.spares > 0) {
+        transfer_detail += " joins=" + std::to_string(r.joins) +
+                           " leaves=" + std::to_string(r.leaves) +
+                           " rebinds=" + std::to_string(r.rebinds);
+      }
       std::printf("seed %-6" PRIu64 " ok  digest=%016" PRIx64
                   "  sent=%" PRIu64 " delivered=%" PRIu64 " faults=%" PRIu64
                   " crashes=%" PRIu64 " rejoins=%" PRIu64 " transfers=%" PRIu64
@@ -295,11 +311,13 @@ int main(int argc, char** argv) {
       std::fprintf(out,
                    "  {\"seed\": %" PRIu64 ", \"ok\": %s, \"ordering\": \"%s\""
                    ", \"digest\": \"%016" PRIx64
-                   "\", \"procs\": %u, \"duration_ms\": %" PRIu64
+                   "\", \"procs\": %u, \"spares\": %u, \"duration_ms\": %" PRIu64
                    ", \"faults_scheduled\": %zu, \"faults_applied\": %" PRIu64
                    ", \"messages_sent\": %" PRIu64 ", \"deliveries\": %" PRIu64
                    ", \"crashes\": %" PRIu64 ", \"restarts\": %" PRIu64
-                   ", \"rejoins\": %" PRIu64 ", \"converged\": %s"
+                   ", \"rejoins\": %" PRIu64 ", \"joins\": %" PRIu64
+                   ", \"leaves\": %" PRIu64 ", \"rebinds\": %" PRIu64
+                   ", \"converged\": %s"
                    ", \"log_replay_ok\": %s, \"state_converged\": %s"
                    ", \"state_transfers\": %" PRIu64 ", \"state_resumes\": %" PRIu64
                    ", \"state_restarts\": %" PRIu64
@@ -307,10 +325,11 @@ int main(int argc, char** argv) {
                    ", \"violations\": [%s]}%s\n",
                    r.seed, r.ok() ? "true" : "false",
                    to_string(opt.ordering_mode), r.digest,
-                   opt.params.processors,
+                   opt.params.processors, opt.params.spares,
                    std::uint64_t(opt.params.duration / kMillisecond),
                    r.schedule.faults.size(), r.faults_applied, r.messages_sent,
-                   r.deliveries, r.crashes, r.restarts, r.rejoins,
+                   r.deliveries, r.crashes, r.restarts, r.rejoins, r.joins,
+                   r.leaves, r.rebinds,
                    r.converged ? "true" : "false",
                    r.log_replay_ok ? "true" : "false",
                    r.state_converged ? "true" : "false", r.state_transfers,
