@@ -1,7 +1,9 @@
 // E10 — Connect rebind cost (§7, second use of Connect): time for a group
 // to move to a new multicast address (every member switched + flush
 // complete) and the extra latency paid by ordered sends issued during the
-// flush window, across group sizes and loss rates.
+// flush window, across group sizes and loss rates, under both Lamport
+// modes: the default one acks the rebind Connect at once, so the members
+// order it and hear each other above it without waiting for heartbeats.
 #include <cstdio>
 
 #include "support.hpp"
@@ -20,10 +22,11 @@ struct RebindResult {
   bool ok = true;
 };
 
-RebindResult run(int n, double loss, std::uint64_t seed) {
+RebindResult run(int n, double loss, std::uint64_t seed, ftmp::OrderingMode mode) {
   net::LinkModel link;
   link.loss = loss;
   ftmp::Config cfg;
+  cfg.ordering_mode = mode;
   cfg.heartbeat_interval = 5 * kMillisecond;
   cfg.fault_timeout = 2 * kSecond;
   FtmpFleet fleet(n, cfg, link, seed);
@@ -81,14 +84,18 @@ RebindResult run(int n, double loss, std::uint64_t seed) {
 int main() {
   banner("E10", "Connect rebind: switch time, flush time, mid-flush send latency");
 
-  std::printf("%4s | %6s | %10s | %10s | %14s\n", "n", "loss", "switch ms",
-              "flush ms", "mid-flush ms");
-  std::printf("-----+--------+------------+------------+---------------\n");
-  for (int n : {2, 4, 6, 8}) {
-    for (double loss : {0.0, 0.10}) {
-      const RebindResult r = run(n, loss, 7000 + n);
-      std::printf("%4d | %5.0f%% | %10.1f | %10.1f | %14.1f%s\n", n, loss * 100,
-                  r.switch_ms, r.flush_ms, r.queued_ms, r.ok ? "" : "  [INCOMPLETE]");
+  for (ftmp::OrderingMode mode :
+       {ftmp::OrderingMode::kLamportPaper, ftmp::OrderingMode::kLamport}) {
+    std::printf("\nordering mode %s:\n", ftmp::to_string(mode));
+    std::printf("%4s | %6s | %10s | %10s | %14s\n", "n", "loss", "switch ms",
+                "flush ms", "mid-flush ms");
+    std::printf("-----+--------+------------+------------+---------------\n");
+    for (int n : {2, 4, 6, 8}) {
+      for (double loss : {0.0, 0.10}) {
+        const RebindResult r = run(n, loss, 7000 + n, mode);
+        std::printf("%4d | %5.0f%% | %10.1f | %10.1f | %14.1f%s\n", n, loss * 100,
+                    r.switch_ms, r.flush_ms, r.queued_ms, r.ok ? "" : "  [INCOMPLETE]");
+      }
     }
   }
   std::printf("switch: ordered Connect delivered everywhere; flush: every member has\n"

@@ -32,6 +32,12 @@ GroupSession::GroupSession(ProcessorId self, ProcessorGroupId group,
       "Heartbeats sent to pay an ack debt before the heartbeat interval "
       "(lamport mode; also counted in ftmp_rmp_heartbeats_sent_total)",
       "messages", "romp");
+  own_gap_probes_ = metrics::counter(
+      "ftmp_rmp_own_gap_probes_total",
+      "Heartbeats sent because an own reliable message had not looped back "
+      "within kAckDelay (lamport mode; also counted in "
+      "ftmp_rmp_heartbeats_sent_total)",
+      "messages", "rmp");
 }
 
 void GroupSession::trace(TimePoint now, metrics::TraceKind kind, std::uint64_t a,
@@ -174,7 +180,7 @@ SendStatus GroupSession::try_send_regular(TimePoint now,
     const bool parked = flow_.park(
         now, FlowController::Parked{connection, request_num,
                                     Bytes(giop.begin(), giop.end())});
-    emit_flow_signals(now);
+    emit_flow_signals();
     return parked ? SendStatus::kQueued : SendStatus::kRejected;
   }
   emit_regular(now, connection, request_num, giop);
@@ -212,19 +218,20 @@ void GroupSession::begin_rebind(TimePoint now, const Message& connect_msg) {
   rebind_src_ = connect_msg.header.source;
   rebind_seq_ = connect_msg.header.sequence_number;
   last_rebind_resend_ = 0;
+  // The flush waits to hear every member above the Connect, its sender
+  // too, which owes no ack for it: speak at once (lamport mode).
+  romp_.owe_ack();
 }
 
 void GroupSession::progress_flush(TimePoint now) {
   if (flush_ts_ && romp_.min_bound() > *flush_ts_) {
     // Every member has spoken above the Connect timestamp: flush complete.
-    const Timestamp done_ts = *flush_ts_;
     flush_ts_.reset();
     std::vector<QueuedSend> queued;
     queued.swap(queued_sends_);
     for (QueuedSend& q : queued) {
       emit_regular(now, q.connection, q.request_num, q.giop);
     }
-    (void)done_ts;
   }
   // Retire the old address once the announcement window has passed and the
   // flush is done.
@@ -516,6 +523,13 @@ void GroupSession::apply_pgmp_out(TimePoint now, PgmpOut&& out) {
     send_message(now, std::move(send->body), group_addr_);
   } else if (auto* resend = std::get_if<ResendStoredOut>(&out)) {
     resend_stored(resend->source, resend->seq);
+    // The members order an AddProcessor within a round trip (urgent acks),
+    // so the first re-multicast can go out before the joiner has joined the
+    // group address; a repeat kAckDelay later spares it the wait for the
+    // next one, join_retry_interval away.
+    if (config_.ordering_mode == OrderingMode::kLamport) {
+      add_echoes_.push_back({resend->source, resend->seq, now + kAckDelay});
+    }
   } else if (auto* install = std::get_if<InstallOut>(&out)) {
     emit_install(now, std::move(*install));
   }
@@ -558,12 +572,16 @@ void GroupSession::pump(TimePoint now) {
   }
   progress_flush(now);
   drain_flow_queue(now);
-  // Every send above is stamped past the clock and so pays any ack debt;
-  // one still owed now falls due ack_delay() after it arose.
-  if (config_.ordering_mode == OrderingMode::kLamport && romp_.ack_owed()) {
-    if (!ack_due_) ack_due_ = now + ack_delay();
-  } else {
+  if (config_.ordering_mode != OrderingMode::kLamport || !active()) return;
+  // Every send above is stamped past the clock and so pays any ack debt.
+  // An urgent one falls due now, any other ack_delay() after it arose; the
+  // next tick pays a due one.
+  if (romp_.ack_urgent()) {
+    ack_due_ = now;
+  } else if (!romp_.ack_owed()) {
     ack_due_.reset();
+  } else if (!ack_due_) {
+    ack_due_ = now + ack_delay();
   }
 }
 
@@ -583,11 +601,10 @@ void GroupSession::drain_flow_queue(TimePoint now) {
       emit_regular(now, parked->connection, parked->request_num, parked->giop);
     }
   }
-  emit_flow_signals(now);
+  emit_flow_signals();
 }
 
-void GroupSession::emit_flow_signals(TimePoint now) {
-  (void)now;
+void GroupSession::emit_flow_signals() {
   for (FlowSignal s : flow_.take_signals()) {
     if (flow_listener_) flow_listener_->on_flow(group_, s);
   }
@@ -618,9 +635,25 @@ void GroupSession::tick(TimePoint now) {
   check_flow_lag(now);
   const bool heartbeat_due = rmp_.heartbeat_due(now);
   const bool ack_due = ack_due_ && now >= *ack_due_;
-  if (heartbeat_due || ack_due) {
+  // kLamport: an own seq that RMP has not received back is probed for once
+  // it has been the first one missing for kAckDelay, counted from the first
+  // tick that sees it (until then it may still be staged for egress).
+  bool probe_due = false;
+  const SeqNum missing = rmp_.contiguous(self_) + 1;
+  if (config_.ordering_mode != OrderingMode::kLamport || missing > rmp_.last_sent()) {
+    own_missing_ = 0;
+    probe_at_.reset();
+  } else if (missing != own_missing_) {
+    own_missing_ = missing;
+    probe_at_ = now + kAckDelay;
+  } else {
+    probe_due = probe_at_ && now >= *probe_at_;
+  }
+  if (heartbeat_due || ack_due || probe_due) {
     send_heartbeat(now);
-    if (!heartbeat_due) acks_sent_.add();
+    if (!heartbeat_due && ack_due) acks_sent_.add();
+    if (!heartbeat_due && probe_due) own_gap_probes_.add();
+    if (probe_due) probe_at_.reset();
     // While the old address is retiring, members that have not yet ordered
     // the rebind Connect still need fresh timestamps to make it
     // deliverable — heartbeat on both addresses (a Datagram copy is just a
@@ -630,6 +663,10 @@ void GroupSession::tick(TimePoint now) {
       echo.addr = *old_addr_;
       outbox_.packets.push_back(std::move(echo));
     }
+  }
+  while (!add_echoes_.empty() && now >= add_echoes_.front().due) {
+    resend_stored(add_echoes_.front().source, add_echoes_.front().seq);
+    add_echoes_.erase(add_echoes_.begin());
   }
   // Re-announce an in-progress rebind on the old address until the whole
   // membership has moved (the retire condition implies everyone switched).

@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/clock.hpp"
@@ -39,6 +40,13 @@ struct Outbox {
 /// ack (Romp::ack_owed) and has sent nothing else for a while sends a
 /// Heartbeat, so other members' messages wait for this member's ack and
 /// not for its heartbeat interval. kAckDelay is the longest such wait.
+/// Membership changes do not wait even that long: a debt raised by a
+/// membership message, the greetings a joiner is owed and the ack a rebind
+/// flush waits for are paid at once (Romp::ack_urgent); a sponsor repeats
+/// each re-multicast of a joiner's AddProcessor once, kAckDelay later; and
+/// a member whose own datagram has not looped back within kAckDelay probes
+/// for it with one Heartbeat, which shows the gap to RMP's NACK repair
+/// (docs/ORDERING.md §2).
 inline constexpr Duration kAckDelay = 2 * kMillisecond;
 
 /// The ack schedule staggers a message's receivers by view rank: a member
@@ -214,7 +222,7 @@ class GroupSession {
   /// Releases parked sends the freed window now admits, then forwards any
   /// queue-watermark transitions to the installed FlowListener.
   void drain_flow_queue(TimePoint now);
-  void emit_flow_signals(TimePoint now);
+  void emit_flow_signals();
 
   /// Samples per-member stability lag and applies the warn/evict policy
   /// (flow_lag_warn / flow_lag_evict).
@@ -280,10 +288,25 @@ class GroupSession {
   // and cleared at the end of pump).
   std::optional<TimePoint> ack_due_;
 
+  // kLamport only: the first own seq RMP has not yet received back (0:
+  // none), and when to probe for it (cleared once probed). Kept by tick.
+  SeqNum own_missing_ = 0;
+  std::optional<TimePoint> probe_at_;
+
+  // kLamport only: re-multicasts of a joiner's AddProcessor that a sponsor
+  // repeats once, kAckDelay later (in due order).
+  struct AddEcho {
+    ProcessorId source{};
+    SeqNum seq = 0;
+    TimePoint due = 0;
+  };
+  std::vector<AddEcho> add_echoes_;
+
   // Process-global heartbeat counters (the other layers own their own
   // instruments; heartbeats are emitted here, see docs/METRICS.md).
   metrics::CounterHandle heartbeats_sent_;
   metrics::CounterHandle acks_sent_;
+  metrics::CounterHandle own_gap_probes_;
 };
 
 }  // namespace ftcorba::ftmp

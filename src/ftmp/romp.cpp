@@ -64,6 +64,13 @@ void Romp::admit(ProcessorId member, SeqNum floor, Timestamp initial_bound) {
   s.bound = bound;
   s.last_ack = last_ack;
   s.consumed_up_to = floor;
+  if (initial_bound > 0) {
+    // A joiner admitted at its AddProcessor's ordering point. Greet it, and
+    // again once it is heard above the Add: if it started listening after
+    // this greeting, that second one still reaches it.
+    s.greet_above = initial_bound;
+    owe_ack();
+  }
 }
 
 void Romp::expel(ProcessorId member) {
@@ -93,6 +100,10 @@ Romp::Source& Romp::observe_header(const Header& h) {
   clock_.witness(h.message_timestamp);
   Source& s = sources_[h.source];
   s.last_ack = std::max(s.last_ack, h.ack_timestamp);
+  if (s.greet_above != 0 && h.message_timestamp > s.greet_above) {
+    s.greet_above = 0;
+    owe_ack();
+  }
   return s;
 }
 
@@ -106,6 +117,9 @@ void Romp::on_source_ordered(const Header& h) {
     mark_consumed(h.source, h.sequence_number);
   } else if (h.source != self_) {
     heard_ = std::max(heard_, h.message_timestamp);
+    if (h.type != MessageType::kRegular) {
+      urgent_ = std::max(urgent_, h.message_timestamp);
+    }
   }
 }
 

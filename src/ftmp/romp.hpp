@@ -26,6 +26,7 @@
 // (ordering.hpp): LLFT replaces only who decides the order.
 #pragma once
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <unordered_map>
@@ -56,8 +57,10 @@ class Romp {
   /// what its current incarnation already sent carries over: its last ack,
   /// and its bound if above `initial_bound` (a joiner's seq-0 heartbeats
   /// arrive before its admission and vouch for it). `initial_bound` is the
-  /// AddProcessor's own timestamp for a re-added member (its messages are
-  /// stamped above it), 0 otherwise.
+  /// AddProcessor's own timestamp when `member` joins at that Add's
+  /// ordering point (its messages are stamped above it), 0 otherwise.
+  /// Such a joiner is greeted (ack_urgent): now, and again on the first
+  /// header heard from it stamped above the Add.
   void admit(ProcessorId member, SeqNum floor, Timestamp initial_bound);
 
   /// Removes `member`: its record goes, and its bound and acks stop
@@ -89,6 +92,17 @@ class Romp {
   /// pays the debt, since it is stamped above the clock.
   [[nodiscard]] bool ack_owed() const { return heard_ > stamped_; }
 
+  /// True while a debt is owed that must be paid at once rather than at a
+  /// rank slot: one raised by a membership message (AddProcessor,
+  /// RemoveProcessor, Connect), or by owe_ack. Like ack_owed, the next
+  /// send pays it.
+  [[nodiscard]] bool ack_urgent() const { return urgent_ > stamped_; }
+
+  /// Owes an urgent ack above everything stamped or witnessed so far: a
+  /// greeting to a joiner (admit), or a rebind flush that waits for every
+  /// member, the Connect's sender included, to be heard above the Connect.
+  void owe_ack() { urgent_ = std::max(urgent_, clock_.latest() + 1); }
+
   /// Ack timestamp for outgoing headers: min over members of bound
   /// ("received all messages with lower timestamps from all members").
   [[nodiscard]] Timestamp ack_timestamp() const;
@@ -108,7 +122,8 @@ class Romp {
   /// bound(source) and tracks the message until it is stable. Types that
   /// are not totally ordered (Suspect, Membership, state transfer,
   /// OrderInfo; Fig. 3) count as consumed right away; totally-ordered ones
-  /// from another member may leave an ack owed (ack_owed).
+  /// from another member may leave an ack owed (ack_owed), urgent for a
+  /// membership message (ack_urgent).
   void on_source_ordered(const Header& header);
 
   /// A Heartbeat header (unreliable direct delivery from RMP).
@@ -166,9 +181,13 @@ class Romp {
     // Timestamps of contiguously received reliable messages that are not
     // yet stable, mapping to their seq (for stability -> RMP release).
     std::map<Timestamp, SeqNum> unstable;
+    // A joiner's AddProcessor timestamp until a header stamped above it
+    // is heard and greeted (admit); 0 otherwise.
+    Timestamp greet_above = 0;
   };
 
-  /// Witnesses `h`'s timestamp and records its ack; returns its source.
+  /// Witnesses `h`'s timestamp and records its ack (and greets a joiner's
+  /// first header above its AddProcessor); returns its source.
   Source& observe_header(const Header& h);
 
   // Process-global instruments shared by every Romp instance (docs/METRICS.md).
@@ -184,10 +203,12 @@ class Romp {
   std::set<ProcessorId> members_;
   std::unordered_map<ProcessorId, Source> sources_;
   Timestamp last_stable_ = 0;
-  // Highest timestamp this member stamped, and highest on another member's
-  // totally-ordered message (ack_owed).
+  // Highest timestamp this member stamped, highest on another member's
+  // totally-ordered message (ack_owed), and the timestamp an urgent debt
+  // must pass (ack_urgent).
   Timestamp stamped_ = 0;
   Timestamp heard_ = 0;
+  Timestamp urgent_ = 0;
   Instruments metrics_;
 };
 

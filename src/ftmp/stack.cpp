@@ -237,7 +237,7 @@ void Stack::progress_server_conns(TimePoint now) {
   }
 }
 
-void Stack::client_on_connect(TimePoint now, const Message& msg) {
+void Stack::client_on_connect(const Message& msg) {
   const auto& body = std::get<ConnectBody>(msg.body);
   auto it = client_conns_.find(body.connection);
   if (it == client_conns_.end()) return;
@@ -255,7 +255,6 @@ void Stack::client_on_connect(TimePoint now, const Message& msg) {
   } else {
     expect_join(body.processor_group, body.multicast_address);
   }
-  (void)now;
 }
 
 void Stack::on_datagram(TimePoint now, const net::Datagram& datagram) {
@@ -321,7 +320,7 @@ void Stack::on_frame(TimePoint now, const SharedBytes& payload) {
     case MessageType::kConnect: {
       const auto msg = decode_full();
       if (!msg) break;
-      client_on_connect(now, *msg);
+      client_on_connect(*msg);
       if (GroupSession* s = this->group(frame.header.destination_group)) {
         s->handle(now, frame);
       }

@@ -202,7 +202,7 @@ class Stack {
   void on_frame(TimePoint now, const SharedBytes& payload);
   void send_connect_request(TimePoint now, const ConnectionId& conn, ClientConn& state);
   void server_on_connect_request(TimePoint now, const Message& msg);
-  void client_on_connect(TimePoint now, const Message& msg);
+  void client_on_connect(const Message& msg);
   void progress_server_conns(TimePoint now);
   void observe_events(TimePoint now);
   GroupSession& make_session(ProcessorGroupId g, McastAddress addr);

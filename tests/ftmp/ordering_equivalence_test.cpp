@@ -12,7 +12,9 @@
 //    became rank-staggered (kAckSlots).
 //  * Re-admission after the crash (a joiner's init_from_add and the
 //    members' re-add) under lamport-paper, lamport and LLFT: captured at
-//    commit 55bcf65, before each layer kept one record per member.
+//    commit 55bcf65, before each layer kept one record per member; the
+//    lamport one again when membership messages came to be acked at once
+//    and joiners greeted.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -214,9 +216,9 @@ const Observed kLamportPromptPin{0xcc2c9b954a321bb0ULL, 0x4cbccdaaa9343b57ULL, 1
 const Observed kLamportPromptBatchedPin{0xe93d96f6cf2a21c9ULL, 0x30de9a76fd48d80bULL, 171, 186};
 const Observed kLamportPromptCrashPin{0x3ab64038dd7a889cULL, 0xf0c08617d1a49914ULL, 156, 139};
 
-// Captured at commit 55bcf65 (see file header).
+// Captured at commit 55bcf65, the lamport one re-captured (see file header).
 const Observed kLamportReadmitPin{0x899eba6499f9b29eULL, 0x5d6b5a2aa686769aULL, 284, 322};
-const Observed kLamportPromptReadmitPin{0x18ff4c37ddd0f7a8ULL, 0x9dcfe3a92eceff6cULL, 353, 322};
+const Observed kLamportPromptReadmitPin{0xc86cb385cf5d211aULL, 0x329937921e10f620ULL, 356, 322};
 const Observed kLlftReadmitPin{0xe3ece1eade4d561aULL, 0x8f349ba1e5227ef8ULL, 370, 323};
 
 TEST(OrderingEquivalence, LamportDefaultPinnedByteIdenticalToPreRefactor) {
@@ -252,6 +254,23 @@ TEST(OrderingEquivalence, LamportPromptCrashPinned) {
   expect_pinned("lamport crash", run_scenario(Config{}, Scenario::kCrash),
                 kLamportPromptCrashPin);
 }
+
+#if FTCORBA_METRICS_ENABLED
+// Every own datagram loops back here, so the own-gap probe never fires.
+TEST(OrderingEquivalence, LamportPromptScenariosSendNoProbe) {
+  const auto probes = [] {
+    for (const metrics::Sample& s : metrics::snapshot()) {
+      if (s.name == "ftmp_rmp_own_gap_probes_total") return s.counter;
+    }
+    return std::uint64_t{0};
+  };
+  const std::uint64_t before = probes();
+  (void)run_scenario(Config{});
+  (void)run_scenario(with(OrderingMode::kLamport, 1400));
+  (void)run_scenario(Config{}, Scenario::kCrash);
+  EXPECT_EQ(probes(), before);
+}
+#endif  // FTCORBA_METRICS_ENABLED
 
 TEST(OrderingEquivalence, LlftCrashPinned) {
   expect_pinned("llft crash", run_scenario(llft(), Scenario::kCrash), kLlftCrashPin);

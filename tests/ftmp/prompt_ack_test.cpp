@@ -2,7 +2,9 @@
 // a member that owes an ack for another member's ordered message sends one
 // Heartbeat at its rank's slot of the ack schedule unless another send pays
 // the debt first, and nothing else (own traffic, heartbeats, NACKs, other
-// modes) arms it.
+// modes) arms it. Membership changes skip the schedule: their debts, a
+// joiner's greetings and a rebind's flush are paid at once, and a member
+// probes for an own datagram that never looped back.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -33,10 +35,10 @@ ConnectionId test_conn() {
 // Bare stacks P1..Pn on a lossless, zero-delay full-loopback wire, ticked
 // every kTick. The heartbeat interval is long enough that no periodic
 // heartbeat falls inside a test window, so every Heartbeat seen there is
-// an ack.
+// an ack. `spares` more stacks P(n+1)... start outside the group.
 class Fleet {
  public:
-  explicit Fleet(OrderingMode mode, int size = 3) {
+  explicit Fleet(OrderingMode mode, int size = 3, int spares = 0) {
     Config config;
     config.ordering_mode = mode;
     config.heartbeat_interval = 200 * kMillisecond;
@@ -47,12 +49,23 @@ class Fleet {
       stacks_.push_back(std::make_unique<Stack>(p, kDomain, kDomainAddr, config));
       stacks_.back()->create_group(now_, kGroup, kGroupAddr, members);
     }
+    for (int p = size + 1; p <= size + spares; ++p) {
+      stacks_.push_back(std::make_unique<Stack>(ProcessorId{std::uint32_t(p)},
+                                                kDomain, kDomainAddr, config));
+    }
     // Settle: the founding heartbeats and any acks they provoke.
     for (int i = 0; i < 20; ++i) step();
   }
 
+  Stack& stack(int p) { return *stacks_[p - 1]; }
   GroupSession& session(int p) { return *stacks_[p - 1]->group(kGroup); }
   [[nodiscard]] TimePoint now() const { return now_; }
+
+  // A datagram from `from` does not reach `to` while `lose(from, to, its
+  // header)` is true.
+  void lose_if(std::function<bool(int from, int to, const Header&)> lose) {
+    lose_ = std::move(lose);
+  }
 
   // Called for every event member `p` raises, at the step that raised it.
   void on_event(std::function<void(int p, const Event&)> handler) {
@@ -76,7 +89,7 @@ class Fleet {
   // sent during the step (every member's when `watch` is 0).
   std::vector<Header> step(int watch = 0) {
     now_ += kTick;
-    std::vector<net::Datagram> wire;
+    std::vector<std::pair<int, net::Datagram>> wire;
     std::vector<Header> watched;
     for (std::size_t i = 0; i < stacks_.size(); ++i) {
       stacks_[i]->tick(now_);
@@ -84,11 +97,14 @@ class Fleet {
         if (watch == 0 || int(i) + 1 == watch) {
           watched.push_back(decode_message(d.payload).header);
         }
-        wire.push_back(std::move(d));
+        wire.emplace_back(int(i) + 1, std::move(d));
       }
     }
-    for (const net::Datagram& d : wire) {
-      for (auto& s : stacks_) s->on_datagram(now_, d);
+    for (const auto& [from, d] : wire) {
+      const Header h = decode_message(d.payload).header;
+      for (std::size_t i = 0; i < stacks_.size(); ++i) {
+        if (!lose_ || !lose_(from, int(i) + 1, h)) stacks_[i]->on_datagram(now_, d);
+      }
     }
     for (std::size_t i = 0; i < stacks_.size(); ++i) {
       for (const Event& e : stacks_[i]->take_events()) {
@@ -121,12 +137,71 @@ class Fleet {
   RequestNum request_ = 0;
   std::vector<std::unique_ptr<Stack>> stacks_;
   std::function<void(int, const Event&)> on_event_;
+  std::function<bool(int, int, const Header&)> lose_;
 };
 
 int count(const std::vector<std::pair<Duration, MessageType>>& sent, MessageType t) {
   int n = 0;
   for (const auto& [at, type] : sent) n += type == t;
   return n;
+}
+
+// The registry's value of a counter (0 with FTMP_METRICS=OFF).
+std::uint64_t counter(const std::string& name) {
+  for (const metrics::Sample& s : metrics::snapshot()) {
+    if (s.name == name) return s.counter;
+  }
+  return 0;
+}
+
+// P4 is a joiner that hears nothing until P1-P3 have all ordered its
+// AddProcessor and the sponsor has re-multicast it once: when it starts
+// listening, when it receives its first copy of the Add, and when it
+// installs.
+struct LateJoin {
+  TimePoint listening = 0;
+  TimePoint first_copy = 0;
+  TimePoint installed = 0;
+};
+
+LateJoin late_join(OrderingMode mode) {
+  Fleet fleet(mode, 3, 1);
+  bool deaf = true;
+  bool resent = false;
+  LateJoin j;
+  fleet.lose_if([&](int, int to, const Header& h) {
+    if (to != 4) return false;
+    if (h.type == MessageType::kAddProcessor) {
+      if (deaf) {
+        resent = resent || h.retransmission;
+      } else if (j.first_copy == 0) {
+        j.first_copy = fleet.now();
+      }
+    }
+    return deaf;
+  });
+  fleet.on_event([&](int p, const Event& e) {
+    if (p == 4 && std::holds_alternative<MembershipChanged>(e)) j.installed = fleet.now();
+  });
+  fleet.stack(4).expect_join(kGroup, kGroupAddr);
+  EXPECT_TRUE(fleet.stack(1).add_processor(fleet.now(), kGroup, ProcessorId{4}));
+  const auto admitted = [&] {
+    for (int p = 1; p <= 3; ++p) {
+      if (!fleet.session(p).is_member(ProcessorId{4})) return false;
+    }
+    return true;
+  };
+  // Everything the members send until the sponsor's first re-multicast of
+  // the Add, that one included, is lost to P4: their acks of the Add and
+  // the greetings they send when they admit P4.
+  while (!(admitted() && resent) && fleet.now() < 1 * kSecond) (void)fleet.step();
+  EXPECT_TRUE(admitted() && resent);
+  deaf = false;
+  j.listening = fleet.now();
+  while (j.installed == 0 && fleet.now() < 2 * kSecond) (void)fleet.step();
+  EXPECT_NE(j.first_copy, 0) << to_string(mode);
+  EXPECT_NE(j.installed, 0) << to_string(mode);
+  return j;
 }
 
 TEST(PromptAck, IdleMemberAcksABurstOnceWithinAckDelay) {
@@ -253,6 +328,120 @@ TEST(PromptAck, TheThirdReplicaIsPaidByItsReply) {
   EXPECT_EQ(acks_before[2], 0);
   EXPECT_LT(delivered[2], delivered[0]) << "P3 delivers before P1";
   EXPECT_LT(delivered[2], delivered[1]) << "P3 delivers before P2";
+}
+
+TEST(PromptAck, LateJoinerInstallsWithinTwoAckDelaysOfItsFirstAdd) {
+  // The sponsor repeats its re-multicast of the Add kAckDelay later, and
+  // the members greet P4 again when they first hear it, so that copy is
+  // all P4 needs; the paper's rule waits for the next re-multicast and for
+  // the members' heartbeats.
+  const LateJoin j = late_join(OrderingMode::kLamport);
+  EXPECT_LE(j.first_copy - j.listening, kAckDelay);
+  EXPECT_LE(j.installed - j.first_copy, 2 * kAckDelay);
+  const LateJoin paper = late_join(OrderingMode::kLamportPaper);
+  EXPECT_GT(paper.installed - paper.first_copy, 10 * kAckDelay);
+}
+
+TEST(PromptAck, MembersGreetAJoinerWhenTheyAdmitIt) {
+  // P4 hears the AddProcessor but none of the members' acks of it, and
+  // they do not hear P4's: only the greeting each member sends when it
+  // admits P4 carries the bounds P4 needs.
+  Fleet fleet(OrderingMode::kLamport, 3, 1);
+  bool admitted = false;
+  fleet.lose_if([&](int from, int to, const Header& h) {
+    return !admitted && h.type == MessageType::kHeartbeat && (from == 4 || to == 4);
+  });
+  TimePoint installed = 0;
+  fleet.on_event([&](int p, const Event& e) {
+    if (p == 4 && std::holds_alternative<MembershipChanged>(e)) installed = fleet.now();
+  });
+  fleet.stack(4).expect_join(kGroup, kGroupAddr);
+  ASSERT_TRUE(fleet.stack(1).add_processor(fleet.now(), kGroup, ProcessorId{4}));
+  while (!admitted && fleet.now() < 1 * kSecond) {
+    (void)fleet.step();
+    admitted = true;
+    for (int p = 1; p <= 3; ++p) {
+      admitted = admitted && fleet.session(p).is_member(ProcessorId{4});
+    }
+  }
+  ASSERT_TRUE(admitted);
+  EXPECT_EQ(installed, 0);
+  const TimePoint at = fleet.now();
+  while (installed == 0 && fleet.now() - at < 1 * kSecond) (void)fleet.step();
+  EXPECT_LE(installed - at, kTick);
+}
+
+TEST(PromptAck, RemoveProcessorOrdersWithoutARankSlotWait) {
+  Fleet fleet(OrderingMode::kLamport, 4);
+  std::vector<TimePoint> ordered(4, 0);
+  fleet.on_event([&](int p, const Event& e) {
+    const auto* m = std::get_if<MembershipChanged>(&e);
+    if (m != nullptr && m->reason == MembershipChanged::Reason::kProcessorRemoved) {
+      ordered[p - 1] = fleet.now();
+    }
+  });
+  const std::uint64_t acks = counter("ftmp_romp_acks_sent_total");
+  const TimePoint sent = fleet.now();
+  ASSERT_TRUE(fleet.stack(1).remove_processor(sent, kGroup, ProcessorId{4}));
+  (void)fleet.record(0, 10 * kMillisecond);
+  for (int p = 1; p <= 4; ++p) {
+    ASSERT_NE(ordered[p - 1], 0) << "P" << p;
+    // One tick for the RemoveProcessor to arrive, one for the acks it
+    // raised: below the first rank slot's wait.
+    EXPECT_LE(ordered[p - 1] - sent, 2 * kTick) << "P" << p;
+  }
+#if FTCORBA_METRICS_ENABLED
+  EXPECT_EQ(counter("ftmp_romp_acks_sent_total") - acks, 3u) << "P2, P3 and P4";
+#else
+  (void)acks;
+#endif
+}
+
+TEST(PromptAck, RebindFlushEndsOneAckAfterTheConnectOrders) {
+  // The flush waits to hear every member above the Connect, its sender
+  // too: each member acks where it orders the Connect.
+  Fleet trio(OrderingMode::kLamport);
+  const TimePoint sent = trio.now();
+  ASSERT_TRUE(trio.session(1).rebind_address(sent, McastAddress{201}));
+  const auto flushing = [&] {
+    for (int p = 1; p <= 3; ++p) {
+      if (trio.session(p).address() != McastAddress{201} || trio.session(p).flushing()) {
+        return true;
+      }
+    }
+    return false;
+  };
+  while (flushing() && trio.now() - sent < 500 * kMillisecond) (void)trio.step();
+  // One tick each for the Connect, the acks that order it, and the acks
+  // that end the flush.
+  EXPECT_LE(trio.now() - sent, 3 * kTick);
+}
+
+TEST(PromptAck, SenderProbesForItsLostOwnCopy) {
+  Fleet trio(OrderingMode::kLamport);
+  bool lost = false;
+  trio.lose_if([&](int from, int to, const Header& h) {
+    if (lost || from != 2 || to != 2 || h.type != MessageType::kRegular) return false;
+    return lost = true;
+  });
+  TimePoint delivered = 0;
+  trio.on_event([&](int p, const Event& e) {
+    if (p == 2 && std::holds_alternative<DeliveredMessage>(e)) delivered = trio.now();
+  });
+  const std::uint64_t probes = counter("ftmp_rmp_own_gap_probes_total");
+  const TimePoint sent = trio.now();
+  trio.send(2, "mine");
+  while (delivered == 0 && trio.now() - sent < 500 * kMillisecond) (void)trio.step();
+  ASSERT_TRUE(lost);
+  ASSERT_NE(delivered, 0);
+  // The probe kAckDelay after the send, its loopback, the NACK and the
+  // retransmission: one tick each but the first, plus one of alignment.
+  EXPECT_LE(delivered - sent, kAckDelay + 4 * kTick);
+#if FTCORBA_METRICS_ENABLED
+  EXPECT_EQ(counter("ftmp_rmp_own_gap_probes_total") - probes, 1u);
+#else
+  (void)probes;
+#endif
 }
 
 }  // namespace

@@ -52,10 +52,15 @@ struct World {
 
 TEST(Connection, EstablishAcrossDomains) {
   World w;
+  const TimePoint opened = w.h.now();
   w.open_from_clients(conn_ab());
   ASSERT_TRUE(w.h.run_until_pred([&] { return w.clients_ready(conn_ab()); },
                                  w.h.now() + 5 * kSecond))
       << "connection never established";
+  // Members ack the Connect and the AddProcessors at once and greet each
+  // joiner, so no step waits for a heartbeat: 9 ms here, 24 ms when every
+  // joiner waited for the members' heartbeats.
+  EXPECT_LE(w.h.now() - opened, 12 * kMillisecond);
   // The clients are now members of the server's processor group.
   for (ProcessorId p : w.clients) {
     auto* g = w.h.stack(p).group(kServerGroup);
