@@ -415,7 +415,8 @@ void write_json(const char* path, bool quick, const std::vector<JsonRow>& rows) 
 }
 
 int main(int argc, char** argv) {
-  // --quick: the CI perf-smoke subset — small groups, no baselines.
+  // --quick: the CI perf-smoke subset — small groups, both ordering
+  // engines, no baselines.
   // --shards N: run the sharded-runtime sweep instead of the sim flood,
   // writing BENCH_shards.json (override with --json).
   bool quick = false;
@@ -442,7 +443,7 @@ int main(int argc, char** argv) {
       quick ? std::vector<std::size_t>{64, 512}
             : std::vector<std::size_t>{64, 512, 4096};
   const std::vector<Protocol> protocols =
-      quick ? std::vector<Protocol>{Protocol::kFtmp}
+      quick ? std::vector<Protocol>{Protocol::kFtmp, Protocol::kLlft}
             : std::vector<Protocol>{Protocol::kFtmp, Protocol::kLlft,
                                     Protocol::kSequencer, Protocol::kTokenRing};
   std::vector<JsonRow> json_rows;

@@ -80,11 +80,16 @@ void Batcher::stage(TimePoint now, net::Datagram&& d) {
   open.frames.push_back(std::move(d.payload));
 }
 
-void Batcher::drain(TimePoint now, std::vector<net::Datagram>& out) {
+void Batcher::drain(TimePoint now, std::vector<net::Datagram>& out,
+                    const std::function<bool(McastAddress)>& waits) {
   const Duration flush_after =
       static_cast<Duration>(config_.batch_flush_us) * kMicrosecond;
   for (auto it = open_.begin(); it != open_.end();) {
-    if (now - it->second.opened_at >= flush_after) {
+    const Open& open = it->second;
+    // A heartbeat-only batch always waits: nothing is in a hurry for it,
+    // and the next data frame can carry it.
+    if (now - open.opened_at >= flush_after ||
+        (open.has_data && waits && !waits(McastAddress{it->first}))) {
       close(it->first, std::move(it->second), /*by_timer=*/true);
       it = open_.erase(it);
     } else {

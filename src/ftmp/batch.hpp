@@ -6,7 +6,9 @@
 // (wire.hpp's "FTMB" envelope + length-prefixed sub-frames) up to
 // `batch_max_datagram_bytes`. A batch closes when the next message would
 // overflow the budget, or when the `batch_flush_us` micro-flush timer
-// expires at the next driver drain. Accumulation holds SharedBytes
+// expires at the next driver drain; the caller may close an address's
+// data-bearing batches at every drain instead (an LLFT follower's, which
+// gain nothing by waiting: docs/BATCHING.md). Accumulation holds SharedBytes
 // references only; the single copy batching adds happens once per message
 // at close (encode_batch), on the send side — receivers slice sub-frames
 // out of the arrival buffer, so the zero-copy delivery path is unchanged.
@@ -24,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <vector>
 
@@ -74,8 +77,10 @@ class Batcher {
 
   /// Appends every closed batch to `out`, then closes and appends any open
   /// batch whose flush timer has expired (every open batch when
-  /// batch_flush_us is 0).
-  void drain(TimePoint now, std::vector<net::Datagram>& out);
+  /// batch_flush_us is 0), or that holds more than heartbeats and whose
+  /// address `waits` rejects (no `waits`: every address waits).
+  void drain(TimePoint now, std::vector<net::Datagram>& out,
+             const std::function<bool(McastAddress)>& waits = {});
 
   /// True while messages are staged but not yet emitted.
   [[nodiscard]] bool pending() const { return !open_.empty() || !ready_.empty(); }

@@ -16,6 +16,11 @@
 // own datagram; anything that cannot be granted then is granted on its
 // loopback arrival instead.
 //
+// Batching at the leader. Under batching only the leader's data-bearing
+// batches wait for the flush timer (batches_wait): a follower's Regular
+// reaches the leader at once, and the leader's one window coalesces every
+// member's grants.
+//
 // Epochs and reconciliation. Grants carry the view timestamp they were
 // issued under. Followers consume grants only from the current leader at
 // the exact current epoch; future-epoch grants are buffered until the view
@@ -77,6 +82,11 @@ class LlftOrdering final : public OrderingPolicy {
   [[nodiscard]] std::vector<Body> take_protocol_sends() override;
   void on_own_send(const Header& header) override;
   void set_recovering(bool active) override;
+
+  /// Only the leader's batches wait for the flush timer: its window is
+  /// where every member's grants share a datagram. A follower's Regular is
+  /// the leader's input, so holding it back only delays the grant.
+  [[nodiscard]] bool batches_wait() const override { return leading(); }
 
   /// The member currently granting slots (ProcessorId{} when the group is
   /// empty); exposed for tests and chaos tooling.

@@ -120,6 +120,13 @@ class OrderingPolicy {
   /// knows an own message is in flight. Default no-op.
   virtual void on_own_send(const Header& header) { (void)header; }
 
+  /// Whether this member's open egress batches on the group's addresses
+  /// wait for Config::batch_flush_us, or close at the next drain when they
+  /// hold more than heartbeats (docs/BATCHING.md). Holding frames back pays
+  /// only where later frames can join them. Default true; LLFT answers
+  /// whether this member leads.
+  [[nodiscard]] virtual bool batches_wait() const { return true; }
+
  protected:
   /// A frame a rule holds until its turn, with its arrival time (0 when the
   /// caller had no time).

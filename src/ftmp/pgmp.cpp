@@ -312,9 +312,10 @@ void Pgmp::on_add_ordered(TimePoint now, const Message& msg) {
   metrics_.adds.add();
   if (msg.header.source == self_) {
     // We are the sponsor: keep re-multicasting the ordered AddProcessor
-    // until the new member speaks (it cannot NACK before it has joined, §5).
-    pending_joins_.push_back(
-        {member, msg.header.sequence_number, now, /*last_resend=*/0});
+    // until the new member speaks (it cannot NACK before it has joined, §5),
+    // the first time at the next tick.
+    pending_joins_.push_back({member, msg.header.sequence_number, now,
+                              /*last_resend=*/now - config_.join_retry_interval});
   } else {
     // Another sponsor's Add admitted it: an Add of ours for the same
     // joiner can only order as a duplicate now, so drop its store pin.

@@ -451,11 +451,22 @@ std::vector<net::Datagram> Stack::take_packets() {
       batcher_.stage(last_now_, std::move(d));
     }
     outbox_.packets.clear();
-    batcher_.drain(last_now_, out);
+    batcher_.drain(last_now_, out,
+                   [this](McastAddress addr) { return batch_waits(addr); });
     return out;
   }
   out.swap(outbox_.packets);
   return out;
+}
+
+bool Stack::batch_waits(McastAddress addr) const {
+  bool on_addr = false;
+  for (const auto& [g, session] : sessions_) {
+    if (session->address() != addr && session->retiring_address() != addr) continue;
+    if (session->ordering().batches_wait()) return true;
+    on_addr = true;
+  }
+  return !on_addr;
 }
 
 std::vector<Event> Stack::take_events() {

@@ -166,7 +166,8 @@ class Stack {
   /// Drains datagrams to transmit. With batching enabled
   /// (Config::batch_max_datagram_bytes > 0) outgoing messages are staged
   /// through the egress Batcher; a not-yet-full batch is held across calls
-  /// until its micro-flush timer (Config::batch_flush_us) expires.
+  /// until its micro-flush timer (Config::batch_flush_us) expires, unless
+  /// it holds more than heartbeats and batch_waits rejects its address.
   [[nodiscard]] std::vector<net::Datagram> take_packets();
 
   /// Drains upward events.
@@ -198,6 +199,12 @@ class Stack {
     TimePoint last_resend = -1;
     bool traffic_seen = false;  // a Regular on this connection was delivered
   };
+
+  /// Whether data-bearing batches to `addr` wait for the flush timer: yes
+  /// unless every session on it (current or retiring address) answers
+  /// OrderingPolicy::batches_wait with no — an LLFT member that is not
+  /// leading (docs/BATCHING.md). The domain address always waits.
+  [[nodiscard]] bool batch_waits(McastAddress addr) const;
 
   void on_frame(TimePoint now, const SharedBytes& payload);
   void send_connect_request(TimePoint now, const ConnectionId& conn, ClientConn& state);

@@ -40,8 +40,10 @@ std::size_t ShardedUdpDriver::poll_once(Duration max_wait) {
   runtime_.tick(now);  // inline mode only; threaded shards tick themselves
   egress_.clear();
   runtime_.drain_egress(egress_);
-  if (!egress_.empty()) transport_.send_many(egress_);
+  // Join before sending: a member that multicasts on an address it has not
+  // joined yet misses its own copy (docs/ORDERING.md §2, rule 3).
   sync_subscriptions();
+  if (!egress_.empty()) transport_.send_many(egress_);
   return burst.size();
 }
 

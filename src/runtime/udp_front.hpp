@@ -3,11 +3,11 @@
 //
 // One loop iteration drains the kernel with a recvmmsg burst into pooled
 // buffers, routes each datagram to its owning shard (header-only decode,
-// zero-copy SPSC handoff), collects every shard's egress and transmits it
-// with sendmmsg bursts, and keeps the transport's group joins in sync with
-// the union of shard subscriptions. The same loop works for the inline
-// single-shard runtime, where it drives one Stack directly — the way to run
-// a plain stack over real sockets (examples/udp_demo.cpp).
+// zero-copy SPSC handoff), collects every shard's egress, brings the
+// transport's group joins in line with the union of shard subscriptions,
+// and then transmits the egress with sendmmsg bursts. The same loop works
+// for the inline single-shard runtime, where it drives one Stack directly —
+// the way to run a plain stack over real sockets (examples/udp_demo.cpp).
 #pragma once
 
 #include <vector>
@@ -29,8 +29,8 @@ class ShardedUdpDriver {
                    std::size_t receive_batch = 64);
 
   /// One iteration: waits up to `max_wait` for traffic, ingests the burst,
-  /// ticks (inline mode), drains and transmits egress, syncs subscriptions.
-  /// Returns the number of datagrams ingested.
+  /// ticks (inline mode), drains egress, syncs subscriptions and then
+  /// transmits the egress. Returns the number of datagrams ingested.
   std::size_t poll_once(Duration max_wait);
 
   /// Runs poll_once until `wall` time has elapsed.

@@ -207,6 +207,33 @@ TEST(Batcher, CoalescesWithinBudgetAndFlushesOnTimer) {
   EXPECT_EQ(b.stats().closed_timer, 1u);
 }
 
+// An address the caller does not hold back closes its batch at the next
+// drain, unless the batch holds heartbeats alone: those wait for the timer
+// and ride the next data frame. Other addresses keep the timer.
+TEST(Batcher, PromptAddressClosesDataBatchesAtTheDrain) {
+  Batcher b{batch_config(4096, 500)};
+  const auto waits = [](McastAddress a) { return a != McastAddress{200}; };
+  const SharedBytes hb = frame_of(MessageType::kHeartbeat, ByteOrder::kBig, 1);
+  const SharedBytes reg = frame_of(MessageType::kRegular, ByteOrder::kBig, 2);
+  b.stage(0, dg(hb));
+  b.stage(0, dg(reg, 300));
+  std::vector<net::Datagram> out;
+  b.drain(0, out, waits);
+  EXPECT_TRUE(out.empty()) << "a heartbeat alone and a waiting address both hold";
+
+  b.stage(100 * kMicrosecond, dg(reg));
+  b.drain(100 * kMicrosecond, out, waits);
+  ASSERT_EQ(out.size(), 1u) << "data on a prompt address leaves at the drain";
+  EXPECT_EQ(out[0].addr, McastAddress{200});
+  EXPECT_TRUE(looks_like_ftmp_batch(out[0].payload)) << "with the heartbeat";
+  EXPECT_EQ(b.stats().heartbeats_coalesced, 1u);
+
+  out.clear();
+  b.drain(500 * kMicrosecond, out, waits);
+  ASSERT_EQ(out.size(), 1u) << "the waiting address closes on its timer";
+  EXPECT_EQ(out[0].addr, McastAddress{300});
+}
+
 TEST(Batcher, ClosesWhenBudgetWouldOverflow) {
   // Budget fits exactly two header-only frames:
   // 7 + 2*(4+45) = 105 bytes.

@@ -1,8 +1,8 @@
 // LLFT ordering-engine tests (llft.hpp, docs/ORDERING.md): leader grant
 // stamping, follower gap recovery through RMP NACKs, and leader-failover
 // reconciliation through the PGMP install path (prefix agreement across
-// survivors, new-leader accession, post-failover progress), and the
-// leader's grant at send of its own Regulars.
+// survivors, new-leader accession, post-failover progress), the leader's
+// grant at send of its own Regulars, and batching at the leader only.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -43,36 +43,39 @@ Config batched_llft_config() {
 }
 
 // Every first-transmission FTMP frame one member multicasts, decoded, with
-// the index of the wire datagram (FTMB batch or plain) that carried it.
+// the index of the wire datagram (FTMB batch or plain) that carried it and
+// the time it left.
 class WireLog {
  public:
   struct Entry {
     std::size_t datagram = 0;
+    TimePoint at = 0;
     Message msg;
   };
 
   WireLog(SimHarness& h, ProcessorId sender) {
-    h.network().set_tap([this, sender](TimePoint, ProcessorId from,
+    h.network().set_tap([this, sender](TimePoint at, ProcessorId from,
                                        const net::Datagram& d) {
       if (from != sender) return;
       ++datagrams_;
       if (!looks_like_ftmp_batch(d.payload)) {
-        add(d.payload);
+        add(at, d.payload);
         return;
       }
       BatchParser parser(d.payload);
       while (auto sf = parser.next()) {
-        add(d.payload.view().subspan(sf->offset, sf->length));
+        add(at, d.payload.view().subspan(sf->offset, sf->length));
       }
     });
   }
 
   [[nodiscard]] const std::vector<Entry>& entries() const { return entries_; }
 
-  /// Every grant issued, in wire order, with its OrderInfo's view tag and
-  /// datagram.
+  /// Every grant issued, in wire order, with its OrderInfo's view tag,
+  /// datagram and departure time.
   struct Grant {
     std::size_t datagram = 0;
+    TimePoint at = 0;
     Timestamp view_ts = 0;
     SourceSeq slot;
   };
@@ -82,17 +85,17 @@ class WireLog {
       if (e.msg.header.type != MessageType::kOrderInfo) continue;
       const auto& body = std::get<OrderInfoBody>(e.msg.body);
       for (const SourceSeq& g : body.grants) {
-        out.push_back({e.datagram, body.view_ts, g});
+        out.push_back({e.datagram, e.at, body.view_ts, g});
       }
     }
     return out;
   }
 
  private:
-  void add(BytesView frame) {
+  void add(TimePoint at, BytesView frame) {
     Message m = decode_message(frame);
     if (m.header.retransmission) return;
-    entries_.push_back({datagrams_, std::move(m)});
+    entries_.push_back({datagrams_, at, std::move(m)});
   }
 
   std::size_t datagrams_ = 0;
@@ -655,6 +658,145 @@ TEST(Llft, LeaderGrantsOwnRegularInTheSameBatch) {
   std::set<std::pair<std::uint32_t, SeqNum>> distinct;
   for (const auto& g : grants) distinct.insert({g.slot.processor.raw(), g.slot.seq});
   EXPECT_EQ(distinct.size(), grants.size());
+}
+
+// The messages one wire datagram (FTMB batch or plain) carries.
+std::vector<Message> messages_in(const net::Datagram& d) {
+  if (!looks_like_ftmp_batch(d.payload)) return {decode_message(d.payload.view())};
+  std::vector<Message> out;
+  BatchParser parser(d.payload);
+  while (auto sf = parser.next()) {
+    out.push_back(decode_message(d.payload.view().subspan(sf->offset, sf->length)));
+  }
+  return out;
+}
+
+// Sends one Regular per text from `p`, then runs one drain of its stack the
+// way the harness does after every step: returns what that drain put on the
+// wire.
+std::vector<net::Datagram> send_and_drain(SimHarness& h, ProcessorId p,
+                                          std::uint64_t& req,
+                                          std::initializer_list<const char*> texts) {
+  for (const char* text : texts) {
+    EXPECT_TRUE(h.stack(p).group(kGroup)->send_regular(h.now(), test_conn(), ++req,
+                                                       bytes_of(text)));
+  }
+  std::vector<net::Datagram> out = h.stack(p).take_packets();
+  for (const net::Datagram& d : out) h.network().send(h.now(), p, d);
+  return out;
+}
+
+// Under batching only the leader's data-bearing batches wait for
+// batch_flush_us: its window is where grants coalesce. A follower's lone
+// Regular leaves at the drain that staged it (with any heartbeat its batch
+// held), frames staged within one drain still share a datagram, and the
+// grant waits out the leader's window alone.
+TEST(Llft, FollowerBatchLeavesAtTheNextDrain) {
+  net::LinkModel exact;
+  exact.jitter = 0;
+  SimHarness h(exact, 80);
+  const auto all = ids({1, 2, 3});
+  const Config cfg = batched_llft_config();
+  for (ProcessorId p : all) h.add_processor(p, kDomain, kDomainAddr, cfg);
+  for (ProcessorId p : all) h.stack(p).create_group(h.now(), kGroup, kGroupAddr, all);
+  h.run_for(50 * kMillisecond);
+  ASSERT_TRUE(engine(h, ProcessorId{1}).leading());
+  EXPECT_TRUE(engine(h, ProcessorId{1}).batches_wait());
+  EXPECT_FALSE(engine(h, ProcessorId{2}).batches_wait());
+  EXPECT_FALSE(engine(h, ProcessorId{3}).batches_wait());
+
+  WireLog wire(h, ProcessorId{1});
+  std::uint64_t req = 0;
+  const TimePoint lone_sent = h.now();
+  const auto lone = send_and_drain(h, ProcessorId{2}, req, {"lone"});
+  ASSERT_EQ(lone.size(), 1u) << "a follower's lone Regular waited for the timer";
+  SeqNum lone_seq = 0;
+  for (const Message& m : messages_in(lone[0])) {
+    if (m.header.type == MessageType::kRegular) lone_seq = m.header.sequence_number;
+  }
+  ASSERT_NE(lone_seq, 0u);
+  h.run_for(5 * kMillisecond);
+
+  const auto pair = send_and_drain(h, ProcessorId{3}, req, {"pair-a", "pair-b"});
+  ASSERT_EQ(pair.size(), 1u);
+  std::size_t regulars = 0;
+  for (const Message& m : messages_in(pair[0])) {
+    regulars += m.header.type == MessageType::kRegular ? 1 : 0;
+  }
+  EXPECT_EQ(regulars, 2u) << "frames staged within one drain must share a datagram";
+  h.run_for(5 * kMillisecond);
+
+  EXPECT_TRUE(send_and_drain(h, ProcessorId{1}, req, {"leader"}).empty())
+      << "the leader's own Regular and its grant wait for its timer";
+  h.run_for(200 * kMillisecond);
+  expect_same_order(h, all, std::size_t(req), "follower batches at the drain");
+
+  const auto grants = wire.grants();
+  const auto lone_grant = std::find_if(grants.begin(), grants.end(), [&](const auto& g) {
+    return g.slot == SourceSeq{ProcessorId{2}, lone_seq};
+  });
+  ASSERT_NE(lone_grant, grants.end());
+  const TimePoint arrived = lone_sent + exact.delay;
+  const Duration window = Duration(cfg.batch_flush_us) * kMicrosecond;
+  EXPECT_GE(lone_grant->at, arrived + window) << "the grant left before the leader's timer";
+  EXPECT_LE(lone_grant->at, arrived + window + kMillisecond)
+      << "the grant waited past the leader's timer and the next tick";
+
+  std::size_t own = 0;
+  for (const WireLog::Entry& e : wire.entries()) {
+    if (e.msg.header.type != MessageType::kRegular) continue;
+    own += 1;
+    const auto g = std::find_if(grants.begin(), grants.end(), [&](const auto& x) {
+      return x.slot == SourceSeq{ProcessorId{1}, e.msg.header.sequence_number};
+    });
+    ASSERT_NE(g, grants.end());
+    EXPECT_EQ(g->datagram, e.datagram) << "own Regular and its grant split";
+  }
+  EXPECT_EQ(own, 1u);
+
+  // One grant per message.
+  EXPECT_EQ(grants.size(), std::size_t(req));
+  std::set<std::pair<std::uint32_t, SeqNum>> distinct;
+  for (const auto& g : grants) distinct.insert({g.slot.processor.raw(), g.slot.seq});
+  EXPECT_EQ(distinct.size(), grants.size());
+}
+
+// The flush window moves with leadership at the fault install: once P1 has
+// crashed, P2 leads and its batches wait for the timer, while P3, still a
+// follower, keeps closing its data-bearing batches at every drain.
+TEST(Llft, FlushWindowMovesToTheNewLeaderAtFailover) {
+  SimHarness h({}, 81);
+  const auto all = ids({1, 2, 3});
+  for (ProcessorId p : all) {
+    h.add_processor(p, kDomain, kDomainAddr, batched_llft_config());
+  }
+  for (ProcessorId p : all) h.stack(p).create_group(h.now(), kGroup, kGroupAddr, all);
+  h.run_for(50 * kMillisecond);
+
+  std::uint64_t req = 0;
+  EXPECT_EQ(send_and_drain(h, ProcessorId{2}, req, {"p2-before"}).size(), 1u)
+      << "P2 follows: its Regular leaves at once";
+  h.run_for(50 * kMillisecond);
+  h.crash(ProcessorId{1});
+  const auto survivors = ids({2, 3});
+  ASSERT_TRUE(h.run_until_pred(
+      [&] {
+        for (ProcessorId p : survivors) {
+          if (h.stack(p).group(kGroup)->membership().members != survivors) return false;
+        }
+        return true;
+      },
+      h.now() + 10 * kSecond));
+  ASSERT_TRUE(engine(h, ProcessorId{2}).leading());
+  EXPECT_TRUE(engine(h, ProcessorId{2}).batches_wait());
+  EXPECT_FALSE(engine(h, ProcessorId{3}).batches_wait());
+
+  EXPECT_TRUE(send_and_drain(h, ProcessorId{2}, req, {"p2-leads"}).empty())
+      << "the new leader's batch must wait for its timer";
+  EXPECT_EQ(send_and_drain(h, ProcessorId{3}, req, {"p3-follows"}).size(), 1u)
+      << "a follower's batch must leave at the drain";
+  h.run_for(500 * kMillisecond);
+  expect_same_order(h, survivors, std::size_t(req), "after failover");
 }
 
 // The leader sends an AddProcessor and, before it is granted, a Regular.

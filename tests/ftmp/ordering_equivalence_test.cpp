@@ -6,7 +6,9 @@
 //  * LLFT, plain and batched, and a mid-stream crash with its fault
 //    install under lamport-paper and LLFT (pins drain_up_to_cut and member
 //    removal): captured at commit 1379157, before Romp became the concrete
-//    tracker both delivery rules share.
+//    tracker both delivery rules share; LLFT batched again when a member
+//    that is not leading came to close its data-bearing batches at the
+//    next drain.
 //  * The default Lamport mode with prompt acknowledgement (own-clock
 //    bound, ack debt), plain, batched and crash: captured when ack debts
 //    became rank-staggered (kAckSlots).
@@ -207,7 +209,7 @@ constexpr std::uint64_t kPreRefactorDelivered = 186;
 
 // Captured at commit 1379157 (see file header).
 const Observed kLlftPin{0xe58d2e51773064d4ULL, 0xe9be8c12ffb37804ULL, 216, 186};
-const Observed kLlftBatchedPin{0xab1c1113c089b40eULL, 0x755a55d6bd8c599fULL, 154, 186};
+const Observed kLlftBatchedPin{0x8c7ed6bc9d8a8471ULL, 0xa482afb520a31e85ULL, 154, 186};
 const Observed kLamportCrashPin{0x3a38e853cbeb34caULL, 0x2d68ac0178fc80feULL, 127, 139};
 const Observed kLlftCrashPin{0x7d77a54cd4e6293bULL, 0xbda43bd2f6c68ee9ULL, 167, 140};
 

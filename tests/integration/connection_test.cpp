@@ -27,9 +27,13 @@ struct World {
   std::vector<ProcessorId> servers{ProcessorId{1}, ProcessorId{2}, ProcessorId{3}};
   std::vector<ProcessorId> clients{ProcessorId{10}, ProcessorId{11}};
 
-  explicit World(net::LinkModel link = {}, std::uint64_t seed = 5) : h(link, seed) {
+  explicit World(net::LinkModel link = {}, std::uint64_t seed = 5,
+                 const Config& client_config = {})
+      : h(link, seed) {
     for (ProcessorId p : servers) h.add_processor(p, kServerDomain, kServerDomainAddr);
-    for (ProcessorId p : clients) h.add_processor(p, kClientDomain, kClientDomainAddr);
+    for (ProcessorId p : clients) {
+      h.add_processor(p, kClientDomain, kClientDomainAddr, client_config);
+    }
     for (ProcessorId p : servers) {
       h.stack(p).create_group(h.now(), kServerGroup, kServerGroupAddr, servers);
       h.stack(p).serve_connections(kServerGroup);
@@ -80,6 +84,28 @@ TEST(Connection, EstablishAcrossDomains) {
     EXPECT_EQ(msgs[0].connection, conn_ab());
     EXPECT_EQ(msgs[0].request_num, 1u);
   }
+}
+
+// A sponsor re-multicasts a joiner's AddProcessor from the first tick
+// after ordering it. The clients here NACK at most once a second, so
+// P10's NACK does not fetch P11's Add for it (in EstablishAcrossDomains it
+// does, at 7 ms): P11 is admitted by the sponsor's first re-multicast,
+// 3.3 ms after the open. With the resend clock started at time 0, that
+// re-multicast waited for join_retry_interval and P11 for 21 ms.
+TEST(Connection, SponsorResendsTheAddWithoutAPeersNack) {
+  Config slow_nacks;
+  slow_nacks.nack_interval = 1 * kSecond;
+  World w({}, 5, slow_nacks);
+  const TimePoint opened = w.h.now();
+  TimePoint admitted = 0;
+  w.h.set_event_handler(ProcessorId{11}, [&](TimePoint now, const Event& e) {
+    if (admitted == 0 && std::holds_alternative<MembershipChanged>(e)) admitted = now;
+  });
+  w.open_from_clients(conn_ab());
+  ASSERT_TRUE(w.h.run_until_pred([&] { return w.clients_ready(conn_ab()); },
+                                 w.h.now() + 5 * kSecond));
+  ASSERT_NE(admitted, 0);
+  EXPECT_LE(admitted - opened, 6 * kMillisecond);
 }
 
 TEST(Connection, SecondConnectionSharesGroup) {

@@ -1,13 +1,15 @@
 // Real-UDP smoke for the sharded runtime: two nodes over loopback IP
 // multicast — a 2-shard threaded runtime and an inline single-shard one —
 // exchanging ordered messages through ShardedUdpDriver (recvmmsg in,
-// sendmmsg out). Environments without loopback multicast skip gracefully.
+// sendmmsg out), and a node that multicasts in the poll that subscribes
+// it. Environments without loopback multicast skip gracefully.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <string>
 #include <thread>
 
+#include "common/metrics.hpp"
 #include "runtime/udp_front.hpp"
 
 namespace ftcorba::runtime {
@@ -76,6 +78,61 @@ TEST(RuntimeUdp, ShardedAndInlineNodesConvergeOverLoopbackMulticast) {
     // Each group landed on its own shard (round robin over 2 shards).
     EXPECT_GT(a.shard_stats(0).frames_in, 0u);
     EXPECT_GT(a.shard_stats(1).frames_in, 0u);
+  } catch (const net::TransportError& e) {
+    GTEST_SKIP() << "UDP multicast unavailable: " << e.what();
+  }
+}
+
+std::uint64_t counter(const std::string& name) {
+  for (const metrics::Sample& s : metrics::snapshot()) {
+    if (s.name == name) return s.counter;
+  }
+  return 0;
+}
+
+// A node creates a group and multicasts on it before the driver's next
+// poll. The poll must join the group address before it sends: a datagram
+// sent first never loops back, and the node then probes for it after
+// kAckDelay and NACKs it. Here the own copy arrives: no probe, no NACK, no
+// retransmission.
+TEST(RuntimeUdp, CreateAndSendInOnePollGetsTheOwnCopyBack) {
+  ftmp::Config cfg;
+  cfg.fault_timeout = 30 * kSecond;
+  ShardedRuntime node(ProcessorId{1}, kDomain, kDomainAddr, cfg);  // inline
+  constexpr ProcessorGroupId kGroup{1};
+
+  net::UdpMulticastTransport::Options options;
+  options.port = 32011;
+  try {
+    ShardedUdpDriver drv(node, options);
+    const std::uint64_t probes = counter("ftmp_rmp_own_gap_probes_total");
+    const TimePoint t0 = wall_now();
+    node.create_group(t0, kGroup, McastAddress{0x0311}, {ProcessorId{1}});
+    ftmp::GroupSession* session = node.stack(0).group(kGroup);
+    ASSERT_NE(session, nullptr);
+    ASSERT_TRUE(session->send_regular(t0, test_conn(), 1, bytes_of("first")));
+
+    std::size_t received = 0;
+    bool delivered = false;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!delivered && std::chrono::steady_clock::now() < deadline) {
+      received += drv.poll_once(2 * kMillisecond);
+      for (const ftmp::Event& ev : drv.take_events()) {
+        delivered = delivered || std::holds_alternative<ftmp::DeliveredMessage>(ev);
+      }
+    }
+    if (received == 0) {
+      GTEST_SKIP() << "multicast loopback not functional in this environment";
+    }
+    EXPECT_TRUE(delivered);
+    EXPECT_EQ(session->rmp().stats().nacks_sent, 0u);
+    EXPECT_EQ(session->rmp().stats().retransmissions_sent, 0u);
+#if FTCORBA_METRICS_ENABLED
+    EXPECT_EQ(counter("ftmp_rmp_own_gap_probes_total"), probes);
+#else
+    (void)probes;
+#endif
   } catch (const net::TransportError& e) {
     GTEST_SKIP() << "UDP multicast unavailable: " << e.what();
   }
