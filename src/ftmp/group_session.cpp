@@ -591,7 +591,10 @@ Duration GroupSession::ack_delay() const {
   if (self == members.end()) return kAckDelay;
   const auto slots = static_cast<Duration>(std::min(members.size(), kAckSlots));
   const auto rank = static_cast<Duration>(std::distance(members.begin(), self));
-  return kAckDelay * std::min(rank + 1, slots) / slots;
+  // A message from a top rank first becomes deliverable at rank slots - 2,
+  // once every rank below it has acked: those ranks share the first slot.
+  const Duration slot = rank + 2 < slots ? 1 : std::min(rank + 1, slots);
+  return kAckDelay * slot / slots;
 }
 
 void GroupSession::drain_flow_queue(TimePoint now) {

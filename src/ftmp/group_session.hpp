@@ -51,12 +51,15 @@ inline constexpr Duration kAckDelay = 2 * kMillisecond;
 
 /// The ack schedule staggers a message's receivers by view rank: a member
 /// of rank r (ascending id) in a view of n owes its ack after
-/// kAckDelay * min(r + 1, m) / m, m = min(n, kAckSlots). Early ranks ack
-/// first, so a member that waits on the rest often finds its own debt paid
-/// by its reply. The cap bounds the extra acks: against one flat kAckDelay
-/// timer, E2's packets per message rise at most 4.8 % at any n, where
-/// uncapped slots cost 17 % at n = 12 and 23 % at n = 16 (docs/ORDERING.md
-/// §2).
+/// kAckDelay * s / m, m = min(n, kAckSlots), where s = 1 for r + 2 < m and
+/// min(r + 1, m) otherwise. The ranks below m - 2 share the first slot: a
+/// message from a top rank becomes deliverable at rank m - 2 only once
+/// every lower rank has acked, so staggering them would only delay it.
+/// From rank m - 2 up the ranks ack one after another, so a member that
+/// waits on the rest often finds its own debt paid by its reply. The cap
+/// bounds the extra acks: against one flat kAckDelay timer, E2's packets
+/// per message rise at most 6.5 % at any n, where uncapped slots cost 17 %
+/// at n = 12 and 23 % at n = 16 (docs/ORDERING.md §2).
 inline constexpr std::size_t kAckSlots = 4;
 
 /// One group membership of one processor.

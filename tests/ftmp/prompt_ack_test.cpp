@@ -270,27 +270,60 @@ TEST(PromptAck, OnlyTheDefaultLamportModeAcks) {
   }
 }
 
-TEST(PromptAck, MembersAckInViewRankOrder) {
-  Fleet fleet(OrderingMode::kLamport, 4);
-  fleet.send(4, "request");
+// The top-ranked member of a view of `size` sends one Regular; returns when
+// each member acked it, counted from its arrival (-1: no ack).
+std::vector<Duration> ack_offsets(int size) {
+  Fleet fleet(OrderingMode::kLamport, size);
+  fleet.send(size, "request");
   const auto sent = fleet.record(0, 10 * kMillisecond);
-  ASSERT_FALSE(sent.empty());
-  ASSERT_EQ(sent[0].second.type, MessageType::kRegular);
+  EXPECT_FALSE(sent.empty());
+  if (sent.empty()) return {};
+  EXPECT_EQ(sent[0].second.type, MessageType::kRegular);
   const Duration arrived = sent[0].first;  // the wire is zero-delay
-  // View {P1..P4}: four slots of kAckDelay / 4, one per rank.
-  std::vector<Duration> acks(4, -1);
+  std::vector<Duration> acks(std::size_t(size), -1);
   for (const auto& [at, h] : sent) {
     if (h.type != MessageType::kHeartbeat) continue;
-    const int p = int(h.source.raw());
-    ASSERT_EQ(acks[p - 1], -1) << "P" << p << " acked twice";
+    const auto p = h.source.raw();
+    EXPECT_EQ(acks[p - 1], -1) << "P" << p << " acked twice";
     acks[p - 1] = at - arrived;
   }
+  return acks;
+}
+
+// The first fleet tick at or after `slot`.
+Duration on_tick(Duration slot) { return (slot + kTick - 1) / kTick * kTick; }
+
+TEST(PromptAck, MembersAckInViewRankOrder) {
+  // View {P1..P4}: the ranks below m - 2 = 2 share the first of four slots,
+  // P3 (rank 2) takes the third. Every slot is a whole number of ticks.
+  const std::vector<Duration> acks = ack_offsets(4);
+  ASSERT_EQ(acks.size(), 4u);
+  EXPECT_EQ(acks[0], kAckDelay / 4) << "P1";
+  EXPECT_EQ(acks[1], kAckDelay / 4) << "P2";
+  EXPECT_EQ(acks[2], 3 * kAckDelay / 4) << "P3";
   EXPECT_EQ(acks[3], -1) << "P4 owes no ack for its own message";
-  for (int p = 1; p <= 3; ++p) {
-    const Duration slot = kAckDelay * p / 4;
-    EXPECT_GE(acks[p - 1], slot - kTick) << "P" << p;
-    EXPECT_LE(acks[p - 1], slot + kTick) << "P" << p;
-  }
+}
+
+TEST(PromptAck, AThreeMemberViewStaggersEveryRank) {
+  // m = 3: only rank 0 is below m - 2, so each rank keeps a slot of its own.
+  const std::vector<Duration> acks = ack_offsets(3);
+  ASSERT_EQ(acks.size(), 3u);
+  EXPECT_EQ(acks[0], on_tick(kAckDelay / 3)) << "P1";
+  EXPECT_EQ(acks[1], on_tick(2 * kAckDelay / 3)) << "P2";
+  EXPECT_EQ(acks[2], -1) << "P3 owes no ack for its own message";
+}
+
+TEST(PromptAck, RanksFromTheCapUpShareTheLastSlot) {
+  // n = 6 > kAckSlots: m = 4, ranks 0 and 1 share the first slot, rank 2
+  // takes the third and ranks 3-5 share kAckDelay.
+  const std::vector<Duration> acks = ack_offsets(6);
+  ASSERT_EQ(acks.size(), 6u);
+  EXPECT_EQ(acks[0], kAckDelay / 4) << "P1";
+  EXPECT_EQ(acks[1], kAckDelay / 4) << "P2";
+  EXPECT_EQ(acks[2], 3 * kAckDelay / 4) << "P3";
+  EXPECT_EQ(acks[3], kAckDelay) << "P4";
+  EXPECT_EQ(acks[4], kAckDelay) << "P5";
+  EXPECT_EQ(acks[5], -1) << "P6 owes no ack for its own message";
 }
 
 TEST(PromptAck, TheThirdReplicaIsPaidByItsReply) {
@@ -308,11 +341,10 @@ TEST(PromptAck, TheThirdReplicaIsPaidByItsReply) {
   const auto sent = fleet.record(0, 10 * kMillisecond);
   for (int p = 1; p <= 3; ++p) {
     ASSERT_NE(delivered[p - 1], 0) << "P" << p;
-    // Two acks (P1 at kAckDelay / 4, P2 at kAckDelay / 2) release the
-    // request: one tick for it to reach the replicas, one for P3's reply
-    // to reach P1 and P2.
-    EXPECT_LE(delivered[p - 1] - requested, 1 * kMillisecond + 2 * kTick)
-        << "P" << p;
+    // Two acks, P1's and P2's both at kAckDelay / 4, release the request:
+    // one tick for it to reach the replicas, one for P3's reply to reach
+    // P1 and P2.
+    EXPECT_LE(delivered[p - 1] - requested, kAckDelay / 4 + 2 * kTick) << "P" << p;
   }
   // P1 and P2 each acked once before P3 delivered; P3 never acked the
   // request, because its reply paid the debt.

@@ -190,6 +190,9 @@ std::string repro_command(const Options& opt, std::uint64_t seed) {
                 opt.params.faults, to_string(opt.ordering_mode), seed);
   std::string cmd = buf;
   if (opt.params.spares > 0) cmd += " --spares " + std::to_string(opt.params.spares);
+  if (opt.batch_max_datagram_bytes > 0) {
+    cmd += " --batch " + std::to_string(opt.batch_max_datagram_bytes);
+  }
   return cmd;
 }
 
