@@ -79,7 +79,7 @@ FlowRun run(bool flow_on, bool batching, double loss_into_slow, int seconds) {
   result.store_final = session->rmp().stored_bytes();
   const ftmp::FlowStats& fs = session->flow().stats();
   result.queue_peak = fs.queue_highwater;
-  result.stalls = fs.pacing_stalls;
+  result.stalls = fs.pacing_stalls.value();
   result.wire_datagrams = fleet.h.network().stats().packets_sent;
 
   Samples latency;

@@ -26,9 +26,9 @@ RmpTotals collect(ftmp::SimHarness& h, const std::vector<ProcessorId>& members) 
   RmpTotals t;
   for (ProcessorId p : members) {
     const auto& stats = h.stack(p).group(kBenchGroup)->rmp().stats();
-    t.nacks += stats.nacks_sent;
-    t.retransmissions += stats.retransmissions_sent;
-    t.duplicates += stats.duplicates_ignored;
+    t.nacks += stats.nacks_sent.value();
+    t.retransmissions += stats.retransmissions_sent.value();
+    t.duplicates += stats.duplicates_ignored.value();
   }
   return t;
 }

@@ -5,7 +5,8 @@
 // Design rules (docs/METRICS.md is the user-facing reference):
 //
 //   * Hot path is lock-free. Call sites hold a small value-type handle
-//     (CounterHandle / GaugeHandle / HistogramHandle) obtained once at
+//     (CounterHandle / GaugeHandle / HistogramHandle, or a Counter where
+//     each instance's own count is read too) obtained once at
 //     construction time; add()/observe() are relaxed atomic operations.
 //     Registration and snapshot/render take a mutex (cold paths only).
 //   * Instruments are identified by name and shared: every Rmp instance in
@@ -13,8 +14,9 @@
 //     aggregates a whole simulated fleet (exactly what the benches report).
 //   * Zero cost when disabled. Building with FTMP_METRICS=OFF (CMake)
 //     defines FTCORBA_METRICS_ENABLED=0 and every API below becomes an
-//     inline no-op; the registry implementation (metrics.cpp) compiles to an
-//     empty TU. tools/check_metrics_off.cmake asserts this with nm.
+//     inline no-op (a Counter keeps only its tally); the registry
+//     implementation (metrics.cpp) compiles to an empty TU.
+//     tools/check_metrics_off.cmake asserts this with nm.
 #pragma once
 
 #include <cstdint>
@@ -287,5 +289,28 @@ inline void trace_clear() {}
 [[nodiscard]] inline std::string render_trace_json() { return {}; }
 
 #endif  // FTCORBA_METRICS_ENABLED
+
+/// A counted event with a per-instance tally: add() adds to this object's
+/// own tally and to the shared registry counter of its name, so value()
+/// is this instance's count while a snapshot sums every instance. A
+/// default-constructed Counter registers nothing and only tallies; with
+/// metrics compiled out every Counter is its tally alone. reset_all()
+/// zeroes the registry, not the tallies.
+class Counter {
+ public:
+  Counter() = default;
+  Counter(std::string_view name, std::string_view help, std::string_view unit,
+          std::string_view layer)
+      : shared_(counter(name, help, unit, layer)) {}
+  void add(std::uint64_t n = 1) {
+    tally_ += n;
+    shared_.add(n);
+  }
+  [[nodiscard]] std::uint64_t value() const { return tally_; }
+
+ private:
+  std::uint64_t tally_ = 0;
+  [[no_unique_address]] CounterHandle shared_;
+};
 
 }  // namespace ftcorba::metrics

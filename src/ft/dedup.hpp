@@ -19,10 +19,15 @@ namespace ftcorba::ft {
 /// Which half of an invocation a message carries.
 enum class MessageKind : std::uint8_t { kRequest = 0, kReply = 1 };
 
-/// Counters for tests and the E6 bench.
+/// This suppressor's counters for tests; each also adds to the
+/// process-global ft_dedup_* counter of its name.
 struct DedupStats {
-  std::uint64_t accepted = 0;
-  std::uint64_t suppressed = 0;
+  metrics::Counter accepted{"ft_dedup_accepted_total",
+                            "First copies accepted by duplicate suppression",
+                            "messages", "giop"};
+  metrics::Counter suppressed{"ft_dedup_suppressed_total",
+                              "Replica copies discarded by duplicate suppression",
+                              "messages", "giop"};
 };
 
 /// Tracks ⟨connection, request number, kind⟩ triples and accepts only the
@@ -32,22 +37,11 @@ struct DedupStats {
 /// reordering window, not by the number of invocations.
 class DuplicateSuppressor {
  public:
-  DuplicateSuppressor()
-      : accepted_(metrics::counter(
-            "ft_dedup_accepted_total",
-            "First copies accepted by duplicate suppression", "messages",
-            "giop")),
-        suppressed_(metrics::counter(
-            "ft_dedup_suppressed_total",
-            "Replica copies discarded by duplicate suppression", "messages",
-            "giop")) {}
-
   /// Returns true exactly once per ⟨connection, request_num, kind⟩.
   bool accept(const ConnectionId& connection, RequestNum request_num, MessageKind kind) {
     Seen& seen = seen_[{connection, kind}];
     if (seen.covers(request_num) || !seen.above.insert(request_num).second) {
-      stats_.suppressed += 1;
-      suppressed_.add();
+      stats_.suppressed.add();
       return false;
     }
     auto it = seen.above.begin();
@@ -55,8 +49,7 @@ class DuplicateSuppressor {
       seen.prefix = *it;
       it = seen.above.erase(it);
     }
-    stats_.accepted += 1;
-    accepted_.add();
+    stats_.accepted.add();
     return true;
   }
 
@@ -88,8 +81,6 @@ class DuplicateSuppressor {
 
   std::map<std::pair<ConnectionId, MessageKind>, Seen> seen_;
   DedupStats stats_;
-  metrics::CounterHandle accepted_;
-  metrics::CounterHandle suppressed_;
 };
 
 }  // namespace ftcorba::ft

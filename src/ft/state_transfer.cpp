@@ -62,31 +62,31 @@ StateTransferManager::StateTransferManager(ProcessorId self,
       config_(config),
       state_(state),
       apply_(std::move(apply)) {
-  metrics_.transfers_completed = metrics::counter(
+  stats_.transfers_completed = metrics::Counter(
       "ftmp_ft_state_transfers_completed_total",
       "State transfers finished (snapshot restored, buffered suffix replayed)",
       "transfers", "ft");
-  metrics_.transfers_resumed = metrics::counter(
+  stats_.transfers_resumed = metrics::Counter(
       "ftmp_ft_state_transfers_resumed_total",
       "Transfers that survived a donor crash by resuming at the next "
       "surviving holder (chunk offset kept)",
       "transfers", "ft");
-  metrics_.transfers_restarted = metrics::counter(
+  stats_.transfers_restarted = metrics::Counter(
       "ftmp_ft_state_transfers_restarted_total",
       "Transfers re-anchored at a newer view cut after all snapshot holders "
       "were lost",
       "transfers", "ft");
-  metrics_.chunks_sent = metrics::counter(
+  stats_.chunks_sent = metrics::Counter(
       "ftmp_ft_state_chunks_sent_total",
       "StateChunk messages served by this process as donor", "chunks", "ft");
-  metrics_.chunk_bytes_sent = metrics::counter(
+  stats_.bytes_sent = metrics::Counter(
       "ftmp_ft_state_chunk_bytes_sent_total",
       "Snapshot payload bytes served by this process as donor", "bytes", "ft");
-  metrics_.messages_replayed = metrics::counter(
+  stats_.messages_replayed = metrics::Counter(
       "ftmp_ft_state_messages_replayed_total",
       "Buffered ordered messages applied after a snapshot restore", "messages",
       "ft");
-  metrics_.digest_mismatches = metrics::counter(
+  stats_.digest_mismatches = metrics::Counter(
       "ftmp_ft_state_digest_mismatches_total",
       "Anti-entropy alarms: a peer at the same fingerprint reported a "
       "different rolling digest",
@@ -194,8 +194,7 @@ void StateTransferManager::on_install(TimePoint now,
       // install's cut. Survivors snapshot at every install while anyone is
       // catching up, so a snapshot keyed by this view exists. The buffer is
       // kept — the new cut's watermarks subsume anything it already covers.
-      stats_.transfers_restarted += 1;
-      metrics_.transfers_restarted.add();
+      stats_.transfers_restarted.add();
       catchup_->view_ts = change.membership.timestamp;
       catchup_->holders.clear();
       for (ProcessorId p : members_) {
@@ -246,8 +245,7 @@ void StateTransferManager::on_install(TimePoint now,
       // The serving donor crashed mid-transfer. The next surviving holder
       // takes over; our cumulative next_chunk is the resume offset, so
       // nothing already received is re-sent.
-      stats_.transfers_resumed += 1;
-      metrics_.transfers_resumed.add();
+      stats_.transfers_resumed.add();
       send_request(now);
     }
     return;
@@ -382,10 +380,8 @@ void StateTransferManager::on_request(TimePoint now, ProcessorId from,
                          snap.bytes.begin() + static_cast<std::ptrdiff_t>(begin + len));
     const std::size_t sent_bytes = chunk.payload.size();
     if (!stack_.send_state(now, group_, ftmp::Body{std::move(chunk)})) return;
-    stats_.chunks_sent += 1;
-    stats_.bytes_sent += sent_bytes;
-    metrics_.chunks_sent.add();
-    metrics_.chunk_bytes_sent.add(sent_bytes);
+    stats_.chunks_sent.add();
+    stats_.bytes_sent.add(sent_bytes);
   }
 }
 
@@ -460,8 +456,7 @@ void StateTransferManager::maybe_finish(TimePoint now) {
       const SeqNum hw = it == applied_hw_.end() ? 0 : it->second;
       if (msg->seq > hw) {
         apply_one(now, *msg);
-        stats_.messages_replayed += 1;
-        metrics_.messages_replayed.add();
+        stats_.messages_replayed.add();
       }
     } else if (const auto* change = std::get_if<ftmp::MembershipChanged>(&ev)) {
       prune_for_install(*change);
@@ -476,11 +471,10 @@ void StateTransferManager::maybe_finish(TimePoint now) {
   done.next_chunk = total;
   stack_.send_state(now, group_, ftmp::Body{done});
 
-  stats_.transfers_completed += 1;
-  metrics_.transfers_completed.add();
+  stats_.transfers_completed.add();
   FTC_LOG(kInfo) << to_string(self_) << ": state transfer complete at view "
                  << view_ts << " (" << stats_.bytes_received << " bytes, "
-                 << stats_.messages_replayed << " replayed)";
+                 << stats_.messages_replayed.value() << " replayed)";
   send_digest(now);
 }
 
@@ -496,8 +490,7 @@ void StateTransferManager::on_peer_digest(TimePoint now, ProcessorId from,
   // Digests are only comparable at equal positions: same fingerprint,
   // different rolling digest ⇒ the states genuinely diverged.
   if (body.fingerprint == fingerprint() && body.digest != digest_) {
-    stats_.digest_mismatches += 1;
-    metrics_.digest_mismatches.add();
+    stats_.digest_mismatches.add();
     FTC_LOG(kWarn) << to_string(self_) << ": state digest mismatch with "
                    << to_string(from) << " at fingerprint "
                    << body.fingerprint << " (theirs " << body.digest

@@ -67,19 +67,21 @@ class Checkpointable {
                                              std::uint64_t payload_hash);
 
 /// Counters pinned by the integration tests and surfaced by chaos campaigns.
+/// Each Counter also adds to the process-global ftmp_ft_state_* counter of
+/// its name; the plain tallies are this manager's alone.
 struct StateTransferStats {
-  std::uint64_t transfers_completed = 0;
-  std::uint64_t transfers_resumed = 0;    ///< donor re-elected, chunk offset kept
-  std::uint64_t transfers_restarted = 0;  ///< re-anchored at a newer view cut
+  metrics::Counter transfers_completed;
+  metrics::Counter transfers_resumed;    ///< donor re-elected, chunk offset kept
+  metrics::Counter transfers_restarted;  ///< re-anchored at a newer view cut
   std::uint64_t snapshots_taken = 0;
-  std::uint64_t chunks_sent = 0;
+  metrics::Counter chunks_sent;
   std::uint64_t chunks_received = 0;
-  std::uint64_t bytes_sent = 0;
+  metrics::Counter bytes_sent;
   std::uint64_t bytes_received = 0;       ///< snapshot bytes this joiner received
   std::uint64_t messages_buffered = 0;    ///< ordered messages parked during transfer
-  std::uint64_t messages_replayed = 0;    ///< buffered suffix applied after restore
+  metrics::Counter messages_replayed;    ///< buffered suffix applied after restore
   std::uint64_t snapshot_verify_failures = 0;
-  std::uint64_t digest_mismatches = 0;    ///< anti-entropy alarms observed
+  metrics::Counter digest_mismatches;    ///< anti-entropy alarms observed
 };
 
 /// Drives state transfer for one member of one processor group. The owner
@@ -195,17 +197,6 @@ class StateTransferManager {
   bool live_ = false;  ///< a membership is installed and we are caught up
 
   StateTransferStats stats_;
-
-  struct Instruments {
-    metrics::CounterHandle transfers_completed;
-    metrics::CounterHandle transfers_resumed;
-    metrics::CounterHandle transfers_restarted;
-    metrics::CounterHandle chunks_sent;
-    metrics::CounterHandle chunk_bytes_sent;
-    metrics::CounterHandle messages_replayed;
-    metrics::CounterHandle digest_mismatches;
-  };
-  Instruments metrics_;
 };
 
 /// Checkpointable over the replication layer: the deterministic

@@ -15,25 +15,25 @@ namespace {
 Batcher::Batcher(const Config& config) : config_(config) {
   if (!enabled()) return;
   metrics_.datagrams =
-      metrics::counter("ftmp_batch_datagrams_total",
+      metrics::Counter("ftmp_batch_datagrams_total",
                        "Batched (FTMB) datagrams emitted", "datagrams", "batch");
   metrics_.subframes =
-      metrics::counter("ftmp_batch_subframes_total",
+      metrics::Counter("ftmp_batch_subframes_total",
                        "Messages packed into batched datagrams", "messages", "batch");
-  metrics_.bytes = metrics::counter("ftmp_batch_bytes_total",
+  metrics_.bytes = metrics::Counter("ftmp_batch_bytes_total",
                                     "Bytes of batched datagrams emitted",
                                     "bytes", "batch");
-  metrics_.passthrough = metrics::counter(
+  metrics_.passthrough = metrics::Counter(
       "ftmp_batch_passthrough_total",
       "Datagrams emitted unbatched while batching was enabled", "datagrams",
       "batch");
   metrics_.closed_full =
-      metrics::counter("ftmp_batch_closed_full_total",
+      metrics::Counter("ftmp_batch_closed_full_total",
                        "Batches closed by the byte budget", "batches", "batch");
   metrics_.closed_timer =
-      metrics::counter("ftmp_batch_closed_timer_total",
+      metrics::Counter("ftmp_batch_closed_timer_total",
                        "Batches closed by the flush timer", "batches", "batch");
-  metrics_.heartbeats_coalesced = metrics::counter(
+  metrics_.heartbeats_coalesced = metrics::Counter(
       "ftmp_batch_heartbeats_coalesced_total",
       "Heartbeats that rode a data-bearing batched datagram", "messages",
       "batch");
@@ -52,7 +52,6 @@ void Batcher::stage(TimePoint now, net::Datagram&& d) {
       close(it->first, std::move(it->second), /*by_timer=*/false);
       open_.erase(it);
     }
-    stats_.passthrough += 1;
     metrics_.passthrough.add();
     ready_.push_back(std::move(d));
     return;
@@ -65,7 +64,6 @@ void Batcher::stage(TimePoint now, net::Datagram&& d) {
   } else if (open.bytes + framed > budget) {
     Open full = std::move(open);
     close(d.addr.raw(), std::move(full), /*by_timer=*/false);
-    stats_.closed_full += 1;
     metrics_.closed_full.add();
     open = Open{};
     open.bytes = kBatchHeaderSize;
@@ -108,7 +106,6 @@ void Batcher::drain(TimePoint now, std::vector<net::Datagram>& out,
 void Batcher::close(std::uint32_t addr_raw, Open&& open, bool by_timer) {
   if (open.frames.empty()) return;
   if (by_timer && open.frames.size() > 1) {
-    stats_.closed_timer += 1;
     metrics_.closed_timer.add();
   }
   net::Datagram d;
@@ -117,19 +114,14 @@ void Batcher::close(std::uint32_t addr_raw, Open&& open, bool by_timer) {
     // A lone message keeps its original single-message encoding: no
     // envelope, no copy — an idle heartbeat on the wire is byte-identical
     // to the pre-batching stack's.
-    stats_.passthrough += 1;
     metrics_.passthrough.add();
     d.payload = std::move(open.frames.front());
   } else {
     d.payload = encode_batch(open.frames);
-    stats_.batch_datagrams += 1;
-    stats_.subframes += open.frames.size();
-    stats_.batch_bytes += d.payload.size();
     metrics_.datagrams.add();
     metrics_.subframes.add(open.frames.size());
     metrics_.bytes.add(d.payload.size());
     if (open.has_data && open.heartbeats > 0) {
-      stats_.heartbeats_coalesced += open.heartbeats;
       metrics_.heartbeats_coalesced.add(open.heartbeats);
     }
   }

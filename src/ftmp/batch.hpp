@@ -37,9 +37,8 @@
 
 namespace ftcorba::ftmp {
 
-/// Counters for one stack's batching layer. Always maintained (benches sum
-/// them across a fleet regardless of FTMP_METRICS); mirrored into the
-/// process-global ftmp_batch_* metrics when those are compiled in.
+/// One stack's batching counts, copied out of its Batcher's counters
+/// (benches sum them across a fleet regardless of FTMP_METRICS).
 struct BatchStats {
   std::uint64_t batch_datagrams = 0;   ///< FTMB datagrams emitted
   std::uint64_t subframes = 0;         ///< messages packed into those
@@ -85,7 +84,12 @@ class Batcher {
   /// True while messages are staged but not yet emitted.
   [[nodiscard]] bool pending() const { return !open_.empty() || !ready_.empty(); }
 
-  [[nodiscard]] const BatchStats& stats() const { return stats_; }
+  [[nodiscard]] BatchStats stats() const {
+    return {metrics_.datagrams.value(),    metrics_.subframes.value(),
+            metrics_.bytes.value(),        metrics_.passthrough.value(),
+            metrics_.closed_full.value(),  metrics_.closed_timer.value(),
+            metrics_.heartbeats_coalesced.value()};
+  }
 
  private:
   struct Open {
@@ -103,17 +107,17 @@ class Batcher {
   // deterministic across runs (the chaos digest depends on it).
   std::map<std::uint32_t, Open> open_;
   std::vector<net::Datagram> ready_;
-  BatchStats stats_;
 
-  // Process-global instruments (docs/METRICS.md).
+  // This batcher's counters, each also adding to the process-global
+  // ftmp_batch_* counter of its name while batching is on (docs/METRICS.md).
   struct Instruments {
-    metrics::CounterHandle datagrams;
-    metrics::CounterHandle subframes;
-    metrics::CounterHandle bytes;
-    metrics::CounterHandle passthrough;
-    metrics::CounterHandle closed_full;
-    metrics::CounterHandle closed_timer;
-    metrics::CounterHandle heartbeats_coalesced;
+    metrics::Counter datagrams;
+    metrics::Counter subframes;
+    metrics::Counter bytes;
+    metrics::Counter passthrough;
+    metrics::Counter closed_full;
+    metrics::Counter closed_timer;
+    metrics::Counter heartbeats_coalesced;
   };
   Instruments metrics_;
 };

@@ -3,14 +3,18 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
+#include <cinttypes>
 #include <cstdio>
 #include <cstdarg>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <sstream>
+#include <string_view>
 
 #include "common/codec.hpp"
 #include "common/metrics.hpp"
@@ -784,10 +788,10 @@ void Engine::open_log(ProcessorId p) {
 void Engine::absorb_transfer_stats(Proc& proc) {
   if (!proc.st) return;
   const ft::StateTransferStats& s = proc.st->stats();
-  result_.state_transfers += s.transfers_completed;
-  result_.state_resumes += s.transfers_resumed;
-  result_.state_restarts += s.transfers_restarted;
-  result_.state_digest_mismatches += s.digest_mismatches;
+  result_.state_transfers += s.transfers_completed.value();
+  result_.state_resumes += s.transfers_resumed.value();
+  result_.state_restarts += s.transfers_restarted.value();
+  result_.state_digest_mismatches += s.digest_mismatches.value();
 }
 
 void Engine::make_app(ProcessorId p) {
@@ -837,9 +841,14 @@ void Engine::setup() {
   if (!cfg_.trace_path.empty()) {
     trace_ = std::fopen(cfg_.trace_path.c_str(), "w");
     if (!trace_) throw std::runtime_error("cannot open trace file " + cfg_.trace_path);
-    std::fprintf(trace_, "# chaos-trace v2 seed=%llu ordering=%s\n",
-                 (unsigned long long)cfg_.seed,
-                 to_string(cfg_.ordering_mode));
+    // The header records the whole run, so a failing trace names the
+    // command that reproduces it (repro_command).
+    std::fprintf(trace_,
+                 "# chaos-trace v2 seed=%" PRIu64 " ordering=%s procs=%u duration=%" PRId64
+                 " faults=%zu spares=%u batch=%zu\n",
+                 cfg_.seed, to_string(cfg_.ordering_mode), cfg_.params.processors,
+                 std::int64_t(cfg_.params.duration / kMillisecond), cfg_.params.faults,
+                 cfg_.params.spares, cfg_.batch_max_datagram_bytes);
   }
   // Gauge balance is checked against a clean slate (process-global
   // instruments; no-ops when metrics are compiled out).
@@ -1614,116 +1623,169 @@ CampaignResult run_campaign(const CampaignConfig& cfg) {
   return engine.run();
 }
 
+std::string repro_command(const CampaignConfig& cfg) {
+  std::ostringstream cmd;
+  cmd << "chaos_campaign --seed " << cfg.seed << " --procs " << cfg.params.processors
+      << " --duration " << cfg.params.duration / kMillisecond << " --faults "
+      << cfg.params.faults << " --ordering " << to_string(cfg.ordering_mode)
+      << " --trace chaos_" << cfg.seed << ".trace -v";
+  if (cfg.params.spares > 0) cmd << " --spares " << cfg.params.spares;
+  if (cfg.batch_max_datagram_bytes > 0) cmd << " --batch " << cfg.batch_max_datagram_bytes;
+  return cmd.str();
+}
+
 // ---- trace replay -----------------------------------------------------------
 
-TraceReplay replay_trace_file(const std::string& path) {
-  TraceReplay out;
-  std::ifstream in(path);
-  if (!in) {
-    out.parse_error = "cannot open " + path;
-    return out;
+namespace {
+
+// A decimal trace field that must fit T: digits only, no sign, no blanks.
+template <typename T>
+bool parse_uint(std::string_view text, T& out) {
+  std::uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc{} || ptr != end || v > std::uint64_t(std::numeric_limits<T>::max())) {
+    return false;
   }
-  std::string line;
-  std::getline(in, line);
+  out = T(v);
+  return true;
+}
+
+// The header's key=value fields, in any order. seed is required; the run's
+// shape counts as recorded only when all five of its fields are present.
+bool parse_header(const std::string& line, TraceReplay& out) {
   // v1 traces predate state transfer (no S records); v2 adds them. Both
   // replay with the same checker.
-  if (line.rfind("# chaos-trace v1 seed=", 0) == 0) {
-    out.version = 1;
-  } else if (line.rfind("# chaos-trace v2 seed=", 0) == 0) {
-    out.version = 2;
-  } else {
+  const bool v1 = line.rfind("# chaos-trace v1 ", 0) == 0;
+  if (!v1 && line.rfind("# chaos-trace v2 ", 0) != 0) {
     out.parse_error = "not a chaos-trace v1/v2 file (bad header)";
-    return out;
+    return false;
   }
-  out.seed = std::strtoull(line.c_str() + std::strlen("# chaos-trace vN seed="),
-                           nullptr, 10);
-  // The ordering engine rides the header as a trailing key (LLFT-mode
-  // traces replay with the same checkers — the invariants are engine-
-  // agnostic, only the recorded order differs).
-  if (const auto pos = line.find(" ordering="); pos != std::string::npos) {
-    out.ordering = line.substr(pos + std::strlen(" ordering="));
+  out.version = v1 ? 1 : 2;
+  CampaignConfig& run = out.run;
+  run.ordering_mode = OrderingMode::kLamportPaper;
+  std::uint64_t duration_ms = 0;
+  using Parse = std::function<bool(const std::string&)>;
+  const std::pair<const char*, Parse> keys[] = {
+      {"seed", [&](const std::string& v) { return parse_uint(v, run.seed); }},
+      {"ordering",
+       [&](const std::string& v) { return parse_ordering_mode(v.c_str(), run.ordering_mode); }},
+      {"procs", [&](const std::string& v) { return parse_uint(v, run.params.processors); }},
+      {"duration",
+       [&](const std::string& v) {
+         return parse_uint(v, duration_ms) &&
+                duration_ms <= std::uint64_t(std::numeric_limits<Duration>::max() / kMillisecond);
+       }},
+      {"faults", [&](const std::string& v) { return parse_uint(v, run.params.faults); }},
+      {"spares", [&](const std::string& v) { return parse_uint(v, run.params.spares); }},
+      {"batch", [&](const std::string& v) { return parse_uint(v, run.batch_max_datagram_bytes); }},
+  };
+  unsigned seen = 0;  // bit k: keys[k] was present
+  std::istringstream fields(line.substr(std::strlen("# chaos-trace vN ")));
+  for (std::string field; fields >> field;) {
+    const std::size_t eq = field.find('=');
+    std::size_t k = 0;
+    while (k < std::size(keys) && field.compare(0, eq, keys[k].first) != 0) ++k;
+    if (eq == std::string::npos || k == std::size(keys) ||
+        !keys[k].second(field.substr(eq + 1))) {
+      out.parse_error = "bad header field '" + field + "'";
+      return false;
+    }
+    seen |= 1u << k;
   }
-  out.parsed = true;
+  if (!(seen & 1u)) {
+    out.parse_error = "not a chaos-trace v1/v2 file (no seed in the header)";
+    return false;
+  }
+  run.params.duration = Duration(duration_ms) * kMillisecond;
+  out.shape_recorded = (seen >> 2) == 0x1F;
+  return true;
+}
+
+// A V record's member list: comma-separated processor ids.
+bool parse_members(const std::string& text, std::vector<std::uint32_t>& out) {
+  std::istringstream ids(text);
+  for (std::string tok; std::getline(ids, tok, ',');) {
+    if (!parse_uint(tok, out.emplace_back())) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+TraceReplay replay_trace(std::istream& in) {
+  TraceReplay out;
+  std::string line;
+  std::getline(in, line);
+  if (!parse_header(line, out)) return out;
 
   InvariantChecker checker;
   std::size_t lineno = 1;
   while (std::getline(in, line)) {
     ++lineno;
-    if (line.empty() || line[0] == '#') continue;
+    if (line.empty() || line[0] == '#' || line[0] == 'X' || line[0] == 'F') {
+      continue;  // crash markers and fault applications are informational
+    }
     std::istringstream fields(line.substr(1));
+    long long at = 0;
+    bool ok = false;
     switch (line[0]) {
       case 'D': {
         DeliveryRecord d;
-        long long at = 0;
-        if (!(fields >> at >> d.proc >> d.group >> d.source >> d.seq >> d.ts >>
-              std::hex >> d.hash)) {
-          out.parse_error = "malformed D record at line " + std::to_string(lineno);
-          out.parsed = false;
-          return out;
-        }
+        ok = bool(fields >> at >> d.proc >> d.group >> d.source >> d.seq >> d.ts >>
+                  std::hex >> d.hash);
         d.at = at;
-        checker.on_delivery(d);
-        out.records += 1;
+        if (ok) checker.on_delivery(d);
         break;
       }
       case 'V': {
         ViewRecord v;
-        long long at = 0;
         std::string members;
-        if (!(fields >> at >> v.proc >> v.group >> v.view_ts >> members)) {
-          out.parse_error = "malformed V record at line " + std::to_string(lineno);
-          out.parsed = false;
-          return out;
-        }
+        ok = fields >> at >> v.proc >> v.group >> v.view_ts >> members &&
+             parse_members(members, v.members);
         v.at = at;
-        std::istringstream ms_stream(members);
-        std::string tok;
-        while (std::getline(ms_stream, tok, ',')) {
-          v.members.push_back(std::uint32_t(std::stoul(tok)));
-        }
-        checker.on_view(v);
-        out.records += 1;
+        if (ok) checker.on_view(v);
         break;
       }
       case 'R': {
-        long long at = 0;
         std::uint32_t proc = 0;
-        if (!(fields >> at >> proc)) {
-          out.parse_error = "malformed R record at line " + std::to_string(lineno);
-          out.parsed = false;
-          return out;
-        }
-        checker.on_reset(proc);
-        out.records += 1;
+        ok = bool(fields >> at >> proc);
+        if (ok) checker.on_reset(proc);
         break;
       }
       case 'S': {
         StateDigestRecord s;
-        long long at = 0;
-        if (!(fields >> at >> s.proc >> s.group >> std::hex >> s.fingerprint >>
-              s.digest)) {
-          out.parse_error = "malformed S record at line " + std::to_string(lineno);
-          out.parsed = false;
-          return out;
-        }
+        ok = bool(fields >> at >> s.proc >> s.group >> std::hex >> s.fingerprint >> s.digest);
         s.at = at;
-        checker.on_state_digest(s);
-        out.records += 1;
+        if (ok) checker.on_state_digest(s);
         break;
       }
-      case 'X':  // crash markers and fault applications are informational
-      case 'F':
-        break;
       default:
         out.parse_error = "unknown record '" + line.substr(0, 1) + "' at line " +
                           std::to_string(lineno);
-        out.parsed = false;
         return out;
     }
+    if (!ok) {
+      out.parse_error = "malformed " + line.substr(0, 1) + " record at line " +
+                        std::to_string(lineno);
+      return out;
+    }
+    out.records += 1;
   }
   checker.finalize();
+  out.parsed = true;
   out.violations = checker.violations();
   return out;
+}
+
+TraceReplay replay_trace_file(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) {
+    TraceReplay out;
+    out.parse_error = "cannot open " + path;
+    return out;
+  }
+  return replay_trace(in);
 }
 
 }  // namespace ftcorba::ftmp::chaos

@@ -42,6 +42,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <map>
 #include <set>
 #include <string>
@@ -347,24 +348,32 @@ struct CampaignResult {
 /// a Violation; throws only on environmental failure (unwritable paths).
 [[nodiscard]] CampaignResult run_campaign(const CampaignConfig& cfg);
 
+/// The chaos_campaign command line that re-runs `cfg` verbosely, with a
+/// trace (chaos_campaign's failure hint and ftmp_inspect's replay hint).
+[[nodiscard]] std::string repro_command(const CampaignConfig& cfg);
+
 // ---- trace replay -----------------------------------------------------------
 
 /// Result of replaying a recorded campaign trace offline.
 struct TraceReplay {
-  bool parsed = false;        ///< header was a valid chaos-trace v1/v2
+  bool parsed = false;        ///< header and every record were well formed
   std::string parse_error;
   std::uint32_t version = 0;  ///< trace format version from the header
-  std::uint64_t seed = 0;     ///< seed recorded in the trace header
-  /// Ordering engine recorded in the header ("lamport-paper" when absent —
-  /// such traces predate the seam and ran the paper's Lamport rule).
-  std::string ordering = "lamport-paper";
+  /// The run the header records: its seed, its ordering engine
+  /// (kLamportPaper when absent — such traces predate the seam and ran the
+  /// paper's Lamport rule) and, when `shape_recorded`, its processors,
+  /// duration, faults, spares and batch budget.
+  CampaignConfig run;
+  bool shape_recorded = false;
   std::uint64_t records = 0;  ///< D/V/R/S records replayed
   std::vector<Violation> violations;
 };
 
 /// Re-runs the replayable checkers (total order, view agreement, dup/skip,
-/// state-digest convergence) over a trace file written by run_campaign.
-/// Accepts both v1 traces (no S records) and v2 traces.
+/// state-digest convergence) over a trace written by run_campaign.
+/// Accepts both v1 traces (no S records) and v2 traces. Malformed input
+/// yields parsed == false and a parse_error; it never throws.
+[[nodiscard]] TraceReplay replay_trace(std::istream& in);
 [[nodiscard]] TraceReplay replay_trace_file(const std::string& path);
 
 }  // namespace ftcorba::ftmp::chaos

@@ -61,13 +61,6 @@ struct Config {
   /// having crashed (PGMP fault detector, driven by heartbeat receipt).
   Duration fault_timeout = 200 * kMillisecond;
 
-  /// Sponsor side: period between retransmissions of an AddProcessor toward
-  /// a new member, which cannot NACK yet (§5: reliability exception), and
-  /// between re-announcements of a rebind Connect on the retiring address.
-  /// Server-side establishment Connects toward a client group are resent
-  /// on the Stack's own 50 ms period (kConnectRetryInterval, stack.cpp).
-  Duration join_retry_interval = 20 * kMillisecond;
-
   /// When true (paper behaviour, §5), *any* processor holding a message may
   /// answer a RetransmitRequest for it; when false only the original source
   /// retransmits. Ablation D4 (bench E4).

@@ -24,28 +24,28 @@ FlowController::FlowController(ProcessorId self, ProcessorGroupId group,
       "ftmp_flow_send_queue_highwater",
       "Peak parked-send queue depth observed since the last metrics reset",
       "messages", "flow");
-  metrics_.pacing_stalls = metrics::counter(
+  stats_.pacing_stalls = metrics::Counter(
       "ftmp_flow_pacing_stalls_total",
       "Sends parked because the stability-driven send window was full",
       "sends", "flow");
-  metrics_.queue_dropped = metrics::counter(
+  stats_.queue_drops = metrics::Counter(
       "ftmp_flow_send_queue_dropped_total",
       "Sends rejected because the parked-send queue was at capacity",
       "sends", "flow");
-  metrics_.queue_high_events = metrics::counter(
+  stats_.queue_high_events = metrics::Counter(
       "ftmp_flow_queue_high_events_total",
       "Parked-send queue crossings of the high watermark (backpressure "
       "raised toward the ORB)",
       "events", "flow");
-  metrics_.releases = metrics::counter(
+  stats_.releases = metrics::Counter(
       "ftmp_flow_releases_total",
       "Parked sends released after stability freed window space", "sends",
       "flow");
-  metrics_.lag_warnings = metrics::counter(
+  stats_.lag_warnings = metrics::Counter(
       "ftmp_flow_lag_warnings_total",
       "Members newly observed past flow_lag_warn stability lag", "members",
       "flow");
-  metrics_.evict_reports = metrics::counter(
+  stats_.evict_reports = metrics::Counter(
       "ftmp_flow_evict_reports_total",
       "Members reported to PGMP as suspect past flow_lag_evict stability lag",
       "members", "flow");
@@ -129,14 +129,12 @@ std::size_t FlowController::low_watermark() const {
 bool FlowController::park(TimePoint now, Parked&& p) {
   if (config_.flow_send_queue_limit > 0 &&
       queue_.size() >= config_.flow_send_queue_limit) {
-    stats_.queue_drops += 1;
-    metrics_.queue_dropped.add();
+    stats_.queue_drops.add();
     trace(now, metrics::TraceKind::kFlowSendDropped, queue_.size());
     return false;
   }
   queue_.push_back(std::move(p));
-  stats_.pacing_stalls += 1;
-  metrics_.pacing_stalls.add();
+  stats_.pacing_stalls.add();
   metrics_.queue_depth.add(1);
   if (queue_.size() > stats_.queue_highwater) {
     stats_.queue_highwater = queue_.size();
@@ -148,8 +146,7 @@ bool FlowController::park(TimePoint now, Parked&& p) {
   }
   if (!over_high_ && queue_.size() >= high_watermark()) {
     over_high_ = true;
-    stats_.queue_high_events += 1;
-    metrics_.queue_high_events.add();
+    stats_.queue_high_events.add();
     signals_.push_back(FlowSignal::kQueueHigh);
     trace(now, metrics::TraceKind::kFlowQueueHigh, queue_.size());
   }
@@ -166,8 +163,7 @@ std::optional<FlowController::Parked> FlowController::release_one(TimePoint now)
   }
   Parked out = std::move(queue_.front());
   queue_.pop_front();
-  stats_.releases += 1;
-  metrics_.releases.add();
+  stats_.releases.add();
   metrics_.queue_depth.add(-1);
   if (over_high_ && queue_.size() <= low_watermark()) {
     over_high_ = false;
@@ -199,8 +195,7 @@ std::vector<ProcessorId> FlowController::observe_lag(
     if (config_.flow_lag_warn > 0) {
       if (lag > config_.flow_lag_warn) {
         if (lag_warned_.insert(q).second) {
-          stats_.lag_warnings += 1;
-          metrics_.lag_warnings.add();
+          stats_.lag_warnings.add();
           trace(now, metrics::TraceKind::kFlowLagWarn, q.raw(), lag);
         }
       } else if (lag <= config_.flow_lag_warn / 2) {
@@ -210,8 +205,7 @@ std::vector<ProcessorId> FlowController::observe_lag(
     if (config_.flow_lag_evict > 0) {
       if (lag > config_.flow_lag_evict) {
         if (lag_reported_.insert(q).second) {
-          stats_.evict_reports += 1;
-          metrics_.evict_reports.add();
+          stats_.evict_reports.add();
           trace(now, metrics::TraceKind::kFlowEvictReport, q.raw(), lag);
           evict.push_back(q);
         }

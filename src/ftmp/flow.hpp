@@ -75,15 +75,16 @@ class FlowListener {
   virtual void on_flow(ProcessorGroupId group, FlowSignal signal) = 0;
 };
 
-/// Counters for tests and the E11 bench.
+/// This controller's counters for tests and the E11 bench; each Counter
+/// also adds to the process-global ftmp_flow_* counter of its name.
 struct FlowStats {
-  std::uint64_t pacing_stalls = 0;      ///< sends parked (window full)
-  std::uint64_t queue_drops = 0;        ///< sends rejected (queue at capacity)
-  std::uint64_t queue_high_events = 0;  ///< high-watermark crossings
-  std::uint64_t releases = 0;           ///< parked sends released by stability
-  std::uint64_t lag_warnings = 0;       ///< members newly past flow_lag_warn
-  std::uint64_t evict_reports = 0;      ///< members reported past flow_lag_evict
-  std::uint64_t queue_highwater = 0;    ///< peak parked-queue depth
+  metrics::Counter pacing_stalls;      ///< sends parked (window full)
+  metrics::Counter queue_drops;        ///< sends rejected (queue at capacity)
+  metrics::Counter queue_high_events;  ///< high-watermark crossings
+  metrics::Counter releases;           ///< parked sends released by stability
+  metrics::Counter lag_warnings;       ///< members newly past flow_lag_warn
+  metrics::Counter evict_reports;      ///< members reported past flow_lag_evict
+  std::uint64_t queue_highwater = 0;   ///< peak parked-queue depth
 };
 
 /// Flow control for one group session. Owned and driven by GroupSession.
@@ -205,12 +206,6 @@ class FlowController {
     metrics::GaugeHandle window_bytes;
     metrics::GaugeHandle queue_depth;
     metrics::GaugeHandle queue_highwater;
-    metrics::CounterHandle pacing_stalls;
-    metrics::CounterHandle queue_dropped;
-    metrics::CounterHandle queue_high_events;
-    metrics::CounterHandle releases;
-    metrics::CounterHandle lag_warnings;
-    metrics::CounterHandle evict_reports;
     metrics::HistogramHandle member_lag;
   };
   Instruments metrics_;

@@ -526,7 +526,7 @@ void GroupSession::apply_pgmp_out(TimePoint now, PgmpOut&& out) {
     // The members order an AddProcessor within a round trip (urgent acks),
     // so the first re-multicast can go out before the joiner has joined the
     // group address; a repeat kAckDelay later spares it the wait for the
-    // next one, join_retry_interval away.
+    // next one, kJoinRetryInterval away.
     if (config_.ordering_mode == OrderingMode::kLamport) {
       add_echoes_.push_back({resend->source, resend->seq, now + kAckDelay});
     }
@@ -673,7 +673,7 @@ void GroupSession::tick(TimePoint now) {
   }
   // Re-announce an in-progress rebind on the old address until the whole
   // membership has moved (the retire condition implies everyone switched).
-  if (old_addr_ && now - last_rebind_resend_ >= config_.join_retry_interval) {
+  if (old_addr_ && now - last_rebind_resend_ >= kJoinRetryInterval) {
     last_rebind_resend_ = now;
     resend_stored(rebind_src_, rebind_seq_, *old_addr_);
   }

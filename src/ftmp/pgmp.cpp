@@ -315,7 +315,7 @@ void Pgmp::on_add_ordered(TimePoint now, const Message& msg) {
     // until the new member speaks (it cannot NACK before it has joined, §5),
     // the first time at the next tick.
     pending_joins_.push_back({member, msg.header.sequence_number, now,
-                              /*last_resend=*/now - config_.join_retry_interval});
+                              /*last_resend=*/now - kJoinRetryInterval});
   } else {
     // Another sponsor's Add admitted it: an Add of ours for the same
     // joiner can only order as a duplicate now, so drop its store pin.
@@ -673,7 +673,7 @@ void Pgmp::tick(TimePoint now) {
       it = pending_joins_.erase(it);
       continue;
     }
-    if (now - it->last_resend >= config_.join_retry_interval) {
+    if (now - it->last_resend >= kJoinRetryInterval) {
       it->last_resend = now;
       output_.emplace_back(ResendStoredOut{self_, it->add_seq});
     }

@@ -54,6 +54,14 @@
 
 namespace ftcorba::ftmp {
 
+/// Sponsor side: period between retransmissions of an AddProcessor toward
+/// a new member, which cannot NACK yet (§5: reliability exception), and
+/// between re-announcements of a rebind Connect on the retiring address
+/// (GroupSession). Server-side establishment Connects toward a client group
+/// are resent on the Stack's own 50 ms period (kConnectRetryInterval,
+/// stack.cpp).
+inline constexpr Duration kJoinRetryInterval = 20 * kMillisecond;
+
 /// PGMP asks the session to stamp and multicast a protocol message.
 struct SendBodyOut {
   Body body;

@@ -19,30 +19,30 @@ constexpr Duration kRetransmitInterval = 5 * kMillisecond;
 }  // namespace
 
 Rmp::Rmp(ProcessorId self, const Config& config) : self_(self), config_(config) {
-  metrics_.delivered = metrics::counter(
+  stats_.delivered_in_order = metrics::Counter(
       "ftmp_rmp_delivered_in_order_total",
       "Reliable messages delivered to ROMP in source order", "messages", "rmp");
-  metrics_.duplicates = metrics::counter(
+  stats_.duplicates_ignored = metrics::Counter(
       "ftmp_rmp_duplicates_ignored_total",
       "Reliable messages discarded as duplicates (already contiguous or buffered)",
       "messages", "rmp");
-  metrics_.nacks_sent = metrics::counter(
+  stats_.nacks_sent = metrics::Counter(
       "ftmp_rmp_retransmit_requests_sent_total",
       "RetransmitRequest (NACK) blocks multicast for detected gaps", "requests",
       "rmp");
-  metrics_.retransmits_served = metrics::counter(
+  stats_.retransmissions_sent = metrics::Counter(
       "ftmp_rmp_retransmit_requests_served_total",
       "Stored messages re-multicast in answer to RetransmitRequests", "messages",
       "rmp");
-  metrics_.dropped_unknown = metrics::counter(
+  stats_.dropped_unknown_source = metrics::Counter(
       "ftmp_rmp_dropped_unknown_source_total",
       "Reliable messages dropped because the source is not a tracked member",
       "messages", "rmp");
-  metrics_.dropped_stale = metrics::counter(
+  stats_.dropped_stale_incarnation = metrics::Counter(
       "ftmp_rmp_dropped_stale_incarnation_total",
       "Reliable messages dropped by the incarnation timestamp floor", "messages",
       "rmp");
-  metrics_.ooo_dropped = metrics::counter(
+  stats_.ooo_dropped = metrics::Counter(
       "ftmp_rmp_ooo_dropped_total",
       "Reliable messages dropped at the max_out_of_order_buffer cap "
       "(recovered later via NACK)",
@@ -174,8 +174,7 @@ std::vector<Frame> Rmp::on_reliable(TimePoint now, Frame frame,
   const SeqNum seq = frame.header.sequence_number;
   auto it = sources_.find(src);
   if (it == sources_.end()) {
-    stats_.dropped_unknown_source += 1;
-    metrics_.dropped_unknown.add();
+    stats_.dropped_unknown_source.add();
     disposed = RmpAccept::kUnknownSource;
     return {};
   }
@@ -185,14 +184,12 @@ std::vector<Frame> Rmp::on_reliable(TimePoint now, Frame frame,
     // A straggler from a previous incarnation of this source id (e.g. a
     // retransmission served by a member that has not yet processed the
     // re-add): poisonous if accepted into the fresh stream.
-    stats_.dropped_stale_incarnation += 1;
-    metrics_.dropped_stale.add();
+    stats_.dropped_stale_incarnation.add();
     disposed = RmpAccept::kStaleIncarnation;
     return {};
   }
   if (seq <= st.contiguous || st.out_of_order.contains(seq)) {
-    stats_.duplicates_ignored += 1;
-    metrics_.duplicates.add();
+    stats_.duplicates_ignored.add();
     disposed = RmpAccept::kDuplicate;
     return {};
   }
@@ -210,18 +207,17 @@ std::vector<Frame> Rmp::on_reliable(TimePoint now, Frame frame,
       metrics_.backoff_resets.add();
     }
     st.contiguous = seq;
-    stats_.delivered_in_order += 1;
     deliver.push_back(std::move(frame));
     // Drain any buffered messages that are now contiguous.
     auto next = st.out_of_order.find(st.contiguous + 1);
     while (next != st.out_of_order.end()) {
       st.contiguous = next->first;
-      stats_.delivered_in_order += 1;
       deliver.push_back(std::move(next->second));
       st.out_of_order.erase(next);
       metrics_.out_of_order.add(-1);
       next = st.out_of_order.find(st.contiguous + 1);
     }
+    stats_.delivered_in_order.add(deliver.size());
   } else {
     if (config_.max_out_of_order_buffer == 0 ||
         st.out_of_order.size() < config_.max_out_of_order_buffer) {
@@ -233,12 +229,10 @@ std::vector<Frame> Rmp::on_reliable(TimePoint now, Frame frame,
       // everyone else's) still answers the NACK recovery that will refetch
       // it once the gap closes — dropped here means delayed, not lost.
       disposed = RmpAccept::kOooDropped;
-      stats_.ooo_dropped += 1;
-      metrics_.ooo_dropped.add();
+      stats_.ooo_dropped.add();
     }
     queue_nacks(now, st, src);
   }
-  metrics_.delivered.add(deliver.size());
   update_gap_state(now, st);
   return deliver;
 }
@@ -274,8 +268,7 @@ void Rmp::on_retransmit_request(TimePoint now, const RetransmitRequestBody& body
     // Patch the retransmission flag into a pooled copy here, on the cold
     // path, so the store itself keeps arrival slices byte-identical.
     output_.emplace_back(RetransmitOut{with_retransmission_flag(it->second)});
-    stats_.retransmissions_sent += 1;
-    metrics_.retransmits_served.add();
+    stats_.retransmissions_sent.add();
     ++sent;
   }
 }
@@ -311,8 +304,7 @@ void Rmp::queue_nacks(TimePoint now, SourceState& st, ProcessorId src) {
       run_end = st.highest_seen;
     }
     output_.emplace_back(NackOut{src, cursor, run_end});
-    stats_.nacks_sent += 1;
-    metrics_.nacks_sent.add();
+    stats_.nacks_sent.add();
     ++runs;
     cursor = run_end + 1;
   }

@@ -44,15 +44,16 @@ struct RetransmitOut {
 /// An output produced by the RMP layer itself.
 using RmpOut = std::variant<NackOut, RetransmitOut>;
 
-/// Counters for the E4 bench and tests.
+/// This instance's counters (the E4 bench and tests read them); each also
+/// adds to the process-global ftmp_rmp_* counter of its name.
 struct RmpStats {
-  std::uint64_t duplicates_ignored = 0;
-  std::uint64_t nacks_sent = 0;
-  std::uint64_t retransmissions_sent = 0;
-  std::uint64_t dropped_unknown_source = 0;
-  std::uint64_t dropped_stale_incarnation = 0;
-  std::uint64_t delivered_in_order = 0;
-  std::uint64_t ooo_dropped = 0;  ///< drops at the max_out_of_order_buffer cap
+  metrics::Counter duplicates_ignored;
+  metrics::Counter nacks_sent;
+  metrics::Counter retransmissions_sent;
+  metrics::Counter dropped_unknown_source;
+  metrics::Counter dropped_stale_incarnation;
+  metrics::Counter delivered_in_order;
+  metrics::Counter ooo_dropped;  ///< drops at the max_out_of_order_buffer cap
 };
 
 /// How on_reliable disposed of a message (optional out-param; tests and the
@@ -213,13 +214,6 @@ class Rmp {
 
   // Process-global instruments shared by every Rmp instance (docs/METRICS.md).
   struct Instruments {
-    metrics::CounterHandle delivered;
-    metrics::CounterHandle duplicates;
-    metrics::CounterHandle nacks_sent;
-    metrics::CounterHandle retransmits_served;
-    metrics::CounterHandle dropped_unknown;
-    metrics::CounterHandle dropped_stale;
-    metrics::CounterHandle ooo_dropped;
     metrics::GaugeHandle store_bytes;
     metrics::GaugeHandle out_of_order;
     metrics::HistogramHandle gap_repair_ms;

@@ -18,11 +18,11 @@ Stack::Stack(ProcessorId self, FtDomainId domain, McastAddress domain_addr, Conf
     : self_(self), domain_(domain), domain_addr_(domain_addr), config_(config),
       batcher_(config_) {
   subscriptions_.insert(domain_addr_.raw());
-  malformed_ = metrics::counter(
+  stats_.malformed_datagrams = metrics::Counter(
       "ftmp_stack_malformed_datagrams_total",
       "Datagrams dropped: not FTMP-framed or failed header/body decode",
       "datagrams", "stack");
-  unroutable_ = metrics::counter(
+  stats_.unroutable_datagrams = metrics::Counter(
       "ftmp_stack_unroutable_datagrams_total",
       "Well-formed datagrams with no session to route to", "datagrams",
       "stack");
@@ -269,16 +269,14 @@ void Stack::on_datagram(TimePoint now, const net::Datagram& datagram) {
       on_frame(now, datagram.payload.slice(sf->offset, sf->length));
     }
     if (!parser.ok()) {
-      stats_.malformed_datagrams += 1;
-      malformed_.add();
+      stats_.malformed_datagrams.add();
       FTC_LOG(kDebug) << to_string(self_)
                       << ": dropping malformed batch datagram: " << parser.error();
     }
     return;
   }
   if (!looks_like_ftmp(datagram.payload)) {
-    stats_.malformed_datagrams += 1;
-    malformed_.add();
+    stats_.malformed_datagrams.add();
     return;
   }
   on_frame(now, datagram.payload);
@@ -290,8 +288,7 @@ void Stack::on_frame(TimePoint now, const SharedBytes& payload) {
   // consumption (docs/BUFFERS.md).
   const HeaderView hv = try_decode_header(payload);
   if (!hv) {
-    stats_.malformed_datagrams += 1;
-    malformed_.add();
+    stats_.malformed_datagrams.add();
     FTC_LOG(kDebug) << to_string(self_) << ": dropping malformed datagram: " << hv.error;
     return;
   }
@@ -305,8 +302,7 @@ void Stack::on_frame(TimePoint now, const SharedBytes& payload) {
     try {
       return Message{frame.header, decode_body(frame.header, frame.body())};
     } catch (const CodecError& e) {
-      stats_.malformed_datagrams += 1;
-      malformed_.add();
+      stats_.malformed_datagrams.add();
       FTC_LOG(kDebug) << to_string(self_) << ": dropping malformed datagram: " << e.what();
       return std::nullopt;
     }
@@ -340,16 +336,14 @@ void Stack::on_frame(TimePoint now, const SharedBytes& payload) {
           body.current_membership.timestamp < floor->second) {
         // A retransmission of an AddProcessor from an earlier incarnation
         // of this processor's membership: ignore it, the fresh one follows.
-        stats_.unroutable_datagrams += 1;
-        unroutable_.add();
+        stats_.unroutable_datagrams.add();
       } else if (body.new_member == self_ && expected != expected_joins_.end()) {
         const McastAddress addr = expected->second;
         expected_joins_.erase(expected);
         make_session(frame.header.destination_group, addr)
             .init_from_add(now, *msg, frame.raw);
       } else {
-        stats_.unroutable_datagrams += 1;
-        unroutable_.add();
+        stats_.unroutable_datagrams.add();
       }
       break;
     }
@@ -357,8 +351,7 @@ void Stack::on_frame(TimePoint now, const SharedBytes& payload) {
       if (GroupSession* s = this->group(frame.header.destination_group)) {
         s->handle(now, frame);
       } else {
-        stats_.unroutable_datagrams += 1;
-        unroutable_.add();
+        stats_.unroutable_datagrams.add();
       }
       break;
     }

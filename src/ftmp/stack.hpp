@@ -27,10 +27,11 @@
 
 namespace ftcorba::ftmp {
 
-/// Counters for malformed/unroutable input (never crashes the stack).
+/// Counters for malformed/unroutable input (never crashes the stack); each
+/// also adds to the process-global ftmp_stack_* counter of its name.
 struct StackStats {
-  std::uint64_t malformed_datagrams = 0;
-  std::uint64_t unroutable_datagrams = 0;
+  metrics::Counter malformed_datagrams;
+  metrics::Counter unroutable_datagrams;
 };
 
 /// A processor's FTMP protocol stack.
@@ -180,7 +181,7 @@ class Stack {
   [[nodiscard]] const StackStats& stats() const { return stats_; }
 
   /// Egress-batching counters (all zero while batching is disabled).
-  [[nodiscard]] const BatchStats& batch_stats() const { return batcher_.stats(); }
+  [[nodiscard]] BatchStats batch_stats() const { return batcher_.stats(); }
 
  private:
   struct ClientConn {
@@ -238,11 +239,6 @@ class Stack {
   std::size_t events_observed_ = 0;
   TimePoint last_now_ = 0;
   StackStats stats_;
-
-  // Process-global instruments (docs/METRICS.md); upward events are also
-  // mirrored into the trace ring from observe_events.
-  metrics::CounterHandle malformed_;
-  metrics::CounterHandle unroutable_;
 };
 
 }  // namespace ftcorba::ftmp

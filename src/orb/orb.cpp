@@ -6,23 +6,23 @@ namespace ftcorba::orb {
 
 Orb::Orb(ftmp::Stack& stack, ByteOrder byte_order)
     : stack_(stack), byte_order_(byte_order) {
-  metrics_.requests_dispatched = metrics::counter(
+  metrics_.requests_dispatched = metrics::Counter(
       "giop_requests_dispatched_total", "Servant invocations executed",
       "requests", "giop");
-  metrics_.replies_completed = metrics::counter(
+  metrics_.replies_completed = metrics::Counter(
       "giop_replies_completed_total", "Client invocations completed by a reply",
       "replies", "giop");
-  metrics_.duplicates_suppressed = metrics::counter(
+  metrics_.duplicates_suppressed = metrics::Counter(
       "giop_duplicates_suppressed_total",
       "Replica request/reply copies discarded by the ORB", "messages", "giop");
-  metrics_.undecodable = metrics::counter(
+  metrics_.undecodable = metrics::Counter(
       "giop_undecodable_payloads_total",
       "Delivered Regular bodies that failed GIOP decoding", "messages", "giop");
-  metrics_.unknown_objects = metrics::counter(
+  metrics_.unknown_objects = metrics::Counter(
       "giop_unknown_objects_total",
       "Requests delivered for object keys with no local servant", "requests",
       "giop");
-  metrics_.requests_deferred = metrics::counter(
+  metrics_.requests_deferred = metrics::Counter(
       "giop_requests_deferred_total",
       "Client invocations refused while the connection's group was over its "
       "flow-control high watermark",
@@ -51,7 +51,6 @@ std::optional<RequestNum> Orb::invoke(TimePoint now, const ConnectionId& connect
     // Backpressure (docs/FLOW.md): the group's flow queue is over its high
     // watermark; multicasting more would only deepen it. No request number
     // is consumed, so replicas that defer at different moments stay aligned.
-    stats_.requests_deferred += 1;
     metrics_.requests_deferred.add();
     return std::nullopt;
   }
@@ -83,7 +82,6 @@ std::optional<RequestNum> Orb::locate(TimePoint now, const ConnectionId& connect
                                       const ObjectKey& key,
                                       std::function<void(giop::LocateStatus)> handler) {
   if (stack_.connection_congested(connection)) {
-    stats_.requests_deferred += 1;
     metrics_.requests_deferred.add();
     return std::nullopt;
   }
@@ -111,7 +109,6 @@ void Orb::on_event(TimePoint now, const ftmp::Event& event) {
   try {
     msg = giop::decode(dm->giop_message);
   } catch (const giop::CdrError& e) {
-    stats_.undecodable_payloads += 1;
     metrics_.undecodable.add();
     FTC_LOG(kDebug) << "orb: undecodable GIOP payload: " << e.what();
     return;
@@ -120,7 +117,6 @@ void Orb::on_event(TimePoint now, const ftmp::Event& event) {
   switch (msg.header.type) {
     case giop::MsgType::kRequest:
       if (!dedup_.accept(dm->connection, dm->request_num, ft::MessageKind::kRequest)) {
-        stats_.duplicates_suppressed += 1;
         metrics_.duplicates_suppressed.add();
         return;
       }
@@ -133,7 +129,6 @@ void Orb::on_event(TimePoint now, const ftmp::Event& event) {
       break;
     case giop::MsgType::kLocateRequest:
       if (!dedup_.accept(dm->connection, dm->request_num, ft::MessageKind::kRequest)) {
-        stats_.duplicates_suppressed += 1;
         metrics_.duplicates_suppressed.add();
         return;
       }
@@ -141,7 +136,6 @@ void Orb::on_event(TimePoint now, const ftmp::Event& event) {
       break;
     case giop::MsgType::kReply:
       if (!dedup_.accept(dm->connection, dm->request_num, ft::MessageKind::kReply)) {
-        stats_.duplicates_suppressed += 1;
         metrics_.duplicates_suppressed.add();
         return;
       }
@@ -153,7 +147,6 @@ void Orb::on_event(TimePoint now, const ftmp::Event& event) {
       break;
     case giop::MsgType::kLocateReply: {
       if (!dedup_.accept(dm->connection, dm->request_num, ft::MessageKind::kReply)) {
-        stats_.duplicates_suppressed += 1;
         metrics_.duplicates_suppressed.add();
         return;
       }
@@ -225,7 +218,6 @@ void Orb::handle_request(TimePoint now, const ftmp::DeliveredMessage& dm,
   if (servant == servants_.end()) {
     // Delivered to both groups (§4): the client group legitimately sees the
     // request too and simply has no servant for it.
-    stats_.unknown_objects += 1;
     metrics_.unknown_objects.add();
     return;
   }
@@ -240,7 +232,6 @@ void Orb::handle_request(TimePoint now, const ftmp::DeliveredMessage& dm,
     results = giop::CdrWriter(byte_order_);
     results.string(e.what());
   }
-  stats_.requests_dispatched += 1;
   metrics_.requests_dispatched.add();
   if (!request.response_expected || servant->second->suppress_reply()) return;
 
@@ -282,7 +273,6 @@ void Orb::handle_reply(TimePoint now, const giop::Reply& reply,
     metrics_.request_reply_ms.observe(to_ms(now - sent->second));
     sent_at_.erase(sent);
   }
-  stats_.replies_completed += 1;
   metrics_.replies_completed.add();
   handler(reply, body_order);
 }

@@ -33,7 +33,7 @@
 
 namespace ftcorba::orb {
 
-/// Counters for tests and the E6 bench.
+/// One ORB's counts for tests and the E6 bench, copied out of its counters.
 struct OrbStats {
   std::uint64_t requests_dispatched = 0;   ///< servant invocations executed
   std::uint64_t replies_completed = 0;     ///< client invocations completed
@@ -113,7 +113,11 @@ class Orb {
   /// rebuilt by replay (ft::replay_requests). Pass nullptr to detach.
   void attach_log(ft::MessageLog* log) { log_ = log; }
 
-  [[nodiscard]] const OrbStats& stats() const { return stats_; }
+  [[nodiscard]] OrbStats stats() const {
+    return {metrics_.requests_dispatched.value(), metrics_.replies_completed.value(),
+            metrics_.duplicates_suppressed.value(), metrics_.undecodable.value(),
+            metrics_.unknown_objects.value(), metrics_.requests_deferred.value()};
+  }
 
   /// The underlying stack.
   [[nodiscard]] ftmp::Stack& stack() { return stack_; }
@@ -142,16 +146,16 @@ class Orb {
   std::map<std::pair<ConnectionId, RequestNum>, TimePoint> sent_at_;
   ft::DuplicateSuppressor dedup_;
   ft::MessageLog* log_ = nullptr;
-  OrbStats stats_;
 
-  // Process-global instruments (docs/METRICS.md).
+  // This ORB's counters, each also adding to the process-global giop_*
+  // counter of its name, and the shared latency histogram (docs/METRICS.md).
   struct Instruments {
-    metrics::CounterHandle requests_dispatched;
-    metrics::CounterHandle replies_completed;
-    metrics::CounterHandle duplicates_suppressed;
-    metrics::CounterHandle undecodable;
-    metrics::CounterHandle unknown_objects;
-    metrics::CounterHandle requests_deferred;
+    metrics::Counter requests_dispatched;
+    metrics::Counter replies_completed;
+    metrics::Counter duplicates_suppressed;
+    metrics::Counter undecodable;
+    metrics::Counter unknown_objects;
+    metrics::Counter requests_deferred;
     metrics::HistogramHandle request_reply_ms;
   };
   Instruments metrics_;

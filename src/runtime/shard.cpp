@@ -19,6 +19,25 @@ namespace {
 // shard.
 constexpr std::size_t kMetricShards = 16;
 
+// Capacity of each shard's egress datagram ring (shard -> front).
+constexpr std::size_t kEgressRingCapacity = 8192;
+
+// Cadence of each shard's timer wheel tick — the resolution of the
+// heartbeat / fault-detector / NACK / batch micro-flush timers, exactly
+// like the granularity handed to Stack::tick by the other drivers.
+constexpr Duration kTickGranularity = 1 * kMillisecond;
+
+// Max frames a shard consumes from its ingress ring per loop iteration
+// before running timers and draining egress (keeps egress latency and
+// timer jitter bounded under flood).
+constexpr std::size_t kIngressBurst = 64;
+
+// Idle strategy: a shard that found no work yields this many loop
+// iterations before sleeping kIdleSleep (single-core friendly: the yields
+// let the producer run).
+constexpr std::size_t kSpinIterations = 64;
+constexpr Duration kIdleSleep = 50 * kMicrosecond;
+
 std::string shard_metric(std::size_t shard, const char* suffix) {
   return "ftmp_runtime_shard" + std::to_string(shard) + "_" + suffix;
 }
@@ -34,7 +53,7 @@ ShardedRuntime::ShardedRuntime(ProcessorId self, FtDomainId domain,
   inline_mode_ = config_.shards == 1 && config_.inline_single_shard;
   shards_.reserve(config_.shards);
   for (std::size_t i = 0; i < config_.shards; ++i) {
-    auto sh = std::make_unique<Shard>(config_);
+    auto sh = std::make_unique<Shard>(config_.ingress_ring_capacity, kEgressRingCapacity);
     sh->stack = std::make_unique<ftmp::Stack>(self_, domain_, domain_addr_,
                                               stack_config_);
     if (i < kMetricShards) {
@@ -541,16 +560,16 @@ void ShardedRuntime::run_stack_step(Shard& sh, TimePoint now) {
 
 void ShardedRuntime::shard_main(std::size_t index) {
   Shard& sh = *shards_[index];
-  TimerWheel wheel(config_.tick_granularity);
+  TimerWheel wheel(kTickGranularity);
   TimePoint now = wall_now();
-  wheel.schedule(now + config_.tick_granularity, 0);
+  wheel.schedule(now + kTickGranularity, 0);
   std::size_t idle = 0;
   for (;;) {
     bool did_work = false;
 
     Inbound in;
     std::size_t burst = 0;
-    while (burst < config_.ingress_burst && sh.ingress.try_pop(in)) {
+    while (burst < kIngressBurst && sh.ingress.try_pop(in)) {
       now = std::max(now, in.now);
       sh.stack->on_datagram(in.now, in.datagram);
       in.datagram = net::Datagram{};
@@ -582,7 +601,7 @@ void ShardedRuntime::shard_main(std::size_t index) {
         std::lock_guard lk(sh.sub_mu);
         sh.subs = sh.stack->subscriptions();
       }
-      wheel.schedule(now + config_.tick_granularity, 0);
+      wheel.schedule(now + kTickGranularity, 0);
     });
 
     run_stack_step(sh, now);
@@ -600,11 +619,10 @@ void ShardedRuntime::shard_main(std::size_t index) {
       break;
     }
     ++idle;
-    if (idle <= config_.spin_iterations) {
+    if (idle <= kSpinIterations) {
       std::this_thread::yield();
     } else {
-      std::this_thread::sleep_for(
-          std::chrono::nanoseconds(config_.idle_sleep > 0 ? config_.idle_sleep : 1));
+      std::this_thread::sleep_for(std::chrono::nanoseconds(kIdleSleep));
     }
   }
 }

@@ -89,30 +89,11 @@ struct RuntimeConfig {
   /// Capacity of each shard's ingress frame ring (front -> shard).
   std::size_t ingress_ring_capacity = 4096;
 
-  /// Capacity of each shard's egress datagram ring (shard -> front).
-  std::size_t egress_ring_capacity = 8192;
-
   /// Ingress overflow policy: false (default) backpressures the front
   /// thread (yield-spin until the shard catches up, counted as stalls);
   /// true drops the frame like a congested NIC queue (counted as drops —
   /// RMP recovers via retransmission).
   bool drop_when_full = false;
-
-  /// Cadence of each shard's timer wheel tick — the resolution of the
-  /// heartbeat / fault-detector / NACK / batch micro-flush timers, exactly
-  /// like the granularity handed to Stack::tick by the other drivers.
-  Duration tick_granularity = 1 * kMillisecond;
-
-  /// Max frames a shard consumes from its ingress ring per loop iteration
-  /// before running timers and draining egress (keeps egress latency and
-  /// timer jitter bounded under flood).
-  std::size_t ingress_burst = 64;
-
-  /// Idle strategy: a shard that found no work yields this many loop
-  /// iterations before sleeping idle_sleep (single-core friendly: the
-  /// yields let the producer run).
-  std::size_t spin_iterations = 64;
-  Duration idle_sleep = 50 * kMicrosecond;
 };
 
 /// Point-in-time counters for one shard (tests, benches, ftmp_inspect).
@@ -223,8 +204,8 @@ class ShardedRuntime {
   };
 
   struct Shard {
-    explicit Shard(const RuntimeConfig& cfg)
-        : ingress(cfg.ingress_ring_capacity), egress(cfg.egress_ring_capacity) {}
+    Shard(std::size_t ingress_capacity, std::size_t egress_capacity)
+        : ingress(ingress_capacity), egress(egress_capacity) {}
 
     std::unique_ptr<ftmp::Stack> stack;
     SpscRing<Inbound> ingress;       // producer: front thread; consumer: shard

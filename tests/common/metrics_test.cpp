@@ -1,6 +1,7 @@
 // metrics_test.cpp — registry unit tests (docs/METRICS.md): histogram
 // bucket boundaries, concurrent counter increments, snapshot consistency,
-// reset semantics, instrument sharing by name, and the trace ring.
+// reset semantics, instrument sharing by name, the trace ring, and the
+// per-instance tallies of metrics::Counter.
 #include "common/metrics.hpp"
 
 #include <gtest/gtest.h>
@@ -197,3 +198,56 @@ TEST(MetricsDisabled, ApiIsInertButCallable) {
 }
 
 #endif  // FTCORBA_METRICS_ENABLED
+
+// ---- Counter: a per-instance tally beside the shared instrument -------------
+// These run in both builds. With metrics compiled out the registry is
+// empty, so every registry total reads 0 and a Counter is its tally alone.
+
+namespace {
+
+#if !FTCORBA_METRICS_ENABLED
+static_assert(sizeof(Counter) == sizeof(std::uint64_t));
+#endif
+
+// Each registry total below is expected only when the registry exists.
+constexpr std::uint64_t kRegistryOn = FTCORBA_METRICS_ENABLED;
+
+std::uint64_t registry_total(const std::string& name) {
+  for (const Sample& s : snapshot()) {
+    if (s.name == name) return s.counter;
+  }
+  return 0;
+}
+
+TEST(Counter, InstancesOfOneNameKeepTheirOwnTallies) {
+  Counter a("t_counter_tally_total", "help", "events", "test");
+  Counter b("t_counter_tally_total", "help", "events", "test");
+  a.add();
+  a.add(4);
+  b.add(2);
+  EXPECT_EQ(a.value(), 5u);
+  EXPECT_EQ(b.value(), 2u);
+  EXPECT_EQ(registry_total("t_counter_tally_total"), 7u * kRegistryOn)
+      << "the registry counter holds the sum";
+}
+
+TEST(Counter, ResetAllZeroesTheRegistryNotTheTallies) {
+  Counter c("t_counter_reset_total", "help", "events", "test");
+  c.add(3);
+  reset_all();
+  EXPECT_EQ(c.value(), 3u);
+  EXPECT_EQ(registry_total("t_counter_reset_total"), 0u);
+  c.add();
+  EXPECT_EQ(c.value(), 4u);
+  EXPECT_EQ(registry_total("t_counter_reset_total"), 1u * kRegistryOn);
+}
+
+TEST(Counter, DefaultConstructedRegistersNothing) {
+  const std::size_t registered = snapshot().size();
+  Counter c;
+  c.add(9);
+  EXPECT_EQ(c.value(), 9u);
+  EXPECT_EQ(snapshot().size(), registered);
+}
+
+}  // namespace

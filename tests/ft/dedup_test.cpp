@@ -15,8 +15,8 @@ TEST(Dedup, FirstCopyAcceptedRestSuppressed) {
   EXPECT_TRUE(d.accept(conn(), 1, MessageKind::kRequest));
   EXPECT_FALSE(d.accept(conn(), 1, MessageKind::kRequest));
   EXPECT_FALSE(d.accept(conn(), 1, MessageKind::kRequest));
-  EXPECT_EQ(d.stats().accepted, 1u);
-  EXPECT_EQ(d.stats().suppressed, 2u);
+  EXPECT_EQ(d.stats().accepted.value(), 1u);
+  EXPECT_EQ(d.stats().suppressed.value(), 2u);
 }
 
 TEST(Dedup, RequestAndReplyAreDistinct) {

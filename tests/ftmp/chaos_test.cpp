@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 
 #include "ftmp/chaos.hpp"
@@ -308,7 +309,7 @@ TEST(TraceReplay, RoundTripsACleanTrace) {
                                             "D 2600 3 1 1 1 10 1111\n");
   const TraceReplay r = replay_trace_file(path);
   EXPECT_TRUE(r.parsed) << r.parse_error;
-  EXPECT_EQ(r.seed, 77u);
+  EXPECT_EQ(r.run.seed, 77u);
   EXPECT_EQ(r.records, 6u);  // D/V/R only; F and X are informational
   EXPECT_TRUE(r.violations.empty());
   std::remove(path.c_str());
@@ -339,7 +340,34 @@ TEST(TraceReplay, RejectsBadHeaderAndMalformedRecords) {
   EXPECT_NE(r.parse_error.find("malformed"), std::string::npos);
   std::remove(mal.c_str());
 
+  // A view's member ids must be decimal and fit 32 bits.
+  for (const char* members : {"1,x,3", "1,,3", "1,4294967296,3"}) {
+    std::istringstream in(std::string("# chaos-trace v2 seed=100 ordering=lamport\n"
+                                      "V 100 1 1 5 ") +
+                          members + "\n");
+    const TraceReplay v = replay_trace(in);
+    EXPECT_FALSE(v.parsed) << members;
+    EXPECT_EQ(v.parse_error, "malformed V record at line 2") << members;
+  }
+  for (const char* header : {"# chaos-trace v2 ordering=lamport", "# chaos-trace v2 seed=x",
+                             "# chaos-trace v2 seed=1 ordering=fifo",
+                             "# chaos-trace v2 seed=1 procs=-4"}) {
+    std::istringstream in(std::string(header) + "\n");
+    EXPECT_FALSE(replay_trace(in).parsed) << header;
+  }
+
   EXPECT_FALSE(replay_trace_file("/nonexistent/chaos.trace").parsed);
+}
+
+TEST(TraceReplay, HeaderWithoutTheRunsShapeStillReplays) {
+  std::istringstream in("# chaos-trace v2 seed=9 ordering=llft\n"
+                        "D 2000 1 1 1 1 10 1111\n");
+  const TraceReplay r = replay_trace(in);
+  ASSERT_TRUE(r.parsed) << r.parse_error;
+  EXPECT_EQ(r.run.seed, 9u);
+  EXPECT_EQ(r.run.ordering_mode, OrderingMode::kLlft);
+  EXPECT_FALSE(r.shape_recorded);
+  EXPECT_EQ(r.records, 1u);
 }
 
 }  // namespace

@@ -1,20 +1,32 @@
 // Decoder fuzzing (ROADMAP item 7): the FTMP header decoder, every body
-// decoder and the FTMB batch parser must decode or reject any input —
-// never crash, throw anything but CodecError, or trip a sanitizer. The
-// corpus is one encoded message of each of the 13 types plus one batch;
-// each entry is then mutated a fixed number of times by a seeded Rng (bit
-// flips, truncations, length-field edits, appended bytes). Runs in the
-// ASan/UBSan CI job like every ctest; a crash it finds becomes a fix plus
-// a corpus case here.
+// decoder, the FTMB batch parser, FTMF fragment reassembly, the GIOP
+// decoder and the chaos-trace reader must decode or reject any input —
+// never crash, throw anything but their own error type, or trip a
+// sanitizer. Each corpus entry (one encoded message of each of the 13
+// FTMP types plus one batch; fragment sequences of a few payload sizes;
+// one GIOP message of each of the eight types in both byte orders; a
+// short recorded campaign trace) is mutated a fixed number of times by a
+// seeded Rng (bit flips, truncations, length-field edits, appended bytes;
+// line edits for the trace). Runs in the ASan/UBSan CI job like every
+// ctest; a crash it finds becomes a fix plus a corpus case here.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <iterator>
+#include <optional>
+#include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "ftmp/chaos.hpp"
+#include "ftmp/fragment.hpp"
 #include "ftmp/messages.hpp"
 #include "ftmp/wire.hpp"
+#include "giop/messages.hpp"
 
 namespace ftcorba::ftmp {
 namespace {
@@ -137,18 +149,51 @@ void put_u32(Bytes& b, std::size_t at, std::uint32_t v, bool big) {
   }
 }
 
+// The byte formats the mutations know the length fields of.
+enum class Format { kFtmp, kBatch, kFragment, kGiop };
+
+// Writes `v` into a length field `format`'s decoder reads: FTMP's
+// message_size, a batch's count or first length prefix, a fragment's index
+// or total, or GIOP's message_size. False when `b` is too short for one.
+bool edit_length_field(Bytes& b, Format format, std::uint32_t v, Rng& rng) {
+  switch (format) {
+    case Format::kFtmp:
+      if (b.size() < kSizeFieldOffset + 4) return false;
+      put_u32(b, kSizeFieldOffset, v, b[kByteOrderFlagOffset] == 0);
+      return true;
+    case Format::kBatch:
+      if (b.size() < kBatchHeaderSize + 4) return false;
+      if (rng.chance(0.5)) {
+        b[kBatchCountOffset] = std::uint8_t(v >> 8);
+        b[kBatchCountOffset + 1] = std::uint8_t(v);
+      } else {
+        put_u32(b, kBatchHeaderSize, v, true);
+      }
+      return true;
+    case Format::kFragment:
+      if (b.size() < kFragHeaderSize) return false;
+      put_u32(b, rng.chance(0.5) ? 12 : 16, v, true);
+      return true;
+    case Format::kGiop:
+      if (b.size() < giop::kGiopHeaderSize) return false;
+      put_u32(b, 8, v, b[6] == 0);
+      return true;
+  }
+  return false;
+}
+
 // Applies one to three seeded mutations. A length-field edit writes an
-// edge value into a u32 at a random offset, or into the header's
-// message_size or a batch's count or first length prefix. Afterwards a
-// plain message's message_size is often set to the mutated length, so that
-// truncated and extended inputs get past the header into the body decoder.
-Bytes mutate(const Bytes& seed, Rng& rng) {
+// edge value into a u32 at a random offset, or into a length field the
+// format's decoder reads. Afterwards a plain FTMP or GIOP message's size
+// field is often set to the mutated length, so that truncated and extended
+// inputs get past the size check into the body decoder.
+Bytes mutate(const Bytes& seed, Rng& rng, Format format = Format::kFtmp) {
   static constexpr std::uint32_t kEdges[] = {0,          1,          2,          3,
                                              4,          12,         0x7F,       0xFF,
                                              0xFFFF,     0x10000,    0x7FFFFFFF, 0x80000000,
                                              0xFFFFFFFE, 0xFFFFFFFF};
   Bytes b = seed;
-  const bool batch = looks_like_ftmp_batch(b);
+  if (format == Format::kFtmp && looks_like_ftmp_batch(seed)) format = Format::kBatch;
   const int rounds = int(rng.next_in(1, 3));
   for (int round = 0; round < rounds; ++round) {
     switch (rng.next_below(4)) {
@@ -164,18 +209,8 @@ Bytes mutate(const Bytes& seed, Rng& rng) {
         const std::uint32_t v =
             rng.chance(0.75) ? kEdges[rng.next_below(std::size(kEdges))]
                              : std::uint32_t(rng.next_u64());
-        const bool big = b.size() <= kByteOrderFlagOffset || b[kByteOrderFlagOffset] == 0;
-        const std::uint64_t pick = rng.next_below(3);
-        if (pick == 0 && !batch && b.size() >= kSizeFieldOffset + 4) {
-          put_u32(b, kSizeFieldOffset, v, big);
-        } else if (pick == 0 && batch && b.size() >= kBatchHeaderSize + 4) {
-          if (rng.chance(0.5)) {
-            b[kBatchCountOffset] = std::uint8_t(v >> 8);
-            b[kBatchCountOffset + 1] = std::uint8_t(v);
-          } else {
-            put_u32(b, kBatchHeaderSize, v, true);
-          }
-        } else if (b.size() >= 4) {
+        if ((rng.next_below(3) != 0 || !edit_length_field(b, format, v, rng)) &&
+            b.size() >= 4) {
           put_u32(b, rng.next_below(b.size() - 3), v, rng.chance(0.5));
         }
         break;
@@ -185,8 +220,13 @@ Bytes mutate(const Bytes& seed, Rng& rng) {
         break;
     }
   }
-  if (!batch && b.size() >= kHeaderSize && b[kByteOrderFlagOffset] <= 1 && rng.chance(0.5)) {
+  if (format == Format::kFtmp && b.size() >= kHeaderSize && b[kByteOrderFlagOffset] <= 1 &&
+      rng.chance(0.5)) {
     put_u32(b, kSizeFieldOffset, std::uint32_t(b.size()), b[kByteOrderFlagOffset] == 0);
+  }
+  if (format == Format::kGiop && b.size() >= giop::kGiopHeaderSize && b[6] <= 1 &&
+      rng.chance(0.5)) {
+    put_u32(b, 8, std::uint32_t(b.size() - giop::kGiopHeaderSize), b[6] == 0);
   }
   return b;
 }
@@ -215,6 +255,259 @@ TEST(DecoderFuzz, SeededMutationsDecodeOrAreRejected) {
   EXPECT_GT(out.body_rejected, 0);
   EXPECT_GT(out.batches_rejected, 0);
   EXPECT_GT(out.decoded, 0);
+}
+
+// ---- FTMF fragments ---------------------------------------------------------
+
+// make_fragments chunk sequences for payloads of one, a few and many chunks.
+std::vector<std::vector<Bytes>> fragment_corpus() {
+  std::vector<std::vector<Bytes>> out;
+  std::uint64_t message_id = 1;
+  for (const std::size_t size : {1u, 200u, 1000u, 4000u}) {
+    Bytes payload(size);
+    for (std::size_t i = 0; i < size; ++i) payload[i] = std::uint8_t(i * 31 + 7);
+    out.push_back(make_fragments(payload, 256, message_id++));
+  }
+  return out;
+}
+
+TEST(DecoderFuzz, FragmentCorpusReassembles) {
+  for (const std::vector<Bytes>& chunks : fragment_corpus()) {
+    Reassembler r;
+    std::optional<SharedBytes> whole;
+    for (const Bytes& chunk : chunks) whole = r.feed(ProcessorId{1}, chunk);
+    ASSERT_TRUE(whole.has_value());
+    EXPECT_EQ(r.dropped(), 0u);
+    EXPECT_EQ(r.in_flight(), 0u);
+  }
+}
+
+// One chunk of each sequence is mutated; the sequence must reassemble, stay
+// partial or be dropped — Reassembler::feed throws nothing.
+TEST(DecoderFuzz, MutatedFragmentsReassembleOrAreDropped) {
+  Rng rng(0xF7A6);
+  int whole = 0;
+  int dropped = 0;
+  for (const std::vector<Bytes>& chunks : fragment_corpus()) {
+    for (int i = 0; i < kMutationsPerEntry; ++i) {
+      Reassembler r;
+      const std::size_t hit = rng.next_below(chunks.size());
+      std::size_t fed = 0;
+      for (std::size_t k = 0; k < chunks.size(); ++k) {
+        const Bytes chunk = k == hit ? mutate(chunks[k], rng, Format::kFragment) : chunks[k];
+        fed += chunk.size();
+        if (const auto done = r.feed(ProcessorId{1}, chunk)) {
+          ++whole;
+          ASSERT_LE(done->size(), fed);
+        }
+      }
+      dropped += r.dropped() > 0 ? 1 : 0;
+    }
+  }
+  EXPECT_GT(whole, 0);
+  EXPECT_GT(dropped, 0);
+}
+
+// ---- GIOP -------------------------------------------------------------------
+
+// One GIOP message of each of the eight types, in both byte orders.
+std::vector<Bytes> giop_corpus() {
+  giop::Request request;
+  request.service_context = {{5, bytes_of("ctx")}};
+  request.request_id = 42;
+  request.object_key = bytes_of("counter");
+  request.operation = "add";
+  request.requesting_principal = bytes_of("me");
+  request.body = bytes_of("arguments");
+  giop::Reply reply;
+  reply.service_context = {{6, bytes_of("reply-ctx")}};
+  reply.request_id = 42;
+  reply.body = bytes_of("result");
+  const std::vector<giop::GiopBody> bodies = {
+      request,
+      reply,
+      giop::CancelRequest{42},
+      giop::LocateRequest{7, bytes_of("key")},
+      giop::LocateReply{7, giop::LocateStatus::kObjectForward, bytes_of("ior")},
+      giop::CloseConnection{},
+      giop::MessageError{},
+      giop::Fragment{bytes_of("tail-bytes")},
+  };
+  std::vector<Bytes> out;
+  for (const ByteOrder order : {ByteOrder::kBig, ByteOrder::kLittle}) {
+    for (const giop::GiopBody& body : bodies) {
+      giop::GiopHeader h;
+      h.byte_order = order;
+      out.push_back(giop::encode({h, body}));
+    }
+  }
+  return out;
+}
+
+// Decodes one input or rejects it with CdrError; a decoded message
+// re-encodes to one that decodes back to itself.
+void check_giop(BytesView input, int& decoded, int& rejected) {
+  try {
+    const giop::GiopMessage m = giop::decode(input);
+    ++decoded;
+    const giop::GiopMessage again = giop::decode(giop::encode(m));
+    giop::GiopMessage expected = m;
+    expected.header.message_size = again.header.message_size;
+    EXPECT_EQ(again, expected);
+  } catch (const giop::CdrError&) {
+    ++rejected;
+  }
+}
+
+TEST(DecoderFuzz, GiopCorpusDecodes) {
+  int decoded = 0;
+  int rejected = 0;
+  for (const Bytes& entry : giop_corpus()) check_giop(entry, decoded, rejected);
+  EXPECT_EQ(decoded, 16);
+  EXPECT_EQ(rejected, 0);
+}
+
+TEST(DecoderFuzz, MutatedGiopDecodesOrIsRejected) {
+  Rng rng(0x610F);
+  int decoded = 0;
+  int rejected = 0;
+  for (const Bytes& entry : giop_corpus()) {
+    for (int i = 0; i < kMutationsPerEntry; ++i) {
+      check_giop(mutate(entry, rng, Format::kGiop), decoded, rejected);
+      if (HasFailure()) return;
+    }
+  }
+  EXPECT_GT(decoded, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+// ---- chaos-trace reader -----------------------------------------------------
+
+// A short recorded campaign trace: 3 processors for 1.5 s, whose schedule
+// (seed 4) crashes and restarts P1, so it holds every record kind (D, V,
+// S, X, F, R). Only the deliveries of every 16th message of each source
+// are kept (every member's copy), so each replay stays cheap and the
+// abridged trace still replays clean.
+std::vector<std::string> trace_corpus() {
+  chaos::CampaignConfig cfg;
+  cfg.seed = 4;
+  cfg.params.processors = 3;
+  cfg.params.duration = 1500 * kMillisecond;
+  cfg.params.faults = 3;
+  // One file per test: ctest runs the tests of this binary in parallel.
+  cfg.trace_path = testing::TempDir() + "decoder_fuzz_" +
+                   testing::UnitTest::GetInstance()->current_test_info()->name() + ".trace";
+  (void)chaos::run_campaign(cfg);
+  std::ifstream in(cfg.trace_path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) {
+    std::istringstream fields(line);
+    std::string kind;
+    std::uint64_t at = 0, proc = 0, group = 0, source = 0, seq = 0;
+    fields >> kind >> at >> proc >> group >> source >> seq;
+    if (kind != "D" || seq % 16 == 0) lines.push_back(line);
+  }
+  std::remove(cfg.trace_path.c_str());
+  return lines;
+}
+
+std::string join_lines(const std::vector<std::string>& lines) {
+  std::string text;
+  for (const std::string& l : lines) text += l + "\n";
+  return text;
+}
+
+// Applies one to three seeded line or byte edits to the trace's text.
+std::string mutate_trace(std::vector<std::string> lines, Rng& rng) {
+  static const char* const kTokens[] = {
+      "",  "-1", "0",    "4294967295",        "4294967296", "18446744073709551615",
+      "x", ",",  "1,,2", "ffffffffffffffffff", "seed=",      "18446744073709551616"};
+  static constexpr char kBytes[] = {'\n', ' ', ',', '-', '=', '0', '9', 'D', 'V', '\0', '\xff'};
+  const int rounds = int(rng.next_in(1, 3));
+  for (int round = 0; round < rounds; ++round) {
+    std::string& line = lines[rng.next_below(lines.size())];
+    switch (rng.next_below(6)) {
+      case 0:  // delete or duplicate a line
+        if (rng.chance(0.5) && lines.size() > 1) {
+          lines.erase(lines.begin() + std::ptrdiff_t(rng.next_below(lines.size())));
+        } else {
+          const std::string copy = line;
+          lines.insert(lines.begin() + std::ptrdiff_t(rng.next_below(lines.size())), copy);
+        }
+        break;
+      case 1:  // swap two lines
+        std::swap(line, lines[rng.next_below(lines.size())]);
+        break;
+      case 2:  // truncate a line
+        line.resize(rng.next_below(line.size() + 1));
+        break;
+      case 3: {  // replace a field with an edge token
+        std::istringstream in(line);
+        std::vector<std::string> fields{std::istream_iterator<std::string>(in), {}};
+        if (fields.empty()) break;
+        fields[rng.next_below(fields.size())] = kTokens[rng.next_below(std::size(kTokens))];
+        line.clear();
+        for (const std::string& f : fields) line += (line.empty() ? "" : " ") + f;
+        break;
+      }
+      case 4:  // retype a record
+        if (!line.empty()) line[0] = "DVRSXF#Q"[rng.next_below(8)];
+        break;
+      default: {  // byte edits: flip a bit, insert a byte, or cut the text
+        std::string text = join_lines(lines);
+        const std::size_t at = rng.next_below(text.size());
+        switch (rng.next_below(3)) {
+          case 0:
+            text[at] = char(text[at] ^ (1 << rng.next_below(8)));
+            break;
+          case 1:
+            text.insert(at, 1, kBytes[rng.next_below(std::size(kBytes))]);
+            break;
+          default:
+            text.resize(at);
+            break;
+        }
+        std::istringstream split(text);
+        lines.clear();
+        for (std::string l; std::getline(split, l);) lines.push_back(l);
+        if (lines.empty()) lines.emplace_back();
+        break;
+      }
+    }
+  }
+  return join_lines(lines);
+}
+
+TEST(DecoderFuzz, TraceCorpusReplays) {
+  const std::vector<std::string> lines = trace_corpus();
+  std::istringstream in(join_lines(lines));
+  const chaos::TraceReplay r = chaos::replay_trace(in);
+  EXPECT_TRUE(r.parsed) << r.parse_error;
+  EXPECT_TRUE(r.shape_recorded);
+  EXPECT_EQ(r.records, lines.size() - 3) << "every line but the header, X and F";
+  EXPECT_TRUE(r.violations.empty());
+}
+
+// Each mutated trace must replay (with or without violations) or return a
+// parse_error; the reader throws nothing.
+TEST(DecoderFuzz, MutatedTracesReplayOrAreRejected) {
+  const std::vector<std::string> lines = trace_corpus();
+  ASSERT_GT(lines.size(), 100u);
+  Rng rng(0x7ACE);
+  int replayed = 0;
+  int rejected = 0;
+  for (int i = 0; i < kMutationsPerEntry; ++i) {
+    std::istringstream in(mutate_trace(lines, rng));
+    const chaos::TraceReplay r = chaos::replay_trace(in);
+    if (r.parsed) {
+      ++replayed;
+    } else {
+      ++rejected;
+      ASSERT_FALSE(r.parse_error.empty());
+    }
+  }
+  EXPECT_GT(replayed, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 }  // namespace

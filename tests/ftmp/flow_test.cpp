@@ -71,8 +71,8 @@ TEST(Flow, QueueIsFifoAndBounded) {
   EXPECT_TRUE(f.park(0, payload(10, 101)));
   EXPECT_TRUE(f.park(0, payload(10, 102)));
   EXPECT_FALSE(f.park(0, payload(10, 103))) << "queue at capacity";
-  EXPECT_EQ(f.stats().queue_drops, 1u);
-  EXPECT_EQ(f.stats().pacing_stalls, 2u);
+  EXPECT_EQ(f.stats().queue_drops.value(), 1u);
+  EXPECT_EQ(f.stats().pacing_stalls.value(), 2u);
   EXPECT_EQ(f.queue_depth(), 2u);
 
   EXPECT_FALSE(f.release_one(0).has_value()) << "window still full";
@@ -86,7 +86,7 @@ TEST(Flow, QueueIsFifoAndBounded) {
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->request_num, 102u);
   EXPECT_FALSE(f.release_one(0).has_value());
-  EXPECT_EQ(f.stats().releases, 2u);
+  EXPECT_EQ(f.stats().releases.value(), 2u);
 }
 
 TEST(Flow, ParkedQueueBlocksFreshSends) {
@@ -115,7 +115,7 @@ TEST(Flow, WatermarksSignalOncePerExcursion) {
   EXPECT_EQ(raised[0], FlowSignal::kQueueHigh);
   ASSERT_TRUE(f.park(0, payload(10)));  // deeper, but no second signal
   EXPECT_TRUE(f.take_signals().empty());
-  EXPECT_EQ(f.stats().queue_high_events, 1u);
+  EXPECT_EQ(f.stats().queue_high_events.value(), 1u);
   EXPECT_EQ(f.stats().queue_highwater, 4u);
 
   f.on_stable(0, 1);
@@ -146,20 +146,20 @@ TEST(Flow, LagWarnsOncePerExcursionAndReportsEvictions) {
   // q3 trails the max (q2's 1000) by 50: warn, no evict.
   auto evict = f.observe_lag(now, {{kSelf, 1000}, {q2, 1000}, {q3, 950}});
   EXPECT_TRUE(evict.empty());
-  EXPECT_EQ(f.stats().lag_warnings, 1u);
+  EXPECT_EQ(f.stats().lag_warnings.value(), 1u);
 
   now += 10 * kMillisecond;
   // Still lagging: no repeated warning while inside the excursion.
   evict = f.observe_lag(now, {{kSelf, 2000}, {q2, 2000}, {q3, 1950}});
   EXPECT_TRUE(evict.empty());
-  EXPECT_EQ(f.stats().lag_warnings, 1u);
+  EXPECT_EQ(f.stats().lag_warnings.value(), 1u);
 
   now += 10 * kMillisecond;
   // Past the evict threshold: reported exactly once.
   evict = f.observe_lag(now, {{kSelf, 3000}, {q2, 3000}, {q3, 2000}});
   ASSERT_EQ(evict.size(), 1u);
   EXPECT_EQ(evict[0], q3);
-  EXPECT_EQ(f.stats().evict_reports, 1u);
+  EXPECT_EQ(f.stats().evict_reports.value(), 1u);
   now += 10 * kMillisecond;
   evict = f.observe_lag(now, {{kSelf, 4000}, {q2, 4000}, {q3, 3000}});
   EXPECT_TRUE(evict.empty()) << "one report per excursion";
@@ -171,7 +171,7 @@ TEST(Flow, LagWarnsOncePerExcursionAndReportsEvictions) {
   EXPECT_TRUE(evict.empty());
   now += 10 * kMillisecond;
   evict = f.observe_lag(now, {{kSelf, 6000}, {q2, 6000}, {q3, 5950}});
-  EXPECT_EQ(f.stats().lag_warnings, 2u);
+  EXPECT_EQ(f.stats().lag_warnings.value(), 2u);
 }
 
 TEST(Flow, LagChecksThrottleToHeartbeatIntervalAndSkipSelf) {
@@ -183,14 +183,14 @@ TEST(Flow, LagChecksThrottleToHeartbeatIntervalAndSkipSelf) {
 
   // Self lags the max but is never warned about.
   (void)f.observe_lag(0, {{kSelf, 0}, {q2, 1000}});
-  EXPECT_EQ(f.stats().lag_warnings, 0u);
+  EXPECT_EQ(f.stats().lag_warnings.value(), 0u);
 
   // Within the heartbeat interval the check is a no-op.
   (void)f.observe_lag(1 * kMillisecond, {{kSelf, 0}, {q2, 0}});
   (void)f.observe_lag(2 * kMillisecond, {{kSelf, 1000}, {q2, 0}});
-  EXPECT_EQ(f.stats().lag_warnings, 0u);
+  EXPECT_EQ(f.stats().lag_warnings.value(), 0u);
   (void)f.observe_lag(20 * kMillisecond, {{kSelf, 1000}, {q2, 0}});
-  EXPECT_EQ(f.stats().lag_warnings, 1u);
+  EXPECT_EQ(f.stats().lag_warnings.value(), 1u);
 }
 
 }  // namespace

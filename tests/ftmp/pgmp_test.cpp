@@ -320,7 +320,7 @@ TEST_F(PgmpFixture, SponsorResendsUntilNewMemberSpeaks) {
   // We (P1) are the sponsor.
   pgmp.on_add_ordered(100, control(MessageType::kAddProcessor, kSelf, 7, 70, body));
   (void)pgmp.take_output();
-  pgmp.tick(100 + config.join_retry_interval + 1);
+  pgmp.tick(100 + kJoinRetryInterval + 1);
   bool resend = false;
   for (PgmpOut& out : pgmp.take_output()) {
     if (auto* r = std::get_if<ResendStoredOut>(&out)) {
@@ -332,7 +332,7 @@ TEST_F(PgmpFixture, SponsorResendsUntilNewMemberSpeaks) {
   EXPECT_TRUE(resend);
   // New member speaks: resends stop.
   pgmp.note_heard(ProcessorId{4}, 200);
-  pgmp.tick(200 + 10 * config.join_retry_interval);
+  pgmp.tick(200 + 10 * kJoinRetryInterval);
   for (PgmpOut& out : pgmp.take_output()) {
     EXPECT_FALSE(std::holds_alternative<ResendStoredOut>(out));
   }

@@ -70,7 +70,7 @@ TEST_F(RmpFixture, GapTriggersNack) {
   EXPECT_EQ(nack->missing_from, kPeer);
   EXPECT_EQ(nack->start, 2u);
   EXPECT_EQ(nack->stop, 3u);
-  EXPECT_EQ(rmp.stats().nacks_sent, 1u);
+  EXPECT_EQ(rmp.stats().nacks_sent.value(), 1u);
 }
 
 TEST_F(RmpFixture, NackRateLimited) {
@@ -100,16 +100,16 @@ TEST_F(RmpFixture, HeartbeatRevealsGap) {
 TEST_F(RmpFixture, DuplicatesIgnored) {
   (void)feed(regular(kPeer, 1));
   EXPECT_TRUE(feed(regular(kPeer, 1)).empty());
-  EXPECT_EQ(rmp.stats().duplicates_ignored, 1u);
+  EXPECT_EQ(rmp.stats().duplicates_ignored.value(), 1u);
   // Duplicate of a buffered out-of-order message too.
   (void)feed(regular(kPeer, 3));
   EXPECT_TRUE(feed(regular(kPeer, 3)).empty());
-  EXPECT_EQ(rmp.stats().duplicates_ignored, 2u);
+  EXPECT_EQ(rmp.stats().duplicates_ignored.value(), 2u);
 }
 
 TEST_F(RmpFixture, UnknownSourceDropped) {
   EXPECT_TRUE(feed(regular(ProcessorId{99}, 1)).empty());
-  EXPECT_EQ(rmp.stats().dropped_unknown_source, 1u);
+  EXPECT_EQ(rmp.stats().dropped_unknown_source.value(), 1u);
 }
 
 TEST_F(RmpFixture, RetransmitServesStoredMessages) {
@@ -125,7 +125,7 @@ TEST_F(RmpFixture, RetransmitServesStoredMessages) {
     EXPECT_TRUE(m.header.retransmission) << "retransmission flag must be set";
     EXPECT_EQ(m.header.source, kPeer);
   }
-  EXPECT_EQ(rmp.stats().retransmissions_sent, 2u);
+  EXPECT_EQ(rmp.stats().retransmissions_sent.value(), 2u);
 }
 
 TEST_F(RmpFixture, SourceOnlyPolicyRefusesOthersMessages) {
@@ -208,7 +208,7 @@ TEST(RmpOooCap, DropsAtCapWithDistinctStatus) {
   EXPECT_EQ(feed(regular(kPeer, 3)), RmpAccept::kBuffered);
   EXPECT_EQ(feed(regular(kPeer, 4)), RmpAccept::kBuffered);
   EXPECT_EQ(feed(regular(kPeer, 5)), RmpAccept::kOooDropped);
-  EXPECT_EQ(rmp.stats().ooo_dropped, 1u);
+  EXPECT_EQ(rmp.stats().ooo_dropped.value(), 1u);
   EXPECT_EQ(rmp.out_of_order_count(), 2u);
   // The drop is a delay, not a loss: once the gap fills, NACK recovery
   // re-fetches seq 5 like any other missing message.

@@ -124,7 +124,7 @@ TEST(Batching, FlowWindowCountsMessagesNotDatagrams) {
         std::max(in_flight_peak, session->flow().in_flight_messages());
   }
   EXPECT_LE(in_flight_peak, 8u) << "window must be counted in messages";
-  EXPECT_GT(session->flow().stats().pacing_stalls, 0u)
+  EXPECT_GT(session->flow().stats().pacing_stalls.value(), 0u)
       << "workload should actually hit the window";
 
   h.run_for(2 * kSecond);  // drain
@@ -168,19 +168,19 @@ TEST(Batching, HeartbeatsCoalesceIntoDataBatches) {
 TEST(Batching, MalformedBatchCountedNotFatal) {
   SimHarness h = make_group(3, batching_on());
   Stack& s = h.stack(ProcessorId{1});
-  const auto before = s.stats().malformed_datagrams;
+  const auto before = s.stats().malformed_datagrams.value();
 
   {  // corrupt envelope version
     Bytes b = {'F', 'T', 'M', 'B', 9, 0, 1};
     s.on_datagram(h.now(), net::Datagram{kGroupAddr, SharedBytes{std::move(b)}});
   }
-  EXPECT_EQ(s.stats().malformed_datagrams, before + 1);
+  EXPECT_EQ(s.stats().malformed_datagrams.value(), before + 1);
 
   {  // truncated sub-frame length prefix
     Bytes b = {'F', 'T', 'M', 'B', kBatchVersion, 0, 2, 0x00, 0x00};
     s.on_datagram(h.now(), net::Datagram{kGroupAddr, SharedBytes{std::move(b)}});
   }
-  EXPECT_EQ(s.stats().malformed_datagrams, before + 2);
+  EXPECT_EQ(s.stats().malformed_datagrams.value(), before + 2);
 
   // The stack keeps working afterwards.
   Bytes payload = bytes_of("still-alive");

@@ -135,10 +135,34 @@ TEST(ChaosCampaign, TraceReplaysCleanThroughOfflineCheckers) {
 
   const TraceReplay replay = replay_trace_file(trace);
   EXPECT_TRUE(replay.parsed) << replay.parse_error;
-  EXPECT_EQ(replay.seed, 42u);
+  EXPECT_EQ(replay.run.seed, 42u);
   EXPECT_GE(replay.records, r.deliveries) << "every delivery is in the trace";
   EXPECT_TRUE(replay.violations.empty());
   std::remove(trace.c_str());
+}
+
+// The trace header records the run's whole shape, so ftmp_inspect's
+// reproduce hint for a failing trace is the command chaos_campaign prints.
+TEST(ChaosCampaign, TraceHeaderNamesTheCommandThatReproducesTheRun) {
+  CampaignConfig cfg;
+  cfg.seed = 5;
+  cfg.params.processors = 3;
+  cfg.params.duration = 2 * kSecond;
+  cfg.params.faults = 1;
+  cfg.params.spares = 1;
+  cfg.batch_max_datagram_bytes = 1400;
+  cfg.ordering_mode = OrderingMode::kLlft;
+  cfg.trace_path = testing::TempDir() + "chaos_campaign_shape.trace";
+  (void)run_campaign(cfg);
+
+  const TraceReplay replay = replay_trace_file(cfg.trace_path);
+  ASSERT_TRUE(replay.parsed) << replay.parse_error;
+  ASSERT_TRUE(replay.shape_recorded);
+  EXPECT_EQ(repro_command(replay.run),
+            "chaos_campaign --seed 5 --procs 3 --duration 2000 --faults 1 --ordering llft "
+            "--trace chaos_5.trace -v --spares 1 --batch 1400");
+  EXPECT_EQ(repro_command(replay.run), repro_command(cfg));
+  std::remove(cfg.trace_path.c_str());
 }
 
 }  // namespace

@@ -91,7 +91,7 @@ TEST(Connection, EstablishAcrossDomains) {
 // P10's NACK does not fetch P11's Add for it (in EstablishAcrossDomains it
 // does, at 7 ms): P11 is admitted by the sponsor's first re-multicast,
 // 3.3 ms after the open. With the resend clock started at time 0, that
-// re-multicast waited for join_retry_interval and P11 for 21 ms.
+// re-multicast waited for kJoinRetryInterval and P11 for 21 ms.
 TEST(Connection, SponsorResendsTheAddWithoutAPeersNack) {
   Config slow_nacks;
   slow_nacks.nack_interval = 1 * kSecond;

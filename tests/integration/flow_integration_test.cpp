@@ -147,8 +147,8 @@ TEST(FlowIntegration, OrderingPreservedThroughParkedQueue) {
     }
   }
   const auto& stats = h.stack(ProcessorId{1}).group(kGroup)->flow().stats();
-  EXPECT_GT(stats.pacing_stalls, 0u) << "the burst must actually have parked";
-  EXPECT_EQ(stats.queue_drops, 0u);
+  EXPECT_GT(stats.pacing_stalls.value(), 0u) << "the burst must actually have parked";
+  EXPECT_EQ(stats.queue_drops.value(), 0u);
 }
 
 // Records watermark callbacks from the stack.
@@ -189,7 +189,7 @@ TEST(FlowIntegration, WatermarksFireThroughListenerAndStatusesReport) {
   EXPECT_TRUE(session->flow().over_high_watermark());
   ASSERT_EQ(recorder.signals.size(), 1u);
   EXPECT_EQ(recorder.signals[0], FlowSignal::kQueueHigh);
-  EXPECT_EQ(session->flow().stats().queue_drops, 1u);
+  EXPECT_EQ(session->flow().stats().queue_drops.value(), 1u);
 
   // Heal: stability resumes, the queue drains below the low watermark.
   h.network().set_link(ProcessorId{2}, ProcessorId{1}, {});
@@ -247,8 +247,8 @@ TEST(FlowIntegration, LaggingReceiverIsWarnedThenEvicted) {
   }
   EXPECT_TRUE(fault_seen) << "conviction surfaced as a FaultReport";
   const auto& stats = h.stack(ProcessorId{1}).group(kGroup)->flow().stats();
-  EXPECT_GE(stats.lag_warnings, 1u);
-  EXPECT_GE(stats.evict_reports, 1u);
+  EXPECT_GE(stats.lag_warnings.value(), 1u);
+  EXPECT_GE(stats.evict_reports.value(), 1u);
 }
 
 TEST(FlowIntegration, WarnOnlyThresholdNeverEvicts) {
@@ -267,8 +267,8 @@ TEST(FlowIntegration, WarnOnlyThresholdNeverEvicts) {
   }
 
   const auto& stats = h.stack(ProcessorId{1}).group(kGroup)->flow().stats();
-  EXPECT_GE(stats.lag_warnings, 1u);
-  EXPECT_EQ(stats.evict_reports, 0u);
+  EXPECT_GE(stats.lag_warnings.value(), 1u);
+  EXPECT_EQ(stats.evict_reports.value(), 0u);
   EXPECT_EQ(h.stack(ProcessorId{1}).group(kGroup)->membership().members.size(),
             3u)
       << "warn threshold alone must not change membership";

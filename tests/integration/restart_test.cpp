@@ -206,7 +206,7 @@ TEST(Restart, ReadmittedMemberGetsFreshReassemblyAndLagState) {
   ASSERT_TRUE(h.run_until_pred(
       [&] {
         return std::all_of(survivors.begin(), survivors.end(), [&](ProcessorId p) {
-          return session(p)->flow().stats().lag_warnings > 0;
+          return session(p)->flow().stats().lag_warnings.value() > 0;
         });
       },
       h.now() + 100 * kMillisecond))
@@ -238,7 +238,7 @@ TEST(Restart, ReadmittedMemberGetsFreshReassemblyAndLagState) {
   for (ProcessorId p : survivors) {
     EXPECT_EQ(session(p)->reassembler().in_flight(), 0u)
         << "partial message of the removed member kept at " << to_string(p);
-    warned.push_back(session(p)->flow().stats().lag_warnings);
+    warned.push_back(session(p)->flow().stats().lag_warnings.value());
   }
 
   // The new incarnation lags from the start: P2's traffic does not reach
@@ -251,7 +251,7 @@ TEST(Restart, ReadmittedMemberGetsFreshReassemblyAndLagState) {
                                h.now() + 5 * kSecond));
   h.run_for(50 * kMillisecond);
   for (std::size_t i = 0; i < survivors.size(); ++i) {
-    EXPECT_GT(session(survivors[i])->flow().stats().lag_warnings, warned[i])
+    EXPECT_GT(session(survivors[i])->flow().stats().lag_warnings.value(), warned[i])
         << "no warning for the new incarnation's lag at "
         << to_string(survivors[i]);
   }

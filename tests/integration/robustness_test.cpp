@@ -28,7 +28,7 @@ TEST(Robustness, RandomGarbageDatagramsAreCounted) {
     for (auto& b : junk) b = static_cast<std::uint8_t>(rng.next_below(256));
     stack.on_datagram(i, net::Datagram{kGroupAddr, std::move(junk)});
   }
-  EXPECT_EQ(stack.stats().malformed_datagrams, 2000u);
+  EXPECT_EQ(stack.stats().malformed_datagrams.value(), 2000u);
   // The stack still works.
   EXPECT_TRUE(stack.group(kGroup)->send_regular(1, test_conn(), 1, bytes_of("alive")));
 }
@@ -107,7 +107,7 @@ TEST(Robustness, UnroutableMessagesCounted) {
   m.header.destination_group = ProcessorGroupId{42};
   m.body = RegularBody{test_conn(), 1, bytes_of("x")};
   stack.on_datagram(0, net::Datagram{kGroupAddr, encode_message(m)});
-  EXPECT_EQ(stack.stats().unroutable_datagrams, 1u);
+  EXPECT_EQ(stack.stats().unroutable_datagrams.value(), 1u);
 }
 
 TEST(Robustness, ForeignAddProcessorIgnored) {
@@ -123,7 +123,7 @@ TEST(Robustness, ForeignAddProcessorIgnored) {
   m.body = body;
   stack.on_datagram(0, net::Datagram{kGroupAddr, encode_message(m)});
   EXPECT_EQ(stack.group(ProcessorGroupId{42}), nullptr);
-  EXPECT_EQ(stack.stats().unroutable_datagrams, 1u);
+  EXPECT_EQ(stack.stats().unroutable_datagrams.value(), 1u);
 }
 
 TEST(Robustness, ReplayedOldDatagramsAreHarmless) {

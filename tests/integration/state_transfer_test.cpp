@@ -7,8 +7,10 @@
 
 #include <map>
 #include <memory>
+#include <utility>
 
 #include "common/codec.hpp"
+#include "common/metrics.hpp"
 #include "ft/state_transfer.hpp"
 #include "ftmp/sim_harness.hpp"
 
@@ -157,7 +159,7 @@ TEST(StateTransfer, BoundedCatchUpAfterJoin) {
   // Founders go live immediately: nobody holds prior state at bootstrap.
   for (ProcessorId p : founders) {
     EXPECT_TRUE(fx.at(p).st->caught_up());
-    EXPECT_EQ(fx.at(p).st->stats().transfers_completed, 0u);
+    EXPECT_EQ(fx.at(p).st->stats().transfers_completed.value(), 0u);
   }
 
   std::size_t sent = 0;
@@ -170,7 +172,7 @@ TEST(StateTransfer, BoundedCatchUpAfterJoin) {
   h.run_for(300 * kMillisecond);  // let completion ack + digests settle
 
   const ft::StateTransferStats& st4 = fx.at(ProcessorId{4}).st->stats();
-  EXPECT_EQ(st4.transfers_completed, 1u);
+  EXPECT_EQ(st4.transfers_completed.value(), 1u);
   EXPECT_EQ(st4.snapshot_verify_failures, 0u);
 
   // Bounded catch-up: the snapshot carries the 300-message history, but the
@@ -179,9 +181,9 @@ TEST(StateTransfer, BoundedCatchUpAfterJoin) {
   EXPECT_GT(st4.bytes_received, 2000u) << "snapshot actually transferred";
   EXPECT_LE(st4.bytes_received, fx.at(ProcessorId{1}).app->snapshot().size())
       << "transferred bytes bounded by the application snapshot";
-  EXPECT_LT(st4.messages_replayed, 50u)
+  EXPECT_LT(st4.messages_replayed.value(), 50u)
       << "replay is the install-concurrent suffix, not the history";
-  EXPECT_LE(st4.messages_replayed, st4.messages_buffered)
+  EXPECT_LE(st4.messages_replayed.value(), st4.messages_buffered)
       << "the watermark filter only ever drops buffered messages";
 
   fx.expect_converged(ids({1, 2, 3, 4}));
@@ -198,6 +200,7 @@ TEST(StateTransfer, BoundedCatchUpAfterJoin) {
 }
 
 TEST(StateTransfer, DonorCrashMidTransferResumes) {
+  metrics::reset_all();
   SimHarness h({}, 73);
   const auto founders = ids({1, 2, 3});
   for (ProcessorId p : ids({1, 2, 3, 4})) h.add_processor(p, kDomain, kDomainAddr);
@@ -237,9 +240,9 @@ TEST(StateTransfer, DonorCrashMidTransferResumes) {
   h.run_for(300 * kMillisecond);
 
   const ft::StateTransferStats& st4 = fx.at(ProcessorId{4}).st->stats();
-  EXPECT_EQ(st4.transfers_completed, 1u);
-  EXPECT_GE(st4.transfers_resumed, 1u) << "donor crash must be survived by resume";
-  EXPECT_EQ(st4.transfers_restarted, 0u) << "a holder survived: no re-anchor";
+  EXPECT_EQ(st4.transfers_completed.value(), 1u);
+  EXPECT_GE(st4.transfers_resumed.value(), 1u) << "donor crash must be survived by resume";
+  EXPECT_EQ(st4.transfers_restarted.value(), 0u) << "a holder survived: no re-anchor";
   EXPECT_EQ(st4.snapshot_verify_failures, 0u);
   // Resume, not re-pull: every chunk is paid for exactly once, so the
   // transferred bytes equal the snapshot at the cut (no traffic was sent
@@ -248,6 +251,29 @@ TEST(StateTransfer, DonorCrashMidTransferResumes) {
 
   fx.expect_converged(ids({2, 3, 4}));
   EXPECT_EQ(fx.at(ProcessorId{4}).app->applied(), 200u);
+
+#if FTCORBA_METRICS_ENABLED
+  // One counting mechanism: each registry counter is the sum of the
+  // managers' tallies (the crashed donor's manager included).
+  const std::pair<const char*, metrics::Counter ft::StateTransferStats::*> counted[] = {
+      {"ftmp_ft_state_transfers_completed_total", &ft::StateTransferStats::transfers_completed},
+      {"ftmp_ft_state_transfers_resumed_total", &ft::StateTransferStats::transfers_resumed},
+      {"ftmp_ft_state_transfers_restarted_total", &ft::StateTransferStats::transfers_restarted},
+      {"ftmp_ft_state_chunks_sent_total", &ft::StateTransferStats::chunks_sent},
+      {"ftmp_ft_state_chunk_bytes_sent_total", &ft::StateTransferStats::bytes_sent},
+      {"ftmp_ft_state_messages_replayed_total", &ft::StateTransferStats::messages_replayed},
+      {"ftmp_ft_state_digest_mismatches_total", &ft::StateTransferStats::digest_mismatches},
+  };
+  for (const auto& [name, field] : counted) {
+    std::uint64_t tallies = 0;
+    for (ProcessorId p : ids({1, 2, 3, 4})) tallies += (fx.at(p).st->stats().*field).value();
+    std::uint64_t registry = 0;
+    for (const metrics::Sample& sample : metrics::snapshot()) {
+      if (sample.name == name) registry = sample.counter;
+    }
+    EXPECT_EQ(registry, tallies) << name;
+  }
+#endif
 }
 
 TEST(StateTransfer, AllHoldersLostRestartsAndDegrades) {
@@ -299,9 +325,9 @@ TEST(StateTransfer, AllHoldersLostRestartsAndDegrades) {
       h.now() + 30 * kSecond));
 
   const ft::StateTransferStats& st1 = fx.at(ProcessorId{1}).st->stats();
-  EXPECT_GE(st1.transfers_resumed, 1u);
-  EXPECT_GE(st1.transfers_restarted, 1u) << "second view change re-anchored";
-  EXPECT_EQ(st1.transfers_completed, 0u) << "nobody left to serve the snapshot";
+  EXPECT_GE(st1.transfers_resumed.value(), 1u);
+  EXPECT_GE(st1.transfers_restarted.value(), 1u) << "second view change re-anchored";
+  EXPECT_EQ(st1.transfers_completed.value(), 0u) << "nobody left to serve the snapshot";
 
   // The sole survivor is live: new traffic still applies.
   h.stack(ProcessorId{1}).group(kGroup)->send_regular(h.now(), test_conn(), 9001,

@@ -126,8 +126,8 @@ TEST(RuntimeUdp, CreateAndSendInOnePollGetsTheOwnCopyBack) {
       GTEST_SKIP() << "multicast loopback not functional in this environment";
     }
     EXPECT_TRUE(delivered);
-    EXPECT_EQ(session->rmp().stats().nacks_sent, 0u);
-    EXPECT_EQ(session->rmp().stats().retransmissions_sent, 0u);
+    EXPECT_EQ(session->rmp().stats().nacks_sent.value(), 0u);
+    EXPECT_EQ(session->rmp().stats().retransmissions_sent.value(), 0u);
 #if FTCORBA_METRICS_ENABLED
     EXPECT_EQ(counter("ftmp_rmp_own_gap_probes_total"), probes);
 #else

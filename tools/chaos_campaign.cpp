@@ -180,23 +180,7 @@ bool parse_options(int argc, char** argv, Options& opt) {
   return true;
 }
 
-std::string repro_command(const Options& opt, std::uint64_t seed) {
-  char buf[192];
-  std::snprintf(buf, sizeof buf,
-                "chaos_campaign --seed %" PRIu64 " --procs %u --duration %" PRIu64
-                " --faults %zu --ordering %s --trace chaos_%" PRIu64 ".trace -v",
-                seed, opt.params.processors,
-                std::uint64_t(opt.params.duration / kMillisecond),
-                opt.params.faults, to_string(opt.ordering_mode), seed);
-  std::string cmd = buf;
-  if (opt.params.spares > 0) cmd += " --spares " + std::to_string(opt.params.spares);
-  if (opt.batch_max_datagram_bytes > 0) {
-    cmd += " --batch " + std::to_string(opt.batch_max_datagram_bytes);
-  }
-  return cmd;
-}
-
-void print_failure(const Options& opt, const chaos::CampaignResult& r) {
+void print_failure(const chaos::CampaignConfig& cfg, const chaos::CampaignResult& r) {
   std::printf("!! seed %" PRIu64 " FAILED: %zu violation(s)%s%s%s\n", r.seed,
               r.violations.size(), r.converged ? "" : ", fleet did not reconverge",
               r.log_replay_ok ? "" : ", crash-restart log replay mismatch",
@@ -207,7 +191,7 @@ void print_failure(const Options& opt, const chaos::CampaignResult& r) {
                 chaos::to_string(v.kind), to_string(v.processor).c_str(),
                 v.detail.c_str());
   }
-  std::printf("  reproduce: %s\n", repro_command(opt, r.seed).c_str());
+  std::printf("  reproduce: %s\n", chaos::repro_command(cfg).c_str());
 }
 
 void json_escape_into(std::string& out, const std::string& s) {
@@ -258,13 +242,13 @@ int main(int argc, char** argv) {
                     " (run %zu)\n",
                     seed, r.digest, again.digest, k + 1);
         std::printf("  reproduce: %s --repeat %zu\n",
-                    repro_command(opt, seed).c_str(), opt.repeat);
+                    chaos::repro_command(cfg).c_str(), opt.repeat);
         break;
       }
     }
 
     if (!r.ok()) {
-      print_failure(opt, r);
+      print_failure(cfg, r);
     } else if (!opt.quiet) {
       std::string transfer_detail;
       if (r.state_resumes > 0) {

@@ -272,8 +272,9 @@ int replay_invariants(const std::string& path) {
     return 2;
   }
   std::printf("chaos trace %s: seed %llu, ordering %s, %llu records replayed\n",
-              path.c_str(), static_cast<unsigned long long>(r.seed),
-              r.ordering.c_str(), static_cast<unsigned long long>(r.records));
+              path.c_str(), static_cast<unsigned long long>(r.run.seed),
+              ftmp::to_string(r.run.ordering_mode),
+              static_cast<unsigned long long>(r.records));
   for (const ftmp::chaos::Violation& v : r.violations) {
     std::printf("  [%8.0fms] %s at %s: %s\n", double(v.at) / kMillisecond,
                 ftmp::chaos::to_string(v.kind), to_string(v.processor).c_str(),
@@ -284,9 +285,18 @@ int replay_invariants(const std::string& path) {
                 "dup/skip, state-digest convergence)\n");
     return 0;
   }
-  std::printf("  %zu violation(s); reproduce the run live with:\n"
-              "    chaos_campaign --seed %llu --trace retrace.log -v\n",
-              r.violations.size(), static_cast<unsigned long long>(r.seed));
+  if (r.shape_recorded) {
+    std::printf("  %zu violation(s); reproduce the run live with:\n    %s\n",
+                r.violations.size(), ftmp::chaos::repro_command(r.run).c_str());
+  } else {
+    std::printf("  %zu violation(s); the trace header records only the seed and the\n"
+                "  ordering, not the run's shape (--procs, --duration, --faults,\n"
+                "  --spares, --batch): reproduce it with\n"
+                "    chaos_campaign --seed %llu --ordering %s -v\n"
+                "  plus the options of the run that wrote the trace\n",
+                r.violations.size(), static_cast<unsigned long long>(r.run.seed),
+                ftmp::to_string(r.run.ordering_mode));
+  }
   return 1;
 }
 

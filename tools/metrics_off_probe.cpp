@@ -22,10 +22,12 @@ std::uint64_t probe_observability_off() {
   metrics::HistogramHandle h =
       metrics::histogram("probe_ms", "h", "ms", "l", {1.0, 2.0, 5.0});
   h.observe(1.5);
+  metrics::Counter tally("probe_tally_total", "h", "u", "l");
+  tally.add(3);
   metrics::trace(metrics::TraceEvent{});
   metrics::reset_all();
   metrics::trace_clear();
-  return c.value() + static_cast<std::uint64_t>(g.value()) + h.count() +
+  return c.value() + tally.value() + static_cast<std::uint64_t>(g.value()) + h.count() +
          static_cast<std::uint64_t>(h.sum()) + metrics::snapshot().size() +
          metrics::render_prometheus().size() + metrics::render_json().size() +
          metrics::trace_events().size() + metrics::render_trace_json().size();
