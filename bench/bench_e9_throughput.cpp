@@ -109,18 +109,15 @@ ThroughputResult run_ftmp_flood(int n, std::size_t payload, std::uint64_t seed,
   r.copied_bytes_per_delivered = double(alloc.copied_bytes) / delivered;
   r.batching = batching;
   if (batching) {
-    std::uint64_t batch_dgrams = 0, subframes = 0, batch_bytes = 0;
+    ftmp::BatchStats fleet_batches;
     for (ProcessorId p : fleet.members) {
-      const ftmp::BatchStats& bs = fleet.h.stack(p).batch_stats();
-      batch_dgrams += bs.batch_datagrams;
-      subframes += bs.subframes;
-      batch_bytes += bs.batch_bytes;
+      const ftmp::BatchStats bs = fleet.h.stack(p).batch_stats();
+      fleet_batches.batch_datagrams += bs.batch_datagrams;
+      fleet_batches.subframes += bs.subframes;
+      fleet_batches.batch_bytes += bs.batch_bytes;
     }
-    if (batch_dgrams > 0) {
-      r.batch_fill_ratio =
-          double(batch_bytes) / (double(batch_dgrams) * double(kBatchBudget));
-      r.subframes_per_datagram = double(subframes) / double(batch_dgrams);
-    }
+    r.batch_fill_ratio = fleet_batches.fill_ratio(kBatchBudget);
+    r.subframes_per_datagram = fleet_batches.subframes_per_batch();
   }
   r.complete = complete;
   return r;

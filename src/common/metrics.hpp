@@ -5,33 +5,32 @@
 // Design rules (docs/METRICS.md is the user-facing reference):
 //
 //   * Hot path is lock-free. Call sites hold a small value-type handle
-//     (CounterHandle / GaugeHandle / HistogramHandle, or a Counter where
-//     each instance's own count is read too) obtained once at
-//     construction time; add()/observe() are relaxed atomic operations.
-//     Registration and snapshot/render take a mutex (cold paths only).
+//     (CounterHandle / GaugeHandle / HistogramHandle) obtained once at
+//     construction time, or own a Counter / Gauge where each instance's
+//     own count or level is read too; add()/observe() are relaxed atomic
+//     operations. Registration and snapshot/render take a mutex (cold
+//     paths only).
 //   * Instruments are identified by name and shared: every Rmp instance in
 //     the process increments the same ftmp_rmp_* counters, so a snapshot
 //     aggregates a whole simulated fleet (exactly what the benches report).
 //   * Zero cost when disabled. Building with FTMP_METRICS=OFF (CMake)
 //     defines FTCORBA_METRICS_ENABLED=0 and every API below becomes an
-//     inline no-op (a Counter keeps only its tally); the registry
-//     implementation (metrics.cpp) compiles to an empty TU.
+//     inline no-op (a Counter or Gauge keeps only its own value); the
+//     registry implementation (metrics.cpp) compiles to an empty TU.
 //     tools/check_metrics_off.cmake asserts this with nm.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/clock.hpp"
 
 #ifndef FTCORBA_METRICS_ENABLED
 #define FTCORBA_METRICS_ENABLED 1
-#endif
-
-#if FTCORBA_METRICS_ENABLED
-#include <atomic>
 #endif
 
 namespace ftcorba::metrics {
@@ -296,21 +295,75 @@ inline void trace_clear() {}
 /// default-constructed Counter registers nothing and only tallies; with
 /// metrics compiled out every Counter is its tally alone. reset_all()
 /// zeroes the registry, not the tallies.
+///
+/// One thread adds; any thread may read value(). The tally is a relaxed
+/// atomic that add() updates with a plain load and store, so the writer
+/// pays no locked read-modify-write for it.
 class Counter {
  public:
   Counter() = default;
   Counter(std::string_view name, std::string_view help, std::string_view unit,
           std::string_view layer)
       : shared_(counter(name, help, unit, layer)) {}
+  Counter(Counter&& other) noexcept : tally_(other.value()), shared_(other.shared_) {}
+  Counter& operator=(Counter&& other) noexcept {
+    tally_.store(other.value(), std::memory_order_relaxed);
+    shared_ = other.shared_;
+    return *this;
+  }
   void add(std::uint64_t n = 1) {
-    tally_ += n;
+    tally_.store(value() + n, std::memory_order_relaxed);
     shared_.add(n);
   }
-  [[nodiscard]] std::uint64_t value() const { return tally_; }
+  [[nodiscard]] std::uint64_t value() const {
+    return tally_.load(std::memory_order_relaxed);
+  }
 
  private:
-  std::uint64_t tally_ = 0;
+  std::atomic<std::uint64_t> tally_{0};
   [[no_unique_address]] CounterHandle shared_;
+};
+
+/// A level this instance owns a share of: add() and set() change this
+/// object's own value and push the same delta to the shared registry gauge
+/// of its name, so value() is this instance's level while a snapshot sums
+/// every instance. Destruction and move-assignment hand back whatever share
+/// remains, so a dropped owner never leaves the gauge elevated. Move-only;
+/// a default-constructed Gauge registers nothing; with metrics compiled out
+/// every Gauge is its value alone. reset_all() zeroes the registry, not the
+/// values.
+class Gauge {
+ public:
+  Gauge() = default;
+  Gauge(std::string_view name, std::string_view help, std::string_view unit,
+        std::string_view layer)
+      : shared_(gauge(name, help, unit, layer)) {}
+  Gauge(Gauge&& other) noexcept
+      : value_(std::exchange(other.value_, 0)), shared_(other.shared_) {}
+  Gauge& operator=(Gauge&& other) noexcept {
+    if (this != &other) {
+      set(0);
+      value_ = std::exchange(other.value_, 0);
+      shared_ = other.shared_;
+    }
+    return *this;
+  }
+  Gauge(const Gauge&) = delete;
+  Gauge& operator=(const Gauge&) = delete;
+  ~Gauge() { set(0); }
+
+  void add(std::int64_t delta) {
+    value_ += delta;
+    shared_.add(delta);
+  }
+  void set(std::int64_t v) {
+    if (v != value_) add(v - value_);
+  }
+  [[nodiscard]] std::int64_t value() const { return value_; }
+
+ private:
+  std::int64_t value_ = 0;
+  [[no_unique_address]] GaugeHandle shared_;
 };
 
 }  // namespace ftcorba::metrics

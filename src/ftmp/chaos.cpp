@@ -1638,12 +1638,13 @@ std::string repro_command(const CampaignConfig& cfg) {
 
 namespace {
 
-// A decimal trace field that must fit T: digits only, no sign, no blanks.
+// A trace field in `base` (decimal, or hex for hashes) that must fit T:
+// digits only, no sign, no blanks.
 template <typename T>
-bool parse_uint(std::string_view text, T& out) {
+bool parse_uint(std::string_view text, T& out, int base = 10) {
   std::uint64_t v = 0;
   const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v, base);
   if (ec != std::errc{} || ptr != end || v > std::uint64_t(std::numeric_limits<T>::max())) {
     return false;
   }
@@ -1702,6 +1703,14 @@ bool parse_header(const std::string& line, TraceReplay& out) {
   return true;
 }
 
+// A record's fields after its type letter, split at blanks.
+std::vector<std::string> split_fields(const std::string& line) {
+  std::istringstream in(line.substr(1));
+  std::vector<std::string> out;
+  for (std::string field; in >> field;) out.push_back(std::move(field));
+  return out;
+}
+
 // A V record's member list: comma-separated processor ids.
 bool parse_members(const std::string& text, std::vector<std::uint32_t>& out) {
   std::istringstream ids(text);
@@ -1726,37 +1735,39 @@ TraceReplay replay_trace(std::istream& in) {
     if (line.empty() || line[0] == '#' || line[0] == 'X' || line[0] == 'F') {
       continue;  // crash markers and fault applications are informational
     }
-    std::istringstream fields(line.substr(1));
-    long long at = 0;
+    // Every record has exactly its fields, each checked (hashes in hex).
+    const std::vector<std::string> f = split_fields(line);
     bool ok = false;
     switch (line[0]) {
       case 'D': {
         DeliveryRecord d;
-        ok = bool(fields >> at >> d.proc >> d.group >> d.source >> d.seq >> d.ts >>
-                  std::hex >> d.hash);
-        d.at = at;
+        ok = f.size() == 7 && parse_uint(f[0], d.at) && parse_uint(f[1], d.proc) &&
+             parse_uint(f[2], d.group) && parse_uint(f[3], d.source) &&
+             parse_uint(f[4], d.seq) && parse_uint(f[5], d.ts) &&
+             parse_uint(f[6], d.hash, 16);
         if (ok) checker.on_delivery(d);
         break;
       }
       case 'V': {
         ViewRecord v;
-        std::string members;
-        ok = fields >> at >> v.proc >> v.group >> v.view_ts >> members &&
-             parse_members(members, v.members);
-        v.at = at;
+        ok = f.size() == 5 && parse_uint(f[0], v.at) && parse_uint(f[1], v.proc) &&
+             parse_uint(f[2], v.group) && parse_uint(f[3], v.view_ts) &&
+             parse_members(f[4], v.members);
         if (ok) checker.on_view(v);
         break;
       }
       case 'R': {
+        TimePoint at = 0;
         std::uint32_t proc = 0;
-        ok = bool(fields >> at >> proc);
+        ok = f.size() == 2 && parse_uint(f[0], at) && parse_uint(f[1], proc);
         if (ok) checker.on_reset(proc);
         break;
       }
       case 'S': {
         StateDigestRecord s;
-        ok = bool(fields >> at >> s.proc >> s.group >> std::hex >> s.fingerprint >> s.digest);
-        s.at = at;
+        ok = f.size() == 5 && parse_uint(f[0], s.at) && parse_uint(f[1], s.proc) &&
+             parse_uint(f[2], s.group) && parse_uint(f[3], s.fingerprint, 16) &&
+             parse_uint(f[4], s.digest, 16);
         if (ok) checker.on_state_digest(s);
         break;
       }

@@ -137,16 +137,6 @@ struct Config {
   /// and UDP driver both drain at least once per tick).
   std::uint64_t batch_flush_us = 500;
 
-  // ---- RMP retransmission-request backoff (docs/RECOVERY.md) ----
-
-  /// Jittered exponential backoff for repeated RetransmitRequests about the
-  /// same gap: the spacing starts at nack_interval and doubles per repeat
-  /// up to this cap, with deterministic per-(requester, source) jitter —
-  /// capping the NACK storm when a rejoiner discovers a large gap. Any
-  /// delivery progress from the source resets the spacing to nack_interval.
-  /// 0 disables backoff entirely (default — fixed nack_interval spacing).
-  Duration nack_backoff_max = 0;
-
   // ---- state transfer (docs/RECOVERY.md) ----
 
   /// Snapshot bytes per StateChunk. Chunks are idempotent by

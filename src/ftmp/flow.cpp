@@ -7,16 +7,16 @@ namespace ftcorba::ftmp {
 FlowController::FlowController(ProcessorId self, ProcessorGroupId group,
                                const Config& config)
     : self_(self), group_(group), config_(config) {
-  metrics_.window_messages = metrics::gauge(
+  metrics_.window_messages = metrics::Gauge(
       "ftmp_flow_window_in_flight_messages",
       "Own Regular messages multicast but not yet stable (send-window "
       "occupancy)",
       "messages", "flow");
-  metrics_.window_bytes = metrics::gauge(
+  metrics_.window_bytes = metrics::Gauge(
       "ftmp_flow_window_in_flight_bytes",
       "Encoded bytes of own Regular messages multicast but not yet stable",
       "bytes", "flow");
-  metrics_.queue_depth = metrics::gauge(
+  metrics_.queue_depth = metrics::Gauge(
       "ftmp_flow_send_queue_depth",
       "Sends parked in the flow-control FIFO awaiting window space",
       "messages", "flow");
@@ -26,7 +26,8 @@ FlowController::FlowController(ProcessorId self, ProcessorGroupId group,
       "messages", "flow");
   stats_.pacing_stalls = metrics::Counter(
       "ftmp_flow_pacing_stalls_total",
-      "Sends parked because the stability-driven send window was full",
+      "Sends parked because the stability-driven send window was full or a "
+      "rebind flush was in progress",
       "sends", "flow");
   stats_.queue_drops = metrics::Counter(
       "ftmp_flow_send_queue_dropped_total",
@@ -39,8 +40,9 @@ FlowController::FlowController(ProcessorId self, ProcessorGroupId group,
       "events", "flow");
   stats_.releases = metrics::Counter(
       "ftmp_flow_releases_total",
-      "Parked sends released after stability freed window space", "sends",
-      "flow");
+      "Parked sends released after stability freed window space or a rebind "
+      "flush completed",
+      "sends", "flow");
   stats_.lag_warnings = metrics::Counter(
       "ftmp_flow_lag_warnings_total",
       "Members newly observed past flow_lag_warn stability lag", "members",
@@ -54,12 +56,6 @@ FlowController::FlowController(ProcessorId self, ProcessorGroupId group,
       "Per-member stability lag: group-max ack timestamp minus the member's "
       "ack timestamp, sampled once per heartbeat interval",
       "timestamp", "flow", metrics::timestamp_gap_buckets());
-}
-
-FlowController::~FlowController() {
-  metrics_.window_messages.add(-static_cast<std::int64_t>(in_flight_.size()));
-  metrics_.window_bytes.add(-static_cast<std::int64_t>(in_flight_bytes_));
-  metrics_.queue_depth.add(-static_cast<std::int64_t>(queue_.size()));
 }
 
 void FlowController::trace(TimePoint now, metrics::TraceKind kind,
@@ -79,7 +75,7 @@ bool FlowController::may_send(std::size_t approx_bytes) const {
   if (!queue_.empty()) return false;  // FIFO fairness: park behind the queue
   if (in_flight_.size() >= config_.flow_window_messages) return false;
   if (config_.flow_window_bytes > 0 && !in_flight_.empty() &&
-      in_flight_bytes_ + approx_bytes > config_.flow_window_bytes) {
+      in_flight_bytes() + approx_bytes > config_.flow_window_bytes) {
     return false;
   }
   return true;
@@ -90,7 +86,6 @@ void FlowController::note_sent(TimePoint now, SeqNum seq,
   (void)now;
   if (!window_enabled()) return;
   if (!in_flight_.emplace(seq, encoded_bytes).second) return;
-  in_flight_bytes_ += encoded_bytes;
   metrics_.window_messages.add(1);
   metrics_.window_bytes.add(static_cast<std::int64_t>(encoded_bytes));
 }
@@ -107,7 +102,6 @@ void FlowController::on_stable(TimePoint now, SeqNum up_to) {
   }
   if (freed_msgs == 0) return;
   in_flight_.erase(in_flight_.begin(), end);
-  in_flight_bytes_ -= freed_bytes;
   metrics_.window_messages.add(-static_cast<std::int64_t>(freed_msgs));
   metrics_.window_bytes.add(-static_cast<std::int64_t>(freed_bytes));
 }
@@ -155,11 +149,12 @@ bool FlowController::park(TimePoint now, Parked&& p) {
 
 std::optional<FlowController::Parked> FlowController::release_one(TimePoint now) {
   if (queue_.empty()) return std::nullopt;
-  const Parked& head = queue_.front();
-  if (in_flight_.size() >= config_.flow_window_messages) return std::nullopt;
-  if (config_.flow_window_bytes > 0 && !in_flight_.empty() &&
-      in_flight_bytes_ + head.giop.size() > config_.flow_window_bytes) {
-    return std::nullopt;
+  if (window_enabled()) {
+    if (in_flight_.size() >= config_.flow_window_messages) return std::nullopt;
+    if (config_.flow_window_bytes > 0 && !in_flight_.empty() &&
+        in_flight_bytes() + queue_.front().giop.size() > config_.flow_window_bytes) {
+      return std::nullopt;
+    }
   }
   Parked out = std::move(queue_.front());
   queue_.pop_front();

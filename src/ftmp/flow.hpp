@@ -13,9 +13,10 @@
 //     The window is fed by ROMP's existing stability notices (the same
 //     collect_stable() feed that drives Rmp::release), so "unstable" means
 //     exactly "still pinned in every member's retransmission store".
-//   * Parked sends. Excess sends wait in a bounded FIFO; the session
-//     releases them as stability frees the window. A send arriving with
-//     the queue at capacity is dropped, counted and traced.
+//   * Parked sends. Excess sends, and every send made during a §7 rebind
+//     flush, wait in a bounded FIFO; the session releases them in order as
+//     stability frees the window and once the flush completes. A send
+//     arriving with the queue at capacity is dropped, counted and traced.
 //   * Backpressure. Crossing the queue's high watermark fires a
 //     FlowListener callback (and the ORB defers new client requests);
 //     falling below the low watermark fires the matching release.
@@ -26,7 +27,7 @@
 //
 // Sans-IO like the sibling layers: the FlowController only does
 // bookkeeping; the owning GroupSession drives it and transmits. With
-// flow_window_messages == 0 (default) every entry point is a no-op and the
+// flow_window_messages == 0 (default) only the flush parks sends, and the
 // session behaves exactly as it did without the subsystem.
 #pragma once
 
@@ -78,10 +79,10 @@ class FlowListener {
 /// This controller's counters for tests and the E11 bench; each Counter
 /// also adds to the process-global ftmp_flow_* counter of its name.
 struct FlowStats {
-  metrics::Counter pacing_stalls;      ///< sends parked (window full)
+  metrics::Counter pacing_stalls;      ///< sends parked (window full or flush)
   metrics::Counter queue_drops;        ///< sends rejected (queue at capacity)
   metrics::Counter queue_high_events;  ///< high-watermark crossings
-  metrics::Counter releases;           ///< parked sends released by stability
+  metrics::Counter releases;           ///< parked sends released (window or flush)
   metrics::Counter lag_warnings;       ///< members newly past flow_lag_warn
   metrics::Counter evict_reports;      ///< members reported past flow_lag_evict
   std::uint64_t queue_highwater = 0;   ///< peak parked-queue depth
@@ -90,7 +91,8 @@ struct FlowStats {
 /// Flow control for one group session. Owned and driven by GroupSession.
 class FlowController {
  public:
-  /// A Regular payload parked while the send window is full.
+  /// A Regular payload parked while the send window is full or a §7 flush
+  /// runs.
   struct Parked {
     ConnectionId connection;
     RequestNum request_num;
@@ -99,17 +101,10 @@ class FlowController {
 
   FlowController(ProcessorId self, ProcessorGroupId group, const Config& config);
 
-  /// Returns this instance's contribution to the process-global occupancy
-  /// gauges. A session dropped with messages still in flight (eviction,
-  /// crash in a sim harness) must not leave the gauges elevated forever.
-  ~FlowController();
-
-  FlowController(const FlowController&) = delete;
-  FlowController& operator=(const FlowController&) = delete;
-
   /// True when the send window is configured. When false, may_send always
-  /// passes and the queue is never used (disabled default — the session
-  /// must behave exactly as before the subsystem existed).
+  /// passes and the queue holds only sends parked during a §7 flush
+  /// (disabled default — the session must behave exactly as before the
+  /// subsystem existed).
   [[nodiscard]] bool window_enabled() const {
     return config_.flow_window_messages > 0;
   }
@@ -135,15 +130,19 @@ class FlowController {
   void on_stable(TimePoint now, SeqNum up_to);
 
   [[nodiscard]] std::size_t in_flight_messages() const { return in_flight_.size(); }
-  [[nodiscard]] std::size_t in_flight_bytes() const { return in_flight_bytes_; }
+  [[nodiscard]] std::size_t in_flight_bytes() const {
+    return static_cast<std::size_t>(metrics_.window_bytes.value());
+  }
 
   // ---- bounded FIFO of parked sends ----
 
-  /// Parks a send the window refused. Returns false — counting and tracing
-  /// the drop — when the queue is at flow_send_queue_limit.
+  /// Parks a send the window refused, or one made during a §7 flush.
+  /// Returns false — counting and tracing the drop — when the queue is at
+  /// flow_send_queue_limit.
   [[nodiscard]] bool park(TimePoint now, Parked&& p);
 
-  /// Pops the oldest parked send if the window now has room for it.
+  /// Pops the oldest parked send if the window now has room for it (always,
+  /// while the window is off). The session does not call it during a flush.
   [[nodiscard]] std::optional<Parked> release_one(TimePoint now);
 
   [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
@@ -184,7 +183,6 @@ class FlowController {
 
   // Own multicast-but-unstable Regular messages: seq -> encoded size.
   std::map<SeqNum, std::size_t> in_flight_;
-  std::size_t in_flight_bytes_ = 0;
 
   std::deque<Parked> queue_;
   bool over_high_ = false;
@@ -198,13 +196,12 @@ class FlowController {
 
   FlowStats stats_;
 
-  // Process-global instruments shared by every FlowController in the
-  // process (docs/METRICS.md): gauges aggregate via add() deltas like the
-  // sibling layers' instruments.
+  // This controller's shares of the occupancy gauges, and the process-wide
+  // instruments it only sets or observes (docs/METRICS.md).
   struct Instruments {
-    metrics::GaugeHandle window_messages;
-    metrics::GaugeHandle window_bytes;
-    metrics::GaugeHandle queue_depth;
+    metrics::Gauge window_messages;
+    metrics::Gauge window_bytes;
+    metrics::Gauge queue_depth;
     metrics::GaugeHandle queue_highwater;
     metrics::HistogramHandle member_lag;
   };

@@ -169,14 +169,11 @@ SendStatus GroupSession::try_send_regular(TimePoint now,
                                           const ConnectionId& connection,
                                           RequestNum request_num, BytesView giop) {
   if (!active()) return SendStatus::kInactive;
-  if (flushing()) {
-    // §7 flush rule: no ordered transmissions until every member has been
-    // heard above the Connect's timestamp. Queue and release from pump().
-    queued_sends_.push_back(
-        QueuedSend{connection, request_num, Bytes(giop.begin(), giop.end())});
-    return SendStatus::kQueued;
-  }
-  if (!flow_.may_send(giop.size())) {
+  // §7 flush rule: no ordered transmissions until every member has been
+  // heard above the Connect's timestamp. A flush-time send parks in the
+  // flow FIFO behind any send the window already holds, and pump()
+  // releases them in order once the flush completes.
+  if (flushing() || !flow_.may_send(giop.size())) {
     const bool parked = flow_.park(
         now, FlowController::Parked{connection, request_num,
                                     Bytes(giop.begin(), giop.end())});
@@ -225,13 +222,9 @@ void GroupSession::begin_rebind(TimePoint now, const Message& connect_msg) {
 
 void GroupSession::progress_flush(TimePoint now) {
   if (flush_ts_ && romp_.min_bound() > *flush_ts_) {
-    // Every member has spoken above the Connect timestamp: flush complete.
+    // Every member has spoken above the Connect timestamp: flush complete
+    // (drain_flow_queue releases what it parked).
     flush_ts_.reset();
-    std::vector<QueuedSend> queued;
-    queued.swap(queued_sends_);
-    for (QueuedSend& q : queued) {
-      emit_regular(now, q.connection, q.request_num, q.giop);
-    }
   }
   // Retire the old address once the announcement window has passed and the
   // flush is done.
@@ -598,7 +591,6 @@ Duration GroupSession::ack_delay() const {
 }
 
 void GroupSession::drain_flow_queue(TimePoint now) {
-  if (!flow_.window_enabled()) return;
   if (!flushing()) {
     while (auto parked = flow_.release_one(now)) {
       emit_regular(now, parked->connection, parked->request_num, parked->giop);

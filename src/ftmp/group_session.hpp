@@ -222,8 +222,9 @@ class GroupSession {
   void begin_rebind(TimePoint now, const Message& connect_msg);
   void progress_flush(TimePoint now);
 
-  /// Releases parked sends the freed window now admits, then forwards any
-  /// queue-watermark transitions to the installed FlowListener.
+  /// Releases parked sends the freed window now admits (none while a flush
+  /// runs), then forwards any queue-watermark transitions to the installed
+  /// FlowListener.
   void drain_flow_queue(TimePoint now);
   void emit_flow_signals();
 
@@ -252,8 +253,8 @@ class GroupSession {
   FlowController flow_;
   FlowListener* flow_listener_ = nullptr;
 
-  // Connect-rebind state (§7): flush watermark, retiring old address, and
-  // ordered sends queued during the flush.
+  // Connect-rebind state (§7): flush watermark and retiring old address
+  // (ordered sends made during the flush park in flow_'s FIFO).
   std::optional<Timestamp> flush_ts_;
   std::optional<McastAddress> old_addr_;
   TimePoint old_addr_retire_at_ = 0;
@@ -263,12 +264,6 @@ class GroupSession {
   ProcessorId rebind_src_{};
   SeqNum rebind_seq_ = 0;
   TimePoint last_rebind_resend_ = 0;
-  struct QueuedSend {
-    ConnectionId connection;
-    RequestNum request_num;
-    Bytes giop;
-  };
-  std::vector<QueuedSend> queued_sends_;
   bool rebind_requested_ = false;
 
   // Large-payload fragmentation (fragment.hpp).

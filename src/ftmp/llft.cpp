@@ -27,8 +27,7 @@ constexpr std::size_t kMaxFutureBodies = 256;
 }  // namespace
 
 LlftOrdering::LlftOrdering(Romp& romp) : romp_(romp) {
-  metrics_.pending = pending_gauge();
-  metrics_.sessions = metrics::gauge(
+  metrics_.sessions = metrics::Gauge(
       "ftmp_ordering_llft_sessions",
       "Group sessions running the LLFT leader-granted ordering engine",
       "sessions", "ordering");
@@ -62,8 +61,6 @@ LlftOrdering::LlftOrdering(Romp& romp) : romp_(romp) {
       metrics::latency_buckets_ms());
   metrics_.sessions.add(1);
 }
-
-LlftOrdering::~LlftOrdering() { metrics_.sessions.add(-1); }
 
 SeqNum LlftOrdering::floor_of(ProcessorId src) const {
   auto it = streams_.find(src);
@@ -125,8 +122,7 @@ void LlftOrdering::apply_floors(const std::vector<SourceSeq>& floors) {
       // joined, covered by our state snapshot): consume without
       // delivering, or our resume-point reports would stick here.
       romp_.mark_consumed(f.processor, it->first);
-      --held_count_;
-      metrics_.pending.add(-1);
+      pending_.add(-1);
     }
     s.held.erase(s.held.begin(), end);
     s.granted_hw = std::max(s.granted_hw, s.floor);
@@ -272,10 +268,7 @@ void LlftOrdering::on_source_ordered(const Frame& frame, TimePoint now) {
     romp_.mark_consumed(h.source, h.sequence_number);
     return;
   }
-  if (s.held.emplace(h.sequence_number, Held{frame, now}).second) {
-    ++held_count_;
-    metrics_.pending.add(1);
-  }
+  if (s.held.emplace(h.sequence_number, Held{frame, now}).second) pending_.add(1);
   grant_ready(h.source);
 }
 
@@ -284,8 +277,7 @@ Frame LlftOrdering::deliver_held(Stream& s, std::map<SeqNum, Held>::iterator it,
   Frame f = std::move(it->second.frame);
   romp_.note_delivered(f.header, it->second.arrival, now);
   s.held.erase(it);
-  --held_count_;
-  metrics_.pending.add(-1);
+  pending_.add(-1);
   s.floor = std::max(s.floor, f.header.sequence_number);
   s.granted_hw = std::max(s.granted_hw, s.floor);
   if (now > 0 && granted_at > 0) {
@@ -369,8 +361,7 @@ std::vector<Frame> LlftOrdering::drain_up_to_cut(
     auto it = s.held.upper_bound(limit);
     while (it != s.held.end()) {
       it = s.held.erase(it);
-      --held_count_;
-      metrics_.pending.add(-1);
+      pending_.add(-1);
     }
   }
   return out;
@@ -441,9 +432,7 @@ void LlftOrdering::set_recovering(bool active) {
 
 void LlftOrdering::remove_member(ProcessorId member) {
   if (auto st = streams_.find(member); st != streams_.end()) {
-    const std::size_t held = st->second.held.size();
-    held_count_ -= held;
-    metrics_.pending.add(-static_cast<std::int64_t>(held));
+    pending_.add(-static_cast<std::int64_t>(st->second.held.size()));
     streams_.erase(st);
   }
   // Slots referencing the member are either delivered (planned removes:

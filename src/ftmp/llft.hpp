@@ -62,7 +62,6 @@ namespace ftcorba::ftmp {
 class LlftOrdering final : public OrderingPolicy {
  public:
   explicit LlftOrdering(Romp& romp);
-  ~LlftOrdering() override;
 
   // ---- membership epochs ----
   void remove_member(ProcessorId member) override;
@@ -73,7 +72,6 @@ class LlftOrdering final : public OrderingPolicy {
   // ---- inputs / delivery ----
   void on_source_ordered(const Frame& frame, TimePoint now) override;
   [[nodiscard]] std::vector<Frame> collect_deliverable(TimePoint now) override;
-  [[nodiscard]] std::size_t pending_count() const override { return held_count_; }
   [[nodiscard]] std::vector<Frame> drain_up_to_cut(
       const std::map<ProcessorId, SeqNum>& cuts,
       const std::set<ProcessorId>& survivors) override;
@@ -144,11 +142,10 @@ class LlftOrdering final : public OrderingPolicy {
   Frame deliver_held(Stream& s, std::map<SeqNum, Held>::iterator it,
                      TimePoint now, TimePoint granted_at);
 
-  // Process-global instruments shared by every LLFT instance
-  // (docs/METRICS.md).
+  // This session's share of the sessions gauge, and the process-global
+  // instruments shared by every LLFT instance (docs/METRICS.md).
   struct Instruments {
-    metrics::GaugeHandle pending;
-    metrics::GaugeHandle sessions;
+    metrics::Gauge sessions;
     metrics::CounterHandle leader_changes;
     metrics::CounterHandle grants;
     metrics::CounterHandle stale_grants;
@@ -173,8 +170,6 @@ class LlftOrdering final : public OrderingPolicy {
 
   // ---- per-source stream state ----
   std::unordered_map<ProcessorId, Stream> streams_;
-  // Frames held across all streams.
-  std::size_t held_count_ = 0;
   // Sequence number of this member's latest own totally-ordered send.
   SeqNum own_sent_hw_ = 0;
 

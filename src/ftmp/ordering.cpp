@@ -24,26 +24,18 @@ bool parse_ordering_mode(const char* s, OrderingMode& out) {
   return false;
 }
 
-metrics::GaugeHandle OrderingPolicy::pending_gauge() {
-  return metrics::gauge("ftmp_romp_pending_messages",
-                        "Messages buffered awaiting total-order delivery",
-                        "messages", "romp");
-}
-
 std::unique_ptr<OrderingPolicy> make_ordering(OrderingMode mode, Romp& romp) {
   if (mode == OrderingMode::kLlft) return std::make_unique<LlftOrdering>(romp);
   return std::make_unique<LamportOrdering>(romp, mode == OrderingMode::kLamport);
 }
 
 LamportOrdering::LamportOrdering(Romp& romp, bool own_clock_bound)
-    : romp_(romp),
-      own_clock_bound_(own_clock_bound),
-      pending_gauge_(pending_gauge()) {}
+    : romp_(romp), own_clock_bound_(own_clock_bound) {}
 
 LamportOrdering::PendingMap::iterator LamportOrdering::erase(
     PendingMap::iterator it) {
-  pending_gauge_.add(-1);
-  return pending_.erase(it);
+  pending_.add(-1);
+  return held_.erase(it);
 }
 
 void LamportOrdering::on_own_send(const Header& header) {
@@ -54,9 +46,8 @@ void LamportOrdering::on_source_ordered(const Frame& frame, TimePoint now) {
   const Header& h = frame.header;
   if (h.source == romp_.self()) own_held_ = h.sequence_number;
   if (!is_totally_ordered(h.type)) return;
-  if (pending_.try_emplace({h.message_timestamp, h.source.raw()}, frame, now)
-          .second) {
-    pending_gauge_.add(1);
+  if (held_.try_emplace({h.message_timestamp, h.source.raw()}, frame, now).second) {
+    pending_.add(1);
   }
 }
 
@@ -72,16 +63,16 @@ Timestamp LamportOrdering::delivery_bound() const {
 
 std::vector<Frame> LamportOrdering::collect_deliverable(TimePoint now) {
   std::vector<Frame> out;
-  if (pending_.empty() || romp_.members().empty()) return out;
+  if (held_.empty() || romp_.members().empty()) return out;
   // Any member never heard from stalls delivery (bound 0), which is
   // precisely the "ordering of messages stops until faulty processors are
   // removed" behaviour of §7.
   const Timestamp min_bound = delivery_bound();
-  while (!pending_.empty() && pending_.begin()->first.first <= min_bound) {
-    Held& p = pending_.begin()->second;
+  while (!held_.empty() && held_.begin()->first.first <= min_bound) {
+    Held& p = held_.begin()->second;
     romp_.note_delivered(p.frame.header, p.arrival, now);
     out.push_back(std::move(p.frame));
-    erase(pending_.begin());
+    erase(held_.begin());
     if (out.back().header.type != MessageType::kRegular) {
       // A membership-affecting message (AddProcessor / RemoveProcessor /
       // Connect): stop the batch here. min_bound was computed over the
@@ -98,9 +89,9 @@ std::vector<Frame> LamportOrdering::drain_up_to_cut(
     const std::map<ProcessorId, SeqNum>& cuts,
     const std::set<ProcessorId>& survivors) {
   std::vector<Frame> out;
-  // pending_ is keyed by (timestamp, source), so `out` comes out in
+  // held_ is keyed by (timestamp, source), so `out` comes out in
   // delivery order.
-  for (auto it = pending_.begin(); it != pending_.end();) {
+  for (auto it = held_.begin(); it != held_.end();) {
     const Header& h = it->second.frame.header;
     auto cut = cuts.find(h.source);
     const SeqNum limit = cut == cuts.end() ? 0 : cut->second;
@@ -119,10 +110,10 @@ std::vector<Frame> LamportOrdering::drain_up_to_cut(
 }
 
 void LamportOrdering::remove_member(ProcessorId member) {
-  const auto dropped = std::erase_if(pending_, [&](const auto& e) {
+  const auto dropped = std::erase_if(held_, [&](const auto& e) {
     return e.second.frame.header.source == member;
   });
-  pending_gauge_.add(-static_cast<std::int64_t>(dropped));
+  pending_.add(-static_cast<std::int64_t>(dropped));
 }
 
 }  // namespace ftcorba::ftmp

@@ -56,7 +56,9 @@ class OrderingPolicy {
   [[nodiscard]] virtual std::vector<Frame> collect_deliverable(TimePoint now) = 0;
 
   /// Number of messages awaiting order.
-  [[nodiscard]] virtual std::size_t pending_count() const = 0;
+  [[nodiscard]] std::size_t pending_count() const {
+    return static_cast<std::size_t>(pending_.value());
+  }
 
   /// Delivers the old-epoch remainder during a fault-driven membership
   /// change (PGMP §7.2): frames with seq <= cuts[source], in the same
@@ -135,8 +137,11 @@ class OrderingPolicy {
     TimePoint arrival = 0;
   };
 
-  /// The ftmp_romp_pending_messages gauge every rule keeps current.
-  [[nodiscard]] static metrics::GaugeHandle pending_gauge();
+  /// Frames the rule holds: its share of ftmp_romp_pending_messages,
+  /// which every rule keeps current.
+  metrics::Gauge pending_{"ftmp_romp_pending_messages",
+                          "Messages buffered awaiting total-order delivery",
+                          "messages", "romp"};
 };
 
 /// The paper's rule (§6): totally-ordered frames wait in a
@@ -155,7 +160,6 @@ class LamportOrdering final : public OrderingPolicy {
 
   void on_source_ordered(const Frame& frame, TimePoint now) override;
   [[nodiscard]] std::vector<Frame> collect_deliverable(TimePoint now) override;
-  [[nodiscard]] std::size_t pending_count() const override { return pending_.size(); }
   [[nodiscard]] std::vector<Frame> drain_up_to_cut(
       const std::map<ProcessorId, SeqNum>& cuts,
       const std::set<ProcessorId>& survivors) override;
@@ -178,8 +182,7 @@ class LamportOrdering final : public OrderingPolicy {
   SeqNum own_held_ = 0;
   // Totally-ordered frames (raw bodies, zero-copy slices of their arrival
   // buffers), keyed by delivery order (ts, src).
-  PendingMap pending_;
-  metrics::GaugeHandle pending_gauge_;
+  PendingMap held_;
 };
 
 /// Builds the delivery rule for `mode` over the group's `romp`, which must

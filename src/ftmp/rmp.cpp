@@ -47,10 +47,10 @@ Rmp::Rmp(ProcessorId self, const Config& config) : self_(self), config_(config) 
       "Reliable messages dropped at the max_out_of_order_buffer cap "
       "(recovered later via NACK)",
       "messages", "rmp");
-  metrics_.store_bytes = metrics::gauge(
+  metrics_.store_bytes = metrics::Gauge(
       "ftmp_rmp_store_bytes", "Bytes held in the retransmission store", "bytes",
       "rmp");
-  metrics_.out_of_order = metrics::gauge(
+  metrics_.out_of_order = metrics::Gauge(
       "ftmp_rmp_out_of_order_messages",
       "Messages buffered out of order awaiting gap fill", "messages", "rmp");
   metrics_.gap_repair_ms = metrics::histogram(
@@ -58,44 +58,6 @@ Rmp::Rmp(ProcessorId self, const Config& config) : self_(self), config_(config) 
       "Gap-detection-to-repair latency: open gap first observed until the "
       "stream is contiguous again",
       "ms", "rmp", metrics::latency_buckets_ms());
-  metrics_.backoff_delays = metrics::counter(
-      "ftmp_rmp_retrans_backoff_delays_total",
-      "NACK rounds issued at a backed-off (greater than nack_interval) "
-      "spacing",
-      "rounds", "rmp");
-  metrics_.backoff_resets = metrics::counter(
-      "ftmp_rmp_retrans_backoff_resets_total",
-      "Backoff resets to nack_interval after delivery progress from the "
-      "source",
-      "resets", "rmp");
-  metrics_.backoff_interval_ms = metrics::histogram(
-      "ftmp_rmp_retrans_backoff_interval_ms",
-      "NACK spacing in force when each NACK round was issued (backoff "
-      "enabled only)",
-      "ms", "rmp", metrics::latency_buckets_ms());
-}
-
-Duration Rmp::nack_spacing(const SourceState& st, ProcessorId src) const {
-  if (config_.nack_backoff_max <= 0 || st.nack_attempts == 0) {
-    return config_.nack_interval;
-  }
-  const Duration cap = std::max(config_.nack_backoff_max, config_.nack_interval);
-  Duration base = config_.nack_interval;
-  for (std::uint32_t i = 0; i < st.nack_attempts && base < cap; ++i) {
-    base = std::min(base * 2, cap);
-  }
-  // Deterministic jitter (no wall-clock randomness — chaos campaigns must
-  // replay bit-identically): spread repeated requesters for the same gap
-  // across [base, base + base/4] by hashing (requester, source, round).
-  std::uint64_t h = 0x9e3779b97f4a7c15ull;
-  h ^= self_.raw();
-  h *= 0xbf58476d1ce4e5b9ull;
-  h ^= src.raw();
-  h *= 0x94d049bb133111ebull;
-  h ^= st.nack_attempts;
-  h ^= h >> 31;
-  const Duration jitter = static_cast<Duration>(h % (base / 4 + 1));
-  return base + jitter;
 }
 
 void Rmp::update_gap_state(TimePoint now, SourceState& st) {
@@ -108,11 +70,11 @@ void Rmp::update_gap_state(TimePoint now, SourceState& st) {
 }
 
 void Rmp::add_source(ProcessorId src, SeqNum expect_after, Timestamp min_timestamp) {
-  SourceState st;
+  remove_source(src);
+  SourceState& st = sources_[src];
   st.contiguous = expect_after;
   st.highest_seen = expect_after;
   st.min_timestamp = min_timestamp;
-  sources_.insert_or_assign(src, std::move(st));
 }
 
 void Rmp::remove_source(ProcessorId src) {
@@ -125,7 +87,6 @@ void Rmp::remove_source(ProcessorId src) {
 void Rmp::purge_store(ProcessorId src) {
   auto it = store_.lower_bound({src.raw(), 0});
   while (it != store_.end() && it->first.first == src.raw()) {
-    stored_bytes_ -= it->second.size();
     metrics_.store_bytes.add(-static_cast<std::int64_t>(it->second.size()));
     it = store_.erase(it);
   }
@@ -161,7 +122,6 @@ void Rmp::store(ProcessorId src, SeqNum seq, SharedBytes raw) {
   // pooled copy by with_retransmission_flag only when a retransmission is
   // actually sent, so storing a received message pins the arrival buffer
   // instead of copying it.
-  stored_bytes_ += raw.size();
   metrics_.store_bytes.add(static_cast<std::int64_t>(raw.size()));
   store_.emplace(key, std::move(raw));
 }
@@ -200,12 +160,6 @@ std::vector<Frame> Rmp::on_reliable(TimePoint now, Frame frame,
   std::vector<Frame> deliver;
   if (seq == st.contiguous + 1) {
     disposed = RmpAccept::kDelivered;
-    // Delivery progress: the NACKs are working — drop back to the fast
-    // fixed spacing for whatever gap remains.
-    if (st.nack_attempts > 0) {
-      st.nack_attempts = 0;
-      metrics_.backoff_resets.add();
-    }
     st.contiguous = seq;
     deliver.push_back(std::move(frame));
     // Drain any buffered messages that are now contiguous.
@@ -274,15 +228,8 @@ void Rmp::on_retransmit_request(TimePoint now, const RetransmitRequestBody& body
 }
 
 void Rmp::queue_nacks(TimePoint now, SourceState& st, ProcessorId src) {
-  const Duration spacing = nack_spacing(st, src);
-  if (now - st.last_nack < spacing) return;
+  if (now - st.last_nack < config_.nack_interval) return;
   st.last_nack = now;
-  if (config_.nack_backoff_max > 0) {
-    if (st.nack_attempts > 0) metrics_.backoff_delays.add();
-    metrics_.backoff_interval_ms.observe(to_ms(spacing));
-    // Exponent saturates well past the cap; keeps the shift bounded.
-    if (st.nack_attempts < 32) st.nack_attempts += 1;
-  }
   // Walk the gap structure: missing runs between contiguous+1 and
   // highest_seen, skipping seqs buffered out of order.
   SeqNum cursor = st.contiguous + 1;
@@ -352,7 +299,6 @@ void Rmp::release(ProcessorId src, SeqNum up_to) {
   }
   auto it = store_.lower_bound({src.raw(), 0});
   while (it != store_.end() && it->first.first == src.raw() && it->first.second <= up_to) {
-    stored_bytes_ -= it->second.size();
     metrics_.store_bytes.add(-static_cast<std::int64_t>(it->second.size()));
     it = store_.erase(it);
   }
@@ -370,11 +316,5 @@ std::vector<RmpOut> Rmp::take_output() {
 }
 
 std::size_t Rmp::stored_count() const { return store_.size(); }
-
-std::size_t Rmp::out_of_order_count() const {
-  std::size_t n = 0;
-  for (const auto& [src, st] : sources_) n += st.out_of_order.size();
-  return n;
-}
 
 }  // namespace ftcorba::ftmp

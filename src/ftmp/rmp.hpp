@@ -191,11 +191,15 @@ class Rmp {
   // ---- introspection (tests, E7 bench) ----
 
   /// Bytes currently held in the retransmission store.
-  [[nodiscard]] std::size_t stored_bytes() const { return stored_bytes_; }
+  [[nodiscard]] std::size_t stored_bytes() const {
+    return static_cast<std::size_t>(metrics_.store_bytes.value());
+  }
   /// Messages currently held in the retransmission store.
   [[nodiscard]] std::size_t stored_count() const;
   /// Messages buffered out-of-order (received, awaiting gap fill).
-  [[nodiscard]] std::size_t out_of_order_count() const;
+  [[nodiscard]] std::size_t out_of_order_count() const {
+    return static_cast<std::size_t>(metrics_.out_of_order.value());
+  }
   /// Layer counters.
   [[nodiscard]] const RmpStats& stats() const { return stats_; }
 
@@ -207,27 +211,17 @@ class Rmp {
     std::map<SeqNum, Frame> out_of_order;
     TimePoint last_nack = -1'000'000'000;
     TimePoint gap_open_since = -1;  // when the oldest open gap was detected
-    // Consecutive NACK rounds issued without delivery progress from this
-    // source — drives the jittered exponential backoff (nack_backoff_max).
-    std::uint32_t nack_attempts = 0;
   };
 
-  // Process-global instruments shared by every Rmp instance (docs/METRICS.md).
+  // This instance's shares of the process-global gauges, and the shared
+  // histogram (docs/METRICS.md).
   struct Instruments {
-    metrics::GaugeHandle store_bytes;
-    metrics::GaugeHandle out_of_order;
+    metrics::Gauge store_bytes;
+    metrics::Gauge out_of_order;
     metrics::HistogramHandle gap_repair_ms;
-    metrics::CounterHandle backoff_delays;
-    metrics::CounterHandle backoff_resets;
-    metrics::HistogramHandle backoff_interval_ms;
   };
 
   void update_gap_state(TimePoint now, SourceState& st);
-
-  /// The NACK spacing currently in force for `st` toward `src`: the fixed
-  /// nack_interval, or — with nack_backoff_max set — an exponentially grown,
-  /// deterministically jittered interval (docs/RECOVERY.md).
-  [[nodiscard]] Duration nack_spacing(const SourceState& st, ProcessorId src) const;
 
   void detect_gaps(TimePoint now, SourceState& st, ProcessorId src);
   void queue_nacks(TimePoint now, SourceState& st, ProcessorId src);
@@ -244,7 +238,6 @@ class Rmp {
   // Active store pins: token -> (source -> keep messages with seq > floor).
   std::map<std::uint32_t, std::map<std::uint32_t, SeqNum>> pins_;
   std::map<std::pair<std::uint32_t, SeqNum>, TimePoint> last_retransmit_;
-  std::size_t stored_bytes_ = 0;
   std::vector<RmpOut> output_;
   RmpStats stats_;
   Instruments metrics_;

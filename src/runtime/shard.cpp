@@ -57,20 +57,21 @@ ShardedRuntime::ShardedRuntime(ProcessorId self, FtDomainId domain,
     sh->stack = std::make_unique<ftmp::Stack>(self_, domain_, domain_addr_,
                                               stack_config_);
     if (i < kMetricShards) {
-      sh->m_frames = metrics::counter(
+      sh->frames_in = metrics::Counter(
           shard_metric(i, "frames_total"),
           "Frames routed to and consumed by this stack shard", "frames", "runtime");
-      sh->m_delivered = metrics::counter(
+      sh->delivered = metrics::Counter(
           shard_metric(i, "delivered_total"),
           "Ordered messages this shard delivered upward", "messages", "runtime");
-      sh->m_drops = metrics::counter(
+      sh->ring_drops = metrics::Counter(
           shard_metric(i, "ring_drops_total"),
           "Ingress frames dropped with this shard's ring full (drop_when_full)",
           "frames", "runtime");
-      sh->m_stalls = metrics::counter(
-          shard_metric(i, "stalls_total"),
-          "Backpressure waits on this shard's rings (ingress full or egress full)",
-          "stalls", "runtime");
+      const std::string stalls = shard_metric(i, "stalls_total");
+      const char* stalls_help =
+          "Backpressure waits on this shard's rings (ingress full or egress full)";
+      sh->ingress_stalls = metrics::Counter(stalls, stalls_help, "stalls", "runtime");
+      sh->egress_stalls = metrics::Counter(stalls, stalls_help, "stalls", "runtime");
       sh->m_depth = metrics::gauge(
           shard_metric(i, "queue_depth"),
           "Ingress ring occupancy, sampled at each shard tick", "frames",
@@ -347,8 +348,7 @@ void ShardedRuntime::enqueue(std::size_t shard, TimePoint now, net::Datagram d) 
   Inbound in{now, std::move(d)};
   if (sh.ingress.try_push(std::move(in))) return;
   if (config_.drop_when_full) {
-    sh.ring_drops.fetch_add(1, std::memory_order_relaxed);
-    sh.m_drops.add();
+    sh.ring_drops.add();
     m_drops_.add();
     return;
   }
@@ -363,16 +363,14 @@ void ShardedRuntime::enqueue(std::size_t shard, TimePoint now, net::Datagram d) 
       std::this_thread::yield();
     }
   }
-  sh.ingress_stalls.fetch_add(spins, std::memory_order_relaxed);
-  sh.m_stalls.add(spins);
+  sh.ingress_stalls.add(spins);
   m_stalls_.add(spins);
 }
 
 void ShardedRuntime::ingest(TimePoint now, const net::Datagram& datagram) {
   if (inline_mode_) {
     Shard& sh = *shards_[0];
-    sh.frames_in.fetch_add(1, std::memory_order_relaxed);
-    sh.m_frames.add();
+    sh.frames_in.add();
     m_routed_.add();
     sh.stack->on_datagram(now, datagram);
     return;
@@ -414,7 +412,7 @@ void ShardedRuntime::tick(TimePoint now) {
 void ShardedRuntime::drain_egress(std::vector<net::Datagram>& out) {
   if (inline_mode_) {
     auto packets = shards_[0]->stack->take_packets();
-    shards_[0]->egress_datagrams.fetch_add(packets.size(), std::memory_order_relaxed);
+    shards_[0]->egress_datagrams.add(packets.size());
     m_egress_.add(packets.size());
     out.insert(out.end(), std::make_move_iterator(packets.begin()),
                std::make_move_iterator(packets.end()));
@@ -443,10 +441,7 @@ std::vector<ftmp::Event> ShardedRuntime::take_events() {
     for (const auto& ev : evs) {
       if (std::holds_alternative<ftmp::DeliveredMessage>(ev)) ++delivered;
     }
-    if (delivered != 0) {
-      shards_[0]->delivered.fetch_add(delivered, std::memory_order_relaxed);
-      shards_[0]->m_delivered.add(delivered);
-    }
+    if (delivered != 0) shards_[0]->delivered.add(delivered);
     return evs;
   }
   std::vector<ftmp::Event> out;
@@ -492,13 +487,13 @@ std::size_t ShardedRuntime::shard_of_group(ProcessorGroupId group) const {
 ShardStats ShardedRuntime::shard_stats(std::size_t shard) const {
   const Shard& sh = *shards_.at(shard);
   ShardStats s;
-  s.frames_in = sh.frames_in.load(std::memory_order_relaxed);
-  s.delivered = sh.delivered.load(std::memory_order_relaxed);
-  s.egress_datagrams = sh.egress_datagrams.load(std::memory_order_relaxed);
-  s.ring_drops = sh.ring_drops.load(std::memory_order_relaxed);
-  s.ingress_stalls = sh.ingress_stalls.load(std::memory_order_relaxed);
-  s.egress_stalls = sh.egress_stalls.load(std::memory_order_relaxed);
-  s.ticks = sh.ticks.load(std::memory_order_relaxed);
+  s.frames_in = sh.frames_in.value();
+  s.delivered = sh.delivered.value();
+  s.egress_datagrams = sh.egress_datagrams.value();
+  s.ring_drops = sh.ring_drops.value();
+  s.ingress_stalls = sh.ingress_stalls.value();
+  s.egress_stalls = sh.egress_stalls.value();
+  s.ticks = sh.ticks.value();
   s.ingress_depth = sh.ingress.size();
   s.egress_depth = sh.egress.size();
   return s;
@@ -506,9 +501,7 @@ ShardStats ShardedRuntime::shard_stats(std::size_t shard) const {
 
 std::uint64_t ShardedRuntime::delivered_total() const {
   std::uint64_t total = 0;
-  for (const auto& sh : shards_) {
-    total += sh->delivered.load(std::memory_order_relaxed);
-  }
+  for (const auto& sh : shards_) total += sh->delivered.value();
   return total;
 }
 
@@ -522,7 +515,7 @@ void ShardedRuntime::run_stack_step(Shard& sh, TimePoint now) {
   (void)now;
   auto packets = sh.stack->take_packets();
   if (!packets.empty()) {
-    sh.egress_datagrams.fetch_add(packets.size(), std::memory_order_relaxed);
+    sh.egress_datagrams.add(packets.size());
     for (net::Datagram& d : packets) {
       std::uint64_t spins = 0;
       while (!sh.egress.try_push(std::move(d))) {
@@ -536,8 +529,7 @@ void ShardedRuntime::run_stack_step(Shard& sh, TimePoint now) {
         }
       }
       if (spins != 0) {
-        sh.egress_stalls.fetch_add(spins, std::memory_order_relaxed);
-        sh.m_stalls.add(spins);
+        sh.egress_stalls.add(spins);
         m_stalls_.add(spins);
       }
     }
@@ -548,10 +540,7 @@ void ShardedRuntime::run_stack_step(Shard& sh, TimePoint now) {
     for (const auto& ev : evs) {
       if (std::holds_alternative<ftmp::DeliveredMessage>(ev)) ++delivered;
     }
-    if (delivered != 0) {
-      sh.delivered.fetch_add(delivered, std::memory_order_relaxed);
-      sh.m_delivered.add(delivered);
-    }
+    if (delivered != 0) sh.delivered.add(delivered);
     std::lock_guard lk(sh.ev_mu);
     sh.events.insert(sh.events.end(), std::make_move_iterator(evs.begin()),
                      std::make_move_iterator(evs.end()));
@@ -576,8 +565,7 @@ void ShardedRuntime::shard_main(std::size_t index) {
       ++burst;
     }
     if (burst != 0) {
-      sh.frames_in.fetch_add(burst, std::memory_order_relaxed);
-      sh.m_frames.add(burst);
+      sh.frames_in.add(burst);
       did_work = true;
     }
 
@@ -595,7 +583,7 @@ void ShardedRuntime::shard_main(std::size_t index) {
     now = std::max(now, wall_now());
     wheel.advance(now, [&](std::uint64_t) {
       sh.stack->tick(now);
-      sh.ticks.fetch_add(1, std::memory_order_relaxed);
+      sh.ticks.add();
       sh.m_depth.set(std::int64_t(sh.ingress.size()));
       {
         std::lock_guard lk(sh.sub_mu);

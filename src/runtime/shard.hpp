@@ -227,20 +227,16 @@ class ShardedRuntime {
     mutable std::mutex sub_mu;
     std::vector<McastAddress> subs;
 
-    // Stats, written by their owning side with relaxed atomics.
-    std::atomic<std::uint64_t> frames_in{0};
-    std::atomic<std::uint64_t> delivered{0};
-    std::atomic<std::uint64_t> egress_datagrams{0};
-    std::atomic<std::uint64_t> ring_drops{0};
-    std::atomic<std::uint64_t> ingress_stalls{0};
-    std::atomic<std::uint64_t> egress_stalls{0};
-    std::atomic<std::uint64_t> ticks{0};
-
-    // Per-shard instruments (docs/METRICS.md, first kMetricShards shards).
-    metrics::CounterHandle m_frames;
-    metrics::CounterHandle m_delivered;
-    metrics::CounterHandle m_drops;
-    metrics::CounterHandle m_stalls;
+    // ShardStats' counts, each added to by one side and readable from any
+    // thread. The first kMetricShards shards register theirs under
+    // per-shard names (docs/METRICS.md); both stall counts share one.
+    metrics::Counter frames_in;         // shard thread (inline: front)
+    metrics::Counter delivered;         // shard thread (inline: front)
+    metrics::Counter egress_datagrams;  // shard thread (inline: front)
+    metrics::Counter ring_drops;        // front thread
+    metrics::Counter ingress_stalls;    // front thread
+    metrics::Counter egress_stalls;     // shard thread
+    metrics::Counter ticks;             // shard thread
     metrics::GaugeHandle m_depth;
   };
 

@@ -1,7 +1,8 @@
 // metrics_test.cpp — registry unit tests (docs/METRICS.md): histogram
 // bucket boundaries, concurrent counter increments, snapshot consistency,
-// reset semantics, instrument sharing by name, the trace ring, and the
-// per-instance tallies of metrics::Counter.
+// reset semantics, instrument sharing by name, the trace ring, the
+// per-instance tallies of metrics::Counter and the per-instance shares of
+// metrics::Gauge.
 #include "common/metrics.hpp"
 
 #include <gtest/gtest.h>
@@ -207,6 +208,7 @@ namespace {
 
 #if !FTCORBA_METRICS_ENABLED
 static_assert(sizeof(Counter) == sizeof(std::uint64_t));
+static_assert(sizeof(Gauge) == sizeof(std::int64_t));
 #endif
 
 // Each registry total below is expected only when the registry exists.
@@ -247,6 +249,97 @@ TEST(Counter, DefaultConstructedRegistersNothing) {
   Counter c;
   c.add(9);
   EXPECT_EQ(c.value(), 9u);
+  EXPECT_EQ(snapshot().size(), registered);
+}
+
+// The sharded runtime reads a shard's counts while the shard thread adds to
+// them; the TSan CI job runs this to check that the read is race-free.
+TEST(Counter, ValueIsReadableWhileItsWriterAdds) {
+  constexpr std::uint64_t kAdds = 100000;
+  Counter c("t_counter_concurrent_read_total", "help", "events", "test");
+  std::thread writer([&c] {
+    for (std::uint64_t i = 0; i < kAdds; ++i) c.add();
+  });
+  std::uint64_t last = 0;
+  while (last < kAdds) {
+    const std::uint64_t now = c.value();
+    EXPECT_GE(now, last) << "a single writer's tally never goes back";
+    last = now;
+  }
+  writer.join();
+  EXPECT_EQ(c.value(), kAdds);
+  EXPECT_EQ(registry_total("t_counter_concurrent_read_total"), kAdds * kRegistryOn);
+}
+
+// ---- Gauge: a per-instance share of the shared gauge ------------------------
+
+std::int64_t registry_level(const std::string& name) {
+  for (const Sample& s : snapshot()) {
+    if (s.name == name) return s.gauge;
+  }
+  return 0;
+}
+
+constexpr std::int64_t kGaugeOn = FTCORBA_METRICS_ENABLED;
+
+TEST(Gauge, InstancesKeepTheirOwnValuesWhileTheRegistryHoldsTheSum) {
+  Gauge a("t_gauge_sum", "help", "items", "test");
+  Gauge b("t_gauge_sum", "help", "items", "test");
+  a.add(5);
+  a.add(-2);
+  b.set(4);
+  b.set(6);
+  EXPECT_EQ(a.value(), 3);
+  EXPECT_EQ(b.value(), 6);
+  EXPECT_EQ(registry_level("t_gauge_sum"), 9 * kGaugeOn);
+}
+
+TEST(Gauge, DestructionReturnsTheShare) {
+  Gauge kept("t_gauge_destroy", "help", "items", "test");
+  kept.add(2);
+  {
+    Gauge gone("t_gauge_destroy", "help", "items", "test");
+    gone.add(7);
+    EXPECT_EQ(registry_level("t_gauge_destroy"), 9 * kGaugeOn);
+  }
+  EXPECT_EQ(registry_level("t_gauge_destroy"), 2 * kGaugeOn);
+  EXPECT_EQ(kept.value(), 2);
+}
+
+TEST(Gauge, MoveAssignmentReturnsTheOldShareAndMovesTheNewOne) {
+  Gauge target("t_gauge_move_old", "help", "items", "test");
+  target.add(4);
+  Gauge source("t_gauge_move_new", "help", "items", "test");
+  source.add(3);
+  target = std::move(source);
+  EXPECT_EQ(registry_level("t_gauge_move_old"), 0) << "the overwritten share came back";
+  EXPECT_EQ(registry_level("t_gauge_move_new"), 3 * kGaugeOn);
+  EXPECT_EQ(target.value(), 3);
+  target.add(1);
+  EXPECT_EQ(registry_level("t_gauge_move_new"), 4 * kGaugeOn);
+  Gauge moved(std::move(target));
+  EXPECT_EQ(moved.value(), 4);
+  EXPECT_EQ(registry_level("t_gauge_move_new"), 4 * kGaugeOn) << "a move keeps the share";
+}
+
+TEST(Gauge, ResetAllZeroesTheRegistryNotTheValues) {
+  Gauge g("t_gauge_reset", "help", "items", "test");
+  g.add(5);
+  reset_all();
+  EXPECT_EQ(g.value(), 5);
+  EXPECT_EQ(registry_level("t_gauge_reset"), 0);
+  g.add(-1);
+  EXPECT_EQ(registry_level("t_gauge_reset"), -1 * kGaugeOn) << "deltas keep flowing";
+}
+
+TEST(Gauge, DefaultConstructedRegistersNothing) {
+  const std::size_t registered = snapshot().size();
+  {
+    Gauge g;
+    g.add(9);
+    g.set(4);
+    EXPECT_EQ(g.value(), 4);
+  }
   EXPECT_EQ(snapshot().size(), registered);
 }
 

@@ -349,6 +349,17 @@ TEST(TraceReplay, RejectsBadHeaderAndMalformedRecords) {
     EXPECT_FALSE(v.parsed) << members;
     EXPECT_EQ(v.parse_error, "malformed V record at line 2") << members;
   }
+  // Every record field is checked: no sign, nothing past the last field.
+  for (const auto& [record, error] :
+       {std::pair{"D 2000 -1 1 1 1 10 1111", "malformed D record at line 2"},
+        std::pair{"D 2000 1 1 1 1 10 1111 junk extra", "malformed D record at line 2"},
+        std::pair{"R -5 2 trailing", "malformed R record at line 2"}}) {
+    std::istringstream in(std::string("# chaos-trace v2 seed=100 ordering=lamport\n") +
+                          record + "\n");
+    const TraceReplay v = replay_trace(in);
+    EXPECT_FALSE(v.parsed) << record;
+    EXPECT_EQ(v.parse_error, error) << record;
+  }
   for (const char* header : {"# chaos-trace v2 ordering=lamport", "# chaos-trace v2 seed=x",
                              "# chaos-trace v2 seed=1 ordering=fifo",
                              "# chaos-trace v2 seed=1 procs=-4"}) {

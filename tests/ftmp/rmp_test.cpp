@@ -2,8 +2,6 @@
 // retransmission policy, and buffer accounting.
 #include <gtest/gtest.h>
 
-#include <functional>
-
 #include "ftmp/rmp.hpp"
 
 namespace ftcorba::ftmp {
@@ -220,15 +218,13 @@ TEST(RmpOooCap, DropsAtCapWithDistinctStatus) {
   EXPECT_TRUE(rmp.complete(kPeer));
 }
 
-// --- NACK backoff (docs/RECOVERY.md) --------------------------------------
+// --- NACK spacing (docs/RECOVERY.md) --------------------------------------
 // Drives a persistent gap against a 1ms tick clock and records when each
 // NACK round fires; the emission times expose the spacing schedule.
 
-std::vector<TimePoint> nack_times(Rmp& rmp, TimePoint from, TimePoint until,
-                                  std::function<void(TimePoint)> at_tick = {}) {
+std::vector<TimePoint> nack_times(Rmp& rmp, TimePoint from, TimePoint until) {
   std::vector<TimePoint> times;
   for (TimePoint t = from; t <= until; t += kMillisecond) {
-    if (at_tick) at_tick(t);
     rmp.on_tick(t);
     for (const RmpOut& o : rmp.take_output()) {
       if (std::get_if<NackOut>(&o)) times.push_back(t);
@@ -238,7 +234,7 @@ std::vector<TimePoint> nack_times(Rmp& rmp, TimePoint from, TimePoint until,
 }
 
 TEST(RmpBackoff, OffMeansFixedSpacing) {
-  Config config;  // nack_backoff_max = 0: fixed nack_interval spacing
+  Config config;  // a gap that never fills is re-NACKed every nack_interval
   Rmp rmp(kSelf, config);
   rmp.add_source(kPeer, 0);
   (void)rmp.on_reliable(0, Frame{regular(kPeer, 1).header, encode_message(regular(kPeer, 1))});
@@ -248,71 +244,8 @@ TEST(RmpBackoff, OffMeansFixedSpacing) {
   ASSERT_GE(times.size(), 2u);
   for (std::size_t i = 1; i < times.size(); ++i) {
     EXPECT_EQ(times[i] - times[i - 1], config.nack_interval)
-        << "backoff off: every round at the fixed interval";
+        << "every round at the fixed interval";
   }
-}
-
-TEST(RmpBackoff, SpacingGrowsAndCaps) {
-  Config config;
-  config.nack_backoff_max = 40 * kMillisecond;
-  Rmp rmp(kSelf, config);
-  rmp.add_source(kPeer, 0);
-  rmp.note_exists(0, kPeer, 5);
-  (void)rmp.take_output();
-  const auto times = nack_times(rmp, kMillisecond, 400 * kMillisecond);
-  ASSERT_GE(times.size(), 5u);
-  std::vector<Duration> gaps;
-  for (std::size_t i = 1; i < times.size(); ++i) gaps.push_back(times[i] - times[i - 1]);
-  // Doubling: every interval at least the base, each at least as long as
-  // its predecessor until the cap region, and none beyond cap + 25% jitter.
-  const Duration cap = config.nack_backoff_max;
-  EXPECT_GE(gaps.front(), 2 * config.nack_interval) << "first repeat already backed off";
-  for (std::size_t i = 0; i < gaps.size(); ++i) {
-    EXPECT_LE(gaps[i], cap + cap / 4) << "round " << i << " beyond cap+jitter";
-  }
-  EXPECT_GE(gaps.back(), cap) << "steady state pinned at the cap";
-  // Far fewer rounds than fixed 5ms spacing would produce over 400ms.
-  EXPECT_LT(times.size(), 20u);
-}
-
-TEST(RmpBackoff, JitterIsDeterministic) {
-  // Two identical processes replaying the same schedule must NACK at
-  // identical times — chaos campaigns depend on bit-identical replays.
-  auto run = [] {
-    Config config;
-    config.nack_backoff_max = 40 * kMillisecond;
-    Rmp rmp(kSelf, config);
-    rmp.add_source(kPeer, 0);
-    rmp.note_exists(0, kPeer, 5);
-    (void)rmp.take_output();
-    return nack_times(rmp, kMillisecond, 300 * kMillisecond);
-  };
-  EXPECT_EQ(run(), run());
-}
-
-TEST(RmpBackoff, DeliveryProgressResetsSpacing) {
-  Config config;
-  config.nack_backoff_max = 80 * kMillisecond;
-  Rmp rmp(kSelf, config);
-  rmp.add_source(kPeer, 0);
-  auto feed = [&](SeqNum seq, TimePoint t) {
-    const Message m = regular(kPeer, seq);
-    (void)rmp.on_reliable(t, Frame{m.header, encode_message(m)});
-  };
-  rmp.note_exists(0, kPeer, 6);
-  (void)rmp.take_output();
-  // Let the spacing back off across several silent rounds...
-  auto before = nack_times(rmp, kMillisecond, 200 * kMillisecond);
-  ASSERT_GE(before.size(), 3u);
-  EXPECT_GE(before.back() - before[before.size() - 2], 4 * config.nack_interval);
-  // ...then make delivery progress: seq 1 arrives, the gap 2..6 remains.
-  feed(1, 201 * kMillisecond);
-  (void)rmp.take_output();
-  // The very next round reverts to the fast fixed spacing.
-  auto after = nack_times(rmp, 202 * kMillisecond, 260 * kMillisecond);
-  ASSERT_GE(after.size(), 2u);
-  EXPECT_LE(after[0] - (201 * kMillisecond), 2 * config.nack_interval)
-      << "reset: first post-progress NACK near the base interval";
 }
 
 TEST_F(RmpFixture, RemoveSourceKeepsStoreUntilPurge) {

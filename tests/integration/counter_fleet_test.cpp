@@ -1,10 +1,13 @@
-// One counting mechanism (docs/METRICS.md): every event the layers count in
-// a metrics::Counter adds once to the counting instance's tally and once to
-// the process-global registry counter of its name. After a lossy run with
-// batching and a flow window on, an ORB client invoking three active
+// One owner per instrument (docs/METRICS.md): every event the layers count
+// in a metrics::Counter adds once to the counting instance's tally and once
+// to the process-global registry counter of its name. After a lossy run
+// with batching and a flow window on, an ORB client invoking three active
 // replicas, each such registry counter must equal the sum of its
 // instances' tallies. State transfer's counters, which this fleet does not
-// run, are checked the same way in state_transfer_test.cpp.
+// run, are checked the same way in state_transfer_test.cpp. Likewise every
+// level a layer keeps in a metrics::Gauge is that instance's share of the
+// registry gauge, so once a lossy fleet's stacks are gone every such gauge
+// reads 0 again.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -158,6 +161,73 @@ TEST(CounterFleet, InstanceTalliesSumToTheRegistryCounter) {
   EXPECT_EQ(tallies["giop_requests_dispatched_total"], 3u * kCalls);
   EXPECT_GE(tallies["giop_duplicates_suppressed_total"], 2u * kCalls);
 }
+
+std::int64_t registry_gauge(const std::string& name) {
+  for (const metrics::Sample& s : metrics::snapshot()) {
+    if (s.name == name) return s.gauge;
+  }
+  return 0;
+}
+
+class GaugeFleet : public ::testing::TestWithParam<ftmp::OrderingMode> {};
+
+TEST_P(GaugeFleet, EveryShareReturnsWhenItsStackGoes) {
+  metrics::reset_all();
+  constexpr ProcessorGroupId kGroup{1};
+  const std::vector<ProcessorId> members{ProcessorId{1}, ProcessorId{2}, ProcessorId{3}};
+  {
+    net::LinkModel link;
+    link.loss = 0.1;
+    link.jitter = 300 * kMicrosecond;
+    ftmp::Config config;
+    config.ordering_mode = GetParam();
+    config.batch_max_datagram_bytes = 1400;
+    config.flow_window_messages = 4;
+    ftmp::SimHarness h(link, 27);
+    for (ProcessorId p : members) h.add_processor(p, kServerDomain, kServerDomainAddr, config);
+    for (ProcessorId p : members) h.stack(p).create_group(h.now(), kGroup, kServerGroupAddr, members);
+    h.run_for(50 * kMillisecond);
+    // A flood cut off mid-flight, at a moment some member buffers a message
+    // out of order: every member still stores, holds, has in flight and
+    // parks messages when its stack is destroyed.
+    RequestNum req = 0;
+    for (int round = 0;
+         round < 40 || (round < 400 && registry_gauge("ftmp_rmp_out_of_order_messages") == 0);
+         ++round) {
+      for (ProcessorId p : members) {
+        ++req;
+        (void)h.stack(p).group(kGroup)->try_send_regular(h.now(), conn(), req,
+                                                         Bytes(200, std::uint8_t(req)));
+      }
+      h.run_for(kMillisecond / 2);
+    }
+    for (const char* name : {"ftmp_rmp_store_bytes", "ftmp_romp_pending_messages",
+                             "ftmp_rmp_out_of_order_messages",
+                             "ftmp_flow_window_in_flight_messages",
+                             "ftmp_flow_window_in_flight_bytes", "ftmp_flow_send_queue_depth"}) {
+      EXPECT_GT(registry_gauge(name), 0) << name << " is exercised";
+    }
+  }
+  // Set-only gauges record a peak or a configuration, not a share.
+  const std::set<std::string> set_only{"ftmp_flow_send_queue_highwater"};
+  std::size_t checked = 0;
+  for (const metrics::Sample& s : metrics::snapshot()) {
+    if (s.type != metrics::Type::kGauge || s.name.rfind("ftmp_", 0) != 0 ||
+        s.name.rfind("ftmp_runtime_", 0) == 0 || set_only.contains(s.name)) {
+      continue;
+    }
+    EXPECT_EQ(s.gauge, 0) << s.name;
+    ++checked;
+  }
+  EXPECT_GE(checked, GetParam() == ftmp::OrderingMode::kLlft ? 7u : 6u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, GaugeFleet,
+                         ::testing::Values(ftmp::OrderingMode::kLamport,
+                                           ftmp::OrderingMode::kLlft),
+                         [](const ::testing::TestParamInfo<ftmp::OrderingMode>& param) {
+                           return std::string(to_string(param.param));
+                         });
 
 }  // namespace
 }  // namespace ftcorba

@@ -3,6 +3,10 @@
 // or reliability.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "ftmp/sim_harness.hpp"
 
 namespace ftcorba::ftmp {
@@ -19,9 +23,10 @@ ConnectionId test_conn() {
 }
 
 SimHarness make_group(const std::vector<ProcessorId>& members,
-                      net::LinkModel link = {}, std::uint64_t seed = 7) {
+                      net::LinkModel link = {}, std::uint64_t seed = 7,
+                      const Config& config = {}) {
   SimHarness h(link, seed);
-  for (ProcessorId p : members) h.add_processor(p, kDomain, kDomainAddr);
+  for (ProcessorId p : members) h.add_processor(p, kDomain, kDomainAddr, config);
   for (ProcessorId p : members) {
     h.stack(p).create_group(h.now(), kGroup, kOldAddr, members);
   }
@@ -102,6 +107,50 @@ TEST(Rebind, SendsDuringFlushAreQueuedNotLost) {
     ASSERT_EQ(msgs.size(), 1u) << "at " << to_string(p);
     EXPECT_EQ(msgs[0].giop_message, bytes_of("mid-flush"));
   }
+}
+
+TEST(Rebind, FlushTimeSendsQueueBehindTheFlowWindow) {
+  std::vector<ProcessorId> members{ProcessorId{1}, ProcessorId{2}, ProcessorId{3}};
+  Config config;
+  config.flow_window_messages = 2;
+  SimHarness h = make_group(members, {}, 7, config);
+  h.run_for(50 * kMillisecond);
+  GroupSession& p1 = *h.stack(ProcessorId{1}).group(kGroup);
+
+  // A1..A6: the window sends two and parks four.
+  std::vector<Bytes> expected;
+  for (RequestNum i = 1; i <= 6; ++i) {
+    expected.push_back(bytes_of("A" + std::to_string(i)));
+    EXPECT_EQ(p1.try_send_regular(h.now(), test_conn(), i, expected.back()),
+              i <= 2 ? SendStatus::kSent : SendStatus::kQueued)
+        << "A" << i;
+  }
+  ASSERT_TRUE(p1.rebind_address(h.now(), kNewAddr));
+  std::size_t max_in_flight = p1.flow().in_flight_messages();
+  auto step = [&] {
+    h.run_for(kMillisecond);
+    max_in_flight = std::max(max_in_flight, p1.flow().in_flight_messages());
+  };
+  while (!p1.flushing() && h.now() < 2 * kSecond) step();
+  ASSERT_TRUE(p1.flushing());
+  // B1..B4, made during the flush, park behind what the window holds.
+  for (RequestNum i = 1; i <= 4; ++i) {
+    expected.push_back(bytes_of("B" + std::to_string(i)));
+    EXPECT_EQ(p1.try_send_regular(h.now(), test_conn(), 10 + i, expected.back()),
+              SendStatus::kQueued)
+        << "B" << i;
+  }
+  while (h.delivered(ProcessorId{2}, kGroup).size() < expected.size() &&
+         h.now() < 3 * kSecond) {
+    step();
+  }
+  std::vector<Bytes> got;
+  for (const DeliveredMessage& m : h.delivered(ProcessorId{2}, kGroup)) {
+    got.emplace_back(m.giop_message.begin(), m.giop_message.end());
+  }
+  EXPECT_EQ(got, expected) << "flush-time sends must not overtake parked ones";
+  EXPECT_LE(max_in_flight, config.flow_window_messages)
+      << "releasing flush-time sends must respect the window";
 }
 
 TEST(Rebind, OrderPreservedAcrossRebind) {
