@@ -4,7 +4,6 @@
 // pair so a recovering replica can match replies to requests during replay.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <utility>
@@ -78,20 +77,6 @@ class MessageLog {
       }
     }
     entries.resize(kept);
-  }
-
-  /// Per-connection request-number high-water marks (the largest request
-  /// number logged on each connection) — the dedup/replay watermarks a
-  /// checkpoint carries so a restored replica resumes duplicate suppression
-  /// where the donor left off (docs/RECOVERY.md).
-  [[nodiscard]] std::vector<std::pair<ConnectionId, RequestNum>> watermarks() const {
-    std::vector<std::pair<ConnectionId, RequestNum>> out;
-    for (const auto& [conn, entries] : log_) {
-      RequestNum hw = 0;
-      for (const LogEntry& e : entries) hw = std::max(hw, e.request_num);
-      if (hw > 0) out.emplace_back(conn, hw);
-    }
-    return out;
   }
 
   /// Total entries retained.

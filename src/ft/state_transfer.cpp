@@ -552,38 +552,4 @@ void StateTransferManager::tick(TimePoint now) {
   }
 }
 
-Bytes ReplicaCheckpoint::snapshot() const {
-  Writer w(ByteOrder::kBig);
-  const Bytes machine_state = machine_->snapshot();
-  w.blob(machine_state);
-  std::vector<std::pair<ConnectionId, RequestNum>> marks;
-  if (log_) marks = log_->watermarks();
-  w.u32(static_cast<std::uint32_t>(marks.size()));
-  for (const auto& [conn, hw] : marks) {
-    w.u32(conn.client_domain.raw());
-    w.u32(conn.client_group.raw());
-    w.u32(conn.server_domain.raw());
-    w.u32(conn.server_group.raw());
-    w.u64(hw);
-  }
-  return std::move(w).take();
-}
-
-void ReplicaCheckpoint::restore(BytesView snapshot) {
-  Reader r(snapshot, ByteOrder::kBig);
-  const Bytes machine_state = r.blob();
-  machine_->restore(BytesView{machine_state.data(), machine_state.size()});
-  restored_watermarks_.clear();
-  const std::uint32_t n = r.u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    ConnectionId conn;
-    conn.client_domain = FtDomainId{r.u32()};
-    conn.client_group = ObjectGroupId{r.u32()};
-    conn.server_domain = FtDomainId{r.u32()};
-    conn.server_group = ObjectGroupId{r.u32()};
-    const RequestNum hw = r.u64();
-    restored_watermarks_.emplace_back(conn, hw);
-  }
-}
-
 }  // namespace ftcorba::ft

@@ -25,7 +25,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
 #include <vector>
@@ -34,7 +33,6 @@
 #include "common/clock.hpp"
 #include "common/ids.hpp"
 #include "common/metrics.hpp"
-#include "ft/message_log.hpp"
 #include "ft/replication.hpp"
 #include "ftmp/config.hpp"
 #include "ftmp/events.hpp"
@@ -197,31 +195,6 @@ class StateTransferManager {
   bool live_ = false;  ///< a membership is installed and we are caught up
 
   StateTransferStats stats_;
-};
-
-/// Checkpointable over the replication layer: the deterministic
-/// StateMachine's snapshot plus the MessageLog's per-connection request-
-/// number watermarks, so a restored replica resumes duplicate suppression
-/// and reply matching where the donor left off.
-class ReplicaCheckpoint : public Checkpointable {
- public:
-  /// `log` may be nullptr (no dedup watermarks carried).
-  ReplicaCheckpoint(std::shared_ptr<StateMachine> machine, const MessageLog* log)
-      : machine_(std::move(machine)), log_(log) {}
-
-  [[nodiscard]] Bytes snapshot() const override;
-  void restore(BytesView snapshot) override;
-
-  /// The per-connection watermarks carried by the last restored snapshot.
-  [[nodiscard]] const std::vector<std::pair<ConnectionId, RequestNum>>&
-  restored_watermarks() const {
-    return restored_watermarks_;
-  }
-
- private:
-  std::shared_ptr<StateMachine> machine_;
-  const MessageLog* log_;
-  std::vector<std::pair<ConnectionId, RequestNum>> restored_watermarks_;
 };
 
 }  // namespace ftcorba::ft

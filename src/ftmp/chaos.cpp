@@ -1711,6 +1711,14 @@ std::vector<std::string> split_fields(const std::string& line) {
   return out;
 }
 
+// An F record's fault: a to_string(FaultKind) name.
+bool is_fault_kind(const std::string& name) {
+  for (auto k = std::uint8_t(FaultKind::kLossBurst); k <= std::uint8_t(FaultKind::kRebind); ++k) {
+    if (name == to_string(FaultKind(k))) return true;
+  }
+  return false;
+}
+
 // A V record's member list: comma-separated processor ids.
 bool parse_members(const std::string& text, std::vector<std::uint32_t>& out) {
   std::istringstream ids(text);
@@ -1732,13 +1740,23 @@ TraceReplay replay_trace(std::istream& in) {
   std::size_t lineno = 1;
   while (std::getline(in, line)) {
     ++lineno;
-    if (line.empty() || line[0] == '#' || line[0] == 'X' || line[0] == 'F') {
-      continue;  // crash markers and fault applications are informational
-    }
+    if (line.empty() || line[0] == '#') continue;
     // Every record has exactly its fields, each checked (hashes in hex).
     const std::vector<std::string> f = split_fields(line);
     bool ok = false;
     switch (line[0]) {
+      // Crash markers and fault applications feed no checker.
+      case 'X': {
+        TimePoint at = 0;
+        std::uint32_t proc = 0;
+        if (f.size() == 2 && parse_uint(f[0], at) && parse_uint(f[1], proc)) continue;
+        break;
+      }
+      case 'F': {
+        TimePoint at = 0;
+        if (f.size() >= 2 && parse_uint(f[0], at) && is_fault_kind(f[1])) continue;
+        break;
+      }
       case 'D': {
         DeliveryRecord d;
         ok = f.size() == 7 && parse_uint(f[0], d.at) && parse_uint(f[1], d.proc) &&

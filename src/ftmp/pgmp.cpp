@@ -224,9 +224,9 @@ bool Pgmp::stale_round(const Message& msg) const {
 std::optional<AddProcessorBody> Pgmp::make_add(ProcessorId new_member) const {
   if (!active_ || reconfiguring()) return std::nullopt;
   if (contains(membership_.members, new_member)) return std::nullopt;
-  if (adds_in_flight_.contains(new_member)) return std::nullopt;
-  for (const PendingJoin& j : pending_joins_) {
-    if (j.new_member == new_member) return std::nullopt;
+  if (std::any_of(joins_.begin(), joins_.end(),
+                  [&](const Join& j) { return j.joiner == new_member; })) {
+    return std::nullopt;
   }
   AddProcessorBody body;
   body.current_membership = membership_;
@@ -248,7 +248,7 @@ std::optional<RemoveProcessorBody> Pgmp::make_remove(ProcessorId member) const {
 
 void Pgmp::note_add_sent(ProcessorId member, TimePoint now,
                          const AddProcessorBody& body) {
-  adds_in_flight_[member] = now;
+  joins_.push_back({.joiner = member, .since = now});
   std::vector<std::pair<ProcessorId, SeqNum>> floors;
   floors.reserve(body.current_seqs.size());
   for (const SourceSeq& s : body.current_seqs) floors.emplace_back(s.processor, s.seq);
@@ -258,10 +258,11 @@ void Pgmp::note_add_sent(ProcessorId member, TimePoint now,
 void Pgmp::on_add_ordered(TimePoint now, const Message& msg) {
   const auto& body = std::get<AddProcessorBody>(msg.body);
   const ProcessorId member = body.new_member;
-  if (auto af = adds_in_flight_.find(member); af != adds_in_flight_.end()) {
-    metrics_.add_install_ms.observe(to_ms(now - af->second));
-    adds_in_flight_.erase(af);
-  }
+  // An ordered Add naming the joiner ends our record's in-flight phase.
+  auto join = std::find_if(joins_.begin(), joins_.end(), [&](const Join& j) {
+    return j.joiner == member && j.in_flight();
+  });
+  if (join != joins_.end()) metrics_.add_install_ms.observe(to_ms(now - join->since));
   if (contains(membership_.members, member)) {
     // Duplicate (e.g. two sponsors raced to add the same joiner): the
     // member set is unchanged, but the ordering engine must still see the
@@ -313,13 +314,17 @@ void Pgmp::on_add_ordered(TimePoint now, const Message& msg) {
   if (msg.header.source == self_) {
     // We are the sponsor: keep re-multicasting the ordered AddProcessor
     // until the new member speaks (it cannot NACK before it has joined, §5),
-    // the first time at the next tick.
-    pending_joins_.push_back({member, msg.header.sequence_number, now,
-                              /*last_resend=*/now - kJoinRetryInterval});
-  } else {
+    // the first time at the next tick. The record keeps its pin and moves
+    // behind the records already resending.
+    if (join != joins_.end()) joins_.erase(join);
+    joins_.push_back({.joiner = member,
+                      .add_seq = msg.header.sequence_number,
+                      .since = now,
+                      .last_resend = now - kJoinRetryInterval});
+  } else if (join != joins_.end()) {
     // Another sponsor's Add admitted it: an Add of ours for the same
-    // joiner can only order as a duplicate now, so drop its store pin.
-    rmp_.unpin_store(member.raw());
+    // joiner can only order as a duplicate now.
+    drop_join(join);
   }
   refresh_suspicions_after_change();
   InstallOut install;
@@ -656,39 +661,29 @@ void Pgmp::tick(TimePoint now) {
     return;
   }
 
-  // Sponsor-side join retransmissions. A pending join also ends when the
-  // joiner stayed silent long enough to be convicted out again (e.g. it was
-  // admitted across a one-way partition), or after the same generous
-  // give-up window the in-flight adds use — otherwise the entry would block
+  // Sponsor records. Either phase is given up after a generous window: an
+  // Add that never ordered (e.g. swallowed by a concurrent fault recovery)
+  // may then be retried. A resending record also ends when the joiner
+  // speaks, or stayed silent long enough to be convicted out again (e.g. it
+  // was admitted across a one-way partition) — otherwise it would block
   // make_add for that processor forever while resending an AddProcessor
   // whose membership timestamp the joiner's rejoin floor already rejects.
-  for (auto it = pending_joins_.begin(); it != pending_joins_.end();) {
-    auto peer = peers_.find(it->new_member);
-    const bool joiner_live =
-        peer != peers_.end() && peer->second.last_heard > it->started;
-    const bool joiner_gone = !contains(membership_.members, it->new_member);
-    const bool gave_up = now - it->started > 10 * config_.fault_timeout;
-    if (joiner_live || joiner_gone || gave_up) {
-      rmp_.unpin_store(it->new_member.raw());
-      it = pending_joins_.erase(it);
+  for (auto it = joins_.begin(); it != joins_.end();) {
+    bool done = now - it->since > 10 * config_.fault_timeout;
+    if (!it->in_flight()) {
+      auto peer = peers_.find(it->joiner);
+      const bool joiner_live = peer != peers_.end() && peer->second.last_heard > it->since;
+      done = done || joiner_live || !contains(membership_.members, it->joiner);
+    }
+    if (done) {
+      it = drop_join(it);
       continue;
     }
-    if (now - it->last_resend >= kJoinRetryInterval) {
+    if (!it->in_flight() && now - it->last_resend >= kJoinRetryInterval) {
       it->last_resend = now;
       output_.emplace_back(ResendStoredOut{self_, it->add_seq});
     }
     ++it;
-  }
-
-  // An AddProcessor that never ordered (e.g. swallowed by a concurrent
-  // fault recovery) may be retried after a generous window.
-  for (auto it = adds_in_flight_.begin(); it != adds_in_flight_.end();) {
-    if (now - it->second > 10 * config_.fault_timeout) {
-      rmp_.unpin_store(it->first.raw());  // abandoned join: drop its pin
-      it = adds_in_flight_.erase(it);
-    } else {
-      ++it;
-    }
   }
 
   // Deferred purges of removed members' stored messages.
@@ -700,6 +695,11 @@ void Pgmp::tick(TimePoint now) {
       ++it;
     }
   }
+}
+
+std::vector<Pgmp::Join>::iterator Pgmp::drop_join(std::vector<Join>::iterator join) {
+  rmp_.unpin_store(join->joiner.raw());
+  return joins_.erase(join);
 }
 
 std::vector<PgmpOut> Pgmp::take_output() {

@@ -148,12 +148,13 @@ class Pgmp {
   /// RemoveProcessor body, or nullopt if not a member / recovery running.
   [[nodiscard]] std::optional<RemoveProcessorBody> make_remove(ProcessorId member) const;
 
-  /// Records that an AddProcessor for `member` was multicast at `now`;
-  /// make_add refuses another for the same member until it is ordered or a
-  /// retry window passes (guards against add storms when callers retry).
-  /// Also pins this (sponsor) processor's retransmission store above the
-  /// body's resume points so stability cannot purge messages the joiner
-  /// will need (see Rmp::pin_store).
+  /// Records that an AddProcessor for `member` was multicast at `now`: opens
+  /// this sponsor's record of the join, and make_add refuses another for the
+  /// same member until the record ends (guards against add storms when
+  /// callers retry). Also pins this processor's retransmission store above
+  /// the body's resume points, for as long as the record lasts, so
+  /// stability cannot purge messages the joiner will need (see
+  /// Rmp::pin_store).
   void note_add_sent(ProcessorId member, TimePoint now, const AddProcessorBody& body);
 
   /// An ordered AddProcessor was delivered: applies the membership change.
@@ -202,11 +203,16 @@ class Pgmp {
     SeqNum msg_seq = 0;      // header seq of the Membership message
     Timestamp msg_ts = 0;    // header timestamp of the Membership message
   };
-  struct PendingJoin {
-    ProcessorId new_member{};
-    SeqNum add_seq = 0;      // seq of the ordered AddProcessor (ours)
-    TimePoint started = 0;
+  // A join this processor sponsors. It is in flight from the multicast of
+  // our AddProcessor until an ordered Add names the joiner; if that Add is
+  // ours, the record then re-multicasts it until the joiner speaks (the
+  // resend phase). Its store pin goes with the record, or earlier in expel.
+  struct Join {
+    ProcessorId joiner{};
+    SeqNum add_seq = 0;      // our ordered AddProcessor; 0 while in flight
+    TimePoint since = 0;     // the phase's start: the Add's send, then its ordering
     TimePoint last_resend = 0;
+    [[nodiscard]] bool in_flight() const { return add_seq == 0; }
   };
 
   // Process-global instruments shared by every Pgmp instance (docs/METRICS.md).
@@ -244,6 +250,8 @@ class Pgmp {
   [[nodiscard]] bool quorum(const std::vector<ProcessorId>& proposal) const;
   void reset_round_state();
   [[nodiscard]] SeqNum own_contiguous(ProcessorId m) const;
+  /// Ends a sponsor record together with its store pin.
+  std::vector<Join>::iterator drop_join(std::vector<Join>::iterator join);
 
   ProcessorId self_;
   Config config_;
@@ -275,10 +283,9 @@ class Pgmp {
   // Whether this round has been counted as needing message-set equalization.
   bool equalization_counted_ = false;
 
-  // Sponsor-side pending joins, in resend order.
-  std::vector<PendingJoin> pending_joins_;
-  // AddProcessor messages sent but not yet ordered: member -> send time.
-  std::unordered_map<ProcessorId, TimePoint> adds_in_flight_;
+  // The joins this processor sponsors; those in the resend phase are in
+  // the order their Adds were delivered, which is the order they resend in.
+  std::vector<Join> joins_;
 
   // Removed members whose stored messages are purged once no survivor can
   // still need them (lagging members recover via NACK for a while).

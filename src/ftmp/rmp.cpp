@@ -87,12 +87,8 @@ void Rmp::remove_source(ProcessorId src) {
 void Rmp::purge_store(ProcessorId src) {
   auto it = store_.lower_bound({src.raw(), 0});
   while (it != store_.end() && it->first.first == src.raw()) {
-    metrics_.store_bytes.add(-static_cast<std::int64_t>(it->second.size()));
+    metrics_.store_bytes.add(-static_cast<std::int64_t>(it->second.raw.size()));
     it = store_.erase(it);
-  }
-  auto rt = last_retransmit_.lower_bound({src.raw(), 0});
-  while (rt != last_retransmit_.end() && rt->first.first == src.raw()) {
-    rt = last_retransmit_.erase(rt);
   }
 }
 
@@ -114,16 +110,16 @@ bool Rmp::complete(ProcessorId src) const {
 }
 
 void Rmp::store(ProcessorId src, SeqNum seq, SharedBytes raw) {
-  auto key = std::make_pair(src.raw(), seq);
-  if (store_.contains(key)) return;
   // The slice is kept exactly as transmitted/received ("The retransmitted
   // message is identical to the original", §5). The retransmission flag —
   // "true for all subsequent retransmissions", §3.2 — is patched into a
   // pooled copy by with_retransmission_flag only when a retransmission is
   // actually sent, so storing a received message pins the arrival buffer
   // instead of copying it.
-  metrics_.store_bytes.add(static_cast<std::int64_t>(raw.size()));
-  store_.emplace(key, std::move(raw));
+  const auto size = static_cast<std::int64_t>(raw.size());
+  if (store_.try_emplace({src.raw(), seq}, std::move(raw)).second) {
+    metrics_.store_bytes.add(size);
+  }
 }
 
 std::vector<Frame> Rmp::on_reliable(TimePoint now, Frame frame,
@@ -210,18 +206,15 @@ void Rmp::on_retransmit_request(TimePoint now, const RetransmitRequestBody& body
   if (!config_.any_holder_retransmit && src != self_) return;
   std::size_t sent = 0;
   for (SeqNum seq = body.start_seq; seq <= body.stop_seq && sent < kMaxRetransmitBurst; ++seq) {
-    auto key = std::make_pair(src.raw(), seq);
-    auto it = store_.find(key);
+    auto it = store_.find({src.raw(), seq});
     if (it == store_.end()) continue;
-    auto last = last_retransmit_.find(key);
-    if (last != last_retransmit_.end() &&
-        now - last->second < kRetransmitInterval) {
+    if (now - it->second.last_retransmit < kRetransmitInterval) {
       continue;  // someone (maybe us) answered this very recently
     }
-    last_retransmit_[key] = now;
+    it->second.last_retransmit = now;
     // Patch the retransmission flag into a pooled copy here, on the cold
     // path, so the store itself keeps arrival slices byte-identical.
-    output_.emplace_back(RetransmitOut{with_retransmission_flag(it->second)});
+    output_.emplace_back(RetransmitOut{with_retransmission_flag(it->second.raw)});
     stats_.retransmissions_sent.add();
     ++sent;
   }
@@ -277,7 +270,7 @@ void Rmp::note_exists(TimePoint now, ProcessorId src, SeqNum seq) {
 std::optional<BytesView> Rmp::stored(ProcessorId src, SeqNum seq) const {
   auto it = store_.find({src.raw(), seq});
   if (it == store_.end()) return std::nullopt;
-  return it->second.view();
+  return it->second.raw.view();
 }
 
 void Rmp::pin_store(std::uint32_t token,
@@ -299,13 +292,8 @@ void Rmp::release(ProcessorId src, SeqNum up_to) {
   }
   auto it = store_.lower_bound({src.raw(), 0});
   while (it != store_.end() && it->first.first == src.raw() && it->first.second <= up_to) {
-    metrics_.store_bytes.add(-static_cast<std::int64_t>(it->second.size()));
+    metrics_.store_bytes.add(-static_cast<std::int64_t>(it->second.raw.size()));
     it = store_.erase(it);
-  }
-  auto rt = last_retransmit_.lower_bound({src.raw(), 0});
-  while (rt != last_retransmit_.end() && rt->first.first == src.raw() &&
-         rt->first.second <= up_to) {
-    rt = last_retransmit_.erase(rt);
   }
 }
 

@@ -231,13 +231,18 @@ class Rmp {
   SeqNum last_sent_ = 0;
   TimePoint last_sent_time_ = 0;
   std::unordered_map<ProcessorId, SourceState> sources_;
-  // Retransmission store: (source, seq) -> encoded message, byte-identical
-  // to the original transmission (for received messages this is a slice of
-  // the arrival buffer; the retransmission flag is patched at send time).
-  std::map<std::pair<std::uint32_t, SeqNum>, SharedBytes> store_;
+  // One stored message: the encoded bytes, byte-identical to the original
+  // transmission (for a received message a slice of the arrival buffer;
+  // the retransmission flag is patched at send time), and when this
+  // processor last retransmitted it.
+  struct Stored {
+    SharedBytes raw;
+    TimePoint last_retransmit = -1'000'000'000;  // never
+  };
+  // Retransmission store, keyed by (source, seq).
+  std::map<std::pair<std::uint32_t, SeqNum>, Stored> store_;
   // Active store pins: token -> (source -> keep messages with seq > floor).
   std::map<std::uint32_t, std::map<std::uint32_t, SeqNum>> pins_;
-  std::map<std::pair<std::uint32_t, SeqNum>, TimePoint> last_retransmit_;
   std::vector<RmpOut> output_;
   RmpStats stats_;
   Instruments metrics_;

@@ -9,72 +9,69 @@ SimHarness::SimHarness(net::LinkModel link, std::uint64_t seed, Duration granula
 
 Stack& SimHarness::add_processor(ProcessorId id, FtDomainId domain,
                                  McastAddress domain_addr, Config config) {
-  auto [it, inserted] =
-      stacks_.emplace(id, std::make_unique<Stack>(id, domain, domain_addr, config));
+  auto [it, inserted] = procs_.try_emplace(
+      id, Proc{.stack = std::make_unique<Stack>(id, domain, domain_addr, config),
+               .domain = domain,
+               .domain_addr = domain_addr,
+               .config = config});
   if (!inserted) throw std::invalid_argument("duplicate processor id");
-  proc_info_[id] = ProcInfo{domain, domain_addr, config, 0};
   net_.attach(id);
-  events_.emplace(id, std::vector<Event>{});
-  sync_subscriptions(id);
-  return *it->second;
+  sync_subscriptions(id, it->second);
+  return *it->second.stack;
 }
 
 Stack& SimHarness::restart(ProcessorId id) {
-  auto info = proc_info_.find(id);
-  if (info == proc_info_.end()) throw std::out_of_range("unknown processor");
-  if (!crashed_.contains(id)) {
-    throw std::logic_error("restart of a processor that is not crashed");
-  }
+  auto it = procs_.find(id);
+  if (it == procs_.end()) throw std::out_of_range("unknown processor");
+  Proc& p = it->second;
+  if (!p.crashed) throw std::logic_error("restart of a processor that is not crashed");
   // Durable membership metadata survives the crash (see header comment).
-  const auto floors = stacks_.at(id)->join_timestamp_floors();
-  auto fresh = std::make_unique<Stack>(id, info->second.domain,
-                                       info->second.domain_addr, info->second.config);
+  const auto floors = p.stack->join_timestamp_floors();
+  auto fresh = std::make_unique<Stack>(id, p.domain, p.domain_addr, p.config);
   for (const auto& [group, ts] : floors) {
     fresh->restore_join_timestamp_floor(group, ts);
   }
-  stacks_[id] = std::move(fresh);
-  info->second.incarnation += 1;
-  events_.at(id).clear();  // a fresh process has an empty event log
-  crashed_.erase(id);
+  p.stack = std::move(fresh);
+  p.incarnation += 1;
+  p.events.clear();  // a fresh process has an empty event log
+  p.crashed = false;
   net_.revive(id);
-  sync_subscriptions(id);
-  return *stacks_.at(id);
+  sync_subscriptions(id, p);
+  return *p.stack;
 }
 
 std::uint32_t SimHarness::incarnation(ProcessorId id) const {
-  return proc_info_.at(id).incarnation;
+  return procs_.at(id).incarnation;
 }
 
 Stack& SimHarness::stack(ProcessorId id) {
-  auto it = stacks_.find(id);
-  if (it == stacks_.end()) throw std::out_of_range("unknown processor");
-  return *it->second;
+  auto it = procs_.find(id);
+  if (it == procs_.end()) throw std::out_of_range("unknown processor");
+  return *it->second.stack;
 }
 
-void SimHarness::sync_subscriptions(ProcessorId id) {
-  for (McastAddress addr : stacks_.at(id)->subscriptions()) {
+void SimHarness::sync_subscriptions(ProcessorId id, const Proc& p) {
+  for (McastAddress addr : p.stack->subscriptions()) {
     net_.subscribe(id, addr);
   }
 }
 
-void SimHarness::flush(ProcessorId id) {
-  Stack& s = *stacks_.at(id);
+void SimHarness::flush(ProcessorId id, Proc& p) {
+  Stack& s = *p.stack;
   for (net::Datagram& d : s.take_packets()) {
     net_.send(now_, id, d);
   }
   auto evs = s.take_events();
-  auto handler = handlers_.find(id);
-  if (handler != handlers_.end()) {
-    for (const Event& ev : evs) handler->second(now_, ev);
+  if (p.handler) {
+    for (const Event& ev : evs) p.handler(now_, ev);
     // The handler may have sent through the stack: transmit those too.
     for (net::Datagram& d : s.take_packets()) {
       net_.send(now_, id, d);
     }
   }
-  auto& sink = events_.at(id);
-  sink.insert(sink.end(), std::make_move_iterator(evs.begin()),
-              std::make_move_iterator(evs.end()));
-  sync_subscriptions(id);
+  p.events.insert(p.events.end(), std::make_move_iterator(evs.begin()),
+                  std::make_move_iterator(evs.end()));
+  sync_subscriptions(id, p);
 }
 
 void SimHarness::run_until(TimePoint t) {
@@ -87,19 +84,18 @@ void SimHarness::run_until(TimePoint t) {
 
     // Deliver every packet due at or before `now_`.
     while (auto d = net_.pop_due(now_)) {
-      if (crashed_.contains(d->dest)) continue;
-      auto it = stacks_.find(d->dest);
-      if (it == stacks_.end()) continue;
-      it->second->on_datagram(now_, d->datagram);
-      flush(d->dest);
+      auto it = procs_.find(d->dest);
+      if (it == procs_.end() || it->second.crashed) continue;
+      it->second.stack->on_datagram(now_, d->datagram);
+      flush(d->dest, it->second);
     }
 
     // Timer ticks at fixed granularity.
     if (now_ >= next_tick_) {
-      for (auto& [id, s] : stacks_) {
-        if (crashed_.contains(id)) continue;
-        s->tick(now_);
-        flush(id);
+      for (auto& [id, p] : procs_) {
+        if (p.crashed) continue;
+        p.stack->tick(now_);
+        flush(id, p);
       }
       next_tick_ += granularity_;
     }
@@ -118,18 +114,23 @@ bool SimHarness::run_until_pred(const std::function<bool()>& pred, TimePoint dea
 }
 
 void SimHarness::crash(ProcessorId id) {
-  crashed_.insert(id);
+  procs_.at(id).crashed = true;
   net_.crash(id);
 }
 
+bool SimHarness::crashed(ProcessorId id) const {
+  auto it = procs_.find(id);
+  return it != procs_.end() && it->second.crashed;
+}
+
 const std::vector<Event>& SimHarness::events(ProcessorId id) const {
-  return events_.at(id);
+  return procs_.at(id).events;
 }
 
 std::vector<DeliveredMessage> SimHarness::delivered(ProcessorId id,
                                                     ProcessorGroupId group) const {
   std::vector<DeliveredMessage> out;
-  for (const Event& ev : events_.at(id)) {
+  for (const Event& ev : procs_.at(id).events) {
     if (const auto* d = std::get_if<DeliveredMessage>(&ev)) {
       if (d->group == group) out.push_back(*d);
     }
@@ -138,18 +139,18 @@ std::vector<DeliveredMessage> SimHarness::delivered(ProcessorId id,
 }
 
 void SimHarness::clear_events() {
-  for (auto& [id, evs] : events_) evs.clear();
+  for (auto& [id, p] : procs_) p.events.clear();
 }
 
 void SimHarness::set_event_handler(
     ProcessorId id, std::function<void(TimePoint, const Event&)> handler) {
-  handlers_[id] = std::move(handler);
+  procs_.at(id).handler = std::move(handler);
 }
 
 std::vector<ProcessorId> SimHarness::processors() const {
   std::vector<ProcessorId> out;
-  out.reserve(stacks_.size());
-  for (const auto& [id, s] : stacks_) out.push_back(id);
+  out.reserve(procs_.size());
+  for (const auto& [id, p] : procs_) out.push_back(id);
   return out;
 }
 

@@ -8,7 +8,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "common/clock.hpp"
@@ -49,12 +48,12 @@ class SimHarness {
   /// Runs until `pred()` is true or `deadline` passes; returns pred().
   bool run_until_pred(const std::function<bool()>& pred, TimePoint deadline);
 
-  /// Crashes a processor: its packets vanish and its stack stops running
-  /// (fail-stop model).
+  /// Crashes a processor (must exist): its packets vanish and its stack
+  /// stops running (fail-stop model).
   void crash(ProcessorId id);
 
   /// True if `id` has been crashed.
-  [[nodiscard]] bool crashed(ProcessorId id) const { return crashed_.contains(id); }
+  [[nodiscard]] bool crashed(ProcessorId id) const;
 
   /// Restarts a crashed processor as a fresh incarnation: a brand-new Stack
   /// with the same identity and config, an empty event log, and the network
@@ -95,6 +94,7 @@ class SimHarness {
   /// (before the event is appended to the accumulated list). Higher layers
   /// (the ORB, replication managers) react to deliveries here and may send
   /// through the stack; their packets go out in the same loop iteration.
+  /// `id` must already be added; the handler survives restart().
   void set_event_handler(ProcessorId id,
                          std::function<void(TimePoint, const Event&)> handler);
 
@@ -102,25 +102,26 @@ class SimHarness {
   [[nodiscard]] std::vector<ProcessorId> processors() const;
 
  private:
-  struct ProcInfo {
+  // Everything the harness keeps per processor.
+  struct Proc {
+    std::unique_ptr<Stack> stack;
     FtDomainId domain{};
     McastAddress domain_addr{};
     Config config{};
     std::uint32_t incarnation = 0;
+    bool crashed = false;
+    std::vector<Event> events{};
+    std::function<void(TimePoint, const Event&)> handler{};
   };
 
-  void sync_subscriptions(ProcessorId id);
-  void flush(ProcessorId id);
+  void sync_subscriptions(ProcessorId id, const Proc& p);
+  void flush(ProcessorId id, Proc& p);
 
   net::SimNetwork net_;
   Duration granularity_;
   TimePoint now_ = 0;
   TimePoint next_tick_ = 0;
-  std::map<ProcessorId, std::unique_ptr<Stack>> stacks_;
-  std::map<ProcessorId, ProcInfo> proc_info_;
-  std::map<ProcessorId, std::vector<Event>> events_;
-  std::map<ProcessorId, std::function<void(TimePoint, const Event&)>> handlers_;
-  std::set<ProcessorId> crashed_;
+  std::map<ProcessorId, Proc> procs_;  // ticked, cleared and listed in id order
   std::function<void(TimePoint)> step_hook_;
 };
 

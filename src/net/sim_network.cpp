@@ -46,11 +46,6 @@ void SimNetwork::subscribe(ProcessorId node, McastAddress addr) {
   subs_[addr.raw()].insert(node.raw());
 }
 
-void SimNetwork::unsubscribe(ProcessorId node, McastAddress addr) {
-  auto it = subs_.find(addr.raw());
-  if (it != subs_.end()) it->second.erase(node.raw());
-}
-
 void SimNetwork::set_partition(const std::vector<std::vector<ProcessorId>>& cells) {
   partition_cell_.clear();
   partitioned_ = !cells.empty();
@@ -92,10 +87,6 @@ void SimNetwork::set_oneway_partition(const std::vector<ProcessorId>& from_cell,
 
 void SimNetwork::set_link(ProcessorId from, ProcessorId to, LinkModel model) {
   link_overrides_[{from.raw(), to.raw()}] = model;
-}
-
-void SimNetwork::clear_link(ProcessorId from, ProcessorId to) {
-  link_overrides_.erase({from.raw(), to.raw()});
 }
 
 const LinkModel& SimNetwork::link(ProcessorId from, ProcessorId to) const {

@@ -116,9 +116,6 @@ class SimNetwork {
   /// Subscribes a node to a multicast address (IGMP join equivalent).
   void subscribe(ProcessorId node, McastAddress addr);
 
-  /// Unsubscribes a node from a multicast address.
-  void unsubscribe(ProcessorId node, McastAddress addr);
-
   /// Multicasts a datagram from `from` at time `now`. Fan-out, loss, delay
   /// and duplication are decided immediately (deterministically); resulting
   /// deliveries are queued. Loopback to the sender is lossless with minimal
@@ -164,15 +161,9 @@ class SimNetwork {
   /// Overrides the link model for one directed (sender → receiver) pair.
   void set_link(ProcessorId from, ProcessorId to, LinkModel model);
 
-  /// Drops the override for one directed pair (reverts it to the default).
-  void clear_link(ProcessorId from, ProcessorId to);
-
   /// Drops every per-link override (the chaos engine recomputes the full
   /// override set from its active fault list after any change).
   void clear_link_overrides() { link_overrides_.clear(); }
-
-  /// Replaces the default link model for pairs without an override.
-  void set_default_link(LinkModel model) { defaults_ = model; }
 
   /// Time of the earliest queued delivery, if any.
   [[nodiscard]] std::optional<TimePoint> next_delivery_time() const;

@@ -1,5 +1,7 @@
 #include "orb/orb.hpp"
 
+#include <algorithm>
+
 #include "common/log.hpp"
 
 namespace ftcorba::orb {
@@ -43,6 +45,17 @@ RequestNum Orb::next_request_num(const ConnectionId& connection) {
   return ++request_counters_[connection];
 }
 
+template <typename H>
+std::optional<Orb::Pending> Orb::take(const InvocationId& id) {
+  auto it = pending_.find(id);
+  if (it == pending_.end() || !std::holds_alternative<H>(it->second.handler)) {
+    return std::nullopt;
+  }
+  Pending done = std::move(it->second);
+  pending_.erase(it);
+  return done;
+}
+
 std::optional<RequestNum> Orb::invoke(TimePoint now, const ConnectionId& connection,
                                       const ObjectKey& key, const std::string& operation,
                                       const giop::CdrWriter& args, ReplyHandler handler,
@@ -72,8 +85,7 @@ std::optional<RequestNum> Orb::invoke(TimePoint now, const ConnectionId& connect
     return std::nullopt;
   }
   if (response_expected && handler) {
-    handlers_[{connection, num}] = std::move(handler);
-    sent_at_[{connection, num}] = now;
+    pending_.insert_or_assign({connection, num}, Pending{std::move(handler), now});
   }
   return num;
 }
@@ -97,7 +109,7 @@ std::optional<RequestNum> Orb::locate(TimePoint now, const ConnectionId& connect
     request_counters_[connection] -= 1;
     return std::nullopt;
   }
-  if (handler) locate_handlers_[{connection, num}] = std::move(handler);
+  if (handler) pending_.insert_or_assign({connection, num}, Pending{std::move(handler), now});
   return num;
 }
 
@@ -150,19 +162,15 @@ void Orb::on_event(TimePoint now, const ftmp::Event& event) {
         metrics_.duplicates_suppressed.add();
         return;
       }
-      auto it = locate_handlers_.find({dm->connection, dm->request_num});
-      if (it != locate_handlers_.end()) {
-        auto handler = std::move(it->second);
-        locate_handlers_.erase(it);
-        handler(std::get<giop::LocateReply>(msg.body).status);
+      if (auto done = take<LocateHandler>({dm->connection, dm->request_num})) {
+        std::get<LocateHandler>(done->handler)(std::get<giop::LocateReply>(msg.body).status);
       }
       break;
     }
     case giop::MsgType::kCancelRequest: {
-      // Best-effort: drop any still-pending handler for the request.
+      // Best-effort: drop the request's record if it is still pending.
       const auto& body = std::get<giop::CancelRequest>(msg.body);
-      handlers_.erase({dm->connection, RequestNum{body.request_id}});
-      sent_at_.erase({dm->connection, RequestNum{body.request_id}});
+      pending_.erase({dm->connection, RequestNum{body.request_id}});
       break;
     }
     default:
@@ -172,38 +180,34 @@ void Orb::on_event(TimePoint now, const ftmp::Event& event) {
 
 void Orb::set_deadline(const ConnectionId& connection, RequestNum request_num,
                        TimePoint deadline, std::function<void()> on_timeout) {
-  deadlines_[{connection, request_num}] = {deadline, std::move(on_timeout)};
+  auto it = pending_.find({connection, request_num});
+  if (it == pending_.end()) return;
+  it->second.deadline = Pending::Deadline{deadline, std::move(on_timeout)};
 }
 
 std::size_t Orb::expire(TimePoint now) {
   std::size_t fired = 0;
-  for (auto it = deadlines_.begin(); it != deadlines_.end();) {
-    if (it->second.first > now) {
+  for (auto it = pending_.begin(); it != pending_.end();) {
+    if (!it->second.deadline || it->second.deadline->at > now) {
       ++it;
       continue;
     }
-    // Only a still-pending invocation can time out.
-    const bool pending =
-        handlers_.contains(it->first) || locate_handlers_.contains(it->first);
-    auto on_timeout = std::move(it->second.second);
-    handlers_.erase(it->first);
-    locate_handlers_.erase(it->first);
-    sent_at_.erase(it->first);
-    it = deadlines_.erase(it);
-    if (pending) {
-      ++fired;
-      if (on_timeout) on_timeout();
-    }
+    auto on_timeout = std::move(it->second.deadline->on_timeout);
+    it = pending_.erase(it);
+    ++fired;
+    if (on_timeout) on_timeout();
   }
   return fired;
 }
 
+std::size_t Orb::pending_invocations() const {
+  return static_cast<std::size_t>(std::count_if(
+      pending_.begin(), pending_.end(),
+      [](const auto& e) { return std::holds_alternative<ReplyHandler>(e.second.handler); }));
+}
+
 bool Orb::cancel(TimePoint now, const ConnectionId& connection, RequestNum request_num) {
-  const auto key = std::make_pair(connection, request_num);
-  handlers_.erase(key);
-  locate_handlers_.erase(key);
-  deadlines_.erase(key);
-  sent_at_.erase(key);
+  pending_.erase({connection, request_num});
   giop::CancelRequest body;
   body.request_id = static_cast<std::uint32_t>(request_num);
   giop::GiopMessage msg;
@@ -263,18 +267,11 @@ void Orb::handle_locate_request(TimePoint now, const ftmp::DeliveredMessage& dm,
 
 void Orb::handle_reply(TimePoint now, const giop::Reply& reply,
                        const ftmp::DeliveredMessage& dm, ByteOrder body_order) {
-  auto it = handlers_.find({dm.connection, dm.request_num});
-  if (it == handlers_.end()) return;  // server replicas see replies too (§4)
-  auto handler = std::move(it->second);
-  handlers_.erase(it);
-  deadlines_.erase({dm.connection, dm.request_num});
-  if (auto sent = sent_at_.find({dm.connection, dm.request_num});
-      sent != sent_at_.end()) {
-    metrics_.request_reply_ms.observe(to_ms(now - sent->second));
-    sent_at_.erase(sent);
-  }
+  auto done = take<ReplyHandler>({dm.connection, dm.request_num});
+  if (!done) return;  // server replicas see replies too (§4)
+  metrics_.request_reply_ms.observe(to_ms(now - done->sent_at));
   metrics_.replies_completed.add();
-  handler(reply, body_order);
+  std::get<ReplyHandler>(done->handler)(reply, body_order);
 }
 
 }  // namespace ftcorba::orb

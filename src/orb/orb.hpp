@@ -20,6 +20,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <variant>
 
 #include "common/metrics.hpp"
 #include "ft/dedup.hpp"
@@ -88,7 +89,8 @@ class Orb {
 
   /// Arms a deadline for a pending invocation: if no reply completes it by
   /// `deadline`, the next expire() call drops the handler and runs
-  /// `on_timeout` instead.
+  /// `on_timeout` instead. Does nothing if no invocation with a handler is
+  /// pending under that number.
   void set_deadline(const ConnectionId& connection, RequestNum request_num,
                     TimePoint deadline, std::function<void()> on_timeout);
 
@@ -97,7 +99,7 @@ class Orb {
   std::size_t expire(TimePoint now);
 
   /// Number of invocations still awaiting a reply.
-  [[nodiscard]] std::size_t pending_invocations() const { return handlers_.size(); }
+  [[nodiscard]] std::size_t pending_invocations() const;
 
   // ---- event pump ----
 
@@ -123,6 +125,25 @@ class Orb {
   [[nodiscard]] ftmp::Stack& stack() { return stack_; }
 
  private:
+  using LocateHandler = std::function<void(giop::LocateStatus)>;
+  using InvocationId = std::pair<ConnectionId, RequestNum>;
+  // One invocation awaiting its Reply or LocateReply, under the pair that
+  // names it (§4). Every path that ends it erases this record: the reply,
+  // the LocateReply, a delivered CancelRequest, cancel() and expire().
+  struct Pending {
+    std::variant<ReplyHandler, LocateHandler> handler;
+    TimePoint sent_at = 0;  // for the request→reply latency histogram
+    struct Deadline {
+      TimePoint at = 0;
+      std::function<void()> on_timeout;
+    };
+    std::optional<Deadline> deadline{};
+  };
+
+  /// Ends invocation `id` if it awaits an `H`: erases its record and returns it.
+  template <typename H>
+  [[nodiscard]] std::optional<Pending> take(const InvocationId& id);
+
   void handle_request(TimePoint now, const ftmp::DeliveredMessage& dm,
                       const giop::Request& request, ByteOrder arg_order);
   void handle_reply(TimePoint now, const giop::Reply& reply,
@@ -136,14 +157,7 @@ class Orb {
   ByteOrder byte_order_;
   std::unordered_map<ObjectKey, std::shared_ptr<Servant>> servants_;
   std::map<ConnectionId, RequestNum> request_counters_;
-  std::map<std::pair<ConnectionId, RequestNum>, ReplyHandler> handlers_;
-  std::map<std::pair<ConnectionId, RequestNum>, std::function<void(giop::LocateStatus)>>
-      locate_handlers_;
-  std::map<std::pair<ConnectionId, RequestNum>, std::pair<TimePoint, std::function<void()>>>
-      deadlines_;
-  // Send time of each pending invocation, for the request→reply latency
-  // histogram; entries leave with their handler (reply/cancel/expire).
-  std::map<std::pair<ConnectionId, RequestNum>, TimePoint> sent_at_;
+  std::map<InvocationId, Pending> pending_;
   ft::DuplicateSuppressor dedup_;
   ft::MessageLog* log_ = nullptr;
 

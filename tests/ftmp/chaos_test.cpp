@@ -350,10 +350,17 @@ TEST(TraceReplay, RejectsBadHeaderAndMalformedRecords) {
     EXPECT_EQ(v.parse_error, "malformed V record at line 2") << members;
   }
   // Every record field is checked: no sign, nothing past the last field.
+  // Crash markers are exactly `X <time> <proc>`, and a fault record names
+  // its kind after the time.
   for (const auto& [record, error] :
        {std::pair{"D 2000 -1 1 1 1 10 1111", "malformed D record at line 2"},
         std::pair{"D 2000 1 1 1 1 10 1111 junk extra", "malformed D record at line 2"},
-        std::pair{"R -5 2 trailing", "malformed R record at line 2"}}) {
+        std::pair{"R -5 2 trailing", "malformed R record at line 2"},
+        std::pair{"X -5 junk", "malformed X record at line 2"},
+        std::pair{"X 10 2 extra", "malformed X record at line 2"},
+        std::pair{"F abc", "malformed F record at line 2"},
+        std::pair{"F 10 nonsense @1ms", "malformed F record at line 2"},
+        std::pair{"Foo bar", "malformed F record at line 2"}}) {
     std::istringstream in(std::string("# chaos-trace v2 seed=100 ordering=lamport\n") +
                           record + "\n");
     const TraceReplay v = replay_trace(in);

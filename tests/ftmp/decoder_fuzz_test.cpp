@@ -1,18 +1,20 @@
 // Decoder fuzzing (ROADMAP item 7): the FTMP header decoder, every body
 // decoder, the FTMB batch parser, FTMF fragment reassembly, the GIOP
-// decoder and the chaos-trace reader must decode or reject any input —
-// never crash, throw anything but their own error type, or trip a
-// sanitizer. Each corpus entry (one encoded message of each of the 13
-// FTMP types plus one batch; fragment sequences of a few payload sizes;
-// one GIOP message of each of the eight types in both byte orders; a
-// short recorded campaign trace) is mutated a fixed number of times by a
-// seeded Rng (bit flips, truncations, length-field edits, appended bytes;
-// line edits for the trace). Runs in the ASan/UBSan CI job like every
-// ctest; a crash it finds becomes a fix plus a corpus case here.
+// decoder, the chaos-trace reader and the durable log's scan must decode
+// or reject any input — never crash, throw anything but their own error
+// type, or trip a sanitizer. Each corpus entry (one encoded message of
+// each of the 13 FTMP types plus one batch; fragment sequences of a few
+// payload sizes; one GIOP message of each of the eight types in both byte
+// orders; a short recorded campaign trace; a log file of four records) is
+// mutated a fixed number of times by a seeded Rng (bit flips, truncations,
+// length-field edits, appended bytes; line edits for the trace). Runs in
+// the ASan/UBSan CI job like every ctest; a crash it finds becomes a fix
+// plus a corpus case here.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <optional>
@@ -21,7 +23,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/log.hpp"
 #include "common/rng.hpp"
+#include "ft/persistent_log.hpp"
 #include "ftmp/chaos.hpp"
 #include "ftmp/fragment.hpp"
 #include "ftmp/messages.hpp"
@@ -150,7 +154,11 @@ void put_u32(Bytes& b, std::size_t at, std::uint32_t v, bool big) {
 }
 
 // The byte formats the mutations know the length fields of.
-enum class Format { kFtmp, kBatch, kFragment, kGiop };
+enum class Format { kFtmp, kBatch, kFragment, kGiop, kLog };
+
+// Offset of a log record's payload length after its magic: kind, the
+// connection id's four u32s, request number and timestamp.
+constexpr std::size_t kLogLengthOffset = 4 + 1 + 16 + 8 + 8;
 
 // Writes `v` into a length field `format`'s decoder reads: FTMP's
 // message_size, a batch's count or first length prefix, a fragment's index
@@ -178,6 +186,17 @@ bool edit_length_field(Bytes& b, Format format, std::uint32_t v, Rng& rng) {
       if (b.size() < giop::kGiopHeaderSize) return false;
       put_u32(b, 8, v, b[6] == 0);
       return true;
+    case Format::kLog: {  // the payload length of a record whose magic survives
+      std::vector<std::size_t> records;
+      for (std::size_t at = 0; at + kLogLengthOffset + 4 <= b.size(); ++at) {
+        if (b[at] == 'F' && b[at + 1] == 'T' && b[at + 2] == 'L' && b[at + 3] == 'G') {
+          records.push_back(at);
+        }
+      }
+      if (records.empty()) return false;
+      put_u32(b, records[rng.next_below(records.size())] + kLogLengthOffset, v, true);
+      return true;
+    }
   }
   return false;
 }
@@ -508,6 +527,93 @@ TEST(DecoderFuzz, MutatedTracesReplayOrAreRejected) {
   }
   EXPECT_GT(replayed, 0);
   EXPECT_GT(rejected, 0);
+}
+
+// ---- durable log ------------------------------------------------------------
+
+std::string temp_log_path(const char* what) {
+  // One file per test: ctest runs the tests of this binary in parallel.
+  return testing::TempDir() + "decoder_fuzz_" +
+         testing::UnitTest::GetInstance()->current_test_info()->name() + "_" + what + ".log";
+}
+
+Bytes read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return Bytes(std::istreambuf_iterator<char>(in), {});
+}
+
+void write_file(const std::string& path, const Bytes& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()), std::streamsize(bytes.size()));
+}
+
+// The entries PersistentLog::append writes to the corpus log: both kinds,
+// an empty payload and a 70 KiB one.
+std::vector<ft::LogEntry> log_entries() {
+  Bytes big(70 * 1024);
+  for (std::size_t i = 0; i < big.size(); ++i) big[i] = std::uint8_t(i * 131 + 17);
+  return {
+      {ft::MessageKind::kRequest, conn(), 1, 100, bytes_of("request-one")},
+      {ft::MessageKind::kReply, conn(), 1, 101, bytes_of("reply-one")},
+      {ft::MessageKind::kRequest, conn(), 2, 102, Bytes{}},
+      {ft::MessageKind::kReply, conn(), 2, 103, std::move(big)},
+  };
+}
+
+// The bytes `append` writes for `entries`, through a fresh log at `path`.
+Bytes appended(const std::string& path, const std::vector<ft::LogEntry>& entries) {
+  std::remove(path.c_str());
+  {
+    ft::PersistentLog log(path);
+    for (const ft::LogEntry& e : entries) log.append(e);
+  }
+  Bytes bytes = read_file(path);
+  std::remove(path.c_str());
+  return bytes;
+}
+
+TEST(DecoderFuzz, LogCorpusScansClean) {
+  const std::vector<ft::LogEntry> entries = log_entries();
+  const std::string path = temp_log_path("corpus");
+  write_file(path, appended(path, entries));
+  const ft::LogScan scan = ft::PersistentLog::scan(path);
+  EXPECT_TRUE(scan.clean());
+  EXPECT_EQ(scan.good_bytes, std::filesystem::file_size(path));
+  EXPECT_EQ(scan.entries, entries);
+  std::remove(path.c_str());
+}
+
+// Every mutated log scans to an intact prefix: scan throws nothing, the
+// prefix and the discarded tail cover the file, the prefix is exactly what
+// appending the scanned entries writes, load() agrees with scan(), and
+// opening the file for appending truncates it to the prefix.
+TEST(DecoderFuzz, MutatedLogsScanToTheirIntactPrefix) {
+  const std::string path = temp_log_path("mutated");
+  const std::string fresh = temp_log_path("fresh");
+  const Bytes seed = appended(fresh, log_entries());
+  const LogLevel saved_level = Log::level();
+  Log::set_level(LogLevel::kError);  // each torn reopen warns
+  Rng rng(0x106F);
+  int intact = 0;
+  int torn = 0;
+  for (int i = 0; i < kMutationsPerEntry; ++i) {
+    const Bytes input = mutate(seed, rng, Format::kLog);
+    write_file(path, input);
+    ft::LogScan scan;
+    ASSERT_NO_THROW(scan = ft::PersistentLog::scan(path)) << "mutation " << i;
+    ASSERT_EQ(scan.good_bytes + scan.discarded_bytes, input.size()) << "mutation " << i;
+    ASSERT_EQ(appended(fresh, scan.entries),
+              Bytes(input.begin(), input.begin() + std::ptrdiff_t(scan.good_bytes)))
+        << "mutation " << i;
+    ASSERT_EQ(ft::PersistentLog::load(path), scan.entries) << "mutation " << i;
+    { ft::PersistentLog reopened(path); }
+    ASSERT_EQ(std::filesystem::file_size(path), scan.good_bytes) << "mutation " << i;
+    (scan.clean() ? intact : torn) += 1;
+  }
+  Log::set_level(saved_level);
+  std::remove(path.c_str());
+  EXPECT_GT(intact, 0);
+  EXPECT_GT(torn, 0);
 }
 
 }  // namespace

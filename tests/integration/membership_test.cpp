@@ -221,6 +221,45 @@ TEST(Membership, TwoMemberGroupSurvivorContinues) {
   EXPECT_EQ(h.delivered(ProcessorId{1}, kGroup).size(), 1u);
 }
 
+// Four founders under `mode`, and P5 outside the group, expecting to join.
+SimHarness sponsor_world(OrderingMode mode) {
+  Config config;
+  config.ordering_mode = mode;
+  SimHarness h({}, 76);
+  const auto founders = ids({1, 2, 3, 4});
+  for (ProcessorId p : founders) h.add_processor(p, kDomain, kDomainAddr, config);
+  for (ProcessorId p : founders) {
+    h.stack(p).create_group(h.now(), kGroup, kGroupAddr, founders);
+  }
+  h.run_for(50 * kMillisecond);
+  h.add_processor(ProcessorId{5}, kDomain, kDomainAddr, config);
+  h.stack(ProcessorId{5}).expect_join(kGroup, kGroupAddr);
+  return h;
+}
+
+bool all_in_view(SimHarness& h, const std::vector<ProcessorId>& view) {
+  return std::all_of(view.begin(), view.end(),
+                     [&](ProcessorId p) { return membership_is(h, p, view); });
+}
+
+// Every member of `view` multicasts for a second; then each must have
+// released its whole retransmission store, so no store pin is left.
+void expect_stores_drain(SimHarness& h, const std::vector<ProcessorId>& view) {
+  RequestNum req = 0;
+  for (int round = 0; round < 200; ++round) {
+    for (ProcessorId p : view) {
+      ASSERT_TRUE(h.stack(p).group(kGroup)->send_regular(
+          h.now(), test_conn(), ++req, bytes_of("r" + std::to_string(round))));
+    }
+    h.run_for(5 * kMillisecond);
+  }
+  h.run_for(1 * kSecond);
+  for (ProcessorId p : view) {
+    EXPECT_EQ(h.stack(p).group(kGroup)->rmp().stored_count(), 0u)
+        << "at " << to_string(p);
+  }
+}
+
 // Two sponsors add the same joiner at the same instant. Each pins its
 // retransmission store for the joiner when it sends its AddProcessor; the
 // first Add to order admits the joiner and the other can only order as a
@@ -230,43 +269,53 @@ TEST(Membership, TwoMemberGroupSurvivorContinues) {
 class RacingSponsors : public ::testing::TestWithParam<OrderingMode> {};
 
 TEST_P(RacingSponsors, EveryStorePinIsReleased) {
-  Config config;
-  config.ordering_mode = GetParam();
-  SimHarness h({}, 76);
-  const auto founders = ids({1, 2, 3, 4});
-  for (ProcessorId p : founders) h.add_processor(p, kDomain, kDomainAddr, config);
-  for (ProcessorId p : founders) {
-    h.stack(p).create_group(h.now(), kGroup, kGroupAddr, founders);
-  }
-  h.run_for(50 * kMillisecond);
-
+  SimHarness h = sponsor_world(GetParam());
   const ProcessorId joiner{5};
   const auto all = ids({1, 2, 3, 4, 5});
-  h.add_processor(joiner, kDomain, kDomainAddr, config);
-  h.stack(joiner).expect_join(kGroup, kGroupAddr);
   ASSERT_TRUE(h.stack(ProcessorId{2}).add_processor(h.now(), kGroup, joiner));
   ASSERT_TRUE(h.stack(ProcessorId{3}).add_processor(h.now(), kGroup, joiner));
-  ASSERT_TRUE(h.run_until_pred(
-      [&] {
-        return std::all_of(all.begin(), all.end(), [&](ProcessorId p) {
-          return membership_is(h, p, all);
-        });
-      },
-      h.now() + 5 * kSecond));
+  ASSERT_TRUE(h.run_until_pred([&] { return all_in_view(h, all); }, h.now() + 5 * kSecond));
+  expect_stores_drain(h, all);
+}
 
-  RequestNum req = 0;
-  for (int round = 0; round < 200; ++round) {
-    for (ProcessorId p : all) {
-      ASSERT_TRUE(h.stack(p).group(kGroup)->send_regular(
-          h.now(), test_conn(), ++req, bytes_of("r" + std::to_string(round))));
-    }
-    h.run_for(5 * kMillisecond);
-  }
-  h.run_for(1 * kSecond);
-  for (ProcessorId p : all) {
-    EXPECT_EQ(h.stack(p).group(kGroup)->rmp().stored_count(), 0u)
-        << "at " << to_string(p);
-  }
+// The sponsor's other exits. A joiner that is admitted but crashes before
+// it speaks is convicted: the sponsor stops resending its Add and drops
+// the pin, and may sponsor the same processor again.
+TEST_P(RacingSponsors, ConvictedJoinerReleasesItsSponsorsPin) {
+  SimHarness h = sponsor_world(GetParam());
+  const ProcessorId sponsor{2}, joiner{5};
+  ASSERT_TRUE(h.stack(sponsor).add_processor(h.now(), kGroup, joiner));
+  h.crash(joiner);  // before it hears anything, so it never speaks
+  ASSERT_TRUE(h.run_until_pred([&] { return membership_is(h, sponsor, ids({1, 2, 3, 4, 5})); },
+                               h.now() + 5 * kSecond));
+  const auto survivors = ids({1, 2, 3, 4});
+  ASSERT_TRUE(
+      h.run_until_pred([&] { return all_in_view(h, survivors); }, h.now() + 5 * kSecond));
+  h.run_for(2 * kMillisecond);
+  // Long before the give-up window: the record ended with the conviction.
+  EXPECT_TRUE(h.stack(sponsor).group(kGroup)->pgmp().make_add(joiner).has_value());
+  expect_stores_drain(h, survivors);
+  EXPECT_TRUE(h.stack(sponsor).add_processor(h.now(), kGroup, joiner));
+}
+
+// An Add that never orders: P4 crashes before it can ack P2's Add, so the
+// Add falls inside the recovery cut, which skips membership operations.
+// P2 refuses to sponsor P5 again until it gives the Add up, 10 ×
+// fault_timeout after sending it, and only then drops the pin.
+TEST(SponsorRecord, AnAddThatNeverOrdersIsGivenUp) {
+  SimHarness h = sponsor_world(OrderingMode::kLamport);
+  const ProcessorId sponsor{2}, joiner{5};
+  ASSERT_TRUE(h.stack(sponsor).add_processor(h.now(), kGroup, joiner));
+  const TimePoint sent = h.now();
+  h.crash(ProcessorId{4});
+  const auto survivors = ids({1, 2, 3});
+  ASSERT_TRUE(
+      h.run_until_pred([&] { return all_in_view(h, survivors); }, h.now() + 5 * kSecond));
+  EXPECT_FALSE(h.stack(sponsor).add_processor(h.now(), kGroup, joiner)) << "still in flight";
+  h.run_until(sent + 10 * Config{}.fault_timeout + 10 * kMillisecond);
+  expect_stores_drain(h, survivors);
+  EXPECT_TRUE(all_in_view(h, survivors)) << "the Add never ordered";
+  EXPECT_TRUE(h.stack(sponsor).add_processor(h.now(), kGroup, joiner));
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, RacingSponsors,

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 
 #include "ftmp/sim_harness.hpp"
 #include "orb/orb.hpp"
@@ -235,6 +236,37 @@ TEST(Orb, DeadlineDisarmedByReply) {
   EXPECT_EQ(w.client_orb->expire(w.h.now() + 10 * kSecond), 0u)
       << "completed invocation must not time out";
   EXPECT_FALSE(timed_out);
+}
+
+TEST(Orb, LocateAnsweredBeforeItsDeadlineNeverTimesOut) {
+  OrbWorld w;
+  std::optional<giop::LocateStatus> status;
+  bool timed_out = false;
+  auto num = w.client_orb->locate(w.h.now(), conn(), kEcho,
+                                  [&](giop::LocateStatus s) { status = s; });
+  ASSERT_TRUE(num.has_value());
+  w.client_orb->set_deadline(conn(), *num, w.h.now() + 5 * kSecond,
+                             [&] { timed_out = true; });
+  w.h.run_for(300 * kMillisecond);
+  ASSERT_EQ(status, giop::LocateStatus::kObjectHere);
+  EXPECT_EQ(w.client_orb->expire(w.h.now() + 10 * kSecond), 0u);
+  EXPECT_FALSE(timed_out);
+}
+
+TEST(Orb, LocateOfAnUnhostedKeyTimesOutOnce) {
+  OrbWorld w;
+  bool answered = false;
+  int timeouts = 0;
+  auto num = w.client_orb->locate(w.h.now(), conn(), ObjectKey{"nothing"},
+                                  [&](giop::LocateStatus) { answered = true; });
+  ASSERT_TRUE(num.has_value());
+  w.client_orb->set_deadline(conn(), *num, w.h.now() + 100 * kMillisecond,
+                             [&] { ++timeouts; });
+  w.h.run_for(200 * kMillisecond);
+  EXPECT_EQ(w.client_orb->expire(w.h.now()), 1u);
+  EXPECT_EQ(w.client_orb->expire(w.h.now() + 10 * kSecond), 0u);
+  EXPECT_EQ(timeouts, 1);
+  EXPECT_FALSE(answered) << "no replica hosts the key, so none answers";
 }
 
 TEST(Orb, InvokeOnUnreadyConnectionFails) {
