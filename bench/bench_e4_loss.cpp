@@ -105,7 +105,7 @@ int main() {
   // Observability snapshot (docs/METRICS.md): one isolated 20%-loss run with
   // the registry zeroed first, so every counter below belongs to this run.
   banner("E4-metrics", "registry snapshot for one any-holder run at 20% loss");
-  reset_metrics();
+  metrics::reset_all();
   std::printf("%7s | %-11s | %9s | %9s | %9s | %7s | %8s | %9s\n", "loss",
               "retransmit", "mean ms", "p50 ms", "p99 ms", "NACKs", "retrans",
               "delivery");

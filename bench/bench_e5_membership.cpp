@@ -117,7 +117,7 @@ int main() {
     const int n = 5;
     const ftmp::Config cfg = bench_config();
     FtmpFleet fleet(n, cfg, {}, /*seed=*/777);
-    reset_metrics();
+    metrics::reset_all();
     for (ProcessorId p : fleet.members) fleet.send_from(p, 64);
     fleet.h.run_for(20 * kMillisecond);
     const ProcessorId victim = fleet.members.back();

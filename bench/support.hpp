@@ -242,15 +242,10 @@ inline void banner(const std::string& experiment, const std::string& what) {
 }
 
 // ---------------------------------------------------------------------------
-// Observability hooks (docs/METRICS.md): benches zero the process-global
-// registry before an instrumented run and dump a snapshot after, so the
-// printed metrics cover exactly one scenario.
+// Observability hook (docs/METRICS.md): benches zero the process-global
+// registry (metrics::reset_all) before an instrumented run and dump a
+// snapshot after, so the printed metrics cover exactly one scenario.
 // ---------------------------------------------------------------------------
-
-inline void reset_metrics() {
-  metrics::reset_all();
-  metrics::trace_clear();
-}
 
 /// Prints the Prometheus-text metrics snapshot under a labeled divider.
 /// No-op (empty dump) when the tree is built with FTMP_METRICS=OFF.

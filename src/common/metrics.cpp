@@ -1,11 +1,10 @@
-// metrics.cpp — registry, snapshot, exporters and trace ring. The whole TU
-// is compiled out under FTMP_METRICS=OFF (see tools/check_metrics_off.cmake,
-// which asserts the resulting object file defines no symbols).
+// metrics.cpp — registry, snapshot and exporters. The whole TU is compiled
+// out under FTMP_METRICS=OFF (see tools/check_metrics_off.cmake, which
+// asserts the resulting object file defines no symbols).
 #include "common/metrics.hpp"
 
 #if FTCORBA_METRICS_ENABLED
 
-#include <algorithm>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -66,19 +65,6 @@ struct Registry {
 
 Registry& registry() {
   static Registry r;
-  return r;
-}
-
-constexpr std::size_t kTraceCapacity = 8192;
-
-struct TraceRing {
-  std::mutex mu;
-  std::vector<TraceEvent> slots = std::vector<TraceEvent>(kTraceCapacity);
-  std::uint64_t next = 0;  // total appended; next % capacity is the write slot
-};
-
-TraceRing& trace_ring() {
-  static TraceRing r;
   return r;
 }
 
@@ -252,47 +238,6 @@ std::string render_json() {
       }
     }
     out += "}";
-  }
-  out += "\n]\n";
-  return out;
-}
-
-void trace(const TraceEvent& e) {
-  TraceRing& r = trace_ring();
-  std::lock_guard lock(r.mu);
-  r.slots[r.next % kTraceCapacity] = e;
-  r.next += 1;
-}
-
-std::vector<TraceEvent> trace_events() {
-  TraceRing& r = trace_ring();
-  std::lock_guard lock(r.mu);
-  std::vector<TraceEvent> out;
-  const std::uint64_t retained = std::min<std::uint64_t>(r.next, kTraceCapacity);
-  out.reserve(retained);
-  for (std::uint64_t i = r.next - retained; i < r.next; ++i) {
-    out.push_back(r.slots[i % kTraceCapacity]);
-  }
-  return out;
-}
-
-void trace_clear() {
-  TraceRing& r = trace_ring();
-  std::lock_guard lock(r.mu);
-  r.next = 0;
-}
-
-std::string render_trace_json() {
-  std::string out = "[";
-  bool first = true;
-  for (const TraceEvent& e : trace_events()) {
-    if (!first) out += ",";
-    first = false;
-    out += "\n  {\"at_ns\":" + std::to_string(e.at) +
-           ",\"processor\":" + std::to_string(e.processor) +
-           ",\"group\":" + std::to_string(e.group) + ",\"kind\":\"" +
-           to_string(e.kind) + "\",\"a\":" + std::to_string(e.a) +
-           ",\"b\":" + std::to_string(e.b) + "}";
   }
   out += "\n]\n";
   return out;

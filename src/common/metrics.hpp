@@ -1,6 +1,5 @@
 // metrics.hpp — protocol-wide observability: a process-global registry of
-// counters, gauges and fixed-bucket latency histograms, plus a structured
-// trace-event ring buffer keyed off the ftmp/events.hpp event kinds.
+// counters, gauges and fixed-bucket latency histograms.
 //
 // Design rules (docs/METRICS.md is the user-facing reference):
 //
@@ -27,8 +26,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/clock.hpp"
-
 #ifndef FTCORBA_METRICS_ENABLED
 #define FTCORBA_METRICS_ENABLED 1
 #endif
@@ -37,63 +34,6 @@ namespace ftcorba::metrics {
 
 /// Instrument kinds, Prometheus-compatible.
 enum class Type : std::uint8_t { kCounter, kGauge, kHistogram };
-
-/// Trace-event kinds. The first six mirror the ftmp::Event variants
-/// (ftmp/events.hpp) one for one; the rest mark protocol-internal moments
-/// the upward event stream cannot see.
-enum class TraceKind : std::uint8_t {
-  kDelivered = 0,          ///< DeliveredMessage: a = source id, b = seq
-  kMembershipChanged,      ///< MembershipChanged: a = member count, b = reason
-  kFaultReport,            ///< FaultReport: a = convicted id
-  kSelfEvicted,            ///< SelfEvicted
-  kConnectionEstablished,  ///< ConnectionEstablished: a = bound group id
-  kConnectionRequested,    ///< ConnectionRequested: a = client processors
-  kNackSent,               ///< RMP RetransmitRequest out: a = missing-from, b = start seq
-  kRetransmitServed,       ///< RMP retransmission out: a = bytes
-  kHeartbeatSent,          ///< idle Heartbeat multicast
-  kSuspectSent,            ///< PGMP Suspect multicast: a = suspect count
-  kMembershipSent,         ///< PGMP Membership proposal multicast: a = proposal size
-  kOooDropped,             ///< RMP out-of-order buffer cap drop: a = source, b = seq
-  kFlowQueueHigh,          ///< flow send queue crossed the high watermark: a = depth
-  kFlowQueueLow,           ///< flow send queue fell below the low watermark: a = depth
-  kFlowLagWarn,            ///< member stability lag past flow_lag_warn: a = member, b = lag
-  kFlowEvictReport,        ///< member reported to PGMP past flow_lag_evict: a = member, b = lag
-  kFlowSendDropped,        ///< send rejected with the flow queue at capacity: a = depth
-};
-
-[[nodiscard]] inline const char* to_string(TraceKind k) {
-  switch (k) {
-    case TraceKind::kDelivered: return "delivered";
-    case TraceKind::kMembershipChanged: return "membership_changed";
-    case TraceKind::kFaultReport: return "fault_report";
-    case TraceKind::kSelfEvicted: return "self_evicted";
-    case TraceKind::kConnectionEstablished: return "connection_established";
-    case TraceKind::kConnectionRequested: return "connection_requested";
-    case TraceKind::kNackSent: return "nack_sent";
-    case TraceKind::kRetransmitServed: return "retransmit_served";
-    case TraceKind::kHeartbeatSent: return "heartbeat_sent";
-    case TraceKind::kSuspectSent: return "suspect_sent";
-    case TraceKind::kMembershipSent: return "membership_sent";
-    case TraceKind::kOooDropped: return "ooo_dropped";
-    case TraceKind::kFlowQueueHigh: return "flow_queue_high";
-    case TraceKind::kFlowQueueLow: return "flow_queue_low";
-    case TraceKind::kFlowLagWarn: return "flow_lag_warn";
-    case TraceKind::kFlowEvictReport: return "flow_evict_report";
-    case TraceKind::kFlowSendDropped: return "flow_send_dropped";
-  }
-  return "?";
-}
-
-/// One structured trace record (16 + 2*8 bytes of payload words; the a/b
-/// meanings per kind are listed above).
-struct TraceEvent {
-  TimePoint at = 0;
-  std::uint32_t processor = 0;
-  std::uint32_t group = 0;
-  TraceKind kind{};
-  std::uint64_t a = 0;
-  std::uint64_t b = 0;
-};
 
 /// One instrument's value as captured by snapshot(). For histograms,
 /// `buckets[i]` counts observations in (bounds[i-1], bounds[i]] and
@@ -230,19 +170,6 @@ void reset_all();
 /// JSON array of instrument objects (one per Sample).
 [[nodiscard]] std::string render_json();
 
-/// Appends a structured event to the global trace ring (fixed capacity;
-/// oldest entries are overwritten).
-void trace(const TraceEvent& e);
-
-/// The retained trace events, oldest first.
-[[nodiscard]] std::vector<TraceEvent> trace_events();
-
-/// Discards all retained trace events.
-void trace_clear();
-
-/// JSON array of the retained trace events.
-[[nodiscard]] std::string render_trace_json();
-
 #else  // !FTCORBA_METRICS_ENABLED — inline no-op stubs, same API surface.
 
 class CounterHandle {
@@ -282,10 +209,6 @@ inline void reset_all() {}
 [[nodiscard]] inline std::vector<Sample> snapshot() { return {}; }
 [[nodiscard]] inline std::string render_prometheus() { return {}; }
 [[nodiscard]] inline std::string render_json() { return {}; }
-inline void trace(const TraceEvent&) {}
-[[nodiscard]] inline std::vector<TraceEvent> trace_events() { return {}; }
-inline void trace_clear() {}
-[[nodiscard]] inline std::string render_trace_json() { return {}; }
 
 #endif  // FTCORBA_METRICS_ENABLED
 

@@ -1,5 +1,6 @@
 #include "ft/persistent_log.hpp"
 
+#include <array>
 #include <filesystem>
 #include <stdexcept>
 
@@ -11,6 +12,20 @@ namespace ftcorba::ft {
 
 namespace {
 constexpr std::uint8_t kMagic[4] = {'F', 'T', 'L', 'G'};
+
+// CRC-32 (reflected, polynomial 0xEDB88320) of each byte value, so crc32
+// folds a byte in one lookup instead of eight shift/xor steps.
+constexpr std::array<std::uint32_t, 256> kCrcTable = [] {
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t crc = i;
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+    }
+    table[i] = crc;
+  }
+  return table;
+}();
 
 [[nodiscard]] Bytes encode_record_body(const LogEntry& entry) {
   Writer w(ByteOrder::kBig);
@@ -29,12 +44,7 @@ constexpr std::uint8_t kMagic[4] = {'F', 'T', 'L', 'G'};
 
 std::uint32_t crc32(BytesView data) {
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::uint8_t byte : data) {
-    crc ^= byte;
-    for (int k = 0; k < 8; ++k) {
-      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
-    }
-  }
+  for (std::uint8_t byte : data) crc = (crc >> 8) ^ kCrcTable[(crc ^ byte) & 0xFFu];
   return ~crc;
 }
 

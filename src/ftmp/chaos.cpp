@@ -853,7 +853,6 @@ void Engine::setup() {
   // Gauge balance is checked against a clean slate (process-global
   // instruments; no-ops when metrics are compiled out).
   metrics::reset_all();
-  metrics::trace_clear();
 
   std::vector<ProcessorId> founders;
   for (std::uint32_t i = 1; i <= cfg_.params.processors + cfg_.params.spares; ++i) {

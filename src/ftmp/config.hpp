@@ -111,7 +111,7 @@ struct Config {
 
   /// Capacity of the parked-send FIFO. A send arriving with the queue at
   /// capacity is dropped, counted (ftmp_flow_send_queue_dropped_total),
-  /// traced, and reported as SendStatus::kRejected. 0 = unlimited.
+  /// and reported as SendStatus::kRejected. 0 = unlimited.
   /// FlowListener high/low watermark callbacks fire at 3/4 and 1/4 of it
   /// (the ORB defers new client requests in between).
   std::size_t flow_send_queue_limit = 1024;
@@ -155,7 +155,7 @@ struct Config {
 
   /// Slow-receiver policy thresholds, in timestamp ticks of stability lag
   /// (how far a member's ack timestamp trails the group maximum). Past
-  /// flow_lag_warn the member is warned about (trace + metrics); past
+  /// flow_lag_warn the member is counted as lagging (metrics); past
   /// flow_lag_evict it is reported to PGMP as suspect — an explicit,
   /// tunable version of the paper's implicit "processors that fall behind
   /// stall the group". 0 disables each threshold (both default off).

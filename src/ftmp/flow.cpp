@@ -4,9 +4,8 @@
 
 namespace ftcorba::ftmp {
 
-FlowController::FlowController(ProcessorId self, ProcessorGroupId group,
-                               const Config& config)
-    : self_(self), group_(group), config_(config) {
+FlowController::FlowController(ProcessorId self, const Config& config)
+    : self_(self), config_(config) {
   metrics_.window_messages = metrics::Gauge(
       "ftmp_flow_window_in_flight_messages",
       "Own Regular messages multicast but not yet stable (send-window "
@@ -58,18 +57,6 @@ FlowController::FlowController(ProcessorId self, ProcessorGroupId group,
       "timestamp", "flow", metrics::timestamp_gap_buckets());
 }
 
-void FlowController::trace(TimePoint now, metrics::TraceKind kind,
-                           std::uint64_t a, std::uint64_t b) const {
-  metrics::TraceEvent e;
-  e.at = now;
-  e.processor = self_.raw();
-  e.group = group_.raw();
-  e.kind = kind;
-  e.a = a;
-  e.b = b;
-  metrics::trace(e);
-}
-
 bool FlowController::may_send(std::size_t approx_bytes) const {
   if (!window_enabled()) return true;
   if (!queue_.empty()) return false;  // FIFO fairness: park behind the queue
@@ -81,17 +68,14 @@ bool FlowController::may_send(std::size_t approx_bytes) const {
   return true;
 }
 
-void FlowController::note_sent(TimePoint now, SeqNum seq,
-                               std::size_t encoded_bytes) {
-  (void)now;
+void FlowController::note_sent(SeqNum seq, std::size_t encoded_bytes) {
   if (!window_enabled()) return;
   if (!in_flight_.emplace(seq, encoded_bytes).second) return;
   metrics_.window_messages.add(1);
   metrics_.window_bytes.add(static_cast<std::int64_t>(encoded_bytes));
 }
 
-void FlowController::on_stable(TimePoint now, SeqNum up_to) {
-  (void)now;
+void FlowController::on_stable(SeqNum up_to) {
   if (!window_enabled()) return;
   auto end = in_flight_.upper_bound(up_to);
   std::size_t freed_msgs = 0;
@@ -120,11 +104,10 @@ std::size_t FlowController::low_watermark() const {
   return std::min(low, high_watermark() - 1);
 }
 
-bool FlowController::park(TimePoint now, Parked&& p) {
+bool FlowController::park(Parked&& p) {
   if (config_.flow_send_queue_limit > 0 &&
       queue_.size() >= config_.flow_send_queue_limit) {
     stats_.queue_drops.add();
-    trace(now, metrics::TraceKind::kFlowSendDropped, queue_.size());
     return false;
   }
   queue_.push_back(std::move(p));
@@ -142,12 +125,11 @@ bool FlowController::park(TimePoint now, Parked&& p) {
     over_high_ = true;
     stats_.queue_high_events.add();
     signals_.push_back(FlowSignal::kQueueHigh);
-    trace(now, metrics::TraceKind::kFlowQueueHigh, queue_.size());
   }
   return true;
 }
 
-std::optional<FlowController::Parked> FlowController::release_one(TimePoint now) {
+std::optional<FlowController::Parked> FlowController::release_one() {
   if (queue_.empty()) return std::nullopt;
   if (window_enabled()) {
     if (in_flight_.size() >= config_.flow_window_messages) return std::nullopt;
@@ -163,7 +145,6 @@ std::optional<FlowController::Parked> FlowController::release_one(TimePoint now)
   if (over_high_ && queue_.size() <= low_watermark()) {
     over_high_ = false;
     signals_.push_back(FlowSignal::kQueueLow);
-    trace(now, metrics::TraceKind::kFlowQueueLow, queue_.size());
   }
   return out;
 }
@@ -189,10 +170,7 @@ std::vector<ProcessorId> FlowController::observe_lag(
     metrics_.member_lag.observe(static_cast<double>(lag));
     if (config_.flow_lag_warn > 0) {
       if (lag > config_.flow_lag_warn) {
-        if (lag_warned_.insert(q).second) {
-          stats_.lag_warnings.add();
-          trace(now, metrics::TraceKind::kFlowLagWarn, q.raw(), lag);
-        }
+        if (lag_warned_.insert(q).second) stats_.lag_warnings.add();
       } else if (lag <= config_.flow_lag_warn / 2) {
         lag_warned_.erase(q);  // hysteresis: one event per excursion
       }
@@ -201,7 +179,6 @@ std::vector<ProcessorId> FlowController::observe_lag(
       if (lag > config_.flow_lag_evict) {
         if (lag_reported_.insert(q).second) {
           stats_.evict_reports.add();
-          trace(now, metrics::TraceKind::kFlowEvictReport, q.raw(), lag);
           evict.push_back(q);
         }
       } else if (lag <= config_.flow_lag_evict / 2) {

@@ -16,14 +16,14 @@
 //   * Parked sends. Excess sends, and every send made during a §7 rebind
 //     flush, wait in a bounded FIFO; the session releases them in order as
 //     stability frees the window and once the flush completes. A send
-//     arriving with the queue at capacity is dropped, counted and traced.
+//     arriving with the queue at capacity is dropped and counted.
 //   * Backpressure. Crossing the queue's high watermark fires a
 //     FlowListener callback (and the ORB defers new client requests);
 //     falling below the low watermark fires the matching release.
 //   * Slow receivers. Each member's stability lag — how far its ack
 //     timestamp trails the group maximum — is tracked; past flow_lag_warn
-//     a structured trace event and metrics fire, past flow_lag_evict the
-//     member is reported to PGMP as suspect (default off).
+//     it is counted, past flow_lag_evict the member is reported to PGMP as
+//     suspect (default off).
 //
 // Sans-IO like the sibling layers: the FlowController only does
 // bookkeeping; the owning GroupSession drives it and transmits. With
@@ -99,7 +99,7 @@ class FlowController {
     Bytes giop;
   };
 
-  FlowController(ProcessorId self, ProcessorGroupId group, const Config& config);
+  FlowController(ProcessorId self, const Config& config);
 
   /// True when the send window is configured. When false, may_send always
   /// passes and the queue holds only sends parked during a §7 flush
@@ -123,11 +123,11 @@ class FlowController {
 
   /// Accounts one of our own reliable Regular messages as in flight
   /// (multicast but not yet stable).
-  void note_sent(TimePoint now, SeqNum seq, std::size_t encoded_bytes);
+  void note_sent(SeqNum seq, std::size_t encoded_bytes);
 
   /// Stability advanced over our own stream: messages with seq <= `up_to`
   /// left every member's retransmission store, freeing window space.
-  void on_stable(TimePoint now, SeqNum up_to);
+  void on_stable(SeqNum up_to);
 
   [[nodiscard]] std::size_t in_flight_messages() const { return in_flight_.size(); }
   [[nodiscard]] std::size_t in_flight_bytes() const {
@@ -137,13 +137,13 @@ class FlowController {
   // ---- bounded FIFO of parked sends ----
 
   /// Parks a send the window refused, or one made during a §7 flush.
-  /// Returns false — counting and tracing the drop — when the queue is at
+  /// Returns false — counting the drop — when the queue is at
   /// flow_send_queue_limit.
-  [[nodiscard]] bool park(TimePoint now, Parked&& p);
+  [[nodiscard]] bool park(Parked&& p);
 
   /// Pops the oldest parked send if the window now has room for it (always,
   /// while the window is off). The session does not call it during a flush.
-  [[nodiscard]] std::optional<Parked> release_one(TimePoint now);
+  [[nodiscard]] std::optional<Parked> release_one();
 
   [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
 
@@ -174,11 +174,7 @@ class FlowController {
   [[nodiscard]] const FlowStats& stats() const { return stats_; }
 
  private:
-  void trace(TimePoint now, metrics::TraceKind kind, std::uint64_t a = 0,
-             std::uint64_t b = 0) const;
-
   ProcessorId self_;
-  ProcessorGroupId group_;
   Config config_;
 
   // Own multicast-but-unstable Regular messages: seq -> encoded size.

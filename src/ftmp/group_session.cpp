@@ -21,7 +21,7 @@ GroupSession::GroupSession(ProcessorId self, ProcessorGroupId group,
       romp_(self, config),
       ordering_(make_ordering(config.ordering_mode, romp_)),
       pgmp_(self, config, rmp_, romp_, *ordering_),
-      flow_(self, group, config) {
+      flow_(self, config) {
   heartbeats_sent_ = metrics::counter(
       "ftmp_rmp_heartbeats_sent_total",
       "Heartbeat messages multicast when nothing else was sent within the "
@@ -38,18 +38,6 @@ GroupSession::GroupSession(ProcessorId self, ProcessorGroupId group,
       "within kAckDelay (lamport mode; also counted in "
       "ftmp_rmp_heartbeats_sent_total)",
       "messages", "rmp");
-}
-
-void GroupSession::trace(TimePoint now, metrics::TraceKind kind, std::uint64_t a,
-                         std::uint64_t b) const {
-  metrics::TraceEvent e;
-  e.at = now;
-  e.processor = self_.raw();
-  e.group = group_.raw();
-  e.kind = kind;
-  e.a = a;
-  e.b = b;
-  metrics::trace(e);
 }
 
 void GroupSession::bootstrap(TimePoint now, const std::vector<ProcessorId>& members) {
@@ -90,7 +78,7 @@ void GroupSession::finish_send(TimePoint now, const Header& h, SharedBytes raw,
     rmp_.store(self_, h.sequence_number, raw);
     ordering_->on_own_send(h);
     if (h.type == MessageType::kRegular) {
-      flow_.note_sent(now, h.sequence_number, raw.size());
+      flow_.note_sent(h.sequence_number, raw.size());
     }
   }
   // Every freshly-stamped multicast doubles as liveness information, so it
@@ -122,7 +110,6 @@ void GroupSession::send_heartbeat(TimePoint now) {
   }
   finish_send(now, h, SharedBytes::copy_of(heartbeat_template_), group_addr_);
   heartbeats_sent_.add();
-  trace(now, metrics::TraceKind::kHeartbeatSent);
 }
 
 void GroupSession::emit_regular(TimePoint now, const ConnectionId& connection,
@@ -174,9 +161,8 @@ SendStatus GroupSession::try_send_regular(TimePoint now,
   // flow FIFO behind any send the window already holds, and pump()
   // releases them in order once the flush completes.
   if (flushing() || !flow_.may_send(giop.size())) {
-    const bool parked = flow_.park(
-        now, FlowController::Parked{connection, request_num,
-                                    Bytes(giop.begin(), giop.end())});
+    const bool parked = flow_.park(FlowController::Parked{
+        connection, request_num, Bytes(giop.begin(), giop.end())});
     emit_flow_signals();
     return parked ? SendStatus::kQueued : SendStatus::kRejected;
   }
@@ -324,20 +310,14 @@ void GroupSession::handle(TimePoint now, const Frame& frame) {
       break;
     case MessageType::kConnectRequest:
       break;  // domain-level; never routed to a session
-    default: {
+    default:
       // Reliable, source-ordered path (Regular, Connect, AddProcessor,
       // RemoveProcessor, Suspect, Membership). Bodies stay raw slices of
       // the arrival buffer until delivery.
-      RmpAccept accept{};
-      for (Frame& m : rmp_.on_reliable(now, frame, &accept)) {
+      for (Frame& m : rmp_.on_reliable(now, frame)) {
         route_source_ordered(now, m);
       }
-      if (accept == RmpAccept::kOooDropped) {
-        trace(now, metrics::TraceKind::kOooDropped, h.source.raw(),
-              h.sequence_number);
-      }
       break;
-    }
   }
   pump(now);
 }
@@ -442,14 +422,12 @@ void GroupSession::deliver_ordered(TimePoint now, const Frame& frame) {
 
 void GroupSession::apply_rmp_out(TimePoint now, RmpOut&& out) {
   if (auto* nack = std::get_if<NackOut>(&out)) {
-    trace(now, metrics::TraceKind::kNackSent, nack->missing_from.raw(), nack->start);
     RetransmitRequestBody body;
     body.processor = nack->missing_from;
     body.start_seq = nack->start;
     body.stop_seq = nack->stop;
     send_message(now, std::move(body), group_addr_);
   } else if (auto* rt = std::get_if<RetransmitOut>(&out)) {
-    trace(now, metrics::TraceKind::kRetransmitServed, rt->raw.size());
     // During an address rebind, laggards still listening on the old
     // address must be able to recover: retransmit on both.
     if (old_addr_) {
@@ -508,11 +486,6 @@ void GroupSession::emit_install(TimePoint now, InstallOut&& install) {
 
 void GroupSession::apply_pgmp_out(TimePoint now, PgmpOut&& out) {
   if (auto* send = std::get_if<SendBodyOut>(&out)) {
-    if (const auto* s = std::get_if<SuspectBody>(&send->body)) {
-      trace(now, metrics::TraceKind::kSuspectSent, s->suspects.size());
-    } else if (const auto* m = std::get_if<MembershipBody>(&send->body)) {
-      trace(now, metrics::TraceKind::kMembershipSent, m->new_membership.size());
-    }
     send_message(now, std::move(send->body), group_addr_);
   } else if (auto* resend = std::get_if<ResendStoredOut>(&out)) {
     resend_stored(resend->source, resend->seq);
@@ -560,7 +533,7 @@ void GroupSession::pump(TimePoint now) {
   if (config_.stability_gc) {
     for (const auto& [src, seq] : romp_.collect_stable()) {
       rmp_.release(src, seq);
-      if (src == self_) flow_.on_stable(now, seq);
+      if (src == self_) flow_.on_stable(seq);
     }
   }
   progress_flush(now);
@@ -592,7 +565,7 @@ Duration GroupSession::ack_delay() const {
 
 void GroupSession::drain_flow_queue(TimePoint now) {
   if (!flushing()) {
-    while (auto parked = flow_.release_one(now)) {
+    while (auto parked = flow_.release_one()) {
       emit_regular(now, parked->connection, parked->request_num, parked->giop);
     }
   }

@@ -232,11 +232,6 @@ class GroupSession {
   /// (flow_lag_warn / flow_lag_evict).
   void check_flow_lag(TimePoint now);
 
-  /// Records a protocol-internal trace event tagged with this session's
-  /// processor and group (no-op when metrics are compiled out).
-  void trace(TimePoint now, metrics::TraceKind kind, std::uint64_t a = 0,
-             std::uint64_t b = 0) const;
-
   ProcessorId self_;
   ProcessorGroupId group_;
   McastAddress group_addr_;

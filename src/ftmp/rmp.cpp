@@ -122,16 +122,12 @@ void Rmp::store(ProcessorId src, SeqNum seq, SharedBytes raw) {
   }
 }
 
-std::vector<Frame> Rmp::on_reliable(TimePoint now, Frame frame,
-                                    RmpAccept* accept) {
-  RmpAccept sink;
-  RmpAccept& disposed = accept ? *accept : sink;
+std::vector<Frame> Rmp::on_reliable(TimePoint now, Frame frame) {
   const ProcessorId src = frame.header.source;
   const SeqNum seq = frame.header.sequence_number;
   auto it = sources_.find(src);
   if (it == sources_.end()) {
     stats_.dropped_unknown_source.add();
-    disposed = RmpAccept::kUnknownSource;
     return {};
   }
   SourceState& st = it->second;
@@ -141,12 +137,10 @@ std::vector<Frame> Rmp::on_reliable(TimePoint now, Frame frame,
     // retransmission served by a member that has not yet processed the
     // re-add): poisonous if accepted into the fresh stream.
     stats_.dropped_stale_incarnation.add();
-    disposed = RmpAccept::kStaleIncarnation;
     return {};
   }
   if (seq <= st.contiguous || st.out_of_order.contains(seq)) {
     stats_.duplicates_ignored.add();
-    disposed = RmpAccept::kDuplicate;
     return {};
   }
 
@@ -155,7 +149,6 @@ std::vector<Frame> Rmp::on_reliable(TimePoint now, Frame frame,
 
   std::vector<Frame> deliver;
   if (seq == st.contiguous + 1) {
-    disposed = RmpAccept::kDelivered;
     st.contiguous = seq;
     deliver.push_back(std::move(frame));
     // Drain any buffered messages that are now contiguous.
@@ -171,14 +164,12 @@ std::vector<Frame> Rmp::on_reliable(TimePoint now, Frame frame,
   } else {
     if (config_.max_out_of_order_buffer == 0 ||
         st.out_of_order.size() < config_.max_out_of_order_buffer) {
-      disposed = RmpAccept::kBuffered;
       st.out_of_order.emplace(seq, std::move(frame));
       metrics_.out_of_order.add(1);
     } else {
       // At the cap the message is not buffered, but its stored copy (and
       // everyone else's) still answers the NACK recovery that will refetch
       // it once the gap closes — dropped here means delayed, not lost.
-      disposed = RmpAccept::kOooDropped;
       stats_.ooo_dropped.add();
     }
     queue_nacks(now, st, src);

@@ -56,17 +56,6 @@ struct RmpStats {
   metrics::Counter ooo_dropped;  ///< drops at the max_out_of_order_buffer cap
 };
 
-/// How on_reliable disposed of a message (optional out-param; tests and the
-/// session's drop tracing key off it).
-enum class RmpAccept : std::uint8_t {
-  kDelivered,         ///< extended the contiguous prefix (maybe draining buffered)
-  kBuffered,          ///< ahead of a gap: parked in the out-of-order buffer
-  kDuplicate,         ///< already contiguous or already buffered
-  kUnknownSource,     ///< source is not a tracked member
-  kStaleIncarnation,  ///< rejected by the incarnation timestamp floor
-  kOooDropped,        ///< out-of-order buffer at max_out_of_order_buffer: dropped
-};
-
 /// Reliable source-ordered multicast (one group, one processor).
 class Rmp {
  public:
@@ -138,12 +127,8 @@ class Rmp {
   /// RemoveProcessor, Suspect, Membership), presented as a Frame: decoded
   /// header + the raw datagram slice (body not yet decoded). Returns the
   /// frames that are now deliverable in source order (possibly empty,
-  /// possibly several when a gap fills). May queue NACKs. `accept`, when
-  /// non-null, receives how the message was disposed of (notably
-  /// kOooDropped at the buffer cap, which is otherwise invisible to the
-  /// caller).
-  [[nodiscard]] std::vector<Frame> on_reliable(TimePoint now, Frame frame,
-                                               RmpAccept* accept = nullptr);
+  /// possibly several when a gap fills). May queue NACKs.
+  [[nodiscard]] std::vector<Frame> on_reliable(TimePoint now, Frame frame);
 
   /// Handles a Heartbeat header: updates gap knowledge from the carried
   /// sequence number and schedules NACKs for revealed gaps. The heartbeat

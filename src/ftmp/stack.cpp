@@ -359,48 +359,9 @@ void Stack::on_frame(TimePoint now, const SharedBytes& payload) {
   observe_events(now);
 }
 
-namespace {
-
-// Mirrors one upward event into the trace ring (ftmp::Event variants map
-// one for one onto the first six metrics::TraceKind values).
-void trace_event(TimePoint now, ProcessorId self, const Event& ev) {
-  metrics::TraceEvent t;
-  t.at = now;
-  t.processor = self.raw();
-  if (const auto* d = std::get_if<DeliveredMessage>(&ev)) {
-    t.kind = metrics::TraceKind::kDelivered;
-    t.group = d->group.raw();
-    t.a = d->source.raw();
-    t.b = d->seq;
-  } else if (const auto* m = std::get_if<MembershipChanged>(&ev)) {
-    t.kind = metrics::TraceKind::kMembershipChanged;
-    t.group = m->group.raw();
-    t.a = m->membership.members.size();
-    t.b = static_cast<std::uint64_t>(m->reason);
-  } else if (const auto* f = std::get_if<FaultReport>(&ev)) {
-    t.kind = metrics::TraceKind::kFaultReport;
-    t.group = f->group.raw();
-    t.a = f->convicted.raw();
-  } else if (const auto* s = std::get_if<SelfEvicted>(&ev)) {
-    t.kind = metrics::TraceKind::kSelfEvicted;
-    t.group = s->group.raw();
-  } else if (const auto* c = std::get_if<ConnectionEstablished>(&ev)) {
-    t.kind = metrics::TraceKind::kConnectionEstablished;
-    t.group = c->processor_group.raw();
-    t.a = c->multicast_address.raw();
-  } else if (const auto* r = std::get_if<ConnectionRequested>(&ev)) {
-    t.kind = metrics::TraceKind::kConnectionRequested;
-    t.a = r->client_processors.size();
-  }
-  metrics::trace(t);
-}
-
-}  // namespace
-
 void Stack::observe_events(TimePoint now) {
   for (std::size_t i = events_observed_; i < outbox_.events.size(); ++i) {
     const Event& ev = outbox_.events[i];
-    trace_event(now, self_, ev);
     if (const auto* joined = std::get_if<MembershipChanged>(&ev)) {
       // Client side: our join to a connection's group completed.
       const bool self_joined =

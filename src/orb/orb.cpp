@@ -14,9 +14,6 @@ Orb::Orb(ftmp::Stack& stack, ByteOrder byte_order)
   metrics_.replies_completed = metrics::Counter(
       "giop_replies_completed_total", "Client invocations completed by a reply",
       "replies", "giop");
-  metrics_.duplicates_suppressed = metrics::Counter(
-      "giop_duplicates_suppressed_total",
-      "Replica request/reply copies discarded by the ORB", "messages", "giop");
   metrics_.undecodable = metrics::Counter(
       "giop_undecodable_payloads_total",
       "Delivered Regular bodies that failed GIOP decoding", "messages", "giop");
@@ -129,7 +126,6 @@ void Orb::on_event(TimePoint now, const ftmp::Event& event) {
   switch (msg.header.type) {
     case giop::MsgType::kRequest:
       if (!dedup_.accept(dm->connection, dm->request_num, ft::MessageKind::kRequest)) {
-        metrics_.duplicates_suppressed.add();
         return;
       }
       if (log_) {
@@ -141,14 +137,12 @@ void Orb::on_event(TimePoint now, const ftmp::Event& event) {
       break;
     case giop::MsgType::kLocateRequest:
       if (!dedup_.accept(dm->connection, dm->request_num, ft::MessageKind::kRequest)) {
-        metrics_.duplicates_suppressed.add();
         return;
       }
       handle_locate_request(now, *dm, std::get<giop::LocateRequest>(msg.body));
       break;
     case giop::MsgType::kReply:
       if (!dedup_.accept(dm->connection, dm->request_num, ft::MessageKind::kReply)) {
-        metrics_.duplicates_suppressed.add();
         return;
       }
       if (log_) {
@@ -159,7 +153,6 @@ void Orb::on_event(TimePoint now, const ftmp::Event& event) {
       break;
     case giop::MsgType::kLocateReply: {
       if (!dedup_.accept(dm->connection, dm->request_num, ft::MessageKind::kReply)) {
-        metrics_.duplicates_suppressed.add();
         return;
       }
       if (auto done = take<LocateHandler>({dm->connection, dm->request_num})) {

@@ -38,7 +38,7 @@ namespace ftcorba::orb {
 struct OrbStats {
   std::uint64_t requests_dispatched = 0;   ///< servant invocations executed
   std::uint64_t replies_completed = 0;     ///< client invocations completed
-  std::uint64_t duplicates_suppressed = 0; ///< replica copies discarded
+  std::uint64_t duplicates_suppressed = 0; ///< replica copies dedup() discarded
   std::uint64_t undecodable_payloads = 0;  ///< non-GIOP Regular bodies dropped
   std::uint64_t unknown_objects = 0;       ///< Requests for unregistered keys
   std::uint64_t requests_deferred = 0;     ///< invocations refused under backpressure
@@ -117,7 +117,7 @@ class Orb {
 
   [[nodiscard]] OrbStats stats() const {
     return {metrics_.requests_dispatched.value(), metrics_.replies_completed.value(),
-            metrics_.duplicates_suppressed.value(), metrics_.undecodable.value(),
+            dedup_.stats().suppressed.value(), metrics_.undecodable.value(),
             metrics_.unknown_objects.value(), metrics_.requests_deferred.value()};
   }
 
@@ -166,7 +166,6 @@ class Orb {
   struct Instruments {
     metrics::Counter requests_dispatched;
     metrics::Counter replies_completed;
-    metrics::Counter duplicates_suppressed;
     metrics::Counter undecodable;
     metrics::Counter unknown_objects;
     metrics::Counter requests_deferred;

@@ -1,8 +1,7 @@
 // metrics_test.cpp — registry unit tests (docs/METRICS.md): histogram
 // bucket boundaries, concurrent counter increments, snapshot consistency,
-// reset semantics, instrument sharing by name, the trace ring, the
-// per-instance tallies of metrics::Counter and the per-instance shares of
-// metrics::Gauge.
+// reset semantics, instrument sharing by name, the per-instance tallies of
+// metrics::Counter and the per-instance shares of metrics::Gauge.
 #include "common/metrics.hpp"
 
 #include <gtest/gtest.h>
@@ -146,41 +145,6 @@ TEST(Metrics, JsonRenderingNamesEveryInstrument) {
   EXPECT_NE(json.find("\"layer\":\"test\""), std::string::npos);
 }
 
-TEST(Metrics, TraceRingRetainsEventsInOrder) {
-  trace_clear();
-  trace(TraceEvent{/*at=*/10, /*processor=*/1, /*group=*/7,
-                   TraceKind::kNackSent, /*a=*/3, /*b=*/44});
-  trace(TraceEvent{/*at=*/20, /*processor=*/2, /*group=*/7,
-                   TraceKind::kHeartbeatSent, 0, 0});
-  const auto events = trace_events();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].at, 10);
-  EXPECT_EQ(events[0].kind, TraceKind::kNackSent);
-  EXPECT_EQ(events[0].a, 3u);
-  EXPECT_EQ(events[0].b, 44u);
-  EXPECT_EQ(events[1].processor, 2u);
-  const std::string json = render_trace_json();
-  EXPECT_NE(json.find("\"nack_sent\""), std::string::npos);
-  trace_clear();
-  EXPECT_TRUE(trace_events().empty());
-}
-
-TEST(Metrics, TraceRingOverwritesOldestBeyondCapacity) {
-  trace_clear();
-  constexpr int kOverfill = 9000;  // ring capacity is 8192
-  for (int i = 0; i < kOverfill; ++i) {
-    trace(TraceEvent{TimePoint(i), 0, 0, TraceKind::kDelivered,
-                     std::uint64_t(i), 0});
-  }
-  const auto events = trace_events();
-  ASSERT_FALSE(events.empty());
-  EXPECT_LT(events.size(), std::size_t(kOverfill));
-  // Oldest retained first, newest last.
-  EXPECT_EQ(events.back().a, std::uint64_t(kOverfill - 1));
-  EXPECT_LT(events.front().a, events.back().a);
-  trace_clear();
-}
-
 }  // namespace
 
 #else  // !FTCORBA_METRICS_ENABLED
@@ -192,8 +156,6 @@ TEST(MetricsDisabled, ApiIsInertButCallable) {
   auto h = histogram("t_off_ms", "help", "ms", "test", {1.0});
   h.observe(0.5);
   EXPECT_EQ(h.count(), 0u);
-  trace(TraceEvent{});
-  EXPECT_TRUE(trace_events().empty());
   EXPECT_TRUE(snapshot().empty());
   EXPECT_TRUE(render_prometheus().empty());
 }

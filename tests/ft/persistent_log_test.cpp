@@ -1,10 +1,12 @@
 // Unit tests for the durable write-ahead log: round-trips, reopen/append,
-// torn-write recovery, corruption detection, CRC32 vectors.
+// torn-write recovery, corruption detection, CRC32 vectors and the
+// table-driven CRC32 against its bitwise reference.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 
+#include "common/rng.hpp"
 #include "ft/persistent_log.hpp"
 
 namespace ftcorba::ft {
@@ -45,6 +47,32 @@ TEST(Crc32, KnownVectors) {
   EXPECT_EQ(crc32(bytes_of("123456789")), 0xCBF43926u);
   EXPECT_EQ(crc32({}), 0x00000000u);
   EXPECT_EQ(crc32(bytes_of("a")), 0xE8B7BE43u);
+}
+
+// The bit-at-a-time CRC-32 the table is derived from: eight shift/xor steps
+// per byte.
+std::uint32_t bitwise_crc32(BytesView data) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::uint8_t byte : data) {
+    crc ^= byte;
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+    }
+  }
+  return ~crc;
+}
+
+TEST(PersistentLog, Crc32MatchesBitwiseReference) {
+  for (int b = 0; b < 256; ++b) {
+    const Bytes one{static_cast<std::uint8_t>(b)};
+    EXPECT_EQ(crc32(one), bitwise_crc32(one)) << "byte " << b;
+  }
+  Rng rng(0xc4c32);
+  for (std::size_t len = 0; len <= 4096; ++len) {
+    Bytes buf(len);
+    for (std::uint8_t& byte : buf) byte = static_cast<std::uint8_t>(rng.next_u64());
+    ASSERT_EQ(crc32(buf), bitwise_crc32(buf)) << "length " << len;
+  }
 }
 
 TEST(PersistentLog, RoundTrip) {

@@ -1,10 +1,7 @@
 // Unit tests for the replication building blocks: ActiveReplica dispatch
-// and snapshots, BufferingServant cut semantics, FaultNotifier fan-out,
-// and the DomainDirectory.
+// and snapshots, and BufferingServant cut semantics.
 #include <gtest/gtest.h>
 
-#include "ft/domain.hpp"
-#include "ft/fault_notifier.hpp"
 #include "ft/replication.hpp"
 
 namespace ftcorba::ft {
@@ -112,48 +109,6 @@ TEST(BufferingServant, RecordsAfterCutOnly) {
     (void)machine.apply(req.operation, in, ignored);
   }
   EXPECT_EQ(machine.total(), 6);
-}
-
-TEST(FaultNotifier, FanOutAndRecord) {
-  FaultNotifier notifier;
-  int faults = 0, memberships = 0;
-  notifier.on_fault([&](const ftmp::FaultReport&) { ++faults; });
-  notifier.on_fault([&](const ftmp::FaultReport&) { ++faults; });
-  notifier.on_membership([&](const ftmp::MembershipChanged&) { ++memberships; });
-
-  notifier.on_event(ftmp::FaultReport{ProcessorGroupId{1}, ProcessorId{3}});
-  notifier.on_event(ftmp::MembershipChanged{});
-  notifier.on_event(ftmp::SelfEvicted{});  // ignored kind
-
-  EXPECT_EQ(faults, 2);
-  EXPECT_EQ(memberships, 1);
-  ASSERT_EQ(notifier.faults().size(), 1u);
-  EXPECT_EQ(notifier.faults()[0].convicted, ProcessorId{3});
-}
-
-TEST(DomainDirectory, GroupLifecycle) {
-  DomainDirectory dir(FtDomainId{2}, McastAddress{101});
-  EXPECT_EQ(dir.group(ObjectGroupId{1}), nullptr);
-  EXPECT_FALSE(dir.make_ref(ObjectGroupId{1}).has_value());
-
-  dir.put_group({ObjectGroupId{1}, {ProcessorId{1}, ProcessorId{2}}, orb::ObjectKey{"acct"}});
-  const ObjectGroupInfo* info = dir.group(ObjectGroupId{1});
-  ASSERT_NE(info, nullptr);
-  EXPECT_EQ(info->replicas.size(), 2u);
-
-  dir.add_replica(ObjectGroupId{1}, ProcessorId{3});
-  dir.add_replica(ObjectGroupId{1}, ProcessorId{3});  // idempotent
-  EXPECT_EQ(dir.group(ObjectGroupId{1})->replicas.size(), 3u);
-  dir.remove_replica(ObjectGroupId{1}, ProcessorId{1});
-  EXPECT_EQ(dir.group(ObjectGroupId{1})->replicas.size(), 2u);
-
-  auto ref = dir.make_ref(ObjectGroupId{1});
-  ASSERT_TRUE(ref.has_value());
-  EXPECT_EQ(ref->domain, FtDomainId{2});
-  EXPECT_EQ(ref->domain_address, McastAddress{101});
-  EXPECT_EQ(ref->key.str(), "acct");
-  EXPECT_EQ(orb::make_connection(FtDomainId{1}, ObjectGroupId{9}, *ref).server_group,
-            ObjectGroupId{1});
 }
 
 }  // namespace

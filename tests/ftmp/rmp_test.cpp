@@ -197,25 +197,38 @@ TEST(RmpOooCap, DropsAtCapWithDistinctStatus) {
   Rmp rmp(kSelf, config);
   rmp.add_source(kSelf, 0);
   rmp.add_source(kPeer, 0);
+  // Feeds one message and returns the sequence numbers it made deliverable.
   auto feed = [&](const Message& m) {
-    RmpAccept accept{};
-    (void)rmp.on_reliable(0, frame_of(m), &accept);
-    return accept;
+    std::vector<SeqNum> seqs;
+    for (const Frame& f : rmp.on_reliable(0, frame_of(m))) {
+      seqs.push_back(f.header.sequence_number);
+    }
+    return seqs;
   };
+  using Seqs = std::vector<SeqNum>;
   // Seqs 1-2 missing: 3 and 4 park in the out-of-order buffer, 5 hits the cap.
-  EXPECT_EQ(feed(regular(kPeer, 3)), RmpAccept::kBuffered);
-  EXPECT_EQ(feed(regular(kPeer, 4)), RmpAccept::kBuffered);
-  EXPECT_EQ(feed(regular(kPeer, 5)), RmpAccept::kOooDropped);
+  EXPECT_EQ(feed(regular(kPeer, 3)), Seqs{});
+  EXPECT_EQ(rmp.out_of_order_count(), 1u);
+  EXPECT_EQ(feed(regular(kPeer, 4)), Seqs{});
+  EXPECT_EQ(rmp.out_of_order_count(), 2u);
+  EXPECT_EQ(rmp.stats().ooo_dropped.value(), 0u);
+  EXPECT_EQ(feed(regular(kPeer, 5)), Seqs{});
   EXPECT_EQ(rmp.stats().ooo_dropped.value(), 1u);
   EXPECT_EQ(rmp.out_of_order_count(), 2u);
+  EXPECT_EQ(rmp.stats().duplicates_ignored.value(), 0u);
   // The drop is a delay, not a loss: once the gap fills, NACK recovery
   // re-fetches seq 5 like any other missing message.
-  EXPECT_EQ(feed(regular(kPeer, 1)), RmpAccept::kDelivered);
-  EXPECT_EQ(feed(regular(kPeer, 1)), RmpAccept::kDuplicate);
-  EXPECT_EQ(feed(regular(kPeer, 2)), RmpAccept::kDelivered);  // drains 3, 4
+  EXPECT_EQ(feed(regular(kPeer, 1)), Seqs{1});
+  EXPECT_EQ(rmp.contiguous(kPeer), 1u);
+  EXPECT_EQ(feed(regular(kPeer, 1)), Seqs{});
+  EXPECT_EQ(rmp.stats().duplicates_ignored.value(), 1u);
+  EXPECT_EQ(feed(regular(kPeer, 2)), (Seqs{2, 3, 4}));  // drains 3, 4
   EXPECT_EQ(rmp.contiguous(kPeer), 4u);
-  EXPECT_EQ(feed(regular(kPeer, 5)), RmpAccept::kDelivered);
+  EXPECT_EQ(rmp.out_of_order_count(), 0u);
+  EXPECT_EQ(feed(regular(kPeer, 5)), Seqs{5});
   EXPECT_TRUE(rmp.complete(kPeer));
+  EXPECT_EQ(rmp.stats().ooo_dropped.value(), 1u);
+  EXPECT_EQ(rmp.stats().duplicates_ignored.value(), 1u);
 }
 
 // --- NACK spacing (docs/RECOVERY.md) --------------------------------------

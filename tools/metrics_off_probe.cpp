@@ -27,12 +27,9 @@ std::uint64_t probe_observability_off() {
   metrics::Gauge share("probe_share", "h", "u", "l");
   share.add(4);
   share.set(6);
-  metrics::trace(metrics::TraceEvent{});
   metrics::reset_all();
-  metrics::trace_clear();
   return c.value() + tally.value() + static_cast<std::uint64_t>(g.value()) +
          static_cast<std::uint64_t>(share.value()) + h.count() +
          static_cast<std::uint64_t>(h.sum()) + metrics::snapshot().size() +
-         metrics::render_prometheus().size() + metrics::render_json().size() +
-         metrics::trace_events().size() + metrics::render_trace_json().size();
+         metrics::render_prometheus().size() + metrics::render_json().size();
 }
