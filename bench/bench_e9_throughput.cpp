@@ -178,13 +178,25 @@ ThroughputResult run_baseline_flood(Protocol kind, int n, std::size_t payload,
 // loops the node's own heartbeats back (multicast loopback — that is what
 // advances the node's own ordering bound). Throughput = ordered deliveries
 // at the node per wall-clock second; alloc/copy budgets come from the same
-// process-global stats as the sim rows, reset after pre-encoding so the
-// measured phase starts clean.
+// process-global stats as the sim rows, reset after the runtime starts so
+// the measured phase starts clean.
+//
+// A flood lasts tens of milliseconds, so one flood per shard count cannot
+// resolve a 15 % change on a shared host: each count runs kShardFloods
+// floods, each on a fresh runtime replaying the same pre-encoded traffic,
+// and reports the median rate with its quartiles.
 // ---------------------------------------------------------------------------
 
+// One shard count's result. msgs_per_s is the median over the floods;
+// completion, drops and stalls cover every flood (drops and stalls summed),
+// and the alloc/copy figures are the worst flood's, so a budget checked on
+// the row holds in each flood.
 struct ShardRow {
   std::size_t shards = 0;
+  int floods = 0;
   double msgs_per_s = 0;
+  double msgs_per_s_q1 = 0;
+  double msgs_per_s_q3 = 0;
   double allocs_per_delivered = 0;
   double copied_bytes_per_delivered = 0;
   std::uint64_t ring_drops = 0;
@@ -195,15 +207,19 @@ struct ShardRow {
 
 constexpr int kShardGroups = 8;
 constexpr std::size_t kShardPayload = 64;
+constexpr int kShardFloods = 5;
+
+// Per group, the frames one flood replays, in feed order.
+using ShardTraffic = std::vector<std::vector<net::Datagram>>;
 
 // Pre-encodes `per_source` Regular messages from each of two sources per
 // group, interleaved so their Lamport timestamps alternate, plus one final
 // heartbeat per source (which carries the bound the last messages need).
-std::vector<std::vector<net::Datagram>> encode_shard_traffic(int per_source) {
+ShardTraffic encode_shard_traffic(int per_source) {
   ftmp::Config gen_cfg;
   gen_cfg.heartbeat_interval = 1 * kSecond;  // quiet during generation
   gen_cfg.fault_timeout = 1000 * kSecond;
-  std::vector<std::vector<net::Datagram>> per_group;
+  ShardTraffic per_group;
   for (int g = 1; g <= kShardGroups; ++g) {
     const ProcessorGroupId group{std::uint32_t(g)};
     const McastAddress addr{std::uint32_t(200 + g)};
@@ -242,10 +258,11 @@ std::vector<std::vector<net::Datagram>> encode_shard_traffic(int per_source) {
   return per_group;
 }
 
-ShardRow run_shard_flood(std::size_t shards, int per_source) {
+// One flood through a fresh runtime; run_shard_row aggregates the floods.
+ShardRow run_shard_flood(std::size_t shards, const ShardTraffic& traffic,
+                         int per_source) {
   const std::uint64_t expected =
       std::uint64_t(kShardGroups) * 2 * std::uint64_t(per_source);
-  auto traffic = encode_shard_traffic(per_source);
 
   ftmp::Config cfg;
   cfg.heartbeat_interval = 1 * kMillisecond;  // the delivery-bound cadence
@@ -265,7 +282,7 @@ ShardRow run_shard_flood(std::size_t shards, int per_source) {
   }
   rt.start();
 
-  alloc_stats_reset();  // measure the flood, not the pre-encoding
+  alloc_stats_reset();  // measure the flood, not the set-up
   const TimePoint start = runtime::wall_now();
   std::uint64_t delivered = 0;
   std::vector<net::Datagram> loopback;
@@ -320,6 +337,30 @@ ShardRow run_shard_flood(std::size_t shards, int per_source) {
   return row;
 }
 
+ShardRow run_shard_row(std::size_t shards, const ShardTraffic& traffic,
+                       int per_source) {
+  ShardRow row;
+  row.shards = shards;
+  row.floods = kShardFloods;
+  Samples rates;
+  for (int i = 0; i < kShardFloods; ++i) {
+    const ShardRow f = run_shard_flood(shards, traffic, per_source);
+    rates.add(f.msgs_per_s);
+    row.complete = row.complete && f.complete;
+    row.allocs_per_delivered =
+        std::max(row.allocs_per_delivered, f.allocs_per_delivered);
+    row.copied_bytes_per_delivered =
+        std::max(row.copied_bytes_per_delivered, f.copied_bytes_per_delivered);
+    row.ring_drops += f.ring_drops;
+    row.ingress_stalls += f.ingress_stalls;
+    row.egress_stalls += f.egress_stalls;
+  }
+  row.msgs_per_s = rates.median();
+  row.msgs_per_s_q1 = rates.percentile(25);
+  row.msgs_per_s_q3 = rates.percentile(75);
+  return row;
+}
+
 void write_shards_json(const char* path, bool quick,
                        const std::vector<ShardRow>& rows) {
   std::FILE* f = std::fopen(path, "w");
@@ -334,12 +375,14 @@ void write_shards_json(const char* path, bool quick,
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const ShardRow& r = rows[i];
     std::fprintf(f,
-                 "    {\"shards\": %zu, \"msgs_per_s\": %.1f, "
+                 "    {\"shards\": %zu, \"floods\": %d, \"msgs_per_s\": %.1f, "
+                 "\"msgs_per_s_q1\": %.1f, \"msgs_per_s_q3\": %.1f, "
                  "\"allocs_per_delivered_msg\": %.3f, "
                  "\"copied_bytes_per_delivered_msg\": %.1f, "
                  "\"ring_drops\": %llu, \"ingress_stalls\": %llu, "
                  "\"egress_stalls\": %llu, \"complete\": %s}%s\n",
-                 r.shards, r.msgs_per_s, r.allocs_per_delivered,
+                 r.shards, r.floods, r.msgs_per_s, r.msgs_per_s_q1,
+                 r.msgs_per_s_q3, r.allocs_per_delivered,
                  r.copied_bytes_per_delivered,
                  (unsigned long long)r.ring_drops,
                  (unsigned long long)r.ingress_stalls,
@@ -359,17 +402,19 @@ int run_shard_sweep(std::size_t max_shards, bool quick, const char* json_path) {
   for (std::size_t s = 1; s <= max_shards; s *= 2) counts.push_back(s);
   if (counts.back() != max_shards) counts.push_back(max_shards);
 
-  std::printf("%6s | %11s | %10s | %11s | %9s | %9s | %8s\n", "shards",
-              "msgs/s", "allocs/dlv", "copiedB/dlv", "in-stall", "eg-stall",
-              "drops");
-  std::printf("-------+-------------+------------+-------------+-----------+"
-              "-----------+---------\n");
+  std::printf("%6s | %11s | %23s | %10s | %11s | %9s | %9s | %8s\n", "shards",
+              "msgs/s", "[q1 - q3]", "allocs/dlv", "copiedB/dlv", "in-stall",
+              "eg-stall", "drops");
+  std::printf("-------+-------------+-------------------------+------------+"
+              "-------------+-----------+-----------+---------\n");
+  const ShardTraffic traffic = encode_shard_traffic(per_source);
   std::vector<ShardRow> rows;
   for (std::size_t s : counts) {
-    const ShardRow r = run_shard_flood(s, per_source);
-    std::printf("%6zu | %11.0f | %10.3f | %11.1f | %9llu | %9llu | %8llu%s\n",
-                r.shards, r.msgs_per_s, r.allocs_per_delivered,
-                r.copied_bytes_per_delivered,
+    const ShardRow r = run_shard_row(s, traffic, per_source);
+    std::printf("%6zu | %11.0f | [%9.0f - %9.0f] | %10.3f | %11.1f | %9llu | "
+                "%9llu | %8llu%s\n",
+                r.shards, r.msgs_per_s, r.msgs_per_s_q1, r.msgs_per_s_q3,
+                r.allocs_per_delivered, r.copied_bytes_per_delivered,
                 (unsigned long long)r.ingress_stalls,
                 (unsigned long long)r.egress_stalls,
                 (unsigned long long)r.ring_drops,
@@ -378,10 +423,13 @@ int run_shard_sweep(std::size_t max_shards, bool quick, const char* json_path) {
   }
   std::printf("%d groups x 2 sources x %d msgs (%zu B payloads), pre-encoded by\n"
               "real stacks and replayed through the runtime's routing front on\n"
-              "this host (hw threads: %u). msgs/s counts ordered deliveries at\n"
-              "the sharded node; stalls are yield-spins on full SPSC rings.\n",
+              "this host (hw threads: %u), %d floods per shard count, each on a\n"
+              "fresh runtime. msgs/s counts ordered deliveries at the sharded\n"
+              "node: the median flood, with its quartiles. allocs/dlv and\n"
+              "copiedB/dlv are the worst flood's; stalls (yield-spins on full\n"
+              "SPSC rings) and drops are summed over the floods.\n",
               kShardGroups, per_source, kShardPayload,
-              std::thread::hardware_concurrency());
+              std::thread::hardware_concurrency(), kShardFloods);
   write_shards_json(json_path, quick, rows);
   return 0;
 }

@@ -84,9 +84,19 @@ struct ConnectionId {
   friend constexpr auto operator<=>(const ConnectionId&, const ConnectionId&) = default;
 };
 
-/// Human-readable rendering, e.g. for logs: "P3", "G7".
-[[nodiscard]] inline std::string to_string(ProcessorId p) { return "P" + std::to_string(p.raw()); }
-[[nodiscard]] inline std::string to_string(ProcessorGroupId g) { return "G" + std::to_string(g.raw()); }
+/// Human-readable rendering, e.g. for logs: "P3", "G7". Built by appending
+/// to a one-letter string rather than as `"P" + std::to_string(...)`, which
+/// gcc 12 at -O3 inlines into a false -Wrestrict warning.
+[[nodiscard]] inline std::string to_string(ProcessorId p) {
+  std::string s(1, 'P');
+  s += std::to_string(p.raw());
+  return s;
+}
+[[nodiscard]] inline std::string to_string(ProcessorGroupId g) {
+  std::string s(1, 'G');
+  s += std::to_string(g.raw());
+  return s;
+}
 [[nodiscard]] inline std::string to_string(const ConnectionId& c) {
   return "conn(" + std::to_string(c.client_domain.raw()) + ":" + std::to_string(c.client_group.raw()) +
          "->" + std::to_string(c.server_domain.raw()) + ":" + std::to_string(c.server_group.raw()) + ")";

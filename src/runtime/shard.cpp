@@ -19,7 +19,8 @@ namespace {
 // shard.
 constexpr std::size_t kMetricShards = 16;
 
-// Capacity of each shard's egress datagram ring (shard -> front).
+// Capacity of each shard's egress datagram ring (shard -> front; threaded
+// mode only, like the ingress ring).
 constexpr std::size_t kEgressRingCapacity = 8192;
 
 // Cadence of each shard's timer wheel tick — the resolution of the
@@ -53,9 +54,13 @@ ShardedRuntime::ShardedRuntime(ProcessorId self, FtDomainId domain,
   inline_mode_ = config_.shards == 1 && config_.inline_single_shard;
   shards_.reserve(config_.shards);
   for (std::size_t i = 0; i < config_.shards; ++i) {
-    auto sh = std::make_unique<Shard>(config_.ingress_ring_capacity, kEgressRingCapacity);
+    auto sh = std::make_unique<Shard>();
     sh->stack = std::make_unique<ftmp::Stack>(self_, domain_, domain_addr_,
                                               stack_config_);
+    if (!inline_mode_) {
+      sh->rings = std::make_unique<Rings>(config_.ingress_ring_capacity,
+                                          kEgressRingCapacity);
+    }
     if (i < kMetricShards) {
       sh->frames_in = metrics::Counter(
           shard_metric(i, "frames_total"),
@@ -324,7 +329,7 @@ void ShardedRuntime::stop() {
   while (exited_.load(std::memory_order_acquire) < shards_.size()) {
     bool any = false;
     for (auto& sh : shards_) {
-      while (sh->egress.try_pop(d)) {
+      while (sh->rings->egress.try_pop(d)) {
         parting_egress_.push_back(std::move(d));
         any = true;
       }
@@ -336,7 +341,7 @@ void ShardedRuntime::stop() {
   }
   // Final sweep: datagrams pushed between the last drain and loop exit.
   for (auto& sh : shards_) {
-    while (sh->egress.try_pop(d)) parting_egress_.push_back(std::move(d));
+    while (sh->rings->egress.try_pop(d)) parting_egress_.push_back(std::move(d));
   }
   running_.store(false, std::memory_order_release);
 }
@@ -346,7 +351,8 @@ void ShardedRuntime::stop() {
 void ShardedRuntime::enqueue(std::size_t shard, TimePoint now, net::Datagram d) {
   Shard& sh = *shards_[shard];
   Inbound in{now, std::move(d)};
-  if (sh.ingress.try_push(std::move(in))) return;
+  SpscRing<Inbound>& ring = sh.rings->ingress;
+  if (ring.try_push(std::move(in))) return;
   if (config_.drop_when_full) {
     sh.ring_drops.add();
     m_drops_.add();
@@ -355,7 +361,7 @@ void ShardedRuntime::enqueue(std::size_t shard, TimePoint now, net::Datagram d) 
   // Backpressure: yield until the shard catches up (single-core friendly —
   // the yield is what lets the consumer run at all).
   std::uint64_t spins = 0;
-  while (!sh.ingress.try_push(std::move(in))) {
+  while (!ring.try_push(std::move(in))) {
     ++spins;
     if (spins % 64 == 0) {
       std::this_thread::sleep_for(std::chrono::microseconds(10));
@@ -426,7 +432,7 @@ void ShardedRuntime::drain_egress(std::vector<net::Datagram>& out) {
   net::Datagram d;
   for (auto& sh : shards_) {
     std::size_t n = 0;
-    while (sh->egress.try_pop(d)) {
+    while (sh->rings->egress.try_pop(d)) {
       out.push_back(std::move(d));
       ++n;
     }
@@ -494,8 +500,10 @@ ShardStats ShardedRuntime::shard_stats(std::size_t shard) const {
   s.ingress_stalls = sh.ingress_stalls.value();
   s.egress_stalls = sh.egress_stalls.value();
   s.ticks = sh.ticks.value();
-  s.ingress_depth = sh.ingress.size();
-  s.egress_depth = sh.egress.size();
+  if (sh.rings) {
+    s.ingress_depth = sh.rings->ingress.size();
+    s.egress_depth = sh.rings->egress.size();
+  }
   return s;
 }
 
@@ -518,7 +526,7 @@ void ShardedRuntime::run_stack_step(Shard& sh, TimePoint now) {
     sh.egress_datagrams.add(packets.size());
     for (net::Datagram& d : packets) {
       std::uint64_t spins = 0;
-      while (!sh.egress.try_push(std::move(d))) {
+      while (!sh.rings->egress.try_push(std::move(d))) {
         // The front thread is the consumer; it keeps draining during
         // stop(), so this wait always terminates.
         ++spins;
@@ -549,6 +557,7 @@ void ShardedRuntime::run_stack_step(Shard& sh, TimePoint now) {
 
 void ShardedRuntime::shard_main(std::size_t index) {
   Shard& sh = *shards_[index];
+  SpscRing<Inbound>& ingress = sh.rings->ingress;
   TimerWheel wheel(kTickGranularity);
   TimePoint now = wall_now();
   wheel.schedule(now + kTickGranularity, 0);
@@ -558,7 +567,7 @@ void ShardedRuntime::shard_main(std::size_t index) {
 
     Inbound in;
     std::size_t burst = 0;
-    while (burst < kIngressBurst && sh.ingress.try_pop(in)) {
+    while (burst < kIngressBurst && ingress.try_pop(in)) {
       now = std::max(now, in.now);
       sh.stack->on_datagram(in.now, in.datagram);
       in.datagram = net::Datagram{};
@@ -584,7 +593,7 @@ void ShardedRuntime::shard_main(std::size_t index) {
     wheel.advance(now, [&](std::uint64_t) {
       sh.stack->tick(now);
       sh.ticks.add();
-      sh.m_depth.set(std::int64_t(sh.ingress.size()));
+      sh.m_depth.set(std::int64_t(ingress.size()));
       {
         std::lock_guard lk(sh.sub_mu);
         sh.subs = sh.stack->subscriptions();
@@ -598,7 +607,7 @@ void ShardedRuntime::shard_main(std::size_t index) {
       idle = 0;
       continue;
     }
-    if (stop_requested_.load(std::memory_order_acquire) && sh.ingress.empty() &&
+    if (stop_requested_.load(std::memory_order_acquire) && ingress.empty() &&
         !sh.has_cmds.load(std::memory_order_acquire)) {
       // Drained: flush whatever the final tick produced and exit.
       sh.stack->tick(std::max(now, wall_now()));

@@ -11,10 +11,11 @@
 // Two operating modes, selected by RuntimeConfig:
 //
 //   * Inline (shards == 1 and inline_single_shard, the default): no threads
-//     are spawned and every call passes straight through to the single
-//     Stack. Behavior — bytes on the wire, events, counters, determinism —
-//     is identical to driving the Stack directly; the runtime layer is
-//     inert (pinned by tests/runtime/runtime_equivalence_test.cpp).
+//     are spawned, no rings are built, and every call passes straight
+//     through to the single Stack. Behavior — bytes on the wire, events,
+//     counters, determinism — is identical to driving the Stack directly;
+//     the runtime layer is inert (pinned by
+//     tests/runtime/runtime_equivalence_test.cpp).
 //   * Threaded (shards > 1, or 1 shard with inline_single_shard off): one
 //     thread per shard plus the caller acting as the I/O front thread.
 //     Time comes from the host monotonic clock; the control-plane calls
@@ -86,7 +87,8 @@ struct RuntimeConfig {
   enum class Placement : std::uint8_t { kHash, kRoundRobin };
   Placement placement = Placement::kHash;
 
-  /// Capacity of each shard's ingress frame ring (front -> shard).
+  /// Capacity of each shard's ingress frame ring (front -> shard). Threaded
+  /// mode only: an inline runtime builds no rings.
   std::size_t ingress_ring_capacity = 4096;
 
   /// Ingress overflow policy: false (default) backpressures the front
@@ -203,13 +205,21 @@ class ShardedRuntime {
     net::Datagram datagram;
   };
 
-  struct Shard {
-    Shard(std::size_t ingress_capacity, std::size_t egress_capacity)
+  // The front <-> shard handoff. Only a threaded runtime builds it: an
+  // inline runtime never touches a ring, and their slots (4096 x 48 B
+  // ingress + 8192 x 40 B egress at the defaults, 512 KiB) would be most
+  // of what it allocates.
+  struct Rings {
+    Rings(std::size_t ingress_capacity, std::size_t egress_capacity)
         : ingress(ingress_capacity), egress(egress_capacity) {}
 
-    std::unique_ptr<ftmp::Stack> stack;
     SpscRing<Inbound> ingress;       // producer: front thread; consumer: shard
     SpscRing<net::Datagram> egress;  // producer: shard; consumer: front thread
+  };
+
+  struct Shard {
+    std::unique_ptr<ftmp::Stack> stack;
+    std::unique_ptr<Rings> rings;  // null in inline mode
     std::thread thread;
 
     // Command queue: application sends and late control ops, run on the

@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <memory>
+#include <new>
 #include <set>
 #include <thread>
 #include <vector>
@@ -12,6 +16,33 @@
 #include "common/metrics.hpp"
 #include "ftmp/stack.hpp"
 #include "runtime/shard.hpp"
+
+// This binary replaces the global operator new so that a test can count the
+// bytes one construction allocates. Memory comes from malloc, as in
+// libstdc++; the nothrow new and the deletes are replaced with it, so a
+// sanitizer's allocator sees every block allocated and freed by one family.
+// The deletes stay out of line: inlined after a new, gcc would pair their
+// free with that new and warn (-Wmismatched-new-delete).
+namespace {
+std::atomic<bool> g_count_news{false};
+std::atomic<std::size_t> g_new_bytes{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_count_news.load(std::memory_order_relaxed)) {
+    g_new_bytes.fetch_add(size, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return std::malloc(size == 0 ? 1 : size);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace ftcorba::runtime {
 namespace {
@@ -31,6 +62,24 @@ TEST(ShardedRuntime, DefaultConfigIsInlineSingleShard) {
   EXPECT_TRUE(rt.inline_mode());
   rt.start();  // no-op inline
   EXPECT_FALSE(rt.running()) << "inline mode never spawns threads";
+}
+
+// An inline runtime runs no shard thread, so it builds no SPSC ring: beyond
+// the first runtime, which registers the instruments, constructing one
+// allocates a Stack and a few small records, not the rings' 512 KiB of
+// slots (4096 x 48 B ingress + 8192 x 40 B egress at the defaults).
+TEST(ShardedRuntime, InlineRuntimeAllocatesNoRingSlots) {
+  const ShardedRuntime first(ProcessorId{1}, kDomain, kDomainAddr);
+  g_new_bytes.store(0);
+  g_count_news.store(true);
+  const auto second =
+      std::make_unique<ShardedRuntime>(ProcessorId{2}, kDomain, kDomainAddr);
+  g_count_news.store(false);
+  const std::size_t bytes = g_new_bytes.load();
+  ASSERT_TRUE(second->inline_mode());
+  EXPECT_LT(bytes, 64u * 1024) << "an inline runtime allocated " << bytes << " B";
+  EXPECT_EQ(second->shard_stats(0).ingress_depth, 0u);
+  EXPECT_EQ(second->shard_stats(0).egress_depth, 0u);
 }
 
 TEST(ShardedRuntime, HashPlacementIsAStableFunctionOfGroupAndShardCount) {
