@@ -9,8 +9,8 @@
 
 namespace ftcorba {
 
-/// Collects samples and answers summary queries. Percentiles use the
-/// nearest-rank method on a sorted copy.
+/// Collects samples and answers summary queries. Percentiles interpolate
+/// linearly between neighbouring ranks of a sorted copy.
 class Samples {
  public:
   /// Adds one observation.
@@ -46,7 +46,9 @@ class Samples {
     return values_.empty() ? 0.0 : *std::max_element(values_.begin(), values_.end());
   }
 
-  /// p-th percentile, p in [0, 100]; nearest-rank on sorted data.
+  /// p-th percentile, p in [0, 100]: the value at rank p/100 · (n − 1) of
+  /// the sorted data, interpolated linearly between the two neighbouring
+  /// samples when that rank is fractional (so not always a sample value).
   [[nodiscard]] double percentile(double p) const {
     if (values_.empty()) return 0.0;
     std::vector<double> sorted = values_;

@@ -58,8 +58,17 @@ struct Config {
   Duration nack_interval = 5 * kMillisecond;
 
   /// A member that has not been heard from for this long is suspected of
-  /// having crashed (PGMP fault detector, driven by heartbeat receipt).
-  Duration fault_timeout = 200 * kMillisecond;
+  /// having crashed (PGMP fault detector, driven by heartbeat receipt). The
+  /// default is five heartbeat intervals: an idle member heartbeats every
+  /// heartbeat_interval, so one that misses five is suspected.
+  /// The detector counts silence only while it runs: a driver must tick at
+  /// least every heartbeat_interval, and silence inside a longer gap
+  /// between two ticks (a stalled or descheduled process) is not counted.
+  /// Other windows scale with it: lame-duck heartbeats, rebind retirement
+  /// and deferred purges of a removed member's stored messages last
+  /// 4 × fault_timeout (200 ms by default); stranding self-eviction and a
+  /// sponsor giving up on a join come after 10 × fault_timeout (500 ms).
+  Duration fault_timeout = 50 * kMillisecond;
 
   /// When true (paper behaviour, §5), *any* processor holding a message may
   /// answer a RetransmitRequest for it; when false only the original source

@@ -625,7 +625,19 @@ void Pgmp::reset_round_state() {
 }
 
 void Pgmp::tick(TimePoint now) {
+  const Duration slept = last_tick_ ? now - *last_tick_ : 0;
+  last_tick_ = now;
   if (!active_) return;
+  // A detector that was not running (a stalled process, or a one-thread
+  // fleet paused as a whole) heard nothing because it listened to nothing:
+  // its silence clocks skip the gap, capped at now for a clock set within
+  // it.
+  if (slept > config_.heartbeat_interval) {
+    const auto credit = [&](TimePoint& t) { t = std::min(t + slept, now); };
+    for (auto& [m, peer] : peers_) credit(peer.last_heard);
+    if (suspects_since_) credit(*suspects_since_);
+    for (Join& join : joins_) credit(join.since);
+  }
   // Fault detector: nothing heard within the timeout -> suspect.
   bool suspects_changed = false;
   for (auto& [m, peer] : peers_) {

@@ -179,6 +179,10 @@ class Pgmp {
   // ---- periodic work ----
 
   /// Fault-timeout scan, recovery progress checks, join retransmissions.
+  /// A gap since the previous tick longer than heartbeat_interval means the
+  /// detector was not running: the gap is credited to every silence clock
+  /// (last heard, suspecting since, a sponsor record's phase) instead of
+  /// being counted against a peer.
   void tick(TimePoint now);
 
   /// Drains queued outputs.
@@ -270,6 +274,9 @@ class Pgmp {
   // self-evicts (it is likely alone in an epoch the rest of the group left
   // behind).
   std::optional<TimePoint> suspects_since_;
+  // This Pgmp's previous tick; unset until the first one, so the time
+  // before it (from bootstrap or admission) counts as silence.
+  std::optional<TimePoint> last_tick_;
 
   // Suspicion matrix and proposals for the current recovery round, keyed
   // by reporter (a joiner's own row counts before it is a member).

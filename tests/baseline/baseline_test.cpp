@@ -82,14 +82,14 @@ TEST_P(BaselineAgreement, ReliableUnderLoss) {
 TEST_P(BaselineAgreement, SingleSenderFifo) {
   Fleet f(GetParam(), 3);
   for (int i = 0; i < 10; ++i) {
-    f.h.broadcast(f.members[1], bytes_of("m" + std::to_string(i)));
+    f.h.broadcast(f.members[1], bytes_of(std::string("m").append(std::to_string(i))));
     f.h.run_for(2 * kMillisecond);
   }
   f.h.run_for(500 * kMillisecond);
   const auto& got = f.h.delivered(f.members[0]);
   ASSERT_EQ(got.size(), 10u);
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(got[i].delivery.payload, bytes_of("m" + std::to_string(i)));
+    EXPECT_EQ(got[i].delivery.payload, bytes_of(std::string("m").append(std::to_string(i))));
     EXPECT_EQ(got[i].delivery.source, f.members[1]);
   }
 }

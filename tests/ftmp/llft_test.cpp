@@ -405,8 +405,9 @@ TEST(Llft, SmallestIdJoinerAtViewZeroDeliversTheFoundersOrder) {
   std::uint64_t req = 0;
   for (int round = 0; round < 3; ++round) {
     for (ProcessorId p : founders) {
-      h.stack(p).group(kGroup)->send_regular(h.now(), test_conn(), req + 1,
-                                             bytes_of("x" + std::to_string(req)));
+      h.stack(p).group(kGroup)->send_regular(
+          h.now(), test_conn(), req + 1,
+          bytes_of(std::string("x").append(std::to_string(req))));
       ++req;
     }
     if (round == 1) {

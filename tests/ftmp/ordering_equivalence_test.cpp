@@ -97,7 +97,9 @@ enum class Scenario { kSteady, kCrash, kReadmit };
 // kReadmit continues the crash run for 400 more steps: at step 400 P1
 // restarts as a fresh Stack and P2 sponsors its re-admission, and from
 // step 500 all three members send again.
-Observed run_scenario(const Config& config, Scenario scenario = Scenario::kSteady) {
+Observed run_scenario(Config config, Scenario scenario = Scenario::kSteady) {
+  // Every pin was captured at this fault timeout.
+  config.fault_timeout = 200 * kMillisecond;
   const bool crash = scenario != Scenario::kSteady;
   const bool readmit = scenario == Scenario::kReadmit;
   auto p1 = std::make_unique<Stack>(ProcessorId{1}, kDomain, kDomainAddr, config);

@@ -1,6 +1,7 @@
 // Unit tests for the PGMP layer (§7) driven directly (no network): the
-// conviction fixpoint, the quorum rule, suspicion withdrawal, proposal
-// generation, round floors and planned-change gating.
+// conviction fixpoint, the quorum rule, suspicion withdrawal, the fault
+// detector's timeout and its stalled-detector guard, proposal generation,
+// round floors and planned-change gating.
 #include <gtest/gtest.h>
 
 #include "ftmp/ordering.hpp"
@@ -89,6 +90,24 @@ struct PgmpFixture : ::testing::Test {
       if (auto* install = std::get_if<InstallOut>(&out)) return std::move(*install);
     }
     return std::nullopt;
+  }
+
+  // The suspect set of the last Suspect message in the drained output.
+  std::optional<std::vector<ProcessorId>> drain_suspects() {
+    std::optional<std::vector<ProcessorId>> last;
+    for (PgmpOut& out : pgmp.take_output()) {
+      if (auto* send = std::get_if<SendBodyOut>(&out)) {
+        if (auto* sb = std::get_if<SuspectBody>(&send->body)) last = sb->suspects;
+      }
+    }
+    return last;
+  }
+
+  // One 1 ms detector step in which only P2 speaks.
+  void step(TimePoint& now) {
+    now += kMillisecond;
+    pgmp.note_heard(ProcessorId{2}, now);
+    pgmp.tick(now);
   }
 };
 
@@ -252,6 +271,71 @@ TEST_F(PgmpFixture, SuspicionWithdrawnWhenProcessorSpeaks) {
   EXPECT_TRUE(withdrawal);
 }
 
+// The default detector suspects a silent member after five missed
+// heartbeats: just after fault_timeout, counted from its last packet.
+TEST_F(PgmpFixture, TickedEveryMillisecondSuspectsJustAfterFaultTimeout) {
+  ASSERT_EQ(config.fault_timeout, 5 * config.heartbeat_interval);
+  boot({1, 2, 3});
+  TimePoint now = 0;
+  while (now < config.fault_timeout) {
+    step(now);
+    ASSERT_FALSE(drain_suspects().has_value()) << "at " << to_ms(now) << " ms";
+  }
+  step(now);
+  EXPECT_EQ(drain_suspects(), members({3}));
+}
+
+// A detector that did not run (one tick gap of 3 × fault_timeout) heard
+// nothing because it listened to nothing: the gap convicts no one, and a
+// silent member is suspected only after a further fault_timeout of ticking.
+// P3 last spoke before the stall; P4 speaks in the poll that ends it.
+TEST_F(PgmpFixture, StalledDetectorSuspectsNoOne) {
+  boot({1, 2, 3, 4});
+  TimePoint now = 0;
+  for (int i = 0; i < 10; ++i) {
+    step(now);
+    pgmp.note_heard(ProcessorId{3}, now);
+    pgmp.note_heard(ProcessorId{4}, now);
+  }
+  (void)pgmp.take_output();
+  now += 3 * config.fault_timeout;
+  pgmp.note_heard(ProcessorId{4}, now);
+  pgmp.tick(now);
+  EXPECT_FALSE(drain_suspects().has_value()) << "suspected across the stall";
+  const TimePoint resumed = now;
+  while (now < resumed + config.fault_timeout) {
+    step(now);
+    ASSERT_FALSE(drain_suspects().has_value()) << to_ms(now - resumed) << " ms after";
+  }
+  step(now);
+  EXPECT_EQ(drain_suspects(), members({3, 4}));
+}
+
+// A stall longer than the stranding window (10 × fault_timeout) while this
+// member suspects someone does not make it self-evict; the window counts
+// only the time the detector ran.
+TEST_F(PgmpFixture, StallWhileSuspectingDoesNotStrand) {
+  boot({1, 2, 3});
+  TimePoint now = 0;
+  bool suspecting = false;
+  while (!suspecting && now < 2 * config.fault_timeout) {
+    step(now);
+    suspecting = drain_suspects().has_value();
+  }
+  ASSERT_TRUE(suspecting);
+  ASSERT_FALSE(pgmp.reconfiguring()) << "P3 is suspected by P1 alone";
+  now += 12 * config.fault_timeout;
+  pgmp.tick(now);
+  EXPECT_TRUE(pgmp.active());
+  EXPECT_FALSE(drain_install().has_value()) << "self-evicted across the stall";
+  const TimePoint resumed = now;
+  while (pgmp.active() && now < resumed + 20 * config.fault_timeout) step(now);
+  auto install = drain_install();
+  ASSERT_TRUE(install.has_value());
+  EXPECT_TRUE(install->self_evicted);
+  EXPECT_EQ(now, resumed + 10 * config.fault_timeout + kMillisecond);
+}
+
 TEST_F(PgmpFixture, RoundFloorIgnoresStaleControlMessages) {
   boot({1, 2, 3});
   suspect_from(ProcessorId{1}, 1, {3});
@@ -336,6 +420,27 @@ TEST_F(PgmpFixture, SponsorResendsUntilNewMemberSpeaks) {
   for (PgmpOut& out : pgmp.take_output()) {
     EXPECT_FALSE(std::holds_alternative<ResendStoredOut>(out));
   }
+}
+
+// A stall credits the sponsor record's clock with the joiner's: a joiner
+// that has not spoken is still not live after it, and still gets the Add.
+TEST_F(PgmpFixture, SponsorKeepsResendingAcrossAStall) {
+  boot({1, 2, 3});
+  AddProcessorBody body;
+  body.current_membership = pgmp.membership();
+  body.new_member = ProcessorId{4};
+  TimePoint now = kMillisecond;
+  pgmp.on_add_ordered(now, control(MessageType::kAddProcessor, kSelf, 7, 70, body));
+  pgmp.tick(now);
+  (void)pgmp.take_output();
+  now += 3 * config.fault_timeout;
+  pgmp.tick(now);
+  bool resend = false;
+  for (PgmpOut& out : pgmp.take_output()) {
+    resend = resend || std::holds_alternative<ResendStoredOut>(out);
+    EXPECT_FALSE(std::holds_alternative<SendBodyOut>(out)) << "suspected across the stall";
+  }
+  EXPECT_TRUE(resend);
 }
 
 }  // namespace

@@ -17,7 +17,7 @@ Message regular(ProcessorId src, SeqNum seq, Timestamp ts = 0) {
   m.header.destination_group = ProcessorGroupId{1};
   m.header.sequence_number = seq;
   m.header.message_timestamp = ts ? ts : seq * 10;
-  m.body = RegularBody{{}, seq, bytes_of("m" + std::to_string(seq))};
+  m.body = RegularBody{{}, seq, bytes_of(std::string("m").append(std::to_string(seq)))};
   return m;
 }
 

@@ -262,7 +262,7 @@ TEST(FlowIntegration, WarnOnlyThresholdNeverEvicts) {
     (void)h.stack(ProcessorId{1})
         .group(kGroup)
         ->send_regular(h.now(), test_conn(), std::uint64_t(i + 1),
-                       bytes_of("w" + std::to_string(i)));
+                       bytes_of(std::string("w").append(std::to_string(i))));
     h.run_for(2 * kMillisecond);
   }
 

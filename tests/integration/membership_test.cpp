@@ -249,7 +249,7 @@ void expect_stores_drain(SimHarness& h, const std::vector<ProcessorId>& view) {
   for (int round = 0; round < 200; ++round) {
     for (ProcessorId p : view) {
       ASSERT_TRUE(h.stack(p).group(kGroup)->send_regular(
-          h.now(), test_conn(), ++req, bytes_of("r" + std::to_string(round))));
+          h.now(), test_conn(), ++req, bytes_of(std::string("r").append(std::to_string(round)))));
     }
     h.run_for(5 * kMillisecond);
   }

@@ -174,8 +174,9 @@ TEST(PartitionHeal, SubTimeoutFlappingCausesNoExclusion) {
   for (ProcessorId p : all) h.stack(p).create_group(h.now(), kGroup, kGroupAddr, all);
   h.run_for(50 * kMillisecond);
 
-  // Default fault_timeout is 200 ms: 60 ms isolated / 60 ms healed pulses
+  // Pulses of 30 % of the default fault_timeout isolated and 30 % healed
   // stay safely below it while still dropping plenty of packets.
+  const Duration pulse_span = Config{}.fault_timeout * 3 / 10;
   std::uint64_t req = 0;
   for (int pulse = 0; pulse < 6; ++pulse) {
     h.network().set_partition({ids({4})});
@@ -184,9 +185,9 @@ TEST(PartitionHeal, SubTimeoutFlappingCausesNoExclusion) {
       h.stack(p).group(kGroup)->send_regular(h.now(), test_conn(), req,
                                              bytes_of("flap-" + std::to_string(req)));
     }
-    h.run_for(60 * kMillisecond);
+    h.run_for(pulse_span);
     h.network().heal();
-    h.run_for(60 * kMillisecond);
+    h.run_for(pulse_span);
     for (ProcessorId p : all) {
       EXPECT_EQ(h.stack(p).group(kGroup)->membership().members.size(), 4u)
           << "spurious exclusion at " << to_string(p) << " after pulse " << pulse;

@@ -120,7 +120,7 @@ TEST(Rebind, FlushTimeSendsQueueBehindTheFlowWindow) {
   // A1..A6: the window sends two and parks four.
   std::vector<Bytes> expected;
   for (RequestNum i = 1; i <= 6; ++i) {
-    expected.push_back(bytes_of("A" + std::to_string(i)));
+    expected.push_back(bytes_of(std::string("A").append(std::to_string(i))));
     EXPECT_EQ(p1.try_send_regular(h.now(), test_conn(), i, expected.back()),
               i <= 2 ? SendStatus::kSent : SendStatus::kQueued)
         << "A" << i;
@@ -135,7 +135,7 @@ TEST(Rebind, FlushTimeSendsQueueBehindTheFlowWindow) {
   ASSERT_TRUE(p1.flushing());
   // B1..B4, made during the flush, park behind what the window holds.
   for (RequestNum i = 1; i <= 4; ++i) {
-    expected.push_back(bytes_of("B" + std::to_string(i)));
+    expected.push_back(bytes_of(std::string("B").append(std::to_string(i))));
     EXPECT_EQ(p1.try_send_regular(h.now(), test_conn(), 10 + i, expected.back()),
               SendStatus::kQueued)
         << "B" << i;

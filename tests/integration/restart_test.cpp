@@ -355,7 +355,10 @@ TEST_P(ReCrash, EveryCrashConvictedAndEveryReadmissionInstalled) {
       {1, 1, 1, 1}, {1, 2, 3, 1}, {1, 2, 1, 2, 1, 3, 2, 3}};
   for (const auto& order : orders) {
     std::string name;
-    for (std::uint32_t v : order) name += (name.empty() ? "" : ",") + std::to_string(v);
+    for (std::uint32_t v : order) {
+      if (!name.empty()) name += ',';
+      name += std::to_string(v);
+    }
     SCOPED_TRACE("crash order " + name);
     run_crash_cycles(GetParam(), order);
   }

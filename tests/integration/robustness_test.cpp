@@ -141,9 +141,9 @@ TEST(Robustness, ReplayedOldDatagramsAreHarmless) {
     h.stack(p).create_group(h.now(), kGroup, kGroupAddr, members);
   }
   for (int i = 0; i < 5; ++i) {
-    h.stack(members[0]).group(kGroup)->send_regular(h.now(), test_conn(),
-                                                    std::uint64_t(i + 1),
-                                                    bytes_of("m" + std::to_string(i)));
+    h.stack(members[0]).group(kGroup)->send_regular(
+        h.now(), test_conn(), std::uint64_t(i + 1),
+        bytes_of(std::string("m").append(std::to_string(i))));
     h.run_for(5 * kMillisecond);
   }
   h.run_for(200 * kMillisecond);

@@ -70,14 +70,14 @@ TEST(TcpSim, RecoversFromHeavyLoss) {
   lossy.loss = 0.4;
   ChannelWorld w(lossy, /*seed=*/11);
   for (int i = 0; i < 20; ++i) {
-    w.a.send(w.now, bytes_of("p" + std::to_string(i)));
+    w.a.send(w.now, bytes_of(std::string("p").append(std::to_string(i))));
   }
   w.pump();
   w.run_for(3 * kSecond);
   const auto got = w.b.take_delivered();
   ASSERT_EQ(got.size(), 20u);
   for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(got[i], bytes_of("p" + std::to_string(i)));
+    EXPECT_EQ(got[i], bytes_of(std::string("p").append(std::to_string(i))));
   }
 }
 
@@ -96,7 +96,7 @@ TEST(TcpSim, DuplicateSegmentsDeliveredOnce) {
   dupy.duplicate = 0.8;
   ChannelWorld w(dupy, /*seed=*/5);
   for (int i = 0; i < 10; ++i) {
-    w.a.send(w.now, bytes_of("d" + std::to_string(i)));
+    w.a.send(w.now, bytes_of(std::string("d").append(std::to_string(i))));
   }
   w.pump();
   w.run_for(500 * kMillisecond);

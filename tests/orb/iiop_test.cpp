@@ -83,7 +83,7 @@ TEST(Iiop, ManyRequestsInOrder) {
   std::vector<std::string> results;
   for (int i = 0; i < 20; ++i) {
     giop::CdrWriter args;
-    args.string("m" + std::to_string(i));
+    args.string(std::string("m").append(std::to_string(i)));
     w.client.invoke(w.now, ObjectKey{"echo"}, "echo", args,
                     [&](const giop::Reply& reply) {
                       giop::CdrReader r(reply.body);
@@ -95,7 +95,7 @@ TEST(Iiop, ManyRequestsInOrder) {
   w.run_for(200 * kMillisecond);
   ASSERT_EQ(results.size(), 20u);
   for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(results[i], "m" + std::to_string(i));
+    EXPECT_EQ(results[i], std::string("m").append(std::to_string(i)));
   }
 }
 

@@ -73,7 +73,10 @@ TEST_P(ChurnProperties, InvariantsUnderChurn) {
       std::vector<ProcessorId> members(in_group.begin(), in_group.end());
       const ProcessorId sender = members[rng.next_below(members.size())];
       if (!alive.contains(sender)) continue;
-      Bytes payload = bytes_of("m" + std::to_string(sent + 1) + "-" + to_string(sender));
+      Bytes payload = bytes_of(std::string("m")
+                                   .append(std::to_string(sent + 1))
+                                   .append("-")
+                                   .append(to_string(sender)));
       if (h.stack(sender).group(kGroup)->send_regular(h.now(), test_conn(),
                                                       sent + 1, payload)) {
         ++sent;

@@ -71,8 +71,10 @@ TEST(RuntimeStress, FourShardsDeliverEveryGroupInOrder) {
         const std::uint64_t req = ++sent[g];
         ASSERT_TRUE(peer.group(ProcessorGroupId{std::uint32_t(g + 1)})
                         ->send_regular(now, test_conn(), req,
-                                       bytes_of("g" + std::to_string(g + 1) +
-                                                "#" + std::to_string(req))));
+                                       bytes_of(std::string("g")
+                                                    .append(std::to_string(g + 1))
+                                                    .append("#")
+                                                    .append(std::to_string(req)))));
       }
       peer.tick(now);
       for (auto& d : peer.take_packets()) wire.push_back(std::move(d));

@@ -1,13 +1,16 @@
 // Real-UDP smoke for the sharded runtime: two nodes over loopback IP
 // multicast — a 2-shard threaded runtime and an inline single-shard one —
 // exchanging ordered messages through ShardedUdpDriver (recvmmsg in,
-// sendmmsg out), and a node that multicasts in the poll that subscribes
-// it. Environments without loopback multicast skip gracefully.
+// sendmmsg out), a node that multicasts in the poll that subscribes it,
+// and a one-thread fleet of three that pauses as a whole. Environments
+// without loopback multicast skip gracefully.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/metrics.hpp"
 #include "runtime/udp_front.hpp"
@@ -132,6 +135,67 @@ TEST(RuntimeUdp, CreateAndSendInOnePollGetsTheOwnCopyBack) {
     EXPECT_EQ(counter("ftmp_rmp_own_gap_probes_total"), probes);
 #else
     (void)probes;
+#endif
+  } catch (const net::TransportError& e) {
+    GTEST_SKIP() << "UDP multicast unavailable: " << e.what();
+  }
+}
+
+// One thread polls three default-config inline members in turn, as
+// perfbench and udp_demo do. When the whole process pauses for three fault
+// timeouts, every detector sleeps through the same silence it would
+// otherwise count against the others: the pause must convict nobody.
+TEST(RuntimeUdp, FleetWidePauseConvictsNobody) {
+  const ftmp::Config cfg;
+  constexpr ProcessorGroupId kGroup{1};
+  const std::vector<ProcessorId> members{ProcessorId{1}, ProcessorId{2},
+                                         ProcessorId{3}};
+  std::vector<std::unique_ptr<ShardedRuntime>> nodes;
+  const TimePoint t0 = wall_now();
+  for (ProcessorId p : members) {
+    nodes.push_back(std::make_unique<ShardedRuntime>(p, kDomain, kDomainAddr, cfg));
+    nodes.back()->create_group(t0, kGroup, McastAddress{0x0313}, members);
+  }
+
+  net::UdpMulticastTransport::Options options;
+  options.port = 32013;
+  try {
+    std::vector<std::unique_ptr<ShardedUdpDriver>> drivers;
+    for (auto& node : nodes) {
+      drivers.push_back(std::make_unique<ShardedUdpDriver>(*node, options));
+    }
+    const std::uint64_t suspicions = counter("ftmp_pgmp_suspicions_total");
+    std::size_t received = 0;
+    std::size_t fault_views = 0;
+    const auto run = [&](std::chrono::milliseconds span) {
+      const auto until = std::chrono::steady_clock::now() + span;
+      while (std::chrono::steady_clock::now() < until) {
+        for (auto& drv : drivers) {
+          received += drv->poll_once(0);
+          for (const ftmp::Event& ev : drv->take_events()) {
+            const auto* view = std::get_if<ftmp::MembershipChanged>(&ev);
+            if (view && view->reason == ftmp::MembershipChanged::Reason::kFault) {
+              ++fault_views;
+            }
+          }
+        }
+      }
+    };
+    run(std::chrono::milliseconds(300));
+    std::this_thread::sleep_for(std::chrono::nanoseconds(3 * cfg.fault_timeout));
+    run(std::chrono::seconds(1));
+    if (received == 0) {
+      GTEST_SKIP() << "multicast loopback not functional in this environment";
+    }
+    EXPECT_EQ(fault_views, 0u);
+    for (const auto& node : nodes) {
+      EXPECT_EQ(node->stack(0).group(kGroup)->membership().members, members)
+          << "at " << to_string(node->id());
+    }
+#if FTCORBA_METRICS_ENABLED
+    EXPECT_EQ(counter("ftmp_pgmp_suspicions_total"), suspicions);
+#else
+    (void)suspicions;
 #endif
   } catch (const net::TransportError& e) {
     GTEST_SKIP() << "UDP multicast unavailable: " << e.what();
