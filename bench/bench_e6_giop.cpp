@@ -8,10 +8,16 @@
 // Expected shape: IIOP point-to-point is the latency floor (no ordering
 // wait); FTMP replicated invocations cost a few extra simulated
 // milliseconds (bounded by the heartbeat interval) and grow mildly with
-// the replica count — the price of strong replica consistency.
+// the replica count — the price of strong replica consistency. A replica
+// that already holds another replica's reply withholds its own (orb.hpp),
+// so the wire carries about one reply per invocation whatever the replica
+// count; packets per invocation count every datagram multicast during the
+// measured invocations, heartbeats and acks included.
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "ft/replication.hpp"
 #include "orb/iiop_sim.hpp"
@@ -43,8 +49,17 @@ class EchoMachine : public ft::StateMachine {
 };
 
 struct FtmpRow {
+  int clients = 0;
+  int servers = 0;
+  int invocations = 0;
   Samples latency_ms;
+  std::uint64_t packets = 0;     // SimNetwork packets_sent over the invocations
   std::uint64_t suppressed = 0;
+  std::uint64_t withheld = 0;
+
+  [[nodiscard]] double packets_per_invocation() const {
+    return double(packets) / double(invocations);
+  }
 };
 
 FtmpRow run_ftmp_invocations(int server_replicas, int client_replicas, int invocations) {
@@ -83,6 +98,10 @@ FtmpRow run_ftmp_invocations(int server_replicas, int client_replicas, int invoc
   h.run_for(100 * kMillisecond);
 
   FtmpRow row;
+  row.clients = client_replicas;
+  row.servers = server_replicas;
+  row.invocations = invocations;
+  h.network().reset_stats();
   Rng rng(99 + server_replicas);
   for (int i = 0; i < invocations; ++i) {
     // Randomize the phase relative to heartbeat timers so the latency
@@ -106,16 +125,24 @@ FtmpRow run_ftmp_invocations(int server_replicas, int client_replicas, int invoc
                      h.now() + 5 * kSecond);
     h.run_for(2 * kMillisecond);
   }
-  // The last invocation completes on the first reply; its duplicate
-  // replies are still being ordered. Let them reach every member before
-  // reading the counters.
+  row.packets = h.network().stats().packets_sent;
+  // The last invocation completes on the first reply; the copies other
+  // replicas sent are still being ordered. Let them reach every member
+  // before reading the counters.
   h.run_for(50 * kMillisecond);
-  for (ProcessorId p : clients) row.suppressed += orbs[p]->stats().duplicates_suppressed;
-  for (ProcessorId p : servers) row.suppressed += orbs[p]->stats().duplicates_suppressed;
+  for (ProcessorId p : h.processors()) {
+    row.suppressed += orbs[p]->stats().duplicates_suppressed;
+    row.withheld += orbs[p]->stats().replies_withheld;
+  }
   return row;
 }
 
-Samples run_iiop_invocations(int invocations) {
+struct IiopRow {
+  Samples latency_ms;
+  double packets_per_invocation = 0;
+};
+
+IiopRow run_iiop_invocations(int invocations) {
   net::SimNetwork net({}, /*seed=*/4321);
   const ProcessorId kClient{1}, kServer{2};
   const McastAddress kClientInbox{60}, kServerInbox{61};
@@ -159,51 +186,99 @@ Samples run_iiop_invocations(int invocations) {
     }
   };
 
-  Samples latency;
+  IiopRow row;
   for (int i = 0; i < invocations; ++i) {
     const TimePoint sent_at = now;
     bool done = false;
     giop::CdrWriter args;
     args.octet_seq(stamp_payload(sent_at, 64));
     client.invoke(now, kKey, "echo", args, [&](const giop::Reply&) {
-      latency.add(to_ms(now - sent_at));
+      row.latency_ms.add(to_ms(now - sent_at));
       done = true;
     });
     pump();
     while (!done) run_for(1 * kMillisecond);
     run_for(2 * kMillisecond);
   }
-  return latency;
+  row.packets_per_invocation = double(net.stats().packets_sent) / double(invocations);
+  return row;
+}
+
+// Machine-readable rows: per configuration, the latency distribution and
+// the wire cost of an invocation.
+void write_json(const char* path, const IiopRow& iiop, const std::vector<FtmpRow>& rows) {
+  std::FILE* f = std::fopen(path, "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "e6: cannot write %s\n", path);
+    return;
+  }
+  std::fprintf(f, "{\n  \"experiment\": \"e6_giop\",\n  \"rows\": [\n");
+  std::fprintf(f,
+               "    {\"protocol\": \"IIOP\", \"clients\": 1, \"servers\": 1, "
+               "\"mean_ms\": %.3f, \"p50_ms\": %.3f, \"p99_ms\": %.3f, "
+               "\"packets_per_invocation\": %.2f}%s\n",
+               iiop.latency_ms.mean(), iiop.latency_ms.median(),
+               iiop.latency_ms.percentile(99), iiop.packets_per_invocation,
+               rows.empty() ? "" : ",");
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const FtmpRow& r = rows[i];
+    std::fprintf(f,
+                 "    {\"protocol\": \"FTMP\", \"clients\": %d, \"servers\": %d, "
+                 "\"mean_ms\": %.3f, \"p50_ms\": %.3f, \"p99_ms\": %.3f, "
+                 "\"packets_per_invocation\": %.2f, \"suppressed\": %llu, "
+                 "\"withheld\": %llu}%s\n",
+                 r.clients, r.servers, r.latency_ms.mean(), r.latency_ms.median(),
+                 r.latency_ms.percentile(99), r.packets_per_invocation(),
+                 static_cast<unsigned long long>(r.suppressed),
+                 static_cast<unsigned long long>(r.withheld),
+                 i + 1 < rows.size() ? "," : "");
+  }
+  std::fprintf(f, "  ]\n}\n");
+  std::fclose(f);
+  std::printf("wrote %s (%zu rows)\n", path, rows.size() + 1);
 }
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const char* json_path = "BENCH_giop.json";
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) json_path = argv[++i];
+  }
   banner("E6", "GIOP request/reply: replicated FTMP invocation vs point-to-point IIOP");
 
   const int kInvocations = 100;
-  std::printf("%-26s | %9s | %9s | %9s | %11s\n", "configuration", "mean ms",
-              "p50 ms", "p99 ms", "suppressed");
-  std::printf("---------------------------+-----------+-----------+-----------+------------\n");
+  std::printf("%-26s | %9s | %9s | %9s | %9s | %10s | %8s\n", "configuration", "mean ms",
+              "p50 ms", "p99 ms", "pkts/inv", "suppressed", "withheld");
+  std::printf("---------------------------+-----------+-----------+-----------+-----------+"
+              "------------+---------\n");
 
-  const Samples iiop = run_iiop_invocations(kInvocations);
-  std::printf("%-26s | %9.3f | %9.3f | %9.3f | %11s\n", "IIOP 1 client, 1 server",
-              iiop.mean(), iiop.median(), iiop.percentile(99), "-");
+  const IiopRow iiop = run_iiop_invocations(kInvocations);
+  std::printf("%-26s | %9.3f | %9.3f | %9.3f | %9.2f | %10s | %8s\n",
+              "IIOP 1 client, 1 server", iiop.latency_ms.mean(), iiop.latency_ms.median(),
+              iiop.latency_ms.percentile(99), iiop.packets_per_invocation, "-", "-");
 
+  std::vector<FtmpRow> rows;
   for (int servers : {1, 2, 3}) {
     for (int clients : {1, 2}) {
       const FtmpRow row = run_ftmp_invocations(servers, clients, kInvocations);
       char label[64];
       std::snprintf(label, sizeof(label), "FTMP %dc x %ds replicas", clients, servers);
-      std::printf("%-26s | %9.3f | %9.3f | %9.3f | %11llu\n", label,
+      std::printf("%-26s | %9.3f | %9.3f | %9.3f | %9.2f | %10llu | %8llu\n", label,
                   row.latency_ms.mean(), row.latency_ms.median(),
-                  row.latency_ms.percentile(99),
-                  static_cast<unsigned long long>(row.suppressed));
+                  row.latency_ms.percentile(99), row.packets_per_invocation(),
+                  static_cast<unsigned long long>(row.suppressed),
+                  static_cast<unsigned long long>(row.withheld));
+      rows.push_back(row);
     }
   }
-  std::printf("%d invocations each; 64 B echo; LAN 100us. \"suppressed\" counts the\n"
+  std::printf("%d invocations each; 64 B echo; LAN 100us. \"pkts/inv\" counts every\n"
+              "datagram multicast during the invocations. \"suppressed\" counts the\n"
               "duplicate replica requests+replies discarded via <connection id,\n"
-              "request number> (§4) — the mechanism that makes replication exactly-once.\n",
+              "request number> (§4) — the mechanism that makes replication exactly-once;\n"
+              "\"withheld\" counts the replies a replica did not send because it already\n"
+              "held another replica's copy.\n",
               kInvocations);
+  write_json(json_path, iiop, rows);
   return 0;
 }

@@ -6,8 +6,12 @@
 // Model: the application supplies a deterministic StateMachine. Every
 // replica hosts it behind an ActiveReplica servant; because FTMP delivers
 // requests in the same total order everywhere, replica states stay
-// identical, every replica answers every request, and the client-side ORB
-// suppresses the duplicate replies (§4).
+// identical and every replica executes every request. A replica answers
+// unless its stack already holds another replica's reply to that request:
+// virtual synchrony brings that copy to the client even if its sender
+// crashes, so the ORB withholds the answer (orb.hpp) and multicasts it only
+// if the copy is dropped with its sender. The client-side ORB suppresses
+// the duplicate replies of replicas that answer concurrently (§4).
 //
 // Recovery of a new replica uses the total order as a consistent cut:
 //   1. the new processor joins the server processor group (PGMP);

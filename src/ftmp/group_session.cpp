@@ -3,10 +3,28 @@
 #include <algorithm>
 #include <iterator>
 #include <set>
+#include <tuple>
+#include <utility>
 
 #include "common/log.hpp"
 
 namespace ftcorba::ftmp {
+
+namespace {
+
+/// The ⟨connection, request number⟩ prefix of a Regular body, read in
+/// place. Throws CodecError when the body is too short.
+std::pair<ConnectionId, RequestNum> read_regular_key(const Frame& frame) {
+  Reader r(frame.body(), frame.header.byte_order);
+  ConnectionId connection;
+  connection.client_domain = FtDomainId{r.u32()};
+  connection.client_group = ObjectGroupId{r.u32()};
+  connection.server_domain = FtDomainId{r.u32()};
+  connection.server_group = ObjectGroupId{r.u32()};
+  return {connection, r.u64()};
+}
+
+}  // namespace
 
 GroupSession::GroupSession(ProcessorId self, ProcessorGroupId group,
                            McastAddress group_addr, McastAddress domain_addr,
@@ -169,6 +187,36 @@ SendStatus GroupSession::try_send_regular(TimePoint now,
   emit_regular(now, connection, request_num, giop);
   pump(now);
   return SendStatus::kSent;
+}
+
+bool GroupSession::pay_ack_debt(TimePoint now) {
+  if (!active() || config_.ordering_mode == OrderingMode::kLlft || !romp_.ack_owed()) {
+    return false;
+  }
+  send_heartbeat(now);
+  acks_sent_.add();
+  pump(now);  // the debt is paid: disarm its timer
+  return true;
+}
+
+std::vector<HeldCopy> GroupSession::held_copies(const ConnectionId& connection,
+                                                RequestNum request_num) const {
+  std::vector<HeldCopy> out;
+  if (!active()) return out;
+  for (const Frame* frame : ordering_->held_frames()) {
+    if (frame->header.type != MessageType::kRegular || frame->header.source == self_) {
+      continue;
+    }
+    try {
+      if (read_regular_key(*frame) != std::pair{connection, request_num}) continue;
+    } catch (const CodecError&) {
+      continue;  // dropped as malformed at delivery
+    }
+    SharedBytes payload = frame->raw.slice(kHeaderSize + kRegularPrefixSize);
+    if (looks_like_fragment(payload)) continue;
+    out.push_back(HeldCopy{frame->header.source, std::move(payload)});
+  }
+  return out;
 }
 
 bool GroupSession::rebind_address(TimePoint now, McastAddress new_addr) {
@@ -366,20 +414,14 @@ void GroupSession::deliver_ordered(TimePoint now, const Frame& frame) {
       ev.seq = frame.header.sequence_number;
       ev.timestamp = frame.header.message_timestamp;
       ev.delivered_at = now;
-      SharedBytes giop;
       try {
-        Reader r(frame.body(), frame.header.byte_order);
-        ev.connection.client_domain = FtDomainId{r.u32()};
-        ev.connection.client_group = ObjectGroupId{r.u32()};
-        ev.connection.server_domain = FtDomainId{r.u32()};
-        ev.connection.server_group = ObjectGroupId{r.u32()};
-        ev.request_num = r.u64();
+        std::tie(ev.connection, ev.request_num) = read_regular_key(frame);
       } catch (const CodecError& e) {
         FTC_LOG(kWarn) << to_string(self_) << " " << to_string(group_)
                        << ": dropping Regular with malformed body: " << e.what();
         break;
       }
-      giop = frame.raw.slice(kHeaderSize + kRegularPrefixSize);
+      SharedBytes giop = frame.raw.slice(kHeaderSize + kRegularPrefixSize);
       if (looks_like_fragment(giop)) {
         auto whole = reassembler_.feed(frame.header.source, giop);
         if (!whole) break;  // partial (or orphan tail): nothing to deliver yet

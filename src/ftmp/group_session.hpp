@@ -36,6 +36,14 @@ struct Outbox {
   std::vector<Event> events;
 };
 
+/// A Regular message from another member that a session holds: received
+/// in source order and not yet delivered (GroupSession::held_copies).
+struct HeldCopy {
+  ProcessorId source{};
+  /// The encapsulated payload, a zero-copy slice of the arrival buffer.
+  SharedBytes payload;
+};
+
 /// Prompt acknowledgement (OrderingMode::kLamport): a member that owes an
 /// ack (Romp::ack_owed) and has sent nothing else for a while sends a
 /// Heartbeat, so other members' messages wait for this member's ack and
@@ -115,6 +123,12 @@ class GroupSession {
   SendStatus try_send_regular(TimePoint now, const ConnectionId& connection,
                               RequestNum request_num, BytesView giop);
 
+  /// Pays an ack debt (Romp::ack_owed) at once with a Heartbeat, in the
+  /// modes whose delivery waits on acks (every mode but kLlft): what a
+  /// member that skips a send calls so that nobody waits on it longer than
+  /// that send would have made them wait. Returns whether it sent one.
+  bool pay_ack_debt(TimePoint now);
+
   /// Installs (or clears, with nullptr) the queue-watermark listener.
   void set_flow_listener(FlowListener* listener) { flow_listener_ = listener; }
 
@@ -173,6 +187,13 @@ class GroupSession {
   [[nodiscard]] const Pgmp& pgmp() const { return pgmp_; }
   [[nodiscard]] const FlowController& flow() const { return flow_; }
   [[nodiscard]] const Reassembler& reassembler() const { return reassembler_; }
+
+  /// The unfragmented Regulars on `connection` with `request_num` that
+  /// other members sent and the delivery rule holds: they are on their way
+  /// to every member unless their sender leaves the group first. A copy
+  /// that is a fragment never counts.
+  [[nodiscard]] std::vector<HeldCopy> held_copies(const ConnectionId& connection,
+                                                  RequestNum request_num) const;
 
  private:
   /// Stamps, encodes, transmits and (if reliable) stores a message.

@@ -286,6 +286,14 @@ Frame LlftOrdering::deliver_held(Stream& s, std::map<SeqNum, Held>::iterator it,
   return f;
 }
 
+std::vector<const Frame*> LlftOrdering::held_frames() const {
+  std::vector<const Frame*> out;
+  for (const auto& [src, s] : streams_) {
+    for (const auto& [seq, held] : s.held) out.push_back(&held.frame);
+  }
+  return out;
+}
+
 std::vector<Frame> LlftOrdering::collect_deliverable(TimePoint now) {
   std::vector<Frame> out;
   while (!slots_.empty()) {

@@ -72,6 +72,7 @@ class LlftOrdering final : public OrderingPolicy {
   // ---- inputs / delivery ----
   void on_source_ordered(const Frame& frame, TimePoint now) override;
   [[nodiscard]] std::vector<Frame> collect_deliverable(TimePoint now) override;
+  [[nodiscard]] std::vector<const Frame*> held_frames() const override;
   [[nodiscard]] std::vector<Frame> drain_up_to_cut(
       const std::map<ProcessorId, SeqNum>& cuts,
       const std::set<ProcessorId>& survivors) override;

@@ -85,6 +85,13 @@ std::vector<Frame> LamportOrdering::collect_deliverable(TimePoint now) {
   return out;
 }
 
+std::vector<const Frame*> LamportOrdering::held_frames() const {
+  std::vector<const Frame*> out;
+  out.reserve(held_.size());
+  for (const auto& [key, held] : held_) out.push_back(&held.frame);
+  return out;
+}
+
 std::vector<Frame> LamportOrdering::drain_up_to_cut(
     const std::map<ProcessorId, SeqNum>& cuts,
     const std::set<ProcessorId>& survivors) {

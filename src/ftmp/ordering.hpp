@@ -60,6 +60,11 @@ class OrderingPolicy {
     return static_cast<std::size_t>(pending_.value());
   }
 
+  /// Every frame the rule holds (received in source order, not yet
+  /// delivered), in no particular order. Read-only; the pointers are valid
+  /// until the rule next changes.
+  [[nodiscard]] virtual std::vector<const Frame*> held_frames() const = 0;
+
   /// Delivers the old-epoch remainder during a fault-driven membership
   /// change (PGMP §7.2): frames with seq <= cuts[source], in the same
   /// total order on every survivor given the same cuts (PGMP's
@@ -160,6 +165,7 @@ class LamportOrdering final : public OrderingPolicy {
 
   void on_source_ordered(const Frame& frame, TimePoint now) override;
   [[nodiscard]] std::vector<Frame> collect_deliverable(TimePoint now) override;
+  [[nodiscard]] std::vector<const Frame*> held_frames() const override;
   [[nodiscard]] std::vector<Frame> drain_up_to_cut(
       const std::map<ProcessorId, SeqNum>& cuts,
       const std::set<ProcessorId>& survivors) override;

@@ -120,20 +120,40 @@ bool Stack::send(TimePoint now, const ConnectionId& connection, RequestNum reque
   return status == SendStatus::kSent || status == SendStatus::kQueued;
 }
 
-SendStatus Stack::try_send(TimePoint now, const ConnectionId& connection,
-                           RequestNum request_num, BytesView giop) {
-  GroupSession* s = nullptr;
+GroupSession* Stack::session_for(const ConnectionId& connection) const {
   auto it = client_conns_.find(connection);
+  std::optional<ProcessorGroupId> g;
   if (it != client_conns_.end() && it->second.established) {
-    s = this->group(it->second.bound_group);
+    g = it->second.bound_group;
   } else if (serve_group_) {
     // Server replicas reply over the group that serves the connection.
-    s = this->group(*serve_group_);
+    g = serve_group_;
   }
+  if (!g) return nullptr;
+  auto s = sessions_.find(*g);
+  return s == sessions_.end() ? nullptr : s->second.get();
+}
+
+SendStatus Stack::try_send(TimePoint now, const ConnectionId& connection,
+                           RequestNum request_num, BytesView giop) {
+  GroupSession* s = session_for(connection);
   if (!s) return SendStatus::kInactive;
   const SendStatus status = s->try_send_regular(now, connection, request_num, giop);
   observe_events(now);
   return status;
+}
+
+std::vector<HeldCopy> Stack::held_copies(const ConnectionId& connection,
+                                         RequestNum request_num) const {
+  const GroupSession* s = session_for(connection);
+  return s ? s->held_copies(connection, request_num) : std::vector<HeldCopy>{};
+}
+
+bool Stack::pay_ack_debt(TimePoint now, const ConnectionId& connection) {
+  GroupSession* s = session_for(connection);
+  if (!s || !s->pay_ack_debt(now)) return false;
+  observe_events(now);
+  return true;
 }
 
 bool Stack::send_state(TimePoint now, ProcessorGroupId group, Body body) {

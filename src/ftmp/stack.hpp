@@ -139,6 +139,16 @@ class Stack {
   SendStatus try_send(TimePoint now, const ConnectionId& connection,
                       RequestNum request_num, BytesView giop);
 
+  /// The Regulars on `connection` with `request_num` that other members
+  /// sent and this processor holds undelivered
+  /// (GroupSession::held_copies); empty without a ready connection.
+  [[nodiscard]] std::vector<HeldCopy> held_copies(const ConnectionId& connection,
+                                                  RequestNum request_num) const;
+
+  /// Pays this processor's ack debt on the group that carries `connection`
+  /// at once (GroupSession::pay_ack_debt); false if none was owed.
+  bool pay_ack_debt(TimePoint now, const ConnectionId& connection);
+
   /// Multicasts a state-transfer body (StateRequest / StateChunk /
   /// StateDigest, docs/RECOVERY.md) on `group`'s reliable source-ordered
   /// path. Returns false if the group has no active session here.
@@ -206,6 +216,10 @@ class Stack {
   /// OrderingPolicy::batches_wait with no — an LLFT member that is not
   /// leading (docs/BATCHING.md). The domain address always waits.
   [[nodiscard]] bool batch_waits(McastAddress addr) const;
+
+  /// The session a connection's traffic goes out on: the group a client
+  /// connection is bound to, or the serving group (nullptr if neither).
+  [[nodiscard]] GroupSession* session_for(const ConnectionId& connection) const;
 
   void on_frame(TimePoint now, const SharedBytes& payload);
   void send_connect_request(TimePoint now, const ConnectionId& conn, ClientConn& state);

@@ -15,6 +15,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 
 #include "common/bytes.hpp"
 #include "common/clock.hpp"
@@ -97,7 +98,7 @@ class IiopEndpoint {
 
   TcpSimEndpoint channel_;
   ByteOrder byte_order_;
-  std::map<ObjectKey, std::shared_ptr<Servant>> servants_;
+  std::unordered_map<ObjectKey, std::shared_ptr<Servant>> servants_;
   std::uint32_t next_request_id_ = 0;
   std::map<std::uint32_t, std::function<void(const giop::Reply&)>> handlers_;
 };

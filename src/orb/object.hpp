@@ -21,7 +21,6 @@ struct ObjectKey {
   [[nodiscard]] std::string str() const { return std::string(key.begin(), key.end()); }
 
   friend bool operator==(const ObjectKey&, const ObjectKey&) = default;
-  friend auto operator<=>(const ObjectKey&, const ObjectKey&) = default;
 };
 
 /// A reference to a replicated object: which fault-tolerance domain and

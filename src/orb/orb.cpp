@@ -26,6 +26,16 @@ Orb::Orb(ftmp::Stack& stack, ByteOrder byte_order)
       "Client invocations refused while the connection's group was over its "
       "flow-control high watermark",
       "requests", "giop");
+  metrics_.replies_withheld = metrics::Counter(
+      "giop_replies_withheld_total",
+      "Replies not multicast because the stack already held another "
+      "replica's copy",
+      "replies", "giop");
+  metrics_.replies_released = metrics::Counter(
+      "giop_replies_released_total",
+      "Withheld replies multicast after all: every held copy was dropped "
+      "undelivered when its sender left the group",
+      "replies", "giop");
   metrics_.request_reply_ms = metrics::histogram(
       "giop_request_reply_latency_ms",
       "Invoke-to-reply completion latency through the full FTMP stack", "ms",
@@ -111,6 +121,15 @@ std::optional<RequestNum> Orb::locate(TimePoint now, const ConnectionId& connect
 }
 
 void Orb::on_event(TimePoint now, const ftmp::Event& event) {
+  if (const auto* change = std::get_if<ftmp::MembershipChanged>(&event)) {
+    on_membership_changed(now, *change);
+    return;
+  }
+  if (const auto* evicted = std::get_if<ftmp::SelfEvicted>(&event)) {
+    // No copy can be delivered here any more, and no reply sent.
+    std::erase_if(withheld_, [&](const auto& e) { return e.second.group == evicted->group; });
+    return;
+  }
   const auto* dm = std::get_if<ftmp::DeliveredMessage>(&event);
   if (!dm) return;
 
@@ -145,6 +164,7 @@ void Orb::on_event(TimePoint now, const ftmp::Event& event) {
       if (!dedup_.accept(dm->connection, dm->request_num, ft::MessageKind::kReply)) {
         return;
       }
+      withheld_.erase({dm->connection, dm->request_num});
       if (log_) {
         log_->record(ft::LogEntry{ft::MessageKind::kReply, dm->connection,
                                   dm->request_num, dm->timestamp, dm->giop_message});
@@ -155,6 +175,7 @@ void Orb::on_event(TimePoint now, const ftmp::Event& event) {
       if (!dedup_.accept(dm->connection, dm->request_num, ft::MessageKind::kReply)) {
         return;
       }
+      withheld_.erase({dm->connection, dm->request_num});
       if (auto done = take<LocateHandler>({dm->connection, dm->request_num})) {
         std::get<LocateHandler>(done->handler)(std::get<giop::LocateReply>(msg.body).status);
       }
@@ -239,9 +260,7 @@ void Orb::handle_request(TimePoint now, const ftmp::DeliveredMessage& dm,
   giop::GiopMessage msg;
   msg.header.byte_order = byte_order_;
   msg.body = std::move(reply);
-  // Same connection id and request number as the request (§4): the pair
-  // also matches the reply to the request when replaying from a log.
-  (void)stack_.send(now, dm.connection, dm.request_num, giop::encode(msg));
+  send_reply(now, dm, std::move(msg));
 }
 
 void Orb::handle_locate_request(TimePoint now, const ftmp::DeliveredMessage& dm,
@@ -255,7 +274,55 @@ void Orb::handle_locate_request(TimePoint now, const ftmp::DeliveredMessage& dm,
   giop::GiopMessage msg;
   msg.header.byte_order = byte_order_;
   msg.body = std::move(reply);
-  (void)stack_.send(now, dm.connection, dm.request_num, giop::encode(msg));
+  send_reply(now, dm, std::move(msg));
+}
+
+void Orb::send_reply(TimePoint now, const ftmp::DeliveredMessage& dm,
+                     giop::GiopMessage&& reply) {
+  Bytes bytes = giop::encode(reply);
+  // Another replica's copy that the stack holds reaches every member that
+  // survives with this one — even if its sender crashes, since the install
+  // cut covers what any survivor holds — so sending this one would only
+  // add a duplicate.
+  std::set<ProcessorId> copies;
+  const giop::MsgType type = giop::type_of(reply.body);
+  for (const ftmp::HeldCopy& copy : stack_.held_copies(dm.connection, dm.request_num)) {
+    try {
+      if (giop::decode(copy.payload).header.type == type) copies.insert(copy.source);
+    } catch (const giop::CdrError&) {
+      // Not a GIOP message: the client could not use it either.
+    }
+  }
+  if (copies.empty()) {
+    // Same connection id and request number as the request (§4): the pair
+    // also matches the reply to the request when replaying from a log.
+    (void)stack_.send(now, dm.connection, dm.request_num, bytes);
+    return;
+  }
+  metrics_.replies_withheld.add();
+  withheld_.insert_or_assign({dm.connection, dm.request_num},
+                             Withheld{dm.group, std::move(copies), std::move(bytes)});
+  // The reply would have acknowledged everything this member holds: pay
+  // that ack now, so that no member waits on this one any longer.
+  (void)stack_.pay_ack_debt(now, dm.connection);
+}
+
+void Orb::on_membership_changed(TimePoint now, const ftmp::MembershipChanged& change) {
+  // Events come in delivery order, so a copy whose sender left before any
+  // Reply to its request was delivered here was dropped undelivered.
+  for (auto it = withheld_.begin(); it != withheld_.end();) {
+    Withheld& w = it->second;
+    if (w.group == change.group) {
+      for (ProcessorId gone : change.left) w.copies.erase(gone);
+    }
+    if (!w.copies.empty()) {
+      ++it;
+      continue;
+    }
+    (void)stack_.send(now, it->first.first, it->first.second, w.reply);
+    metrics_.replies_released.add();
+    it = withheld_.erase(it);
+  }
 }
 
 void Orb::handle_reply(TimePoint now, const giop::Reply& reply,

@@ -5,7 +5,14 @@
 // Server side: servants are activated under object keys; every delivered
 // GIOP Request (after duplicate suppression) is dispatched in total order
 // and the marshaled Reply is multicast back on the same connection with
-// the same request number.
+// the same request number — unless the stack already holds another
+// replica's Reply to that request, received in source order and not yet
+// delivered. Virtual synchrony then brings that copy to every member, so
+// the reply is withheld and the member pays any ack debt it owes instead,
+// at once. A withheld reply waits in one record until a Reply to its
+// request is delivered; if a membership change shows that every held copy
+// was dropped undelivered (its sender left ahead of it), it is multicast
+// after all.
 //
 // Client side: invoke() marshals a Request, assigns the next request
 // number on the connection (all client replicas issue the same
@@ -18,6 +25,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <variant>
@@ -42,6 +50,8 @@ struct OrbStats {
   std::uint64_t undecodable_payloads = 0;  ///< non-GIOP Regular bodies dropped
   std::uint64_t unknown_objects = 0;       ///< Requests for unregistered keys
   std::uint64_t requests_deferred = 0;     ///< invocations refused under backpressure
+  std::uint64_t replies_withheld = 0;      ///< replies not sent: another replica's was held
+  std::uint64_t replies_released = 0;      ///< withheld replies sent after all
 };
 
 /// The per-processor ORB, layered over one FTMP stack.
@@ -103,9 +113,13 @@ class Orb {
 
   // ---- event pump ----
 
-  /// Feeds one FTMP event (wire this to the stack driver). Only
-  /// DeliveredMessage events are consumed; everything else is ignored here.
+  /// Feeds one FTMP event (wire this to the stack driver). DeliveredMessage
+  /// events are dispatched; MembershipChanged and SelfEvicted events end or
+  /// release withheld replies; everything else is ignored here.
   void on_event(TimePoint now, const ftmp::Event& event);
+
+  /// Replies withheld and not yet ended by a delivered Reply or released.
+  [[nodiscard]] std::size_t withheld_replies() const { return withheld_.size(); }
 
   /// The duplicate suppressor (exposed for tests and the E6 bench).
   [[nodiscard]] const ft::DuplicateSuppressor& dedup() const { return dedup_; }
@@ -118,7 +132,8 @@ class Orb {
   [[nodiscard]] OrbStats stats() const {
     return {metrics_.requests_dispatched.value(), metrics_.replies_completed.value(),
             dedup_.stats().suppressed.value(), metrics_.undecodable.value(),
-            metrics_.unknown_objects.value(), metrics_.requests_deferred.value()};
+            metrics_.unknown_objects.value(), metrics_.requests_deferred.value(),
+            metrics_.replies_withheld.value(), metrics_.replies_released.value()};
   }
 
   /// The underlying stack.
@@ -140,9 +155,29 @@ class Orb {
     std::optional<Deadline> deadline{};
   };
 
+  // A reply this replica withheld because the stack held other members'
+  // copies of it, under the pair that names its request. A delivered Reply
+  // or LocateReply to that request ends it; it is released (multicast)
+  // once every copy's sender has left the group with the copy undelivered,
+  // and dropped if this processor leaves the group.
+  struct Withheld {
+    ProcessorGroupId group{};
+    std::set<ProcessorId> copies;  // senders of the held copies
+    Bytes reply;                   // the encoded GIOP message
+  };
+
   /// Ends invocation `id` if it awaits an `H`: erases its record and returns it.
   template <typename H>
   [[nodiscard]] std::optional<Pending> take(const InvocationId& id);
+
+  /// Multicasts `reply` (a Reply or LocateReply) on the delivered request's
+  /// connection, or withholds it if the stack holds another member's copy.
+  void send_reply(TimePoint now, const ftmp::DeliveredMessage& dm,
+                  giop::GiopMessage&& reply);
+
+  /// Releases the withheld replies whose every copy's sender left
+  /// `change.group`, and forgets those senders' copies.
+  void on_membership_changed(TimePoint now, const ftmp::MembershipChanged& change);
 
   void handle_request(TimePoint now, const ftmp::DeliveredMessage& dm,
                       const giop::Request& request, ByteOrder arg_order);
@@ -158,6 +193,7 @@ class Orb {
   std::unordered_map<ObjectKey, std::shared_ptr<Servant>> servants_;
   std::map<ConnectionId, RequestNum> request_counters_;
   std::map<InvocationId, Pending> pending_;
+  std::map<InvocationId, Withheld> withheld_;
   ft::DuplicateSuppressor dedup_;
   ft::MessageLog* log_ = nullptr;
 
@@ -169,6 +205,8 @@ class Orb {
     metrics::Counter undecodable;
     metrics::Counter unknown_objects;
     metrics::Counter requests_deferred;
+    metrics::Counter replies_withheld;
+    metrics::Counter replies_released;
     metrics::HistogramHandle request_reply_ms;
   };
   Instruments metrics_;

@@ -70,17 +70,14 @@ TEST(Codec, ReadPastEndThrows) {
 }
 
 TEST(Codec, TruncatedStringThrows) {
-  Writer w;
-  w.u32(100);  // claims 100 bytes follow
-  w.raw(bytes_of("short"));
-  Reader r(w.bytes());
+  const Bytes buf = {0, 0, 0, 100, 's', 'h', 'o', 'r', 't'};  // claims 100 bytes follow
+  Reader r(buf);
   EXPECT_THROW((void)r.str(), CodecError);
 }
 
 TEST(Codec, BlobLengthOverflowGuard) {
-  Writer w;
-  w.u32(0xFFFFFFFF);
-  Reader r(w.bytes());
+  const Bytes buf = {0xFF, 0xFF, 0xFF, 0xFF};  // claims 4 GiB follow
+  Reader r(buf);
   EXPECT_THROW((void)r.blob(), CodecError);
 }
 
@@ -101,10 +98,8 @@ TEST(Codec, PatchOutOfRangeThrows) {
 }
 
 TEST(Codec, SkipAndRest) {
-  Writer w;
-  w.u32(1);
-  w.raw(bytes_of("payload"));
-  Reader r(w.bytes());
+  const Bytes buf = {0, 0, 0, 1, 'p', 'a', 'y', 'l', 'o', 'a', 'd'};
+  Reader r(buf);
   r.skip(4);
   EXPECT_EQ(r.remaining(), 7u);
   const auto rest = r.rest();

@@ -54,6 +54,17 @@ class SumMachine : public ft::StateMachine {
   std::int64_t sum_ = 0;
 };
 
+/// GIOP Replies delivered at `p`: every reply a replica multicast, when
+/// `p` misses none of them.
+std::uint64_t replies_delivered(const ftmp::SimHarness& h, ProcessorId p) {
+  std::uint64_t n = 0;
+  for (const ftmp::Event& ev : h.events(p)) {
+    const auto* dm = std::get_if<ftmp::DeliveredMessage>(&ev);
+    if (dm && giop::decode(dm->giop_message).header.type == giop::MsgType::kReply) ++n;
+  }
+  return n;
+}
+
 std::uint64_t registry_counter(const std::string& name) {
   for (const metrics::Sample& s : metrics::snapshot()) {
     if (s.name == name) return s.counter;
@@ -92,17 +103,27 @@ TEST(CounterFleet, InstanceTalliesSumToTheRegistryCounter) {
 
   constexpr int kCalls = 40;
   int replies = 0;
+  std::map<int, std::vector<std::int64_t>> results;  // call -> each completion's sum
   for (int i = 1; i <= kCalls; ++i) {
     giop::CdrWriter args;
     args.longlong_(i);
     while (!orbs[kClient]->invoke(h.now(), conn(), kKey, "add", args,
-                                  [&replies](const giop::Reply&, ByteOrder) { ++replies; })) {
+                                  [&replies, &results, i](const giop::Reply& reply,
+                                                          ByteOrder order) {
+                                    ++replies;
+                                    giop::CdrReader r(reply.body, order);
+                                    results[i].push_back(r.longlong_());
+                                  })) {
       h.run_for(kMillisecond);  // deferred under backpressure: retry
     }
     if (i % 4 == 0) h.run_for(2 * kMillisecond);
   }
   ASSERT_TRUE(h.run_until_pred([&] { return replies == kCalls; }, h.now() + 10 * kSecond));
   h.run_for(500 * kMillisecond);
+  // Each call completed once, with the running sum 1 + ... + i.
+  for (int i = 1; i <= kCalls; ++i) {
+    EXPECT_EQ(results[i], (std::vector<std::int64_t>{i * (i + 1) / 2})) << "call " << i;
+  }
 
   std::map<std::string, std::uint64_t> tallies;
   // The connection may be bound to the server group itself.
@@ -146,6 +167,9 @@ TEST(CounterFleet, InstanceTalliesSumToTheRegistryCounter) {
     tallies["giop_undecodable_payloads_total"] += o.undecodable_payloads;
     tallies["giop_unknown_objects_total"] += o.unknown_objects;
     tallies["giop_requests_deferred_total"] += o.requests_deferred;
+    tallies["giop_replies_withheld_total"] += o.replies_withheld;
+    tallies["giop_replies_released_total"] += o.replies_released;
+    EXPECT_EQ(orbs[p]->withheld_replies(), 0u) << "a withheld reply never ended at " << p.raw();
     const ft::DedupStats& d = orbs[p]->dedup().stats();
     tallies["ft_dedup_accepted_total"] += d.accepted.value();
     tallies["ft_dedup_suppressed_total"] += d.suppressed.value();
@@ -160,7 +184,12 @@ TEST(CounterFleet, InstanceTalliesSumToTheRegistryCounter) {
   EXPECT_GT(tallies["ftmp_rmp_retransmit_requests_sent_total"], 0u);
   EXPECT_GT(tallies["ftmp_flow_pacing_stalls_total"], 0u);
   EXPECT_EQ(tallies["giop_requests_dispatched_total"], 3u * kCalls);
-  EXPECT_GE(tallies["ft_dedup_suppressed_total"], 2u * kCalls);
+  // Every dispatch either multicast its reply or withheld it because
+  // another replica's copy was on its way; a released reply was multicast.
+  EXPECT_EQ(replies_delivered(h, kClient) + tallies["giop_replies_withheld_total"] -
+                tallies["giop_replies_released_total"],
+            tallies["giop_requests_dispatched_total"]);
+  EXPECT_GT(tallies["giop_replies_withheld_total"], 0u);
 }
 
 std::int64_t registry_gauge(const std::string& name) {

@@ -1,9 +1,11 @@
 // End-to-end tests of the GIOP mapping (§3, §4): replicated invocations
-// over FTMP with duplicate suppression, replica state consistency, and
-// recovery of a new replica through the ordered get-state cut.
+// over FTMP with duplicate suppression, replica state consistency,
+// recovery of a new replica through the ordered get-state cut, and
+// replies withheld by a replica that already holds another one's copy.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "ft/replication.hpp"
 #include "ftmp/sim_harness.hpp"
@@ -28,6 +30,17 @@ ConnectionId client_conn() {
 }
 ConnectionId recovery_conn() {
   return ConnectionId{kServerDomain, ObjectGroupId{20}, kServerDomain, ObjectGroupId{20}};
+}
+
+/// GIOP Replies delivered at `p`: every reply a replica multicast, when
+/// `p` misses none of them.
+std::uint64_t replies_delivered(const SimHarness& h, ProcessorId p) {
+  std::uint64_t n = 0;
+  for (const Event& ev : h.events(p)) {
+    const auto* dm = std::get_if<ftmp::DeliveredMessage>(&ev);
+    if (dm && giop::decode(dm->giop_message).header.type == giop::MsgType::kReply) ++n;
+  }
+  return n;
 }
 
 /// Deterministic counter: "add"(longlong delta) -> new value; "get" -> value.
@@ -69,6 +82,7 @@ struct World {
   std::map<ProcessorId, std::unique_ptr<orb::Orb>> orbs;
   std::map<ProcessorId, std::shared_ptr<CounterMachine>> machines;
   std::map<ProcessorId, std::shared_ptr<ft::ActiveReplica>> replicas;
+  int completions = 0;  // reply handlers run, over every client replica
 
   explicit World(net::LinkModel link = {}, std::uint64_t seed = 11) : h(link, seed) {
     for (ProcessorId p : servers) h.add_processor(p, kServerDomain, kServerDomainAddr);
@@ -115,9 +129,10 @@ struct World {
       args.longlong_(delta);
       auto sent = orbs[p]->invoke(
           h.now(), client_conn(), kCounterKey, "add", args,
-          [&results, p](const giop::Reply& reply, ByteOrder order) {
+          [this, &results, p](const giop::Reply& reply, ByteOrder order) {
             giop::CdrReader r(reply.body, order);
             results[p] = r.longlong_();
+            ++completions;
           });
       EXPECT_TRUE(sent.has_value());
     }
@@ -151,15 +166,24 @@ TEST(OrbReplication, SequenceOfInvocationsStaysConsistent) {
     EXPECT_EQ(w.replicated_add(i), expected);
   }
   w.h.run_for(300 * kMillisecond);
+  // Each client replica completed each invocation once (a late copy of a
+  // reply runs no handler).
+  EXPECT_EQ(w.completions, 10 * static_cast<int>(w.clients.size()));
+  std::uint64_t dispatched = 0, withheld = 0, released = 0;
   for (ProcessorId p : w.servers) {
     EXPECT_EQ(w.machines[p]->value(), expected);
     EXPECT_EQ(w.replicas[p]->applied(), 10u);
+    const orb::OrbStats s = w.orbs[p]->stats();
+    dispatched += s.requests_dispatched;
+    withheld += s.replies_withheld;
+    released += s.replies_released;
+    EXPECT_EQ(w.orbs[p]->withheld_replies(), 0u) << "a withheld reply never ended";
   }
-  // Replies from 3 server replicas: 2 duplicates suppressed per request at
-  // each client.
-  for (ProcessorId p : w.clients) {
-    EXPECT_GE(w.orbs[p]->stats().duplicates_suppressed, 10u);
-  }
+  EXPECT_EQ(dispatched, 30u);
+  // Every dispatch either multicast its reply or withheld it because
+  // another replica's copy was on its way; a released reply was multicast.
+  EXPECT_EQ(replies_delivered(w.h, w.clients[0]) + withheld - released, dispatched);
+  EXPECT_GT(withheld, 0u);
 }
 
 TEST(OrbReplication, SurvivesServerReplicaCrash) {
@@ -218,6 +242,159 @@ TEST(OrbReplication, NewReplicaRecoversThroughOrderedCut) {
   w.h.run_for(300 * kMillisecond);
   EXPECT_EQ(machine4->value(), 124);
 }
+
+// ---- withheld replies ----
+//
+// The server group is {P1, P2, P3}; only P2 and P3 host the counter, and
+// P1's datagrams reach P3 2 ms late. In both engines P2 then delivers a
+// request and replies before P3 delivers it (Lamport: P3 waits for P1's
+// ack; LLFT: for P1's grant), so P3 finds P2's reply held and withholds
+// its own. P2's datagrams reach P1 10 ms late, so an LLFT leader orders
+// anything sent within 10 ms of P2's reply ahead of it.
+
+constexpr ProcessorId kClient{10};
+constexpr ProcessorId kReplier{2};
+constexpr ProcessorId kWithholder{3};
+
+struct WithholdWorld {
+  SimHarness h;
+  std::map<ProcessorId, std::unique_ptr<orb::Orb>> orbs;
+  std::map<ProcessorId, std::shared_ptr<CounterMachine>> machines;
+
+  explicit WithholdWorld(ftmp::OrderingMode mode) : h({}, 32) {
+    ftmp::Config config;
+    config.ordering_mode = mode;
+    const std::vector<ProcessorId> servers{ProcessorId{1}, kReplier, kWithholder};
+    for (ProcessorId p : servers) h.add_processor(p, kServerDomain, kServerDomainAddr, config);
+    h.add_processor(kClient, kClientDomain, kClientDomainAddr, config);
+    for (ProcessorId p : h.processors()) {
+      orbs[p] = std::make_unique<orb::Orb>(h.stack(p));
+      orb::Orb* o = orbs[p].get();
+      h.set_event_handler(p, [o](TimePoint t, const Event& ev) { o->on_event(t, ev); });
+    }
+    for (ProcessorId p : servers) {
+      h.stack(p).create_group(h.now(), kServerGroup, kServerGroupAddr, servers);
+      h.stack(p).serve_connections(kServerGroup);
+    }
+    for (ProcessorId p : {kReplier, kWithholder}) {
+      machines[p] = std::make_shared<CounterMachine>();
+      orbs[p]->activate(kCounterKey, std::make_shared<ft::ActiveReplica>(machines[p]));
+    }
+    h.stack(kClient).open_connection(h.now(), client_conn(), kServerDomainAddr, {kClient});
+    EXPECT_TRUE(h.run_until_pred(
+        [&] {
+          if (!h.stack(kClient).connection_ready(client_conn())) return false;
+          for (ProcessorId p : servers) {
+            if (!h.stack(p).group(kServerGroup)->is_member(kClient)) return false;
+          }
+          return true;
+        },
+        h.now() + 5 * kSecond));
+    h.run_for(50 * kMillisecond);
+    net::LinkModel late;
+    late.delay = 2 * kMillisecond;
+    h.network().set_link(ProcessorId{1}, kWithholder, late);
+    late.delay = 10 * kMillisecond;
+    h.network().set_link(kReplier, ProcessorId{1}, late);
+  }
+
+  /// Invokes "add"(delta) from the client; `results` collects each
+  /// completion's value.
+  void add(std::int64_t delta, std::vector<std::int64_t>& results) {
+    giop::CdrWriter args;
+    args.longlong_(delta);
+    ASSERT_TRUE(orbs[kClient]->invoke(h.now(), client_conn(), kCounterKey, "add", args,
+                                      [&results](const giop::Reply& reply, ByteOrder order) {
+                                        giop::CdrReader r(reply.body, order);
+                                        results.push_back(r.longlong_());
+                                      }));
+  }
+
+  /// Runs until the withholder has withheld `n` replies in all.
+  bool run_until_withheld(std::uint64_t n) {
+    return h.run_until_pred(
+        [&] { return orbs[kWithholder]->stats().replies_withheld == n; },
+        h.now() + kSecond);
+  }
+
+  void set_links_to_client(bool blocked, const std::vector<ProcessorId>& from) {
+    for (ProcessorId p : from) {
+      if (blocked) {
+        h.network().block_link(p, kClient);
+      } else {
+        h.network().unblock_link(p, kClient);
+      }
+    }
+  }
+};
+
+class WithheldReply : public ::testing::TestWithParam<ftmp::OrderingMode> {};
+
+TEST_P(WithheldReply, ACopyHeldBySurvivorsReachesTheClientWhenItsSenderCrashes) {
+  WithholdWorld w(GetParam());
+  std::vector<std::int64_t> results;
+  w.add(5, results);
+  ASSERT_TRUE(w.h.run_until_pred([&] { return results.size() == 1; }, w.h.now() + kSecond));
+  EXPECT_EQ(w.orbs[kReplier]->stats().replies_withheld, 0u);
+  EXPECT_EQ(w.orbs[kWithholder]->stats().replies_withheld, 1u);
+  w.h.run_for(100 * kMillisecond);
+  EXPECT_EQ(w.orbs[kWithholder]->withheld_replies(), 0u) << "ends when the copy is delivered";
+
+  // The only reply the second invocation gets is lost at the client, and
+  // its sender crashes right after the withholder withheld its own.
+  w.set_links_to_client(true, {kReplier});
+  w.add(7, results);
+  ASSERT_TRUE(w.run_until_withheld(2));
+  EXPECT_EQ(w.orbs[kReplier]->stats().requests_dispatched, 2u);
+  EXPECT_EQ(w.orbs[kReplier]->stats().replies_withheld, 0u);
+  EXPECT_EQ(results.size(), 1u);
+  w.h.crash(kReplier);
+
+  // The survivors install a view without it whose cut covers the copy they
+  // hold; the client fetches it from them and completes, and the withheld
+  // reply ends with the copy's delivery instead of being released.
+  ASSERT_TRUE(w.h.run_until_pred([&] { return results.size() == 2; }, w.h.now() + 2 * kSecond));
+  w.h.run_for(300 * kMillisecond);
+  EXPECT_EQ(results, (std::vector<std::int64_t>{5, 12}));
+  EXPECT_EQ(w.machines[kWithholder]->value(), 12);
+  EXPECT_EQ(w.orbs[kWithholder]->stats().replies_released, 0u);
+  EXPECT_EQ(w.orbs[kWithholder]->withheld_replies(), 0u);
+}
+
+TEST_P(WithheldReply, ReleasedWhenItsCopyIsDroppedUndelivered) {
+  WithholdWorld w(GetParam());
+  // The client hears nothing until it has asked for the replier's removal,
+  // so its RemoveProcessor is stamped just above its request and below the
+  // replier's reply, and (in LLFT) reaches the leader ahead of that reply.
+  const std::vector<ProcessorId> servers{ProcessorId{1}, kReplier, kWithholder};
+  w.set_links_to_client(true, servers);
+  std::vector<std::int64_t> results;
+  w.add(5, results);
+  ASSERT_TRUE(w.run_until_withheld(1));
+  EXPECT_EQ(w.orbs[kReplier]->stats().requests_dispatched, 1u);
+  EXPECT_EQ(w.orbs[kReplier]->stats().replies_withheld, 0u);
+  ASSERT_TRUE(w.h.stack(kClient).remove_processor(w.h.now(), kServerGroup, kReplier));
+  w.h.run_for(kMillisecond);
+  w.set_links_to_client(false, servers);
+
+  // Every member orders the removal ahead of the reply, which is dropped
+  // with its sender; the withholder then multicasts its own reply.
+  ASSERT_TRUE(w.h.run_until_pred([&] { return results.size() == 1; }, w.h.now() + 2 * kSecond));
+  w.h.run_for(300 * kMillisecond);
+  EXPECT_EQ(results, (std::vector<std::int64_t>{5}));
+  EXPECT_FALSE(w.h.stack(kWithholder).group(kServerGroup)->is_member(kReplier));
+  EXPECT_EQ(w.orbs[kWithholder]->stats().replies_released, 1u);
+  EXPECT_EQ(w.orbs[kWithholder]->withheld_replies(), 0u);
+  EXPECT_EQ(w.orbs[kClient]->stats().duplicates_suppressed, 0u)
+      << "the client never delivers the dropped copy";
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, WithheldReply,
+                         ::testing::Values(ftmp::OrderingMode::kLamport,
+                                           ftmp::OrderingMode::kLlft),
+                         [](const ::testing::TestParamInfo<ftmp::OrderingMode>& param) {
+                           return std::string(to_string(param.param));
+                         });
 
 }  // namespace
 }  // namespace ftcorba

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <unordered_set>
 
 #include "common/rng.hpp"
 #include "ftmp/sim_harness.hpp"
@@ -174,12 +176,14 @@ TEST_P(ChurnProperties, InvariantsUnderChurn) {
   // dropped — §7's cut semantics.)
   const auto reference = h.delivered(stable[0], kGroup);
   EXPECT_LE(reference.size(), sent);
-  std::set<Bytes> delivered_payloads;
-  for (const auto& m : reference) delivered_payloads.insert(Bytes(m.giop_message.begin(), m.giop_message.end()));
+  std::unordered_set<std::string> delivered_payloads;
+  for (const auto& m : reference) {
+    delivered_payloads.emplace(m.giop_message.begin(), m.giop_message.end());
+  }
   const std::set<ProcessorId> final_set(final_members.begin(), final_members.end());
   for (const auto& [sender, payload] : sent_log) {
     if (final_set.contains(sender)) {
-      EXPECT_TRUE(delivered_payloads.contains(payload))
+      EXPECT_TRUE(delivered_payloads.contains(std::string(payload.begin(), payload.end())))
           << "message from surviving member " << to_string(sender) << " lost";
     }
   }
