@@ -66,9 +66,9 @@ int main() {
   }
   pump_all(300 * kMillisecond);
 
-  std::vector<std::vector<std::string>> transcripts(drivers.size());
-  for (std::size_t i = 0; i < drivers.size(); ++i) {
-    for (const Event& ev : drivers[i]->take_events()) {
+  std::vector<std::vector<std::string>> transcripts(nodes.size());
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    for (const Event& ev : nodes[i]->take_events()) {
       if (const auto* m = std::get_if<DeliveredMessage>(&ev)) {
         transcripts[i].emplace_back(m->giop_message.begin(), m->giop_message.end());
       }

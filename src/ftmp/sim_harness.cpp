@@ -4,6 +4,20 @@
 
 namespace ftcorba::ftmp {
 
+namespace {
+// Joins::transmit's port for one simulated node at one step.
+struct SimPort {
+  net::SimNetwork& net;
+  ProcessorId id;
+  TimePoint now;
+  void join(McastAddress addr) { net.subscribe(id, addr); }
+  void leave(McastAddress addr) { net.unsubscribe(id, addr); }
+  void send_many(const std::vector<net::Datagram>& egress) {
+    for (const net::Datagram& d : egress) net.send(now, id, d);
+  }
+};
+}  // namespace
+
 SimHarness::SimHarness(net::LinkModel link, std::uint64_t seed, Duration granularity)
     : net_(link, seed), granularity_(granularity), next_tick_(granularity) {}
 
@@ -16,7 +30,7 @@ Stack& SimHarness::add_processor(ProcessorId id, FtDomainId domain,
                .config = config});
   if (!inserted) throw std::invalid_argument("duplicate processor id");
   net_.attach(id);
-  sync_subscriptions(id, it->second);
+  flush(id, it->second);
   return *it->second.stack;
 }
 
@@ -36,7 +50,7 @@ Stack& SimHarness::restart(ProcessorId id) {
   p.events.clear();  // a fresh process has an empty event log
   p.crashed = false;
   net_.revive(id);
-  sync_subscriptions(id, p);
+  flush(id, p);  // leaves every address the old incarnation had joined
   return *p.stack;
 }
 
@@ -50,28 +64,17 @@ Stack& SimHarness::stack(ProcessorId id) {
   return *it->second.stack;
 }
 
-void SimHarness::sync_subscriptions(ProcessorId id, const Proc& p) {
-  for (McastAddress addr : p.stack->subscriptions()) {
-    net_.subscribe(id, addr);
-  }
-}
-
 void SimHarness::flush(ProcessorId id, Proc& p) {
   Stack& s = *p.stack;
-  for (net::Datagram& d : s.take_packets()) {
-    net_.send(now_, id, d);
-  }
   auto evs = s.take_events();
   if (p.handler) {
     for (const Event& ev : evs) p.handler(now_, ev);
-    // The handler may have sent through the stack: transmit those too.
-    for (net::Datagram& d : s.take_packets()) {
-      net_.send(now_, id, d);
-    }
   }
   p.events.insert(p.events.end(), std::make_move_iterator(evs.begin()),
                   std::make_move_iterator(evs.end()));
-  sync_subscriptions(id, p);
+  // One drain per step, after the handler's sends, as a UDP poll does.
+  SimPort port{net_, id, now_};
+  p.joins.transmit(s.subscriptions(), s.take_packets(), port);
 }
 
 void SimHarness::run_until(TimePoint t) {

@@ -2,7 +2,11 @@
 // SimNetwork: the discrete-event loop interleaves packet deliveries and
 // periodic timer ticks in simulated-time order. All tests and benchmarks
 // run through this harness; runtime::ShardedUdpDriver (runtime/udp_front.hpp)
-// plays the same role against real sockets.
+// plays the same role against real sockets. A step starts with one due
+// datagram or a timer tick; it ends, as a UDP poll does, by draining the
+// stack's events (and the handler's sends) once and handing the stack's
+// subscriptions and egress to Joins::transmit (joins.hpp): join, leave,
+// then send.
 #pragma once
 
 #include <functional>
@@ -13,6 +17,7 @@
 #include "common/clock.hpp"
 #include "common/ids.hpp"
 #include "ftmp/events.hpp"
+#include "ftmp/joins.hpp"
 #include "ftmp/stack.hpp"
 #include "net/sim_network.hpp"
 
@@ -57,7 +62,9 @@ class SimHarness {
 
   /// Restarts a crashed processor as a fresh incarnation: a brand-new Stack
   /// with the same identity and config, an empty event log, and the network
-  /// revived. All volatile protocol state is gone — the caller re-admits it
+  /// revived. All volatile protocol state is gone, the old incarnation's
+  /// group joins included (it hears only its domain address until it
+  /// expects a join) — the caller re-admits it
   /// (expect_join + a sponsor's add_processor) and replays any durable state
   /// (ft::PersistentLog) at the application layer. The only state carried
   /// across the restart is the stack's join-timestamp floors, which model
@@ -93,7 +100,7 @@ class SimHarness {
   /// Installs a per-processor event callback invoked inside the event loop
   /// (before the event is appended to the accumulated list). Higher layers
   /// (the ORB, replication managers) react to deliveries here and may send
-  /// through the stack; their packets go out in the same loop iteration.
+  /// through the stack; their packets go out in the same step's one drain.
   /// `id` must already be added; the handler survives restart().
   void set_event_handler(ProcessorId id,
                          std::function<void(TimePoint, const Event&)> handler);
@@ -112,9 +119,11 @@ class SimHarness {
     bool crashed = false;
     std::vector<Event> events{};
     std::function<void(TimePoint, const Event&)> handler{};
+    Joins joins{};  // the network's subscriptions for this processor
   };
 
-  void sync_subscriptions(ProcessorId id, const Proc& p);
+  // Ends a step for one processor: events to the handler and the log, then
+  // Joins::transmit of the stack's subscriptions and one drain of packets.
   void flush(ProcessorId id, Proc& p);
 
   net::SimNetwork net_;

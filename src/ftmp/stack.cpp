@@ -17,7 +17,6 @@ constexpr Duration kConnectRetryInterval = 50 * kMillisecond;
 Stack::Stack(ProcessorId self, FtDomainId domain, McastAddress domain_addr, Config config)
     : self_(self), domain_(domain), domain_addr_(domain_addr), config_(config),
       batcher_(config_) {
-  subscriptions_.insert(domain_addr_.raw());
   stats_.malformed_datagrams = metrics::Counter(
       "ftmp_stack_malformed_datagrams_total",
       "Datagrams dropped: not FTMP-framed or failed header/body decode",
@@ -33,7 +32,6 @@ GroupSession& Stack::make_session(ProcessorGroupId g, McastAddress addr) {
                                                 config_, outbox_);
   session->set_flow_listener(flow_listener_);
   auto [it, inserted] = sessions_.emplace(g, std::move(session));
-  subscriptions_.insert(addr.raw());
   return *it->second;
 }
 
@@ -51,7 +49,6 @@ void Stack::create_group(TimePoint now, ProcessorGroupId group, McastAddress add
 void Stack::expect_join(ProcessorGroupId group, McastAddress addr) {
   if (sessions_.contains(group)) return;
   expected_joins_[group] = addr;
-  subscriptions_.insert(addr.raw());
 }
 
 bool Stack::add_processor(TimePoint now, ProcessorGroupId group, ProcessorId new_member) {
@@ -88,7 +85,6 @@ void Stack::open_connection(TimePoint now, const ConnectionId& connection,
   ClientConn state;
   state.server_domain_addr = server_domain_addr;
   state.client_processors = client_processors;
-  subscriptions_.insert(server_domain_addr.raw());
   auto [it, inserted] = client_conns_.emplace(connection, std::move(state));
   if (!inserted) return;
   send_connect_request(now, connection, it->second);
@@ -266,7 +262,6 @@ void Stack::client_on_connect(const Message& msg) {
   state.connect_seen = true;
   state.bound_group = body.processor_group;
   state.bound_addr = body.multicast_address;
-  subscriptions_.insert(body.multicast_address.raw());
   GroupSession* s = this->group(body.processor_group);
   if (s && s->active() && s->is_member(self_)) {
     state.established = true;
@@ -452,16 +447,22 @@ std::vector<Event> Stack::take_events() {
 }
 
 std::vector<McastAddress> Stack::subscriptions() const {
-  std::set<std::uint32_t> all = subscriptions_;
+  std::vector<McastAddress> out{domain_addr_};
+  for (const auto& [g, addr] : expected_joins_) out.push_back(addr);
+  for (const auto& [conn, state] : client_conns_) {
+    out.push_back(state.server_domain_addr);
+    // The Connect's address until the join completes; the session lists it
+    // from then on.
+    if (state.connect_seen && !state.established) out.push_back(state.bound_addr);
+  }
   // Sessions can move to a new address at runtime (Connect rebind, §7);
   // their current and retiring addresses must both be joined.
   for (const auto& [g, session] : sessions_) {
-    all.insert(session->address().raw());
-    if (auto retiring = session->retiring_address()) all.insert(retiring->raw());
+    out.push_back(session->address());
+    if (auto retiring = session->retiring_address()) out.push_back(*retiring);
   }
-  std::vector<McastAddress> out;
-  out.reserve(all.size());
-  for (std::uint32_t raw : all) out.emplace_back(raw);
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 

@@ -5,13 +5,13 @@
 //
 // Sans-IO: drivers feed `on_datagram`/`tick` and drain `take_packets` /
 // `take_events`; `subscriptions()` reports which multicast addresses the
-// driver must currently be joined to.
+// driver must currently be joined to, and a driver hands it to
+// Joins::transmit (joins.hpp) at the end of every step.
 #pragma once
 
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -184,7 +184,13 @@ class Stack {
   /// Drains upward events.
   [[nodiscard]] std::vector<Event> take_events();
 
-  /// Multicast addresses the driver must currently be subscribed to.
+  /// Multicast addresses the driver must currently be subscribed to, in
+  /// ascending order, computed from live state: the domain address, each
+  /// expected join's address, each client connection's server domain
+  /// address and, until the connection is established, the address its
+  /// Connect named, and each session's current and retiring address. So an
+  /// address drops out once a rebind retires it, drop_group removes its
+  /// session, or a restart replaces the stack.
   [[nodiscard]] std::vector<McastAddress> subscriptions() const;
 
   /// Input-error counters.
@@ -242,7 +248,6 @@ class Stack {
   // AddProcessor of an earlier join cycle (its clock would start behind
   // the bound the group granted the new incarnation).
   std::unordered_map<ProcessorGroupId, Timestamp> join_ts_floor_;
-  std::set<std::uint32_t> subscriptions_;
 
   std::optional<ProcessorGroupId> serve_group_;
   std::map<ConnectionId, ClientConn> client_conns_;

@@ -28,12 +28,6 @@ SimNetwork::SimNetwork(LinkModel defaults, std::uint64_t seed)
 
 void SimNetwork::attach(ProcessorId node) { nodes_.insert(node.raw()); }
 
-void SimNetwork::detach(ProcessorId node) {
-  nodes_.erase(node.raw());
-  crashed_.erase(node.raw());
-  for (auto& [addr, members] : subs_) members.erase(node.raw());
-}
-
 void SimNetwork::crash(ProcessorId node) { crashed_.insert(node.raw()); }
 
 void SimNetwork::revive(ProcessorId node) { crashed_.erase(node.raw()); }
@@ -44,6 +38,11 @@ bool SimNetwork::crashed(ProcessorId node) const {
 
 void SimNetwork::subscribe(ProcessorId node, McastAddress addr) {
   subs_[addr.raw()].insert(node.raw());
+}
+
+void SimNetwork::unsubscribe(ProcessorId node, McastAddress addr) {
+  auto it = subs_.find(addr.raw());
+  if (it != subs_.end()) it->second.erase(node.raw());
 }
 
 void SimNetwork::set_partition(const std::vector<std::vector<ProcessorId>>& cells) {

@@ -88,7 +88,7 @@ struct WireStats {
 /// Deterministic discrete-event IP-multicast simulator.
 ///
 /// Usage pattern (see ftmp::SimHarness):
-///   net.attach(p); net.subscribe(p, addr);
+///   net.attach(p); net.subscribe(p, addr); ... net.unsubscribe(p, addr);
 ///   net.send(now, p, datagram);
 ///   while (auto d = net.pop_due(until)) { ...hand to stack d->dest... }
 class SimNetwork {
@@ -100,11 +100,8 @@ class SimNetwork {
   /// Registers a node. Idempotent.
   void attach(ProcessorId node);
 
-  /// Removes a node entirely (no further deliveries in or out).
-  void detach(ProcessorId node);
-
-  /// Marks a node crashed: packets from/to it vanish. Unlike detach, the
-  /// node stays known, and can be revived with `revive`.
+  /// Marks a node crashed: packets from/to it vanish, its subscriptions
+  /// stay, and it can be revived with `revive`.
   void crash(ProcessorId node);
 
   /// Clears the crashed flag.
@@ -115,6 +112,11 @@ class SimNetwork {
 
   /// Subscribes a node to a multicast address (IGMP join equivalent).
   void subscribe(ProcessorId node, McastAddress addr);
+
+  /// Unsubscribes a node from a multicast address (IGMP leave equivalent):
+  /// no later send to `addr` reaches it, its own loopback copy included.
+  /// Deliveries already queued still arrive.
+  void unsubscribe(ProcessorId node, McastAddress addr);
 
   /// Multicasts a datagram from `from` at time `now`. Fan-out, loss, delay
   /// and duplication are decided immediately (deterministically); resulting
@@ -170,9 +172,6 @@ class SimNetwork {
 
   /// Pops the earliest delivery if it is due at or before `until`.
   [[nodiscard]] std::optional<Delivery> pop_due(TimePoint until);
-
-  /// True when no deliveries are queued.
-  [[nodiscard]] bool idle() const { return queue_.empty(); }
 
   /// Wire statistics accumulated since construction (or reset_stats()).
   [[nodiscard]] const WireStats& stats() const { return stats_; }

@@ -67,7 +67,15 @@ TEST(Rebind, GroupMovesToNewAddress) {
   for (ProcessorId p : members) {
     EXPECT_FALSE(h.stack(p).group(kGroup)->retiring_address().has_value())
         << "old address should be retired at " << to_string(p);
+    const auto subs = h.stack(p).subscriptions();
+    EXPECT_EQ(std::count(subs.begin(), subs.end(), kOldAddr), 0)
+        << "retired address still listed at " << to_string(p);
   }
+  // Every member has left it: a datagram multicast there reaches no one,
+  // not even its sender.
+  const std::uint64_t deliveries = h.network().stats().receiver_deliveries;
+  h.network().send(h.now(), ProcessorId{1}, net::Datagram{kOldAddr, bytes_of("stray")});
+  EXPECT_EQ(h.network().stats().receiver_deliveries, deliveries);
 
   // Traffic now flows exclusively on the new address.
   h.clear_events();

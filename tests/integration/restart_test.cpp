@@ -170,6 +170,38 @@ TEST(Restart, StepHookObservesEverySimulationStep) {
   EXPECT_TRUE(monotonic);
 }
 
+// A fresh incarnation has joined only its domain address: it hears nothing
+// of the old incarnation's group until it expects the join, so none of the
+// group's traffic reaches it as unroutable. It then rejoins as usual.
+TEST(Restart, FreshIncarnationHearsNothingOfItsOldGroup) {
+  SimHarness h({}, 94);
+  const auto all = ids({1, 2, 3});
+  for (ProcessorId p : all) h.add_processor(p, kDomain, kDomainAddr);
+  for (ProcessorId p : all) h.stack(p).create_group(h.now(), kGroup, kGroupAddr, all);
+  h.run_for(50 * kMillisecond);
+  h.crash(ProcessorId{3});
+  ASSERT_TRUE(h.run_until_pred(
+      [&] {
+        return h.stack(ProcessorId{1}).group(kGroup)->membership().members ==
+               ids({1, 2});
+      },
+      h.now() + 10 * kSecond));
+
+  Stack& fresh = h.restart(ProcessorId{3});
+  EXPECT_EQ(fresh.subscriptions(), std::vector<McastAddress>{kDomainAddr});
+  h.run_for(100 * kMillisecond);  // the survivors' heartbeats on kGroupAddr
+  EXPECT_EQ(fresh.stats().unroutable_datagrams.value(), 0u);
+
+  fresh.expect_join(kGroup, kGroupAddr);
+  ASSERT_TRUE(h.stack(ProcessorId{1}).add_processor(h.now(), kGroup, ProcessorId{3}));
+  ASSERT_TRUE(h.run_until_pred(
+      [&] {
+        const GroupSession* g = fresh.group(kGroup);
+        return g && g->membership().members == all;
+      },
+      h.now() + 10 * kSecond));
+}
+
 // A member crashes in the middle of a fragmented message and while the
 // survivors warn about its stability lag, then is re-admitted. What the
 // session kept for the old incarnation must go with it: the survivors drop

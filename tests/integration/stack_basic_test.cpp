@@ -2,6 +2,9 @@
 // network exchanging totally-ordered Regular messages.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/metrics.hpp"
 #include "ftmp/sim_harness.hpp"
 
 namespace ftcorba::ftmp {
@@ -28,6 +31,49 @@ SimHarness make_group(int n, net::LinkModel link = {}, std::uint64_t seed = 7) {
     h.stack(p).create_group(h.now(), kGroup, kGroupAddr, members);
   }
   return h;
+}
+
+std::uint64_t counter(const std::string& name) {
+  for (const metrics::Sample& s : metrics::snapshot()) {
+    if (s.name == name) return s.counter;
+  }
+  return 0;
+}
+
+// A one-member group is created and sent on before the harness's next
+// step. The step must join the group address before it sends: a datagram
+// sent first never loops back, and the member then probes for its own copy
+// after kAckDelay and NACKs it. Here the own copy arrives: no probe, no
+// NACK, no retransmission (the simulator's twin of
+// RuntimeUdp.CreateAndSendInOnePollGetsTheOwnCopyBack).
+TEST(StackBasic, CreateAndSendBeforeTheNextStepGetsTheOwnCopyBack) {
+  SimHarness h;
+  const ProcessorId p{1};
+  h.add_processor(p, kDomain, kDomainAddr);
+  TimePoint delivered_at = -1;
+  h.set_event_handler(p, [&](TimePoint t, const Event& ev) {
+    if (delivered_at < 0 && std::holds_alternative<DeliveredMessage>(ev)) {
+      delivered_at = t;
+    }
+  });
+  const std::uint64_t probes = counter("ftmp_rmp_own_gap_probes_total");
+  h.stack(p).create_group(h.now(), kGroup, kGroupAddr, {p});
+  GroupSession& session = *h.stack(p).group(kGroup);
+  ASSERT_TRUE(session.send_regular(h.now(), test_conn(), 1, bytes_of("first")));
+
+  h.run_for(50 * kMillisecond);
+  EXPECT_EQ(h.delivered(p, kGroup).size(), 1u);
+  // The first step (the 1 ms tick) sends it, and its loopback copy
+  // delivers it within that tick period.
+  EXPECT_GT(delivered_at, 0);
+  EXPECT_LT(delivered_at, 2 * kMillisecond);
+  EXPECT_EQ(session.rmp().stats().nacks_sent.value(), 0u);
+  EXPECT_EQ(session.rmp().stats().retransmissions_sent.value(), 0u);
+#if FTCORBA_METRICS_ENABLED
+  EXPECT_EQ(counter("ftmp_rmp_own_gap_probes_total"), probes);
+#else
+  (void)probes;
+#endif
 }
 
 TEST(StackBasic, SingleMessageReachesEveryone) {

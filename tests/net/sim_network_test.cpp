@@ -43,6 +43,29 @@ TEST(SimNetwork, OnlySubscribersReceive) {
   EXPECT_EQ(deliveries[0].dest, ProcessorId{2});
 }
 
+TEST(SimNetwork, UnsubscribeStopsDeliveryIncludingLoopback) {
+  SimNetwork net({}, 1);
+  for (std::uint32_t i = 1; i <= 2; ++i) {
+    net.attach(ProcessorId{i});
+    net.subscribe(ProcessorId{i}, kAddr);
+  }
+  net.unsubscribe(ProcessorId{1}, kAddr);
+  net.send(0, ProcessorId{1}, make(bytes_of("x")));
+  auto deliveries = drain(net, 1 * kSecond);
+  ASSERT_EQ(deliveries.size(), 1u) << "the sender left: no loopback copy";
+  EXPECT_EQ(deliveries[0].dest, ProcessorId{2});
+
+  net.unsubscribe(ProcessorId{2}, kAddr);
+  net.send(0, ProcessorId{2}, make(bytes_of("y")));
+  EXPECT_TRUE(drain(net, 1 * kSecond).empty());
+
+  net.subscribe(ProcessorId{1}, kAddr);  // a join after a leave works again
+  net.send(0, ProcessorId{1}, make(bytes_of("z")));
+  deliveries = drain(net, 1 * kSecond);
+  ASSERT_EQ(deliveries.size(), 1u);
+  EXPECT_EQ(deliveries[0].dest, ProcessorId{1});
+}
+
 TEST(SimNetwork, DeterministicWithSameSeed) {
   auto run = [](std::uint64_t seed) {
     LinkModel lossy;

@@ -2,8 +2,9 @@
 // multicast — a 2-shard threaded runtime and an inline single-shard one —
 // exchanging ordered messages through ShardedUdpDriver (recvmmsg in,
 // sendmmsg out), a node that multicasts in the poll that subscribes it,
-// and a one-thread fleet of three that pauses as a whole. Environments
-// without loopback multicast skip gracefully.
+// a one-thread fleet of three that pauses as a whole, and a rebind that
+// leaves its retired address. Environments without loopback multicast skip
+// gracefully.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -65,10 +66,10 @@ TEST(RuntimeUdp, ShardedAndInlineNodesConvergeOverLoopbackMulticast) {
            std::chrono::steady_clock::now() < deadline) {
       received += drv_a.poll_once(2 * kMillisecond);
       received += drv_b.poll_once(2 * kMillisecond);
-      for (const ftmp::Event& ev : drv_a.take_events()) {
+      for (const ftmp::Event& ev : a.take_events()) {
         if (std::holds_alternative<ftmp::DeliveredMessage>(ev)) ++delivered_a;
       }
-      for (const ftmp::Event& ev : drv_b.take_events()) {
+      for (const ftmp::Event& ev : b.take_events()) {
         if (std::holds_alternative<ftmp::DeliveredMessage>(ev)) ++delivered_b;
       }
     }
@@ -121,7 +122,7 @@ TEST(RuntimeUdp, CreateAndSendInOnePollGetsTheOwnCopyBack) {
         std::chrono::steady_clock::now() + std::chrono::seconds(5);
     while (!delivered && std::chrono::steady_clock::now() < deadline) {
       received += drv.poll_once(2 * kMillisecond);
-      for (const ftmp::Event& ev : drv.take_events()) {
+      for (const ftmp::Event& ev : node.take_events()) {
         delivered = delivered || std::holds_alternative<ftmp::DeliveredMessage>(ev);
       }
     }
@@ -170,9 +171,9 @@ TEST(RuntimeUdp, FleetWidePauseConvictsNobody) {
     const auto run = [&](std::chrono::milliseconds span) {
       const auto until = std::chrono::steady_clock::now() + span;
       while (std::chrono::steady_clock::now() < until) {
-        for (auto& drv : drivers) {
-          received += drv->poll_once(0);
-          for (const ftmp::Event& ev : drv->take_events()) {
+        for (std::size_t i = 0; i < drivers.size(); ++i) {
+          received += drivers[i]->poll_once(0);
+          for (const ftmp::Event& ev : nodes[i]->take_events()) {
             const auto* view = std::get_if<ftmp::MembershipChanged>(&ev);
             if (view && view->reason == ftmp::MembershipChanged::Reason::kFault) {
               ++fault_views;
@@ -197,6 +198,63 @@ TEST(RuntimeUdp, FleetWidePauseConvictsNobody) {
 #else
     (void)suspicions;
 #endif
+  } catch (const net::TransportError& e) {
+    GTEST_SKIP() << "UDP multicast unavailable: " << e.what();
+  }
+}
+
+// A group rebound to a new address (§7) leaves the old one once its retire
+// window closes, so the driver closes that socket: a stray datagram sent
+// there afterwards never reaches the member, while one sent to the new
+// address still does (and counts as malformed).
+TEST(RuntimeUdp, RebindLeavesTheRetiredAddress) {
+  const ftmp::Config cfg;
+  ShardedRuntime node(ProcessorId{1}, kDomain, kDomainAddr, cfg);  // inline
+  constexpr ProcessorGroupId kGroup{1};
+  constexpr McastAddress kOldAddr{0x0315};
+  constexpr McastAddress kNewAddr{0x0316};
+  node.create_group(wall_now(), kGroup, kOldAddr, {ProcessorId{1}});
+
+  net::UdpMulticastTransport::Options options;
+  options.port = 32015;
+  try {
+    ShardedUdpDriver drv(node, options);
+    net::UdpMulticastTransport stray(options);  // joins nothing, only sends
+    ftmp::GroupSession* session = node.stack(0).group(kGroup);
+    ASSERT_NE(session, nullptr);
+    std::size_t received = 0;
+    const auto poll_for = [&](std::chrono::milliseconds span) {
+      const auto until = std::chrono::steady_clock::now() + span;
+      while (std::chrono::steady_clock::now() < until) {
+        received += drv.poll_once(1 * kMillisecond);
+      }
+    };
+    poll_for(std::chrono::milliseconds(50));
+    ASSERT_TRUE(node.stack(0).rebind_group(wall_now(), kGroup, kNewAddr));
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while ((session->address() != kNewAddr || session->retiring_address()) &&
+           std::chrono::steady_clock::now() < deadline) {
+      received += drv.poll_once(1 * kMillisecond);
+    }
+    poll_for(std::chrono::milliseconds(10));
+    if (received == 0) {
+      GTEST_SKIP() << "multicast loopback not functional in this environment";
+    }
+    ASSERT_EQ(session->address(), kNewAddr);
+    ASSERT_FALSE(session->retiring_address().has_value());
+
+    const auto& malformed = node.stack(0).stats().malformed_datagrams;
+    const std::uint64_t before = malformed.value();
+    stray.send(net::Datagram{kOldAddr, bytes_of("not ftmp")});
+    poll_for(std::chrono::milliseconds(100));
+    EXPECT_EQ(malformed.value(), before) << "the retired address was not left";
+
+    stray.send(net::Datagram{kNewAddr, bytes_of("not ftmp")});
+    const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (malformed.value() == before && std::chrono::steady_clock::now() < until) {
+      (void)drv.poll_once(1 * kMillisecond);
+    }
+    EXPECT_EQ(malformed.value(), before + 1) << "the new address must still hear";
   } catch (const net::TransportError& e) {
     GTEST_SKIP() << "UDP multicast unavailable: " << e.what();
   }
