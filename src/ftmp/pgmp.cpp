@@ -169,9 +169,8 @@ void Pgmp::note_heard(ProcessorId src, TimePoint now) {
   // on; the removed member rejoins through re-admission. If peers DID
   // withdraw, their announcements dissolve our conviction and the round
   // abort clears the endorsement, re-enabling withdrawal here.
-  const bool past_no_return = convicted_.contains(src) &&
-                              !my_last_proposal_.empty() &&
-                              quorum(my_last_proposal_);
+  const bool past_no_return = round_ && round_->convicted.contains(src) &&
+                              !round_->proposal.empty() && quorum(round_->proposal);
   if (peer.suspected && !peer.pinned && !past_no_return) {
     // False suspicion (it spoke again): withdraw. This applies even after
     // the suspicion hardened into a conviction, as long as no installable
@@ -349,20 +348,17 @@ void Pgmp::on_remove_ordered(TimePoint now, const Message& msg) {
   membership_.timestamp =
       std::max(membership_.timestamp + 1, msg.header.message_timestamp);
   metrics_.removes.add();
-  InstallOut install;
-  install.change.reason = MembershipChanged::Reason::kProcessorRemoved;
-  install.change.left = {member};
   if (member == self_) {
-    active_ = false;
-    install.self_evicted = true;
-    install.change.membership = membership_;
-    output_.emplace_back(std::move(install));
+    self_evict(MembershipChanged::Reason::kProcessorRemoved);
     return;
   }
   expel(member, now);
   ordering_.set_view(membership_.timestamp);
   refresh_suspicions_after_change();
+  InstallOut install;
+  install.change.reason = MembershipChanged::Reason::kProcessorRemoved;
   install.change.membership = membership_;
+  install.change.left = {member};
   output_.emplace_back(std::move(install));
 }
 
@@ -416,13 +412,7 @@ void Pgmp::on_membership_msg(TimePoint now, const Message& msg) {
       }
     }
     if (2 * excluders > membership_.members.size()) {
-      active_ = false;
-      InstallOut install;
-      install.self_evicted = true;
-      install.change.reason = MembershipChanged::Reason::kFault;
-      install.change.membership = membership_;
-      install.change.left = {self_};
-      output_.emplace_back(std::move(install));
+      self_evict(MembershipChanged::Reason::kFault);
       return;
     }
   }
@@ -463,33 +453,27 @@ void Pgmp::recompute_convicted(TimePoint now) {
     if (next == c) break;
     c = std::move(next);
   }
-  if (c != convicted_) {
-    if (convicted_.empty() && !c.empty() && !round_started_) round_started_ = now;
-    const bool aborted = !convicted_.empty() && c.empty();
-    convicted_ = std::move(c);
-    if (aborted) {
-      // Every conviction was withdrawn (false suspicion under an asymmetric
-      // partition): abort the round. Drop the proposals so a later round
-      // starts from fresh cut seqs — mixing stale and fresh proposals would
-      // let different survivors compute different cuts. The suspicion
-      // matrix stays: rows are corrected by their owners' own withdrawal
-      // announcements, and clearing them here would lose live suspicions
-      // held by peers that have not re-announced.
-      proposals_.clear();
-      my_last_proposal_.clear();
-      round_started_.reset();
-      equalization_counted_ = false;
-      ordering_.set_recovering(false);
-      return;
-    }
-    maybe_send_membership(now);
+  if (round_ ? c == round_->convicted : c.empty()) return;
+  if (c.empty()) {
+    // Every conviction was withdrawn (false suspicion under an asymmetric
+    // partition): abort the round. Its proposals go with it, so a later
+    // round starts from fresh cut seqs — mixing stale and fresh proposals
+    // would let different survivors compute different cuts. The suspicion
+    // matrix stays: rows are corrected by their owners' own withdrawal
+    // announcements, and clearing them here would lose live suspicions
+    // held by peers that have not re-announced.
+    end_round();
+    return;
   }
+  if (!round_) round_.emplace().started = now;
+  round_->convicted = std::move(c);
+  maybe_send_membership();
 }
 
 std::vector<ProcessorId> Pgmp::proposal_from_convicted() const {
   std::vector<ProcessorId> p;
   for (ProcessorId m : membership_.members) {
-    if (!convicted_.contains(m)) p.push_back(m);
+    if (!round_->convicted.contains(m)) p.push_back(m);
   }
   return p;
 }
@@ -504,12 +488,10 @@ bool Pgmp::quorum(const std::vector<ProcessorId>& proposal) const {
   return false;
 }
 
-void Pgmp::maybe_send_membership(TimePoint now) {
-  (void)now;
-  if (convicted_.empty()) return;
+void Pgmp::maybe_send_membership() {
   const std::vector<ProcessorId> p = proposal_from_convicted();
-  if (p == my_last_proposal_) return;
-  my_last_proposal_ = p;
+  if (p == round_->proposal) return;
+  round_->proposal = p;
   // From here until the round installs or aborts, a leader-based ordering
   // engine must not let any grant outrun the cut this proposal reports.
   ordering_.set_recovering(true);
@@ -529,7 +511,7 @@ SeqNum Pgmp::own_contiguous(ProcessorId m) const {
 }
 
 void Pgmp::try_complete(TimePoint now) {
-  if (!active_ || convicted_.empty()) return;
+  if (!active_ || !round_) return;
   const std::vector<ProcessorId> p = proposal_from_convicted();
   if (!quorum(p)) return;  // minority partition: stall (primary-partition rule)
   if (!contains(p, self_)) return;
@@ -560,8 +542,8 @@ void Pgmp::try_complete(TimePoint now) {
     }
   }
   if (!complete) {
-    if (!equalization_counted_) {
-      equalization_counted_ = true;
+    if (!round_->equalizing) {
+      round_->equalizing = true;
       metrics_.equalization_rounds.add();
     }
     return;  // NACK recovery in flight; retried from tick()
@@ -590,10 +572,12 @@ void Pgmp::try_complete(TimePoint now) {
   ordering_.set_view(new_ts);
   for (ProcessorId r : p) peers_[r].round_floor = proposals_[r].msg_seq;
   metrics_.convictions.add(crashed.size());
-  if (round_started_) {
-    metrics_.install_duration_ms.observe(to_ms(now - *round_started_));
-  }
-  reset_round_state();
+  metrics_.install_duration_ms.observe(to_ms(now - round_->started));
+  end_round();
+  // The new view starts unsuspected; a live suspicion is raised afresh.
+  suspicion_.clear();
+  for (auto& [m, peer] : peers_) peer.suspected = peer.pinned = false;
+  suspects_since_.reset();
 
   install.change.reason = MembershipChanged::Reason::kFault;
   install.change.membership = membership_;
@@ -612,16 +596,20 @@ void Pgmp::refresh_suspicions_after_change() {
   if (suspecting()) announce_suspects();
 }
 
-void Pgmp::reset_round_state() {
-  ordering_.set_recovering(false);
-  suspicion_.clear();
+void Pgmp::end_round() {
+  round_.reset();
   proposals_.clear();
-  convicted_.clear();
-  my_last_proposal_.clear();
-  for (auto& [m, peer] : peers_) peer.suspected = peer.pinned = false;
-  suspects_since_.reset();
-  round_started_.reset();
-  equalization_counted_ = false;
+  ordering_.set_recovering(false);
+}
+
+void Pgmp::self_evict(MembershipChanged::Reason reason) {
+  active_ = false;
+  InstallOut install;
+  install.self_evicted = true;
+  install.change.reason = reason;
+  install.change.membership = membership_;
+  install.change.left = {self_};
+  output_.emplace_back(std::move(install));
 }
 
 void Pgmp::tick(TimePoint now) {
@@ -663,13 +651,7 @@ void Pgmp::tick(TimePoint now) {
   // window has passed). Give up and report self-eviction so the fault-
   // tolerance infrastructure can rejoin this processor cleanly.
   if (active_ && suspects_since_ && now - *suspects_since_ > 10 * config_.fault_timeout) {
-    active_ = false;
-    InstallOut install;
-    install.self_evicted = true;
-    install.change.reason = MembershipChanged::Reason::kFault;
-    install.change.membership = membership_;
-    install.change.left = {self_};
-    output_.emplace_back(std::move(install));
+    self_evict(MembershipChanged::Reason::kFault);
     return;
   }
 

@@ -25,15 +25,29 @@
 // delivers the old-epoch remainder in timestamp order, and installs P —
 // all survivors deliver exactly the same messages (virtual synchrony).
 //
+// A round is one record (Round): the first conviction opens it, and it ends
+// through end_round at the install or at an abort (every conviction
+// withdrawn). Either end drops the record and every stored proposal and
+// restarts the ordering engine; the install also clears the view's
+// suspicions. The suspicion matrix and the proposals live outside the
+// record, because other members' reports can arrive before this member's
+// first conviction. Self-eviction leaves the record alone: later frames of
+// the same step still reach on_suspect and on_membership_msg, and an
+// evicted leader must not resume granting past its proposed cut.
+//
 // Partitions. A proposal is only installed if it contains more than half of
 // the old membership (or exactly half including the smallest processor id),
 // so at most one side of a partition continues — primary-partition
 // semantics. A minority stalls, exactly as §7's "the ordering of messages
-// stops" describes. (Known simplification, recorded in DESIGN.md: a second
-// fault arriving in the narrow window after some survivors complete a round
-// and before others do is resolved by a fresh round and can, in adversarial
-// schedules, deliver the overlap in different orders; the paper does not
-// specify this case.)
+// stops" describes. (Known simplifications, recorded in DESIGN.md §6: a
+// second fault arriving in the narrow window after some survivors complete
+// a round and before others do is resolved by a fresh round and can, in
+// adversarial schedules, deliver the overlap in different orders; the paper
+// does not specify this case. And a member that opened no round keeps the
+// proposals of members whose rounds aborted, so a later round can complete
+// there on proposals their senders abandoned, with another view timestamp
+// and cut than at members that waited for the fresh ones: nothing on the
+// wire tells an early proposal from an abandoned one.)
 #pragma once
 
 #include <map>
@@ -120,7 +134,7 @@ class Pgmp {
   [[nodiscard]] bool active() const { return active_; }
 
   /// True while a fault-recovery round is in progress (ordering stalled).
-  [[nodiscard]] bool reconfiguring() const { return !convicted_.empty(); }
+  [[nodiscard]] bool reconfiguring() const { return round_.has_value(); }
 
   // ---- fault detector ----
 
@@ -207,6 +221,14 @@ class Pgmp {
     SeqNum msg_seq = 0;      // header seq of the Membership message
     Timestamp msg_ts = 0;    // header timestamp of the Membership message
   };
+  // A fault-recovery round (§7.2), from the first conviction until
+  // end_round.
+  struct Round {
+    TimePoint started = 0;                // for install_duration_ms
+    std::set<ProcessorId> convicted;      // never empty
+    std::vector<ProcessorId> proposal;    // ours, once multicast
+    bool equalizing = false;              // counted in equalization_rounds
+  };
   // A join this processor sponsors. It is in flight from the multicast of
   // our AddProcessor until an ordered Add names the joiner; if that Add is
   // ours, the record then re-multicasts it until the joiner speaks (the
@@ -248,11 +270,15 @@ class Pgmp {
   [[nodiscard]] bool stale_round(const Message& msg) const;
   void recompute_convicted(TimePoint now);
   void refresh_suspicions_after_change();
-  void maybe_send_membership(TimePoint now);
+  void maybe_send_membership();
   void try_complete(TimePoint now);
+  /// Ends the round at its install or abort: drops the record and every
+  /// stored proposal, and restarts the ordering engine.
+  void end_round();
+  /// Reports that this processor left the group (`reason`) and stops it.
+  void self_evict(MembershipChanged::Reason reason);
   [[nodiscard]] std::vector<ProcessorId> proposal_from_convicted() const;
   [[nodiscard]] bool quorum(const std::vector<ProcessorId>& proposal) const;
-  void reset_round_state();
   [[nodiscard]] SeqNum own_contiguous(ProcessorId m) const;
   /// Ends a sponsor record together with its store pin.
   std::vector<Join>::iterator drop_join(std::vector<Join>::iterator join);
@@ -278,17 +304,12 @@ class Pgmp {
   // before it (from bootstrap or admission) counts as silence.
   std::optional<TimePoint> last_tick_;
 
-  // Suspicion matrix and proposals for the current recovery round, keyed
-  // by reporter (a joiner's own row counts before it is a member).
+  // Suspicion matrix and proposals, keyed by reporter (a joiner's own row
+  // counts before it is a member). Both can arrive before this member opens
+  // a round, so they live outside it.
   std::unordered_map<ProcessorId, std::set<ProcessorId>> suspicion_;
   std::unordered_map<ProcessorId, Proposal> proposals_;
-  std::set<ProcessorId> convicted_;
-  std::vector<ProcessorId> my_last_proposal_;
-  // When the current fault-recovery round opened (first conviction), for
-  // the membership-install-duration histogram.
-  std::optional<TimePoint> round_started_;
-  // Whether this round has been counted as needing message-set equalization.
-  bool equalization_counted_ = false;
+  std::optional<Round> round_;
 
   // The joins this processor sponsors; those in the resend phase are in
   // the order their Adds were delivered, which is the order they resend in.

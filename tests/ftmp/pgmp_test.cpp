@@ -1,7 +1,8 @@
 // Unit tests for the PGMP layer (§7) driven directly (no network): the
 // conviction fixpoint, the quorum rule, suspicion withdrawal, the fault
 // detector's timeout and its stalled-detector guard, proposal generation,
-// round floors and planned-change gating.
+// the ends of a recovery round (abort and install), round floors and
+// planned-change gating.
 #include <gtest/gtest.h>
 
 #include "ftmp/ordering.hpp"
@@ -22,11 +23,37 @@ Message control(MessageType type, ProcessorId src, SeqNum seq, Timestamp ts, Bod
   return m;
 }
 
+// The paper's Lamport rule, recording PGMP's recovery signal (the rule
+// itself ignores it).
+class RecordingOrdering final : public OrderingPolicy {
+ public:
+  explicit RecordingOrdering(Romp& romp) : rule_(romp, /*own_clock_bound=*/false) {}
+
+  void on_source_ordered(const Frame& frame, TimePoint now) override {
+    rule_.on_source_ordered(frame, now);
+  }
+  std::vector<Frame> collect_deliverable(TimePoint now) override {
+    return rule_.collect_deliverable(now);
+  }
+  std::vector<const Frame*> held_frames() const override { return rule_.held_frames(); }
+  std::vector<Frame> drain_up_to_cut(const std::map<ProcessorId, SeqNum>& cuts,
+                                     const std::set<ProcessorId>& survivors) override {
+    return rule_.drain_up_to_cut(cuts, survivors);
+  }
+  void remove_member(ProcessorId member) override { rule_.remove_member(member); }
+  void set_recovering(bool active) override { recovering = active; }
+
+  bool recovering = false;  // the last set_recovering
+
+ private:
+  LamportOrdering rule_;
+};
+
 struct PgmpFixture : ::testing::Test {
   Config config;
   Rmp rmp{kSelf, config};
   Romp romp{kSelf, config};
-  LamportOrdering rule{romp, /*own_clock_bound=*/false};
+  RecordingOrdering rule{romp};
   Pgmp pgmp{kSelf, config, rmp, romp, rule};
 
   std::vector<ProcessorId> members(std::initializer_list<std::uint32_t> raw) {
@@ -352,6 +379,94 @@ TEST_F(PgmpFixture, RoundFloorIgnoresStaleControlMessages) {
   pgmp.on_suspect(0, control(MessageType::kSuspect, ProcessorId{2}, 1, 10, stale));
   EXPECT_FALSE(pgmp.reconfiguring());
   EXPECT_FALSE(drain_proposal().has_value());
+}
+
+// An abort (every conviction withdrawn) drops the round's proposals: the
+// next round completes only on proposals made for it.
+TEST_F(PgmpFixture, AbortDropsTheRoundsProposals) {
+  boot({1, 2, 3});
+  suspect_from(ProcessorId{1}, 1, {3});
+  suspect_from(ProcessorId{2}, 1, {3});
+  membership_from(ProcessorId{2}, 2, {1, 2});  // P1's own is still in flight
+  suspect_from(ProcessorId{2}, 3, {});         // P2 withdraws: the round aborts
+  ASSERT_FALSE(pgmp.reconfiguring());
+  suspect_from(ProcessorId{2}, 4, {3});
+  ASSERT_TRUE(pgmp.reconfiguring());
+  membership_from(ProcessorId{1}, 2, {1, 2});
+  EXPECT_FALSE(drain_install().has_value()) << "completed on P2's proposal from before the abort";
+  membership_from(ProcessorId{2}, 5, {1, 2});
+  auto install = drain_install();
+  ASSERT_TRUE(install.has_value());
+  EXPECT_EQ(install->change.membership.members, members({1, 2}));
+  EXPECT_EQ(install->change.membership.timestamp, 50u) << "view ts of P2's fresh proposal";
+}
+
+// An abort re-arms this member's proposal: a later round that convicts the
+// same member multicasts it again.
+TEST_F(PgmpFixture, AbortReArmsTheOwnProposal) {
+  boot({1, 2, 3});
+  suspect_from(ProcessorId{1}, 1, {3});
+  suspect_from(ProcessorId{2}, 1, {3});
+  auto first = drain_proposal();
+  ASSERT_TRUE(first.has_value());
+  suspect_from(ProcessorId{2}, 2, {});
+  ASSERT_FALSE(pgmp.reconfiguring());
+  (void)pgmp.take_output();
+  suspect_from(ProcessorId{2}, 3, {3});
+  auto again = drain_proposal();
+  ASSERT_TRUE(again.has_value()) << "the new round sent no proposal";
+  EXPECT_EQ(again->new_membership, members({1, 2}));
+}
+
+// The ordering engine is told to stop at this member's first proposal and
+// to resume at the abort and at the install, not before.
+TEST_F(PgmpFixture, OrderingStaysStoppedUntilTheRoundEnds) {
+  boot({1, 2, 3});
+  suspect_from(ProcessorId{1}, 1, {3});
+  EXPECT_FALSE(rule.recovering) << "no conviction yet";
+  suspect_from(ProcessorId{2}, 1, {3});
+  EXPECT_TRUE(rule.recovering) << "the first proposal stops it";
+  suspect_from(ProcessorId{2}, 2, {});
+  EXPECT_FALSE(rule.recovering) << "the abort resumes it";
+  suspect_from(ProcessorId{2}, 3, {3});
+  EXPECT_TRUE(rule.recovering) << "the next round's proposal stops it again";
+  membership_from(ProcessorId{1}, 2, {1, 2});
+  EXPECT_TRUE(rule.recovering) << "P2's proposal is still missing";
+  membership_from(ProcessorId{2}, 4, {1, 2});
+  ASSERT_TRUE(drain_install().has_value());
+  EXPECT_FALSE(rule.recovering) << "the install resumes it";
+}
+
+// An install drops its round's proposals: a later round in the next view
+// that proposes the same members waits for their fresh proposals.
+TEST_F(PgmpFixture, InstallDropsTheRoundsProposals) {
+  boot({1, 2, 3});
+  suspect_from(ProcessorId{1}, 1, {3});
+  suspect_from(ProcessorId{2}, 1, {3});
+  membership_from(ProcessorId{1}, 2, {1, 2});
+  membership_from(ProcessorId{2}, 2, {1, 2});
+  ASSERT_TRUE(drain_install().has_value());
+  AddProcessorBody body;
+  body.current_membership = pgmp.membership();
+  body.new_member = ProcessorId{4};
+  const Message add = control(MessageType::kAddProcessor, ProcessorId{2}, 3, 30, body);
+  feed(add);
+  pgmp.on_add_ordered(0, add);
+  ASSERT_EQ(pgmp.membership().members, members({1, 2, 4}));
+  (void)pgmp.take_output();
+  suspect_from(ProcessorId{1}, 3, {4});
+  suspect_from(ProcessorId{2}, 4, {4});
+  EXPECT_TRUE(pgmp.reconfiguring()) << "completed on the previous round's proposals";
+  auto proposal = drain_proposal();
+  ASSERT_TRUE(proposal.has_value());
+  EXPECT_EQ(proposal->new_membership, members({1, 2}));
+  membership_from(ProcessorId{1}, 4, {1, 2});
+  EXPECT_FALSE(drain_install().has_value()) << "P2's fresh proposal has not arrived";
+  membership_from(ProcessorId{2}, 5, {1, 2});
+  auto install = drain_install();
+  ASSERT_TRUE(install.has_value());
+  EXPECT_EQ(install->change.membership.members, members({1, 2}));
+  EXPECT_EQ(install->change.membership.timestamp, 50u);
 }
 
 TEST_F(PgmpFixture, MakeAddRejectsDuplicatesAndRecovery) {

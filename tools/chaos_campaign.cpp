@@ -58,7 +58,8 @@ void print_usage() {
                "                    digests (determinism self-check)\n"
                "  --trace FILE      record the campaign trace (single seed only;\n"
                "                    replay offline with ftmp_inspect --invariants)\n"
-               "  --json FILE       write per-seed results as a JSON array\n"
+               "  --json FILE       write per-seed results as a JSON array (each row\n"
+               "                    carries its reproduce command)\n"
                "  --schedule        print each seed's fault schedule up front\n"
                "  -v, --verbose     narrate fault applications and restarts\n"
                "  -q, --quiet       only print failures and the final summary\n"
@@ -194,6 +195,17 @@ void print_failure(const chaos::CampaignConfig& cfg, const chaos::CampaignResult
   std::printf("  reproduce: %s\n", chaos::repro_command(cfg).c_str());
 }
 
+chaos::CampaignConfig campaign_config(const Options& opt, std::uint64_t seed) {
+  chaos::CampaignConfig cfg;
+  cfg.seed = seed;
+  cfg.params = opt.params;
+  cfg.trace_path = opt.trace_path;
+  cfg.verbose = opt.verbose;
+  cfg.batch_max_datagram_bytes = opt.batch_max_datagram_bytes;
+  cfg.ordering_mode = opt.ordering_mode;
+  return cfg;
+}
+
 void json_escape_into(std::string& out, const std::string& s) {
   for (char c : s) {
     if (c == '"' || c == '\\') {
@@ -219,13 +231,7 @@ int main(int argc, char** argv) {
   std::vector<chaos::CampaignResult> results;
   std::size_t divergent = 0;
   for (std::uint64_t seed : opt.seeds) {
-    chaos::CampaignConfig cfg;
-    cfg.seed = seed;
-    cfg.params = opt.params;
-    cfg.trace_path = opt.trace_path;
-    cfg.verbose = opt.verbose;
-    cfg.batch_max_datagram_bytes = opt.batch_max_datagram_bytes;
-    cfg.ordering_mode = opt.ordering_mode;
+    const chaos::CampaignConfig cfg = campaign_config(opt, seed);
     if (opt.print_schedule) {
       std::printf("%s", chaos::generate_schedule(seed, opt.params).to_string().c_str());
     }
@@ -295,6 +301,8 @@ int main(int argc, char** argv) {
         json_escape_into(violations, detail);
         violations += "\"";
       }
+      std::string repro;
+      json_escape_into(repro, chaos::repro_command(campaign_config(opt, r.seed)));
       std::fprintf(out,
                    "  {\"seed\": %" PRIu64 ", \"ok\": %s, \"ordering\": \"%s\""
                    ", \"digest\": \"%016" PRIx64
@@ -309,7 +317,7 @@ int main(int argc, char** argv) {
                    ", \"state_transfers\": %" PRIu64 ", \"state_resumes\": %" PRIu64
                    ", \"state_restarts\": %" PRIu64
                    ", \"state_digest_mismatches\": %" PRIu64
-                   ", \"violations\": [%s]}%s\n",
+                   ", \"violations\": [%s], \"reproduce\": \"%s\"}%s\n",
                    r.seed, r.ok() ? "true" : "false",
                    to_string(opt.ordering_mode), r.digest,
                    opt.params.processors, opt.params.spares,
@@ -321,7 +329,8 @@ int main(int argc, char** argv) {
                    r.log_replay_ok ? "true" : "false",
                    r.state_converged ? "true" : "false", r.state_transfers,
                    r.state_resumes, r.state_restarts, r.state_digest_mismatches,
-                   violations.c_str(), i + 1 < results.size() ? "," : "");
+                   violations.c_str(), repro.c_str(),
+                   i + 1 < results.size() ? "," : "");
     }
     std::fprintf(out, "]\n");
     std::fclose(out);
