@@ -661,7 +661,6 @@ class Engine {
     cfg.heartbeat_interval = 5 * kMillisecond;
     cfg.fault_timeout = 150 * kMillisecond;
     cfg.flow_window_messages = 64;
-    cfg.flow_lag_warn = 50;
     cfg.batch_max_datagram_bytes = cfg_.batch_max_datagram_bytes;
     cfg.ordering_mode = cfg_.ordering_mode;
     return cfg;

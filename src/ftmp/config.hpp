@@ -121,8 +121,9 @@ struct Config {
   /// Capacity of the parked-send FIFO. A send arriving with the queue at
   /// capacity is dropped, counted (ftmp_flow_send_queue_dropped_total),
   /// and reported as SendStatus::kRejected. 0 = unlimited.
-  /// FlowListener high/low watermark callbacks fire at 3/4 and 1/4 of it
-  /// (the ORB defers new client requests in between).
+  /// The group counts as congested from the park that reaches 3/4 of it
+  /// until the release that reaches 1/4 (Stack::connection_congested; the
+  /// ORB defers new client requests in between).
   std::size_t flow_send_queue_limit = 1024;
 
   // ---- egress batching (docs/BATCHING.md, docs/WIRE.md) ----
@@ -161,15 +162,6 @@ struct Config {
   /// Joiner side: spacing between StateRequests while a transfer is
   /// outstanding (also the retry/resume cadence after donor silence).
   Duration state_request_interval = 20 * kMillisecond;
-
-  /// Slow-receiver policy thresholds, in timestamp ticks of stability lag
-  /// (how far a member's ack timestamp trails the group maximum). Past
-  /// flow_lag_warn the member is counted as lagging (metrics); past
-  /// flow_lag_evict it is reported to PGMP as suspect — an explicit,
-  /// tunable version of the paper's implicit "processors that fall behind
-  /// stall the group". 0 disables each threshold (both default off).
-  std::uint64_t flow_lag_warn = 0;
-  std::uint64_t flow_lag_evict = 0;
 
   // ---- ordering engine (docs/ORDERING.md) ----
 

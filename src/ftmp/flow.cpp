@@ -1,11 +1,11 @@
 #include "ftmp/flow.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace ftcorba::ftmp {
 
-FlowController::FlowController(ProcessorId self, const Config& config)
-    : self_(self), config_(config) {
+FlowController::FlowController(const Config& config) : config_(config) {
   metrics_.window_messages = metrics::Gauge(
       "ftmp_flow_window_in_flight_messages",
       "Own Regular messages multicast but not yet stable (send-window "
@@ -42,19 +42,6 @@ FlowController::FlowController(ProcessorId self, const Config& config)
       "Parked sends released after stability freed window space or a rebind "
       "flush completed",
       "sends", "flow");
-  stats_.lag_warnings = metrics::Counter(
-      "ftmp_flow_lag_warnings_total",
-      "Members newly observed past flow_lag_warn stability lag", "members",
-      "flow");
-  stats_.evict_reports = metrics::Counter(
-      "ftmp_flow_evict_reports_total",
-      "Members reported to PGMP as suspect past flow_lag_evict stability lag",
-      "members", "flow");
-  metrics_.member_lag = metrics::histogram(
-      "ftmp_flow_member_lag_ts",
-      "Per-member stability lag: group-max ack timestamp minus the member's "
-      "ack timestamp, sampled once per heartbeat interval",
-      "timestamp", "flow", metrics::timestamp_gap_buckets());
 }
 
 bool FlowController::may_send(std::size_t approx_bytes) const {
@@ -100,7 +87,7 @@ std::size_t FlowController::high_watermark() const {
 std::size_t FlowController::low_watermark() const {
   const std::size_t low =
       config_.flow_send_queue_limit > 0 ? config_.flow_send_queue_limit / 4 : 16;
-  // The release must sit strictly below the raise or the listener flaps.
+  // The release must sit strictly below the raise or the predicate flaps.
   return std::min(low, high_watermark() - 1);
 }
 
@@ -113,18 +100,14 @@ bool FlowController::park(Parked&& p) {
   queue_.push_back(std::move(p));
   stats_.pacing_stalls.add();
   metrics_.queue_depth.add(1);
-  if (queue_.size() > stats_.queue_highwater) {
-    stats_.queue_highwater = queue_.size();
-    if (static_cast<std::int64_t>(stats_.queue_highwater) >
-        metrics_.queue_highwater.value()) {
-      metrics_.queue_highwater.set(
-          static_cast<std::int64_t>(stats_.queue_highwater));
-    }
-  }
+  stats_.queue_highwater = std::max<std::uint64_t>(stats_.queue_highwater, queue_.size());
+  // Against the gauge itself, not the controller's own peak: after a
+  // metrics reset the gauge must see this controller's queue refill.
+  const auto depth = static_cast<std::int64_t>(queue_.size());
+  if (depth > metrics_.queue_highwater.value()) metrics_.queue_highwater.set(depth);
   if (!over_high_ && queue_.size() >= high_watermark()) {
     over_high_ = true;
     stats_.queue_high_events.add();
-    signals_.push_back(FlowSignal::kQueueHigh);
   }
   return true;
 }
@@ -142,56 +125,8 @@ std::optional<FlowController::Parked> FlowController::release_one() {
   queue_.pop_front();
   stats_.releases.add();
   metrics_.queue_depth.add(-1);
-  if (over_high_ && queue_.size() <= low_watermark()) {
-    over_high_ = false;
-    signals_.push_back(FlowSignal::kQueueLow);
-  }
+  if (over_high_ && queue_.size() <= low_watermark()) over_high_ = false;
   return out;
-}
-
-std::vector<FlowSignal> FlowController::take_signals() {
-  std::vector<FlowSignal> out;
-  out.swap(signals_);
-  return out;
-}
-
-std::vector<ProcessorId> FlowController::observe_lag(
-    TimePoint now, const std::vector<std::pair<ProcessorId, Timestamp>>& acks) {
-  std::vector<ProcessorId> evict;
-  if (!lag_enabled() || acks.empty()) return evict;
-  if (now - last_lag_check_ < config_.heartbeat_interval) return evict;
-  last_lag_check_ = now;
-
-  Timestamp max_ack = 0;
-  for (const auto& [q, ack] : acks) max_ack = std::max(max_ack, ack);
-  for (const auto& [q, ack] : acks) {
-    if (q == self_) continue;  // a sender never evicts itself for lagging
-    const std::uint64_t lag = max_ack - ack;
-    metrics_.member_lag.observe(static_cast<double>(lag));
-    if (config_.flow_lag_warn > 0) {
-      if (lag > config_.flow_lag_warn) {
-        if (lag_warned_.insert(q).second) stats_.lag_warnings.add();
-      } else if (lag <= config_.flow_lag_warn / 2) {
-        lag_warned_.erase(q);  // hysteresis: one event per excursion
-      }
-    }
-    if (config_.flow_lag_evict > 0) {
-      if (lag > config_.flow_lag_evict) {
-        if (lag_reported_.insert(q).second) {
-          stats_.evict_reports.add();
-          evict.push_back(q);
-        }
-      } else if (lag <= config_.flow_lag_evict / 2) {
-        lag_reported_.erase(q);
-      }
-    }
-  }
-  return evict;
-}
-
-void FlowController::forget_member(ProcessorId member) {
-  lag_warned_.erase(member);
-  lag_reported_.erase(member);
 }
 
 }  // namespace ftcorba::ftmp

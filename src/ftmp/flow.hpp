@@ -1,7 +1,6 @@
 // flow.hpp — flow control and backpressure for one group session
 // (docs/FLOW.md): a stability-driven send window, a bounded FIFO of parked
-// sends, queue-watermark backpressure toward the ORB, and slow-receiver
-// lag monitoring.
+// sends, and queue-watermark backpressure toward the ORB.
 //
 // The paper's §6 buffer management reclaims RMP's retransmission store only
 // when ack timestamps prove stability — so one slow or lossy receiver
@@ -17,13 +16,10 @@
 //     flush, wait in a bounded FIFO; the session releases them in order as
 //     stability frees the window and once the flush completes. A send
 //     arriving with the queue at capacity is dropped and counted.
-//   * Backpressure. Crossing the queue's high watermark fires a
-//     FlowListener callback (and the ORB defers new client requests);
-//     falling below the low watermark fires the matching release.
-//   * Slow receivers. Each member's stability lag — how far its ack
-//     timestamp trails the group maximum — is tracked; past flow_lag_warn
-//     it is counted, past flow_lag_evict the member is reported to PGMP as
-//     suspect (default off).
+//   * Backpressure. From the moment the queue reaches its high watermark
+//     until it falls back to its low one, the group is congested: the ORB
+//     polls that predicate (Stack::connection_congested) and defers new
+//     client requests.
 //
 // Sans-IO like the sibling layers: the FlowController only does
 // bookkeeping; the owning GroupSession drives it and transmits. With
@@ -35,12 +31,8 @@
 #include <deque>
 #include <map>
 #include <optional>
-#include <set>
-#include <utility>
-#include <vector>
 
 #include "common/bytes.hpp"
-#include "common/clock.hpp"
 #include "common/ids.hpp"
 #include "common/metrics.hpp"
 #include "ftmp/config.hpp"
@@ -65,17 +57,6 @@ enum class SendStatus : std::uint8_t {
   return "?";
 }
 
-/// Queue-watermark transitions surfaced to the layer above. The ORB defers
-/// new client requests between kQueueHigh and kQueueLow.
-enum class FlowSignal : std::uint8_t { kQueueHigh, kQueueLow };
-
-/// Receives watermark callbacks; install via Stack::set_flow_listener.
-class FlowListener {
- public:
-  virtual ~FlowListener() = default;
-  virtual void on_flow(ProcessorGroupId group, FlowSignal signal) = 0;
-};
-
 /// This controller's counters for tests and the E11 bench; each Counter
 /// also adds to the process-global ftmp_flow_* counter of its name.
 struct FlowStats {
@@ -83,9 +64,7 @@ struct FlowStats {
   metrics::Counter queue_drops;        ///< sends rejected (queue at capacity)
   metrics::Counter queue_high_events;  ///< high-watermark crossings
   metrics::Counter releases;           ///< parked sends released (window or flush)
-  metrics::Counter lag_warnings;       ///< members newly past flow_lag_warn
-  metrics::Counter evict_reports;      ///< members reported past flow_lag_evict
-  std::uint64_t queue_highwater = 0;   ///< peak parked-queue depth
+  std::uint64_t queue_highwater = 0;   ///< this controller's peak queue depth
 };
 
 /// Flow control for one group session. Owned and driven by GroupSession.
@@ -99,7 +78,7 @@ class FlowController {
     Bytes giop;
   };
 
-  FlowController(ProcessorId self, const Config& config);
+  explicit FlowController(const Config& config);
 
   /// True when the send window is configured. When false, may_send always
   /// passes and the queue holds only sends parked during a §7 flush
@@ -107,12 +86,6 @@ class FlowController {
   /// subsystem existed).
   [[nodiscard]] bool window_enabled() const {
     return config_.flow_window_messages > 0;
-  }
-
-  /// True when slow-receiver lag monitoring is configured (independent of
-  /// the send window).
-  [[nodiscard]] bool lag_enabled() const {
-    return config_.flow_lag_warn > 0 || config_.flow_lag_evict > 0;
   }
 
   // ---- stability-driven send window ----
@@ -147,34 +120,18 @@ class FlowController {
 
   [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
 
-  /// True between a kQueueHigh signal and the matching kQueueLow — the
-  /// congestion predicate the ORB polls via Stack::connection_congested.
+  /// True from the park that reaches the high watermark until the release
+  /// that reaches the low one — the congestion predicate the ORB polls via
+  /// Stack::connection_congested.
   [[nodiscard]] bool over_high_watermark() const { return over_high_; }
-
-  /// Drains watermark transitions recorded since the last call (the
-  /// session forwards them to the installed FlowListener).
-  [[nodiscard]] std::vector<FlowSignal> take_signals();
 
   /// Watermarks: 3/4 and 1/4 of the queue limit (64 and 16 when unlimited).
   [[nodiscard]] std::size_t high_watermark() const;
   [[nodiscard]] std::size_t low_watermark() const;
 
-  // ---- slow-receiver lag ----
-
-  /// Feeds the per-member ack timestamps (ROMP's last-ack knowledge, self
-  /// included) and applies the warn/evict thresholds. Internally throttled
-  /// to one evaluation per heartbeat interval. Returns the members newly
-  /// past flow_lag_evict, which the session reports to PGMP as suspects.
-  [[nodiscard]] std::vector<ProcessorId> observe_lag(
-      TimePoint now, const std::vector<std::pair<ProcessorId, Timestamp>>& acks);
-
-  /// Drops lag state for a member that left the group.
-  void forget_member(ProcessorId member);
-
   [[nodiscard]] const FlowStats& stats() const { return stats_; }
 
  private:
-  ProcessorId self_;
   Config config_;
 
   // Own multicast-but-unstable Regular messages: seq -> encoded size.
@@ -182,13 +139,6 @@ class FlowController {
 
   std::deque<Parked> queue_;
   bool over_high_ = false;
-  std::vector<FlowSignal> signals_;
-
-  // Members currently past the warn threshold / reported for eviction
-  // (cleared with hysteresis so one excursion fires one event).
-  std::set<ProcessorId> lag_warned_;
-  std::set<ProcessorId> lag_reported_;
-  TimePoint last_lag_check_ = -1'000'000'000;
 
   FlowStats stats_;
 
@@ -199,7 +149,6 @@ class FlowController {
     metrics::Gauge window_bytes;
     metrics::Gauge queue_depth;
     metrics::GaugeHandle queue_highwater;
-    metrics::HistogramHandle member_lag;
   };
   Instruments metrics_;
 };

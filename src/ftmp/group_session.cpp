@@ -39,7 +39,7 @@ GroupSession::GroupSession(ProcessorId self, ProcessorGroupId group,
       romp_(self, config),
       ordering_(make_ordering(config.ordering_mode, romp_)),
       pgmp_(self, config, rmp_, romp_, *ordering_),
-      flow_(self, config) {
+      flow_(config) {
   heartbeats_sent_ = metrics::counter(
       "ftmp_rmp_heartbeats_sent_total",
       "Heartbeat messages multicast when nothing else was sent within the "
@@ -181,7 +181,6 @@ SendStatus GroupSession::try_send_regular(TimePoint now,
   if (flushing() || !flow_.may_send(giop.size())) {
     const bool parked = flow_.park(FlowController::Parked{
         connection, request_num, Bytes(giop.begin(), giop.end())});
-    emit_flow_signals();
     return parked ? SendStatus::kQueued : SendStatus::kRejected;
   }
   emit_regular(now, connection, request_num, giop);
@@ -498,7 +497,6 @@ void GroupSession::emit_install(TimePoint now, InstallOut&& install) {
   // A removed member's partially-reassembled message can never complete.
   for (ProcessorId gone : install.change.left) {
     reassembler_.forget(gone);
-    flow_.forget_member(gone);
     delivered_hw_.erase(gone.raw());
   }
   // A (re-)joined member's stream rebases (fresh incarnation restarts at
@@ -606,28 +604,9 @@ Duration GroupSession::ack_delay() const {
 }
 
 void GroupSession::drain_flow_queue(TimePoint now) {
-  if (!flushing()) {
-    while (auto parked = flow_.release_one()) {
-      emit_regular(now, parked->connection, parked->request_num, parked->giop);
-    }
-  }
-  emit_flow_signals();
-}
-
-void GroupSession::emit_flow_signals() {
-  for (FlowSignal s : flow_.take_signals()) {
-    if (flow_listener_) flow_listener_->on_flow(group_, s);
-  }
-}
-
-void GroupSession::check_flow_lag(TimePoint now) {
-  if (!flow_.lag_enabled()) return;
-  std::vector<std::pair<ProcessorId, Timestamp>> acks;
-  for (ProcessorId q : romp_.members()) {
-    acks.emplace_back(q, romp_.last_ack(q));
-  }
-  for (ProcessorId laggard : flow_.observe_lag(now, acks)) {
-    pgmp_.suspect_slow(now, laggard);
+  if (flushing()) return;
+  while (auto parked = flow_.release_one()) {
+    emit_regular(now, parked->connection, parked->request_num, parked->giop);
   }
 }
 
@@ -642,7 +621,6 @@ void GroupSession::tick(TimePoint now) {
   }
   pgmp_.tick(now);
   rmp_.on_tick(now);
-  check_flow_lag(now);
   const bool heartbeat_due = rmp_.heartbeat_due(now);
   const bool ack_due = ack_due_ && now >= *ack_due_;
   // kLamport: an own seq that RMP has not received back is probed for once

@@ -129,9 +129,6 @@ class GroupSession {
   /// that send would have made them wait. Returns whether it sent one.
   bool pay_ack_debt(TimePoint now);
 
-  /// Installs (or clears, with nullptr) the queue-watermark listener.
-  void set_flow_listener(FlowListener* listener) { flow_listener_ = listener; }
-
   /// Multicasts a Connect message on the *domain* address (server side of
   /// connection establishment, §7); the group members order it, the client
   /// group overhears it. Returns the assigned sequence number (for later
@@ -244,14 +241,8 @@ class GroupSession {
   void progress_flush(TimePoint now);
 
   /// Releases parked sends the freed window now admits (none while a flush
-  /// runs), then forwards any queue-watermark transitions to the installed
-  /// FlowListener.
+  /// runs).
   void drain_flow_queue(TimePoint now);
-  void emit_flow_signals();
-
-  /// Samples per-member stability lag and applies the warn/evict policy
-  /// (flow_lag_warn / flow_lag_evict).
-  void check_flow_lag(TimePoint now);
 
   ProcessorId self_;
   ProcessorGroupId group_;
@@ -267,7 +258,6 @@ class GroupSession {
   std::unique_ptr<OrderingPolicy> ordering_;
   Pgmp pgmp_;
   FlowController flow_;
-  FlowListener* flow_listener_ = nullptr;
 
   // Connect-rebind state (§7): flush watermark and retiring old address
   // (ordered sends made during the flush park in flow_'s FIFO).

@@ -171,7 +171,7 @@ void Pgmp::note_heard(ProcessorId src, TimePoint now) {
   // abort clears the endorsement, re-enabling withdrawal here.
   const bool past_no_return = round_ && round_->convicted.contains(src) &&
                               !round_->proposal.empty() && quorum(round_->proposal);
-  if (peer.suspected && !peer.pinned && !past_no_return) {
+  if (peer.suspected && !past_no_return) {
     // False suspicion (it spoke again): withdraw. This applies even after
     // the suspicion hardened into a conviction, as long as no installable
     // round could have resulted — an asymmetric (one-way) partition makes
@@ -185,19 +185,6 @@ void Pgmp::note_heard(ProcessorId src, TimePoint now) {
     peer.suspected = false;
     announce_suspects();
   }
-}
-
-void Pgmp::suspect_slow(TimePoint now, ProcessorId member) {
-  if (!active_ || member == self_) return;
-  // Every member has a record (so does this processor, excluded above).
-  auto it = peers_.find(member);
-  if (it == peers_.end()) return;
-  it->second.pinned = true;
-  if (it->second.suspected) return;  // already suspect: pin only
-  it->second.suspected = true;
-  metrics_.suspicions.add();
-  if (!suspects_since_) suspects_since_ = now;
-  announce_suspects();
 }
 
 void Pgmp::announce_suspects() {
@@ -576,7 +563,7 @@ void Pgmp::try_complete(TimePoint now) {
   end_round();
   // The new view starts unsuspected; a live suspicion is raised afresh.
   suspicion_.clear();
-  for (auto& [m, peer] : peers_) peer.suspected = peer.pinned = false;
+  for (auto& [m, peer] : peers_) peer.suspected = false;
   suspects_since_.reset();
 
   install.change.reason = MembershipChanged::Reason::kFault;

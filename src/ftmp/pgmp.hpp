@@ -142,14 +142,6 @@ class Pgmp {
   /// withdraws any suspicion of it that has not yet led to conviction).
   void note_heard(ProcessorId src, TimePoint now);
 
-  /// Flow-control slow-receiver policy (flow.hpp, flow_lag_evict): marks
-  /// `member` suspect as if the fault detector had timed it out, but pins
-  /// the suspicion so that merely hearing packets from the member does not
-  /// withdraw it — a slow receiver is alive and talking; its problem is
-  /// lag, which only a membership change resolves. The pin clears when a
-  /// recovery round completes or the member leaves.
-  void suspect_slow(TimePoint now, ProcessorId member);
-
   // ---- planned membership changes (§7.1) ----
 
   /// Starts adding `new_member`: returns the AddProcessor body to be sent
@@ -208,9 +200,6 @@ class Pgmp {
   struct Peer {
     TimePoint last_heard = 0;  // fault detector
     bool suspected = false;
-    // Survives note_heard: slow receivers reported via suspect_slow keep
-    // talking.
-    bool pinned = false;
     // Header seq of its Membership message in the last completed round;
     // its Suspect and Membership messages at or below it are stale.
     SeqNum round_floor = 0;

@@ -148,9 +148,8 @@ class Romp {
   /// Timestamp below which every member has acknowledged everything.
   [[nodiscard]] Timestamp stable_timestamp() const;
 
-  /// The largest ack timestamp observed from `q` (0 if never heard) — the
-  /// per-member stability knowledge feeding slow-receiver lag monitoring
-  /// (flow.hpp): stable_timestamp() is the min of these over members.
+  /// The largest ack timestamp observed from `q` (0 if never heard):
+  /// stable_timestamp() is the min of these over members.
   [[nodiscard]] Timestamp last_ack(ProcessorId q) const;
 
   /// Advances stability: returns, per source, the largest sequence number

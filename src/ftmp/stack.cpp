@@ -30,14 +30,8 @@ Stack::Stack(ProcessorId self, FtDomainId domain, McastAddress domain_addr, Conf
 GroupSession& Stack::make_session(ProcessorGroupId g, McastAddress addr) {
   auto session = std::make_unique<GroupSession>(self_, g, addr, domain_addr_,
                                                 config_, outbox_);
-  session->set_flow_listener(flow_listener_);
   auto [it, inserted] = sessions_.emplace(g, std::move(session));
   return *it->second;
-}
-
-void Stack::set_flow_listener(FlowListener* listener) {
-  flow_listener_ = listener;
-  for (auto& [g, session] : sessions_) session->set_flow_listener(listener);
 }
 
 void Stack::create_group(TimePoint now, ProcessorGroupId group, McastAddress addr,
@@ -110,12 +104,6 @@ std::optional<ProcessorGroupId> Stack::connection_group(const ConnectionId& conn
   return std::nullopt;
 }
 
-bool Stack::send(TimePoint now, const ConnectionId& connection, RequestNum request_num,
-                 BytesView giop) {
-  const SendStatus status = try_send(now, connection, request_num, giop);
-  return status == SendStatus::kSent || status == SendStatus::kQueued;
-}
-
 GroupSession* Stack::session_for(const ConnectionId& connection) const {
   auto it = client_conns_.find(connection);
   std::optional<ProcessorGroupId> g;
@@ -130,13 +118,13 @@ GroupSession* Stack::session_for(const ConnectionId& connection) const {
   return s == sessions_.end() ? nullptr : s->second.get();
 }
 
-SendStatus Stack::try_send(TimePoint now, const ConnectionId& connection,
-                           RequestNum request_num, BytesView giop) {
+bool Stack::send(TimePoint now, const ConnectionId& connection, RequestNum request_num,
+                 BytesView giop) {
   GroupSession* s = session_for(connection);
-  if (!s) return SendStatus::kInactive;
-  const SendStatus status = s->try_send_regular(now, connection, request_num, giop);
+  if (!s) return false;
+  const bool sent = s->send_regular(now, connection, request_num, giop);
   observe_events(now);
-  return status;
+  return sent;
 }
 
 std::vector<HeldCopy> Stack::held_copies(const ConnectionId& connection,

@@ -134,11 +134,6 @@ class Stack {
   bool send(TimePoint now, const ConnectionId& connection, RequestNum request_num,
             BytesView giop);
 
-  /// Non-blocking send with the explicit flow-control disposition
-  /// (flow.hpp's SendStatus). kInactive covers "no ready connection" too.
-  SendStatus try_send(TimePoint now, const ConnectionId& connection,
-                      RequestNum request_num, BytesView giop);
-
   /// The Regulars on `connection` with `request_num` that other members
   /// sent and this processor holds undelivered
   /// (GroupSession::held_copies); empty without a ready connection.
@@ -153,10 +148,6 @@ class Stack {
   /// StateDigest, docs/RECOVERY.md) on `group`'s reliable source-ordered
   /// path. Returns false if the group has no active session here.
   bool send_state(TimePoint now, ProcessorGroupId group, Body body);
-
-  /// Installs a queue-watermark listener on every current and future group
-  /// session of this stack (nullptr clears).
-  void set_flow_listener(FlowListener* listener);
 
   /// True while the group serving `connection` sits above its flow-queue
   /// high watermark — the ORB's cue to defer new client requests.
@@ -252,7 +243,6 @@ class Stack {
   std::optional<ProcessorGroupId> serve_group_;
   std::map<ConnectionId, ClientConn> client_conns_;
   std::map<ConnectionId, ServerConn> server_conns_;
-  FlowListener* flow_listener_ = nullptr;
 
   // Index of the first outbox event not yet inspected by observe_events.
   std::size_t events_observed_ = 0;

@@ -79,9 +79,9 @@ class Orb {
   /// marshaled arguments in `args`. Returns the request number, or nullopt
   /// if the connection was not ready — or if the connection's group is
   /// over its flow-control high watermark (the invocation is *deferred*:
-  /// no request number is consumed; retry once pressure drains, e.g. after
-  /// a FlowSignal::kQueueLow). With `response_expected` false the call is
-  /// oneway (no handler is retained).
+  /// no request number is consumed; retry once pressure drains, i.e. once
+  /// Stack::connection_congested is false again). With `response_expected`
+  /// false the call is oneway (no handler is retained).
   std::optional<RequestNum> invoke(TimePoint now, const ConnectionId& connection,
                                    const ObjectKey& key, const std::string& operation,
                                    const giop::CdrWriter& args, ReplyHandler handler,

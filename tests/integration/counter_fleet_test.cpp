@@ -158,8 +158,6 @@ TEST(CounterFleet, InstanceTalliesSumToTheRegistryCounter) {
       tallies["ftmp_flow_send_queue_dropped_total"] += f.queue_drops.value();
       tallies["ftmp_flow_queue_high_events_total"] += f.queue_high_events.value();
       tallies["ftmp_flow_releases_total"] += f.releases.value();
-      tallies["ftmp_flow_lag_warnings_total"] += f.lag_warnings.value();
-      tallies["ftmp_flow_evict_reports_total"] += f.evict_reports.value();
     }
     const orb::OrbStats o = orbs[p]->stats();
     tallies["giop_requests_dispatched_total"] += o.requests_dispatched;

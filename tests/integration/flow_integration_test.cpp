@@ -1,6 +1,7 @@
 // Integration tests for flow control end-to-end (docs/FLOW.md): the
 // stability-driven send window bounding the retransmission store under a
-// slow receiver, watermark backpressure signals, and lag-based eviction.
+// slow receiver, FIFO order through the parked queue, and the congestion
+// predicate the ORB polls.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -151,30 +152,28 @@ TEST(FlowIntegration, OrderingPreservedThroughParkedQueue) {
   EXPECT_EQ(stats.queue_drops.value(), 0u);
 }
 
-// Records watermark callbacks from the stack.
-struct SignalRecorder : FlowListener {
-  std::vector<FlowSignal> signals;
-  void on_flow(ProcessorGroupId group, FlowSignal signal) override {
-    EXPECT_EQ(group, kGroup);
-    signals.push_back(signal);
-  }
-};
-
-TEST(FlowIntegration, WatermarksFireThroughListenerAndStatusesReport) {
+TEST(FlowIntegration, WatermarksSetAndClearCongestionAndStatusesReport) {
   Config config;
   config.flow_window_messages = 1;
   config.flow_send_queue_limit = 4;  // watermarks at 3 and 1
   SimHarness h = make_group(3, config, /*seed=*/11);
-  SignalRecorder recorder;
-  h.stack(ProcessorId{1}).set_flow_listener(&recorder);
+  // P1 serves connections on kGroup and P2, already a member, opens one:
+  // the connection an ORB on P2 would invoke on.
+  const ProcessorId client{2};
+  h.stack(ProcessorId{1}).serve_connections(kGroup);
+  h.stack(client).open_connection(h.now(), test_conn(), kDomainAddr, {client});
+  ASSERT_TRUE(h.run_until_pred(
+      [&] { return h.stack(client).connection_ready(test_conn()); },
+      h.now() + 5 * kSecond));
   h.run_for(50 * kMillisecond);
+  EXPECT_FALSE(h.stack(client).connection_congested(test_conn()));
 
-  // Freeze stability: nothing from peers reaches P1, so its own sends
+  // Freeze stability: nothing from peers reaches P2, so its own sends
   // never stabilise and the window (1) stays full after the first send.
-  h.network().set_link(ProcessorId{2}, ProcessorId{1}, lossy_link(1.0));
-  h.network().set_link(ProcessorId{3}, ProcessorId{1}, lossy_link(1.0));
+  h.network().set_link(ProcessorId{1}, client, lossy_link(1.0));
+  h.network().set_link(ProcessorId{3}, client, lossy_link(1.0));
 
-  auto* session = h.stack(ProcessorId{1}).group(kGroup);
+  auto* session = h.stack(client).group(kGroup);
   const Bytes payload = bytes_of("pressure");
   EXPECT_EQ(session->try_send_regular(h.now(), test_conn(), 1, payload),
             SendStatus::kSent);
@@ -187,91 +186,25 @@ TEST(FlowIntegration, WatermarksFireThroughListenerAndStatusesReport) {
             SendStatus::kRejected)
       << "queue limit (4) reached";
   EXPECT_TRUE(session->flow().over_high_watermark());
-  ASSERT_EQ(recorder.signals.size(), 1u);
-  EXPECT_EQ(recorder.signals[0], FlowSignal::kQueueHigh);
+  EXPECT_TRUE(h.stack(client).connection_congested(test_conn()))
+      << "the ORB would defer here";
   EXPECT_EQ(session->flow().stats().queue_drops.value(), 1u);
 
   // Heal: stability resumes, the queue drains below the low watermark.
-  h.network().set_link(ProcessorId{2}, ProcessorId{1}, {});
-  h.network().set_link(ProcessorId{3}, ProcessorId{1}, {});
+  h.network().set_link(ProcessorId{1}, client, {});
+  h.network().set_link(ProcessorId{3}, client, {});
   h.run_for(2 * kSecond);
   EXPECT_FALSE(session->flow().over_high_watermark());
-  ASSERT_EQ(recorder.signals.size(), 2u);
-  EXPECT_EQ(recorder.signals[1], FlowSignal::kQueueLow);
+  EXPECT_FALSE(h.stack(client).connection_congested(test_conn()));
+  EXPECT_EQ(session->flow().stats().queue_high_events.value(), 1u)
+      << "one excursion, one crossing";
 
   // The five accepted sends (and only those) were delivered, in order.
-  auto msgs = h.delivered(ProcessorId{2}, kGroup);
+  auto msgs = h.delivered(ProcessorId{1}, kGroup);
   ASSERT_EQ(msgs.size(), 5u);
   for (std::size_t i = 0; i < msgs.size(); ++i) {
     EXPECT_EQ(msgs[i].request_num, i + 1);
   }
-}
-
-TEST(FlowIntegration, LaggingReceiverIsWarnedThenEvicted) {
-  Config config;
-  config.flow_lag_warn = 20;
-  config.flow_lag_evict = 60;
-  SimHarness h = make_group(4, config, /*seed=*/13);
-  h.run_for(50 * kMillisecond);
-
-  // P4 loses 90% of inbound traffic but keeps multicasting heartbeats: it
-  // is alive (it hears *some* of the group, so it never falsely suspects
-  // anyone, and its clean outbound means nobody liveness-suspects it) yet
-  // NACK recovery cannot keep up and its acks fall ever further behind.
-  degrade_links_into(h, ProcessorId{4}, lossy_link(0.9));
-  h.clear_events();
-
-  // Sustained traffic advances the group's ack front away from P4.
-  for (int i = 0; i < 300; ++i) {
-    (void)h.stack(ProcessorId{1})
-        .group(kGroup)
-        ->send_regular(h.now(), test_conn(), std::uint64_t(i + 1),
-                       bytes_of("tick-" + std::to_string(i)));
-    h.run_for(2 * kMillisecond);
-  }
-  h.run_for(2 * kSecond);
-
-  // The healthy majority convicted P4 on stability lag.
-  for (ProcessorId p : {ProcessorId{1}, ProcessorId{2}, ProcessorId{3}}) {
-    const auto& membership =
-        h.stack(p).group(kGroup)->membership().members;
-    EXPECT_EQ(membership.size(), 3u) << "at " << to_string(p);
-    EXPECT_FALSE(std::ranges::count(membership, ProcessorId{4}))
-        << "P4 still a member at " << to_string(p);
-  }
-  bool fault_seen = false;
-  for (const Event& ev : h.events(ProcessorId{1})) {
-    if (const auto* fr = std::get_if<FaultReport>(&ev)) {
-      if (fr->convicted == ProcessorId{4}) fault_seen = true;
-    }
-  }
-  EXPECT_TRUE(fault_seen) << "conviction surfaced as a FaultReport";
-  const auto& stats = h.stack(ProcessorId{1}).group(kGroup)->flow().stats();
-  EXPECT_GE(stats.lag_warnings.value(), 1u);
-  EXPECT_GE(stats.evict_reports.value(), 1u);
-}
-
-TEST(FlowIntegration, WarnOnlyThresholdNeverEvicts) {
-  Config config;
-  config.flow_lag_warn = 20;  // flow_lag_evict stays 0: report, don't act
-  SimHarness h = make_group(3, config, /*seed=*/17);
-  h.run_for(50 * kMillisecond);
-  degrade_links_into(h, ProcessorId{3}, lossy_link(0.9));
-
-  for (int i = 0; i < 300; ++i) {
-    (void)h.stack(ProcessorId{1})
-        .group(kGroup)
-        ->send_regular(h.now(), test_conn(), std::uint64_t(i + 1),
-                       bytes_of(std::string("w").append(std::to_string(i))));
-    h.run_for(2 * kMillisecond);
-  }
-
-  const auto& stats = h.stack(ProcessorId{1}).group(kGroup)->flow().stats();
-  EXPECT_GE(stats.lag_warnings.value(), 1u);
-  EXPECT_EQ(stats.evict_reports.value(), 0u);
-  EXPECT_EQ(h.stack(ProcessorId{1}).group(kGroup)->membership().members.size(),
-            3u)
-      << "warn threshold alone must not change membership";
 }
 
 }  // namespace

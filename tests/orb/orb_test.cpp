@@ -1,8 +1,9 @@
 // Unit tests for the mini-ORB over a 2-member simulated deployment:
-// dispatch, oneway, locate, cancel, exceptions, unknown objects, and the
-// suppress_reply hook.
+// dispatch, oneway, locate, cancel, exceptions, unknown objects, the
+// suppress_reply hook, and deferral while the group is congested.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <optional>
 
@@ -50,9 +51,9 @@ struct OrbWorld {
   std::unique_ptr<Orb> server_orb, client_orb;
   std::shared_ptr<EchoServant> servant = std::make_shared<EchoServant>();
 
-  OrbWorld() {
+  explicit OrbWorld(const ftmp::Config& config = {}) {
     const std::vector<ProcessorId> members{server, client};
-    for (ProcessorId p : members) h.add_processor(p, kDomain, kDomainAddr);
+    for (ProcessorId p : members) h.add_processor(p, kDomain, kDomainAddr, config);
     for (ProcessorId p : members) {
       h.stack(p).create_group(h.now(), kGroup, kGroupAddr, members);
     }
@@ -267,6 +268,40 @@ TEST(Orb, LocateOfAnUnhostedKeyTimesOutOnce) {
   EXPECT_EQ(w.client_orb->expire(w.h.now() + 10 * kSecond), 0u);
   EXPECT_EQ(timeouts, 1);
   EXPECT_FALSE(answered) << "no replica hosts the key, so none answers";
+}
+
+TEST(Orb, InvokeDefersWhileTheGroupIsCongestedAndResumesAfter) {
+  ftmp::Config config;
+  config.flow_window_messages = 1;
+  config.flow_send_queue_limit = 4;  // congested from 3 parked sends down to 1
+  OrbWorld w(config);
+  giop::CdrWriter args;
+  args.string("x");
+  std::map<std::uint32_t, int> completed;
+  const auto count = [&](const giop::Reply& reply, ByteOrder) {
+    ++completed[reply.request_id];
+  };
+
+  // Four calls in one instant: the window takes the first, the rest park,
+  // and the third parked call reaches the high watermark.
+  for (RequestNum want = 1; want <= 4; ++want) {
+    EXPECT_EQ(w.client_orb->invoke(w.h.now(), conn(), kEcho, "echo", args, count), want);
+  }
+  ASSERT_TRUE(w.h.stack(w.client).connection_congested(conn()));
+  EXPECT_FALSE(w.client_orb->invoke(w.h.now(), conn(), kEcho, "echo", args, count).has_value());
+  EXPECT_FALSE(w.client_orb->locate(w.h.now(), conn(), kEcho, nullptr).has_value());
+  EXPECT_EQ(w.client_orb->stats().requests_deferred, 2u);
+
+  ASSERT_TRUE(w.h.run_until_pred(
+      [&] { return !w.h.stack(w.client).connection_congested(conn()); },
+      w.h.now() + 5 * kSecond));
+  EXPECT_EQ(w.client_orb->invoke(w.h.now(), conn(), kEcho, "echo", args, count),
+            RequestNum{5})
+      << "a deferred call consumes no request number";
+  w.h.run_for(1 * kSecond);
+  EXPECT_EQ(completed, (std::map<std::uint32_t, int>{{1, 1}, {2, 1}, {3, 1}, {4, 1}, {5, 1}}));
+  EXPECT_EQ(w.servant->invocations, 5);
+  EXPECT_EQ(w.client_orb->pending_invocations(), 0u);
 }
 
 TEST(Orb, InvokeOnUnreadyConnectionFails) {
