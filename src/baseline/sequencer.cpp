@@ -8,14 +8,14 @@ namespace {
 constexpr std::uint8_t kMagic[4] = {'S', 'E', 'Q', 'B'};
 enum : std::uint8_t { kData = 1, kTicket = 2, kNack = 3 };
 enum : std::uint8_t { kNackData = 1, kNackTicket = 2 };
+// Minimum spacing between NACK rounds; the sequencer re-announces its
+// latest ticket every four of them.
+constexpr Duration kNackInterval = 5 * kMillisecond;
 }  // namespace
 
 SequencerNode::SequencerNode(ProcessorId self, std::vector<ProcessorId> members,
-                             McastAddress group_addr, Duration nack_interval)
-    : self_(self),
-      members_(std::move(members)),
-      group_addr_(group_addr),
-      nack_interval_(nack_interval) {
+                             McastAddress group_addr)
+    : self_(self), members_(std::move(members)), group_addr_(group_addr) {
   std::sort(members_.begin(), members_.end());
   sequencer_ = members_.front();
 }
@@ -92,7 +92,7 @@ void SequencerNode::try_deliver() {
 }
 
 void SequencerNode::request_missing(TimePoint now) {
-  if (now - last_nack_ < nack_interval_) return;
+  if (now - last_nack_ < kNackInterval) return;
   bool nacked = false;
   // Ticket gaps.
   for (std::uint64_t g = next_deliver_; g <= highest_ticket_ && g < next_deliver_ + 64; ++g) {
@@ -195,7 +195,7 @@ void SequencerNode::tick(TimePoint now) {
   try_deliver();
   request_missing(now);
 
-  if (now - last_reannounce_ >= nack_interval_ * 4) {
+  if (now - last_reannounce_ >= kNackInterval * 4) {
     bool announced = false;
     // Source-side healing: our own data the sequencer has not ticketed yet
     // may have been lost on the way there — re-multicast it.

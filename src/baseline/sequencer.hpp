@@ -36,7 +36,7 @@ class SequencerNode : public TotalOrderNode {
   /// `members` must be identical at every node; `group_addr` is the
   /// multicast address the group shares.
   SequencerNode(ProcessorId self, std::vector<ProcessorId> members,
-                McastAddress group_addr, Duration nack_interval = 5 * kMillisecond);
+                McastAddress group_addr);
 
   void broadcast(TimePoint now, BytesView payload) override;
   void on_datagram(TimePoint now, const net::Datagram& datagram) override;
@@ -67,7 +67,6 @@ class SequencerNode : public TotalOrderNode {
   std::vector<ProcessorId> members_;
   ProcessorId sequencer_;
   McastAddress group_addr_;
-  Duration nack_interval_;
 
   std::uint64_t next_local_seq_ = 0;
   // Received data payloads by (source, local seq).

@@ -7,17 +7,17 @@ namespace ftcorba::baseline {
 namespace {
 constexpr std::uint8_t kMagic[4] = {'T', 'K', 'R', 'B'};
 enum : std::uint8_t { kData = 1, kToken = 2, kNack = 3 };
+// Messages a holder sends per token visit.
+constexpr std::size_t kMaxBurst = 16;
+// Silence after which the smallest id regenerates a lost token.
+constexpr Duration kTokenTimeout = 50 * kMillisecond;
+// Minimum spacing between NACK rounds.
+constexpr Duration kNackInterval = 5 * kMillisecond;
 }  // namespace
 
 TokenRingNode::TokenRingNode(ProcessorId self, std::vector<ProcessorId> members,
-                             McastAddress group_addr, std::size_t max_burst,
-                             Duration token_timeout, Duration nack_interval)
-    : self_(self),
-      members_(std::move(members)),
-      group_addr_(group_addr),
-      max_burst_(max_burst),
-      token_timeout_(token_timeout),
-      nack_interval_(nack_interval) {
+                             McastAddress group_addr)
+    : self_(self), members_(std::move(members)), group_addr_(group_addr) {
   std::sort(members_.begin(), members_.end());
   // The smallest id starts with the token.
   holding_ = self_ == members_.front();
@@ -41,7 +41,7 @@ void TokenRingNode::hold_token(TimePoint now, std::uint64_t generation,
   token_next_global_ = next_global;
   last_token_activity_ = now;
   std::size_t sent = 0;
-  while (!pending_.empty() && sent < max_burst_) {
+  while (!pending_.empty() && sent < kMaxBurst) {
     const std::uint64_t global = token_next_global_++;
     Bytes payload = std::move(pending_.front());
     pending_.pop_front();
@@ -86,7 +86,7 @@ void TokenRingNode::try_deliver() {
 
 void TokenRingNode::request_missing(TimePoint now) {
   if (next_deliver_ > highest_seen_) return;
-  if (now - last_nack_ < nack_interval_) return;
+  if (now - last_nack_ < kNackInterval) return;
   last_nack_ = now;
   std::size_t nacked = 0;
   for (std::uint64_t g = next_deliver_; g <= highest_seen_ && nacked < 32; ++g) {
@@ -186,7 +186,7 @@ void TokenRingNode::tick(TimePoint now) {
   // Token regeneration: if the ring has been silent too long, the smallest
   // id re-issues the token with a higher generation.
   if (self_ == members_.front() && !holding_ &&
-      now - last_token_activity_ > token_timeout_) {
+      now - last_token_activity_ > kTokenTimeout) {
     generation_ += 1;
     token_next_global_ = std::max(token_next_global_, highest_seen_ + 1);
     stats_.tokens_regenerated += 1;

@@ -32,12 +32,9 @@ struct TokenRingStats {
 class TokenRingNode : public TotalOrderNode {
  public:
   /// `members` must be identical at every node. The smallest id initially
-  /// holds (and regenerates) the token. `max_burst` bounds messages sent
-  /// per token visit.
+  /// holds (and regenerates) the token.
   TokenRingNode(ProcessorId self, std::vector<ProcessorId> members,
-                McastAddress group_addr, std::size_t max_burst = 16,
-                Duration token_timeout = 50 * kMillisecond,
-                Duration nack_interval = 5 * kMillisecond);
+                McastAddress group_addr);
 
   void broadcast(TimePoint now, BytesView payload) override;
   void on_datagram(TimePoint now, const net::Datagram& datagram) override;
@@ -57,9 +54,6 @@ class TokenRingNode : public TotalOrderNode {
   ProcessorId self_;
   std::vector<ProcessorId> members_;
   McastAddress group_addr_;
-  std::size_t max_burst_;
-  Duration token_timeout_;
-  Duration nack_interval_;
 
   std::deque<Bytes> pending_;  // locally queued, waiting for the token
   std::map<std::uint64_t, std::pair<std::uint32_t, Bytes>> store_;  // global -> (src, payload)

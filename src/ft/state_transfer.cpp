@@ -54,12 +54,10 @@ std::uint64_t state_digest_mix(std::uint64_t digest, std::uint32_t source,
 StateTransferManager::StateTransferManager(ProcessorId self,
                                            ProcessorGroupId group,
                                            ftmp::Stack& stack,
-                                           const ftmp::Config& config,
                                            Checkpointable& state, ApplyFn apply)
     : self_(self),
       group_(group),
       stack_(stack),
-      config_(config),
       state_(state),
       apply_(std::move(apply)) {
   stats_.transfers_completed = metrics::Counter(
@@ -309,9 +307,8 @@ void StateTransferManager::take_snapshot(TimePoint now,
   }
   snap.interested = catching_up_;
   snap.created_at = now;
-  const std::size_t chunk_bytes = std::max<std::size_t>(1, config_.state_chunk_bytes);
-  snap.total_chunks = static_cast<std::uint32_t>(
-      std::max<std::size_t>(1, (snap.bytes.size() + chunk_bytes - 1) / chunk_bytes));
+  snap.total_chunks = static_cast<std::uint32_t>(std::max<std::size_t>(
+      1, (snap.bytes.size() + kStateChunkBytes - 1) / kStateChunkBytes));
   stats_.snapshots_taken += 1;
   snapshots_[change.membership.timestamp] = std::move(snap);
 }
@@ -360,11 +357,8 @@ void StateTransferManager::on_request(TimePoint now, ProcessorId from,
 
   // Request-driven self-clocking: serve a window past the joiner's
   // cumulative offset; the next request both acks and reopens the window.
-  const std::uint32_t window =
-      static_cast<std::uint32_t>(std::max<std::size_t>(1, config_.state_window_chunks));
   const std::uint32_t end =
-      std::min(snap.total_chunks, req.next_chunk + window);
-  const std::size_t chunk_bytes = std::max<std::size_t>(1, config_.state_chunk_bytes);
+      std::min(snap.total_chunks, req.next_chunk + kStateWindowChunks);
   for (std::uint32_t seq = req.next_chunk; seq < end; ++seq) {
     ftmp::StateChunkBody chunk;
     chunk.joiner = from;
@@ -374,8 +368,8 @@ void StateTransferManager::on_request(TimePoint now, ProcessorId from,
     chunk.snapshot_digest = snap.snapshot_digest;
     chunk.cut_digest = snap.cut_digest;
     chunk.cut_seqs = snap.cut_seqs;
-    const std::size_t begin = static_cast<std::size_t>(seq) * chunk_bytes;
-    const std::size_t len = std::min(chunk_bytes, snap.bytes.size() - std::min(snap.bytes.size(), begin));
+    const std::size_t begin = static_cast<std::size_t>(seq) * kStateChunkBytes;
+    const std::size_t len = std::min(kStateChunkBytes, snap.bytes.size() - std::min(snap.bytes.size(), begin));
     chunk.payload.assign(snap.bytes.begin() + static_cast<std::ptrdiff_t>(begin),
                          snap.bytes.begin() + static_cast<std::ptrdiff_t>(begin + len));
     const std::size_t sent_bytes = chunk.payload.size();
@@ -404,10 +398,8 @@ void StateTransferManager::on_chunk(TimePoint now, const ftmp::StateChunkBody& c
   while (cu.next_chunk < cu.total_chunks && cu.chunks[cu.next_chunk]) {
     cu.next_chunk += 1;
   }
-  const std::uint32_t window =
-      static_cast<std::uint32_t>(std::max<std::size_t>(1, config_.state_window_chunks));
   if (cu.next_chunk >= cu.total_chunks ||
-      cu.next_chunk >= cu.last_requested + window) {
+      cu.next_chunk >= cu.last_requested + kStateWindowChunks) {
     send_request(now);  // ack progress / reopen the donor's window
   }
   maybe_finish(now);
@@ -529,9 +521,8 @@ bool StateTransferManager::is_donor(const Snapshot& snap) const {
 }
 
 void StateTransferManager::tick(TimePoint now) {
-  if (catchup_ && config_.state_request_interval > 0 &&
-      (catchup_->last_request_at < 0 ||
-       now - catchup_->last_request_at >= config_.state_request_interval)) {
+  if (catchup_ && (catchup_->last_request_at < 0 ||
+                   now - catchup_->last_request_at >= kStateRequestInterval)) {
     // Retry/keepalive: re-sends the cumulative offset, which is idempotent
     // on the donor (chunks are keyed by (view_ts, chunk_seq)).
     send_request(now);

@@ -34,11 +34,24 @@
 #include "common/ids.hpp"
 #include "common/metrics.hpp"
 #include "ft/replication.hpp"
-#include "ftmp/config.hpp"
 #include "ftmp/events.hpp"
 #include "ftmp/stack.hpp"
 
 namespace ftcorba::ft {
+
+/// Snapshot bytes per StateChunk. Chunks are idempotent by
+/// (view_ts, chunk_seq), so a resumed transfer re-streams only what the
+/// joiner still misses.
+inline constexpr std::size_t kStateChunkBytes = 8192;
+
+/// Request-driven flow control: the donor answers one StateRequest with at
+/// most this many chunks; the joiner's next cumulative request clocks the
+/// next window.
+inline constexpr std::uint32_t kStateWindowChunks = 4;
+
+/// Joiner side: spacing between StateRequests while a transfer is
+/// outstanding (also the retry/resume cadence after donor silence).
+inline constexpr Duration kStateRequestInterval = 20 * kMillisecond;
 
 /// Application state that can be checkpointed at a virtual-synchrony cut
 /// and restored wholesale on a catching-up member.
@@ -101,8 +114,7 @@ class StateTransferManager {
                                       std::uint64_t digest)>;
 
   StateTransferManager(ProcessorId self, ProcessorGroupId group,
-                       ftmp::Stack& stack, const ftmp::Config& config,
-                       Checkpointable& state, ApplyFn apply);
+                       ftmp::Stack& stack, Checkpointable& state, ApplyFn apply);
 
   void set_digest_hook(DigestFn hook) { digest_hook_ = std::move(hook); }
 
@@ -180,7 +192,6 @@ class StateTransferManager {
   ProcessorId self_;
   ProcessorGroupId group_;
   ftmp::Stack& stack_;
-  ftmp::Config config_;
   Checkpointable& state_;
   ApplyFn apply_;
   DigestFn digest_hook_;

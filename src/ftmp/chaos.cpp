@@ -802,7 +802,7 @@ void Engine::make_app(ProcessorId p) {
   proc.app = std::make_unique<ToyState>();
   ToyState* app = proc.app.get();
   proc.st = std::make_unique<ft::StateTransferManager>(
-      p, kGroup, h_.stack(p), stack_config(), *app,
+      p, kGroup, h_.stack(p), *app,
       [app](TimePoint, const DeliveredMessage& m) { app->apply(m); });
   proc.st->set_digest_hook([this, p](TimePoint t, std::uint64_t fp,
                                      std::uint64_t dg) {
@@ -1160,15 +1160,14 @@ void Engine::on_step(TimePoint t) {
                         std::to_string(cfg.flow_window_messages));
       }
     }
-    if (cfg.flow_send_queue_limit > 0 &&
-        g->flow().queue_depth() > cfg.flow_send_queue_limit) {
+    if (g->flow().queue_depth() > kFlowSendQueueLimit) {
       const std::string key = "flowq:" + to_string(p);
       if (flagged_once_.insert(key).second) {
         flag_online(InvariantKind::kFlowBalance, t, p,
                     to_string(p) + " parked queue " +
                         std::to_string(g->flow().queue_depth()) +
                         " exceeds limit " +
-                        std::to_string(cfg.flow_send_queue_limit));
+                        std::to_string(kFlowSendQueueLimit));
       }
     }
   }

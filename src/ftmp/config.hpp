@@ -1,6 +1,10 @@
-// config.hpp — tunable parameters of the FTMP stack. Defaults follow the
-// paper's qualitative guidance; the benchmark harness sweeps the ones the
-// paper calls out (heartbeat interval, clock mode, retransmission policy).
+// config.hpp — the FTMP stack's settings: only the values a deployment or a
+// bench sets. The paper leaves one to the deployer, the heartbeat interval
+// (§5); the benches sweep the clock mode, the retransmission policy, buffer
+// reclamation, flow windows, batching and the ordering engine. Fixed values
+// are named constants beside the code that reads them: kNackInterval
+// (rmp.hpp), kMaxRegularPayload (fragment.hpp), kFlowSendQueueLimit
+// (flow.hpp) and the state-transfer geometry (ft/state_transfer.hpp).
 #pragma once
 
 #include <cstddef>
@@ -53,10 +57,6 @@ struct Config {
   /// traffic" — bench E3 sweeps it.
   Duration heartbeat_interval = 10 * kMillisecond;
 
-  /// Minimum spacing between successive RetransmitRequests for the same
-  /// missing block (rate-limits NACKs while a retransmission is in flight).
-  Duration nack_interval = 5 * kMillisecond;
-
   /// A member that has not been heard from for this long is suspected of
   /// having crashed (PGMP fault detector, driven by heartbeat receipt). The
   /// default is five heartbeat intervals: an idle member heartbeats every
@@ -91,12 +91,6 @@ struct Config {
   /// against pathological senders; 0 = unlimited.
   std::size_t max_out_of_order_buffer = 0;
 
-  /// Regular payloads larger than this are transparently fragmented into
-  /// several Regular messages and reassembled in delivery order
-  /// (fragment.hpp); 0 disables fragmentation. The default keeps each
-  /// datagram under the ~64 KiB UDP limit with protocol headroom.
-  std::size_t max_regular_payload = 60000;
-
   /// When false, ROMP stability never releases RMP's retransmission
   /// buffers — the "no buffer management" ablation of bench E7 (§6's ack
   /// timestamps are exactly what makes reclamation safe).
@@ -118,14 +112,6 @@ struct Config {
   /// bound cannot deadlock.
   std::size_t flow_window_bytes = 0;
 
-  /// Capacity of the parked-send FIFO. A send arriving with the queue at
-  /// capacity is dropped, counted (ftmp_flow_send_queue_dropped_total),
-  /// and reported as SendStatus::kRejected. 0 = unlimited.
-  /// The group counts as congested from the park that reaches 3/4 of it
-  /// until the release that reaches 1/4 (Stack::connection_congested; the
-  /// ORB defers new client requests in between).
-  std::size_t flow_send_queue_limit = 1024;
-
   // ---- egress batching (docs/BATCHING.md, docs/WIRE.md) ----
 
   /// Egress batching: pack multiple outgoing FTMP messages addressed to the
@@ -146,22 +132,6 @@ struct Config {
   /// Effective resolution is the driver's drain cadence (the sim harness
   /// and UDP driver both drain at least once per tick).
   std::uint64_t batch_flush_us = 500;
-
-  // ---- state transfer (docs/RECOVERY.md) ----
-
-  /// Snapshot bytes per StateChunk. Chunks are idempotent by
-  /// (view_ts, chunk_seq), so a resumed transfer re-streams only what the
-  /// joiner still misses.
-  std::size_t state_chunk_bytes = 8192;
-
-  /// Request-driven flow control: the donor answers one StateRequest with
-  /// at most this many chunks; the joiner's next cumulative request clocks
-  /// the next window.
-  std::size_t state_window_chunks = 4;
-
-  /// Joiner side: spacing between StateRequests while a transfer is
-  /// outstanding (also the retry/resume cadence after donor silence).
-  Duration state_request_interval = 20 * kMillisecond;
 
   // ---- ordering engine (docs/ORDERING.md) ----
 

@@ -77,23 +77,8 @@ void FlowController::on_stable(SeqNum up_to) {
   metrics_.window_bytes.add(-static_cast<std::int64_t>(freed_bytes));
 }
 
-std::size_t FlowController::high_watermark() const {
-  if (config_.flow_send_queue_limit > 0) {
-    return std::max<std::size_t>(1, config_.flow_send_queue_limit * 3 / 4);
-  }
-  return 64;  // unlimited queue: a fixed default keeps backpressure alive
-}
-
-std::size_t FlowController::low_watermark() const {
-  const std::size_t low =
-      config_.flow_send_queue_limit > 0 ? config_.flow_send_queue_limit / 4 : 16;
-  // The release must sit strictly below the raise or the predicate flaps.
-  return std::min(low, high_watermark() - 1);
-}
-
 bool FlowController::park(Parked&& p) {
-  if (config_.flow_send_queue_limit > 0 &&
-      queue_.size() >= config_.flow_send_queue_limit) {
+  if (queue_.size() >= kFlowSendQueueLimit) {
     stats_.queue_drops.add();
     return false;
   }
@@ -105,7 +90,7 @@ bool FlowController::park(Parked&& p) {
   // metrics reset the gauge must see this controller's queue refill.
   const auto depth = static_cast<std::int64_t>(queue_.size());
   if (depth > metrics_.queue_highwater.value()) metrics_.queue_highwater.set(depth);
-  if (!over_high_ && queue_.size() >= high_watermark()) {
+  if (!over_high_ && queue_.size() >= kFlowHighWatermark) {
     over_high_ = true;
     stats_.queue_high_events.add();
   }
@@ -125,7 +110,7 @@ std::optional<FlowController::Parked> FlowController::release_one() {
   queue_.pop_front();
   stats_.releases.add();
   metrics_.queue_depth.add(-1);
-  if (over_high_ && queue_.size() <= low_watermark()) over_high_ = false;
+  if (over_high_ && queue_.size() <= kFlowLowWatermark) over_high_ = false;
   return out;
 }
 

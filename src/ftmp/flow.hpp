@@ -39,6 +39,18 @@
 
 namespace ftcorba::ftmp {
 
+/// Capacity of a session's parked-send FIFO. A send arriving with the queue
+/// at capacity is dropped, counted (ftmp_flow_send_queue_dropped_total) and
+/// reported as SendStatus::kRejected.
+inline constexpr std::size_t kFlowSendQueueLimit = 1024;
+
+/// The group counts as congested from the park that reaches the high
+/// watermark until the release that reaches the low one
+/// (Stack::connection_congested; the ORB defers new client requests in
+/// between).
+inline constexpr std::size_t kFlowHighWatermark = kFlowSendQueueLimit * 3 / 4;
+inline constexpr std::size_t kFlowLowWatermark = kFlowSendQueueLimit / 4;
+
 /// Result of a non-blocking ordered send (GroupSession::try_send_regular).
 enum class SendStatus : std::uint8_t {
   kSent,      ///< multicast immediately
@@ -111,7 +123,7 @@ class FlowController {
 
   /// Parks a send the window refused, or one made during a §7 flush.
   /// Returns false — counting the drop — when the queue is at
-  /// flow_send_queue_limit.
+  /// kFlowSendQueueLimit.
   [[nodiscard]] bool park(Parked&& p);
 
   /// Pops the oldest parked send if the window now has room for it (always,
@@ -120,14 +132,10 @@ class FlowController {
 
   [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
 
-  /// True from the park that reaches the high watermark until the release
-  /// that reaches the low one — the congestion predicate the ORB polls via
-  /// Stack::connection_congested.
+  /// True from the park that reaches kFlowHighWatermark until the release
+  /// that reaches kFlowLowWatermark — the congestion predicate the ORB
+  /// polls via Stack::connection_congested.
   [[nodiscard]] bool over_high_watermark() const { return over_high_; }
-
-  /// Watermarks: 3/4 and 1/4 of the queue limit (64 and 16 when unlimited).
-  [[nodiscard]] std::size_t high_watermark() const;
-  [[nodiscard]] std::size_t low_watermark() const;
 
   [[nodiscard]] const FlowStats& stats() const { return stats_; }
 

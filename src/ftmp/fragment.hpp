@@ -29,6 +29,11 @@ namespace ftcorba::ftmp {
 inline constexpr std::uint8_t kFragMagic[4] = {'F', 'T', 'M', 'F'};
 inline constexpr std::size_t kFragHeaderSize = 4 + 8 + 4 + 4;
 
+/// Regular payloads larger than this are sent as fragments of at most this
+/// many data bytes each: every datagram stays under the ~64 KiB UDP limit
+/// with headroom for the FTMP and fragment headers.
+inline constexpr std::size_t kMaxRegularPayload = 60000;
+
 /// True if a Regular payload is a fragment chunk.
 [[nodiscard]] inline bool looks_like_fragment(BytesView payload) {
   if (payload.size() < kFragHeaderSize) return false;

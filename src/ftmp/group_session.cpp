@@ -132,14 +132,12 @@ void GroupSession::send_heartbeat(TimePoint now) {
 
 void GroupSession::emit_regular(TimePoint now, const ConnectionId& connection,
                                 RequestNum request_num, BytesView giop) {
-  const bool collides = looks_like_fragment(giop);
-  if (config_.max_regular_payload > 0 &&
-      (giop.size() > config_.max_regular_payload || collides)) {
+  if (giop.size() > kMaxRegularPayload || looks_like_fragment(giop)) {
     // Too large for one datagram: fragment; total order reassembles. A
     // payload that happens to start with the fragment magic is wrapped as
     // a single-chunk fragment so it cannot be misparsed on delivery.
     for (Bytes& chunk :
-         make_fragments(giop, config_.max_regular_payload, ++fragment_counter_)) {
+         make_fragments(giop, kMaxRegularPayload, ++fragment_counter_)) {
       RegularBody body;
       body.connection = connection;
       body.request_num = request_num;

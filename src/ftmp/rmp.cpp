@@ -200,7 +200,7 @@ void Rmp::on_retransmit_request(TimePoint now, const RetransmitRequestBody& body
     auto it = store_.find({src.raw(), seq});
     if (it == store_.end()) continue;
     if (now - it->second.last_retransmit < kRetransmitInterval) {
-      continue;  // someone (maybe us) answered this very recently
+      continue;  // we answered this very recently (others' answers are not tracked)
     }
     it->second.last_retransmit = now;
     // Patch the retransmission flag into a pooled copy here, on the cold
@@ -212,7 +212,7 @@ void Rmp::on_retransmit_request(TimePoint now, const RetransmitRequestBody& body
 }
 
 void Rmp::queue_nacks(TimePoint now, SourceState& st, ProcessorId src) {
-  if (now - st.last_nack < config_.nack_interval) return;
+  if (now - st.last_nack < kNackInterval) return;
   st.last_nack = now;
   // Walk the gap structure: missing runs between contiguous+1 and
   // highest_seen, skipping seqs buffered out of order.

@@ -25,6 +25,12 @@
 
 namespace ftcorba::ftmp {
 
+/// Minimum spacing between successive RetransmitRequests for one source's
+/// gaps (rate-limits NACKs while a retransmission is in flight). The
+/// answering side spaces its retransmissions of one message the same way
+/// (kRetransmitInterval, rmp.cpp).
+inline constexpr Duration kNackInterval = 5 * kMillisecond;
+
 /// RMP asks the session to multicast a RetransmitRequest for a block of
 /// messages missing from `missing_from`.
 struct NackOut {

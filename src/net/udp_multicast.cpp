@@ -176,8 +176,9 @@ void UdpMulticastTransport::send_many(const std::vector<Datagram>& datagrams) {
 }
 
 bool UdpMulticastTransport::wait_readable(Duration timeout) {
-  const int timeout_ms =
-      static_cast<int>(std::max<Duration>(0, timeout) / kMillisecond);
+  // poll(2) counts whole milliseconds: round up, so only 0 does not wait.
+  const int timeout_ms = static_cast<int>(
+      (std::max<Duration>(0, timeout) + kMillisecond - 1) / kMillisecond);
   const int ready = ::poll(fds_.data(), fds_.size(), timeout_ms);
   if (ready < 0) {
     if (errno == EINTR) return false;
@@ -215,21 +216,6 @@ Datagram UdpMulticastTransport::take_datagram(std::uint32_t addr,
   // The one copy on the receive path: a pooled buffer of exactly `len`
   // bytes, which every later layer slices without copying.
   return Datagram{McastAddress{addr}, SharedBytes::copy_of({data, len})};
-}
-
-std::optional<Datagram> UdpMulticastTransport::receive(Duration timeout) {
-  if (fds_.empty() || !wait_readable(timeout)) return std::nullopt;
-  std::uint8_t* slot = scratch(1);
-  for (std::size_t i = 0; i < fds_.size(); ++i) {
-    if (!(fds_[i].revents & POLLIN)) continue;
-    const ssize_t n = ::recv(fds_[i].fd, slot, kSlotBytes, 0);
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EINTR) continue;
-      fail("recv");
-    }
-    return take_datagram(fd_addrs_[i], slot, static_cast<std::size_t>(n));
-  }
-  return std::nullopt;
 }
 
 std::vector<Datagram> UdpMulticastTransport::receive_many(Duration timeout,

@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -66,7 +65,7 @@ class UdpMulticastTransport {
   UdpMulticastTransport(const UdpMulticastTransport&) = delete;
   UdpMulticastTransport& operator=(const UdpMulticastTransport&) = delete;
 
-  /// Joins a multicast group; subsequent receive() calls can return
+  /// Joins a multicast group; subsequent receive_many() calls can return
   /// datagrams addressed to it. Idempotent.
   void join(McastAddress addr);
 
@@ -83,14 +82,11 @@ class UdpMulticastTransport {
   /// collapses per-datagram wire cost.
   void send_many(const std::vector<Datagram>& datagrams);
 
-  /// Waits up to `timeout` for a datagram on any joined group.
-  /// Returns std::nullopt on timeout.
-  [[nodiscard]] std::optional<Datagram> receive(Duration timeout);
-
-  /// Waits up to `timeout` for traffic, then drains up to `max_batch`
-  /// datagrams per ready group socket with one recvmmsg(2) syscall each on
-  /// Linux (single recv fallback elsewhere), each copied into a right-sized
-  /// pooled buffer. Returns an empty vector on timeout.
+  /// Waits up to `timeout` for traffic (rounded up to whole milliseconds;
+  /// 0 polls without waiting), then drains up to `max_batch` datagrams per
+  /// ready group socket with one recvmmsg(2) syscall each on Linux (single
+  /// recv fallback elsewhere), each copied into a right-sized pooled
+  /// buffer. Returns an empty vector on timeout.
   [[nodiscard]] std::vector<Datagram> receive_many(Duration timeout,
                                                    std::size_t max_batch = 16);
 
@@ -106,7 +102,8 @@ class UdpMulticastTransport {
   static constexpr std::size_t kSlotBytes = 65536;
 
   int open_group_socket(McastAddress addr);
-  /// Polls every joined group socket; false on timeout or EINTR.
+  /// Polls every joined group socket, the timeout rounded up to whole
+  /// milliseconds; false on timeout or EINTR.
   [[nodiscard]] bool wait_readable(Duration timeout);
   /// The receive scratch area, grown to at least `slots` slots.
   [[nodiscard]] std::uint8_t* scratch(std::size_t slots);

@@ -9,12 +9,10 @@
 namespace ftcorba::ftmp {
 namespace {
 
-Config flow_config(std::size_t window_msgs, std::size_t window_bytes = 0,
-                   std::size_t queue_limit = 8) {
+Config flow_config(std::size_t window_msgs, std::size_t window_bytes = 0) {
   Config c;
   c.flow_window_messages = window_msgs;
   c.flow_window_bytes = window_bytes;
-  c.flow_send_queue_limit = queue_limit;
   return c;
 }
 
@@ -63,27 +61,27 @@ TEST(Flow, ByteWindowBoundsInFlightBytes) {
 }
 
 TEST(Flow, QueueIsFifoAndBounded) {
-  FlowController f(flow_config(1, 0, /*queue_limit=*/2));
+  FlowController f(flow_config(1));
   f.note_sent(1, 10);  // window full from here on
-  EXPECT_TRUE(f.park(payload(10, 101)));
-  EXPECT_TRUE(f.park(payload(10, 102)));
-  EXPECT_FALSE(f.park(payload(10, 103))) << "queue at capacity";
+  for (RequestNum n = 1; n <= kFlowSendQueueLimit; ++n) {
+    ASSERT_TRUE(f.park(payload(10, n)));
+  }
+  EXPECT_FALSE(f.park(payload(10, kFlowSendQueueLimit + 1))) << "queue at capacity";
   EXPECT_EQ(f.stats().queue_drops.value(), 1u);
-  EXPECT_EQ(f.stats().pacing_stalls.value(), 2u);
-  EXPECT_EQ(f.queue_depth(), 2u);
+  EXPECT_EQ(f.stats().pacing_stalls.value(), kFlowSendQueueLimit);
+  EXPECT_EQ(f.queue_depth(), kFlowSendQueueLimit);
 
   EXPECT_FALSE(f.release_one().has_value()) << "window still full";
   f.on_stable(1);
-  auto first = f.release_one();
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->request_num, 101u) << "FIFO order";
   // release_one does not account the send; the session's emit does. Here
-  // the window stays empty, so the second parked send pops too.
-  auto second = f.release_one();
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(second->request_num, 102u);
+  // the window stays empty, so every parked send pops, oldest first.
+  for (RequestNum n = 1; n <= kFlowSendQueueLimit; ++n) {
+    auto next = f.release_one();
+    ASSERT_TRUE(next.has_value());
+    EXPECT_EQ(next->request_num, n) << "FIFO order";
+  }
   EXPECT_FALSE(f.release_one().has_value());
-  EXPECT_EQ(f.stats().releases.value(), 2u);
+  EXPECT_EQ(f.stats().releases.value(), kFlowSendQueueLimit);
 }
 
 TEST(Flow, ParkedQueueBlocksFreshSends) {
@@ -94,39 +92,41 @@ TEST(Flow, ParkedQueueBlocksFreshSends) {
   EXPECT_FALSE(f.may_send(10)) << "fresh sends must queue behind parked ones";
 }
 
+// Parks sends until the queue holds `depth`.
+void park_to(FlowController& f, std::size_t depth) {
+  while (f.queue_depth() < depth) ASSERT_TRUE(f.park(payload(10)));
+}
+
 TEST(Flow, WatermarksSignalOncePerExcursion) {
-  // A queue limit of 4 puts the watermarks at 3 and 1.
-  Config c = flow_config(1, 0, /*queue_limit=*/4);
-  FlowController f(c);
+  FlowController f(flow_config(1));
   f.note_sent(1, 10);
 
-  ASSERT_TRUE(f.park(payload(10)));
-  ASSERT_TRUE(f.park(payload(10)));
+  park_to(f, kFlowHighWatermark - 1);
   EXPECT_FALSE(f.over_high_watermark());
   EXPECT_EQ(f.stats().queue_high_events.value(), 0u);
 
-  ASSERT_TRUE(f.park(payload(10)));  // depth 3 = high watermark
+  ASSERT_TRUE(f.park(payload(10)));  // depth = high watermark
   EXPECT_TRUE(f.over_high_watermark());
   EXPECT_EQ(f.stats().queue_high_events.value(), 1u);
   ASSERT_TRUE(f.park(payload(10)));  // deeper, but no second crossing
   EXPECT_EQ(f.stats().queue_high_events.value(), 1u);
-  EXPECT_EQ(f.stats().queue_highwater, 4u);
+  EXPECT_EQ(f.stats().queue_highwater, kFlowHighWatermark + 1);
 
+  // The window is empty after on_stable and stays so (no note_sent here),
+  // so the queue drains one by one; it stays congested down to the low
+  // watermark.
   f.on_stable(1);
-  ASSERT_TRUE(f.release_one().has_value());  // depth 3
-  EXPECT_TRUE(f.over_high_watermark()) << "still above the low watermark";
-  f.on_stable(2);
-  // Window is empty again after each release below (no note_sent here), so
-  // the queue drains one by one.
-  ASSERT_TRUE(f.release_one().has_value());  // depth 2
-  EXPECT_TRUE(f.over_high_watermark());
-  ASSERT_TRUE(f.release_one().has_value());  // depth 1 = low watermark
+  while (f.queue_depth() > kFlowLowWatermark + 1) {
+    ASSERT_TRUE(f.release_one().has_value());
+    ASSERT_TRUE(f.over_high_watermark()) << "depth " << f.queue_depth();
+  }
+  ASSERT_TRUE(f.release_one().has_value());  // depth = low watermark
   EXPECT_FALSE(f.over_high_watermark());
 
   // Refilling to the high watermark is a new excursion.
-  ASSERT_TRUE(f.park(payload(10)));
+  park_to(f, kFlowHighWatermark - 1);
   EXPECT_FALSE(f.over_high_watermark());
-  ASSERT_TRUE(f.park(payload(10)));  // depth 3
+  ASSERT_TRUE(f.park(payload(10)));  // depth = high watermark
   EXPECT_TRUE(f.over_high_watermark());
   EXPECT_EQ(f.stats().queue_high_events.value(), 2u);
 }

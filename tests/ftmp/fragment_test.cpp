@@ -111,15 +111,12 @@ TEST(FragmentEndToEnd, LargePayloadOverLossyNetwork) {
   lossy.loss = 0.05;
   SimHarness h(lossy, /*seed=*/88);
   std::vector<ProcessorId> members{ProcessorId{1}, ProcessorId{2}, ProcessorId{3}};
-  for (ProcessorId p : members) {
-    Config cfg;
-    cfg.max_regular_payload = 8000;  // force many fragments
-    h.add_processor(p, kDomain, kDomainAddr, cfg);
-  }
+  for (ProcessorId p : members) h.add_processor(p, kDomain, kDomainAddr);
   for (ProcessorId p : members) {
     h.stack(p).create_group(h.now(), kGroup, kGroupAddr, members);
   }
-  const Bytes big = random_payload(300'000, 7);  // ~38 fragments
+  // 38 fragments, the last one half full.
+  const Bytes big = random_payload(37 * kMaxRegularPayload + kMaxRegularPayload / 2, 7);
   ASSERT_TRUE(h.stack(ProcessorId{1})
                   .group(kGroup)
                   ->send_regular(h.now(), test_conn(), 1, big));

@@ -73,11 +73,11 @@ TEST_F(RmpFixture, GapTriggersNack) {
 
 TEST_F(RmpFixture, NackRateLimited) {
   (void)feed(regular(kPeer, 1));
-  (void)feed(regular(kPeer, 4), 1 * kMillisecond);
+  (void)feed(regular(kPeer, 4), 1 * kMillisecond);  // first NACK at 1 ms
   (void)rmp.take_output();
-  rmp.on_tick(2 * kMillisecond);  // within nack_interval (5ms)
-  EXPECT_TRUE(rmp.take_output().empty());
-  rmp.on_tick(10 * kMillisecond);
+  rmp.on_tick(1 * kMillisecond + kNackInterval - 1);
+  EXPECT_TRUE(rmp.take_output().empty()) << "within kNackInterval";
+  rmp.on_tick(1 * kMillisecond + kNackInterval);
   EXPECT_EQ(rmp.take_output().size(), 1u);
 }
 
@@ -247,8 +247,7 @@ std::vector<TimePoint> nack_times(Rmp& rmp, TimePoint from, TimePoint until) {
 }
 
 TEST(RmpBackoff, OffMeansFixedSpacing) {
-  Config config;  // a gap that never fills is re-NACKed every nack_interval
-  Rmp rmp(kSelf, config);
+  Rmp rmp(kSelf, Config{});  // a gap that never fills is re-NACKed every kNackInterval
   rmp.add_source(kPeer, 0);
   (void)rmp.on_reliable(0, Frame{regular(kPeer, 1).header, encode_message(regular(kPeer, 1))});
   rmp.note_exists(0, kPeer, 5);  // open a gap that never fills
@@ -256,7 +255,7 @@ TEST(RmpBackoff, OffMeansFixedSpacing) {
   const auto times = nack_times(rmp, kMillisecond, 100 * kMillisecond);
   ASSERT_GE(times.size(), 2u);
   for (std::size_t i = 1; i < times.size(); ++i) {
-    EXPECT_EQ(times[i] - times[i - 1], config.nack_interval)
+    EXPECT_EQ(times[i] - times[i - 1], kNackInterval)
         << "every round at the fixed interval";
   }
 }

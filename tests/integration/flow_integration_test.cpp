@@ -6,6 +6,7 @@
 
 #include <algorithm>
 
+#include "ftmp/flow.hpp"
 #include "ftmp/sim_harness.hpp"
 
 namespace ftcorba::ftmp {
@@ -155,7 +156,6 @@ TEST(FlowIntegration, OrderingPreservedThroughParkedQueue) {
 TEST(FlowIntegration, WatermarksSetAndClearCongestionAndStatusesReport) {
   Config config;
   config.flow_window_messages = 1;
-  config.flow_send_queue_limit = 4;  // watermarks at 3 and 1
   SimHarness h = make_group(3, config, /*seed=*/11);
   // P1 serves connections on kGroup and P2, already a member, opens one:
   // the connection an ORB on P2 would invoke on.
@@ -178,13 +178,18 @@ TEST(FlowIntegration, WatermarksSetAndClearCongestionAndStatusesReport) {
   EXPECT_EQ(session->try_send_regular(h.now(), test_conn(), 1, payload),
             SendStatus::kSent);
   h.run_for(5 * kMillisecond);
-  for (std::uint64_t i = 2; i <= 5; ++i) {
-    EXPECT_EQ(session->try_send_regular(h.now(), test_conn(), i, payload),
-              SendStatus::kQueued);
+  const std::uint64_t accepted = kFlowSendQueueLimit + 1;
+  for (std::uint64_t i = 2; i <= accepted; ++i) {
+    ASSERT_EQ(session->try_send_regular(h.now(), test_conn(), i, payload),
+              SendStatus::kQueued)
+        << "send " << i;
+    ASSERT_EQ(h.stack(client).connection_congested(test_conn()),
+              session->flow().queue_depth() >= kFlowHighWatermark)
+        << "send " << i;
   }
-  EXPECT_EQ(session->try_send_regular(h.now(), test_conn(), 6, payload),
+  EXPECT_EQ(session->try_send_regular(h.now(), test_conn(), accepted + 1, payload),
             SendStatus::kRejected)
-      << "queue limit (4) reached";
+      << "queue limit reached";
   EXPECT_TRUE(session->flow().over_high_watermark());
   EXPECT_TRUE(h.stack(client).connection_congested(test_conn()))
       << "the ORB would defer here";
@@ -193,15 +198,21 @@ TEST(FlowIntegration, WatermarksSetAndClearCongestionAndStatusesReport) {
   // Heal: stability resumes, the queue drains below the low watermark.
   h.network().set_link(ProcessorId{1}, client, {});
   h.network().set_link(ProcessorId{3}, client, {});
-  h.run_for(2 * kSecond);
+  ASSERT_TRUE(h.run_until_pred(
+      [&] {
+        return session->flow().queue_depth() == 0 &&
+               session->flow().in_flight_messages() == 0;
+      },
+      h.now() + 60 * kSecond));
+  h.run_for(300 * kMillisecond);
   EXPECT_FALSE(session->flow().over_high_watermark());
   EXPECT_FALSE(h.stack(client).connection_congested(test_conn()));
   EXPECT_EQ(session->flow().stats().queue_high_events.value(), 1u)
       << "one excursion, one crossing";
 
-  // The five accepted sends (and only those) were delivered, in order.
+  // The accepted sends (and only those) were delivered, in order.
   auto msgs = h.delivered(ProcessorId{1}, kGroup);
-  ASSERT_EQ(msgs.size(), 5u);
+  ASSERT_EQ(msgs.size(), accepted);
   for (std::size_t i = 0; i < msgs.size(); ++i) {
     EXPECT_EQ(msgs[i].request_num, i + 1);
   }

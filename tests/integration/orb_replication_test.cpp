@@ -4,10 +4,12 @@
 // replies withheld by a replica that already holds another one's copy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 
 #include "ft/replication.hpp"
+#include "ftmp/fragment.hpp"
 #include "ftmp/sim_harness.hpp"
 #include "orb/orb.hpp"
 
@@ -43,11 +45,18 @@ std::uint64_t replies_delivered(const SimHarness& h, ProcessorId p) {
   return n;
 }
 
-/// Deterministic counter: "add"(longlong delta) -> new value; "get" -> value.
+/// Deterministic counter: "add"(longlong delta) -> new value; "get" -> value;
+/// "mirror"(octets) -> the octets reversed, leaving the value alone.
 class CounterMachine : public ft::StateMachine {
  public:
   giop::ReplyStatus apply(const std::string& operation, giop::CdrReader& in,
                           giop::CdrWriter& out) override {
+    if (operation == "mirror") {
+      Bytes octets = in.octet_seq();
+      std::reverse(octets.begin(), octets.end());
+      out.octet_seq(octets);
+      return giop::ReplyStatus::kNoException;
+    }
     if (operation == "add") {
       value_ += in.longlong_();
       out.longlong_(value_);
@@ -84,7 +93,11 @@ struct World {
   std::map<ProcessorId, std::shared_ptr<ft::ActiveReplica>> replicas;
   int completions = 0;  // reply handlers run, over every client replica
 
-  explicit World(net::LinkModel link = {}, std::uint64_t seed = 11) : h(link, seed) {
+  /// The first `client_count` (1 or 2) of P10 and P11 replicate the client.
+  explicit World(net::LinkModel link = {}, std::uint64_t seed = 11,
+                 std::size_t client_count = 2)
+      : h(link, seed) {
+    clients.resize(client_count);
     for (ProcessorId p : servers) h.add_processor(p, kServerDomain, kServerDomainAddr);
     for (ProcessorId p : clients) h.add_processor(p, kClientDomain, kClientDomainAddr);
     for (ProcessorId p : servers) {
@@ -184,6 +197,52 @@ TEST(OrbReplication, SequenceOfInvocationsStaysConsistent) {
   // another replica's copy was on its way; a released reply was multicast.
   EXPECT_EQ(replies_delivered(w.h, w.clients[0]) + withheld - released, dispatched);
   EXPECT_GT(withheld, 0u);
+}
+
+// A request and its replies above kMaxRegularPayload travel as fragments.
+// No replica withholds its reply: a stack holds another replica's reply
+// only as fragments, which Stack::held_copies never counts. So all three
+// replicas reply, and the client completes once and suppresses two copies.
+TEST(OrbReplication, FragmentedInvocationThroughActiveReplicas) {
+  World w({}, 11, /*client_count=*/1);
+  w.connect_clients();
+  const ProcessorId client = w.clients.front();
+  Bytes argument(150'000);
+  for (std::size_t i = 0; i < argument.size(); ++i) {
+    argument[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  }
+  ASSERT_GT(argument.size(), 2 * ftmp::kMaxRegularPayload);
+  giop::CdrWriter args;
+  args.octet_seq(argument);
+  const orb::OrbStats before = w.orbs[client]->stats();
+  int completed = 0;
+  Bytes result;
+  ASSERT_TRUE(w.orbs[client]
+                  ->invoke(w.h.now(), client_conn(), kCounterKey, "mirror", args,
+                           [&](const giop::Reply& reply, ByteOrder order) {
+                             giop::CdrReader r(reply.body, order);
+                             result = r.octet_seq();
+                             ++completed;
+                           })
+                  .has_value());
+  ASSERT_TRUE(w.h.run_until_pred([&] { return completed > 0; }, w.h.now() + 5 * kSecond));
+  w.h.run_for(300 * kMillisecond);
+
+  EXPECT_EQ(completed, 1);
+  EXPECT_EQ(result, Bytes(argument.rbegin(), argument.rend()));
+  EXPECT_EQ(w.orbs[client]->stats().duplicates_suppressed,
+            before.duplicates_suppressed + 2);
+  for (ProcessorId p : w.servers) {
+    EXPECT_EQ(w.replicas[p]->applied(), 1u) << "at " << to_string(p);
+    EXPECT_EQ(w.orbs[p]->stats().requests_dispatched, 1u) << "at " << to_string(p);
+    EXPECT_EQ(w.orbs[p]->stats().replies_withheld, 0u) << "at " << to_string(p);
+  }
+  // Every member of the server group reassembled the request and the
+  // three replies.
+  for (ProcessorId p : {ProcessorId{1}, ProcessorId{2}, ProcessorId{3}, client}) {
+    EXPECT_EQ(w.h.stack(p).group(kServerGroup)->reassembler().reassembled(), 4u)
+        << "at " << to_string(p);
+  }
 }
 
 TEST(OrbReplication, SurvivesServerReplicaCrash) {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "ft/persistent_log.hpp"
+#include "ftmp/fragment.hpp"
 #include "ftmp/sim_harness.hpp"
 
 namespace ftcorba::ftmp {
@@ -208,13 +209,11 @@ TEST(Restart, FreshIncarnationHearsNothingOfItsOldGroup) {
 // and the new incarnation's first fragmented message (fragment id 1 again)
 // arrives intact.
 TEST(Restart, ReadmittedMemberGetsFreshReassembly) {
-  Config config;
-  config.max_regular_payload = 100;
   SimHarness h({}, 94);
   const auto all = ids({1, 2, 3});
   const auto survivors = ids({1, 2});
   const ProcessorId victim{3};
-  for (ProcessorId p : all) h.add_processor(p, kDomain, kDomainAddr, config);
+  for (ProcessorId p : all) h.add_processor(p, kDomain, kDomainAddr);
   for (ProcessorId p : all) h.stack(p).create_group(h.now(), kGroup, kGroupAddr, all);
   h.run_for(50 * kMillisecond);
   const auto session = [&](ProcessorId p) { return h.stack(p).group(kGroup); };
@@ -226,7 +225,7 @@ TEST(Restart, ReadmittedMemberGetsFreshReassembly) {
   };
 
   // Ten fragments; the victim crashes once the first four are on the wire.
-  const Bytes old_message = bytes_of("old:" + std::string(996, 'o'));
+  const Bytes old_message = bytes_of("old:" + std::string(10 * kMaxRegularPayload - 4, 'o'));
   int sent = 0;
   h.network().set_tap([&](TimePoint, ProcessorId from, const net::Datagram&) {
     if (from == victim && ++sent == 5) h.crash(victim);
@@ -257,7 +256,7 @@ TEST(Restart, ReadmittedMemberGetsFreshReassembly) {
   ASSERT_TRUE(h.run_until_pred([&] { return view_is(all, all); },
                                h.now() + 5 * kSecond));
 
-  const Bytes new_message = bytes_of("new:" + std::string(996, 'n'));
+  const Bytes new_message = bytes_of("new:" + std::string(10 * kMaxRegularPayload - 4, 'n'));
   ASSERT_TRUE(fresh.group(kGroup)->send_regular(h.now(), test_conn(), 1, new_message));
   h.run_for(500 * kMillisecond);
   for (ProcessorId p : all) {

@@ -34,9 +34,12 @@ std::vector<ProcessorId> ids(std::initializer_list<std::uint32_t> raw) {
 
 /// Deterministic checkpointable application: a rolling accumulator plus the
 /// full payload-hash history, so divergence in content OR order is visible
-/// and snapshots grow linearly with applied traffic.
+/// and snapshots grow linearly with applied traffic. `padding` zero bytes
+/// ride every snapshot, so a test can make a transfer many windows long.
 class AccState final : public ft::Checkpointable {
  public:
+  explicit AccState(std::size_t padding = 0) : padding_(padding) {}
+
   void apply(const DeliveredMessage& m) {
     const BytesView payload{m.giop_message.data(), m.giop_message.size()};
     const std::uint64_t ph = ft::state_fnv1a64(payload);
@@ -49,6 +52,7 @@ class AccState final : public ft::Checkpointable {
     w.u64(acc_);
     w.u32(static_cast<std::uint32_t>(history_.size()));
     for (std::uint64_t h : history_) w.u64(h);
+    w.raw(Bytes(padding_, 0));
     return std::move(w).take();
   }
 
@@ -63,9 +67,14 @@ class AccState final : public ft::Checkpointable {
   [[nodiscard]] std::size_t applied() const { return history_.size(); }
 
  private:
+  std::size_t padding_;
   std::uint64_t acc_ = 0x9e3779b97f4a7c15ull;
   std::vector<std::uint64_t> history_;
 };
+
+/// Snapshot padding of 64 chunks: with the history, a transfer takes 65
+/// chunks in 17 request windows.
+constexpr std::size_t kLongTransferPadding = 64 * ft::kStateChunkBytes;
 
 /// One member's application + transfer manager, wired into the harness
 /// event loop (handler feeds events, step hook ticks).
@@ -76,8 +85,8 @@ struct Member {
 
 class StateTransferFixture {
  public:
-  StateTransferFixture(SimHarness& h, Config manager_config)
-      : h_(h), config_(manager_config) {
+  explicit StateTransferFixture(SimHarness& h, std::size_t snapshot_padding = 0)
+      : h_(h), padding_(snapshot_padding) {
     h_.set_step_hook([this](TimePoint t) {
       for (auto& [p, m] : members_) {
         if (!h_.crashed(p)) m.st->tick(t);
@@ -87,10 +96,10 @@ class StateTransferFixture {
 
   void attach(ProcessorId p) {
     Member m;
-    m.app = std::make_unique<AccState>();
+    m.app = std::make_unique<AccState>(padding_);
     AccState* app = m.app.get();
     m.st = std::make_unique<ft::StateTransferManager>(
-        p, kGroup, h_.stack(p), config_, *app,
+        p, kGroup, h_.stack(p), *app,
         [app](TimePoint, const DeliveredMessage& msg) { app->apply(msg); });
     members_[p] = std::move(m);
     ft::StateTransferManager* st = members_[p].st.get();
@@ -128,7 +137,7 @@ class StateTransferFixture {
 
  private:
   SimHarness& h_;
-  Config config_;
+  std::size_t padding_;
   std::map<ProcessorId, Member> members_;
 };
 
@@ -151,7 +160,7 @@ TEST(StateTransfer, BoundedCatchUpAfterJoin) {
   SimHarness h({}, 71);
   const auto founders = ids({1, 2, 3});
   for (ProcessorId p : ids({1, 2, 3, 4})) h.add_processor(p, kDomain, kDomainAddr);
-  StateTransferFixture fx(h, Config{});
+  StateTransferFixture fx(h);
   for (ProcessorId p : founders) fx.attach(p);
   for (ProcessorId p : founders) h.stack(p).create_group(h.now(), kGroup, kGroupAddr, founders);
   h.run_for(50 * kMillisecond);
@@ -204,19 +213,15 @@ TEST(StateTransfer, DonorCrashMidTransferResumes) {
   SimHarness h({}, 73);
   const auto founders = ids({1, 2, 3});
   for (ProcessorId p : ids({1, 2, 3, 4})) h.add_processor(p, kDomain, kDomainAddr);
-  // Small chunks + a slow request cadence stretch the transfer so the
-  // donor crash lands mid-stream.
-  Config cfg;
-  cfg.state_chunk_bytes = 64;
-  cfg.state_window_chunks = 1;
-  cfg.state_request_interval = 40 * kMillisecond;
-  StateTransferFixture fx(h, cfg);
+  // A padded snapshot stretches the transfer over many request windows so
+  // the donor crash lands mid-stream.
+  StateTransferFixture fx(h, kLongTransferPadding);
   for (ProcessorId p : founders) fx.attach(p);
   for (ProcessorId p : founders) h.stack(p).create_group(h.now(), kGroup, kGroupAddr, founders);
   h.run_for(50 * kMillisecond);
 
   std::size_t sent = 0;
-  pump_traffic(h, founders, 200, sent);  // snapshot ≈ 1.6KB ≈ 26 chunks
+  pump_traffic(h, founders, 200, sent);
 
   fx.attach(ProcessorId{4});
   h.stack(ProcessorId{4}).expect_join(kGroup, kGroupAddr);
@@ -282,11 +287,7 @@ TEST(StateTransfer, AllHoldersLostRestartsAndDegrades) {
   // lets it stand alone after both founders die.
   const auto founders = ids({2, 3});
   for (ProcessorId p : ids({1, 2, 3})) h.add_processor(p, kDomain, kDomainAddr);
-  Config cfg;
-  cfg.state_chunk_bytes = 64;
-  cfg.state_window_chunks = 1;
-  cfg.state_request_interval = 40 * kMillisecond;
-  StateTransferFixture fx(h, cfg);
+  StateTransferFixture fx(h, kLongTransferPadding);
   for (ProcessorId p : founders) fx.attach(p);
   for (ProcessorId p : founders) h.stack(p).create_group(h.now(), kGroup, kGroupAddr, founders);
   h.run_for(50 * kMillisecond);

@@ -3,6 +3,8 @@
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "common/rng.hpp"
 #include "net/udp_multicast.hpp"
 
@@ -45,10 +47,10 @@ TEST(UdpMulticast, LoopbackSendReceive) {
     sender.send(Datagram{kAddr, bytes_of("over-the-wire")});
     // A couple of tries: the kernel may need a moment.
     for (int i = 0; i < 10; ++i) {
-      auto got = receiver.receive(100 * kMillisecond);
-      if (got) {
-        EXPECT_EQ(got->addr, kAddr);
-        EXPECT_EQ(got->payload, bytes_of("over-the-wire"));
+      auto got = receiver.receive_many(100 * kMillisecond, 1);
+      if (!got.empty()) {
+        EXPECT_EQ(got[0].addr, kAddr);
+        EXPECT_EQ(got[0].payload, bytes_of("over-the-wire"));
         return;
       }
     }
@@ -67,9 +69,9 @@ TEST(UdpMulticast, SelfLoopbackWhenEnabled) {
     endpoint.join(kAddr);
     endpoint.send(Datagram{kAddr, bytes_of("self")});
     for (int i = 0; i < 10; ++i) {
-      auto got = endpoint.receive(100 * kMillisecond);
-      if (got) {
-        EXPECT_EQ(got->payload, bytes_of("self"));
+      auto got = endpoint.receive_many(100 * kMillisecond, 1);
+      if (!got.empty()) {
+        EXPECT_EQ(got[0].payload, bytes_of("self"));
         return;
       }
     }
@@ -85,7 +87,27 @@ TEST(UdpMulticast, ReceiveTimesOutQuietly) {
   try {
     UdpMulticastTransport endpoint(options);
     endpoint.join(kAddr);
-    EXPECT_FALSE(endpoint.receive(10 * kMillisecond).has_value());
+    EXPECT_TRUE(endpoint.receive_many(10 * kMillisecond, 1).empty());
+  } catch (const TransportError& e) {
+    GTEST_SKIP() << "UDP multicast unavailable: " << e.what();
+  }
+}
+
+// A wait shorter than a millisecond still waits, so a driver polling every
+// 200 µs on an idle fleet sleeps instead of spinning: a timeout in whole
+// milliseconds would round it down to 0.
+TEST(UdpMulticast, SubMillisecondWaitWaits) {
+  UdpMulticastTransport::Options options;
+  options.port = 32017;
+  try {
+    UdpMulticastTransport endpoint(options);
+    endpoint.join(kAddr);
+    for (int i = 0; i < 5; ++i) {
+      const auto start = std::chrono::steady_clock::now();
+      EXPECT_TRUE(endpoint.receive_many(500 * kMicrosecond).empty());
+      EXPECT_GE(std::chrono::steady_clock::now() - start, std::chrono::microseconds(500))
+          << "call " << i;
+    }
   } catch (const TransportError& e) {
     GTEST_SKIP() << "UDP multicast unavailable: " << e.what();
   }

@@ -7,6 +7,7 @@
 #include <memory>
 #include <optional>
 
+#include "ftmp/flow.hpp"
 #include "ftmp/sim_harness.hpp"
 #include "orb/orb.hpp"
 
@@ -273,7 +274,6 @@ TEST(Orb, LocateOfAnUnhostedKeyTimesOutOnce) {
 TEST(Orb, InvokeDefersWhileTheGroupIsCongestedAndResumesAfter) {
   ftmp::Config config;
   config.flow_window_messages = 1;
-  config.flow_send_queue_limit = 4;  // congested from 3 parked sends down to 1
   OrbWorld w(config);
   giop::CdrWriter args;
   args.string("x");
@@ -282,9 +282,12 @@ TEST(Orb, InvokeDefersWhileTheGroupIsCongestedAndResumesAfter) {
     ++completed[reply.request_id];
   };
 
-  // Four calls in one instant: the window takes the first, the rest park,
-  // and the third parked call reaches the high watermark.
-  for (RequestNum want = 1; want <= 4; ++want) {
+  // Calls in one instant: the window takes the first, the rest park, and
+  // the call that parks the kFlowHighWatermark-th send congests the group
+  // (until the queue drains to kFlowLowWatermark).
+  const RequestNum congesting = ftmp::kFlowHighWatermark + 1;
+  for (RequestNum want = 1; want <= congesting; ++want) {
+    ASSERT_FALSE(w.h.stack(w.client).connection_congested(conn())) << "call " << want;
     EXPECT_EQ(w.client_orb->invoke(w.h.now(), conn(), kEcho, "echo", args, count), want);
   }
   ASSERT_TRUE(w.h.stack(w.client).connection_congested(conn()));
@@ -294,14 +297,17 @@ TEST(Orb, InvokeDefersWhileTheGroupIsCongestedAndResumesAfter) {
 
   ASSERT_TRUE(w.h.run_until_pred(
       [&] { return !w.h.stack(w.client).connection_congested(conn()); },
-      w.h.now() + 5 * kSecond));
+      w.h.now() + 60 * kSecond));
   EXPECT_EQ(w.client_orb->invoke(w.h.now(), conn(), kEcho, "echo", args, count),
-            RequestNum{5})
+            congesting + 1)
       << "a deferred call consumes no request number";
-  w.h.run_for(1 * kSecond);
-  EXPECT_EQ(completed, (std::map<std::uint32_t, int>{{1, 1}, {2, 1}, {3, 1}, {4, 1}, {5, 1}}));
-  EXPECT_EQ(w.servant->invocations, 5);
-  EXPECT_EQ(w.client_orb->pending_invocations(), 0u);
+  ASSERT_TRUE(w.h.run_until_pred(
+      [&] { return w.client_orb->pending_invocations() == 0; },
+      w.h.now() + 60 * kSecond));
+  std::map<std::uint32_t, int> each_once;
+  for (RequestNum n = 1; n <= congesting + 1; ++n) each_once[std::uint32_t(n)] = 1;
+  EXPECT_EQ(completed, each_once);
+  EXPECT_EQ(w.servant->invocations, static_cast<int>(congesting + 1));
 }
 
 TEST(Orb, InvokeOnUnreadyConnectionFails) {
