@@ -5,10 +5,9 @@
 namespace ftcorba::ftmp {
 
 namespace {
-[[nodiscard]] bool is_heartbeat(const SharedBytes& frame) {
+[[nodiscard]] bool is_type(const SharedBytes& frame, MessageType type) {
   return frame.size() > kTypeFieldOffset &&
-         frame.view()[kTypeFieldOffset] ==
-             static_cast<std::uint8_t>(MessageType::kHeartbeat);
+         frame.view()[kTypeFieldOffset] == static_cast<std::uint8_t>(type);
 }
 }  // namespace
 
@@ -37,6 +36,11 @@ Batcher::Batcher(const Config& config) : config_(config) {
       "ftmp_batch_heartbeats_coalesced_total",
       "Heartbeats that rode a data-bearing batched datagram", "messages",
       "batch");
+  metrics_.grant_only = metrics::Counter(
+      "ftmp_batch_grant_only_total",
+      "Datagrams emitted with an OrderInfo and no Regular (LLFT grants that "
+      "rode no data datagram)",
+      "datagrams", "batch");
 }
 
 void Batcher::stage(TimePoint now, net::Datagram&& d) {
@@ -53,6 +57,7 @@ void Batcher::stage(TimePoint now, net::Datagram&& d) {
       open_.erase(it);
     }
     metrics_.passthrough.add();
+    if (is_type(d.payload, MessageType::kOrderInfo)) metrics_.grant_only.add();
     ready_.push_back(std::move(d));
     return;
   }
@@ -70,10 +75,12 @@ void Batcher::stage(TimePoint now, net::Datagram&& d) {
     open.opened_at = now;
   }
   open.bytes += framed;
-  if (is_heartbeat(d.payload)) {
+  if (is_type(d.payload, MessageType::kHeartbeat)) {
     open.heartbeats += 1;
   } else {
     open.has_data = true;
+    open.has_regular |= is_type(d.payload, MessageType::kRegular);
+    open.has_grant |= is_type(d.payload, MessageType::kOrderInfo);
   }
   open.frames.push_back(std::move(d.payload));
 }
@@ -108,6 +115,7 @@ void Batcher::close(std::uint32_t addr_raw, Open&& open, bool by_timer) {
   if (by_timer && open.frames.size() > 1) {
     metrics_.closed_timer.add();
   }
+  if (open.has_grant && !open.has_regular) metrics_.grant_only.add();
   net::Datagram d;
   d.addr = McastAddress{addr_raw};
   if (open.frames.size() == 1) {

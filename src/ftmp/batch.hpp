@@ -22,7 +22,9 @@
 //     FIFO order is preserved;
 //   * a heartbeat that shares a closed batch with at least one data-bearing
 //     message is counted as coalesced — the §5/§6 ack/timestamp fields it
-//     carries ride a datagram that was going out anyway.
+//     carries ride a datagram that was going out anyway;
+//   * a datagram that carries an OrderInfo and no Regular is counted as
+//     grant-only: an LLFT grant that rode no data datagram.
 #pragma once
 
 #include <cstdint>
@@ -47,6 +49,7 @@ struct BatchStats {
   std::uint64_t closed_full = 0;       ///< batches closed by the byte budget
   std::uint64_t closed_timer = 0;      ///< batches closed by the flush timer
   std::uint64_t heartbeats_coalesced = 0;  ///< heartbeats riding a data batch
+  std::uint64_t grant_only = 0;  ///< datagrams with OrderInfo and no Regular
 
   /// Mean fraction of the byte budget an emitted batch used (0 when no
   /// batch was emitted) — the fill-ratio figure CI asserts a floor on.
@@ -88,7 +91,7 @@ class Batcher {
     return {metrics_.datagrams.value(),    metrics_.subframes.value(),
             metrics_.bytes.value(),        metrics_.passthrough.value(),
             metrics_.closed_full.value(),  metrics_.closed_timer.value(),
-            metrics_.heartbeats_coalesced.value()};
+            metrics_.heartbeats_coalesced.value(), metrics_.grant_only.value()};
   }
 
  private:
@@ -98,6 +101,8 @@ class Batcher {
     TimePoint opened_at = 0;
     std::size_t heartbeats = 0;
     bool has_data = false;  ///< any non-heartbeat sub-frame staged
+    bool has_regular = false;
+    bool has_grant = false;  ///< any OrderInfo staged
   };
 
   void close(std::uint32_t addr_raw, Open&& open, bool by_timer);
@@ -118,6 +123,7 @@ class Batcher {
     metrics::Counter closed_full;
     metrics::Counter closed_timer;
     metrics::Counter heartbeats_coalesced;
+    metrics::Counter grant_only;
   };
   Instruments metrics_;
 };

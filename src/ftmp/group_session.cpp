@@ -99,6 +99,18 @@ void GroupSession::finish_send(TimePoint now, const Header& h, SharedBytes raw,
       flow_.note_sent(h.sequence_number, raw.size());
     }
   }
+  // kLlft: an own Regular or OrderInfo is taken in now rather than on its
+  // loopback arrival, so the leader consumes its own grants and delivers
+  // in the pump that stamps them. RMP takes it only when every earlier own
+  // message is in; the rest (and whatever follows one) arrive by loopback.
+  if (config_.ordering_mode == OrderingMode::kLlft && active() &&
+      (h.type == MessageType::kRegular || h.type == MessageType::kOrderInfo)) {
+    Header taken = h;
+    taken.message_size = static_cast<std::uint32_t>(raw.size());
+    for (Frame& m : rmp_.take_own(now, Frame{taken, raw})) {
+      route_source_ordered(now, m);
+    }
+  }
   // Every freshly-stamped multicast doubles as liveness information, so it
   // resets the heartbeat timer (verbatim retransmissions do not).
   rmp_.note_sent(now);

@@ -3,8 +3,9 @@
 // both end every step with Joins::transmit: join what the node's stack now
 // lists, leave what it no longer lists, and only then send the step's
 // egress. Joining first matters: a member orders its own messages through
-// their looped-back copies, and a datagram multicast on an address the
-// sender has not joined never comes back (docs/ORDERING.md §2, rule 3).
+// their looped-back copies (under llft, all but the Regulars and OrderInfo
+// it takes in at send), and a datagram multicast on an address the sender
+// has not joined never comes back (docs/ORDERING.md §2, rule 3).
 #pragma once
 
 #include <algorithm>

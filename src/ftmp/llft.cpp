@@ -419,10 +419,11 @@ void LlftOrdering::on_own_send(const Header& header) {
   }
   // Slots follow seq order on every stream: an earlier own message still
   // waiting for its grant (in flight at accession, or sent while granting
-  // was stopped) keeps this one on the loopback path behind it.
+  // was stopped) keeps this one behind it, granted on its arrival.
   SeqNum& hw = issued_mark(streams_[romp_.self()]);
   if (hw < earlier) return;
-  // The loopback arrival finds hw already past it and grants nothing.
+  // Its arrival (taken in at send, or by loopback) finds hw already past
+  // it and grants nothing.
   hw = header.sequence_number;
   pending_grants_.push_back({romp_.self(), hw});
   metrics_.grants.add();

@@ -5,16 +5,25 @@
 // current view) grants a delivery slot for every totally-ordered message —
 // its own and everyone else's — by multicasting OrderInfo messages on its
 // own reliable stream. The slot queue is the concatenation of the grant
-// lists in leader-stream order; every member (the leader included, via
-// multicast loopback) delivers held messages strictly in slot order,
-// waiting on RMP's NACK recovery when a granted message has not arrived
-// yet. Latency needs only the leader's grant (at most two one-way hops),
-// not — as in Lamport mode — a timestamp bound from every member.
+// lists in leader-stream order; every member delivers held messages
+// strictly in slot order, waiting on RMP's NACK recovery when a granted
+// message has not arrived yet. Latency needs only the leader's grant (at
+// most two one-way hops), not — as in Lamport mode — a timestamp bound
+// from every member.
 //
 // Grant at send. The leader grants its own Regulars as the session stores
 // them (on_own_send), so under batching the grant leaves in the message's
 // own datagram; anything that cannot be granted then is granted on its
-// loopback arrival instead.
+// arrival instead.
+//
+// Take in at send. Every member passes its own Regulars and OrderInfo to
+// RMP, Romp and this rule when the session stamps them, not when they
+// loop back (GroupSession::finish_send; only while every earlier own
+// message is in, Rmp::take_own). So the leader consumes its own grants
+// and delivers in the pump that stamps them, before its batch leaves;
+// the followers still wait for the datagram. Anything the leader sends
+// after delivering carries a higher seq than the grant, so no member can
+// act on a delivery whose grant it lacks.
 //
 // Batching at the leader. Under batching only the leader's data-bearing
 // batches wait for the flush timer (batches_wait): a follower's Regular

@@ -123,8 +123,10 @@ class OrderingPolicy {
 
   /// The session stamped and stored this member's own reliable message
   /// `header` and is about to multicast it, so a leader can grant it at
-  /// send time instead of on its loopback arrival, and the Lamport rule
-  /// knows an own message is in flight. Default no-op.
+  /// send time instead of on its arrival, and the Lamport rule knows an
+  /// own message is in flight. Called before on_source_ordered takes the
+  /// message in (at once under kLlft when every earlier own message is
+  /// in, otherwise on its loopback arrival). Default no-op.
   virtual void on_own_send(const Header& header) { (void)header; }
 
   /// Whether this member's open egress batches on the group's addresses

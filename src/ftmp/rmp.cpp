@@ -139,11 +139,31 @@ std::vector<Frame> Rmp::on_reliable(TimePoint now, Frame frame) {
     stats_.dropped_stale_incarnation.add();
     return {};
   }
+  // The first copy of an own message to come back is its loopback, which is
+  // no duplicate even when the message was taken in at send: the counter
+  // keeps to retransmissions and network duplicates.
+  const bool loopback =
+      src == self_ && !frame.header.retransmission && seq > st.looped_back;
+  if (loopback) st.looped_back = seq;
   if (seq <= st.contiguous || st.out_of_order.contains(seq)) {
-    stats_.duplicates_ignored.add();
+    if (!loopback) stats_.duplicates_ignored.add();
     return {};
   }
+  return accept(now, st, src, std::move(frame));
+}
 
+std::vector<Frame> Rmp::take_own(TimePoint now, Frame frame) {
+  auto it = sources_.find(self_);
+  if (it == sources_.end() ||
+      it->second.contiguous + 1 != frame.header.sequence_number) {
+    return {};
+  }
+  return accept(now, it->second, self_, std::move(frame));
+}
+
+std::vector<Frame> Rmp::accept(TimePoint now, SourceState& st, ProcessorId src,
+                               Frame frame) {
+  const SeqNum seq = frame.header.sequence_number;
   store(src, seq, frame.raw);
   st.highest_seen = std::max(st.highest_seen, seq);
 

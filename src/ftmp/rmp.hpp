@@ -136,6 +136,14 @@ class Rmp {
   /// possibly several when a gap fills). May queue NACKs.
   [[nodiscard]] std::vector<Frame> on_reliable(TimePoint now, Frame frame);
 
+  /// Takes this member's own reliable message in at send, as its loopback
+  /// arrival would (on_reliable), if it is the next one of a tracked own
+  /// stream: every earlier own message is already in. Returns the frames
+  /// now deliverable in source order (empty when it was not taken in). The
+  /// loopback copy that follows is dropped without counting as a
+  /// duplicate.
+  [[nodiscard]] std::vector<Frame> take_own(TimePoint now, Frame frame);
+
   /// Handles a Heartbeat header: updates gap knowledge from the carried
   /// sequence number and schedules NACKs for revealed gaps. The heartbeat
   /// itself is passed to ROMP by the session (unreliable direct delivery).
@@ -202,6 +210,9 @@ class Rmp {
     std::map<SeqNum, Frame> out_of_order;
     TimePoint last_nack = -1'000'000'000;
     TimePoint gap_open_since = -1;  // when the oldest open gap was detected
+    // Own stream only: the highest seq whose first copy came back over the
+    // network (its loopback).
+    SeqNum looped_back = 0;
   };
 
   // This instance's shares of the process-global gauges, and the shared
@@ -213,6 +224,12 @@ class Rmp {
   };
 
   void update_gap_state(TimePoint now, SourceState& st);
+
+  /// Takes a frame that is neither stale nor a duplicate into `src`'s
+  /// stream: stores it, returns what became contiguous, and buffers and
+  /// NACKs what did not.
+  [[nodiscard]] std::vector<Frame> accept(TimePoint now, SourceState& st,
+                                          ProcessorId src, Frame frame);
 
   void detect_gaps(TimePoint now, SourceState& st, ProcessorId src);
   void queue_nacks(TimePoint now, SourceState& st, ProcessorId src);

@@ -234,6 +234,36 @@ TEST(Batcher, PromptAddressClosesDataBatchesAtTheDrain) {
   EXPECT_EQ(out[0].addr, McastAddress{300});
 }
 
+// A datagram that carries an OrderInfo and no Regular counts as
+// grant-only, batched or alone; one that carries a Regular too does not.
+TEST(Batcher, CountsGrantOnlyDatagrams) {
+  Batcher b{batch_config(4096, 500)};
+  const SharedBytes hb = frame_of(MessageType::kHeartbeat, ByteOrder::kBig, 1);
+  const SharedBytes grant = frame_of(MessageType::kOrderInfo, ByteOrder::kBig, 2);
+  const SharedBytes reg = frame_of(MessageType::kRegular, ByteOrder::kBig, 3);
+  std::vector<net::Datagram> out;
+  b.stage(0, dg(grant));
+  b.stage(0, dg(hb));
+  b.drain(500 * kMicrosecond, out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(b.stats().grant_only, 1u) << "a grant with a heartbeat";
+
+  b.stage(kMillisecond, dg(reg));
+  b.stage(kMillisecond, dg(grant));
+  b.drain(2 * kMillisecond, out);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(b.stats().grant_only, 1u) << "a grant with a Regular";
+
+  b.stage(3 * kMillisecond, dg(grant));
+  b.drain(4 * kMillisecond, out);
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(b.stats().grant_only, 2u) << "a lone grant";
+
+  b.stage(5 * kMillisecond, dg(hb));
+  b.drain(6 * kMillisecond, out);
+  EXPECT_EQ(b.stats().grant_only, 2u) << "a lone heartbeat";
+}
+
 TEST(Batcher, ClosesWhenBudgetWouldOverflow) {
   // Budget fits exactly two header-only frames:
   // 7 + 2*(4+45) = 105 bytes.

@@ -2,7 +2,8 @@
 // stamping, follower gap recovery through RMP NACKs, and leader-failover
 // reconciliation through the PGMP install path (prefix agreement across
 // survivors, new-leader accession, post-failover progress), the leader's
-// grant at send of its own Regulars, and batching at the leader only.
+// grant at send of its own Regulars, a member taking its own Regulars and
+// OrderInfo in at send, and batching at the leader only.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -493,8 +494,13 @@ TEST(Llft, DuplicateAddFromRacingSponsorsDoesNotStallGranting) {
 // floor past that message and settle it without delivering it. Here P2,
 // cut off from the leader and so one view behind, sponsors P5 a second
 // time just after P1 granted P4's Regular, which P3 has not received.
+// The links have no jitter: P1 sends the Add's grant and the new view's
+// floors in one step, and a jittered link that swapped them would draw a
+// NACK whose answers bring P2 the grant at once.
 TEST(Llft, DuplicateMembershipChangeKeepsUndeliveredGrants) {
-  SimHarness h({}, 76);
+  net::LinkModel exact;
+  exact.jitter = 0;
+  SimHarness h(exact, 76);
   const auto founders = ids({1, 2, 3, 4});
   for (ProcessorId p : founders) {
     h.add_processor(p, kDomain, kDomainAddr, llft_config());
@@ -760,6 +766,137 @@ TEST(Llft, FollowerBatchLeavesAtTheNextDrain) {
   std::set<std::pair<std::uint32_t, SeqNum>> distinct;
   for (const auto& g : grants) distinct.insert({g.slot.processor.raw(), g.slot.seq});
   EXPECT_EQ(distinct.size(), grants.size());
+}
+
+// The leader takes its own OrderInfo in when it stamps it, so it delivers
+// a follower's Regular in the step that grants it, while the grant still
+// waits in its batch for the timer; the followers deliver it once that
+// datagram arrives. Nothing is lost, so no member counts a duplicate: the
+// loopback copies of the messages taken in at send are not duplicates.
+TEST(Llft, LeaderDeliversWhatItGrantsBeforeItsBatchLeaves) {
+  net::LinkModel exact;
+  exact.jitter = 0;
+  SimHarness h(exact, 80);
+  const auto all = ids({1, 2, 3});
+  const Config cfg = batched_llft_config();
+  for (ProcessorId p : all) h.add_processor(p, kDomain, kDomainAddr, cfg);
+  for (ProcessorId p : all) h.stack(p).create_group(h.now(), kGroup, kGroupAddr, all);
+  h.run_for(50 * kMillisecond);
+  ASSERT_TRUE(engine(h, ProcessorId{1}).leading());
+
+  WireLog wire(h, ProcessorId{1});
+  std::uint64_t req = 0;
+  const TimePoint sent = h.now();
+  ASSERT_EQ(send_and_drain(h, ProcessorId{2}, req, {"follower"}).size(), 1u);
+  h.run_for(200 * kMillisecond);
+  expect_same_order(h, all, 1, "a follower's granted Regular");
+
+  const auto grants = wire.grants();
+  ASSERT_EQ(grants.size(), 1u);
+  const TimePoint arrived = sent + exact.delay;
+  const Duration window = Duration(cfg.batch_flush_us) * kMicrosecond;
+  EXPECT_GE(grants[0].at, arrived + window) << "the grant left before the leader's timer";
+  EXPECT_EQ(h.delivered(ProcessorId{1}, kGroup)[0].delivered_at, arrived)
+      << "the leader waited for its own grant to come back";
+  for (ProcessorId p : ids({2, 3})) {
+    EXPECT_GE(h.delivered(p, kGroup)[0].delivered_at, grants[0].at + exact.delay)
+        << "at " << to_string(p);
+  }
+  for (ProcessorId p : all) {
+    EXPECT_EQ(h.stack(p).group(kGroup)->rmp().stats().duplicates_ignored.value(), 0u)
+        << "at " << to_string(p);
+  }
+}
+
+// A lone member is its own leader, and its own acks make each message
+// stable in the pump that delivers it, before its loopback copy arrives.
+// That copy is still no duplicate: RMP keys it on the first copy of each
+// own message to come back, not on the stored message.
+TEST(Llft, OwnLoopbackIsNoDuplicateInAOneMemberGroup) {
+  net::LinkModel exact;
+  exact.jitter = 0;
+  SimHarness h(exact, 83);
+  const auto solo = ids({1});
+  h.add_processor(ProcessorId{1}, kDomain, kDomainAddr, llft_config());
+  h.stack(ProcessorId{1}).create_group(h.now(), kGroup, kGroupAddr, solo);
+  h.run_for(50 * kMillisecond);
+  GroupSession& member = *h.stack(ProcessorId{1}).group(kGroup);
+  for (std::uint64_t req = 1; req <= 10; ++req) {
+    ASSERT_TRUE(member.send_regular(h.now(), test_conn(), req, bytes_of("solo")));
+    h.run_for(3 * kMillisecond);
+  }
+  expect_same_order(h, solo, 10, "a one-member group");
+  EXPECT_EQ(member.rmp().stats().duplicates_ignored.value(), 0u);
+}
+
+// An own message that is not taken in at send (here a StateRequest) is on
+// its loopback way when the leader stamps its next Regular and the
+// OrderInfo granting it. RMP takes an own message in at send only when
+// every earlier one is in, so both follow the StateRequest by loopback:
+// the Regular is delivered once and in order, and nobody asks for the
+// leader's own stream again.
+TEST(Llft, OwnRegularBehindAnOwnMessageInFlightComesByLoopback) {
+  net::LinkModel exact;
+  exact.jitter = 0;
+  SimHarness h(exact, 82);
+  const auto all = ids({1, 2, 3});
+  for (ProcessorId p : all) h.add_processor(p, kDomain, kDomainAddr, llft_config());
+  for (ProcessorId p : all) h.stack(p).create_group(h.now(), kGroup, kGroupAddr, all);
+  h.run_for(50 * kMillisecond);
+  ASSERT_TRUE(engine(h, ProcessorId{1}).leading());
+
+  std::size_t own_nacks = 0;
+  h.network().set_tap([&](TimePoint, ProcessorId, const net::Datagram& d) {
+    const Message m = decode_message(d.payload.view());
+    if (m.header.type == MessageType::kRetransmitRequest &&
+        std::get<RetransmitRequestBody>(m.body).processor == ProcessorId{1}) {
+      ++own_nacks;
+    }
+  });
+  GroupSession& leader = *h.stack(ProcessorId{1}).group(kGroup);
+  StateRequestBody request;
+  request.joiner = ProcessorId{3};
+  ASSERT_TRUE(leader.send_state(h.now(), request));
+  const SeqNum in_flight = leader.rmp().last_sent();
+  ASSERT_TRUE(leader.send_regular(h.now(), test_conn(), 1, bytes_of("behind")));
+  EXPECT_EQ(leader.rmp().contiguous(ProcessorId{1}), in_flight - 1);
+  ASSERT_TRUE(h.stack(ProcessorId{2}).group(kGroup)->send_regular(
+      h.now(), test_conn(), 2, bytes_of("follower")));
+  h.run_for(200 * kMillisecond);
+  expect_same_order(h, all, 2, "behind an own message in flight");
+  EXPECT_EQ(own_nacks, 0u) << "a RetransmitRequest named the leader's own stream";
+}
+
+// ftmp_batch_grant_only_total tells a grant that rode no data datagram
+// from one that did: a lone follower Regular, granted by an idle leader,
+// costs the leader one grant-only datagram; the leader's own Regular
+// carries its grant and costs none.
+TEST(Llft, GrantOnlyDatagramsCountGrantsThatRideNoData) {
+  net::LinkModel exact;
+  exact.jitter = 0;
+  SimHarness h(exact, 80);
+  const auto all = ids({1, 2, 3});
+  for (ProcessorId p : all) {
+    h.add_processor(p, kDomain, kDomainAddr, batched_llft_config());
+  }
+  for (ProcessorId p : all) h.stack(p).create_group(h.now(), kGroup, kGroupAddr, all);
+  h.run_for(50 * kMillisecond);
+  ASSERT_TRUE(engine(h, ProcessorId{1}).leading());
+
+  const auto grant_only = [&] { return h.stack(ProcessorId{1}).batch_stats().grant_only; };
+  const std::uint64_t before = grant_only();
+  std::uint64_t req = 0;
+  send_and_drain(h, ProcessorId{2}, req, {"follower"});
+  h.run_for(5 * kMillisecond);
+  EXPECT_EQ(grant_only(), before + 1) << "a follower's lone Regular";
+  send_and_drain(h, ProcessorId{1}, req, {"leader"});
+  h.run_for(5 * kMillisecond);
+  EXPECT_EQ(grant_only(), before + 1) << "the leader's own Regular";
+  h.run_for(200 * kMillisecond);
+  expect_same_order(h, all, std::size_t(req), "grant-only count");
+  for (ProcessorId p : ids({2, 3})) {
+    EXPECT_EQ(h.stack(p).batch_stats().grant_only, 0u) << "at " << to_string(p);
+  }
 }
 
 // The flush window moves with leadership at the fault install: once P1 has

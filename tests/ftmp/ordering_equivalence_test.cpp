@@ -17,6 +17,10 @@
 //    commit 55bcf65, before each layer kept one record per member; the
 //    lamport one again when membership messages came to be acked at once
 //    and joiners greeted.
+//  * All four LLFT pins again when a member came to take its own Regulars
+//    and OrderInfo in at send instead of on their loopback arrival: only
+//    the wire and event digests moved, the egress and delivered counts
+//    held.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -210,10 +214,10 @@ constexpr std::uint64_t kPreRefactorEgress = 154;
 constexpr std::uint64_t kPreRefactorDelivered = 186;
 
 // Captured at commit 1379157 (see file header).
-const Observed kLlftPin{0xe58d2e51773064d4ULL, 0xe9be8c12ffb37804ULL, 216, 186};
-const Observed kLlftBatchedPin{0x8c7ed6bc9d8a8471ULL, 0xa482afb520a31e85ULL, 154, 186};
+const Observed kLlftPin{0x3e3b45a6d461f414ULL, 0x8b67f72e77c5fb7cULL, 216, 186};
+const Observed kLlftBatchedPin{0xdddb67283256f122ULL, 0xb13cb3baea656b6dULL, 154, 186};
 const Observed kLamportCrashPin{0x3a38e853cbeb34caULL, 0x2d68ac0178fc80feULL, 127, 139};
-const Observed kLlftCrashPin{0x7d77a54cd4e6293bULL, 0xbda43bd2f6c68ee9ULL, 167, 140};
+const Observed kLlftCrashPin{0x7bdb9177c038f3abULL, 0xe6ba1065dbe2df41ULL, 167, 140};
 
 // Captured with rank-staggered prompt acknowledgement (see file header).
 const Observed kLamportPromptPin{0xcc2c9b954a321bb0ULL, 0x4cbccdaaa9343b57ULL, 198, 186};
@@ -223,7 +227,7 @@ const Observed kLamportPromptCrashPin{0x3ab64038dd7a889cULL, 0xf0c08617d1a49914U
 // Captured at commit 55bcf65, the lamport one re-captured (see file header).
 const Observed kLamportReadmitPin{0x899eba6499f9b29eULL, 0x5d6b5a2aa686769aULL, 284, 322};
 const Observed kLamportPromptReadmitPin{0xc86cb385cf5d211aULL, 0x329937921e10f620ULL, 356, 322};
-const Observed kLlftReadmitPin{0xe3ece1eade4d561aULL, 0x8f349ba1e5227ef8ULL, 370, 323};
+const Observed kLlftReadmitPin{0x86b96edfd0138c0dULL, 0x61f7ba298a08ff99ULL, 370, 323};
 
 TEST(OrderingEquivalence, LamportDefaultPinnedByteIdenticalToPreRefactor) {
   expect_pinned("lamport-paper", run_scenario(lamport_paper()),
