@@ -1,5 +1,5 @@
 // udp_demo — FTMP over real UDP IP-Multicast sockets (the paper's actual
-// substrate). Three members run in one process, each an inline
+// substrate). Three members run in one process, each a
 // runtime::ShardedRuntime behind its own runtime::ShardedUdpDriver on the
 // loopback interface, and exchange totally-ordered messages through the
 // kernel.
@@ -32,7 +32,8 @@ int main() {
     for (ProcessorId p : members) {
       nodes.push_back(
           std::make_unique<runtime::ShardedRuntime>(p, domain, domain_addr));
-      nodes.back()->create_group(runtime::wall_now(), group, group_addr, members);
+      nodes.back()->stack(0).create_group(runtime::wall_now(), group, group_addr,
+                                          members);
       net::UdpMulticastTransport::Options options;
       options.port = 30771;
       drivers.push_back(
@@ -58,7 +59,6 @@ int main() {
     for (std::size_t i = 0; i < nodes.size(); ++i) {
       const std::string text = "udp message " + std::to_string(round) + " from " +
                                to_string(members[i]);
-      // Inline mode: the runtime's single stack is driven directly.
       nodes[i]->stack(0).group(group)->send_regular(
           runtime::wall_now(), conn, std::uint64_t(round + 1), bytes_of(text));
     }

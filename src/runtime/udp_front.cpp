@@ -15,7 +15,7 @@ std::size_t ShardedUdpDriver::poll_once(Duration max_wait) {
       transport_.receive_many(max_wait, receive_batch_);
   const TimePoint now = wall_now();
   for (const net::Datagram& d : burst) runtime_.ingest(now, d);
-  runtime_.tick(now);  // inline mode only; threaded shards tick themselves
+  runtime_.tick(now);
   egress_.clear();
   runtime_.drain_egress(egress_);
   joins_.transmit(runtime_.subscriptions(), egress_, transport_);

@@ -1,15 +1,12 @@
 // udp_front.hpp — binds a ShardedRuntime to real UDP IP-Multicast sockets:
-// the I/O front thread of the sharded runtime (docs/SHARDING.md).
+// the way to run a stack over real sockets (examples/udp_demo.cpp).
 //
 // One poll drains the kernel with a recvmmsg burst into pooled buffers,
-// routes each datagram to its owning shard (header-only decode, zero-copy
-// SPSC handoff), ticks (inline mode), collects every shard's egress, and
-// ends as every driver step does: Joins::transmit (ftmp/joins.hpp) joins
-// the union of shard subscriptions, leaves what no shard lists any more,
-// and then transmits the egress with sendmmsg bursts. The same loop works
-// for the inline single-shard runtime, where it drives one Stack directly —
-// the way to run a plain stack over real sockets (examples/udp_demo.cpp).
-// Events stay queued in the runtime (ShardedRuntime::take_events).
+// ingests each datagram, ticks, drains the egress, and ends as every
+// driver step does: Joins::transmit (ftmp/joins.hpp) joins what the stack
+// subscribes to, leaves what it no longer lists, and then transmits the
+// egress with sendmmsg bursts. Events stay queued in the runtime
+// (ShardedRuntime::take_events).
 #pragma once
 
 #include <vector>
@@ -21,9 +18,7 @@
 
 namespace ftcorba::runtime {
 
-/// Front-thread poll loop binding a ShardedRuntime to UdpMulticastTransport.
-/// Single-threaded: the thread running poll_once is the runtime's front
-/// thread.
+/// Poll loop binding a ShardedRuntime to UdpMulticastTransport.
 class ShardedUdpDriver {
  public:
   ShardedUdpDriver(ShardedRuntime& runtime,
@@ -31,8 +26,8 @@ class ShardedUdpDriver {
                    std::size_t receive_batch = 64);
 
   /// One iteration: waits up to `max_wait` for traffic, ingests the burst,
-  /// ticks (inline mode), drains egress, then joins, leaves and transmits
-  /// through Joins::transmit. Returns the number of datagrams ingested.
+  /// ticks, drains egress, then joins, leaves and transmits through
+  /// Joins::transmit. Returns the number of datagrams ingested.
   std::size_t poll_once(Duration max_wait);
 
   [[nodiscard]] net::UdpMulticastTransport& transport() { return transport_; }

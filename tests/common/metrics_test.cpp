@@ -214,8 +214,9 @@ TEST(Counter, DefaultConstructedRegistersNothing) {
   EXPECT_EQ(snapshot().size(), registered);
 }
 
-// The sharded runtime reads a shard's counts while the shard thread adds to
-// them; the TSan CI job runs this to check that the read is race-free.
+// Any thread may read a Counter while its one writer adds to it
+// (docs/METRICS.md); the TSan CI job runs this to check that the read is
+// race-free.
 TEST(Counter, ValueIsReadableWhileItsWriterAdds) {
   constexpr std::uint64_t kAdds = 100000;
   Counter c("t_counter_concurrent_read_total", "help", "events", "test");

@@ -242,7 +242,7 @@ TEST_P(GaugeFleet, EveryShareReturnsWhenItsStackGoes) {
   std::size_t checked = 0;
   for (const metrics::Sample& s : metrics::snapshot()) {
     if (s.type != metrics::Type::kGauge || s.name.rfind("ftmp_", 0) != 0 ||
-        s.name.rfind("ftmp_runtime_", 0) == 0 || set_only.contains(s.name)) {
+        set_only.contains(s.name)) {
       continue;
     }
     EXPECT_EQ(s.gauge, 0) << s.name;

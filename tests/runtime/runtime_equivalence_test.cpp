@@ -1,9 +1,8 @@
-// Determinism guard (ISSUE 9 satellite): the shards=1 inline runtime is
-// inert — a node driven through ShardedRuntime produces byte-identical wire
-// traffic and identical upward events to the same node driven as a bare
-// Stack, and repeated runs digest identically. This pins the default
-// configuration to the pre-shard behavior the chaos campaigns and
-// SimHarness seeds depend on.
+// Determinism guard: the runtime is inert — a node driven through
+// ShardedRuntime produces byte-identical wire traffic and identical upward
+// events to the same node driven as a bare Stack, and repeated runs digest
+// identically. This pins the real-socket driver's runtime to the behavior
+// the chaos campaigns and SimHarness seeds depend on.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -66,7 +65,7 @@ struct Observed {
 
 // Runs the scripted three-member scenario with node 1 behind `ingest` /
 // `tick` / `drain` / `events` / `send` thunks, so the same script drives a
-// bare Stack and an inline ShardedRuntime. Peers 2 and 3 are bare stacks in
+// bare Stack and a ShardedRuntime. Peers 2 and 3 are bare stacks in
 // both runs; time is a fixed 1ms schedule; every datagram loops back to
 // every node (multicast loopback semantics).
 template <typename Node>
@@ -134,10 +133,9 @@ struct BareStackNode {
 };
 
 struct RuntimeNode {
-  ShardedRuntime rt{ProcessorId{1}, kDomain, kDomainAddr, ftmp::Config{},
-                    RuntimeConfig{}};
+  ShardedRuntime rt{ProcessorId{1}, kDomain, kDomainAddr, ftmp::Config{}};
   void create_group(TimePoint now, const std::vector<ProcessorId>& members) {
-    rt.create_group(now, kGroup, kGroupAddr, members);
+    rt.stack(0).create_group(now, kGroup, kGroupAddr, members);
   }
   void send(TimePoint now, std::uint64_t req, const Bytes& payload) {
     ASSERT_TRUE(
@@ -156,10 +154,9 @@ TEST(RuntimeEquivalence, InlineRuntimeIsByteIdenticalToABareStack) {
   ASSERT_GT(reference.egress_datagrams, 0u);
 
   RuntimeNode wrapped;
-  ASSERT_TRUE(wrapped.rt.inline_mode());
   const Observed observed = run_scenario(wrapped);
   EXPECT_EQ(observed.wire_digest, reference.wire_digest)
-      << "inline runtime must put identical bytes on the wire";
+      << "the runtime must put identical bytes on the wire";
   EXPECT_EQ(observed.event_digest, reference.event_digest);
   EXPECT_EQ(observed.egress_datagrams, reference.egress_datagrams);
   EXPECT_EQ(observed.delivered, reference.delivered);
@@ -170,7 +167,7 @@ TEST(RuntimeEquivalence, RepeatedInlineRunsDigestIdentically) {
   const Observed a = run_scenario(first);
   RuntimeNode second;
   const Observed b = run_scenario(second);
-  EXPECT_EQ(a, b) << "shards=1 default must stay seed-pure run over run";
+  EXPECT_EQ(a, b) << "the runtime must stay seed-pure run over run";
 }
 
 }  // namespace

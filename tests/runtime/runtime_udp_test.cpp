@@ -1,12 +1,12 @@
-// Real-UDP smoke for the sharded runtime: two nodes over loopback IP
-// multicast — a 2-shard threaded runtime and an inline single-shard one —
-// exchanging ordered messages through ShardedUdpDriver (recvmmsg in,
-// sendmmsg out), a node that multicasts in the poll that subscribes it,
-// a one-thread fleet of three that pauses as a whole, and a rebind that
-// leaves its retired address. Environments without loopback multicast skip
-// gracefully.
+// Real-UDP smoke for the runtime: two nodes sharing two groups over
+// loopback IP multicast, exchanging ordered messages through
+// ShardedUdpDriver (recvmmsg in, sendmmsg out), a node that multicasts in
+// the poll that subscribes it, a one-thread fleet of three that pauses as a
+// whole, and a rebind that leaves its retired address. Environments without
+// loopback multicast skip gracefully.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -28,21 +28,21 @@ ConnectionId test_conn() {
                       ObjectGroupId{20}};
 }
 
-TEST(RuntimeUdp, ShardedAndInlineNodesConvergeOverLoopbackMulticast) {
+// Two nodes share two groups: one stack per node serves both, and each
+// node delivers the message sent in each group.
+TEST(RuntimeUdp, TwoNodesSharingTwoGroupsConvergeOverLoopbackMulticast) {
   ftmp::Config cfg;
   cfg.fault_timeout = 30 * kSecond;
 
-  RuntimeConfig sharded;
-  sharded.shards = 2;
-  sharded.placement = RuntimeConfig::Placement::kRoundRobin;
-
-  ShardedRuntime a(ProcessorId{1}, kDomain, kDomainAddr, cfg, sharded);
-  ShardedRuntime b(ProcessorId{2}, kDomain, kDomainAddr, cfg);  // inline
+  ShardedRuntime a(ProcessorId{1}, kDomain, kDomainAddr, cfg);
+  ShardedRuntime b(ProcessorId{2}, kDomain, kDomainAddr, cfg);
   const std::vector<ProcessorId> members{ProcessorId{1}, ProcessorId{2}};
   const TimePoint t0 = wall_now();
   for (std::uint32_t g = 1; g <= 2; ++g) {
-    a.create_group(t0, ProcessorGroupId{g}, McastAddress{0x0300 + g}, members);
-    b.create_group(t0, ProcessorGroupId{g}, McastAddress{0x0300 + g}, members);
+    for (ShardedRuntime* node : {&a, &b}) {
+      node->stack(0).create_group(t0, ProcessorGroupId{g},
+                                  McastAddress{0x0300 + g}, members);
+    }
   }
 
   net::UdpMulticastTransport::Options options;
@@ -50,7 +50,6 @@ TEST(RuntimeUdp, ShardedAndInlineNodesConvergeOverLoopbackMulticast) {
   try {
     ShardedUdpDriver drv_a(a, options);
     ShardedUdpDriver drv_b(b, options);
-    a.start();
 
     for (std::uint32_t g = 1; g <= 2; ++g) {
       ASSERT_TRUE(b.stack(0).group(ProcessorGroupId{g})
@@ -59,29 +58,33 @@ TEST(RuntimeUdp, ShardedAndInlineNodesConvergeOverLoopbackMulticast) {
     }
 
     std::size_t received = 0;
-    std::uint64_t delivered_a = 0, delivered_b = 0;
+    std::vector<ProcessorGroupId> delivered_a, delivered_b;
+    const auto collect = [](ShardedRuntime& node,
+                            std::vector<ProcessorGroupId>& groups) {
+      for (const ftmp::Event& ev : node.take_events()) {
+        if (const auto* m = std::get_if<ftmp::DeliveredMessage>(&ev)) {
+          groups.push_back(m->group);
+        }
+      }
+    };
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(15);
-    while ((delivered_a < 2 || delivered_b < 2) &&
+    while ((delivered_a.size() < 2 || delivered_b.size() < 2) &&
            std::chrono::steady_clock::now() < deadline) {
       received += drv_a.poll_once(2 * kMillisecond);
       received += drv_b.poll_once(2 * kMillisecond);
-      for (const ftmp::Event& ev : a.take_events()) {
-        if (std::holds_alternative<ftmp::DeliveredMessage>(ev)) ++delivered_a;
-      }
-      for (const ftmp::Event& ev : b.take_events()) {
-        if (std::holds_alternative<ftmp::DeliveredMessage>(ev)) ++delivered_b;
-      }
+      collect(a, delivered_a);
+      collect(b, delivered_b);
     }
-    a.stop();
     if (received == 0) {
       GTEST_SKIP() << "multicast loopback not functional in this environment";
     }
-    EXPECT_EQ(delivered_a, 2u) << "sharded node must deliver both groups";
-    EXPECT_EQ(delivered_b, 2u) << "sender loops back through the same path";
-    // Each group landed on its own shard (round robin over 2 shards).
-    EXPECT_GT(a.shard_stats(0).frames_in, 0u);
-    EXPECT_GT(a.shard_stats(1).frames_in, 0u);
+    std::sort(delivered_a.begin(), delivered_a.end());
+    std::sort(delivered_b.begin(), delivered_b.end());
+    const std::vector<ProcessorGroupId> both{ProcessorGroupId{1},
+                                             ProcessorGroupId{2}};
+    EXPECT_EQ(delivered_a, both) << "the receiver must deliver in both groups";
+    EXPECT_EQ(delivered_b, both) << "the sender's own copies loop back";
   } catch (const net::TransportError& e) {
     GTEST_SKIP() << "UDP multicast unavailable: " << e.what();
   }
@@ -102,7 +105,7 @@ std::uint64_t counter(const std::string& name) {
 TEST(RuntimeUdp, CreateAndSendInOnePollGetsTheOwnCopyBack) {
   ftmp::Config cfg;
   cfg.fault_timeout = 30 * kSecond;
-  ShardedRuntime node(ProcessorId{1}, kDomain, kDomainAddr, cfg);  // inline
+  ShardedRuntime node(ProcessorId{1}, kDomain, kDomainAddr, cfg);
   constexpr ProcessorGroupId kGroup{1};
 
   net::UdpMulticastTransport::Options options;
@@ -111,7 +114,7 @@ TEST(RuntimeUdp, CreateAndSendInOnePollGetsTheOwnCopyBack) {
     ShardedUdpDriver drv(node, options);
     const std::uint64_t probes = counter("ftmp_rmp_own_gap_probes_total");
     const TimePoint t0 = wall_now();
-    node.create_group(t0, kGroup, McastAddress{0x0311}, {ProcessorId{1}});
+    node.stack(0).create_group(t0, kGroup, McastAddress{0x0311}, {ProcessorId{1}});
     ftmp::GroupSession* session = node.stack(0).group(kGroup);
     ASSERT_NE(session, nullptr);
     ASSERT_TRUE(session->send_regular(t0, test_conn(), 1, bytes_of("first")));
@@ -142,7 +145,7 @@ TEST(RuntimeUdp, CreateAndSendInOnePollGetsTheOwnCopyBack) {
   }
 }
 
-// One thread polls three default-config inline members in turn, as
+// One thread polls three default-config members in turn, as
 // perfbench and udp_demo do. When the whole process pauses for three fault
 // timeouts, every detector sleeps through the same silence it would
 // otherwise count against the others: the pause must convict nobody.
@@ -155,7 +158,7 @@ TEST(RuntimeUdp, FleetWidePauseConvictsNobody) {
   const TimePoint t0 = wall_now();
   for (ProcessorId p : members) {
     nodes.push_back(std::make_unique<ShardedRuntime>(p, kDomain, kDomainAddr, cfg));
-    nodes.back()->create_group(t0, kGroup, McastAddress{0x0313}, members);
+    nodes.back()->stack(0).create_group(t0, kGroup, McastAddress{0x0313}, members);
   }
 
   net::UdpMulticastTransport::Options options;
@@ -191,7 +194,7 @@ TEST(RuntimeUdp, FleetWidePauseConvictsNobody) {
     EXPECT_EQ(fault_views, 0u);
     for (const auto& node : nodes) {
       EXPECT_EQ(node->stack(0).group(kGroup)->membership().members, members)
-          << "at " << to_string(node->id());
+          << "at " << to_string(node->stack(0).id());
     }
 #if FTCORBA_METRICS_ENABLED
     EXPECT_EQ(counter("ftmp_pgmp_suspicions_total"), suspicions);
@@ -209,11 +212,11 @@ TEST(RuntimeUdp, FleetWidePauseConvictsNobody) {
 // address still does (and counts as malformed).
 TEST(RuntimeUdp, RebindLeavesTheRetiredAddress) {
   const ftmp::Config cfg;
-  ShardedRuntime node(ProcessorId{1}, kDomain, kDomainAddr, cfg);  // inline
+  ShardedRuntime node(ProcessorId{1}, kDomain, kDomainAddr, cfg);
   constexpr ProcessorGroupId kGroup{1};
   constexpr McastAddress kOldAddr{0x0315};
   constexpr McastAddress kNewAddr{0x0316};
-  node.create_group(wall_now(), kGroup, kOldAddr, {ProcessorId{1}});
+  node.stack(0).create_group(wall_now(), kGroup, kOldAddr, {ProcessorId{1}});
 
   net::UdpMulticastTransport::Options options;
   options.port = 32015;
