@@ -1,5 +1,7 @@
 #include "ftmp/batch.hpp"
 
+#include <algorithm>
+
 #include "ftmp/wire.hpp"
 
 namespace ftcorba::ftmp {
@@ -32,6 +34,10 @@ Batcher::Batcher(const Config& config) : config_(config) {
   metrics_.closed_timer =
       metrics::Counter("ftmp_batch_closed_timer_total",
                        "Batches closed by the flush timer", "batches", "batch");
+  metrics_.closed_partner = metrics::Counter(
+      "ftmp_batch_closed_partner_total",
+      "Batches opened after a quiet window and closed by a second data frame",
+      "batches", "batch");
   metrics_.heartbeats_coalesced = metrics::Counter(
       "ftmp_batch_heartbeats_coalesced_total",
       "Heartbeats that rode a data-bearing batched datagram", "messages",
@@ -46,31 +52,26 @@ Batcher::Batcher(const Config& config) : config_(config) {
 void Batcher::stage(TimePoint now, net::Datagram&& d) {
   const std::size_t framed = kBatchLenPrefixSize + d.payload.size();
   const std::size_t budget = config_.batch_max_datagram_bytes;
+  Lane& lane = lanes_[d.addr.raw()];
+  Open& open = lane.open;
 
   // A message too large to batch even alone: close this address's open
   // batch first (per-address FIFO order), then pass the message through in
   // its original single-message encoding.
   if (kBatchHeaderSize + framed > budget) {
-    auto it = open_.find(d.addr.raw());
-    if (it != open_.end()) {
-      close(it->first, std::move(it->second), /*by_timer=*/false);
-      open_.erase(it);
-    }
+    close(d.addr.raw(), open);
     metrics_.passthrough.add();
     if (is_type(d.payload, MessageType::kOrderInfo)) metrics_.grant_only.add();
     ready_.push_back(std::move(d));
     return;
   }
 
-  Open& open = open_[d.addr.raw()];
   if (open.frames.empty()) {
     open.bytes = kBatchHeaderSize;
     open.opened_at = now;
   } else if (open.bytes + framed > budget) {
-    Open full = std::move(open);
-    close(d.addr.raw(), std::move(full), /*by_timer=*/false);
+    close(d.addr.raw(), open);
     metrics_.closed_full.add();
-    open = Open{};
     open.bytes = kBatchHeaderSize;
     open.opened_at = now;
   }
@@ -78,6 +79,15 @@ void Batcher::stage(TimePoint now, net::Datagram&& d) {
   if (is_type(d.payload, MessageType::kHeartbeat)) {
     open.heartbeats += 1;
   } else {
+    // The quiet check runs once per batch, at its first data frame. Until
+    // a partner joins, every data frame of a quiet batch was staged in the
+    // drain of that first one, so a later staging time marks the partner.
+    if (!open.has_data) {
+      open.quiet = !lane.last_data || now - *lane.last_data >= flush_after();
+    } else if (open.quiet && now > *lane.last_data) {
+      open.partnered = true;
+    }
+    lane.last_data = now;
     open.has_data = true;
     open.has_regular |= is_type(d.payload, MessageType::kRegular);
     open.has_grant |= is_type(d.payload, MessageType::kOrderInfo);
@@ -85,18 +95,33 @@ void Batcher::stage(TimePoint now, net::Datagram&& d) {
   open.frames.push_back(std::move(d.payload));
 }
 
+bool Batcher::pending() const {
+  return !ready_.empty() ||
+         std::any_of(lanes_.begin(), lanes_.end(),
+                     [](const auto& lane) { return !lane.second.open.frames.empty(); });
+}
+
 void Batcher::drain(TimePoint now, std::vector<net::Datagram>& out,
                     const std::function<bool(McastAddress)>& waits) {
-  const Duration flush_after =
-      static_cast<Duration>(config_.batch_flush_us) * kMicrosecond;
-  for (auto it = open_.begin(); it != open_.end();) {
-    const Open& open = it->second;
+  const Duration window = flush_after();
+  for (auto it = lanes_.begin(); it != lanes_.end();) {
+    Lane& lane = it->second;
+    Open& open = lane.open;
+    const bool expired = now - open.opened_at >= window;
     // A heartbeat-only batch always waits: nothing is in a hurry for it,
     // and the next data frame can carry it.
-    if (now - open.opened_at >= flush_after ||
-        (open.has_data && waits && !waits(McastAddress{it->first}))) {
-      close(it->first, std::move(it->second), /*by_timer=*/true);
-      it = open_.erase(it);
+    if (!open.frames.empty() &&
+        (expired || open.partnered ||
+         (open.has_data && waits && !waits(McastAddress{it->first})))) {
+      if (open.frames.size() > 1) {
+        (open.partnered && !expired ? metrics_.closed_partner : metrics_.closed_timer)
+            .add();
+      }
+      close(it->first, open);
+    }
+    if (open.frames.empty() &&
+        (!lane.last_data || now - *lane.last_data >= window)) {
+      it = lanes_.erase(it);
     } else {
       ++it;
     }
@@ -110,11 +135,8 @@ void Batcher::drain(TimePoint now, std::vector<net::Datagram>& out,
   }
 }
 
-void Batcher::close(std::uint32_t addr_raw, Open&& open, bool by_timer) {
+void Batcher::close(std::uint32_t addr_raw, Open& open) {
   if (open.frames.empty()) return;
-  if (by_timer && open.frames.size() > 1) {
-    metrics_.closed_timer.add();
-  }
   if (open.has_grant && !open.has_regular) metrics_.grant_only.add();
   net::Datagram d;
   d.addr = McastAddress{addr_raw};
@@ -134,6 +156,7 @@ void Batcher::close(std::uint32_t addr_raw, Open&& open, bool by_timer) {
     }
   }
   ready_.push_back(std::move(d));
+  open = Open{};
 }
 
 }  // namespace ftcorba::ftmp

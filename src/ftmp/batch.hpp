@@ -8,10 +8,15 @@
 // overflow the budget, or when the `batch_flush_us` micro-flush timer
 // expires at the next driver drain; the caller may close an address's
 // data-bearing batches at every drain instead (an LLFT follower's, which
-// gain nothing by waiting: docs/BATCHING.md). Accumulation holds SharedBytes
-// references only; the single copy batching adds happens once per message
-// at close (encode_batch), on the send side — receivers slice sub-frames
-// out of the arrival buffer, so the zero-copy delivery path is unchanged.
+// gain nothing by waiting: docs/BATCHING.md). A batch whose first data
+// frame came after a quiet window (no data frame staged for its address in
+// the last `batch_flush_us`) closes at the drain that stages a second data
+// frame into it, if budget and timer have not closed it first: at low rates
+// a message waits for at most one more, and a flood, never quiet, keeps its
+// full batches. Accumulation holds SharedBytes references only; the single
+// copy batching adds happens once per message at close (encode_batch), on
+// the send side — receivers slice sub-frames out of the arrival buffer, so
+// the zero-copy delivery path is unchanged.
 //
 // Special cases that keep the wire honest and low-rate behavior identical:
 //   * a batch holding exactly one message is emitted as a plain FTMP
@@ -30,6 +35,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "common/clock.hpp"
@@ -48,6 +54,7 @@ struct BatchStats {
   std::uint64_t passthrough = 0;       ///< datagrams emitted unbatched
   std::uint64_t closed_full = 0;       ///< batches closed by the byte budget
   std::uint64_t closed_timer = 0;      ///< batches closed by the flush timer
+  std::uint64_t closed_partner = 0;  ///< quiet-opened batches closed by a partner
   std::uint64_t heartbeats_coalesced = 0;  ///< heartbeats riding a data batch
   std::uint64_t grant_only = 0;  ///< datagrams with OrderInfo and no Regular
 
@@ -79,18 +86,21 @@ class Batcher {
 
   /// Appends every closed batch to `out`, then closes and appends any open
   /// batch whose flush timer has expired (every open batch when
-  /// batch_flush_us is 0), or that holds more than heartbeats and whose
-  /// address `waits` rejects (no `waits`: every address waits).
+  /// batch_flush_us is 0), that a partner joined (a second data frame,
+  /// staged at a later drain, in a batch opened after a quiet window), or
+  /// that holds more than heartbeats and whose address `waits` rejects (no
+  /// `waits`: every address waits).
   void drain(TimePoint now, std::vector<net::Datagram>& out,
              const std::function<bool(McastAddress)>& waits = {});
 
   /// True while messages are staged but not yet emitted.
-  [[nodiscard]] bool pending() const { return !open_.empty() || !ready_.empty(); }
+  [[nodiscard]] bool pending() const;
 
   [[nodiscard]] BatchStats stats() const {
     return {metrics_.datagrams.value(),    metrics_.subframes.value(),
             metrics_.bytes.value(),        metrics_.passthrough.value(),
             metrics_.closed_full.value(),  metrics_.closed_timer.value(),
+            metrics_.closed_partner.value(),
             metrics_.heartbeats_coalesced.value(), metrics_.grant_only.value()};
   }
 
@@ -103,14 +113,28 @@ class Batcher {
     bool has_data = false;  ///< any non-heartbeat sub-frame staged
     bool has_regular = false;
     bool has_grant = false;  ///< any OrderInfo staged
+    bool quiet = false;      ///< its first data frame came after a quiet window
+    bool partnered = false;  ///< a later data frame joined it: close at the drain
   };
 
-  void close(std::uint32_t addr_raw, Open&& open, bool by_timer);
+  /// One address's open batch and data clock. An address has one while a
+  /// batch is open for it or it carried data within the last
+  /// batch_flush_us; an address without one is quiet.
+  struct Lane {
+    Open open;
+    std::optional<TimePoint> last_data;  ///< the last data frame's staging
+  };
+
+  [[nodiscard]] Duration flush_after() const {
+    return static_cast<Duration>(config_.batch_flush_us) * kMicrosecond;
+  }
+  /// Emits `open` to ready_ (a lone frame in its own encoding) and empties it.
+  void close(std::uint32_t addr_raw, Open& open);
 
   Config config_;
   // Keyed by raw multicast address; std::map keeps drain order
   // deterministic across runs (the chaos digest depends on it).
-  std::map<std::uint32_t, Open> open_;
+  std::map<std::uint32_t, Lane> lanes_;
   std::vector<net::Datagram> ready_;
 
   // This batcher's counters, each also adding to the process-global
@@ -122,6 +146,7 @@ class Batcher {
     metrics::Counter passthrough;
     metrics::Counter closed_full;
     metrics::Counter closed_timer;
+    metrics::Counter closed_partner;
     metrics::Counter heartbeats_coalesced;
     metrics::Counter grant_only;
   };

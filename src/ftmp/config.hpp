@@ -126,9 +126,11 @@ struct Config {
   /// not yet full is emitted once it has been open this long, bounding the
   /// extra latency batching adds at low rates. 0 = flush at every driver
   /// drain (batching then only coalesces messages staged within one event-
-  /// loop step). Under kLlft only the leader's data-bearing batches wait
-  /// for it; every other member flushes them at every drain, as with 0
-  /// (docs/BATCHING.md).
+  /// loop step). It is also the quiet window: a batch whose first data
+  /// frame came this long after its address's previous one leaves with its
+  /// second data frame. Under kLlft only the leader's data-bearing batches
+  /// wait at all; every other member flushes them at every drain, as with
+  /// 0 (docs/BATCHING.md).
   /// Effective resolution is the driver's drain cadence (the sim harness
   /// and UDP driver both drain at least once per tick).
   std::uint64_t batch_flush_us = 500;

@@ -169,7 +169,8 @@ class Stack {
   /// (Config::batch_max_datagram_bytes > 0) outgoing messages are staged
   /// through the egress Batcher; a not-yet-full batch is held across calls
   /// until its micro-flush timer (Config::batch_flush_us) expires, unless
-  /// it holds more than heartbeats and batch_waits rejects its address.
+  /// it holds more than heartbeats and batch_waits rejects its address, or
+  /// it opened after a quiet window and a second data frame joined it.
   [[nodiscard]] std::vector<net::Datagram> take_packets();
 
   /// Drains upward events.

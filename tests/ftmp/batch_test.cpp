@@ -2,6 +2,8 @@
 // the egress Batcher (docs/BATCHING.md).
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "common/rng.hpp"
 #include "ftmp/batch.hpp"
 #include "ftmp/wire.hpp"
@@ -232,6 +234,191 @@ TEST(Batcher, PromptAddressClosesDataBatchesAtTheDrain) {
   b.drain(500 * kMicrosecond, out, waits);
   ASSERT_EQ(out.size(), 1u) << "the waiting address closes on its timer";
   EXPECT_EQ(out[0].addr, McastAddress{300});
+}
+
+// A data frame staged on a quiet address (one that carried no data in the
+// last batch_flush_us, or never did) opens a batch that leaves at the drain
+// staging the next data frame, long before the timer.
+TEST(Batcher, QuietBatchLeavesWithItsPartner) {
+  Batcher b{batch_config(4096, 500)};
+  const SharedBytes f = frame_of(MessageType::kRegular, ByteOrder::kBig, 1);
+  std::vector<net::Datagram> out;
+  b.stage(0, dg(f));
+  b.drain(0, out);
+  EXPECT_TRUE(out.empty()) << "a lone data frame waits for a partner or the timer";
+
+  b.stage(100 * kMicrosecond, dg(f));
+  b.drain(100 * kMicrosecond, out);
+  ASSERT_EQ(out.size(), 1u) << "the partner releases the batch at its drain";
+  EXPECT_TRUE(looks_like_ftmp_batch(out[0].payload));
+  EXPECT_FALSE(b.pending());
+  EXPECT_EQ(b.stats().subframes, 2u);
+  EXPECT_EQ(b.stats().closed_partner, 1u);
+  EXPECT_EQ(b.stats().closed_timer, 0u);
+}
+
+// On a busy address (data staged within the last batch_flush_us) a batch
+// waits for the budget or the timer, however many frames join it: a flood
+// staging a frame every 50 us fills its batches.
+TEST(Batcher, BusyAddressFillsToTheBudget) {
+  Batcher b{batch_config(7 + 5 * (4 + 45), 500)};  // five header-only frames
+  const SharedBytes f = frame_of(MessageType::kRegular, ByteOrder::kBig, 1);
+  std::vector<net::Datagram> out;
+  b.stage(0, dg(f));
+  b.stage(50 * kMicrosecond, dg(f));
+  b.drain(50 * kMicrosecond, out);
+  ASSERT_EQ(out.size(), 1u) << "the quiet batch leaves with its partner";
+  out.clear();
+
+  for (TimePoint t = 100 * kMicrosecond; t <= 300 * kMicrosecond; t += 50 * kMicrosecond) {
+    b.stage(t, dg(f));
+    b.drain(t, out);
+    EXPECT_TRUE(out.empty()) << "a busy batch left early at " << to_us(t) << " us";
+  }
+  b.stage(350 * kMicrosecond, dg(f));
+  b.drain(350 * kMicrosecond, out);
+  ASSERT_EQ(out.size(), 1u) << "the sixth frame overflows the budget";
+  EXPECT_EQ(out[0].payload.size(), std::size_t(7 + 5 * (4 + 45)));
+  EXPECT_EQ(b.stats().closed_full, 1u);
+  EXPECT_EQ(b.stats().closed_partner, 1u);
+  EXPECT_TRUE(b.pending()) << "the sixth frame opened a busy batch";
+}
+
+// The quiet window runs from the last data frame's staging, not from the
+// datagram that carried it: a batch that left on its timer 450 us ago is
+// no longer busy once its last frame was staged 550 us ago.
+TEST(Batcher, QuietWindowRunsFromTheLastDataStaged) {
+  Batcher b{batch_config(4096, 500)};
+  const SharedBytes f = frame_of(MessageType::kRegular, ByteOrder::kBig, 1);
+  std::vector<net::Datagram> out;
+  b.stage(0, dg(f));
+  b.stage(100 * kMicrosecond, dg(f));
+  b.drain(100 * kMicrosecond, out);  // partnered; the address is now busy
+  b.stage(200 * kMicrosecond, dg(f));
+  b.stage(600 * kMicrosecond, dg(f));
+  b.drain(600 * kMicrosecond, out);
+  ASSERT_EQ(out.size(), 1u) << "a busy batch waits for its timer";
+  b.drain(700 * kMicrosecond, out);
+  ASSERT_EQ(out.size(), 2u) << "the timer closes the busy batch";
+  EXPECT_EQ(b.stats().closed_timer, 1u);
+
+  b.stage(1150 * kMicrosecond, dg(f));
+  b.drain(1150 * kMicrosecond, out);
+  b.stage(1200 * kMicrosecond, dg(f));
+  b.drain(1200 * kMicrosecond, out);
+  ASSERT_EQ(out.size(), 3u) << "550 us after the last staging the address is quiet";
+  EXPECT_EQ(b.stats().closed_partner, 2u);
+}
+
+// Heartbeats neither make an address busy nor partner a batch: a data frame
+// staged 100 us after a heartbeat still opens a quiet batch, a heartbeat
+// joining it releases nothing, and the next data frame does.
+TEST(Batcher, HeartbeatsNeitherMakeAnAddressBusyNorPartnerABatch) {
+  Batcher b{batch_config(4096, 500)};
+  const SharedBytes hb = frame_of(MessageType::kHeartbeat, ByteOrder::kBig, 1);
+  const SharedBytes reg = frame_of(MessageType::kRegular, ByteOrder::kBig, 2);
+  std::vector<net::Datagram> out;
+  b.stage(0, dg(reg));
+  b.drain(500 * kMicrosecond, out);
+  ASSERT_EQ(out.size(), 1u) << "a lone data frame leaves on its timer";
+  out.clear();
+
+  b.stage(600 * kMicrosecond, dg(hb));
+  b.drain(600 * kMicrosecond, out);
+  b.stage(700 * kMicrosecond, dg(reg));
+  b.drain(700 * kMicrosecond, out);
+  b.stage(800 * kMicrosecond, dg(hb));
+  b.drain(800 * kMicrosecond, out);
+  EXPECT_TRUE(out.empty()) << "a heartbeat partnered the batch";
+  b.stage(900 * kMicrosecond, dg(reg));
+  b.drain(900 * kMicrosecond, out);
+  ASSERT_EQ(out.size(), 1u) << "the heartbeat made the address busy";
+  EXPECT_EQ(b.stats().subframes, 4u);
+  EXPECT_EQ(b.stats().heartbeats_coalesced, 2u);
+  EXPECT_EQ(b.stats().closed_partner, 1u);
+}
+
+// Frames staged in one drain do not partner each other: the second frame
+// must come at a later drain.
+TEST(Batcher, FramesOfOneDrainDoNotPartnerEachOther) {
+  Batcher b{batch_config(4096, 500)};
+  const SharedBytes f = frame_of(MessageType::kRegular, ByteOrder::kBig, 1);
+  const SharedBytes grant = frame_of(MessageType::kOrderInfo, ByteOrder::kBig, 2);
+  std::vector<net::Datagram> out;
+  b.stage(0, dg(f));
+  b.stage(0, dg(grant));
+  b.drain(0, out);
+  b.drain(100 * kMicrosecond, out);
+  EXPECT_TRUE(out.empty()) << "frames of one drain released their batch";
+  b.stage(200 * kMicrosecond, dg(f));
+  b.drain(200 * kMicrosecond, out);
+  ASSERT_EQ(out.size(), 1u) << "a frame of a later drain partners them";
+  EXPECT_EQ(b.stats().subframes, 3u);
+  EXPECT_EQ(b.stats().closed_partner, 1u);
+}
+
+// Whatever the traffic (quiet spells, bursts, floods, heartbeats, oversized
+// frames, two addresses), every staged frame leaves exactly once, in its
+// address's staging order, and no later than batch_flush_us after it was
+// staged (drains here run every 10 us, a divisor of the window).
+TEST(Batcher, NoFrameWaitsLongerThanTheFlushWindow) {
+  constexpr Duration kStep = 10 * kMicrosecond;
+  constexpr Duration kWindow = 500 * kMicrosecond;
+  constexpr TimePoint kEnd = 400 * kMillisecond;
+  // Staging chance per address and step; the traffic cycles every 5 ms
+  // through idle, paced, busy and flood rates.
+  constexpr double kRates[] = {0.002, 0.02, 0.3, 0.9};
+  Batcher b{batch_config(512, 500)};
+  Rng rng(40);
+  std::map<SeqNum, TimePoint> staged_at;
+  std::map<std::uint32_t, SeqNum> last_left;
+  SeqNum next = 1;
+  std::vector<net::Datagram> out;
+  for (TimePoint now = 0; now <= kEnd + kWindow; now += kStep) {
+    const double rate = now < kEnd ? kRates[(now / (5 * kMillisecond)) % 4] : 0.0;
+    for (const std::uint32_t addr : {200u, 300u}) {
+      if (!rng.chance(rate)) continue;
+      const auto type = rng.chance(0.2) ? MessageType::kHeartbeat
+                        : rng.chance(0.5) ? MessageType::kOrderInfo
+                                          : MessageType::kRegular;
+      const std::size_t body = rng.chance(0.02) ? 600 : rng.next_below(120);
+      staged_at[next] = now;
+      b.stage(now, dg(frame_of(type, ByteOrder::kBig, next, false,
+                               type == MessageType::kHeartbeat ? 0 : body),
+                      addr));
+      next += 1;
+    }
+    b.drain(now, out);
+    for (const net::Datagram& d : out) {
+      std::vector<BytesView> frames;
+      if (looks_like_ftmp_batch(d.payload)) {
+        BatchParser parser(d.payload);
+        while (auto sf = parser.next()) {
+          frames.push_back(d.payload.view().subspan(sf->offset, sf->length));
+        }
+        ASSERT_TRUE(parser.ok());
+      } else {
+        frames.push_back(d.payload.view());
+      }
+      for (BytesView frame : frames) {
+        const HeaderView h = try_decode_header(frame);
+        ASSERT_TRUE(h.ok) << h.error;
+        const SeqNum seq = h.header.sequence_number;
+        ASSERT_EQ(staged_at.count(seq), 1u) << "frame " << seq << " left twice";
+        EXPECT_LE(now - staged_at[seq], kWindow) << "frame " << seq;
+        EXPECT_GT(seq, last_left[d.addr.raw()]) << "frame " << seq << " overtook";
+        last_left[d.addr.raw()] = seq;
+        staged_at.erase(seq);
+      }
+    }
+    out.clear();
+  }
+  EXPECT_GT(next, 10'000u);
+  EXPECT_TRUE(staged_at.empty()) << staged_at.size() << " frames never left";
+  EXPECT_FALSE(b.pending());
+  EXPECT_GT(b.stats().closed_partner, 0u);
+  EXPECT_GT(b.stats().closed_full, 0u);
+  EXPECT_GT(b.stats().closed_timer, 0u);
 }
 
 // A datagram that carries an OrderInfo and no Regular counts as

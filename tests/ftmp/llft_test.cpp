@@ -3,7 +3,8 @@
 // reconciliation through the PGMP install path (prefix agreement across
 // survivors, new-leader accession, post-failover progress), the leader's
 // grant at send of its own Regulars, a member taking its own Regulars and
-// OrderInfo in at send, and batching at the leader only.
+// OrderInfo in at send, and batching at the leader only, where a batch
+// opened after a quiet window leaves with its partner.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -806,6 +807,45 @@ TEST(Llft, LeaderDeliversWhatItGrantsBeforeItsBatchLeaves) {
     EXPECT_EQ(h.stack(p).group(kGroup)->rmp().stats().duplicates_ignored.value(), 0u)
         << "at " << to_string(p);
   }
+}
+
+// The leader's batch opened after a quiet window leaves with its partner:
+// P3's Regular, sent 200 us after P2's, is granted into the batch that
+// holds P2's grant and releases it at once, so both grants share one
+// datagram and the followers deliver both messages one hop later, well
+// inside the leader's 500 us window.
+TEST(Llft, QuietLeaderBatchLeavesWithTheNextGrant) {
+  net::LinkModel exact;
+  exact.jitter = 0;
+  SimHarness h(exact, 80);
+  const auto all = ids({1, 2, 3});
+  for (ProcessorId p : all) {
+    h.add_processor(p, kDomain, kDomainAddr, batched_llft_config());
+  }
+  for (ProcessorId p : all) h.stack(p).create_group(h.now(), kGroup, kGroupAddr, all);
+  h.run_for(50 * kMillisecond);
+  ASSERT_TRUE(engine(h, ProcessorId{1}).leading());
+
+  WireLog wire(h, ProcessorId{1});
+  std::uint64_t req = 0;
+  const TimePoint sent = h.now();
+  ASSERT_EQ(send_and_drain(h, ProcessorId{2}, req, {"first"}).size(), 1u);
+  h.run_for(200 * kMicrosecond);
+  ASSERT_EQ(send_and_drain(h, ProcessorId{3}, req, {"second"}).size(), 1u);
+  h.run_for(200 * kMillisecond);
+  expect_same_order(h, all, 2, "two grants in one quiet batch");
+
+  const auto grants = wire.grants();
+  ASSERT_EQ(grants.size(), 2u);
+  const TimePoint partner_arrived = sent + 200 * kMicrosecond + exact.delay;
+  EXPECT_EQ(grants[0].datagram, grants[1].datagram) << "the grants left apart";
+  EXPECT_EQ(grants[0].at, partner_arrived) << "the batch outlived its partner's drain";
+  for (ProcessorId p : ids({2, 3})) {
+    for (const DeliveredMessage& m : h.delivered(p, kGroup)) {
+      EXPECT_EQ(m.delivered_at, partner_arrived + exact.delay) << "at " << to_string(p);
+    }
+  }
+  EXPECT_EQ(h.stack(ProcessorId{1}).batch_stats().closed_partner, 1u);
 }
 
 // A lone member is its own leader, and its own acks make each message

@@ -149,9 +149,9 @@ TEST(Messages, SizeMismatchRejected) {
 TEST(Messages, TruncatedBodyRejected) {
   Message m{header_for(MessageType::kRegular, ByteOrder::kBig),
             RegularBody{sample_conn(), 1, bytes_of("payload")}};
-  Bytes wire = encode_message(m);
-  wire.resize(wire.size() - 3);
-  EXPECT_THROW((void)decode_message(wire), CodecError);
+  const Bytes wire = encode_message(m);
+  const Bytes truncated(wire.begin(), wire.end() - 3);
+  EXPECT_THROW((void)decode_message(truncated), CodecError);
 }
 
 TEST(Messages, InvertedRetransmitRangeRejected) {

@@ -106,9 +106,9 @@ TEST(Wire, BadTypeRejected) {
 TEST(Wire, TruncatedHeaderRejected) {
   Writer w;
   encode_header(w, sample_header());
-  Bytes b = w.bytes();
-  b.resize(b.size() - 1);
-  Reader r(b);
+  const Bytes b = w.bytes();
+  const Bytes truncated(b.begin(), b.end() - 1);
+  Reader r(truncated);
   EXPECT_THROW((void)decode_header(r), CodecError);
 }
 

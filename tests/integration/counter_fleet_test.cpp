@@ -140,6 +140,7 @@ TEST(CounterFleet, InstanceTalliesSumToTheRegistryCounter) {
     tallies["ftmp_batch_passthrough_total"] += b.passthrough;
     tallies["ftmp_batch_closed_full_total"] += b.closed_full;
     tallies["ftmp_batch_closed_timer_total"] += b.closed_timer;
+    tallies["ftmp_batch_closed_partner_total"] += b.closed_partner;
     tallies["ftmp_batch_heartbeats_coalesced_total"] += b.heartbeats_coalesced;
     tallies["ftmp_batch_grant_only_total"] += b.grant_only;
     for (ProcessorGroupId g : groups) {
